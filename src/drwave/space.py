@@ -34,15 +34,25 @@ class SpaceParams:
     n: int
     Q: Fraction
 
+    def __post_init__(self):
+        # Q^2/4 enters every spectral weight; do the Fraction arithmetic
+        # once.  Not a field, so ==, hash and repr see only the four above.
+        object.__setattr__(self, "_q2_over_4", float(self.Q * self.Q / 4))
+
     @property
     def q2_over_4(self) -> float:
         """Q^2/4, the spectral gap of the Laplace-Beltrami operator."""
-        return float(self.Q * self.Q / 4)
+        return self._q2_over_4
 
     @property
     def half_sum(self) -> float:
         """(m_v + m_z)/2, the coefficient of coth(s/2) in A'/A."""
         return 0.5 * (self.m_v + self.m_z)
+
+    @property
+    def taylor_b(self) -> float:
+        """(m_v + m_z)/12 + m_z/4, the b of A'/A = (n-1)/s + b s + O(s^3)."""
+        return (self.m_v + self.m_z) / 12.0 + self.m_z / 4.0
 
 
 def new_space(m_v: int, m_z: int) -> SpaceParams:
@@ -83,7 +93,7 @@ def log_density_derivative(params: SpaceParams, s):
     Equals (m_v+m_z)/2 * coth(s/2) + m_z/2 * tanh(s/2); behaves like
     (n-1)/s as s -> 0+ and tends to Q as s -> infinity.  Below s = 1e-6
     the Laurent form (n-1)/s + b*s is used to avoid cancellation, with
-    b = (m_v+m_z)/12 + m_z/4 from the expansion of coth/tanh.
+    b = params.taylor_b from the expansion of coth/tanh.
     """
     s = np.asarray(s, dtype=float)
     if np.any(s <= 0):
@@ -93,8 +103,7 @@ def log_density_derivative(params: SpaceParams, s):
     small = s < 1e-6
     half = np.where(small, 1.0, s / 2.0)  # dummy arg where the Laurent form is used
     direct = alpha / np.tanh(half) + beta * np.tanh(half)
-    b = (params.m_v + params.m_z) / 12.0 + params.m_z / 4.0
-    laurent = (params.n - 1) / s + b * s
+    laurent = (params.n - 1) / s + params.taylor_b * s
     out = np.where(small, laurent, direct)
     return out if out.ndim else float(out)
 
@@ -120,11 +129,6 @@ def schwartz_envelope(params: SpaceParams, s):
 def space_config_pair(params: SpaceParams) -> dict:
     """The serializable form: only (m_v, m_z); derived fields never travel."""
     return {"m_v": params.m_v, "m_z": params.m_z}
-
-
-def _taylor_b(params: SpaceParams) -> float:
-    # A'/A = (n-1)/s + b s + O(s^3)
-    return (params.m_v + params.m_z) / 12.0 + params.m_z / 4.0
 
 
 def density_ratio_limit_check(params: SpaceParams, s_max: float = 3.0, n_pts: int = 200):

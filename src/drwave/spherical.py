@@ -14,7 +14,9 @@ evaluated by
   recursion whose omega_k coefficients come from expanding the Liouville
   potential of the radial equation in powers of e^(-s);
 * a fixed-step RK4 integration of the radial equation from a Taylor
-  start, which serves as the independent oracle for both series.
+  start, which serves as the independent oracle for both series; each
+  step is applied as a precomputed transfer matrix, quadratic in
+  lambda^2 + Q^2/4, to a whole block of frequencies at once.
 
 The dispatcher phi() routes between the three and enforces the global
 bound |phi| <= 1.
@@ -67,9 +69,8 @@ _PHI_BOUND_TOL = 1e-9
 def _taylor_coeffs(params: SpaceParams, nu: np.ndarray):
     """c2, c4 of the even Taylor expansion phi = 1 + c2 s^2 + c4 s^4 + ..."""
     n = params.n
-    b = (params.m_v + params.m_z) / 12.0 + params.m_z / 4.0
     c2 = -nu / (2.0 * n)
-    c4 = nu * (2.0 * b + nu) / (8.0 * n * (n + 2.0))
+    c4 = nu * (2.0 * params.taylor_b + nu) / (8.0 * n * (n + 2.0))
     return c2, c4
 
 
@@ -80,60 +81,106 @@ def _taylor_eval(params: SpaceParams, nu: np.ndarray, s: float):
     return val, slope
 
 
-def _rk4_advance(params: SpaceParams, nu, y0, yp0, s_from, s_to, h):
-    """RK4 for the radial equation on [s_from, s_to], vectorized over nu."""
-    n_steps = max(1, int(math.ceil((s_to - s_from) / h - 1e-12)))
-    hh = (s_to - s_from) / n_steps
-    y, yp = y0, yp0
-    s = s_from
-    for _ in range(n_steps):
-        p1 = log_density_derivative(params, s)
-        p2 = log_density_derivative(params, s + 0.5 * hh)
-        p3 = p2
-        p4 = log_density_derivative(params, s + hh)
+def _transfer_coeffs(hh, p1, p2, p4) -> np.ndarray:
+    """RK4 transfer matrices of the radial equation, one per step.
 
-        k1y = yp
-        k1p = -p1 * yp - nu * y
+    A classical RK4 step of y' = y1, y1' = -p(s) y1 - nu y maps (y, y1)
+    linearly, and its 2x2 matrix is exactly quadratic in nu:
+    T(nu) = C0 + nu C1 + nu^2 C2.  hh, p1, p2, p4 hold each step's size
+    and the drift A'/A at its start, midpoint and end.  The stages are
+    run on linear forms in (y, y1) whose coefficients are polynomials in
+    nu, shape (3 powers, 2 components, n_steps).  Returns shape
+    (n_steps, 6, 2): rows 2j and 2j+1 are the rows of C_j.
+    """
+    one_y = np.zeros((3, 2, hh.size))
+    one_y[0, 0] = 1.0
+    one_p = np.zeros_like(one_y)
+    one_p[0, 1] = 1.0
 
-        y2 = y + 0.5 * hh * k1y
-        yp2 = yp + 0.5 * hh * k1p
-        k2y = yp2
-        k2p = -p2 * yp2 - nu * y2
+    def nu_times(form):  # the stages keep every y-form below degree 2
+        out = np.zeros_like(form)
+        out[1:] = form[:-1]
+        return out
 
-        y3 = y + 0.5 * hh * k2y
-        yp3 = yp + 0.5 * hh * k2p
-        k3y = yp3
-        k3p = -p3 * yp3 - nu * y3
+    half = 0.5 * hh
+    k1y, k1p = one_p, -p1 * one_p - nu_times(one_y)
+    y2, yp2 = one_y + half * k1y, one_p + half * k1p
+    k2y, k2p = yp2, -p2 * yp2 - nu_times(y2)
+    y3, yp3 = one_y + half * k2y, one_p + half * k2p
+    k3y, k3p = yp3, -p2 * yp3 - nu_times(y3)
+    y4, yp4 = one_y + hh * k3y, one_p + hh * k3p
+    k4y, k4p = yp4, -p4 * yp4 - nu_times(y4)
+    sixth = hh / 6.0
+    row_y = one_y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+    row_p = one_p + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+    return np.stack([row_y, row_p], axis=1).transpose(3, 0, 1, 2).reshape(hh.size, 6, 2)
 
-        y4 = y + hh * k3y
-        yp4 = yp + hh * k3p
-        k4y = yp4
-        k4p = -p4 * yp4 - nu * y4
 
-        y = y + (hh / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        yp = yp + (hh / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        s += hh
-    return y, yp
+_STEP_CHUNK = 4096  # steps whose transfer matrices are held at once
 
 
 def _ode_values(params: SpaceParams, nu: np.ndarray, s_targets: np.ndarray, h: float):
-    """phi at each target s (sorted ascending) for every nu; shape (n_nu, n_s)."""
+    """phi at each target s for every nu; shape (n_nu, n_s).
+
+    RK4 from the Taylor start at s = 1e-3, visiting the targets in
+    ascending order.  Each gap between consecutive targets is cut into equal steps of at most h, and the step starts
+    accumulate as s += step.  The drift A'/A is evaluated in one
+    vectorized call at every step's start, midpoint and end; each step
+    is then the transfer matrix C0 + nu C1 + nu^2 C2 (_transfer_coeffs),
+    applied to all nu by one (6,2)@(2,n_nu) product and a Horner update.
+    Targets below 1e-3 take the Taylor values.
+    """
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
-    s_targets = np.asarray(s_targets, dtype=float)
-    out = np.empty((nu.size, s_targets.size))
-    y, yp = _taylor_eval(params, nu, _TAYLOR_S0)
-    y = np.broadcast_to(y, nu.shape).astype(float).copy()
-    yp = np.broadcast_to(yp, nu.shape).astype(float).copy()
+    order = np.argsort(s_targets, kind="stable")
+    s_targets = np.asarray(s_targets, dtype=float)[order]
+    # step layout: per gap, its accumulated nodes (the starts plus the end)
+    nodes, steps, sizes, gap_of = [], [], [], []
     s_cur = _TAYLOR_S0
-    for j, s_t in enumerate(s_targets):
-        if s_t < _TAYLOR_S0:
-            c2, c4 = _taylor_coeffs(params, nu)
-            out[:, j] = 1.0 + c2 * s_t * s_t + c4 * s_t**4
-            continue
+    for s_t in s_targets:
         if s_t > s_cur:
-            y, yp = _rk4_advance(params, nu, y, yp, s_cur, s_t, h)
+            m = max(1, int(math.ceil((s_t - s_cur) / h - 1e-12)))
+            step = (s_t - s_cur) / m
+            nodes.append(np.cumsum(np.concatenate([[s_cur], np.full(m, step)])))
+            steps.append(m)
+            sizes.append(step)
             s_cur = s_t
-        out[:, j] = y
+        gap_of.append(len(steps))
+    # y after each gap, row 0 at the Taylor start
+    y_at = np.empty((len(steps) + 1, nu.size))
+    v = np.array(_taylor_eval(params, nu, _TAYLOR_S0))
+    y_at[0] = v[0]
+    if steps:
+        nodes = np.concatenate(nodes)
+        is_start = np.ones(nodes.size, dtype=bool)
+        is_start[np.cumsum(np.array(steps) + 1) - 1] = False
+        i_start = np.flatnonzero(is_start)
+        hh = np.repeat(sizes, steps)
+        drift = log_density_derivative(
+            params, np.concatenate([nodes, nodes[i_start] + 0.5 * hh]))
+        p1, p2, p4 = drift[i_start], drift[nodes.size:], drift[i_start + 1]
+        gap_ends = np.cumsum(steps).tolist() + [-1]
+        w = np.empty((6, nu.size))
+        w0, w1, w2 = w[0:2], w[2:4], w[4:6]
+        g = 0
+        for a in range(0, hh.size, _STEP_CHUNK):
+            b = min(a + _STEP_CHUNK, hh.size)
+            for k, c in enumerate(_transfer_coeffs(hh[a:b], p1[a:b], p2[a:b], p4[a:b]), a + 1):
+                np.dot(c, v, out=w)             # rows: C0 v, C1 v, C2 v
+                w2 *= nu                        # Horner in nu, in place
+                w2 += w1
+                w2 *= nu
+                np.add(w0, w2, out=v)
+                if k == gap_ends[g]:
+                    g += 1
+                    y_at[g] = v[0]
+    vals = y_at[gap_of].T
+    small = s_targets < _TAYLOR_S0
+    if np.any(small):
+        c2, c4 = _taylor_coeffs(params, nu[:, None])
+        s_t = s_targets[small]
+        vals[:, small] = 1.0 + c2 * s_t * s_t + c4 * s_t**4
+    out = np.empty((nu.size, s_targets.size))
+    out[:, order] = vals
     return out
 
 
@@ -163,7 +210,8 @@ def phi_ode_oracle(params: SpaceParams, lam: float, s_max: float, step: float) -
 
     The integration starts from the fourth-order Taylor expansion at
     s = 1e-3 (the drift coefficient A'/A is singular at 0) and proceeds
-    with classical RK4 at fixed step.  The step must resolve the local
+    with classical RK4 at fixed step, each step applied as its transfer
+    matrix (see _ode_values).  The step must resolve the local
     frequency: step * sqrt(lambda^2 + Q^2/4) <= 0.05.
     """
     nu = lam * lam + params.q2_over_4
@@ -564,8 +612,11 @@ def phi_matrix(params: SpaceParams, lams, s, ode_tol: float = 1e-8) -> np.ndarra
     """phi_{lambda_i}(s_j) over the grid product, shape (n_lam, n_s).
 
     Bessel series for s <= 0.75, exponential series for s >= 2 at
-    lambda >= 1, and blocked vector RK4 for the strip in between (and for
-    the sub-unit frequencies everywhere beyond the Bessel zone).
+    lambda >= 1, and RK4 for the strip in between (and for the sub-unit
+    frequencies everywhere beyond the Bessel zone).  The RK4 rows go in
+    blocks of about 64 frequencies sorted by lambda^2 + Q^2/4; each block
+    shares one step size, and each step is one transfer matrix
+    C0 + nu C1 + nu^2 C2 applied to the whole block (_ode_values).
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     s = np.atleast_1d(np.asarray(s, dtype=float))

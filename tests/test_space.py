@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 
 from drwave.errors import DomainError, ValidationError
 from drwave.space import (
+    SpaceParams,
     density,
     density_ratio_limit_check,
     log_density_derivative,
@@ -116,3 +118,23 @@ def test_spaceparams_immutable(space21):
 def test_q2_over_4(space43):
     assert space43.q2_over_4 == 6.25
     assert isinstance(space43.Q, Fraction)
+
+
+def test_q2_over_4_is_not_a_field(all_spaces):
+    # precomputed once, bit-identical to the Fraction value; fields,
+    # equality, hash and repr see only (m_v, m_z, n, Q)
+    for p in all_spaces:
+        assert p.q2_over_4 == float(p.Q * p.Q / 4)
+        assert [f.name for f in dataclasses.fields(p)] == ["m_v", "m_z", "n", "Q"]
+        twin = SpaceParams(p.m_v, p.m_z, p.n, p.Q)
+        assert twin == p and hash(twin) == hash(p)
+        assert repr(p) == (f"SpaceParams(m_v={p.m_v}, m_z={p.m_z}, n={p.n}, "
+                           f"Q={p.Q!r})")
+
+
+def test_taylor_b_is_laurent_coefficient(all_spaces):
+    # A'/A - (n-1)/s = b s + O(s^3)
+    for p in all_spaces:
+        s = 1e-2
+        direct = p.half_sum / math.tanh(s / 2) + 0.5 * p.m_z * math.tanh(s / 2)
+        assert (direct - (p.n - 1) / s) / s == pytest.approx(p.taylor_b, rel=1e-4)

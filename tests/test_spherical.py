@@ -2,13 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drwave.errors import DomainError, StepSizeError, ValidationError
-from drwave.space import new_space
+from drwave.space import log_density_derivative, new_space
 from drwave.spherical import (
+    _TAYLOR_S0,
+    _auto_step,
     _bessel_values,
     _hc_auto,
     _ode_refined,
+    _ode_values,
+    _taylor_coeffs,
+    _transfer_coeffs,
     c0_constant,
     gamma_coeffs,
     liouville_potential,
@@ -52,6 +59,140 @@ def test_ode_self_convergence(space21):
 def test_ode_step_rejection(space21):
     with pytest.raises(StepSizeError):
         phi_ode_oracle(space21, 100.0, 1.0, 1e-3)
+
+
+# ---------------------------------------------------------------------------
+# exact oracle on real hyperbolic 3-space, (m_v, m_z) = (2, 0)
+# ---------------------------------------------------------------------------
+
+# On H^3, A(s) = (2 sinh(s/2))^2 and phi_lambda(s) = sin(lambda s) /
+# (2 lambda sinh(s/2)), with phi_0(s) = s / (2 sinh(s/2)).  Every route
+# is held to 1e-9 of it: the ODE strip at its default tolerance reaches
+# about 1e-10 at lambda = 50, the Bessel fit about 1e-13.
+H3_TOL = 1e-9
+
+
+@pytest.fixture(scope="module")
+def space20():
+    return new_space(2, 0)
+
+
+def _phi_h3(lam, s):
+    s = np.asarray(s, dtype=float)
+    out = np.ones_like(s)
+    pos = s > 0
+    num = np.sin(lam * s[pos]) / lam if lam else s[pos]
+    out[pos] = num / (2.0 * np.sinh(s[pos] / 2.0))
+    return out
+
+
+def test_phi_matrix_exact_on_h3(space20):
+    # all three zones: Bessel (s <= 0.75), exponential series (s >= 2,
+    # lambda >= 1) and the ODE strip and sub-unit rows; s descends, so
+    # the ODE route must put each value back in its column
+    lams = np.array([0.0, 0.5, 2.0, 10.0, 50.0])
+    s = np.linspace(6.0, 0.0, 241)
+    mat = phi_matrix(space20, lams, s)
+    for i, lam in enumerate(lams):
+        assert np.max(np.abs(mat[i] - _phi_h3(lam, s))) < H3_TOL
+
+
+def test_phi_ode_oracle_exact_on_h3(space20):
+    for lam in (0.0, 0.5, 2.0, 10.0):
+        step = min(1e-3, 0.05 / math.sqrt(lam * lam + space20.q2_over_4))
+        prof = phi_ode_oracle(space20, lam, 6.0, step)
+        assert np.max(np.abs(prof.values - _phi_h3(lam, prof.s_grid))) < H3_TOL
+
+
+def test_ode_refined_exact_on_h3(space20):
+    s = np.array([_TAYLOR_S0, 0.3, 1.0, 2.5, 6.0])
+    for lam in (0.0, 0.5, 2.0, 10.0, 50.0):
+        assert np.max(np.abs(_ode_refined(space20, lam, s) - _phi_h3(lam, s))) < H3_TOL
+
+
+# ---------------------------------------------------------------------------
+# RK4 transfer matrices
+# ---------------------------------------------------------------------------
+
+def _rk4_stage_step(p1, p2, p4, nu, y, yp, h):
+    """One classical RK4 step of the radial equation, stage by stage."""
+    k1y, k1p = yp, -p1 * yp - nu * y
+    y2, yp2 = y + 0.5 * h * k1y, yp + 0.5 * h * k1p
+    k2y, k2p = yp2, -p2 * yp2 - nu * y2
+    y3, yp3 = y + 0.5 * h * k2y, yp + 0.5 * h * k2p
+    k3y, k3p = yp3, -p2 * yp3 - nu * y3
+    y4, yp4 = y + h * k3y, yp + h * k3p
+    k4y, k4p = yp4, -p4 * yp4 - nu * y4
+    return (y + h / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
+            yp + h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m_v=st.integers(1, 8).map(lambda k: 2 * k),
+    m_z=st.integers(0, 8).map(lambda k: 2 * k),
+    nu_excess=st.floats(0.0, 2500.0),
+    s0=st.floats(_TAYLOR_S0, 8.0),
+    step_frac=st.floats(1e-3, 1.0),
+    yp_ratio=st.floats(-1.0, 1.0),
+)
+def test_transfer_step_matches_stage_rk4(m_v, m_z, nu_excess, s0, step_frac, yp_ratio):
+    # steps as the integrator takes them: h resolves the frequency and
+    # does not exceed the distance from the origin
+    params = new_space(m_v, m_z)
+    nu = params.q2_over_4 + nu_excess
+    omega = math.sqrt(nu)
+    h = step_frac * min(0.05 / omega, s0)
+    p1, p2, p4 = (float(log_density_derivative(params, x)) for x in (s0, s0 + 0.5 * h, s0 + h))
+    c = _transfer_coeffs(np.array([h]), np.array([p1]), np.array([p2]), np.array([p4]))[0]
+    y, yp = 1.0, yp_ratio * omega
+    got = c[0:2] @ [y, yp] + nu * (c[2:4] @ [y, yp]) + nu * nu * (c[4:6] @ [y, yp])
+    want = _rk4_stage_step(p1, p2, p4, nu, y, yp, h)
+    # relative in the norm that weighs y' by 1/omega, the scale of a
+    # solution oscillating at frequency omega
+    err = math.hypot(got[0] - want[0], (got[1] - want[1]) / omega)
+    assert err <= 1e-13 * math.hypot(want[0], want[1] / omega)
+
+
+def test_ode_values_targets_below_taylor_start(space43):
+    nu = np.array([space43.q2_over_4, 40.0])
+    s = np.array([0.0, 5e-4, _TAYLOR_S0, 0.5])
+    h = _auto_step(math.sqrt(nu.max()), 0.5)
+    vals = _ode_values(space43, nu, s, h)
+    c2, c4 = _taylor_coeffs(space43, nu)
+    assert np.all(vals[:, 0] == 1.0)
+    assert np.allclose(vals[:, 1], 1.0 + c2 * s[1] ** 2 + c4 * s[1] ** 4, rtol=0, atol=1e-15)
+    assert np.allclose(vals[:, 2], 1.0 + c2 * s[2] ** 2 + c4 * s[2] ** 4, rtol=0, atol=1e-15)
+    # neither Taylor target adds a step to the march to 0.5
+    assert np.array_equal(vals[:, 3], _ode_values(space43, nu, s[3:], h)[:, 0])
+
+
+def test_ode_values_repeated_targets(space43):
+    nu = np.array([space43.q2_over_4, 40.0])
+    h = _auto_step(math.sqrt(nu.max()), 1.0)
+    vals = _ode_values(space43, nu, np.array([0.5, 0.5, 1.0, 1.0]), h)
+    once = _ode_values(space43, nu, np.array([0.5, 1.0]), h)
+    assert np.array_equal(vals, once[:, [0, 0, 1, 1]])
+
+
+def test_ode_values_single_target(space20):
+    nu = np.array([2.0**2 + space20.q2_over_4])
+    vals = _ode_values(space20, nu, np.array([1.3]), 1e-3)
+    assert vals.shape == (1, 1)
+    assert abs(vals[0, 0] - _phi_h3(2.0, 1.3)) < H3_TOL
+
+
+def test_ode_values_mixed_frequency_block(space20):
+    # the gap nu = Q^2/4 (lambda = 0) shares a step with nu ~ 2500
+    nu = np.array([space20.q2_over_4, 2500.0])
+    s = np.linspace(0.8, 2.0, 7)
+    h = _auto_step(math.sqrt(nu.max()), float(s[-1]))
+    vals = _ode_values(space20, nu, s, h)
+    for row, n in zip(vals, nu):
+        lam = math.sqrt(n - space20.q2_over_4)
+        assert np.max(np.abs(row - _phi_h3(lam, s))) < H3_TOL
+        alone = _ode_values(space20, np.array([n]), s, h)[0]
+        assert np.max(np.abs(row - alone)) < 1e-14
 
 
 # ---------------------------------------------------------------------------
