@@ -50,9 +50,9 @@ from .spherical import (
     phi_ode_oracle,
 )
 from .transform import (
-    calibrate_inversion_constant,
     euclidean_correspondence,
     euclidean_correspondence_inverse,
+    inversion_constant,
     sft_forward,
     sft_inverse,
     sobolev_comparison_check,
@@ -70,7 +70,6 @@ __all__ = [
     "SpectralProfile",
     "bessel_j",
     "c_function",
-    "calibrate_inversion_constant",
     "case1_family",
     "case1_run",
     "case2_family",
@@ -82,6 +81,7 @@ __all__ = [
     "euclidean_correspondence_inverse",
     "gamma_coeffs",
     "implied_p_bound",
+    "inversion_constant",
     "littlewood_paley_split",
     "ln_gamma_complex",
     "log_density_derivative",

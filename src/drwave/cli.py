@@ -254,7 +254,6 @@ def _cmd_transform(cfg, chash, out):
     fh = transform.sft_forward(params, f, lam)
     _emit_csv(out / "forward.csv", chash, ["lambda", "re", "im", "abs"],
               [(x, v.real, v.imag, abs(v)) for x, v in zip(lam, fh.values)])
-    transform.calibrate_inversion_constant(params)
     s_out = np.linspace(0.0, 0.75 * float(cfg["grids.s_max"]), 384)
     back = transform.sft_inverse(params, fh, s_out)
     ref = _builtin_profile(cfg)
@@ -271,7 +270,6 @@ def _cmd_transform(cfg, chash, out):
 
 def _cmd_propagate(cfg, chash, out):
     params = _space_from(cfg)
-    transform.calibrate_inversion_constant(params)
     kind = dispersive.PhaseKind.from_selector(cfg["equation"])
     fh = _builtin_spectrum(cfg)
     t = float(cfg["time"])
@@ -285,7 +283,6 @@ def _cmd_propagate(cfg, chash, out):
 
 def _cmd_maximal(cfg, chash, out):
     params = _space_from(cfg)
-    transform.calibrate_inversion_constant(params)
     kind = dispersive.PhaseKind.from_selector(cfg["equation"])
     fh = _builtin_spectrum(cfg)
     lam_hi = fh.support_hint[1] if fh.support_hint else float(fh.lambda_grid[-1])

@@ -22,7 +22,7 @@ from .profiles import RadialProfile, SpectralProfile
 from .space import SpaceParams
 from .spherical import phi_matrix
 from .special import plancherel_density
-from .transform import _interp, _require_calibration, spectral_quadrature_nodes
+from .transform import _interp, inversion_constant, spectral_quadrature_nodes
 
 __all__ = [
     "PhaseKind",
@@ -231,7 +231,6 @@ class PropagatorKernel:
                  s_grid, t_max: float = 1.0):
         self.params = params
         self.kind = kind
-        self.c_const = _require_calibration(params)
         self.s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
         s_rate = float(np.max(self.s_grid))
         lam_hi = (fh.support_hint[1] if fh.support_hint is not None
@@ -241,7 +240,7 @@ class PropagatorKernel:
         self.nodes = nodes
         self.fh_nodes = _interp(fh.lambda_grid, fh.values)(nodes)
         self.psi_nodes = phase(kind, params, nodes)
-        self.weight = weights * plancherel_density(params, nodes) * self.c_const
+        self.weight = weights * plancherel_density(params, nodes) * inversion_constant(params)
         self.kernel_t = phi_matrix(params, nodes, self.s_grid).T  # (n_s, n_nodes)
 
     def apply(self, t: float) -> np.ndarray:

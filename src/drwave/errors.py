@@ -30,7 +30,7 @@ class TailMassError(DrwaveError, ValueError):
 
 
 class CalibrationError(DrwaveError, RuntimeError):
-    """Inversion-constant calibration missing or internally inconsistent."""
+    """The Plancherel calibration oracle's reference profiles disagree."""
 
 
 class PhiBoundError(DrwaveError, RuntimeError):

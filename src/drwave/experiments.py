@@ -26,7 +26,7 @@ from .quadrature import panel_rule
 from .space import SpaceParams
 from .spherical import _bessel_matrix
 from .special import plancherel_density
-from .transform import calibrate_inversion_constant, sft_inverse, sobolev_norm
+from .transform import sft_inverse, sobolev_norm
 
 __all__ = [
     "ExperimentReport",
@@ -228,7 +228,6 @@ def case2_run(params: SpaceParams, beta: float, n_list, epsilon: float = 0.25,
     implied p bound from their difference."""
     if not 0.0 <= beta < params.n / 2:
         raise ValidationError("case-2 requires 0 <= beta < n/2")
-    calibrate_inversion_constant(params)
     n_list = sorted(int(n) for n in n_list)
     sups, norms = [], []
     for n_freq in n_list:

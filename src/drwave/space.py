@@ -119,13 +119,6 @@ def log_density_derivative_prime(params: SpaceParams, s):
     return out if out.ndim else float(out)
 
 
-def schwartz_envelope(params: SpaceParams, s):
-    """Decay envelope e^(-Q s/2) of radial L^2-Schwartz functions."""
-    s = np.asarray(s, dtype=float)
-    out = np.exp(-0.5 * float(params.Q) * s)
-    return out if out.ndim else float(out)
-
-
 def space_config_pair(params: SpaceParams) -> dict:
     """The serializable form: only (m_v, m_z); derived fields never travel."""
     return {"m_v": params.m_v, "m_z": params.m_z}

@@ -9,7 +9,7 @@ The c-function is the four-Gamma ratio
 evaluated through the principal-branch complex log-Gamma so that products
 and quotients never overflow.  |c(lambda)|^-2 is comparable to
 lambda^2 (1+lambda)^(n-3), with a lambda^2 zero at the origin that the
-density evaluator fills by a cached limit constant.
+density evaluator fills by the closed-form limit of |c|^-2 / lambda^2.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "script_j",
     "c_function",
     "plancherel_density",
-    "CValue",
 ]
 
 
@@ -55,22 +54,6 @@ _LANCZOS_C = (
     0.36899182659531622704e-5,
 )
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-class CValue(complex):
-    """Complex value of the Harish-Chandra c-function.
-
-    A plain complex with named accessors matching the wire format
-    (re, im) used by the CLI.
-    """
-
-    @property
-    def re(self) -> float:
-        return self.real
-
-    @property
-    def im(self) -> float:
-        return self.imag
 
 
 def _ln_gamma_core(z: complex) -> complex:
@@ -103,11 +86,6 @@ def ln_gamma_complex(z: complex) -> complex:
     for j in range(shift):
         acc += cmath.log(z + j)
     return _ln_gamma_core(z + shift) - acc
-
-
-def gamma_ratio_abs(num: complex, den: complex) -> float:
-    """|Gamma(num)/Gamma(den)| via the log representation."""
-    return math.exp((ln_gamma_complex(num) - ln_gamma_complex(den)).real)
 
 
 def bessel_j(mu: float, x):
@@ -172,7 +150,7 @@ def _ln_c(params: SpaceParams, lam: float) -> complex:
     )
 
 
-def c_function(params: SpaceParams, lam: float) -> CValue:
+def c_function(params: SpaceParams, lam: float) -> complex:
     """Harish-Chandra c-function at real lambda != 0.
 
     Conjugate symmetry c(-lambda) = conj(c(lambda)) holds exactly because
@@ -180,22 +158,20 @@ def c_function(params: SpaceParams, lam: float) -> CValue:
     """
     if lam == 0:
         raise PoleError("c-function has a pole at lambda = 0")
-    return CValue(cmath.exp(_ln_c(params, lam)))
-
-
-_PLANCHEREL_LIMIT_CACHE: dict[tuple[int, int], float] = {}
+    return cmath.exp(_ln_c(params, lam))
 
 
 def _plancherel_limit(params: SpaceParams) -> float:
-    """Cached limit L = lim_{lambda->0} |c(lambda)|^-2 / lambda^2."""
-    key = (params.m_v, params.m_z)
-    if key not in _PLANCHEREL_LIMIT_CACHE:
-        lam0 = 1e-4
-        # Richardson in lambda^2: the ratio is even and analytic at 0
-        r1 = _plancherel_raw(params, lam0) / lam0**2
-        r2 = _plancherel_raw(params, lam0 / 2) / (lam0 / 2) ** 2
-        _PLANCHEREL_LIMIT_CACHE[key] = (4.0 * r2 - r1) / 3.0
-    return _PLANCHEREL_LIMIT_CACHE[key]
+    """L = lim_{lambda->0} |c(lambda)|^-2 / lambda^2, in closed form.
+
+    As lambda -> 0, Gamma(2i lambda) ~ 1/(2i lambda) and the other three
+    Gamma factors of c tend to their values at lambda = 0, so
+    L = 4 Gamma(Q/2)^2 Gamma((m_v+2)/4)^2 / (2^(2Q) Gamma(n/2)^2).
+    """
+    Q = float(params.Q)
+    log_sqrt_l = ((1.0 - Q) * math.log(2.0) + math.lgamma(Q / 2.0)
+                  + math.lgamma((params.m_v + 2.0) / 4.0) - math.lgamma(params.n / 2.0))
+    return math.exp(2.0 * log_sqrt_l)
 
 
 def _plancherel_raw(params: SpaceParams, lam: float) -> float:
@@ -206,7 +182,7 @@ def plancherel_density(params: SpaceParams, lam):
     """Plancherel density |c(lambda)|^-2 for lambda >= 0.
 
     Below lambda = 1e-4 the quadratic zero is evaluated as
-    lambda^2 * L with the cached limit constant L, sidestepping the
+    lambda^2 * L with the closed-form limit constant L, sidestepping the
     cancellation at the Gamma(2 i lambda) pole.
     """
     lam_arr = np.asarray(lam, dtype=float)

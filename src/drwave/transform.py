@@ -1,12 +1,12 @@
-"""Spherical Fourier transform, inversion, Plancherel calibration, Sobolev
+"""Spherical Fourier transform, inversion, Plancherel constant, Sobolev
 norms, and the pointwise correspondence with Euclidean radial spectra.
 
 Forward:   fh(lambda) = int_0^inf f(s) phi_lambda(s) A(s) ds
 Inverse:   f(s) = C int_0^inf fh(lambda) phi_lambda(s) |c(lambda)|^-2 dlambda
 
-The constant C depends only on (m_v, m_z); it is calibrated once per
-space from the Plancherel identity on reference profiles rather than
-taken from the literature, and cached.
+The constant C = 2^(m_z-1)/pi is closed form (`inversion_constant`);
+`calibrate_inversion_constant` recovers it numerically from the
+Plancherel identity and serves as its test oracle.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .special import plancherel_density
 __all__ = [
     "sft_forward",
     "sft_inverse",
+    "inversion_constant",
     "calibrate_inversion_constant",
     "sobolev_norm",
     "euclidean_correspondence",
@@ -87,7 +88,37 @@ def sft_forward(params: SpaceParams, f: RadialProfile, lambda_grid) -> SpectralP
     return SpectralProfile(lambda_grid, vals.astype(complex))
 
 
-_CALIBRATION_CACHE: dict[tuple[int, int], float] = {}
+def inversion_constant(params: SpaceParams) -> float:
+    """Plancherel constant C = 2^(m_z-1)/pi of the inversion formula.
+
+    Radial analysis on a Damek-Ricci space is Jacobi-function analysis
+    (Anker-Damek-Yacoub, Ann. SNS Pisa 1996).  Put t = s/2 and
+    (alpha, beta) = ((n-2)/2, (m_z-1)/2), so that alpha+beta+1 = Q.  Then
+    phi_lambda(s) is the Jacobi function phi_mu(t) with mu = 2 lambda, and
+    the four-Gamma ratio of `special.c_function` is the Jacobi c-function
+
+        c(mu) = 2^(Q-i mu) Gamma(alpha+1) Gamma(i mu)
+                / (Gamma((Q+i mu)/2) Gamma((alpha-beta+1+i mu)/2)).
+
+    The Jacobi pair (Koornwinder's normalization)
+
+        G(mu) = int_0^inf g(t) phi_mu(t) Delta(t) dt,
+        g(t)  = (1/2 pi) int_0^inf G(mu) phi_mu(t) |c(mu)|^-2 dmu
+
+    has the weight Delta(t) = (2 sinh t)^(2 alpha+1) (2 cosh t)^(2 beta+1)
+    = 2^(m_v+2 m_z) sinh(s/2)^(m_v+m_z) cosh(s/2)^(m_z), which is 2^(m_z)
+    times `space.density`'s A(s) with its factor 2^(m_v+m_z).  With
+    g(t) = f(2t), ds = 2 dt gives fh(lambda) = 2^(1-m_z) G(2 lambda), and
+    dmu = 2 dlambda turns the Jacobi inversion into
+
+        f(s) = 2^(m_z-1)/pi int_0^inf fh(lambda) phi_lambda(s) |c(lambda)|^-2 dlambda.
+
+    Check on real hyperbolic 3-space (m_v, m_z) = (2, 0): c = 1/(2 i lambda)
+    and phi_lambda(s) = sin(lambda s)/(2 lambda sinh(s/2)), so
+    fh(lambda) = (2/lambda) int_0^inf f(s) sinh(s/2) sin(lambda s) ds is a
+    Fourier sine transform, whose inversion gives C = 1/(2 pi).
+    """
+    return 2.0 ** (params.m_z - 1) / math.pi
 
 
 def _reference_profiles(s_max: float, n_points: int):
@@ -110,35 +141,19 @@ def _plancherel_ratio(params: SpaceParams, f: RadialProfile,
 
 
 def calibrate_inversion_constant(params: SpaceParams) -> float:
-    """Plancherel constant C for this space, from three reference profiles.
+    """Numerical oracle for `inversion_constant`, from three reference profiles.
 
     Returns C with ||f||^2 = C * int |fh|^2 |c|^-2 dlambda; raises if the
-    three profiles disagree beyond 1e-3 relative.  Deterministic, cached
-    per (m_v, m_z); re-calibration reproduces the value bit for bit.
+    three profiles disagree beyond 1e-3 relative.  Deterministic and
+    uncached: each call redoes three forward transforms.
     """
-    key = (params.m_v, params.m_z)
-    if key in _CALIBRATION_CACHE:
-        return _CALIBRATION_CACHE[key]
     ratios = [_plancherel_ratio(params, f) for f in _reference_profiles(12.0, 1536)]
     lo, hi = min(ratios), max(ratios)
     if hi / lo - 1.0 > 1e-3:
         raise CalibrationError(
             f"calibration profiles disagree: ratios {ratios}"
         )
-    c = ratios[0]
-    _CALIBRATION_CACHE[key] = c
-    return c
-
-
-def _require_calibration(params: SpaceParams) -> float:
-    key = (params.m_v, params.m_z)
-    if key not in _CALIBRATION_CACHE:
-        raise CalibrationError(
-            "inversion constant not calibrated for "
-            f"(m_v={params.m_v}, m_z={params.m_z}); run "
-            "calibrate_inversion_constant first"
-        )
-    return _CALIBRATION_CACHE[key]
+    return ratios[0]
 
 
 def spectral_quadrature_nodes(fh: SpectralProfile, s_rate: float,
@@ -152,13 +167,12 @@ def spectral_quadrature_nodes(fh: SpectralProfile, s_rate: float,
 
 
 def sft_inverse(params: SpaceParams, fh: SpectralProfile, s_grid) -> RadialProfile:
-    """Inverse transform using the calibrated Plancherel constant."""
-    c_const = _require_calibration(params)
+    """Inverse transform with the closed-form Plancherel constant."""
     s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
     nodes, weights = spectral_quadrature_nodes(fh, float(np.max(s_grid)))
     fh_nodes = _interp(fh.lambda_grid, fh.values)(nodes)
     kernel = phi_matrix(params, nodes, s_grid)  # (n_nodes, n_s)
-    w = weights * plancherel_density(params, nodes) * c_const
+    w = weights * plancherel_density(params, nodes) * inversion_constant(params)
     vals = kernel.T @ (w * fh_nodes)
     return RadialProfile(s_grid, vals)
 
@@ -167,7 +181,8 @@ def sobolev_norm(params: SpaceParams, fh: SpectralProfile, beta: float) -> float
     """Fractional Sobolev norm of the spectrum.
 
     (int (lambda^2 + Q^2/4)^beta |fh|^2 |c|^-2 dlambda)^(1/2); beta = 0
-    is the Plancherel (L^2) norm up to the calibration constant.
+    is the Plancherel (L^2) norm up to the factor sqrt(C) of
+    `inversion_constant`: ||f||_2 = sqrt(C) * sobolev_norm(fh, 0).
     """
     if beta < 0:
         raise ValidationError("beta must be >= 0")

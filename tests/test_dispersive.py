@@ -17,7 +17,7 @@ from drwave.dispersive import (
 )
 from drwave.errors import DomainError, ResolutionError, ValidationError
 from drwave.profiles import SpectralProfile
-from drwave.transform import calibrate_inversion_constant, sft_inverse, sobolev_norm
+from drwave.transform import sft_inverse, sobolev_norm
 
 ALL_KINDS = [
     PhaseKind.frac(1.5),
@@ -113,7 +113,6 @@ def test_phase_selector_parsing():
 # ---------------------------------------------------------------------------
 
 def test_propagate_t_zero_is_inverse(space21):
-    calibrate_inversion_constant(space21)
     fh = _spectrum()
     s = np.linspace(0.0, 4.0, 96)
     a = propagate(space21, fh, PhaseKind.frac(2.0), 0.0, s)
@@ -135,7 +134,6 @@ def test_propagation_conserves_h0(space21):
 
 def test_smooth_data_convergence(space21):
     # max_s |S_t f - f| decreases monotonically along t = 1e-1..1e-4
-    calibrate_inversion_constant(space21)
     fh = _spectrum()
     kind = PhaseKind.frac(2.0)
     s = np.linspace(0.0, 3.0, 64)
@@ -148,7 +146,6 @@ def test_smooth_data_convergence(space21):
 
 
 def test_propagate_grid_resolution_error(space21):
-    calibrate_inversion_constant(space21)
     lam = np.linspace(0.0, 64.0, 128)  # far too coarse for t = 1
     vals = np.exp(-((lam - 32.0) ** 2)).astype(complex)
     fh = SpectralProfile(lam, vals)
@@ -157,7 +154,6 @@ def test_propagate_grid_resolution_error(space21):
 
 
 def test_maximal_zero_spectrum(space21):
-    calibrate_inversion_constant(space21)
     fh = SpectralProfile(np.linspace(0, 4, 256), np.zeros(256, dtype=complex))
     t_grid = np.linspace(0.1, 0.5, 16)  # dt * psi_beam(4) < pi/4
     out = maximal_function(space21, fh, PhaseKind.beam(), t_grid,
@@ -166,7 +162,6 @@ def test_maximal_zero_spectrum(space21):
 
 
 def test_maximal_dominates_and_refines(space21):
-    calibrate_inversion_constant(space21)
     fh = _spectrum()
     kind = PhaseKind.frac(2.0)
     s = np.linspace(0.0, 3.0, 48)
@@ -186,7 +181,6 @@ def test_maximal_dominates_and_refines(space21):
 
 
 def test_maximal_t_grid_validation(space21):
-    calibrate_inversion_constant(space21)
     fh = _spectrum()
     with pytest.raises(DomainError):
         maximal_function(space21, fh, PhaseKind.frac(2.0), np.array([0.5, 1.0]),

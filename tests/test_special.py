@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from drwave.errors import PoleError
+from drwave.space import new_space
 from drwave.special import (
+    _plancherel_limit,
     bessel_j,
     c_function,
     ln_gamma_complex,
@@ -155,11 +157,6 @@ def test_c_function_pole_at_zero(space21):
         c_function(space21, 0.0)
 
 
-def test_c_value_accessors(space21):
-    c = c_function(space21, 2.0)
-    assert c.re == c.real and c.im == c.imag
-
-
 def test_plancherel_zero(space21):
     assert plancherel_density(space21, 0.0) == 0.0
 
@@ -196,6 +193,21 @@ def test_plancherel_small_lambda_quadratic(space43):
     below = plancherel_density(space43, 9.9e-5) / 9.9e-5**2
     above = plancherel_density(space43, 1.01e-4) / 1.01e-4**2
     assert below == pytest.approx(above, rel=1e-6)
+
+
+@pytest.mark.parametrize("m_v,m_z", [(2, 0), (2, 1), (4, 3), (8, 1), (6, 2), (16, 7)])
+def test_plancherel_limit_closed_form_vs_richardson(m_v, m_z):
+    # L = lim |c|^-2 / lambda^2 against Richardson extrapolation in lambda^2
+    # of |c(lambda)|^-2 / lambda^2 at lambda = 1e-4 and 5e-5
+    params = new_space(m_v, m_z)
+    r1, r2 = (1.0 / abs(c_function(params, lam)) ** 2 / lam**2 for lam in (1e-4, 5e-5))
+    richardson = (4.0 * r2 - r1) / 3.0
+    assert _plancherel_limit(params) == pytest.approx(richardson, rel=1e-12)
+
+
+def test_plancherel_limit_h3():
+    # c(lambda) = 1/(2 i lambda) on real hyperbolic 3-space, so L = 4
+    assert _plancherel_limit(new_space(2, 0)) == pytest.approx(4.0, rel=1e-14)
 
 
 def test_plancherel_rejects_negative(space21):

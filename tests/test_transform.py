@@ -1,17 +1,23 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
-from drwave.errors import CalibrationError, DomainError, TailMassError, ValidationError
+import drwave
+from drwave.errors import DomainError, TailMassError, ValidationError
 from drwave.profiles import RadialProfile, SpectralProfile
 from drwave.quadrature import grid_integral
 from drwave.space import density, new_space
+from drwave.special import plancherel_density
 from drwave.transform import (
-    _CALIBRATION_CACHE,
     calibrate_inversion_constant,
     euclidean_correspondence,
     euclidean_correspondence_inverse,
+    inversion_constant,
     sft_forward,
     sft_inverse,
     sobolev_comparison_check,
@@ -54,11 +60,34 @@ def test_forward_tail_check(space21):
         sft_forward(space21, fat, LAM_GRID)
 
 
-def test_calibration_positive_and_idempotent(space21):
-    c1 = calibrate_inversion_constant(space21)
-    c2 = calibrate_inversion_constant(space21)
-    assert c1 > 0
-    assert c1 == c2  # bit-for-bit
+@pytest.mark.parametrize("m_v,m_z", [(2, 0), (2, 1), (4, 3), (8, 1)])
+def test_inversion_constant_matches_calibration(m_v, m_z):
+    # closed form 2^(m_z-1)/pi against the Plancherel-ratio oracle
+    params = new_space(m_v, m_z)
+    c = calibrate_inversion_constant(params)
+    assert inversion_constant(params) == pytest.approx(c, rel=1e-8)
+    if (m_v, m_z) == (2, 1):
+        assert calibrate_inversion_constant(params) == c  # bit-for-bit
+
+
+def test_h3_gaussian_transform_pair():
+    # on (2, 0), fh of e^(-alpha s^2) is a Gaussian integral:
+    # fh = sqrt(pi/alpha) e^((1/4-lambda^2)/(4 alpha)) sin(lambda/(4 alpha))/lambda
+    h3 = new_space(2, 0)
+    for alpha in (1.0, 2.0):
+        f = _gaussian_profile(alpha)
+        fh = sft_forward(h3, f, LAM_GRID)
+        lam = LAM_GRID[1:]
+        exact = np.empty_like(LAM_GRID)
+        exact[0] = math.sqrt(math.pi / alpha) * math.exp(1.0 / (16.0 * alpha)) / (4.0 * alpha)
+        exact[1:] = (math.sqrt(math.pi / alpha) * np.exp((0.25 - lam**2) / (4.0 * alpha))
+                     * np.sin(lam / (4.0 * alpha)) / lam)
+        assert np.max(np.abs(fh.values - exact)) <= 1e-9 * np.max(np.abs(exact))
+        # Plancherel: ||f||^2 = C int |fh|^2 |c|^-2 dlambda
+        norm_s = grid_integral(f.values**2 * density(h3, f.s_grid), f.s_grid)
+        norm_l = grid_integral(np.abs(fh.values) ** 2 * plancherel_density(h3, LAM_GRID),
+                               LAM_GRID)
+        assert inversion_constant(h3) * norm_l == pytest.approx(norm_s, rel=1e-6)
 
 
 def test_calibration_consistency_across_profiles(space21):
@@ -71,23 +100,36 @@ def test_calibration_consistency_across_profiles(space21):
     assert held_out == pytest.approx(c, rel=1e-3)
 
 
-def test_inverse_requires_calibration():
-    fresh = new_space(6, 2)
-    _CALIBRATION_CACHE.pop((6, 2), None)
-    fh = SpectralProfile(LAM_GRID, np.exp(-LAM_GRID).astype(complex))
-    with pytest.raises(CalibrationError):
-        sft_inverse(fresh, fh, np.linspace(0, 2, 16))
+def test_inverse_needs_no_prior_call():
+    # a fresh interpreter inverts on a space nothing has touched before
+    script = textwrap.dedent("""
+        import numpy as np
+        from drwave.profiles import RadialProfile
+        from drwave.space import new_space
+        from drwave.transform import sft_forward, sft_inverse
+        params = new_space(6, 2)
+        s = np.linspace(0.0, 12.0, 1536)
+        fh = sft_forward(params, RadialProfile(s, np.exp(-s**2)), np.linspace(0.0, 24.0, 512))
+        s_out = np.linspace(0.0, 2.0, 16)
+        back = sft_inverse(params, fh, s_out)
+        print(float(np.max(np.abs(back.values - np.exp(-s_out**2)))))
+    """)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(drwave.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (root, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) < 1e-3
 
 
 def test_inverse_of_zero(space21):
-    calibrate_inversion_constant(space21)
     fh = SpectralProfile(LAM_GRID, np.zeros(512, dtype=complex))
     back = sft_inverse(space21, fh, np.linspace(0, 4, 64))
     assert np.all(back.values == 0)
 
 
 def test_roundtrip_gaussian(space21):
-    calibrate_inversion_constant(space21)
     f = _gaussian_profile(1.0)
     fh = sft_forward(space21, f, LAM_GRID)
     s_out = np.linspace(0.0, 8.0, 320)
@@ -106,7 +148,7 @@ def test_roundtrip_gaussian(space21):
 
 def test_isometry_beta_zero(space21):
     # sobolev_norm at beta=0 equals sqrt(||f||^2 / C) through the isometry
-    c = calibrate_inversion_constant(space21)
+    c = inversion_constant(space21)
     f = _gaussian_profile(2.5)
     fh = sft_forward(space21, f, LAM_GRID)
     h0 = sobolev_norm(space21, fh, 0.0)
@@ -129,8 +171,6 @@ def test_sobolev_monotone_in_beta(space21):
 
 
 def test_correspondence_pointwise_formula(space21):
-    from drwave.special import plancherel_density
-
     fh = _bump_spectrum(1.0, 2.0)
     fg = euclidean_correspondence(space21, fh)
     i = np.searchsorted(fh.lambda_grid, 1.5)
