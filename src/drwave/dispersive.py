@@ -1,17 +1,22 @@
 """Dispersive phase functions, the propagator, the discretized maximal
 function, and the low/high frequency split.
 
-The six named phase variants (fractional Schrodinger, Boussinesq, Beam,
-each with a shifted counterpart dropping the spectral gap) come with
-their growth exponents (delta1, delta2): |psi'| <~ lambda^(delta1-1)
-below 1, |psi'| <~ lambda^(delta2-1) and |psi''| comparable to
-lambda^(delta2-2) above 1.
+The multipliers come from one table of three families, each a function
+F of u = lambda^2 + gap: fractional Schrodinger u^(a/2), Boussinesq
+sqrt(u(u+1)) and Beam sqrt(1+u^2).  A variant of Delta has gap Q^2/4; its
+shifted counterpart, a variant of Delta + Q^2/4, is the same family at
+gap 0.  So psi = F(u), psi' = 2 lambda F'(u), psi'' = 2F'(u) + 4 lambda^2
+F''(u), and psi(x) - psi(x0) = F(u0 + du) - F(u0) with u0 = x0^2 + gap and
+du = (x - x0)(x + x0).  Each variant has growth exponents (delta1,
+delta2): |psi'| <~ lambda^(delta1-1) below 1, |psi'| <~ lambda^(delta2-1)
+and |psi''| comparable to lambda^(delta2-2) above 1; delta1 = 2 whenever
+the gap is Q^2/4.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -37,140 +42,155 @@ __all__ = [
 ]
 
 
+def _pow_diff(v0, dv, p: float):
+    """(v0+dv)^p - v0^p to relative accuracy of the difference (v0 > 0)."""
+    return v0**p * np.expm1(p * np.log1p(dv / v0))
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One multiplier family psi = F(u), u = lambda^2 + gap.  The callables
+    take (u, a), or (u0, du, a) for the difference, vectorized over u."""
+
+    f: Callable
+    df: Callable
+    ddf: Callable
+    diff: Callable              # F(u0 + du) - F(u0) without cancellation
+    delta1_shifted: Callable    # a -> delta1 at gap 0
+    delta2: Callable            # a -> delta2
+    takes_a: bool = False
+    # lambda -> psi'' at gap 0, where 2F' + 4 lambda^2 F'' cancels
+    dd_shifted: Callable | None = None
+
+
+_FAMILIES = {
+    "frac": _Family(
+        f=lambda u, a: u ** (0.5 * a),
+        df=lambda u, a: 0.5 * a * u ** (0.5 * a - 1.0),
+        ddf=lambda u, a: 0.5 * a * (0.5 * a - 1.0) * u ** (0.5 * a - 2.0),
+        diff=lambda u0, du, a: _pow_diff(u0, du, 0.5 * a),
+        delta1_shifted=lambda a: a, delta2=lambda a: a, takes_a=True,
+    ),
+    "boussinesq": _Family(
+        f=lambda u, a: np.sqrt(u) * np.sqrt(u + 1.0),
+        df=lambda u, a: (u + 0.5) / (np.sqrt(u) * np.sqrt(u + 1.0)),
+        ddf=lambda u, a: -0.25 * (u * (u + 1.0)) ** -1.5,
+        # v = u^2 + u
+        diff=lambda u0, du, a: _pow_diff(u0 * u0 + u0, du * (2.0 * u0 + du + 1.0), 0.5),
+        delta1_shifted=lambda a: 1.0, delta2=lambda a: 2.0,
+        # 2F' and 4 lambda^2 F'' are each ~1/lambda near 0
+        dd_shifted=lambda lam: lam * (2.0 * lam * lam + 3.0) * (lam * lam + 1.0) ** -1.5,
+    ),
+    "beam": _Family(
+        f=lambda u, a: np.sqrt(1.0 + u * u),
+        df=lambda u, a: u / np.sqrt(1.0 + u * u),
+        ddf=lambda u, a: (1.0 + u * u) ** -1.5,
+        # v = 1 + u^2
+        diff=lambda u0, du, a: _pow_diff(1.0 + u0 * u0, du * (2.0 * u0 + du), 0.5),
+        delta1_shifted=lambda a: 4.0, delta2=lambda a: 2.0,
+    ),
+}
+
+
 @dataclass(frozen=True)
 class PhaseKind:
-    """A dispersive multiplier phase psi(lambda) with its growth exponents."""
+    """A dispersive multiplier phase: a family of the phase table, whether
+    it is shifted (gap 0) or not (gap Q^2/4), and the family's exponent a
+    (fractional family only)."""
 
-    name: str
+    family: str
+    shifted: bool = False
     a: float | None = None
-    delta1: float = 2.0
-    delta2: float = 2.0
-    fn: Callable | None = field(default=None, compare=False)
-
-    _NAMES = ("frac", "frac-shifted", "boussinesq", "boussinesq-shifted",
-              "beam", "beam-shifted", "generic")
 
     def __post_init__(self):
-        if self.name not in self._NAMES:
-            raise ValidationError(f"unknown phase kind {self.name!r}")
-        if self.name in ("frac", "frac-shifted"):
-            if self.a is None or self.a <= 1.0:
-                raise ValidationError("fractional variants require a > 1")
-        if self.name == "generic" and self.fn is None:
-            raise ValidationError("generic phase requires a callable")
+        entry = _FAMILIES.get(self.family)
+        if entry is None:
+            raise ValidationError(f"unknown phase kind {self.family!r}")
+        if entry.takes_a and (self.a is None or self.a <= 1.0):
+            raise ValidationError("fractional variants require a > 1")
+        if not entry.takes_a and self.a is not None:
+            raise ValidationError(f"{self.family} takes no exponent")
+
+    @property
+    def name(self) -> str:
+        return self.family + "-shifted" if self.shifted else self.family
+
+    @property
+    def entry(self) -> _Family:
+        return _FAMILIES[self.family]
+
+    @property
+    def delta1(self) -> float:
+        return self.entry.delta1_shifted(self.a) if self.shifted else 2.0
+
+    @property
+    def delta2(self) -> float:
+        return self.entry.delta2(self.a)
+
+    def gap(self, params: SpaceParams) -> float:
+        return 0.0 if self.shifted else params.q2_over_4
 
     # --- constructors -----------------------------------------------------
     @classmethod
     def frac(cls, a: float) -> "PhaseKind":
-        return cls("frac", a=a, delta1=2.0, delta2=a)
+        return cls("frac", a=a)
 
     @classmethod
     def frac_shifted(cls, a: float) -> "PhaseKind":
-        return cls("frac-shifted", a=a, delta1=a, delta2=a)
+        return cls("frac", shifted=True, a=a)
 
     @classmethod
     def boussinesq(cls) -> "PhaseKind":
-        return cls("boussinesq", delta1=2.0, delta2=2.0)
+        return cls("boussinesq")
 
     @classmethod
     def boussinesq_shifted(cls) -> "PhaseKind":
-        return cls("boussinesq-shifted", delta1=1.0, delta2=2.0)
+        return cls("boussinesq", shifted=True)
 
     @classmethod
     def beam(cls) -> "PhaseKind":
-        return cls("beam", delta1=2.0, delta2=2.0)
+        return cls("beam")
 
     @classmethod
     def beam_shifted(cls) -> "PhaseKind":
-        return cls("beam-shifted", delta1=4.0, delta2=2.0)
-
-    @classmethod
-    def generic(cls, delta1: float, delta2: float, fn: Callable) -> "PhaseKind":
-        return cls("generic", delta1=delta1, delta2=delta2, fn=fn)
+        return cls("beam", shifted=True)
 
     @classmethod
     def from_selector(cls, selector: str) -> "PhaseKind":
         """Parse the CLI selector: frac:a, frac-shifted:a, boussinesq,
         boussinesq-shifted, beam, beam-shifted."""
         head, _, tail = selector.partition(":")
-        if head in ("frac", "frac-shifted"):
-            if not tail:
-                raise ValidationError(f"{head} selector needs :a, e.g. {head}:2")
-            a = float(tail)
-            return cls.frac(a) if head == "frac" else cls.frac_shifted(a)
-        if tail:
-            raise ValidationError(f"selector {selector!r} takes no parameter")
-        table = {
-            "boussinesq": cls.boussinesq,
-            "boussinesq-shifted": cls.boussinesq_shifted,
-            "beam": cls.beam,
-            "beam-shifted": cls.beam_shifted,
-        }
-        if head not in table:
+        family = head.removesuffix("-shifted")
+        entry = _FAMILIES.get(family)
+        if entry is None:
             raise ValidationError(f"unknown equation selector {selector!r}")
-        return table[head]()
+        if entry.takes_a and not tail:
+            raise ValidationError(f"{head} selector needs :a, e.g. {head}:2")
+        if tail and not entry.takes_a:
+            raise ValidationError(f"selector {selector!r} takes no parameter")
+        return cls(family, shifted=head != family, a=float(tail) if tail else None)
 
 
 def phase(kind: PhaseKind, params: SpaceParams, lam):
     """psi(lambda) for the given variant (vectorized over lambda >= 0)."""
     lam = np.asarray(lam, dtype=float)
-    q2 = params.q2_over_4
-    u = lam * lam + q2
-    if kind.name == "frac":
-        out = u ** (0.5 * kind.a)
-    elif kind.name == "frac-shifted":
-        out = lam**kind.a
-    elif kind.name == "boussinesq":
-        out = np.sqrt(u) * np.sqrt(u + 1.0)
-    elif kind.name == "boussinesq-shifted":
-        out = lam * np.sqrt(lam * lam + 1.0)
-    elif kind.name == "beam":
-        out = np.sqrt(1.0 + u * u)
-    elif kind.name == "beam-shifted":
-        out = np.sqrt(lam**4 + 1.0)
-    else:
-        out = np.asarray(kind.fn(lam), dtype=float)
+    out = np.asarray(kind.entry.f(lam * lam + kind.gap(params), kind.a))
     return out if out.ndim else float(out)
 
 
 def phase_derivs(kind: PhaseKind, params: SpaceParams, lam):
-    """(psi', psi'') by closed-form differentiation; generic variants fall
-    back to five-point central differences."""
+    """(psi', psi'') from the family's F' and F'' (vectorized over lambda > 0)."""
     lam = np.asarray(lam, dtype=float)
     if np.any(lam <= 0):
         raise DomainError("phase_derivs requires lambda > 0")
-    q2 = params.q2_over_4
-    u = lam * lam + q2
-    if kind.name == "frac":
-        a = kind.a
-        d1 = a * lam * u ** (0.5 * a - 1.0)
-        d2 = a * u ** (0.5 * a - 1.0) + a * (a - 2.0) * lam**2 * u ** (0.5 * a - 2.0)
-    elif kind.name == "frac-shifted":
-        a = kind.a
-        d1 = a * lam ** (a - 1.0)
-        d2 = a * (a - 1.0) * lam ** (a - 2.0)
-    elif kind.name == "boussinesq":
-        v = u * (u + 1.0)
-        d1 = lam * (2.0 * u + 1.0) / np.sqrt(v)
-        d2 = (2.0 * u + 1.0) / np.sqrt(v) - lam**2 * v ** (-1.5)
-    elif kind.name == "boussinesq-shifted":
-        w = lam * lam + 1.0
-        d1 = (2.0 * lam * lam + 1.0) / np.sqrt(w)
-        d2 = lam * (2.0 * lam * lam + 3.0) * w ** (-1.5)
-    elif kind.name == "beam":
-        r = np.sqrt(1.0 + u * u)
-        d1 = 2.0 * lam * u / r
-        d2 = 2.0 * u / r + 4.0 * lam**2 / r**3
-    elif kind.name == "beam-shifted":
-        r = np.sqrt(lam**4 + 1.0)
-        d1 = 2.0 * lam**3 / r
-        d2 = (2.0 * lam**6 + 6.0 * lam**2) / r**3
+    entry = kind.entry
+    u = lam * lam + kind.gap(params)
+    df = entry.df(u, kind.a)
+    d1 = 2.0 * lam * df
+    if kind.shifted and entry.dd_shifted is not None:
+        d2 = entry.dd_shifted(lam)
     else:
-        h = np.maximum(1e-6 * np.maximum(lam, 1.0), 1e-9)
-        f = lambda x: np.asarray(kind.fn(x), dtype=float)
-        d1 = (f(lam - 2 * h) - 8 * f(lam - h) + 8 * f(lam + h) - f(lam + 2 * h)) / (12 * h)
-        d2 = (-f(lam - 2 * h) + 16 * f(lam - h) - 30 * f(lam)
-              + 16 * f(lam + h) - f(lam + 2 * h)) / (12 * h * h)
+        d2 = 2.0 * df + 4.0 * lam * lam * entry.ddf(u, kind.a)
     if np.ndim(d1):
         return d1, d2
     return float(d1), float(d2)

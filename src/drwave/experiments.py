@@ -158,7 +158,7 @@ def case1_run(params: SpaceParams, a: float, beta_list, n_list, epsilon: float =
         raise ValidationError("case-1 requires a > 1")
     n_list = sorted(int(n) for n in n_list)
     beta_list = list(beta_list)
-    kind = PhaseKind.frac_shifted(a) if shifted else PhaseKind.frac(a)
+    kind = PhaseKind("frac", shifted=shifted, a=a)
     norms = {beta: [] for beta in beta_list}
     mins = []
     for n_freq in n_list:

@@ -54,35 +54,15 @@ __all__ = [
 # stable phase differences
 # ---------------------------------------------------------------------------
 
-def _pow_diff(v0: float, dv: float, p: float) -> float:
-    """(v0+dv)^p - v0^p to relative accuracy of the difference."""
-    return v0**p * math.expm1(p * math.log1p(dv / v0))
-
-
-def phase_diff(kind: PhaseKind, params: SpaceParams, x: float, x0: float) -> float:
-    """psi(x) - psi(x0), evaluated without cancellation for x near x0."""
-    q2 = params.q2_over_4
-    dx = x - x0
-    if kind.name == "frac":
-        u0 = x0 * x0 + q2
-        return _pow_diff(u0, dx * (x + x0), 0.5 * kind.a)
-    if kind.name == "frac-shifted":
-        u0 = x0 * x0
-        return _pow_diff(u0, dx * (x + x0), 0.5 * kind.a)
-    if kind.name in ("boussinesq", "boussinesq-shifted"):
-        q2 = q2 if kind.name == "boussinesq" else 0.0
-        u0, u = x0 * x0 + q2, x * x + q2
-        du = dx * (x + x0)
-        # v = u^2 + u
-        return _pow_diff(u0 * u0 + u0, du * (u + u0 + 1.0), 0.5)
-    if kind.name in ("beam", "beam-shifted"):
-        q2 = q2 if kind.name == "beam" else 0.0
-        u0, u = x0 * x0 + q2, x * x + q2
-        du = dx * (x + x0)
-        # v = 1 + u^2
-        return _pow_diff(1.0 + u0 * u0, du * (u + u0), 0.5)
-    # generic: no stable decomposition available
-    return float(kind.fn(x) - kind.fn(x0))
+def phase_diff(kind: PhaseKind, params: SpaceParams, x, x0):
+    """psi(x) - psi(x0), evaluated without cancellation for x near x0;
+    vectorized over x and x0 (x0 > 0)."""
+    x = np.asarray(x, dtype=float)
+    x0 = np.asarray(x0, dtype=float)
+    if np.any(x0 <= 0):
+        raise DomainError("phase_diff requires x0 > 0")
+    out = kind.entry.diff(x0 * x0 + kind.gap(params), (x - x0) * (x + x0), kind.a)
+    return out if out.ndim else float(out)
 
 
 class _WindowPhase:
@@ -101,11 +81,8 @@ class _WindowPhase:
         lam = np.asarray(lam, dtype=float)
         out = self.scale * (lam - lam0) * self.delta_s
         if self.d != 0.0:
-            pd = np.array([
-                phase_diff(self.kind, self.params, self.scale * v, self.scale * lam0)
-                for v in np.atleast_1d(lam)
-            ])
-            out = out + self.d * (pd if out.ndim else float(pd[0]))
+            out = out + self.d * phase_diff(self.kind, self.params,
+                                            self.scale * lam, self.scale * lam0)
         return out
 
     def deriv(self, lam):
@@ -160,7 +137,9 @@ def _direct_leaf(g, ph: _WindowPhase, a: float, b: float, lam0: float,
     return val, abs(val2 - val)
 
 
-def _levin_leaf(g, ph: _WindowPhase, a: float, b: float, lam0: float, n: int):
+def _levin_leaf(g, ph: _WindowPhase, a: float, b: float, n: int, rot_ab):
+    """Levin collocation on [a, b]; rot_ab holds e^{i theta} at a and at
+    b, with theta referenced to the caller's lam0."""
     x, d_mat = _cheb(n)
     lam = 0.5 * (b - a) * x + 0.5 * (a + b)
     sys = d_mat * (2.0 / (b - a)) + 1j * np.diag(ph.deriv(lam))
@@ -169,8 +148,7 @@ def _levin_leaf(g, ph: _WindowPhase, a: float, b: float, lam0: float, n: int):
     except np.linalg.LinAlgError:
         p, *_ = np.linalg.lstsq(sys, g(lam).astype(complex), rcond=None)
     # x descending: lam[0] = b, lam[-1] = a
-    return (p[0] * np.exp(1j * ph.diff(b, lam0))
-            - p[-1] * np.exp(1j * ph.diff(a, lam0)))
+    return p[0] * rot_ab[1] - p[-1] * rot_ab[0]
 
 
 def _osc_segment(g, ph: _WindowPhase, a: float, b: float, lam0: float,
@@ -183,8 +161,9 @@ def _osc_segment(g, ph: _WindowPhase, a: float, b: float, lam0: float,
     if span <= _PHASE_SMALL or depth >= _MAX_DEPTH:
         return _direct_leaf(g, ph, a, b, lam0, tol)
     if np.all(tp > 0) or np.all(tp < 0):
-        v1 = _levin_leaf(g, ph, a, b, lam0, _LEVIN_N1)
-        v2 = _levin_leaf(g, ph, a, b, lam0, _LEVIN_N2)
+        rot_ab = np.exp(1j * ph.diff(np.array([a, b]), lam0))
+        v1 = _levin_leaf(g, ph, a, b, _LEVIN_N1, rot_ab)
+        v2 = _levin_leaf(g, ph, a, b, _LEVIN_N2, rot_ab)
         if abs(v1 - v2) <= tol:
             return v2, abs(v1 - v2)
     mid = 0.5 * (a + b)

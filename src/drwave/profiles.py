@@ -1,4 +1,4 @@
-"""Sampled radial and spectral profiles, with the CSV wire format.
+"""Sampled radial and spectral profiles.
 
 A RadialProfile is a function of the geodesic distance s on a uniform
 grid of [0, S_max]; a SpectralProfile is a function of the spectral
@@ -9,16 +9,13 @@ only over their support.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["RadialProfile", "SpectralProfile", "write_profile_csv", "read_profile_csv"]
-
-_FLOAT_FMT = "%.17g"
+__all__ = ["RadialProfile", "SpectralProfile"]
 
 
 def _check_uniform_grid(grid: np.ndarray, what: str) -> None:
@@ -90,43 +87,3 @@ class SpectralProfile:
     def with_values(self, values: np.ndarray) -> "SpectralProfile":
         return SpectralProfile(self.lambda_grid, values, self.support_hint)
 
-
-def write_profile_csv(profile, stream: io.TextIOBase, meta: str = "") -> None:
-    """Two columns (grid, value) for real data; four (grid, re, im, abs)
-    for complex.  One comment header line carries caller metadata."""
-    if isinstance(profile, RadialProfile):
-        grid, vals, kind = profile.s_grid, profile.values, "radial"
-    else:
-        grid, vals, kind = profile.lambda_grid, profile.values, "spectral"
-    complex_vals = np.iscomplexobj(vals) and (kind == "spectral" or np.any(vals.imag != 0))
-    stream.write(f"# drwave-profile kind={kind} points={grid.size} "
-                 f"start={_FLOAT_FMT % grid[0]} stop={_FLOAT_FMT % grid[-1]} "
-                 f"complex={int(bool(complex_vals))} {meta}\n".rstrip() + "\n")
-    if complex_vals:
-        stream.write("grid,re,im,abs\n")
-        for g, v in zip(grid, vals):
-            v = complex(v)
-            stream.write(",".join(_FLOAT_FMT % x for x in (g, v.real, v.imag, abs(v))) + "\n")
-    else:
-        stream.write("grid,value\n")
-        for g, v in zip(grid, np.real(vals)):
-            stream.write(f"{_FLOAT_FMT % g},{_FLOAT_FMT % v}\n")
-
-
-def read_profile_csv(stream: io.TextIOBase):
-    """Inverse of write_profile_csv."""
-    header = stream.readline()
-    if not header.startswith("# drwave-profile"):
-        raise ValidationError("not a drwave profile CSV")
-    fields = dict(tok.split("=", 1) for tok in header[2:].split() if "=" in tok)
-    kind = fields["kind"]
-    stream.readline()  # column names
-    rows = [line.strip().split(",") for line in stream if line.strip()]
-    grid = np.array([float(r[0]) for r in rows])
-    if int(fields.get("complex", "0")):
-        vals = np.array([float(r[1]) + 1j * float(r[2]) for r in rows])
-    else:
-        vals = np.array([float(r[1]) for r in rows])
-    if kind == "radial":
-        return RadialProfile(grid, vals)
-    return SpectralProfile(grid, vals.astype(complex))

@@ -118,14 +118,3 @@ def log_density_derivative_prime(params: SpaceParams, s):
     out = -alpha / (2.0 * np.sinh(s / 2.0) ** 2) + beta / (2.0 * np.cosh(s / 2.0) ** 2)
     return out if out.ndim else float(out)
 
-
-def space_config_pair(params: SpaceParams) -> dict:
-    """The serializable form: only (m_v, m_z); derived fields never travel."""
-    return {"m_v": params.m_v, "m_z": params.m_z}
-
-
-def density_ratio_limit_check(params: SpaceParams, s_max: float = 3.0, n_pts: int = 200):
-    """Empirical [c, C] envelope of A(s)/s^(n-1) on (0, s_max]."""
-    s = np.linspace(s_max / n_pts, s_max, n_pts)
-    ratio = density(params, s) / s ** (params.n - 1)
-    return float(ratio.min()), float(ratio.max())

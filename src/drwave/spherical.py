@@ -24,6 +24,7 @@ bound |phi| <= 1.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -278,19 +279,13 @@ def gamma_coeffs(params: SpaceParams, lam: float, mu_max: int) -> np.ndarray:
     omega_{mu-j} Gamma_j.  The divisor has modulus mu*sqrt(mu^2+4 lam^2)
     >= 1 for real lam != 0, so the forward recursion is stable.
     """
+    if not math.isfinite(lam):
+        raise DomainError(f"gamma_coeffs requires a finite lambda, got {lam}")
     if lam == 0:
         raise DomainError("gamma_coeffs requires lambda != 0")
     if mu_max < 1:
         raise ValidationError("mu_max must be >= 1")
-    omega = omega_coeffs(params, mu_max)
-    gam = np.empty(mu_max + 1, dtype=complex)
-    gam[0] = 1.0
-    for mu in range(1, mu_max + 1):
-        div = mu * mu - 2j * mu * lam
-        assert abs(div) >= 1.0  # cannot underflow for real lam != 0
-        rhs = np.dot(omega[mu - 1 :: -1][:mu], gam[:mu])
-        gam[mu] = rhs / div
-    return gam
+    return _gamma_matrix(params, np.array([float(lam)]), mu_max)[0]
 
 
 @dataclass
@@ -316,12 +311,13 @@ def _gamma_matrix(params: SpaceParams, lams: np.ndarray, mu_max: int) -> np.ndar
 
 
 def _hc_matrix(params: SpaceParams, lams: np.ndarray, s: np.ndarray,
-               mu_max: int) -> np.ndarray:
+               gam_p: np.ndarray) -> np.ndarray:
     """Two-sided exponential series on the grid product, complex,
-    shape (n_lam, n_s).  Requires lam != 0 throughout."""
-    mu = np.arange(mu_max + 1)
-    gam_p = _gamma_matrix(params, lams, mu_max)
-    gam_m = _gamma_matrix(params, -lams, mu_max)
+    shape (n_lam, n_s), from Gamma_mu(lam) (_gamma_matrix, shape
+    (n_lam, mu_max+1)).  Requires lam != 0 throughout."""
+    mu = np.arange(gam_p.shape[1])
+    # omega is real, so Gamma_mu(-lam) = conj(Gamma_mu(lam)) for real lam
+    gam_m = np.conj(gam_p)
     c_p = np.array([complex(c_function(params, l)) for l in lams])
     c_m = np.array([complex(c_function(params, -l)) for l in lams])
     decay = np.exp(-np.outer(mu, s))                     # (n_mu, n_s)
@@ -330,11 +326,6 @@ def _hc_matrix(params: SpaceParams, lams: np.ndarray, s: np.ndarray,
     sum_m = gam_m @ decay
     pref = 2.0 ** (-0.5 * params.m_z) / np.sqrt(density(params, s))
     return pref * (c_p[:, None] * osc * sum_p + c_m[:, None] * np.conj(osc) * sum_m)
-
-
-def _hc_values(params: SpaceParams, lam: float, s: np.ndarray, mu_max: int) -> np.ndarray:
-    """Vectorized two-sided series over an s array (complex values)."""
-    return _hc_matrix(params, np.array([float(lam)]), s, mu_max)[0]
 
 
 def phi_hc(params: SpaceParams, lam: float, s: float, mu_max: int = _HC_MU_DEFAULT,
@@ -348,8 +339,8 @@ def phi_hc(params: SpaceParams, lam: float, s: float, mu_max: int = _HC_MU_DEFAU
         raise DomainError("phi_hc requires lambda != 0")
     if s < s_min:
         raise DomainError(f"phi_hc requires s >= {s_min}, got {s}")
-    val = _hc_values(params, lam, np.array([s]), mu_max)[0]
     gam = gamma_coeffs(params, lam, mu_max)
+    val = _hc_matrix(params, np.array([float(lam)]), np.array([s]), gam[None, :])[0, 0]
     tail = abs(gam[mu_max]) * math.exp(-mu_max * s)
     if tail > 1e-12 * max(abs(val) * math.sqrt(density(params, s)), 1e-300):
         warnings.warn(
@@ -378,8 +369,9 @@ def _hc_mu_for(params: SpaceParams, lams: np.ndarray, s_min: float,
 def _hc_auto(params: SpaceParams, lam: float, s: np.ndarray,
              mu_start: int = _HC_MU_DEFAULT) -> np.ndarray:
     """Series values with mu_max raised until the tail is below 1e-12."""
-    mu_max = _hc_mu_for(params, np.array([lam]), float(np.min(s)), mu_start)
-    return np.real(_hc_values(params, lam, s, mu_max))
+    lams = np.array([float(lam)])
+    mu_max = _hc_mu_for(params, lams, float(np.min(s)), mu_start)
+    return np.real(_hc_matrix(params, lams, s, _gamma_matrix(params, lams, mu_max))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -472,15 +464,10 @@ class _BesselTable:
         return out
 
 
-_BESSEL_TABLES: dict[tuple[int, int, int], _BesselTable] = {}
-_ERRBOUND_CONST: dict[tuple[int, int, int], tuple[float, float]] = {}
-
-
-def _bessel_table(params: SpaceParams, m_tab: int) -> _BesselTable:
-    key = (params.m_v, params.m_z, m_tab)
-    if key not in _BESSEL_TABLES:
-        _BESSEL_TABLES[key] = _BesselTable(params, m_tab)
-    return _BESSEL_TABLES[key]
+@functools.cache
+def _bessel_table(params: SpaceParams) -> _BesselTable:
+    """The space's table, fitted once at the full order M = 16."""
+    return _BesselTable(params, _BESSEL_M_DEFAULT + 4)
 
 
 def _bessel_matrix(params: SpaceParams, lams: np.ndarray, s: np.ndarray,
@@ -490,7 +477,7 @@ def _bessel_matrix(params: SpaceParams, lams: np.ndarray, s: np.ndarray,
     Evaluated term by term with the kernel order vectorized over the
     full (lambda, s) outer product; s = 0 columns return exactly 1.
     """
-    tab = _bessel_table(params, max(m, _BESSEL_M_DEFAULT + 4))
+    tab = _bessel_table(params)
     if m > tab.m_tab:
         raise DomainError(f"truncation order {m} above the fitted table ({tab.m_tab})")
     lams = np.abs(np.atleast_1d(np.asarray(lams, dtype=float)))
@@ -519,11 +506,9 @@ def _bessel_values(params: SpaceParams, lam: float, s: np.ndarray,
     return _bessel_matrix(params, np.array([abs(float(lam))]), s, m)[0]
 
 
+@functools.cache
 def _error_bound_consts(params: SpaceParams, m: int) -> tuple[float, float]:
     """Empirical constant (and additive floor) of the two-regime bound."""
-    key = (params.m_v, params.m_z, m)
-    if key in _ERRBOUND_CONST:
-        return _ERRBOUND_CONST[key]
     lam_grid = np.array([0.5, 1.0, 2.0, 5.0, 11.0, 19.0, 37.0])
     s_grid = np.linspace(0.08, 1.9, 12)
     c_max, floor = 0.0, 1e-12
@@ -536,9 +521,7 @@ def _error_bound_consts(params: SpaceParams, m: int) -> tuple[float, float]:
         if np.any(big):
             c_max = max(c_max, float(np.max(err[big] / shape[big])))
         floor = max(floor, float(np.max(err[~big])) if np.any(~big) else 0.0)
-    consts = (3.0 * c_max, 3.0 * floor)
-    _ERRBOUND_CONST[key] = consts
-    return consts
+    return (3.0 * c_max, 3.0 * floor)
 
 
 def _error_shape(params: SpaceParams, lam: float, s, m: int):
@@ -559,7 +542,8 @@ def phi_bessel(params: SpaceParams, lam: float, s: float, m: int = _BESSEL_M_DEF
     error bound combines the two-regime truncation estimate
     (s^(2(M+1)), with an extra |lambda s|^(-((n-1)/2+M+1)) beyond
     |lambda s| = 1) with an additive floor for the coefficient fit, both
-    calibrated once per space against the ODE route.
+    calibrated once per space against the ODE route.  M may not exceed
+    16, the order of the fitted coefficient table.
     """
     if m < 0:
         raise ValidationError("M must be >= 0")
@@ -637,8 +621,10 @@ def phi_matrix(params: SpaceParams, lams, s, ode_tol: float = 1e-8) -> np.ndarra
     # exponential series block
     if np.any(hc_rows) and np.any(hc_cols):
         s_hc = s_far[hc_cols]
-        mu_max = _hc_mu_for(params, np.abs(lams[hc_rows]), float(np.min(s_hc)))
-        vals = np.real(_hc_matrix(params, np.abs(lams[hc_rows]), s_hc, mu_max))
+        lams_hc = np.abs(lams[hc_rows])
+        mu_max = _hc_mu_for(params, lams_hc, float(np.min(s_hc)))
+        vals = np.real(_hc_matrix(params, lams_hc, s_hc,
+                                  _gamma_matrix(params, lams_hc, mu_max)))
         out[np.ix_(hc_rows, far_idx[hc_cols])] = vals
     # ODE strips, blocked by frequency so each block shares a step
     for i_block, s_need_mask in (

@@ -1,8 +1,11 @@
+import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from drwave import dispersive
 from drwave.bumps import chi_lowpass, eta_dyadic
 from drwave.dispersive import (
     PhaseKind,
@@ -89,11 +92,42 @@ def test_phase_asymptotics_classical_schrodinger(space21):
     assert rep_s.passed
 
 
-def test_phase_asymptotics_generic_monomial(space21):
-    good = PhaseKind.generic(3.0, 3.0, lambda x: np.asarray(x) ** 3)
-    assert verify_phase_asymptotics(good, space21).passed
-    bad = PhaseKind.generic(3.0, 2.0, lambda x: np.asarray(x) ** 3)
-    assert not verify_phase_asymptotics(bad, space21).passed
+def test_phase_asymptotics_generic_monomial(space21, monkeypatch):
+    # psi = lambda^3 has delta1 = delta2 = 3; with delta2 = 2 written into
+    # its table entry, the psi'' envelope lambda^(delta2-2) is wrong and the
+    # sweep must say so
+    cubic = PhaseKind.frac_shifted(3.0)
+    assert verify_phase_asymptotics(cubic, space21).passed
+    wrong = dataclasses.replace(dispersive._FAMILIES["frac"], delta2=lambda a: 2.0)
+    monkeypatch.setitem(dispersive._FAMILIES, "frac", wrong)
+    rep = verify_phase_asymptotics(cubic, space21)
+    assert rep.delta2 == 2.0 and not rep.passed
+
+
+# every derivative formula of the table against mpmath differentiation of
+# psi(lambda) itself, across the small-lambda regime where the shifted
+# variants lose their gap
+_PSI_MP = {
+    "frac": lambda lam, gap, a: (lam**2 + gap) ** (mp.mpf(a) / 2),
+    "frac-shifted": lambda lam, gap, a: lam ** mp.mpf(a),
+    "boussinesq": lambda lam, gap, a: mp.sqrt((lam**2 + gap) * (lam**2 + gap + 1)),
+    "boussinesq-shifted": lambda lam, gap, a: lam * mp.sqrt(lam**2 + 1),
+    "beam": lambda lam, gap, a: mp.sqrt(1 + (lam**2 + gap) ** 2),
+    "beam-shifted": lambda lam, gap, a: mp.sqrt(1 + lam**4),
+}
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name + str(k.a or ""))
+def test_phase_derivs_match_mpmath(kind, space21):
+    gap = mp.mpf(space21.Q.numerator) ** 2 / (4 * mp.mpf(space21.Q.denominator) ** 2)
+    psi = _PSI_MP[kind.name]
+    with mp.workdps(50):
+        for lam in (1e-6, 1e-3, 0.5, 2.0, 50.0, 1e4):
+            d1, d2 = phase_derivs(kind, space21, lam)
+            ref1 = mp.diff(lambda x: psi(x, gap, kind.a), mp.mpf(lam), 1)
+            ref2 = mp.diff(lambda x: psi(x, gap, kind.a), mp.mpf(lam), 2)
+            assert d1 == pytest.approx(float(ref1), rel=1e-10), lam
+            assert d2 == pytest.approx(float(ref2), rel=1e-10), lam
 
 
 def test_phase_selector_parsing():

@@ -45,6 +45,21 @@ def test_phase_diff_matches_direct(kind, space21):
         got = phase_diff(kind, space21, x0 + dx, x0)
         ref = float(phase(kind, space21, x0 + dx) - phase(kind, space21, x0))
         assert got == pytest.approx(ref, rel=1e-9, abs=1e-12)
+    # array input: one call over nodes, and over reference points, agrees
+    # with the per-element scalar calls
+    x = np.array([0.5, 1.5, 1.2, 3.5, 41.0, 1e4])
+    x0 = np.array([0.7, 1.5, 1.5, 3.0, 40.0, 9999.0])
+    for got, ref in ((phase_diff(kind, space21, x, 2.0),
+                      [phase_diff(kind, space21, float(v), 2.0) for v in x]),
+                     (phase_diff(kind, space21, x, x0),
+                      [phase_diff(kind, space21, float(v), float(v0)) for v, v0 in zip(x, x0)])):
+        assert got.shape == x.shape
+        assert np.allclose(got, ref, rtol=1e-14, atol=0.0)
+
+
+def test_phase_diff_rejects_nonpositive_reference(space21):
+    with pytest.raises(DomainError):
+        phase_diff(K2, space21, 1.0, 0.0)
 
 
 def test_phase_diff_tiny_increment(space21):

@@ -1,15 +1,8 @@
-import io
-
 import numpy as np
 import pytest
 
 from drwave.errors import ValidationError
-from drwave.profiles import (
-    RadialProfile,
-    SpectralProfile,
-    read_profile_csv,
-    write_profile_csv,
-)
+from drwave.profiles import RadialProfile, SpectralProfile
 
 
 def test_radial_profile_requires_uniform_grid():
@@ -38,33 +31,3 @@ def test_profile_sampling():
     assert prof.spacing == pytest.approx(0.1)
     assert prof.values[0] == 1.0
 
-
-def test_csv_roundtrip_real():
-    prof = RadialProfile(np.linspace(0.0, 2.0, 9), np.linspace(1.0, -0.3, 9))
-    buf = io.StringIO()
-    write_profile_csv(prof, buf, meta="m_v=2 m_z=1")
-    buf.seek(0)
-    back = read_profile_csv(buf)
-    assert isinstance(back, RadialProfile)
-    assert np.array_equal(back.s_grid, prof.s_grid)
-    assert np.array_equal(back.values, prof.values)
-
-
-def test_csv_roundtrip_complex():
-    lam = np.linspace(0.0, 3.0, 7)
-    vals = np.exp(1j * lam) * np.cos(lam)
-    prof = SpectralProfile(lam, vals)
-    buf = io.StringIO()
-    write_profile_csv(prof, buf)
-    buf.seek(0)
-    text = buf.getvalue()
-    assert text.splitlines()[1] == "grid,re,im,abs"
-    buf.seek(0)
-    back = read_profile_csv(buf)
-    assert isinstance(back, SpectralProfile)
-    assert np.array_equal(back.values, vals)
-
-
-def test_csv_rejects_foreign_data():
-    with pytest.raises(ValidationError):
-        read_profile_csv(io.StringIO("s,value\n0,1\n"))

@@ -10,10 +10,8 @@ from drwave.errors import DomainError, ValidationError
 from drwave.space import (
     SpaceParams,
     density,
-    density_ratio_limit_check,
     log_density_derivative,
     new_space,
-    space_config_pair,
 )
 
 mp.mp.dps = 40
@@ -90,24 +88,11 @@ def test_log_density_derivative_rejects_nonpositive(space21):
         log_density_derivative(space21, 0.0)
 
 
-def test_density_ratio_envelope(all_spaces):
-    for p in all_spaces:
-        lo, hi = density_ratio_limit_check(p)
-        assert 0 < lo <= hi < math.inf
-
-
 def test_density_monotone(all_spaces):
     s = np.linspace(0.01, 12.0, 400)
     for p in all_spaces:
         vals = density(p, s)
         assert np.all(np.diff(vals) > 0)
-
-
-def test_config_pair_roundtrip(space43):
-    pair = space_config_pair(space43)
-    assert pair == {"m_v": 4, "m_z": 3}
-    again = new_space(**pair)
-    assert again == space43
 
 
 def test_spaceparams_immutable(space21):

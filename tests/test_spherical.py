@@ -253,6 +253,20 @@ def test_gamma_requires_nonzero_lambda(space21):
         gamma_coeffs(space21, 1.0, 0)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_gamma_requires_finite_lambda(space21, lam):
+    with pytest.raises(DomainError):
+        gamma_coeffs(space21, lam, 10)
+
+
+def test_gamma_at_negative_lambda_is_conjugate(space21):
+    # omega is real, so the exponential series takes Gamma_mu(-lam) as
+    # the conjugate of Gamma_mu(lam)
+    for lam in (0.3, 2.0, 17.0):
+        g = gamma_coeffs(space21, lam, 40)
+        assert np.array_equal(gamma_coeffs(space21, -lam, 40), np.conj(g))
+
+
 def test_phi_hc_vs_ode(space21):
     got = phi_hc(space21, 3.0, 2.0, mu_max=40).value
     ref = _ode_refined(space21, 3.0, np.array([2.0]))[0]
@@ -314,6 +328,9 @@ def test_phi_bessel_domain(space21):
         phi_bessel(space21, 1.0, 2.5)
     with pytest.raises(ValidationError):
         phi_bessel(space21, 1.0, 0.5, m=-1)
+    # the table is fitted once, at M = 16; a higher order is out of range
+    with pytest.raises(DomainError):
+        phi_bessel(space21, 1.0, 0.5, m=17)
 
 
 def test_phi_bessel_error_bound_is_true_bound(space21, rng):
