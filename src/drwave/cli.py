@@ -414,6 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-threshold", dest="lambda_threshold", type=float)
     p.add_argument("--lambda-max-sweep", dest="lambda_max_sweep", type=float)
     p.add_argument("--slope-tol", dest="slope_tol", type=float)
+    p.add_argument("--slope-tol-case2", dest="slope_tol_case2", type=float)
     return parser
 
 

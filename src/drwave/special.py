@@ -7,9 +7,12 @@ The c-function is the four-Gamma ratio
                 * Gamma(n/2) / Gamma((m_v + 4i*lambda + 2)/4),
 
 evaluated through the principal-branch complex log-Gamma so that products
-and quotients never overflow.  |c(lambda)|^-2 is comparable to
-lambda^2 (1+lambda)^(n-3), with a lambda^2 zero at the origin that the
-density evaluator fills by the closed-form limit of |c|^-2 / lambda^2.
+and quotients never overflow.  The Lanczos core of that log-Gamma takes
+complex arrays, so ln c and the density run over a whole lambda array at
+once; the scalar `ln_gamma_complex` and `c_function` wrap the same core.
+|c(lambda)|^-2 is comparable to lambda^2 (1+lambda)^(n-3), with a
+lambda^2 zero at the origin that the density evaluator fills by the
+closed-form limit of |c|^-2 / lambda^2.
 """
 
 from __future__ import annotations
@@ -56,13 +59,13 @@ _LANCZOS_C = (
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def _ln_gamma_core(z: complex) -> complex:
-    # Lanczos sum for Re z >= 0.5
+def _ln_gamma_core(z):
+    # Lanczos sum for Re z >= 0.5; z a complex scalar or array
     acc = _LANCZOS_C[0]
     for k in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[k] / (z + (k - 1))
+        acc = acc + _LANCZOS_C[k] / (z + (k - 1))
     t = z + (_LANCZOS_G - 0.5)
-    return _HALF_LOG_2PI + (z - 0.5) * cmath.log(t) - t + cmath.log(acc)
+    return _HALF_LOG_2PI + (z - 0.5) * np.log(t) - t + np.log(acc)
 
 
 def ln_gamma_complex(z: complex) -> complex:
@@ -79,13 +82,9 @@ def ln_gamma_complex(z: complex) -> complex:
     z = complex(z)
     if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
         raise PoleError(f"log-Gamma pole at z = {z}")
-    if z.real >= 0.5:
-        return _ln_gamma_core(z)
-    shift = int(math.ceil(0.5 - z.real))
-    acc = 0.0 + 0.0j
-    for j in range(shift):
-        acc += cmath.log(z + j)
-    return _ln_gamma_core(z + shift) - acc
+    shift = max(0, int(math.ceil(0.5 - z.real)))
+    acc = sum(cmath.log(z + j) for j in range(shift))
+    return complex(_ln_gamma_core(z + shift)) - acc
 
 
 def bessel_j(mu: float, x):
@@ -101,9 +100,7 @@ def _script_j_series(mu: float, x, terms: int = 12):
     # 2^mu sqrt(pi) Gamma(mu+1/2) * sum_k (-1)^k (x/2)^(2k) / (k! Gamma(mu+k+1))
     # == script_j via the J series with the x^-mu factor cancelled analytically.
     x = np.asarray(x, dtype=float)
-    pref = math.sqrt(math.pi) * math.exp(
-        (ln_gamma_complex(mu + 0.5) - ln_gamma_complex(mu + 1.0)).real
-    )
+    pref = math.sqrt(math.pi) * math.exp(math.lgamma(mu + 0.5) - math.lgamma(mu + 1.0))
     acc = np.ones_like(x)
     term = np.ones_like(x)
     q = 0.25 * x * x
@@ -132,21 +129,27 @@ def script_j(mu: float, x):
     if np.any(~small):
         xs = x[~small]
         # log-scaled prefactor: 2^mu sqrt(pi) Gamma(mu+1/2) / x^mu
-        lg = (ln_gamma_complex(mu + 0.5)).real
-        logpref = mu * math.log(2.0) + 0.5 * math.log(math.pi) + lg - mu * np.log(xs)
+        logpref = (mu * math.log(2.0) + 0.5 * math.log(math.pi) + math.lgamma(mu + 0.5)
+                   - mu * np.log(xs))
         out[~small] = np.exp(logpref) * jv(mu, xs)
     return float(out[0]) if scalar else out
 
 
-def _ln_c(params: SpaceParams, lam: float) -> complex:
+def _ln_c(params: SpaceParams, lam):
+    """ln c(lambda) at real lambda != 0, scalar or array.
+
+    ln Gamma(2i lambda) takes the one recurrence step into the Lanczos
+    half plane, core(2i lambda + 1) - Log(2i lambda); the other complex
+    arguments have real parts Q/2 and (m_v+2)/4, both >= 1/2 already.
+    """
     Q = float(params.Q)
-    z = 2j * lam
+    z = 2j * np.asarray(lam, dtype=float)
     return (
-        (Q - 2j * lam) * math.log(2.0)
-        + ln_gamma_complex(z)
-        - ln_gamma_complex((Q + 2j * lam) / 2.0)
-        + ln_gamma_complex(params.n / 2.0)
-        - ln_gamma_complex((params.m_v + 4j * lam + 2.0) / 4.0)
+        (Q - z) * math.log(2.0)
+        + (_ln_gamma_core(z + 1.0) - np.log(z))
+        - _ln_gamma_core((Q + z) / 2.0)
+        + math.lgamma(params.n / 2.0)
+        - _ln_gamma_core((params.m_v + 2.0 * z + 2.0) / 4.0)
     )
 
 
@@ -158,7 +161,7 @@ def c_function(params: SpaceParams, lam: float) -> complex:
     """
     if lam == 0:
         raise PoleError("c-function has a pole at lambda = 0")
-    return cmath.exp(_ln_c(params, lam))
+    return complex(np.exp(_ln_c(params, float(lam))))
 
 
 def _plancherel_limit(params: SpaceParams) -> float:
@@ -174,16 +177,13 @@ def _plancherel_limit(params: SpaceParams) -> float:
     return math.exp(2.0 * log_sqrt_l)
 
 
-def _plancherel_raw(params: SpaceParams, lam: float) -> float:
-    return math.exp(-2.0 * _ln_c(params, lam).real)
-
-
 def plancherel_density(params: SpaceParams, lam):
     """Plancherel density |c(lambda)|^-2 for lambda >= 0.
 
-    Below lambda = 1e-4 the quadratic zero is evaluated as
-    lambda^2 * L with the closed-form limit constant L, sidestepping the
-    cancellation at the Gamma(2 i lambda) pole.
+    Every lambda >= 1e-4 takes one array evaluation of ln c.  Below it
+    the quadratic zero is evaluated as lambda^2 * L with the closed-form
+    limit constant L, sidestepping the cancellation at the
+    Gamma(2 i lambda) pole.
     """
     lam_arr = np.asarray(lam, dtype=float)
     scalar = lam_arr.ndim == 0
@@ -192,11 +192,8 @@ def plancherel_density(params: SpaceParams, lam):
         raise ValueError("plancherel_density requires lambda >= 0")
     out = np.empty_like(lam_arr)
     small = lam_arr < 1e-4
-    if np.any(small):
-        out[small] = _plancherel_limit(params) * lam_arr[small] ** 2
-    idx = np.nonzero(~small)[0]
-    for i in idx:
-        out[i] = _plancherel_raw(params, lam_arr[i])
+    out[small] = _plancherel_limit(params) * lam_arr[small] ** 2
+    out[~small] = np.exp(-2.0 * _ln_c(params, lam_arr[~small]).real)
     return float(out[0]) if scalar else out
 
 

@@ -8,7 +8,9 @@ evaluated by
 
 * a Bessel-kernel series near the identity (s <= 0.75 by default), whose
   higher coefficients a_l(s) are fitted once per space against the ODE
-  route and reused for every lambda;
+  route and reused for every lambda; its kernels script_j of orders
+  mu0..mu0+M come from two Bessel calls at the top orders and the
+  downward order recurrence (Abramowitz & Stegun 9.1.27) below them;
 * a two-sided exponential series away from the identity (s >= 2 and
   |lambda| >= 1 by default), driven by the c-function and the Gamma_mu
   recursion whose omega_k coefficients come from expanding the Liouville
@@ -18,8 +20,8 @@ evaluated by
   step is applied as a precomputed transfer matrix, quadratic in
   lambda^2 + Q^2/4, to a whole block of frequencies at once.
 
-The dispatcher phi() routes between the three and enforces the global
-bound |phi| <= 1.
+The dispatcher phi() routes between the three, and phi() and
+phi_matrix() both enforce the global bound |phi| <= 1.
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import DomainError, PhiBoundError, StepSizeError, ValidationError
+from .errors import DomainError, PhiBoundError, ResolutionError, StepSizeError, ValidationError
 from .profiles import RadialProfile
 from .space import SpaceParams, density, log_density_derivative
-from .special import c_function, ln_gamma_complex, script_j
+from .special import _ln_c, script_j
 
 __all__ = [
     "BesselSeriesEval",
@@ -317,9 +319,10 @@ def _hc_matrix(params: SpaceParams, lams: np.ndarray, s: np.ndarray,
     (n_lam, mu_max+1)).  Requires lam != 0 throughout."""
     mu = np.arange(gam_p.shape[1])
     # omega is real, so Gamma_mu(-lam) = conj(Gamma_mu(lam)) for real lam
+    # and c(-lam) = conj(c(lam)) likewise
     gam_m = np.conj(gam_p)
-    c_p = np.array([complex(c_function(params, l)) for l in lams])
-    c_m = np.array([complex(c_function(params, -l)) for l in lams])
+    c_p = np.exp(_ln_c(params, lams))
+    c_m = np.conj(c_p)
     decay = np.exp(-np.outer(mu, s))                     # (n_mu, n_s)
     osc = np.exp(1j * np.outer(lams, s))                 # (n_lam, n_s)
     sum_p = gam_p @ decay
@@ -355,15 +358,20 @@ def phi_hc(params: SpaceParams, lam: float, s: float, mu_max: int = _HC_MU_DEFAU
 
 def _hc_mu_for(params: SpaceParams, lams: np.ndarray, s_min: float,
                mu_start: int = _HC_MU_DEFAULT) -> int:
-    """Truncation order with every lam's tail below 1e-12."""
+    """Truncation order with every lam's tail below 1e-12; raises
+    ResolutionError when even mu_max = _HC_MU_CAP leaves it above."""
     mu_max = mu_start
     lam_probe = float(np.min(np.abs(lams)))
     while True:
         gam_tail = abs(gamma_coeffs(params, lam_probe, mu_max)[mu_max])
-        if gam_tail * math.exp(-mu_max * s_min) < 1e-12 or mu_max >= _HC_MU_CAP:
-            break
+        tail = gam_tail * math.exp(-mu_max * s_min)
+        if tail < 1e-12:
+            return mu_max
+        if mu_max >= _HC_MU_CAP:
+            raise ResolutionError(
+                f"exponential series tail {tail:.2e} above 1e-12 at the order cap "
+                f"{_HC_MU_CAP} (lambda={lam_probe}, s={s_min})")
         mu_max *= 2
-    return mu_max
 
 
 def _hc_auto(params: SpaceParams, lam: float, s: np.ndarray,
@@ -378,18 +386,17 @@ def _hc_auto(params: SpaceParams, lam: float, s: np.ndarray,
 # Bessel series near the identity
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def c0_constant(params: SpaceParams) -> float:
-    """Normalizing constant of the Bessel expansion.
+    """Normalizing constant of the Bessel expansion, once per space.
 
     pi^(-1/2) Gamma(n/2) / Gamma((n-1)/2): fixed so that the leading
     term alone satisfies phi_lambda(0) = 1 exactly (the l = 0 kernel has
     script_j_{(n-2)/2}(0) = sqrt(pi) Gamma((n-1)/2)/Gamma(n/2)).
     """
     n = params.n
-    return math.exp(
-        -0.5 * math.log(math.pi)
-        + (ln_gamma_complex(n / 2.0) - ln_gamma_complex((n - 1) / 2.0)).real
-    )
+    return math.exp(math.lgamma(n / 2.0) - math.lgamma((n - 1) / 2.0)
+                    - 0.5 * math.log(math.pi))
 
 
 @dataclass
@@ -428,10 +435,8 @@ class _BesselTable:
         coeffs = np.zeros((self.N_TAB, m_tab + 1))
         coeffs[:, 0] = 1.0
         kernels = np.empty((m_tab + 1, self.LAM_FIT.size, self.N_TAB))
-        for l in range(m_tab + 1):
-            kernels[l] = script_j(mu0 + l, np.outer(self.LAM_FIT, s_tab).ravel()).reshape(
-                self.LAM_FIT.size, self.N_TAB
-            )
+        for l, kernel in _kernel_orders(mu0, m_tab, np.outer(self.LAM_FIT, s_tab)):
+            kernels[l] = kernel
         # ridge prior |a_l| <~ 4^-l (the series coefficients decay at least
         # geometrically with base 4 R_1 > 4); without it the least squares
         # overfits near s = 2, where the truncated basis cannot represent
@@ -464,6 +469,34 @@ class _BesselTable:
         return out
 
 
+def _kernel_orders(mu0: float, m: int, x: np.ndarray):
+    """Yield (l, script_j(mu0 + l, x)) for l = m, m-1, ..., 0.
+
+    script_j is called at the top two orders only.  Every lower order
+    comes from the downward recurrence
+
+        S_(mu-1) = (2 mu S_mu - x^2 S_(mu+1) / (2 mu + 1)) / (2 mu - 1),
+
+    which is Abramowitz & Stegun 9.1.27, J_(mu-1) + J_(mu+1) =
+    (2 mu / x) J_mu, divided by the script_j normalization
+    2^mu sqrt(pi) Gamma(mu+1/2) / x^mu.  Run downward, J is the growing
+    solution of the recurrence where mu > x and neither solution grows
+    where mu < x, so the sweep is stable at every x; at x = 0 it is the
+    ratio of the series limits.  Two orders are held at a time.
+    """
+    hi = script_j(mu0 + m, x)
+    yield m, hi
+    if m == 0:
+        return
+    lo = script_j(mu0 + m - 1, x)
+    yield m - 1, lo
+    x2 = x * x
+    for l in range(m - 1, 0, -1):
+        mu = mu0 + l
+        hi, lo = lo, (2.0 * mu * lo - x2 * hi / (2.0 * mu + 1.0)) / (2.0 * mu - 1.0)
+        yield l - 1, lo
+
+
 @functools.cache
 def _bessel_table(params: SpaceParams) -> _BesselTable:
     """The space's table, fitted once at the full order M = 16."""
@@ -474,8 +507,11 @@ def _bessel_matrix(params: SpaceParams, lams: np.ndarray, s: np.ndarray,
                    m: int = _BESSEL_M_DEFAULT + 4) -> np.ndarray:
     """Bessel-series values on the grid product, shape (n_lam, n_s).
 
-    Evaluated term by term with the kernel order vectorized over the
-    full (lambda, s) outer product; s = 0 columns return exactly 1.
+    The sum over l of a_l(s) s^(2l) script_j(mu0 + l, lambda s) is
+    accumulated during one downward sweep of the kernel order
+    (_kernel_orders: two Bessel calls per cell, the A&S 9.1.27
+    recurrence below), vectorized over the full (lambda, s) outer
+    product; s = 0 columns return exactly 1.
     """
     tab = _bessel_table(params)
     if m > tab.m_tab:
@@ -487,8 +523,8 @@ def _bessel_matrix(params: SpaceParams, lams: np.ndarray, s: np.ndarray,
     a = tab.a_values(sp)                                    # (m_tab+1, n_sp)
     x = np.outer(lams, sp)                                  # (n_lam, n_sp)
     total = np.zeros((lams.size, sp.size))
-    for l in range(m + 1):
-        total += (a[l] * sp ** (2 * l)) * script_j(tab.mu0 + l, x.ravel()).reshape(x.shape)
+    for l, kernel in _kernel_orders(tab.mu0, m, x):
+        total += (a[l] * sp ** (2 * l)) * kernel
     pref = c0_constant(params) * np.sqrt(sp ** (params.n - 1) / density(params, sp))
     out = np.ones((lams.size, s.size))
     out[:, pos] = pref * total
@@ -601,6 +637,7 @@ def phi_matrix(params: SpaceParams, lams, s, ode_tol: float = 1e-8) -> np.ndarra
     blocks of about 64 frequencies sorted by lambda^2 + Q^2/4; each block
     shares one step size, and each step is one transfer matrix
     C0 + nu C1 + nu^2 C2 applied to the whole block (_ode_values).
+    Raises PhiBoundError if any |phi| exceeds 1 + 1e-9, as phi() does.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     s = np.atleast_1d(np.asarray(s, dtype=float))
@@ -613,7 +650,7 @@ def phi_matrix(params: SpaceParams, lams, s, ode_tol: float = 1e-8) -> np.ndarra
     if np.any(near):
         out[:, near] = _bessel_matrix(params, np.abs(lams), s[near])
     if not np.any(far):
-        return out
+        return _bound_checked(out, lams, s)
 
     hc_rows = np.abs(lams) >= LAMBDA_HC_MIN
     hc_cols = s_far >= S_HC_MIN
@@ -646,4 +683,15 @@ def phi_matrix(params: SpaceParams, lams, s, ode_tol: float = 1e-8) -> np.ndarra
             vals = _ode_values(params, nu, s_need, h)
             for r, row in enumerate(i_block[blk]):
                 out[row, cols] = vals[r]
+    return _bound_checked(out, lams, s)
+
+
+def _bound_checked(out: np.ndarray, lams: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """out, after one vectorized check of |phi| <= 1 + 1e-9."""
+    bad = np.abs(out) > 1.0 + _PHI_BOUND_TOL
+    if np.any(bad):
+        i, j = np.argwhere(bad)[0]
+        raise PhiBoundError(
+            f"|phi_{lams[i]}({s[j]})| = {abs(out[i, j])} violates the bound 1 + 1e-9 "
+            f"(phi_matrix, {np.count_nonzero(bad)} cells)")
     return out

@@ -3,8 +3,9 @@ import re
 
 import pytest
 
+from drwave import experiments
 from drwave.cli import DEFAULTS, config_hash, parse_config_file, run
-from drwave.errors import ValidationError
+from drwave.errors import DrwaveError, ValidationError
 
 
 @pytest.fixture()
@@ -108,6 +109,24 @@ def test_experiment_case1_cli(out_root, capsys):
     assert "timestamp" in doc and "config_hash" in doc
     slopes = _read(run_dir / "case1-slopes.csv")
     assert "quantity,slope,expected,tolerance,residual_rms" in slopes
+
+
+def test_slope_tol_case2_flag(out_root, monkeypatch):
+    seen = []
+
+    def stub(*args, slope_tol, **kwargs):
+        seen.append(slope_tol)
+        raise DrwaveError("stub")
+
+    monkeypatch.setattr(experiments, "case2_run", stub)
+    assert run(["experiment", "case2"]) == 2
+    assert run(["experiment", "case2", "--slope-tol-case2", "0.3"]) == 2
+    assert seen == [0.1, 0.3]
+    # the flag is hashed; a run without it keeps its directory name
+    plain = f"experiment-case2-{config_hash(DEFAULTS, 'experiment-case2')}"
+    assert plain == "experiment-case2-0bd7863043d4"
+    dirs = sorted(p.name for p in out_root.iterdir())
+    assert len(dirs) == 2 and plain in dirs
 
 
 def test_experiment_transference_cli(out_root):

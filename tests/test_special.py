@@ -210,6 +210,20 @@ def test_plancherel_limit_h3():
     assert _plancherel_limit(new_space(2, 0)) == pytest.approx(4.0, rel=1e-14)
 
 
+@pytest.mark.parametrize("m_v,m_z", [(2, 1), (4, 3)])
+def test_plancherel_density_array_matches_pointwise(m_v, m_z):
+    params = new_space(m_v, m_z)
+    lam = np.geomspace(1e-4, 1e5, 200)
+    point = np.array([1.0 / abs(c_function(params, float(x))) ** 2 for x in lam])
+    assert np.max(np.abs(plancherel_density(params, lam) / point - 1.0)) <= 1e-12
+    # against the 50-digit oracle up to lambda = 1e3; beyond, the log-Gamma
+    # sum cancels terms of size ~pi lambda, and double precision keeps
+    # about 1e-16 pi lambda of the result
+    lam = np.array([1e-4, 0.37, 1.0, 7.3, 100.0, 1e3])
+    ref = np.array([1.0 / abs(oracle_c_function(m_v, m_z, x)) ** 2 for x in lam])
+    assert np.max(np.abs(plancherel_density(params, lam) / ref - 1.0)) <= 1e-12
+
+
 def test_plancherel_rejects_negative(space21):
     with pytest.raises(ValueError):
         plancherel_density(space21, -1.0)

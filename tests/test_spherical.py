@@ -5,13 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drwave.errors import DomainError, StepSizeError, ValidationError
-from drwave.space import log_density_derivative, new_space
+from drwave import spherical
+from drwave.errors import (
+    DomainError,
+    PhiBoundError,
+    ResolutionError,
+    StepSizeError,
+    ValidationError,
+)
+from drwave.space import density, log_density_derivative, new_space
+from drwave.special import script_j
 from drwave.spherical import (
     _TAYLOR_S0,
     _auto_step,
+    _bessel_matrix,
+    _bessel_table,
     _bessel_values,
     _hc_auto,
+    _hc_mu_for,
     _ode_refined,
     _ode_values,
     _taylor_coeffs,
@@ -108,6 +119,19 @@ def test_ode_refined_exact_on_h3(space20):
     s = np.array([_TAYLOR_S0, 0.3, 1.0, 2.5, 6.0])
     for lam in (0.0, 0.5, 2.0, 10.0, 50.0):
         assert np.max(np.abs(_ode_refined(space20, lam, s) - _phi_h3(lam, s))) < H3_TOL
+
+
+@pytest.mark.parametrize("lam,s,method", [
+    (2.0, 0.3, "bessel"), (40.0, 0.7, "bessel"),
+    (2.0, 1.2, "ode"), (0.5, 4.0, "ode"), (30.0, 1.9, "ode"),
+    (2.0, 3.0, "hc"), (25.0, 6.0, "hc"),
+])
+def test_dispatcher_exact_on_h3(space20, lam, s, method):
+    ref = _phi_h3(lam, np.array([s]))[0]
+    val, got_method = phi_with_method(space20, lam, s)
+    assert got_method == method
+    assert abs(val - ref) < H3_TOL
+    assert abs(phi(space20, lam, s) - ref) < H3_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +374,26 @@ def test_c0_constant_real_hyperbolic():
     assert c0_constant(p) == pytest.approx(0.5, rel=1e-13)
 
 
+@pytest.mark.parametrize("m", [0, 1, 2, 16])
+@pytest.mark.parametrize("m_v,m_z", [(2, 0), (2, 1), (4, 3), (6, 2)])
+def test_bessel_matrix_matches_per_order_sum(m_v, m_z, m):
+    # the order recurrence against one script_j call per order, over
+    # x = lambda s from 0 through x < 0.1 and x ~ mu up to x = 1e5
+    params = new_space(m_v, m_z)
+    tab = _bessel_table(params)
+    lams = np.array([0.0, 0.5, 9.0, 30.0, 1.4e5])
+    s = np.array([0.0, 1e-3, 0.05, 0.2, 0.4, 0.75])
+    got = _bessel_matrix(params, lams, s, m)
+    assert np.all(got[:, 0] == 1.0)
+    sp = s[1:]
+    a = tab.a_values(sp)
+    pref = c0_constant(params) * np.sqrt(sp ** (params.n - 1) / density(params, sp))
+    for i, lam in enumerate(lams):
+        ref = pref * sum(a[l] * sp ** (2 * l) * script_j(tab.mu0 + l, lam * sp)
+                         for l in range(m + 1))
+        assert np.max(np.abs(got[i, 1:] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_bessel_series_small_s_normalization(all_spaces):
     for p in all_spaces:
         val = _bessel_values(p, 1.0, np.array([1e-3]))[0]
@@ -425,6 +469,32 @@ def test_phi_matrix_consistency(space21):
     for i, l in enumerate(lam):
         for j, x in enumerate(s):
             assert mat[i, j] == pytest.approx(phi(space21, float(l), float(x)), rel=5e-7)
+
+
+def test_phi_matrix_bound_guard(space21, monkeypatch):
+    # doubled coefficients put the Bessel zone near 2
+    tab = _bessel_table(space21)
+
+    class Doubled:
+        m_tab, mu0 = tab.m_tab, tab.mu0
+
+        def a_values(self, s):
+            return 2.0 * tab.a_values(s)
+
+    monkeypatch.setattr(spherical, "_bessel_table", lambda params: Doubled())
+    with pytest.raises(PhiBoundError):
+        phi_matrix(space21, np.array([1.0, 3.0]), np.array([0.1, 0.5, 3.0]))
+
+
+def test_hc_mu_for_raises_at_cap(space21, monkeypatch):
+    lams = np.array([1.0, 4.0])
+    assert _hc_mu_for(space21, lams, 0.5) == 80
+    with pytest.raises(ResolutionError):
+        _hc_mu_for(space21, lams, 0.05)          # needs more than 320
+    monkeypatch.setattr(spherical, "_HC_MU_CAP", 80)
+    assert _hc_mu_for(space21, lams, 0.5) == 80  # converged at the cap
+    with pytest.raises(ResolutionError):
+        _hc_mu_for(space21, lams, 0.3)           # needs 160
 
 
 def test_phi_matrix_profile_shape(space21):
