@@ -37,7 +37,6 @@ from .space import SpaceParams, density, log_density_derivative, new_space
 from .special import (
     bessel_j,
     c_function,
-    ln_gamma_complex,
     plancherel_density,
     script_j,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "implied_p_bound",
     "inversion_constant",
     "littlewood_paley_split",
-    "ln_gamma_complex",
     "log_density_derivative",
     "maximal_function",
     "new_space",

@@ -8,6 +8,8 @@ weights) is a function of these two integers.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,7 +17,8 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 
-__all__ = ["SpaceParams", "new_space", "density", "log_density_derivative"]
+__all__ = ["SpaceParams", "new_space", "density", "log_density_derivative",
+           "log_density_taylor"]
 
 
 @dataclass(frozen=True)
@@ -106,6 +109,33 @@ def log_density_derivative(params: SpaceParams, s):
     laurent = (params.n - 1) / s + params.taylor_b * s
     out = np.where(small, laurent, direct)
     return out if out.ndim else float(out)
+
+
+@functools.cache
+def _bernoulli(m: int) -> tuple[Fraction, ...]:
+    """B_0..B_m exactly, from sum_(j<=k) C(k+1, j) B_j = 0."""
+    b = [Fraction(1)]
+    for k in range(1, m + 1):
+        b.append(-sum(math.comb(k + 1, j) * b[j] for j in range(k)) / (k + 1))
+    return tuple(b)
+
+
+@functools.cache
+def log_density_taylor(params: SpaceParams) -> np.ndarray:
+    """g_1..g_41 of A'/A = (n-1)/s + sum_k g_k s^(2k-1), for s < pi.
+
+    With A'/A = (m_v+m_z)/2 coth(s/2) + m_z/2 tanh(s/2) and the Bernoulli
+    series of coth and tanh (DLMF 4.19.5, 4.19.6) at x = s/2,
+    g_k = 2 B_2k / (2k)! * ((m_v+m_z)/2 + (2^(2k) - 1) m_z/2), each
+    rounded once from exact rationals; g_1 is taylor_b.  The RK4 start
+    and the Bessel-series coefficients of `spherical` both read these.
+    """
+    b = _bernoulli(82)
+    half_sum, half_mz = Fraction(params.m_v + params.m_z, 2), Fraction(params.m_z, 2)
+    g = np.array([float(2 * b[2 * k] / math.factorial(2 * k) * (half_sum + (4**k - 1) * half_mz))
+                  for k in range(1, 42)])
+    g.flags.writeable = False       # shared by every caller through the cache
+    return g
 
 
 def log_density_derivative_prime(params: SpaceParams, s):

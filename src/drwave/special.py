@@ -1,90 +1,37 @@
-"""Complex log-Gamma, Bessel kernels, the Harish-Chandra c-function and the
-Plancherel density |c(lambda)|^-2.
+"""Bessel kernels, the Harish-Chandra c-function and the Plancherel density
+|c(lambda)|^-2.
 
 The c-function is the four-Gamma ratio
 
     c(lambda) = 2^(Q-2i*lambda) Gamma(2i*lambda) / Gamma((Q+2i*lambda)/2)
                 * Gamma(n/2) / Gamma((m_v + 4i*lambda + 2)/4),
 
-evaluated through the principal-branch complex log-Gamma so that products
-and quotients never overflow.  The Lanczos core of that log-Gamma takes
-complex arrays, so ln c and the density run over a whole lambda array at
-once; the scalar `ln_gamma_complex` and `c_function` wrap the same core.
-|c(lambda)|^-2 is comparable to lambda^2 (1+lambda)^(n-3), with a
-lambda^2 zero at the origin that the density evaluator fills by the
-closed-form limit of |c|^-2 / lambda^2.
+evaluated over a whole lambda array at once.  Its modulus needs no
+log-Gamma: m_v is even, so the two Gamma factors left in |c|^-2 have
+integer or half-integer real parts, and the density is a polynomial in
+lambda^2 times lambda^3 coth(pi lambda), lambda^2 or lambda tanh(pi lambda)
+(plancherel_density), accurate to rounding for every lambda >= 0 and
+exact at the lambda^2 zero of the origin.  The phase of c sums scipy's
+principal-branch complex log-Gamma; only exp(ln c) is used, so the branch
+of the logarithm does not matter.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
-from scipy.special import jv
+from scipy.special import jv, loggamma
 
 from .errors import PoleError
 from .space import SpaceParams
 
 __all__ = [
-    "ln_gamma_complex",
     "bessel_j",
     "script_j",
     "c_function",
     "plancherel_density",
 ]
-
-
-# Lanczos coefficients, g = 607/128, 15 terms (Godfrey's set).  Relative
-# accuracy ~1e-14 on Re z >= 1/2, which the strips used by the c-function
-# stay inside after the recurrence shift below.
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def _ln_gamma_core(z):
-    # Lanczos sum for Re z >= 0.5; z a complex scalar or array
-    acc = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        acc = acc + _LANCZOS_C[k] / (z + (k - 1))
-    t = z + (_LANCZOS_G - 0.5)
-    return _HALF_LOG_2PI + (z - 0.5) * np.log(t) - t + np.log(acc)
-
-
-def ln_gamma_complex(z: complex) -> complex:
-    """Principal-branch log-Gamma on the plane cut along (-inf, 0].
-
-    Uses the 15-term Lanczos approximation directly for Re z >= 0.5 and the
-    recurrence log Gamma(z) = log Gamma(z+m) - sum_j Log(z+j) to shift
-    smaller real parts into that half plane.  The recurrence preserves the
-    principal branch on the whole cut plane (both sides are analytic there
-    and agree on the positive axis), and unlike the reflection formula it
-    never forms sin(pi z), which overflows for the large imaginary
-    arguments the c-function feeds in.
-    """
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
-        raise PoleError(f"log-Gamma pole at z = {z}")
-    shift = max(0, int(math.ceil(0.5 - z.real)))
-    acc = sum(cmath.log(z + j) for j in range(shift))
-    return complex(_ln_gamma_core(z + shift)) - acc
 
 
 def bessel_j(mu: float, x):
@@ -138,19 +85,15 @@ def script_j(mu: float, x):
 def _ln_c(params: SpaceParams, lam):
     """ln c(lambda) at real lambda != 0, scalar or array.
 
-    ln Gamma(2i lambda) takes the one recurrence step into the Lanczos
-    half plane, core(2i lambda + 1) - Log(2i lambda); the other complex
-    arguments have real parts Q/2 and (m_v+2)/4, both >= 1/2 already.
+    The real part is -ln(|c|^-2)/2 from the closed-form density, since
+    in the log-Gamma sum it is a cancellation of terms of size pi lambda;
+    the phase sums scipy's principal-branch complex log-Gamma.
     """
-    Q = float(params.Q)
-    z = 2j * np.asarray(lam, dtype=float)
-    return (
-        (Q - z) * math.log(2.0)
-        + (_ln_gamma_core(z + 1.0) - np.log(z))
-        - _ln_gamma_core((Q + z) / 2.0)
-        + math.lgamma(params.n / 2.0)
-        - _ln_gamma_core((params.m_v + 2.0 * z + 2.0) / 4.0)
-    )
+    lam = np.asarray(lam, dtype=float)
+    z = 2j * lam
+    phase = (-z * math.log(2.0) + loggamma(z) - loggamma((float(params.Q) + z) / 2.0)
+             - loggamma((params.m_v + 2.0 * z + 2.0) / 4.0)).imag
+    return -0.5 * np.log(plancherel_density(params, np.abs(lam))) + 1j * phase
 
 
 def c_function(params: SpaceParams, lam: float) -> complex:
@@ -164,36 +107,44 @@ def c_function(params: SpaceParams, lam: float) -> complex:
     return complex(np.exp(_ln_c(params, float(lam))))
 
 
-def _plancherel_limit(params: SpaceParams) -> float:
-    """L = lim_{lambda->0} |c(lambda)|^-2 / lambda^2, in closed form.
-
-    As lambda -> 0, Gamma(2i lambda) ~ 1/(2i lambda) and the other three
-    Gamma factors of c tend to their values at lambda = 0, so
-    L = 4 Gamma(Q/2)^2 Gamma((m_v+2)/4)^2 / (2^(2Q) Gamma(n/2)^2).
-    """
-    Q = float(params.Q)
-    log_sqrt_l = ((1.0 - Q) * math.log(2.0) + math.lgamma(Q / 2.0)
-                  + math.lgamma((params.m_v + 2.0) / 4.0) - math.lgamma(params.n / 2.0))
-    return math.exp(2.0 * log_sqrt_l)
-
-
 def plancherel_density(params: SpaceParams, lam):
-    """Plancherel density |c(lambda)|^-2 for lambda >= 0.
+    """Plancherel density |c(lambda)|^-2 for lambda >= 0, in closed form.
 
-    Every lambda >= 1e-4 takes one array evaluation of ln c.  Below it
-    the quadratic zero is evaluated as lambda^2 * L with the closed-form
-    limit constant L, sidestepping the cancellation at the
-    Gamma(2 i lambda) pole.
+    |c|^-2 = 2^(-2Q) Gamma(n/2)^-2 |Gamma(Q/2 + i lambda)|^2
+    |Gamma((m_v+2)/4 + i lambda)|^2 / |Gamma(2i lambda)|^2, and both real
+    parts are integers or half-integers.  With 1/|Gamma(2i lambda)|^2 =
+    2 lambda sinh(2 pi lambda)/pi, |Gamma(k + i lambda)|^2 =
+    (pi lambda / sinh pi lambda) prod_(1<=j<k) (j^2 + lambda^2) and
+    |Gamma(k + 1/2 + i lambda)|^2 = (pi / cosh pi lambda)
+    prod_(0<=j<k) ((j + 1/2)^2 + lambda^2) (DLMF 5.4.3, 5.4.4, 5.5.1),
+
+        |c|^-2 = 4 pi 2^(-2Q) Gamma(n/2)^-2 P(lambda^2)
+                 * {lambda^3 coth(pi lambda) | lambda^2 | lambda tanh(pi lambda)}
+
+    for two integer, one integer and no integer real part, P being the
+    two finite products.  On H^3 it is 4 lambda^2.
     """
     lam_arr = np.asarray(lam, dtype=float)
     scalar = lam_arr.ndim == 0
     lam_arr = np.atleast_1d(lam_arr)
     if np.any(lam_arr < 0):
         raise ValueError("plancherel_density requires lambda >= 0")
-    out = np.empty_like(lam_arr)
-    small = lam_arr < 1e-4
-    out[small] = _plancherel_limit(params) * lam_arr[small] ** 2
-    out[~small] = np.exp(-2.0 * _ln_c(params, lam_arr[~small]).real)
+    lam2 = lam_arr * lam_arr
+    out = np.full_like(lam_arr, math.ldexp(4.0 * math.pi / math.gamma(params.n / 2.0) ** 2,
+                                           -2 * int(params.Q)))
+    n_half = 0
+    for twice_k in (int(params.Q), params.m_v // 2 + 1):   # twice Q/2 and (m_v+2)/4
+        half = twice_k % 2
+        n_half += half
+        for j in range(1 - half, twice_k // 2):
+            out *= (j + 0.5 * half) ** 2 + lam2
+    if n_half == 0:
+        out *= lam2 * np.divide(lam_arr, np.tanh(math.pi * lam_arr),
+                                out=np.full_like(lam_arr, 1.0 / math.pi), where=lam_arr > 0)
+    elif n_half == 1:
+        out *= lam2
+    else:
+        out *= lam_arr * np.tanh(math.pi * lam_arr)
     return float(out[0]) if scalar else out
 
 

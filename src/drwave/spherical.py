@@ -7,17 +7,19 @@ phi_lambda is the radial eigenfunction of the Laplace-Beltrami operator,
 evaluated by
 
 * a Bessel-kernel series near the identity (s <= 0.75 by default), whose
-  higher coefficients a_l(s) are fitted once per space against the ODE
-  route and reused for every lambda; its kernels script_j of orders
+  coefficients a_l(s) are polynomials in s^2 that follow exactly, once
+  per space, from the Taylor series of the radial equation's potential
+  by a triangular recursion (_BesselCoeffs), with an error bound from
+  the first omitted orders; its kernels script_j of orders
   mu0..mu0+M come from two Bessel calls at the top orders and the
   downward order recurrence (Abramowitz & Stegun 9.1.27) below them;
 * a two-sided exponential series away from the identity (s >= 2 and
   |lambda| >= 1 by default), driven by the c-function and the Gamma_mu
   recursion whose omega_k coefficients come from expanding the Liouville
   potential of the radial equation in powers of e^(-s);
-* a fixed-step RK4 integration of the radial equation from a Taylor
-  start, which serves as the independent oracle for both series; each
-  step is applied as a precomputed transfer matrix, quadratic in
+* a fixed-step RK4 integration of the radial equation from a 30-term
+  Taylor start, which serves as an independent check on both series;
+  each step is applied as a precomputed transfer matrix, quadratic in
   lambda^2 + Q^2/4, to a whole block of frequencies at once.
 
 The dispatcher phi() routes between the three, and phi() and
@@ -32,11 +34,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from numpy.polynomial import polynomial
+from scipy.special import gammaln
 
 from .errors import DomainError, PhiBoundError, ResolutionError, StepSizeError, ValidationError
 from .profiles import RadialProfile
-from .space import SpaceParams, density, log_density_derivative
+from .space import SpaceParams, density, log_density_derivative, log_density_taylor
 from .special import _ln_c, script_j
 
 __all__ = [
@@ -59,7 +62,9 @@ S_HC_MIN = 2.0
 LAMBDA_HC_MIN = 1.0
 
 _TAYLOR_S0 = 1e-3
+_TAYLOR_TERMS = 30
 _BESSEL_M_DEFAULT = 12
+_BESSEL_FLOOR = 1e-12
 _HC_MU_DEFAULT = 40
 _HC_MU_CAP = 320
 _PHI_BOUND_TOL = 1e-9
@@ -69,18 +74,31 @@ _PHI_BOUND_TOL = 1e-9
 # ODE oracle
 # ---------------------------------------------------------------------------
 
-def _taylor_coeffs(params: SpaceParams, nu: np.ndarray):
-    """c2, c4 of the even Taylor expansion phi = 1 + c2 s^2 + c4 s^4 + ..."""
-    n = params.n
-    c2 = -nu / (2.0 * n)
-    c4 = nu * (2.0 * params.taylor_b + nu) / (8.0 * n * (n + 2.0))
-    return c2, c4
+def _taylor_coeffs(params: SpaceParams, nu: np.ndarray) -> np.ndarray:
+    """c_0..c_29 of the even Taylor series phi = sum_j c_j s^(2j).
+
+    Shape (30,) + nu.shape.  Putting the series and A'/A = (n-1)/s +
+    sum_k g_k s^(2k-1) (log_density_taylor) into the radial equation
+    gives c_0 = 1 and
+    c_j = -(nu c_(j-1) + sum_(1<=k<j) 2(j-k) g_k c_(j-k)) / (2j(2j+n-2)).
+    """
+    g = log_density_taylor(params)
+    nu = np.asarray(nu, dtype=float)
+    c = np.empty((_TAYLOR_TERMS,) + nu.shape)
+    c[0] = 1.0
+    for j in range(1, _TAYLOR_TERMS):
+        drift = np.tensordot(2.0 * np.arange(j - 1, 0, -1) * g[:j - 1], c[j - 1:0:-1], axes=1)
+        c[j] = -(nu * c[j - 1] + drift) / (2.0 * j * (2.0 * j + params.n - 2.0))
+    return c
 
 
-def _taylor_eval(params: SpaceParams, nu: np.ndarray, s: float):
-    c2, c4 = _taylor_coeffs(params, nu)
-    val = 1.0 + c2 * s * s + c4 * s**4
-    slope = 2.0 * c2 * s + 4.0 * c4 * s**3
+def _taylor_eval(c: np.ndarray, s):
+    """Values and slopes of the series c (_taylor_coeffs) at s, each
+    shape c.shape[1:] + s.shape."""
+    j = np.arange(c.shape[0])
+    s2j = np.power.outer(np.asarray(s, dtype=float), 2 * j)    # s.shape + (n_terms,)
+    val = np.tensordot(c, s2j, axes=(0, -1))
+    slope = np.tensordot(c[1:], 2 * j[1:] * s2j[..., :-1], axes=(0, -1)) * s
     return val, slope
 
 
@@ -150,7 +168,8 @@ def _ode_values(params: SpaceParams, nu: np.ndarray, s_targets: np.ndarray, h: f
         gap_of.append(len(steps))
     # y after each gap, row 0 at the Taylor start
     y_at = np.empty((len(steps) + 1, nu.size))
-    v = np.array(_taylor_eval(params, nu, _TAYLOR_S0))
+    taylor = _taylor_coeffs(params, nu)
+    v = np.array(_taylor_eval(taylor, _TAYLOR_S0))
     y_at[0] = v[0]
     if steps:
         nodes = np.concatenate(nodes)
@@ -179,9 +198,7 @@ def _ode_values(params: SpaceParams, nu: np.ndarray, s_targets: np.ndarray, h: f
     vals = y_at[gap_of].T
     small = s_targets < _TAYLOR_S0
     if np.any(small):
-        c2, c4 = _taylor_coeffs(params, nu[:, None])
-        s_t = s_targets[small]
-        vals[:, small] = 1.0 + c2 * s_t * s_t + c4 * s_t**4
+        vals[:, small] = _taylor_eval(taylor, s_targets[small])[0]
     out = np.empty((nu.size, s_targets.size))
     out[:, order] = vals
     return out
@@ -211,8 +228,8 @@ def _ode_refined(params: SpaceParams, lam: float, s_targets, tol: float = 1e-10)
 def phi_ode_oracle(params: SpaceParams, lam: float, s_max: float, step: float) -> RadialProfile:
     """Integrate the radial eigen-equation and sample phi on [0, s_max].
 
-    The integration starts from the fourth-order Taylor expansion at
-    s = 1e-3 (the drift coefficient A'/A is singular at 0) and proceeds
+    The integration starts from the 30-term Taylor series (_taylor_coeffs)
+    at s = 1e-3 (the drift coefficient A'/A is singular at 0) and proceeds
     with classical RK4 at fixed step, each step applied as its transfer
     matrix (see _ode_values).  The step must resolve the local
     frequency: step * sqrt(lambda^2 + Q^2/4) <= 0.05.
@@ -408,65 +425,56 @@ class BesselSeriesEval:
     error_bound: float
 
 
-class _BesselTable:
-    """Fitted coefficients a_l(s) on a fine s table, splined per order.
+class _BesselCoeffs:
+    """Exact coefficients of the Bessel series, one set per space.
 
-    a_0 is identically 1; a_1..a_M are obtained by least squares against
-    the ODE route at a fixed set of fitting frequencies, solved row by
-    row in s.  Columns that the data cannot resolve (s^(2l) below 1e-10)
-    are set to zero; their true contribution is below 1e-16 there.
+    With phi = c0 (s^(n-1)/A)^(1/2) w, the radial equation becomes
+    w'' + ((n-1)/s) w' + lambda^2 w = D w, where D = V - (n-1)(n-3)/(4s^2)
+    is even and analytic at 0 and V is the Liouville potential.  The
+    series is w = sum_l f_l(s) S_(mu_l)(lambda s), S = script_j,
+    mu_l = (n-2)/2 + l and f_l = s^(2l) a_l.  Since
+    s dS_mu/ds = (2mu - 1) S_(mu-1) - 2mu S_mu, free of lambda, matching
+    the coefficient of each S_(mu_l) makes f_l = sum_j e_j^(l) s^(2j)
+    triangular (the rank-one case of Stanton and Tomas, Acta Math. 140,
+    1978):
+
+        e^(0) = delta_j0,
+        e_j^(l+1) = R_l[j-1] / ((n-1+2l)(4j-2l-2)),   j >= l+1,
+        R_l[m] = sum_(k<=m) d_k e_(m-k)^(l)
+                 - (2(m+1)(2m+n) - 2 mu_l (4m+4-2l)) e_(m+1)^(l),
+
+    where D = sum_k d_k s^(2k) comes from the g_k of A'/A
+    (log_density_taylor):
+    d_m = (n+2m)/2 g_(m+1) + 1/4 sum_(i+j=m+1) g_i g_j - [m = 0] Q^2/4.
+    Orders 0..m_tab are summed; order m_tab + 1 is kept for the error
+    bound of phi_bessel.
     """
 
-    S_TAB_MAX = 2.0
-    N_TAB = 500
-    LAM_FIT = np.sqrt(np.linspace(0.3**2, 16.0**2, 30))
-
     def __init__(self, params: SpaceParams, m_tab: int):
-        self.params = params
+        g = log_density_taylor(params)          # g_1..g_41: D and every f_l to s^80
+        n, big_j = params.n, g.size - 1
+        k = np.arange(big_j + 1)
+        d = 0.5 * (n + 2 * k) * g
+        d[1:] += 0.25 * np.convolve(g, g)[:big_j]
+        d[0] -= params.q2_over_4
         self.m_tab = m_tab
-        mu0 = (params.n - 2) / 2.0
-        s_tab = np.arange(1, self.N_TAB + 1) * (self.S_TAB_MAX / self.N_TAB)
-        nu = self.LAM_FIT**2 + params.q2_over_4
-        h = _auto_step(math.sqrt(nu.max()), self.S_TAB_MAX, tol=1e-10)
-        phi_fit = _ode_values(params, nu, s_tab, h)            # (n_lam, n_s)
-        pref = c0_constant(params) * np.sqrt(s_tab ** (params.n - 1) / density(params, s_tab))
-        g = phi_fit / pref                                      # series values
-        # basis B[j, l] = s^(2l) script_j(mu0+l, lam_j s)
-        coeffs = np.zeros((self.N_TAB, m_tab + 1))
-        coeffs[:, 0] = 1.0
-        kernels = np.empty((m_tab + 1, self.LAM_FIT.size, self.N_TAB))
-        for l, kernel in _kernel_orders(mu0, m_tab, np.outer(self.LAM_FIT, s_tab)):
-            kernels[l] = kernel
-        # ridge prior |a_l| <~ 4^-l (the series coefficients decay at least
-        # geometrically with base 4 R_1 > 4); without it the least squares
-        # overfits near s = 2, where the truncated basis cannot represent
-        # phi exactly, by huge cancelling coefficients.
-        prior = 4.0 ** (-np.arange(m_tab + 1))
-        sigma = 3e-10
-        for i, s in enumerate(s_tab):
-            powers = s ** (2 * np.arange(m_tab + 1))
-            resolved = powers > 1e-10
-            resolved[0] = True
-            b = kernels[:, :, i].T * powers                     # (n_lam, M+1)
-            rhs = g[:, i] - b[:, 0]
-            cols = np.nonzero(resolved[1:])[0] + 1
-            if cols.size:
-                aug = np.vstack([b[:, cols], np.diag(sigma / prior[cols])])
-                rhs_aug = np.concatenate([rhs, np.zeros(cols.size)])
-                x, *_ = np.linalg.lstsq(aug, rhs_aug, rcond=None)
-                coeffs[i, cols] = x
-        self.s_tab = s_tab
-        self.splines = [CubicSpline(s_tab, coeffs[:, l]) for l in range(m_tab + 1)]
-        self.mu0 = mu0
+        self.mu0 = (n - 2) / 2.0
+        e = np.zeros((m_tab + 2, big_j + 1))
+        e[0, 0] = 1.0
+        m = k[:-1]
+        for l in range(m_tab + 1):
+            r = (np.convolve(d, e[l])[:big_j]
+                 - (2 * (m + 1) * (2 * m + n) - 2 * (self.mu0 + l) * (4 * m + 4 - 2 * l)) * e[l, 1:])
+            j = np.arange(l + 1, big_j + 1)
+            e[l + 1, l + 1:] = r[l:] / ((n - 1 + 2 * l) * (4 * j - 2 * l - 2))
+        # a_l(s) = sum_i e_(l+i)^(l) s^(2i): row l shifted left by l
+        self.a_coeffs = np.zeros_like(e)
+        for l in range(m_tab + 2):
+            self.a_coeffs[l, :big_j + 1 - l] = e[l, l:]
 
     def a_values(self, s: np.ndarray) -> np.ndarray:
-        """a_l(s) for l = 0..m_tab, shape (m_tab+1, n_s)."""
-        out = np.empty((self.m_tab + 1, s.size))
-        out[0] = 1.0
-        for l in range(1, self.m_tab + 1):
-            out[l] = self.splines[l](s)
-            out[l][s ** (2 * l) <= 1e-10] = 0.0
-        return out
+        """a_l(s) for l = 0..m_tab+1, shape (m_tab+2, n_s)."""
+        return polynomial.polyval(s * s, self.a_coeffs.T)
 
 
 def _kernel_orders(mu0: float, m: int, x: np.ndarray):
@@ -498,9 +506,9 @@ def _kernel_orders(mu0: float, m: int, x: np.ndarray):
 
 
 @functools.cache
-def _bessel_table(params: SpaceParams) -> _BesselTable:
-    """The space's table, fitted once at the full order M = 16."""
-    return _BesselTable(params, _BESSEL_M_DEFAULT + 4)
+def _bessel_table(params: SpaceParams) -> _BesselCoeffs:
+    """The space's coefficients, built once up to order M = 16."""
+    return _BesselCoeffs(params, _BESSEL_M_DEFAULT + 4)
 
 
 def _bessel_matrix(params: SpaceParams, lams: np.ndarray, s: np.ndarray,
@@ -515,7 +523,7 @@ def _bessel_matrix(params: SpaceParams, lams: np.ndarray, s: np.ndarray,
     """
     tab = _bessel_table(params)
     if m > tab.m_tab:
-        raise DomainError(f"truncation order {m} above the fitted table ({tab.m_tab})")
+        raise DomainError(f"truncation order {m} above the coefficient table ({tab.m_tab})")
     lams = np.abs(np.atleast_1d(np.asarray(lams, dtype=float)))
     s = np.atleast_1d(np.asarray(s, dtype=float))
     pos = s > 0
@@ -535,37 +543,11 @@ def _bessel_values(params: SpaceParams, lam: float, s: np.ndarray,
                    m: int = _BESSEL_M_DEFAULT + 4) -> np.ndarray:
     """Series values for a single lambda over an s array.
 
-    The default order is the full fitted table (M = 16): the working
+    The default order is the full coefficient table (M = 16): the working
     default M = 12 auto-raised to where the last term sits below 1e-12
     of the sum for s inside the dispatcher's Bessel zone.
     """
     return _bessel_matrix(params, np.array([abs(float(lam))]), s, m)[0]
-
-
-@functools.cache
-def _error_bound_consts(params: SpaceParams, m: int) -> tuple[float, float]:
-    """Empirical constant (and additive floor) of the two-regime bound."""
-    lam_grid = np.array([0.5, 1.0, 2.0, 5.0, 11.0, 19.0, 37.0])
-    s_grid = np.linspace(0.08, 1.9, 12)
-    c_max, floor = 0.0, 1e-12
-    for lam in lam_grid:
-        ref = _ode_refined(params, lam, s_grid)
-        got = _bessel_values(params, lam, s_grid, m)
-        err = np.abs(got - ref)
-        shape = _error_shape(params, lam, s_grid, m)
-        big = shape > 1e-11
-        if np.any(big):
-            c_max = max(c_max, float(np.max(err[big] / shape[big])))
-        floor = max(floor, float(np.max(err[~big])) if np.any(~big) else 0.0)
-    return (3.0 * c_max, 3.0 * floor)
-
-
-def _error_shape(params: SpaceParams, lam: float, s, m: int):
-    s = np.asarray(s, dtype=float)
-    x = np.abs(lam) * s
-    shape = s ** (2 * (m + 1))
-    decay = np.where(x > 1.0, x ** (-((params.n - 1) / 2.0 + m + 1)), 1.0)
-    return shape * decay
 
 
 def phi_bessel(params: SpaceParams, lam: float, s: float, m: int = _BESSEL_M_DEFAULT,
@@ -575,11 +557,11 @@ def phi_bessel(params: SpaceParams, lam: float, s: float, m: int = _BESSEL_M_DEF
     The working radius defaults to 2 (the series converges absolutely
     below it); the dispatcher nevertheless hands off to other methods
     beyond s = 0.75, where they are cheaper at equal accuracy.  The
-    error bound combines the two-regime truncation estimate
-    (s^(2(M+1)), with an extra |lambda s|^(-((n-1)/2+M+1)) beyond
-    |lambda s| = 1) with an additive floor for the coefficient fit, both
-    calibrated once per space against the ODE route.  M may not exceed
-    16, the order of the fitted coefficient table.
+    error bound is the omitted orders up to M = 17 at their largest
+    kernel value, c0 (s^(n-1)/A)^(1/2) sum_(m<l<=17) |f_l(s)| S_(mu_l)(0)
+    with |S_mu(x)| <= S_mu(0) = sqrt(pi) Gamma(mu+1/2)/Gamma(mu+1), plus
+    a floor of 1e-12 for the evaluation in double precision.  M may not
+    exceed 16, the order of the coefficient table.
     """
     if m < 0:
         raise ValidationError("M must be >= 0")
@@ -588,8 +570,12 @@ def phi_bessel(params: SpaceParams, lam: float, s: float, m: int = _BESSEL_M_DEF
     if s == 0.0:
         return BesselSeriesEval(value=1.0, truncation_order=m, error_bound=0.0)
     val = float(_bessel_values(params, lam, np.array([s]), m)[0])
-    c_m, floor = _error_bound_consts(params, m)
-    bound = float(c_m * _error_shape(params, lam, np.array([s]), m)[0] + floor)
+    tab = _bessel_table(params)
+    l = np.arange(m + 1, tab.m_tab + 2)
+    f = tab.a_values(np.array([s]))[l, 0] * s ** (2 * l)
+    kernel_max = math.sqrt(math.pi) * np.exp(gammaln(tab.mu0 + l + 0.5) - gammaln(tab.mu0 + l + 1.0))
+    pref = c0_constant(params) * math.sqrt(s ** (params.n - 1) / density(params, s))
+    bound = pref * float(np.sum(np.abs(f) * kernel_max)) + _BESSEL_FLOOR
     return BesselSeriesEval(value=val, truncation_order=m, error_bound=bound)
 
 

@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import mpmath as mp
@@ -8,10 +7,8 @@ import pytest
 from drwave.errors import PoleError
 from drwave.space import new_space
 from drwave.special import (
-    _plancherel_limit,
     bessel_j,
     c_function,
-    ln_gamma_complex,
     plancherel_density,
     plancherel_envelope_ratio,
     script_j,
@@ -23,11 +20,6 @@ mp.mp.dps = 50
 # ---------------------------------------------------------------------------
 # oracles
 # ---------------------------------------------------------------------------
-
-def oracle_loggamma(z: complex) -> complex:
-    """Independent high-precision log-Gamma (50-digit arithmetic)."""
-    return complex(mp.loggamma(mp.mpc(z)))
-
 
 def oracle_bessel_series(mu: float, x: float, terms: int = 200) -> float:
     """Power-series oracle for J_mu(x): sum_k (-1)^k (x/2)^(mu+2k) / (k! Gamma(mu+k+1))."""
@@ -51,47 +43,6 @@ def oracle_c_function(m_v: int, m_z: int, lam: float) -> complex:
         / mp.gamma((m_v + 2 * il + 2) / 4)
     )
     return complex(val)
-
-
-# ---------------------------------------------------------------------------
-# log-Gamma
-# ---------------------------------------------------------------------------
-
-def test_ln_gamma_at_one():
-    assert abs(ln_gamma_complex(1.0)) < 1e-14
-
-
-def test_ln_gamma_at_half():
-    assert ln_gamma_complex(0.5).real == pytest.approx(math.log(math.sqrt(math.pi)), abs=1e-14)
-    # frozen reference value
-    assert ln_gamma_complex(0.5).real == pytest.approx(0.5723649429247001, abs=1e-12)
-
-
-def test_ln_gamma_complex_point_vs_oracle():
-    z = 2 + 3j
-    ref = oracle_loggamma(z)
-    assert abs(ln_gamma_complex(z) - ref) < 1e-12
-
-
-def test_ln_gamma_sweep_vs_oracle():
-    pts = [0.1, 0.9, 3.7, 12.0, 2j, 0.5 + 40j, 5 - 7j, -2.3, -5.5 + 1j, 1e-3 + 1e-3j,
-           200j, 3 + 200j, -0.25 - 3j]
-    for z in pts:
-        ref = oracle_loggamma(z)
-        assert abs(ln_gamma_complex(z) - ref) <= 1e-12 * max(1.0, abs(ref))
-
-
-def test_exp_ln_gamma_matches_gamma():
-    for z in [0.3, 1.7, 4 + 2j, 0.5 - 6j, 2.25]:
-        got = cmath.exp(ln_gamma_complex(z))
-        ref = complex(mp.gamma(mp.mpc(z)))
-        assert abs(got - ref) <= 1e-12 * abs(ref)
-
-
-@pytest.mark.parametrize("z", [0.0, -1.0, -7.0])
-def test_ln_gamma_pole(z):
-    with pytest.raises(PoleError):
-        ln_gamma_complex(z)
 
 
 # ---------------------------------------------------------------------------
@@ -197,17 +148,30 @@ def test_plancherel_small_lambda_quadratic(space43):
 
 @pytest.mark.parametrize("m_v,m_z", [(2, 0), (2, 1), (4, 3), (8, 1), (6, 2), (16, 7)])
 def test_plancherel_limit_closed_form_vs_richardson(m_v, m_z):
-    # L = lim |c|^-2 / lambda^2 against Richardson extrapolation in lambda^2
-    # of |c(lambda)|^-2 / lambda^2 at lambda = 1e-4 and 5e-5
+    # L = lim |c|^-2 / lambda^2 from the closed-form density at lambda = 1e-6
+    # against Richardson extrapolation in lambda^2 of the 50-digit
+    # |c(lambda)|^-2 / lambda^2 at lambda = 1e-4 and 5e-5
     params = new_space(m_v, m_z)
-    r1, r2 = (1.0 / abs(c_function(params, lam)) ** 2 / lam**2 for lam in (1e-4, 5e-5))
+    r1, r2 = (1.0 / abs(oracle_c_function(m_v, m_z, lam)) ** 2 / lam**2 for lam in (1e-4, 5e-5))
     richardson = (4.0 * r2 - r1) / 3.0
-    assert _plancherel_limit(params) == pytest.approx(richardson, rel=1e-12)
+    assert plancherel_density(params, 1e-6) / 1e-12 == pytest.approx(richardson, rel=1e-12)
 
 
 def test_plancherel_limit_h3():
     # c(lambda) = 1/(2 i lambda) on real hyperbolic 3-space, so L = 4
-    assert _plancherel_limit(new_space(2, 0)) == pytest.approx(4.0, rel=1e-14)
+    assert plancherel_density(new_space(2, 0), 1e-6) / 1e-12 == pytest.approx(4.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("m_v,m_z", [(2, 0), (2, 1), (4, 3), (6, 2), (8, 1), (4, 7), (6, 0)])
+def test_plancherel_density_closed_form_vs_oracle(m_v, m_z):
+    # the closed form against the 50-digit four-Gamma product, lambda from
+    # 1e-6 to 1e5, and 4 lambda^2 exactly on H^3
+    params = new_space(m_v, m_z)
+    lam = np.geomspace(1e-6, 1e5, 34)
+    ref = np.array([1.0 / abs(oracle_c_function(m_v, m_z, x)) ** 2 for x in lam])
+    assert np.max(np.abs(plancherel_density(params, lam) / ref - 1.0)) <= 1e-14
+    h3 = new_space(2, 0)
+    assert np.max(np.abs(plancherel_density(h3, lam) / (4.0 * lam**2) - 1.0)) <= 1e-14
 
 
 @pytest.mark.parametrize("m_v,m_z", [(2, 1), (4, 3)])
