@@ -258,14 +258,18 @@ class PropagatorKernel:
         dpsi = abs(phase_derivs(kind, params, max(lam_hi, 1e-3))[0])
         nodes, weights = spectral_quadrature_nodes(fh, s_rate, t_max * dpsi)
         self.nodes = nodes
-        self.fh_nodes = _interp(fh.lambda_grid, fh.values)(nodes)
+        weight = weights * plancherel_density(params, nodes) * inversion_constant(params)
+        self.amp = weight * _interp(fh.lambda_grid, fh.values)(nodes)
         self.psi_nodes = phase(kind, params, nodes)
-        self.weight = weights * plancherel_density(params, nodes) * inversion_constant(params)
         self.kernel_t = phi_matrix(params, nodes, self.s_grid).T  # (n_s, n_nodes)
 
-    def apply(self, t: float) -> np.ndarray:
-        mult = np.exp(1j * t * self.psi_nodes)
-        return self.kernel_t @ (self.weight * self.fh_nodes * mult)
+    def apply(self, t) -> np.ndarray:
+        """S_t f on the s grid, shape (n_s,); for a 1-D array of times,
+        one GEMM giving shape (n_s, n_t)."""
+        t = np.asarray(t, dtype=float)
+        mult = np.exp(1j * np.multiply.outer(self.psi_nodes, t))
+        amp = self.amp if t.ndim == 0 else self.amp[:, None]
+        return self.kernel_t @ (amp * mult)
 
 
 def _check_fh_phase_resolution(params: SpaceParams, fh: SpectralProfile,
@@ -307,6 +311,9 @@ def default_t_grid(params: SpaceParams, kind: PhaseKind, lam_max: float,
         n *= 2
 
 
+_T_BLOCK = 64  # times per kernel GEMM in maximal_function
+
+
 def maximal_function(params: SpaceParams, fh: SpectralProfile, kind: PhaseKind,
                      t_grid, s_grid) -> RadialProfile:
     """Pointwise max over the t grid of |propagate|; a lower bound for the
@@ -325,22 +332,10 @@ def maximal_function(params: SpaceParams, fh: SpectralProfile, kind: PhaseKind,
     _check_fh_phase_resolution(params, fh, kind, float(t_grid[-1]))
     kern = PropagatorKernel(params, fh, kind, s_grid, t_max=float(t_grid[-1]))
     best = np.zeros(kern.s_grid.size)
-    for t in t_grid:
-        np.maximum(best, np.abs(kern.apply(float(t))), out=best)
+    for a in range(0, t_grid.size, _T_BLOCK):
+        block = np.abs(kern.apply(t_grid[a:a + _T_BLOCK]))
+        np.maximum(best, block.max(axis=1), out=best)
     return RadialProfile(kern.s_grid, best)
-
-
-def maximal_refinement_increment(params: SpaceParams, fh: SpectralProfile,
-                                 kind: PhaseKind, t_grid, s_grid) -> float:
-    """Sup-norm increase of the discretized maximal function when the time
-    grid is refined by interleaving midpoints; bounds the discretization
-    deficit of the grid supremum (which is a lower bound of the true sup)."""
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    coarse = maximal_function(params, fh, kind, t_grid, s_grid)
-    mids = 0.5 * (t_grid[1:] + t_grid[:-1])
-    fine = maximal_function(params, fh, kind,
-                            np.sort(np.concatenate([t_grid, mids])), s_grid)
-    return float(np.max(fine.values - coarse.values))
 
 
 def littlewood_paley_split(fh: SpectralProfile) -> tuple[SpectralProfile, SpectralProfile]:

@@ -6,24 +6,26 @@ phi_lambda is the radial eigenfunction of the Laplace-Beltrami operator,
 
 evaluated by
 
-* a Bessel-kernel series near the identity (s <= 0.75 by default), whose
-  coefficients a_l(s) are polynomials in s^2 that follow exactly, once
-  per space, from the Taylor series of the radial equation's potential
-  by a triangular recursion (_BesselCoeffs), with an error bound from
-  the first omitted orders; its kernels script_j of orders
-  mu0..mu0+M come from two Bessel calls at the top orders and the
-  downward order recurrence (Abramowitz & Stegun 9.1.27) below them;
-* a two-sided exponential series away from the identity (s >= 2 and
-  |lambda| >= 1 by default), driven by the c-function and the Gamma_mu
-  recursion whose omega_k coefficients come from expanding the Liouville
-  potential of the radial equation in powers of e^(-s);
+* a Bessel-kernel series for s < 2, whose coefficients a_l(s) are
+  polynomials in s^2 that follow exactly, once per space, from the
+  Taylor series of the radial equation's potential by a triangular
+  recursion (_BesselCoeffs), with an error bound from the first omitted
+  orders; its kernels script_j of orders mu0..mu0+M come from two
+  Bessel calls at the top orders and the downward order recurrence
+  (Abramowitz & Stegun 9.1.27) below them, so its cost per cell does
+  not depend on lambda;
+* a two-sided exponential series for s >= 2 and |lambda| >= 1, driven
+  by the c-function and the Gamma_mu recursion whose omega_k
+  coefficients come from expanding the Liouville potential of the
+  radial equation in powers of e^(-s);
 * a fixed-step RK4 integration of the radial equation from a 30-term
-  Taylor start, which serves as an independent check on both series;
-  each step is applied as a precomputed transfer matrix, quadratic in
-  lambda^2 + Q^2/4, to a whole block of frequencies at once.
+  Taylor start, for s >= 2 and |lambda| < 1, and as an independent
+  check on both series; each step is applied as a precomputed transfer
+  matrix, quadratic in lambda^2 + Q^2/4, to a whole block of
+  frequencies at once.
 
-The dispatcher phi() routes between the three, and phi() and
-phi_matrix() both enforce the global bound |phi| <= 1.
+phi() and phi_matrix() route between the three by the same two zones in
+s, and both enforce the global bound |phi| <= 1.
 """
 
 from __future__ import annotations
@@ -54,12 +56,14 @@ __all__ = [
     "phi_matrix",
 ]
 
-# Regime boundaries; both sit inside the guaranteed validity regions
-# (the Bessel series converges absolutely for s < 2, the exponential
-# series away from the identity).
-S_BESSEL_MAX = 0.75
+# The Bessel series converges absolutely for s < 2 and takes every
+# lambda there.  Beyond S_HC_MIN, frequencies |lambda| >= LAMBDA_HC_MIN
+# take the exponential series and the rest take RK4.
 S_HC_MIN = 2.0
 LAMBDA_HC_MIN = 1.0
+# phi_hc's default s_min, the lower bound of the exponential series'
+# validity; no route boundary sits here.
+S_BESSEL_MAX = 0.75
 
 _TAYLOR_S0 = 1e-3
 _TAYLOR_TERMS = 30
@@ -68,6 +72,7 @@ _BESSEL_FLOOR = 1e-12
 _HC_MU_DEFAULT = 40
 _HC_MU_CAP = 320
 _PHI_BOUND_TOL = 1e-9
+_ODE_TOL = 1e-8  # relative phase error of the RK4 step (_auto_step)
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +220,11 @@ def _auto_step(omega_max: float, s_span: float, tol: float = 1e-9) -> float:
     return float(min(1e-3, h, 0.04 / omega))
 
 
-def _ode_refined(params: SpaceParams, lam: float, s_targets, tol: float = 1e-10):
+def _ode_refined(params: SpaceParams, lam: float, s_targets):
     """Richardson-extrapolated oracle values (error ~ h^6) at the targets."""
     s_targets = np.atleast_1d(np.asarray(s_targets, dtype=float))
     nu = np.array([lam * lam + params.q2_over_4])
-    h = _auto_step(math.sqrt(nu[0]), float(s_targets[-1]), tol=1e-8)
+    h = _auto_step(math.sqrt(nu[0]), float(s_targets[-1]), tol=_ODE_TOL)
     v1 = _ode_values(params, nu, s_targets, h)[0]
     v2 = _ode_values(params, nu, s_targets, h / 2.0)[0]
     return (16.0 * v2 - v1) / 15.0
@@ -416,6 +421,18 @@ def c0_constant(params: SpaceParams) -> float:
                     - 0.5 * math.log(math.pi))
 
 
+def _bessel_pref(params: SpaceParams, s):
+    """c0 (s^(n-1)/A)^(1/2), the Bessel series' prefactor, for s > 0.
+
+    Since A = (2 sinh(s/2))^(n-1) cosh(s/2)^m_z, it is taken as
+    c0 (s e^(s/2) / expm1(s))^((n-1)/2) cosh(s/2)^(-m_z/2), which neither
+    underflows nor divides 0 by 0 at small s.
+    """
+    ratio = s * np.exp(0.5 * s) / np.expm1(s)
+    return (c0_constant(params) * ratio ** (0.5 * (params.n - 1))
+            * np.cosh(0.5 * s) ** (-0.5 * params.m_z))
+
+
 @dataclass
 class BesselSeriesEval:
     """Result of the truncated Bessel-series evaluation."""
@@ -533,20 +550,15 @@ def _bessel_matrix(params: SpaceParams, lams: np.ndarray, s: np.ndarray,
     total = np.zeros((lams.size, sp.size))
     for l, kernel in _kernel_orders(tab.mu0, m, x):
         total += (a[l] * sp ** (2 * l)) * kernel
-    pref = c0_constant(params) * np.sqrt(sp ** (params.n - 1) / density(params, sp))
     out = np.ones((lams.size, s.size))
-    out[:, pos] = pref * total
+    out[:, pos] = _bessel_pref(params, sp) * total
     return out
 
 
 def _bessel_values(params: SpaceParams, lam: float, s: np.ndarray,
                    m: int = _BESSEL_M_DEFAULT + 4) -> np.ndarray:
-    """Series values for a single lambda over an s array.
-
-    The default order is the full coefficient table (M = 16): the working
-    default M = 12 auto-raised to where the last term sits below 1e-12
-    of the sum for s inside the dispatcher's Bessel zone.
-    """
+    """Series values for a single lambda over an s array, by default at
+    the full coefficient table (M = 16), as phi() and phi_matrix() use."""
     return _bessel_matrix(params, np.array([abs(float(lam))]), s, m)[0]
 
 
@@ -554,13 +566,13 @@ def phi_bessel(params: SpaceParams, lam: float, s: float, m: int = _BESSEL_M_DEF
                s_max: float = 2.0) -> BesselSeriesEval:
     """phi_lambda(s) by the Bessel-kernel series, for s in [0, s_max].
 
-    The working radius defaults to 2 (the series converges absolutely
-    below it); the dispatcher nevertheless hands off to other methods
-    beyond s = 0.75, where they are cheaper at equal accuracy.  The
-    error bound is the omitted orders up to M = 17 at their largest
-    kernel value, c0 (s^(n-1)/A)^(1/2) sum_(m<l<=17) |f_l(s)| S_(mu_l)(0)
-    with |S_mu(x)| <= S_mu(0) = sqrt(pi) Gamma(mu+1/2)/Gamma(mu+1), plus
-    a floor of 1e-12 for the evaluation in double precision.  M may not
+    The working radius defaults to 2, below which the series converges
+    absolutely; phi() and phi_matrix() take it for every s < 2 at M = 16
+    (_bessel_values).  The error bound is the omitted orders up to
+    M = 17 at their largest kernel value,
+    c0 (s^(n-1)/A)^(1/2) sum_(m<l<=17) |f_l(s)| S_(mu_l)(0) with
+    |S_mu(x)| <= S_mu(0) = sqrt(pi) Gamma(mu+1/2)/Gamma(mu+1), plus a
+    floor of 1e-12 for the evaluation in double precision.  M may not
     exceed 16, the order of the coefficient table.
     """
     if m < 0:
@@ -574,8 +586,7 @@ def phi_bessel(params: SpaceParams, lam: float, s: float, m: int = _BESSEL_M_DEF
     l = np.arange(m + 1, tab.m_tab + 2)
     f = tab.a_values(np.array([s]))[l, 0] * s ** (2 * l)
     kernel_max = math.sqrt(math.pi) * np.exp(gammaln(tab.mu0 + l + 0.5) - gammaln(tab.mu0 + l + 1.0))
-    pref = c0_constant(params) * math.sqrt(s ** (params.n - 1) / density(params, s))
-    bound = pref * float(np.sum(np.abs(f) * kernel_max)) + _BESSEL_FLOOR
+    bound = _bessel_pref(params, s) * float(np.sum(np.abs(f) * kernel_max)) + _BESSEL_FLOOR
     return BesselSeriesEval(value=val, truncation_order=m, error_bound=bound)
 
 
@@ -587,16 +598,16 @@ def _phi_dispatch(params: SpaceParams, lam: float, s: float) -> tuple[float, str
     lam = abs(float(lam))
     if s < 0:
         raise DomainError("phi requires s >= 0")
-    if s <= S_BESSEL_MAX:
+    if s < S_HC_MIN:
         val = float(_bessel_values(params, lam, np.array([s]))[0])
         method = "bessel"
-    elif s >= S_HC_MIN and lam >= LAMBDA_HC_MIN:
+    elif lam >= LAMBDA_HC_MIN:
         val = float(_hc_auto(params, lam, np.array([s]))[0])
         method = "hc"
     else:
         val = float(_ode_refined(params, lam, np.array([s]))[0])
         method = "ode"
-    if abs(val) > 1.0 + _PHI_BOUND_TOL:
+    if not abs(val) <= 1.0 + _PHI_BOUND_TOL:     # NaN fails too
         raise PhiBoundError(
             f"|phi_{lam}({s})| = {abs(val)} violates the bound 1 + 1e-9 "
             f"(method {method})"
@@ -614,67 +625,44 @@ def phi_with_method(params: SpaceParams, lam: float, s: float) -> tuple[float, s
     return _phi_dispatch(params, lam, s)
 
 
-def phi_matrix(params: SpaceParams, lams, s, ode_tol: float = 1e-8) -> np.ndarray:
+def phi_matrix(params: SpaceParams, lams, s) -> np.ndarray:
     """phi_{lambda_i}(s_j) over the grid product, shape (n_lam, n_s).
 
-    Bessel series for s <= 0.75, exponential series for s >= 2 at
-    lambda >= 1, and RK4 for the strip in between (and for the sub-unit
-    frequencies everywhere beyond the Bessel zone).  The RK4 rows go in
-    blocks of about 64 frequencies sorted by lambda^2 + Q^2/4; each block
-    shares one step size, and each step is one transfer matrix
-    C0 + nu C1 + nu^2 C2 applied to the whole block (_ode_values).
-    Raises PhiBoundError if any |phi| exceeds 1 + 1e-9, as phi() does.
+    Bessel series for s < 2 at every lambda; beyond it, the exponential
+    series for |lambda| >= 1 and RK4 for |lambda| < 1.  The RK4 rows have
+    lambda^2 + Q^2/4 in [Q^2/4, 1 + Q^2/4], so they share one step size
+    and run as one block, each step one transfer matrix
+    C0 + nu C1 + nu^2 C2 (_ode_values).  Raises PhiBoundError if any
+    |phi| exceeds 1 + 1e-9, as phi() does.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if np.any(s < 0):
         raise DomainError("phi_matrix requires s >= 0")
     out = np.empty((lams.size, s.size))
-    near = s <= S_BESSEL_MAX
-    far = ~near
-    s_far = s[far]
+    near = s < S_HC_MIN
     if np.any(near):
-        out[:, near] = _bessel_matrix(params, np.abs(lams), s[near])
-    if not np.any(far):
+        out[:, near] = _bessel_matrix(params, lams, s[near])
+    far = np.flatnonzero(~near)
+    if far.size == 0:
         return _bound_checked(out, lams, s)
-
+    s_far = s[far]
     hc_rows = np.abs(lams) >= LAMBDA_HC_MIN
-    hc_cols = s_far >= S_HC_MIN
-    far_idx = np.nonzero(far)[0]
-    # exponential series block
-    if np.any(hc_rows) and np.any(hc_cols):
-        s_hc = s_far[hc_cols]
+    if np.any(hc_rows):
         lams_hc = np.abs(lams[hc_rows])
-        mu_max = _hc_mu_for(params, lams_hc, float(np.min(s_hc)))
-        vals = np.real(_hc_matrix(params, lams_hc, s_hc,
-                                  _gamma_matrix(params, lams_hc, mu_max)))
-        out[np.ix_(hc_rows, far_idx[hc_cols])] = vals
-    # ODE strips, blocked by frequency so each block shares a step
-    for i_block, s_need_mask in (
-        (np.nonzero(~hc_rows)[0], np.ones_like(s_far, dtype=bool)),
-        (np.nonzero(hc_rows)[0], ~hc_cols),
-    ):
-        if i_block.size == 0 or not np.any(s_need_mask):
-            continue
-        s_need = s_far[s_need_mask]
-        cols = far_idx[s_need_mask]
-        nu_all = lams[i_block] ** 2 + params.q2_over_4
-        order = np.argsort(nu_all)
-        blocks = np.array_split(order, max(1, order.size // 64))
-        for blk in blocks:
-            if blk.size == 0:
-                continue
-            nu = nu_all[blk]
-            h = _auto_step(math.sqrt(nu.max()), float(s_need[-1]), tol=ode_tol)
-            vals = _ode_values(params, nu, s_need, h)
-            for r, row in enumerate(i_block[blk]):
-                out[row, cols] = vals[r]
+        mu_max = _hc_mu_for(params, lams_hc, float(np.min(s_far)))
+        out[np.ix_(hc_rows, far)] = np.real(
+            _hc_matrix(params, lams_hc, s_far, _gamma_matrix(params, lams_hc, mu_max)))
+    if not np.all(hc_rows):
+        nu = lams[~hc_rows] ** 2 + params.q2_over_4
+        h = _auto_step(math.sqrt(nu.max()), float(np.max(s_far)), tol=_ODE_TOL)
+        out[np.ix_(~hc_rows, far)] = _ode_values(params, nu, s_far, h)
     return _bound_checked(out, lams, s)
 
 
 def _bound_checked(out: np.ndarray, lams: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """out, after one vectorized check of |phi| <= 1 + 1e-9."""
-    bad = np.abs(out) > 1.0 + _PHI_BOUND_TOL
+    """out, after one vectorized check of |phi| <= 1 + 1e-9 (NaN fails)."""
+    bad = ~(np.abs(out) <= 1.0 + _PHI_BOUND_TOL)
     if np.any(bad):
         i, j = np.argwhere(bad)[0]
         raise PhiBoundError(

@@ -4,6 +4,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drwave import dispersive
 from drwave.bumps import chi_lowpass, eta_dyadic
@@ -12,7 +14,6 @@ from drwave.dispersive import (
     default_t_grid,
     littlewood_paley_split,
     maximal_function,
-    maximal_refinement_increment,
     phase,
     phase_derivs,
     propagate,
@@ -210,7 +211,10 @@ def test_maximal_dominates_and_refines(space21):
     finer = maximal_function(space21, fh, kind,
                              default_t_grid(space21, kind, 6.0, n_points=96), s)
     assert np.all(finer.values >= sup.values - 1e-12 * scale)
-    inc = maximal_refinement_increment(space21, fh, kind, t_grid, s)
+    # interleaving the midpoints raises the grid supremum by little
+    mids = 0.5 * (t_grid[1:] + t_grid[:-1])
+    refined = maximal_function(space21, fh, kind, np.concatenate([t_grid, mids]), s)
+    inc = float(np.max(refined.values - sup.values))
     assert 0.0 <= inc < 0.05 * scale
 
 
@@ -266,5 +270,20 @@ def test_split_exact_reconstruction(rng):
     lam = np.linspace(0.0, 12.0, 601)
     vals = rng.normal(size=601) + 1j * rng.normal(size=601)
     fh = SpectralProfile(lam, vals)
+    low, high = littlewood_paley_split(fh)
+    assert np.array_equal(low.values + high.values, fh.values)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    lam_max=st.floats(0.5, 12.0),
+    parts=st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                             st.floats(allow_nan=False, allow_infinity=False)),
+                   min_size=2, max_size=64),
+)
+def test_split_reconstruction_is_bit_exact(lam_max, parts):
+    # low + high rounds to fh itself for any finite values, tiny or huge
+    vals = np.array([complex(re, im) for re, im in parts])
+    fh = SpectralProfile(np.linspace(0.0, lam_max, vals.size), vals)
     low, high = littlewood_paley_split(fh)
     assert np.array_equal(low.values + high.values, fh.values)

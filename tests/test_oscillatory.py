@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drwave.bumps import eta_dyadic
 from drwave.dispersive import PhaseKind
@@ -57,6 +59,24 @@ def test_phase_diff_matches_direct(kind, space21):
         assert np.allclose(got, ref, rtol=1e-14, atol=0.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["frac", "boussinesq", "beam"]),
+    shifted=st.booleans(),
+    a=st.floats(1.1, 4.0),
+    x=st.floats(0.05, 50.0),
+    x0=st.floats(0.05, 50.0),
+)
+def test_phase_diff_matches_direct_difference(space21, family, shifted, a, x, x0):
+    # at moderate phase the direct difference loses at most a few ulps of psi
+    from drwave.dispersive import phase
+
+    kind = PhaseKind(family, shifted=shifted, a=a if family == "frac" else None)
+    psi, psi0 = phase(kind, space21, x), phase(kind, space21, x0)
+    got = phase_diff(kind, space21, x, x0)
+    assert got == pytest.approx(psi - psi0, rel=1e-12, abs=1e-13 * max(abs(psi), abs(psi0)))
+
+
 def test_phase_diff_rejects_nonpositive_reference(space21):
     with pytest.raises(DomainError):
         phase_diff(K2, space21, 1.0, 0.0)
@@ -90,6 +110,25 @@ def test_window_d_zero_oracle(space21):
         got = window_integral(K2, space21, k, 2.0, 2.0 + ds, 0.0)
         ref = oracle_linear_phase(k, ds)
         assert got.value == pytest.approx(ref, rel=1e-7, abs=1e-10 * 2.0 ** (k / 2))
+
+
+def test_window_singular_levin_system_bisects(space21, monkeypatch):
+    # a LinAlgError from the first Levin solve fails that attempt, as two
+    # disagreeing orders do, and the segment is bisected instead
+    ref = window_integral(K2, space21, 10, 2.0, 2.5, 0.3).value
+    solve = np.linalg.solve
+    calls = []
+
+    def singular_once(a, b):
+        calls.append(1)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular_once)
+    got = window_integral(K2, space21, 10, 2.0, 2.5, 0.3).value
+    assert len(calls) > 1
+    assert got == pytest.approx(ref, rel=1e-9)
 
 
 def test_window_trivial_bound(space21, rng):

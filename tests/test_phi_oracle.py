@@ -74,11 +74,22 @@ def test_bessel_zone_matches_hypergeometric(m_v, m_z):
     assert np.max(np.abs(got - ref) / amp) <= 1e-12
 
 
+@pytest.mark.parametrize("m_v,m_z", [(2, 0), (2, 1), (4, 3), (4, 7), (6, 2), (8, 1), (16, 7)])
+def test_strip_matches_hypergeometric(m_v, m_z):
+    # 0.75 < s < 2: the Bessel series, up to just below its s = 2 boundary
+    params = new_space(m_v, m_z)
+    lams = np.array([0.0, 0.5, 17.0, 300.0])
+    s = np.array([0.8, 1.2, 1.6, 1.9, 1.99, 1.999])
+    ref, amp = _hyp_grid(params, lams, s)
+    got = phi_matrix(params, lams, s)
+    assert np.max(np.abs(got - ref) / amp) <= 1e-12
+
+
 @pytest.mark.parametrize("lam", [300.0, 1000.0])
 @pytest.mark.parametrize("m_v,m_z", [(2, 1), (4, 7)])
 def test_strip_matches_hypergeometric_at_high_frequency(m_v, m_z, lam):
-    # 0.75 < s < 2: the RK4 strip, whose start must not lose the
-    # O((lambda s0)^6) term of the Taylor series
+    # 0.75 < s < 2 at high frequency: the Bessel series, whose cost per
+    # cell does not grow with lambda
     params = new_space(m_v, m_z)
     s = np.array([0.8, 1.0, 1.2, 1.45, 1.7, 1.85])
     if lam < 1000.0:
@@ -89,7 +100,7 @@ def test_strip_matches_hypergeometric_at_high_frequency(m_v, m_z, lam):
 
 
 def test_dispatcher_strip_matches_hypergeometric(space21):
-    # phi() takes the Richardson-refined ODE in the strip
+    # phi() takes the Bessel series in the strip, as phi_matrix() does
     s = np.array([0.9, 1.6])
     ref, amp = _hyp_grid(space21, [300.0], s)
     got = np.array([phi(space21, 300.0, x) for x in s])

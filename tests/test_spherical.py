@@ -78,8 +78,8 @@ def test_ode_step_rejection(space21):
 
 # On H^3, A(s) = (2 sinh(s/2))^2 and phi_lambda(s) = sin(lambda s) /
 # (2 lambda sinh(s/2)), with phi_0(s) = s / (2 sinh(s/2)).  Every route
-# is held to 1e-9 of it: the ODE strip at its default tolerance reaches
-# about 1e-10 at lambda = 50, the Bessel fit about 1e-13.
+# is held to 1e-9 of it: RK4 at its default tolerance reaches about
+# 1e-10 at lambda = 50, the Bessel series about 1e-13.
 H3_TOL = 1e-9
 
 
@@ -98,9 +98,9 @@ def _phi_h3(lam, s):
 
 
 def test_phi_matrix_exact_on_h3(space20):
-    # all three zones: Bessel (s <= 0.75), exponential series (s >= 2,
-    # lambda >= 1) and the ODE strip and sub-unit rows; s descends, so
-    # the ODE route must put each value back in its column
+    # all three routes: Bessel (s < 2), exponential series (s >= 2,
+    # lambda >= 1) and RK4 (s >= 2, lambda < 1); s descends, so the RK4
+    # route must put each value back in its column
     lams = np.array([0.0, 0.5, 2.0, 10.0, 50.0])
     s = np.linspace(6.0, 0.0, 241)
     mat = phi_matrix(space20, lams, s)
@@ -123,7 +123,7 @@ def test_ode_refined_exact_on_h3(space20):
 
 @pytest.mark.parametrize("lam,s,method", [
     (2.0, 0.3, "bessel"), (40.0, 0.7, "bessel"),
-    (2.0, 1.2, "ode"), (0.5, 4.0, "ode"), (30.0, 1.9, "ode"),
+    (2.0, 1.2, "bessel"), (0.5, 4.0, "ode"), (30.0, 1.9, "bessel"),
     (2.0, 3.0, "hc"), (25.0, 6.0, "hc"),
 ])
 def test_dispatcher_exact_on_h3(space20, lam, s, method):
@@ -412,14 +412,17 @@ def test_phi_at_identity(space21):
 def test_phi_methods(space21):
     assert phi_with_method(space21, 2.0, 0.3)[1] == "bessel"
     assert phi_with_method(space21, 2.0, 3.0)[1] == "hc"
-    assert phi_with_method(space21, 2.0, 1.2)[1] == "ode"
+    assert phi_with_method(space21, 2.0, 1.2)[1] == "bessel"
     assert phi_with_method(space21, 0.5, 4.0)[1] == "ode"
 
 
 def test_phi_boundary_continuity(space21):
-    for lam in (1.0, 5.0, 25.0):
-        left = phi(space21, lam, 0.75 - 1e-9)
-        right = phi(space21, lam, 0.75 + 1e-9)
+    # s = 2: Bessel against the exponential series for lambda >= 1, and
+    # against RK4 for lambda = 0.5
+    for lam in (0.5, 1.0, 5.0, 25.0):
+        left, left_method = phi_with_method(space21, lam, 2.0 - 1e-9)
+        right, right_method = phi_with_method(space21, lam, 2.0 + 1e-9)
+        assert (left_method, right_method) == ("bessel", "ode" if lam < 1.0 else "hc")
         assert abs(left - right) < 1e-6
 
 
@@ -460,6 +463,22 @@ def test_three_way_agreement_overlap(space21):
         assert np.max(np.abs(bes - ode) / scale) < 1e-5
         assert np.max(np.abs(hc - ode) / scale) < 1e-5
         assert np.max(np.abs(hc - bes) / scale) < 1e-5
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    m_v=st.integers(1, 4).map(lambda k: 2 * k),
+    m_z=st.integers(0, 7),
+    lam=st.floats(0.0, 200.0),
+    s=st.lists(st.floats(0.0, 6.0), min_size=1, max_size=4),
+)
+def test_phi_matrix_even_and_bounded(m_v, m_z, lam, s):
+    # s crosses the route boundary at 2 and lambda the one at 1
+    params = new_space(m_v, m_z)
+    plus = phi_matrix(params, np.array([lam]), np.array(s))
+    minus = phi_matrix(params, np.array([-lam]), np.array(s))
+    assert np.max(np.abs(plus - minus)) <= 1e-12
+    assert np.max(np.abs(plus)) <= 1.0 + 1e-9
 
 
 def test_phi_matrix_consistency(space21):
