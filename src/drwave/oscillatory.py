@@ -13,6 +13,12 @@ directly on phase-resolved Gauss-Legendre panels, and long
 rapidly-oscillating segments use Levin collocation, which needs the
 phase only through theta' and the endpoint values.
 
+The bisection runs breadth first over many integrals at once (every
+window and tolerance of a block of triples in `dyadic_sum_check`): each
+round probes all live segments in one `phase_derivs` call, solves the
+Levin systems of each order as one stacked `np.linalg.solve`, and sums
+the direct leaves' panel rules in one pass.
+
 Phases are always evaluated as differences against a reference point
 through expm1/log1p chains, never as raw values, so segment-internal
 coherence survives even when theta itself is ~1e15.  Beyond
@@ -33,7 +39,7 @@ import numpy as np
 from .bumps import bump_unit, eta_dyadic
 from .dispersive import PhaseKind, phase_derivs
 from .errors import DomainError, ResolutionError, ValidationError
-from .quadrature import panel_rule
+from .quadrature import panel_rule, panel_rules
 from .space import SpaceParams
 
 __all__ = [
@@ -65,33 +71,41 @@ def phase_diff(kind: PhaseKind, params: SpaceParams, x, x0):
     return out if out.ndim else float(out)
 
 
-class _WindowPhase:
-    """theta(lambda) of one dyadic window, exposed through differences."""
+class _WindowPhases:
+    """theta_r(lambda) = 2^k lambda (s'-s) + d psi(2^k lambda) of many dyadic
+    windows r, exposed through differences; the window index r broadcasts
+    against lambda."""
 
-    def __init__(self, kind: PhaseKind, params: SpaceParams, k: int,
-                 delta_s: float, d: float):
+    def __init__(self, kind: PhaseKind, params: SpaceParams, k, delta_s, d):
         self.kind = kind
         self.params = params
-        self.scale = 2.0**k
-        self.delta_s = delta_s
-        self.d = d
+        self.scale = 2.0 ** np.asarray(k, dtype=float)
+        self.delta_s = np.asarray(delta_s, dtype=float)
+        self.d = np.asarray(d, dtype=float)
 
-    def diff(self, lam, lam0: float):
-        """theta(lam) - theta(lam0), vectorized over lam."""
-        lam = np.asarray(lam, dtype=float)
-        out = self.scale * (lam - lam0) * self.delta_s
-        if self.d != 0.0:
-            out = out + self.d * phase_diff(self.kind, self.params,
-                                            self.scale * lam, self.scale * lam0)
-        return out
+    def diff(self, r, lam, lam0):
+        """theta_r(lam) - theta_r(lam0)."""
+        scale = self.scale[r]
+        return (scale * (lam - lam0) * self.delta_s[r]
+                + self.d[r] * phase_diff(self.kind, self.params, scale * lam, scale * lam0))
 
-    def deriv(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        out = self.scale * self.delta_s * np.ones_like(lam)
-        if self.d != 0.0:
-            d1, _ = phase_derivs(self.kind, self.params, self.scale * lam)
-            out = out + self.d * self.scale * d1
-        return out
+    def deriv(self, r, lam):
+        scale = self.scale[r]
+        d1, _ = phase_derivs(self.kind, self.params, scale * lam)
+        return scale * self.delta_s[r] + self.d[r] * scale * d1
+
+
+class _QuadraticPhases:
+    """theta_r = M_r xi^2 in the interface of _WindowPhases."""
+
+    def __init__(self, m):
+        self.m = np.asarray(m, dtype=float)
+
+    def diff(self, r, xi, xi0):
+        return self.m[r] * (xi - xi0) * (xi + xi0)
+
+    def deriv(self, r, xi):
+        return 2.0 * self.m[r] * xi
 
 
 # ---------------------------------------------------------------------------
@@ -116,71 +130,125 @@ _LEVIN_N1, _LEVIN_N2 = 14, 24
 _MAX_DEPTH = 60
 
 
-def _direct_leaf(g, ph: _WindowPhase, a: float, b: float, lam0: float,
-                 tol: float):
-    """Composite GL on a segment with modest phase span, with panels
-    refined until two levels agree; the amplitude g (a flat-ended bump)
-    is what sets the panel count, not the phase."""
-    rate = float(np.max(np.abs(ph.deriv(np.array([a, 0.5 * (a + b), b]))))) + 1e-12
-
-    def eval_at(n_min: int) -> complex:
-        nodes, weights = panel_rule(a, b, rate, order=8, min_panels=n_min)
-        return complex(np.sum(weights * g(nodes) * np.exp(1j * ph.diff(nodes, lam0))))
-
-    n_min = 4
-    val = eval_at(n_min)
-    for _ in range(6):
-        val2 = eval_at(2 * n_min)
-        if abs(val2 - val) <= max(tol, 1e-15):
-            return val2, abs(val2 - val)
-        val, n_min = val2, 2 * n_min
-    return val, abs(val2 - val)
+def _panel_sums(g, ph, root, a, b, lam0, rate, n_min: int):
+    """Composite GL sums of g e^{i(theta - theta(lam0))} on every segment,
+    at the panel count panel_rule gives each."""
+    nodes, weights, counts = panel_rules(a, b, rate, n_min)
+    seg = np.repeat(np.arange(a.size), counts)
+    terms = weights * g(nodes) * np.exp(1j * ph.diff(root[seg], nodes, lam0[seg]))
+    return np.add.reduceat(terms, np.cumsum(counts) - counts)
 
 
-def _levin_leaf(g, ph: _WindowPhase, a: float, b: float, n: int, rot_ab):
-    """Levin collocation on [a, b]; rot_ab holds e^{i theta} at a and at
-    b, with theta referenced to the caller's lam0.  Raises LinAlgError
-    when the collocation system is singular."""
-    x, d_mat = _cheb(n)
-    lam = 0.5 * (b - a) * x + 0.5 * (a + b)
-    sys = d_mat * (2.0 / (b - a)) + 1j * np.diag(ph.deriv(lam))
-    p = np.linalg.solve(sys, g(lam).astype(complex))
-    # x descending: lam[0] = b, lam[-1] = a
-    return p[0] * rot_ab[1] - p[-1] * rot_ab[0]
-
-
-def _osc_segment(g, ph: _WindowPhase, a: float, b: float, lam0: float,
-                 tol: float, depth: int):
-    """Returns (value, error_estimate) of int_a^b g e^{i theta}, with the
-    phase referenced to lam0."""
-    probe = np.linspace(a, b, 9)
-    tp = ph.deriv(probe)
-    span = float(np.max(np.abs(tp))) * (b - a)
-    if span <= _PHASE_SMALL or depth >= _MAX_DEPTH:
-        return _direct_leaf(g, ph, a, b, lam0, tol)
-    if np.all(tp > 0) or np.all(tp < 0):
-        rot_ab = np.exp(1j * ph.diff(np.array([a, b]), lam0))
-        try:
-            v1 = _levin_leaf(g, ph, a, b, _LEVIN_N1, rot_ab)
-            v2 = _levin_leaf(g, ph, a, b, _LEVIN_N2, rot_ab)
-        except np.linalg.LinAlgError:
-            pass        # a singular system fails like two disagreeing orders
-        else:
-            if abs(v1 - v2) <= tol:
-                return v2, abs(v1 - v2)
+def _direct_leaves(g, ph, root, a, b, lam0, tol):
+    """Composite GL on segments with modest phase span, with panels
+    doubled until two levels agree; the amplitude g (a flat-ended bump) is
+    what sets the panel count, not the phase.  Raises ResolutionError if
+    six doublings leave a segment unresolved."""
     mid = 0.5 * (a + b)
-    lv, le = _osc_segment(g, ph, a, mid, mid, tol * 0.6, depth + 1)
-    rv, re_ = _osc_segment(g, ph, mid, b, mid, tol * 0.6, depth + 1)
-    # re-reference both halves from their midpoint to lam0
-    shift = np.exp(1j * float(ph.diff(mid, lam0)))
-    return shift * (lv + rv), le + re_
+    rate = np.max(np.abs(ph.deriv(root[:, None], np.stack([a, mid, b], axis=1))),
+                  axis=1) + 1e-12
+    out = np.empty(a.size, dtype=complex)
+    live = np.arange(a.size)
+    n_min = 4
+    val = _panel_sums(g, ph, root, a, b, lam0, rate, n_min)
+    for _ in range(6):
+        n_min *= 2
+        val2 = _panel_sums(g, ph, *(v[live] for v in (root, a, b, lam0, rate)), n_min)
+        moved = np.abs(val2 - val)
+        conv = moved <= np.maximum(tol[live], 1e-15)
+        out[live[conv]] = val2[conv]
+        live, val = live[~conv], val2[~conv]
+        if not live.size:
+            return out
+    raise ResolutionError(
+        f"{live.size} direct segment(s) unresolved after doubling to {n_min} panels: "
+        f"the last doubling moved the value by up to {np.max(moved[~conv]):.2e}"
+    )
 
 
-def oscillatory_integral(g, ph: _WindowPhase, a: float, b: float,
-                         tol: float = 1e-10):
-    """int_a^b g(lambda) e^{i theta(lambda)} dlambda up to a unimodular
-    factor e^{-i theta(a)}; returns (value, error_estimate)."""
-    return _osc_segment(g, ph, a, b, a, tol, 0)
+def _solve_stacked(sys, rhs):
+    """Solve sys[j] p[j] = rhs[j] in one stacked call.  If a system is
+    singular, solve each alone; returns p (0 where singular) and the
+    singular mask."""
+    try:
+        return np.linalg.solve(sys, rhs[..., None])[..., 0], np.zeros(len(rhs), bool)
+    except np.linalg.LinAlgError:
+        p = np.zeros_like(rhs)
+        singular = np.zeros(len(rhs), bool)
+        for j in range(len(rhs)):
+            try:
+                p[j] = np.linalg.solve(sys[j], rhs[j])
+            except np.linalg.LinAlgError:
+                singular[j] = True
+        return p, singular
+
+
+def _levin_leaves(g, ph, root, a, b, lam0, tol):
+    """Levin collocation at orders _LEVIN_N1 and _LEVIN_N2 on every
+    segment, each order one stacked solve.  Returns the higher order's
+    values and whether the two orders agree within tol; a singular
+    system fails like two disagreeing orders."""
+    rot_a = np.exp(1j * ph.diff(root, a, lam0))
+    rot_b = np.exp(1j * ph.diff(root, b, lam0))
+    ok = np.ones(a.size, bool)
+    vals = []
+    for n in (_LEVIN_N1, _LEVIN_N2):
+        x, d_mat = _cheb(n)
+        lam = (0.5 * (b - a))[:, None] * x + (0.5 * (a + b))[:, None]
+        sys = np.zeros((a.size, n + 1, n + 1), dtype=complex)
+        np.multiply(d_mat, (2.0 / (b - a))[:, None, None], out=sys.real)
+        diag = np.arange(n + 1)
+        sys.imag[:, diag, diag] = ph.deriv(root[:, None], lam)
+        p, singular = _solve_stacked(sys, g(lam).astype(complex))
+        ok &= ~singular
+        # x descending: lam[:, 0] = b, lam[:, -1] = a
+        vals.append(p[:, 0] * rot_b - p[:, -1] * rot_a)
+    return vals[1], ok & (np.abs(vals[0] - vals[1]) <= tol)
+
+
+def _integrate(g, ph, a, b, tol):
+    """int_{a_r}^{b_r} g(lambda) e^{i theta_r(lambda)} dlambda for every
+    root r, up to the unimodular factor e^{-i theta_r(a_r)}.
+
+    A breadth-first worklist of segments, each round taking every live
+    one at once.  A segment whose phase span over its 9-point probe is at
+    most _PHASE_SMALL, or that lies _MAX_DEPTH bisections deep, is a
+    direct leaf.  One whose theta' keeps its sign on the probe is a Levin
+    leaf if the two orders agree within its tol.  Every other segment is
+    bisected; both halves are referenced to the midpoint and get tol *
+    0.6.  Each segment carries mult, the rotation e^{i(theta(lam0) -
+    theta(a_r))} from its reference point lam0 back to its root's.
+    """
+    root = np.arange(a.size)
+    lam0 = a
+    mult = np.ones(a.size, dtype=complex)
+    out = np.zeros(a.size, dtype=complex)
+    depth = 0
+    while root.size:
+        tp = ph.deriv(root[:, None], np.linspace(a, b, 9, axis=1))
+        direct = np.max(np.abs(tp), axis=1) * (b - a) <= _PHASE_SMALL
+        if depth >= _MAX_DEPTH:
+            direct[:] = True
+        leaf = direct.copy()
+        vals = np.zeros(a.size, dtype=complex)
+        seg = (root, a, b, lam0, tol)
+        if direct.any():
+            vals[direct] = _direct_leaves(g, ph, *(v[direct] for v in seg))
+        levin = np.flatnonzero(~direct & (np.all(tp > 0, axis=1) | np.all(tp < 0, axis=1)))
+        if levin.size:
+            v, ok = _levin_leaves(g, ph, *(v[levin] for v in seg))
+            vals[levin[ok]] = v[ok]
+            leaf[levin[ok]] = True
+        np.add.at(out, root[leaf], mult[leaf] * vals[leaf])
+        s = np.flatnonzero(~leaf)
+        mid = 0.5 * (a[s] + b[s])
+        shift = mult[s] * np.exp(1j * ph.diff(root[s], mid, lam0[s]))
+        # left halves, then right halves
+        root, mult, lam0 = np.tile(root[s], 2), np.tile(shift, 2), np.tile(mid, 2)
+        a, b = np.concatenate([a[s], mid]), np.concatenate([mid, b[s]])
+        tol = np.tile(tol[s] * 0.6, 2)
+        depth += 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +271,31 @@ class WindowIntegralResult:
     quadrature_error: float
 
 
+def _window_values(kind: PhaseKind, params: SpaceParams, k, delta_s, d):
+    """(I_k, refinement change) of many windows, each integrated at tol
+    1e-9 and 1e-9/16 in one worklist.  Raises ResolutionError for the
+    first window whose refinement moves the value by more than 1e-6
+    relative."""
+    n = k.size
+    ph = _WindowPhases(kind, params, np.tile(k, 2), np.tile(delta_s, 2), np.tile(d, 2))
+    v = _integrate(eta_dyadic, ph, np.full(2 * n, 0.5), np.full(2 * n, 2.0),
+                   np.repeat([1e-9, 1e-9 / 16.0], n))
+    v1, v2 = v[:n], v[n:]
+    change = np.abs(v1 - v2)
+    # below 1e-3 of the eta mass the integral is dominated by cancellation;
+    # demand absolute accuracy 1e-9 * mass there instead of 1e-6 relative
+    floor = 1e-3 * eta_mass()
+    bad = np.flatnonzero(change > 1e-6 * np.maximum(np.abs(v2), floor))
+    if bad.size:
+        j = bad[0]
+        raise ResolutionError(
+            f"window integral k={k[j]} unresolved: refinement moved the value "
+            f"by {change[j]:.2e} (|I| = {abs(v2[j]):.2e})"
+        )
+    scale = 2.0 ** (0.5 * k)
+    return scale * np.abs(v2), scale * change
+
+
 def window_integral(kind: PhaseKind, params: SpaceParams, k: int,
                     s: float, s_prime: float, d: float) -> WindowIntegralResult:
     """I_k(s, s') = 2^(k/2) |int_{1/2}^2 e^{i(2^k lam (s'-s) + d psi(2^k lam))} eta|.
@@ -216,21 +309,10 @@ def window_integral(kind: PhaseKind, params: SpaceParams, k: int,
         raise ValidationError("window index k must be >= 1")
     if not 0.0 <= d < 1.0:
         raise DomainError("the normalized time difference must satisfy 0 <= d < 1")
-    ph = _WindowPhase(kind, params, k, s_prime - s, d)
-    v1, _ = oscillatory_integral(eta_dyadic, ph, 0.5, 2.0, tol=1e-9)
-    v2, est2 = oscillatory_integral(eta_dyadic, ph, 0.5, 2.0, tol=1e-9 / 16.0)
-    scale = 2.0 ** (0.5 * k)
-    change = abs(v1 - v2)
-    # below 1e-3 of the eta mass the integral is dominated by cancellation;
-    # demand absolute accuracy 1e-9 * mass there instead of 1e-6 relative
-    floor = 1e-3 * eta_mass()
-    if change > 1e-6 * max(abs(v2), floor):
-        raise ResolutionError(
-            f"window integral k={k} unresolved: refinement moved the value "
-            f"by {change:.2e} (|I| = {abs(v2):.2e})"
-        )
-    return WindowIntegralResult(k=k, value=scale * abs(v2),
-                                quadrature_error=scale * change)
+    value, change = _window_values(kind, params, np.array([k]),
+                                   np.array([s_prime - s]), np.array([d]))
+    return WindowIntegralResult(k=k, value=float(value[0]),
+                                quadrature_error=float(change[0]))
 
 
 def proof_constants(kind: PhaseKind, params: SpaceParams) -> dict:
@@ -286,6 +368,9 @@ class DyadicSumReport:
     passed: bool
 
 
+_TRIPLE_BLOCK = 8   # triples per worklist; each brings 2K windows at two tolerances
+
+
 def dyadic_sum_check(kind: PhaseKind, params: SpaceParams, sample_spec,
                      big_k: int = 20) -> DyadicSumReport:
     """|s-s'|^(1/2) sum_{k<=K} I_k per triple; passes iff the maximum is
@@ -293,18 +378,23 @@ def dyadic_sum_check(kind: PhaseKind, params: SpaceParams, sample_spec,
     triples = np.atleast_2d(np.asarray(sample_spec, dtype=float))
     if triples.shape[1] != 3:
         raise ValidationError("sample_spec must be (n, 3): columns s, s', d")
+    s, sp, d = triples.T
+    if not np.all((d > 0.0) & (d < 1.0)):
+        raise DomainError("triples must have 0 < d < 1")
+    if np.any(s == sp):
+        raise DomainError("triples must have s != s'")
+    ks = np.arange(1, 2 * big_k + 1)
     rows = np.empty((triples.shape[0], 5))
-    for i, (s, sp, d) in enumerate(triples):
-        if not 0.0 < d < 1.0:
-            raise DomainError("triples must have 0 < d < 1")
-        if s == sp:
-            raise DomainError("triples must have s != s'")
-        vals = np.array([
-            window_integral(kind, params, k, s, sp, d).value
-            for k in range(1, 2 * big_k + 1)
-        ])
-        root = math.sqrt(abs(sp - s))
-        rows[i] = (s, sp, d, root * vals[:big_k].sum(), root * vals.sum())
+    rows[:, :3] = triples
+    for lo in range(0, triples.shape[0], _TRIPLE_BLOCK):
+        block = slice(lo, lo + _TRIPLE_BLOCK)
+        gap = sp[block] - s[block]
+        vals, _ = _window_values(kind, params, np.tile(ks, gap.size),
+                                 np.repeat(gap, ks.size), np.repeat(d[block], ks.size))
+        vals = vals.reshape(gap.size, ks.size)
+        root = np.sqrt(np.abs(gap))
+        rows[block, 3] = root * vals[:, :big_k].sum(axis=1)
+        rows[block, 4] = root * vals.sum(axis=1)
     rel_change = np.abs(rows[:, 4] - rows[:, 3]) / np.maximum(rows[:, 4], 1e-300)
     max_norm = float(np.max(rows[:, 4]))
     passed = bool(np.isfinite(max_norm) and np.max(rel_change) < 0.01)
@@ -349,20 +439,6 @@ class VanDerCorputReport:
     passed: bool
 
 
-class _QuadraticPhase:
-    """theta = M xi^2 wrapped in the _WindowPhase interface."""
-
-    def __init__(self, m: float):
-        self.m = m
-
-    def diff(self, xi, xi0: float):
-        xi = np.asarray(xi, dtype=float)
-        return self.m * (xi - xi0) * (xi + xi0)
-
-    def deriv(self, xi):
-        return 2.0 * self.m * np.asarray(xi, dtype=float)
-
-
 def van_der_corput_check(curvatures, window: BumpWindow | None = None,
                          spread_cap: float = 20.0) -> VanDerCorputReport:
     """Evaluate M^(1/2) |int e^{i M xi^2} zeta(xi) dxi| over the curvature
@@ -372,11 +448,10 @@ def van_der_corput_check(curvatures, window: BumpWindow | None = None,
         raise DomainError("curvature grid must lie in [10, 1e5]")
     window = window or BumpWindow()
     lo, hi = window.support
-    vals = np.empty(curvatures.size)
-    for i, m in enumerate(curvatures):
-        ph = _QuadraticPhase(float(m))
-        v, _ = _osc_segment(window, ph, lo, hi, lo, 1e-10, 0)
-        vals[i] = math.sqrt(m) * abs(v) / window.norm_factor
+    n = curvatures.size
+    v = _integrate(window, _QuadraticPhases(curvatures), np.full(n, lo), np.full(n, hi),
+                   np.full(n, 1e-10))
+    vals = np.sqrt(curvatures) * np.abs(v) / window.norm_factor
     spread = float(np.max(vals) / max(np.min(vals), 1e-300))
     return VanDerCorputReport(
         curvatures=curvatures, normalized=vals, spread=spread,

@@ -8,7 +8,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import simpson
 
-__all__ = ["panel_rule", "grid_integral"]
+__all__ = ["panel_rule", "panel_rules", "grid_integral"]
 
 _QUARTER_PI = math.pi / 4.0
 
@@ -29,15 +29,33 @@ def panel_rule(a: float, b: float, max_rate: float, order: int = 8,
     """
     if b <= a:
         raise ValueError("panel_rule requires b > a")
-    width_cap = phase_cap / max(max_rate, 1e-12)
-    n_panels = max(min_panels, int(math.ceil((b - a) / width_cap)))
-    edges = np.linspace(a, b, n_panels + 1)
+    nodes, weights, _ = panel_rules(np.array([a]), np.array([b]), np.array([max_rate]),
+                                    min_panels, order, phase_cap)
+    return nodes, weights
+
+
+def panel_rules(a, b, max_rate, min_panels, order: int = 8,
+                phase_cap: float = _QUARTER_PI):
+    """panel_rule on many intervals [a_i, b_i] at once, each with its own
+    max_rate_i (arrays of one length; min_panels is shared).  Returns
+    (nodes, weights, counts): interval i owns the counts[i] nodes that
+    follow those of intervals before it.  Edges are laid out as np.linspace
+    lays them out, so each interval's rule is bit for bit the one
+    panel_rule gives it."""
+    width_cap = phase_cap / np.maximum(max_rate, 1e-12)
+    n_panels = np.maximum(min_panels, np.ceil((b - a) / width_cap).astype(np.int64))
+    owner = np.repeat(np.arange(a.size), n_panels)
+    j = np.arange(owner.size) - np.repeat(np.cumsum(n_panels) - n_panels, n_panels)
+    step = ((b - a) / n_panels)[owner]
+    left = j * step + a[owner]
+    last = j + 1 == n_panels[owner]
+    right = np.where(last, b[owner], (j + 1) * step + a[owner])
     x0, w0 = _gl_nodes(order)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (right - left)
+    mid = 0.5 * (right + left)
     nodes = (mid[:, None] + half[:, None] * x0[None, :]).ravel()
     weights = (half[:, None] * w0[None, :]).ravel()
-    return nodes, weights
+    return nodes, weights, n_panels * order
 
 
 def grid_integral(values: np.ndarray, grid: np.ndarray):

@@ -1,10 +1,13 @@
 import json
 import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drwave import experiments
-from drwave.cli import DEFAULTS, config_hash, parse_config_file, run
+from drwave.cli import DEFAULTS, _emit_csv, config_hash, parse_config_file, run
 from drwave.errors import DrwaveError, ValidationError
 
 
@@ -61,6 +64,18 @@ def test_float_serialization_is_lossless(out_root):
     value = float(cells[2])
     # 17 significant digits reproduce the double exactly
     assert float("%.17g" % value) == value
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8))
+def test_csv_round_trip_is_bit_exact(tmp_path_factory, values):
+    # %.17g writes every finite double, subnormals and -0.0 included, so
+    # that it reads back bit for bit
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    _emit_csv(path, "0" * 12, [f"c{i}" for i in range(len(values))], [values])
+    cells = _read(path).splitlines()[2].split(",")
+    got = np.array([float(c) for c in cells])
+    assert got.view(np.uint64).tolist() == np.array(values).view(np.uint64).tolist()
 
 
 def test_config_file_and_flag_override(tmp_path, out_root):

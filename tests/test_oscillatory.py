@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from drwave.bumps import eta_dyadic
 from drwave.dispersive import PhaseKind
-from drwave.errors import DomainError, ValidationError
+from drwave.errors import DomainError, ResolutionError, ValidationError
 from drwave.oscillatory import (
     BumpWindow,
     dyadic_sum_check,
@@ -131,6 +131,15 @@ def test_window_singular_levin_system_bisects(space21, monkeypatch):
     assert got == pytest.approx(ref, rel=1e-9)
 
 
+def test_window_direct_leaf_non_convergence_raises(space21, monkeypatch):
+    # a jump in the amplitude keeps panel doubling from converging; the
+    # direct leaf raises rather than return its last value
+    monkeypatch.setattr("drwave.oscillatory.eta_dyadic",
+                        lambda lam: (np.asarray(lam) > 1.2345678).astype(float))
+    with pytest.raises(ResolutionError, match="direct segment"):
+        window_integral(K2, space21, 1, 2.0, 2.1, 0.01)
+
+
 def test_window_trivial_bound(space21, rng):
     bound = (1.0 + 1e-6) * eta_mass()
     for _ in range(40):
@@ -199,11 +208,56 @@ def test_window_specific_auxiliary_example(space21):
 # ---------------------------------------------------------------------------
 
 def test_dyadic_single_window_consistency(space21):
-    rep = dyadic_sum_check(K2, space21, [(2.0, 2.5, 0.2)], big_k=1)
-    w1 = window_integral(K2, space21, 1, 2.0, 2.5, 0.2).value
-    w2 = window_integral(K2, space21, 2, 2.0, 2.5, 0.2).value
-    assert rep.rows[0, 3] == pytest.approx(math.sqrt(0.5) * w1, rel=1e-14)
-    assert rep.rows[0, 4] == pytest.approx(math.sqrt(0.5) * (w1 + w2), rel=1e-14)
+    # one worklist over many windows gives each window's own value
+    triples = [(2.0, 2.5, 0.2), (3.1, 2.05, 0.01), (2.2, 2.2011, 0.7)]
+    for big_k in (1, 3):
+        rep = dyadic_sum_check(K2, space21, triples, big_k=big_k)
+        for row, (s, sp, d) in zip(rep.rows, triples):
+            w = [window_integral(K2, space21, k, s, sp, d).value
+                 for k in range(1, 2 * big_k + 1)]
+            root = math.sqrt(abs(sp - s))
+            assert row[3] == pytest.approx(root * sum(w[:big_k]), rel=1e-14)
+            assert row[4] == pytest.approx(root * sum(w), rel=1e-14)
+
+
+# DyadicSumReport.rows from the depth-first recursion the batched worklist
+# replaced, on sample_claim_triples(kind, (2,1), 3, seed=0) with K = 20
+PINNED_ROWS = {
+    "frac-shifted:2": [
+        (2.059819957825059, 2.599853811925272, 0.17570236459353186,
+         0.8028269641374108, 0.8028269641374108),
+        (2.9416775618608697, 3.909991111179947, 0.01077206605651583,
+         1.943414479051545, 1.9434144790515446),
+        (2.1470524297264415, 3.87654899071044, 0.15328985759081848,
+         0.773615759247277, 0.773615759247277),
+    ],
+    "frac:1.5": [
+        (2.059819957825059, 2.599853811925272, 0.17570236459353186,
+         1.4304940970906097, 1.4304940970906104),
+        (2.9335569029248, 3.910767312628219, 0.01077206605651583,
+         2.0495540839058504, 2.0495540839059037),
+        (2.1470524297264415, 3.87654899071044, 0.15328985759081848,
+         1.010469948513112, 1.0104699485131123),
+    ],
+}
+
+
+@pytest.mark.parametrize("selector", sorted(PINNED_ROWS))
+def test_dyadic_rows_pinned(space21, selector):
+    kind = PhaseKind.from_selector(selector)
+    triples = sample_claim_triples(kind, space21, 3, seed=0)
+    rep = dyadic_sum_check(kind, space21, triples, big_k=20)
+    np.testing.assert_allclose(rep.rows, PINNED_ROWS[selector], rtol=1e-12, atol=0.0)
+
+
+def test_dyadic_rows_independent_of_batching(space21):
+    # the triples are worked in fixed blocks; how a call's triples fall
+    # into blocks does not change any row
+    triples = sample_claim_triples(K15, space21, 40, seed=3)
+    whole = dyadic_sum_check(K15, space21, triples, big_k=10).rows
+    parts = np.vstack([dyadic_sum_check(K15, space21, triples[i:i + 10], big_k=10).rows
+                       for i in range(0, 40, 10)])
+    np.testing.assert_allclose(parts, whole, rtol=1e-14, atol=0.0)
 
 
 def test_dyadic_small_gap_dominated_by_first_windows(space21):
