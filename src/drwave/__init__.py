@@ -35,7 +35,6 @@ from .oscillatory import (
 from .profiles import RadialProfile, SpectralProfile
 from .space import SpaceParams, density, log_density_derivative, new_space
 from .special import (
-    bessel_j,
     c_function,
     plancherel_density,
     script_j,
@@ -67,7 +66,6 @@ __all__ = [
     "RadialProfile",
     "SpaceParams",
     "SpectralProfile",
-    "bessel_j",
     "c_function",
     "case1_family",
     "case1_run",

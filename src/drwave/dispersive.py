@@ -42,20 +42,28 @@ __all__ = [
 ]
 
 
-def _pow_diff(v0, dv, p: float):
-    """(v0+dv)^p - v0^p to relative accuracy of the difference (v0 > 0)."""
-    return v0**p * np.expm1(p * np.log1p(dv / v0))
+def _pow_diff(v0, v, dv, p: float):
+    """v^p - v0^p to relative accuracy of the difference (v0 > 0), given
+    v and dv = v - v0 each formed without cancellation.
+
+    Where v < v0/2 the direct difference cancels nothing, while
+    log1p(dv/v0) inherits the rounding of dv magnified by v0/v."""
+    r = dv / v0
+    w0 = v0**p
+    out = w0 * np.expm1(p * np.log1p(np.maximum(r, -0.5)))
+    far = r < -0.5
+    return np.where(far, v**p - w0, out) if np.any(far) else out
 
 
 @dataclass(frozen=True)
 class _Family:
     """One multiplier family psi = F(u), u = lambda^2 + gap.  The callables
-    take (u, a), or (u0, du, a) for the difference, vectorized over u."""
+    take (u, a), or (u0, u, du, a) for the difference, vectorized over u."""
 
     f: Callable
     df: Callable
     ddf: Callable
-    diff: Callable              # F(u0 + du) - F(u0) without cancellation
+    diff: Callable              # (u0, u, du, a) -> F(u) - F(u0) without cancellation
     delta1_shifted: Callable    # a -> delta1 at gap 0
     delta2: Callable            # a -> delta2
     takes_a: bool = False
@@ -68,7 +76,7 @@ _FAMILIES = {
         f=lambda u, a: u ** (0.5 * a),
         df=lambda u, a: 0.5 * a * u ** (0.5 * a - 1.0),
         ddf=lambda u, a: 0.5 * a * (0.5 * a - 1.0) * u ** (0.5 * a - 2.0),
-        diff=lambda u0, du, a: _pow_diff(u0, du, 0.5 * a),
+        diff=lambda u0, u, du, a: _pow_diff(u0, u, du, 0.5 * a),
         delta1_shifted=lambda a: a, delta2=lambda a: a, takes_a=True,
     ),
     "boussinesq": _Family(
@@ -76,7 +84,8 @@ _FAMILIES = {
         df=lambda u, a: (u + 0.5) / (np.sqrt(u) * np.sqrt(u + 1.0)),
         ddf=lambda u, a: -0.25 * (u * (u + 1.0)) ** -1.5,
         # v = u^2 + u
-        diff=lambda u0, du, a: _pow_diff(u0 * u0 + u0, du * (2.0 * u0 + du + 1.0), 0.5),
+        diff=lambda u0, u, du, a: _pow_diff(u0 * u0 + u0, u * u + u,
+                                            du * (2.0 * u0 + du + 1.0), 0.5),
         delta1_shifted=lambda a: 1.0, delta2=lambda a: 2.0,
         # 2F' and 4 lambda^2 F'' are each ~1/lambda near 0
         dd_shifted=lambda lam: lam * (2.0 * lam * lam + 3.0) * (lam * lam + 1.0) ** -1.5,
@@ -86,7 +95,7 @@ _FAMILIES = {
         df=lambda u, a: u / np.sqrt(1.0 + u * u),
         ddf=lambda u, a: (1.0 + u * u) ** -1.5,
         # v = 1 + u^2
-        diff=lambda u0, du, a: _pow_diff(1.0 + u0 * u0, du * (2.0 * u0 + du), 0.5),
+        diff=lambda u0, u, du, a: _pow_diff(1.0 + u0 * u0, 1.0 + u * u, du * (2.0 * u0 + du), 0.5),
         delta1_shifted=lambda a: 4.0, delta2=lambda a: 2.0,
     ),
 }

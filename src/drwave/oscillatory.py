@@ -67,7 +67,8 @@ def phase_diff(kind: PhaseKind, params: SpaceParams, x, x0):
     x0 = np.asarray(x0, dtype=float)
     if np.any(x0 <= 0):
         raise DomainError("phase_diff requires x0 > 0")
-    out = kind.entry.diff(x0 * x0 + kind.gap(params), (x - x0) * (x + x0), kind.a)
+    gap = kind.gap(params)
+    out = kind.entry.diff(x0 * x0 + gap, x * x + gap, (x - x0) * (x + x0), kind.a)
     return out if out.ndim else float(out)
 
 

@@ -1,6 +1,10 @@
 """Bessel kernels, the Harish-Chandra c-function and the Plancherel density
 |c(lambda)|^-2.
 
+Besides script_j, the normalized kernel of one order, _bessel_start_pair
+gives sqrt(pi x / 2) J_nu(x) at two consecutive low orders, from which
+the upward order recurrence reaches every order below x.
+
 The c-function is the four-Gamma ratio
 
     c(lambda) = 2^(Q-2i*lambda) Gamma(2i*lambda) / Gamma((Q+2i*lambda)/2)
@@ -21,26 +25,16 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import jv, loggamma
+from scipy.special import j0, j1, jv, loggamma
 
 from .errors import PoleError
 from .space import SpaceParams
 
 __all__ = [
-    "bessel_j",
     "script_j",
     "c_function",
     "plancherel_density",
 ]
-
-
-def bessel_j(mu: float, x):
-    """Bessel function of the first kind J_mu(x) for x >= 0.
-
-    Delegates to the AMOS implementation in scipy; the independent
-    power-series oracle lives in the test suite.
-    """
-    return jv(mu, x)
 
 
 def _script_j_series(mu: float, x, terms: int = 12):
@@ -80,6 +74,79 @@ def script_j(mu: float, x):
                    - mu * np.log(xs))
         out[~small] = np.exp(logpref) * jv(mu, xs)
     return float(out[0]) if scalar else out
+
+
+def _piecewise(x: np.ndarray, mask: np.ndarray, on_true, on_false) -> list:
+    """Arrays that take on_true(x[mask]) where mask holds and on_false(x[~mask])
+    elsewhere; each callable returns a sequence of arrays shaped like its
+    argument.  A uniform mask passes x through without a copy."""
+    if np.all(mask):
+        return list(on_true(x))
+    if not np.any(mask):
+        return list(on_false(x))
+    out = []
+    for a, b in zip(on_true(x[mask]), on_false(x[~mask])):
+        merged = np.empty_like(x)
+        merged[mask], merged[~mask] = a, b
+        out.append(merged)
+    return out
+
+
+# Beyond this x the integer start pair takes the Hankel expansion, whose
+# a_8 term is below 1e-23 of the leading one there; below it, j0 and j1.
+_HANKEL_X_MIN = 1e3
+_HANKEL_TERMS = 8
+
+
+def _hankel_sums(nu: int, x):
+    """P and Q of the Hankel expansion (DLMF 10.17.3) at order nu, with
+    a_0..a_7: J_nu(x) = sqrt(2/(pi x)) (P cos w - Q sin w), w = x - nu pi/2 - pi/4.
+    Both are polynomials in 1/x^2, run by Horner in place."""
+    a = [1.0]
+    for k in range(1, _HANKEL_TERMS):
+        a.append(a[-1] * (4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k))
+    w = x * x
+    np.reciprocal(w, out=w)
+    p, q = np.full_like(x, a[-2]), np.full_like(x, a[-1])
+    for k in range(_HANKEL_TERMS // 2 - 2, -1, -1):   # a_2k (-1)^k and a_2k+1 (-1)^k
+        p *= -w
+        p += a[2 * k]
+        q *= -w
+        q += a[2 * k + 1]
+    q /= x
+    return p, q
+
+
+def _hankel_pair(x):
+    # sqrt(2) cos w and sqrt(2) sin w at order 1, w = x - 3 pi/4; at
+    # order 0, w = x - pi/4 turns cos into -sin and sin into cos
+    sin_x, cos_x = np.sin(x), np.cos(x)
+    cos_w, sin_w = sin_x - cos_x, -sin_x - cos_x
+    del sin_x, cos_x    # freed early: this branch sets the Bessel route's peak memory
+    p, q = _hankel_sums(1, x)
+    lo = -math.sqrt(0.5) * (p * cos_w - q * sin_w)
+    p, q = _hankel_sums(0, x)
+    return lo, -math.sqrt(0.5) * (p * sin_w + q * cos_w)
+
+
+def _j01_pair(x):
+    root = np.sqrt(0.5 * math.pi * x)
+    return -root * j1(x), root * j0(x)
+
+
+def _bessel_start_pair(nu0: float, x):
+    """sqrt(pi x / 2) J_nu(x) at nu = nu0 - 1 and nu = nu0, for nu0 = 0 or 1/2
+    and x > 0; the start of the upward order recurrence.
+
+    For nu0 = 1/2 they are the closed forms cos x and sin x.  For nu0 = 0
+    (J_-1 = -J_1) they come from scipy's j0 and j1 below x = 1e3 and from
+    the Hankel expansion above it, its phase built from sin x and cos x of
+    x itself (j0 and j1 lose phase accuracy at large x).
+    """
+    x = np.asarray(x, dtype=float)
+    if nu0 == 0.5:
+        return np.cos(x), np.sin(x)
+    return _piecewise(x, x >= _HANKEL_X_MIN, _hankel_pair, _j01_pair)
 
 
 def _ln_c(params: SpaceParams, lam):

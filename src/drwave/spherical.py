@@ -10,10 +10,12 @@ evaluated by
   polynomials in s^2 that follow exactly, once per space, from the
   Taylor series of the radial equation's potential by a triangular
   recursion (_BesselCoeffs), with an error bound from the first omitted
-  orders; its kernels script_j of orders mu0..mu0+M come from two
-  Bessel calls at the top orders and the downward order recurrence
-  (Abramowitz & Stegun 9.1.27) below them, so its cost per cell does
-  not depend on lambda;
+  orders; its kernels script_j of orders mu0..mu0+M come from the
+  downward order recurrence (Abramowitz & Stegun 9.1.27) started at
+  the top two orders, which take two Bessel calls per cell where
+  lambda s <= mu0+M+1 and, where lambda s exceeds every order, the
+  upward recurrence from a cheap start pair at orders below 1; its
+  cost per cell does not depend on lambda;
 * a two-sided exponential series for s >= 2 and |lambda| >= 1, driven
   by the c-function and the Gamma_mu recursion whose omega_k
   coefficients come from expanding the Liouville potential of the
@@ -42,7 +44,7 @@ from scipy.special import gammaln
 from .errors import DomainError, PhiBoundError, ResolutionError, StepSizeError, ValidationError
 from .profiles import RadialProfile
 from .space import SpaceParams, density, log_density_derivative, log_density_taylor
-from .special import _ln_c, script_j
+from .special import _bessel_start_pair, _ln_c, _piecewise, script_j
 
 __all__ = [
     "BesselSeriesEval",
@@ -494,11 +496,32 @@ class _BesselCoeffs:
         return polynomial.polyval(s * s, self.a_coeffs.T)
 
 
+def _upward_top_kernels(mu0: float, m: int, x: np.ndarray):
+    """script_j at orders mu0 + m and mu0 + m - 1, for x > mu0 + m + 1.
+
+    Every order is below x there, so the upward recurrence
+    J_(nu+1) = (2 nu / x) J_nu - J_(nu-1) is stable.  It runs on
+    u_nu = sqrt(pi x / 2) J_nu from the start pair at orders nu0 - 1 and
+    nu0, nu0 = mu0 mod 1 (_bessel_start_pair), up to the top two orders,
+    which script_j's normalization turns into
+    script_j(mu, x) = Gamma(mu + 1/2) (2/x)^(mu + 1/2) u_mu.
+    """
+    top = mu0 + m
+    nu0 = mu0 % 1.0
+    u_lo, u_hi = _bessel_start_pair(nu0, x)
+    for nu in np.arange(nu0, top):
+        u_lo, u_hi = u_hi, (2.0 * nu / x) * u_hi - u_lo
+    scale = math.gamma(top + 0.5) * np.power(2.0 / x, top + 0.5)
+    return scale * u_hi, (scale * x / (2.0 * top - 1.0)) * u_lo
+
+
 def _kernel_orders(mu0: float, m: int, x: np.ndarray):
     """Yield (l, script_j(mu0 + l, x)) for l = m, m-1, ..., 0.
 
-    script_j is called at the top two orders only.  Every lower order
-    comes from the downward recurrence
+    The top two orders are chosen per cell from x: script_j where
+    x <= mu0 + m + 1, and the upward order recurrence from a start pair
+    (_upward_top_kernels) beyond it.  Every lower order comes from the
+    downward recurrence
 
         S_(mu-1) = (2 mu S_mu - x^2 S_(mu+1) / (2 mu + 1)) / (2 mu - 1),
 
@@ -509,11 +532,13 @@ def _kernel_orders(mu0: float, m: int, x: np.ndarray):
     where mu < x, so the sweep is stable at every x; at x = 0 it is the
     ratio of the series limits.  Two orders are held at a time.
     """
-    hi = script_j(mu0 + m, x)
-    yield m, hi
-    if m == 0:
+    top = mu0 + m
+    if m == 0:      # the upward pair would reach order mu0 - 1, maybe negative
+        yield 0, script_j(top, x)
         return
-    lo = script_j(mu0 + m - 1, x)
+    hi, lo = _piecewise(x, x > top + 1.0, lambda xs: _upward_top_kernels(mu0, m, xs),
+                        lambda xs: (script_j(top, xs), script_j(top - 1, xs)))
+    yield m, hi
     yield m - 1, lo
     x2 = x * x
     for l in range(m - 1, 0, -1):
@@ -534,9 +559,11 @@ def _bessel_matrix(params: SpaceParams, lams: np.ndarray, s: np.ndarray,
 
     The sum over l of a_l(s) s^(2l) script_j(mu0 + l, lambda s) is
     accumulated during one downward sweep of the kernel order
-    (_kernel_orders: two Bessel calls per cell, the A&S 9.1.27
-    recurrence below), vectorized over the full (lambda, s) outer
-    product; s = 0 columns return exactly 1.
+    (_kernel_orders: the top two orders by two Bessel calls per cell
+    where lambda s <= mu0 + m + 1 and by the upward recurrence from a
+    start pair beyond it, the A&S 9.1.27 recurrence below them),
+    vectorized over the full (lambda, s) outer product; s = 0 columns
+    return exactly 1.
     """
     tab = _bessel_table(params)
     if m > tab.m_tab:

@@ -63,11 +63,12 @@ def test_phi_hyp_reproduces_h3_closed_form():
         assert phi_hyp(params, lam, s) == pytest.approx(exact, rel=1e-14)
 
 
-@pytest.mark.parametrize("m_v,m_z", [(2, 0), (2, 1), (4, 3), (4, 7), (8, 1)])
+@pytest.mark.parametrize("m_v,m_z", [(2, 0), (2, 1), (4, 3), (4, 7), (6, 2), (8, 1), (16, 7)])
 def test_bessel_zone_matches_hypergeometric(m_v, m_z):
-    # s <= 0.75: the Bessel series, lambda from 0 to 1000
+    # s <= 0.75: the Bessel series, lambda from 0 to 2000, where lambda s
+    # passes 1e3 from s = 0.55 on
     params = new_space(m_v, m_z)
-    lams = np.array([0.0, 0.5, 3.0, 17.0, 100.0, 317.0, 1000.0])
+    lams = np.array([0.0, 0.5, 3.0, 17.0, 100.0, 317.0, 1000.0, 2000.0])
     s = np.linspace(0.05, 0.75, 8)
     ref, amp = _hyp_grid(params, lams, s)
     got = phi_matrix(params, lams, s)

@@ -3,11 +3,12 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import jv
 
 from drwave.errors import PoleError
 from drwave.space import new_space
 from drwave.special import (
-    bessel_j,
+    _bessel_start_pair,
     c_function,
     plancherel_density,
     plancherel_envelope_ratio,
@@ -50,17 +51,42 @@ def oracle_c_function(m_v: int, m_z: int, lam: float) -> complex:
 # ---------------------------------------------------------------------------
 
 def test_bessel_half_integer_closed_form():
+    # sqrt(pi x / 2) J_(-1/2) = cos x and sqrt(pi x / 2) J_(1/2) = sin x
     x = math.pi / 2
-    assert bessel_j(0.5, x) == pytest.approx(2.0 / math.pi, rel=1e-12)
+    lo, hi = _bessel_start_pair(0.5, x)
+    root = math.sqrt(2.0 / (math.pi * x))
+    assert root * hi == pytest.approx(2.0 / math.pi, rel=1e-15)
+    assert abs(root * lo) <= 1e-16
+    x = np.array([2.0, 37.5, 1e3, 2e5])
+    lo, hi = _bessel_start_pair(0.5, x)
+    for nu, got in ((-0.5, lo), (0.5, hi)):
+        ref = [float(mp.sqrt(mp.pi * v / 2) * mp.besselj(nu, v)) for v in x]
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-15)
 
 
 def test_bessel_at_zero():
-    assert bessel_j(1.0, 0.0) == 0.0
+    # at x = 0 every kernel order is its series limit
+    # script_j_mu(0) = sqrt(pi) Gamma(mu+1/2) / Gamma(mu+1)
+    from drwave.spherical import _kernel_orders
+
+    for mu0 in (0.5, 1.0, 11.0):
+        for l, kernel in _kernel_orders(mu0, 16, np.zeros(3)):
+            mu = mu0 + l
+            limit = math.sqrt(math.pi) * math.exp(math.lgamma(mu + 0.5) - math.lgamma(mu + 1.0))
+            np.testing.assert_allclose(kernel, limit, rtol=1e-13)
 
 
 def test_bessel_vs_series_oracle():
-    assert bessel_j(1.5, 5.0) == pytest.approx(oracle_bessel_series(1.5, 5.0), rel=1e-10)
-    assert bessel_j(4.0, 2.5) == pytest.approx(oracle_bessel_series(4.0, 2.5), rel=1e-10)
+    # the start pairs sqrt(pi x / 2) (J_(nu0-1), J_nu0) against the power
+    # series, on the j0/j1 branch of nu0 = 0 and the closed forms of 1/2
+    for x in (2.5, 5.0, 37.5):
+        root = math.sqrt(0.5 * math.pi * x)
+        lo, hi = _bessel_start_pair(0.0, x)
+        assert lo == pytest.approx(-root * oracle_bessel_series(1.0, x), rel=1e-13)
+        assert hi == pytest.approx(root * oracle_bessel_series(0.0, x), rel=1e-13)
+        lo, hi = _bessel_start_pair(0.5, x)
+        assert lo == pytest.approx(root * oracle_bessel_series(-0.5, x), rel=1e-13)
+        assert hi == pytest.approx(root * oracle_bessel_series(0.5, x), rel=1e-13)
 
 
 def test_script_j_limits():
@@ -74,7 +100,7 @@ def test_script_j_matches_direct_ratio():
     for mu in (0.5, 1.0, 3.0, 11.5):
         pref = 2.0**mu * math.sqrt(math.pi) * float(mp.gamma(mu + 0.5))
         for x in (2e-3, 0.05, 0.7, 4.0, 55.0):
-            direct = pref * bessel_j(mu, x) / x**mu
+            direct = pref * jv(mu, x) / x**mu
             assert script_j(mu, x) == pytest.approx(direct, rel=1e-10)
 
 

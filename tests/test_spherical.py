@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from drwave.spherical import (
     _bessel_values,
     _hc_auto,
     _hc_mu_for,
+    _kernel_orders,
     _ode_refined,
     _ode_values,
     _taylor_coeffs,
@@ -392,6 +394,44 @@ def test_bessel_matrix_matches_per_order_sum(m_v, m_z, m):
         ref = pref * sum(a[l] * sp ** (2 * l) * script_j(tab.mu0 + l, lam * sp)
                          for l in range(m + 1))
         assert np.max(np.abs(got[i, 1:] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("mu0", [0.5, 1.0, 3.5, 11.0, 14.5])
+def test_kernel_orders_upward_path_matches_mpmath(mu0):
+    # cells with x > mu0 + m + 1 take the upward recurrence from the start
+    # pair: just above that switch, on both sides of the Hankel switch at
+    # 1e3 and up to 2e5; every order within 2e-13 of the kernel's amplitude
+    # sqrt(2/(pi x)) 2^mu sqrt(pi) Gamma(mu+1/2) / x^mu
+    m = 16
+    x = np.concatenate([mu0 + m + 1.0 + np.array([1e-9, 1e-3, 0.5, 3.0]),
+                        [60.0, 999.0, 999.999, 1000.0, 1000.5, 3e4, 1.3e5, 2e5]])
+    with mp.workdps(30):
+        for l, kernel in _kernel_orders(mu0, m, x):
+            mu = mp.mpf(mu0 + l)
+            for xi, got in zip(x, kernel):
+                xm = mp.mpf(float(xi))
+                pref = 2**mu * mp.sqrt(mp.pi) * mp.gamma(mu + 0.5) / xm**mu
+                ref = pref * mp.besselj(mu, xm)
+                amp = pref * mp.sqrt(2 / (mp.pi * xm))
+                assert abs(got - ref) <= 2e-13 * amp, (float(mu), float(xi))
+
+
+@pytest.mark.parametrize("m", [1, 16])
+@pytest.mark.parametrize("m_v,m_z", [(2, 0), (2, 1), (4, 3), (16, 7)])
+def test_bessel_matrix_per_order_sum_across_upward_switch(m_v, m_z, m):
+    # one call whose cells lie on both sides of x = mu0 + m + 1, against
+    # one script_j call per order
+    params = new_space(m_v, m_z)
+    tab = _bessel_table(params)
+    s = np.array([0.1, 0.5, 0.75, 1.3, 1.9])
+    lams = (tab.mu0 + m + 1.0) / 0.5 * np.array([0.9, 0.999, 1.001, 1.1, 4.0, 3e3])
+    got = _bessel_matrix(params, lams, s, m)
+    a = tab.a_values(s)
+    pref = c0_constant(params) * np.sqrt(s ** (params.n - 1) / density(params, s))
+    for i, lam in enumerate(lams):
+        ref = pref * sum(a[l] * s ** (2 * l) * script_j(tab.mu0 + l, lam * s)
+                         for l in range(m + 1))
+        assert np.max(np.abs(got[i] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_bessel_series_small_s_normalization(all_spaces):
