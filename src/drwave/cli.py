@@ -1,10 +1,14 @@
 """Command-line entry point: every module behind one reproducible command.
 
-Runs are driven by a resolved configuration (defaults, then an optional
-flat dotted-key config file, then flags); its SHA-256 hash names the
-output directory, so identical configurations land in identical paths
-with byte-identical artifacts (a JSON timestamp field is the one
-run-dependent value, and it is excluded from the hash by construction).
+Each config key is one row of `_OPTIONS`: its default, flag, type and the
+subcommands that take the flag.  A run resolves its configuration from the
+defaults, then an optional flat dotted-key config file, then the flags, and
+holds each value as the str of what the key's type reads, so a value hashes
+the same whichever source set it.  The SHA-256 hash of the subcommand and
+the values, never of the output location, names the output directory:
+identical configurations land in identical paths with byte-identical
+artifacts (a JSON timestamp field is the one run-dependent value, and it is
+kept out of the hash).  A malformed value exits 2 with an `error:` line.
 """
 
 from __future__ import annotations
@@ -31,36 +35,60 @@ __all__ = ["main", "run"]
 
 _F = "%.17g"
 
-DEFAULTS: dict[str, str] = {
-    "space.m_v": "2",
-    "space.m_z": "1",
-    "grids.s_max": "12",
-    "grids.s_points": "4096",
-    "grids.lambda_max": "256",
-    "grids.lambda_points": "0",          # 0 = derive from the pi/8 phase rule
-    "grids.t_points": "512",
-    "equation": "frac:2",
-    "profile": "gaussian:1",
-    "spectrum": "bump:2,8",
-    "time": "0.1",
-    "lambda": "2",
-    "s": "0.5",
-    "experiment.a": "2",
-    "experiment.beta": "0.25",
-    "experiment.beta_list": "0.1,0.25,0.4",
-    "experiment.n_list": "",
-    "experiment.epsilon": "0",           # 0 = per-experiment default
-    "experiment.shifted": "0",
-    "experiment.k_levels": "20",
-    "experiment.n_triples": "60",
-    "experiment.seed": "0",
-    "experiment.lambda_threshold": "1",
-    "experiment.lambda_max_sweep": "1000",
-    "experiment.equation2": "frac-shifted:2",
-    "tolerances.slope": "0.05",
-    "tolerances.slope_case2": "0.1",
-    "output_dir": "drwave-out",
+
+def _switch(text: str) -> int:
+    """Type of an on/off key (0 or 1); its flag takes no value and stores 1."""
+    return int(int(text) != 0)
+
+
+# key: (default, flag, type, subcommands), subcommands None meaning all of them
+_EXPERIMENT = ("experiment",)
+_OPTIONS: dict[str, tuple] = {
+    "space.m_v": ("2", "--m-v", int, None),
+    "space.m_z": ("1", "--m-z", int, None),
+    "grids.s_max": ("12", "--s-max", float, None),
+    "grids.s_points": ("4096", "--s-points", int, None),
+    "grids.lambda_max": ("256", "--lambda-max", float, None),
+    "grids.lambda_points": ("0", "--lambda-points", int, None),  # 0: the pi/8 phase rule
+    "grids.t_points": ("512", "--t-points", int, ("maximal",)),
+    "equation": ("frac:2", "--equation", str,
+                 ("propagate", "maximal", "oscillatory-claim", "experiment")),
+    "profile": ("gaussian:1", "--profile", str, ("transform",)),
+    "spectrum": ("bump:2,8", "--spectrum", str, ("propagate", "maximal")),
+    "time": ("0.1", "--t", float, ("propagate",)),
+    "lambda": ("2", "--lambda", str, ("phi",)),
+    "s": ("0.5", "--s", str, ("phi",)),
+    "experiment.a": ("2", "--a", float, _EXPERIMENT),
+    "experiment.beta": ("0.25", "--beta", float, _EXPERIMENT),
+    "experiment.beta_list": ("0.1,0.25,0.4", "--beta-list", str, _EXPERIMENT),
+    "experiment.n_list": ("", "--n-list", str, _EXPERIMENT),
+    "experiment.epsilon": ("0", "--epsilon", float, _EXPERIMENT),  # 0: per experiment
+    "experiment.shifted": ("0", "--shifted", _switch, _EXPERIMENT),
+    "experiment.k_levels": ("20", "--k-levels", int, ("oscillatory-claim",)),
+    "experiment.n_triples": ("60", "--n-triples", int, ("oscillatory-claim",)),
+    "experiment.seed": ("0", "--seed", int, ("oscillatory-claim",)),
+    "experiment.lambda_threshold": ("1", "--lambda-threshold", float, _EXPERIMENT),
+    "experiment.lambda_max_sweep": ("1000", "--lambda-max-sweep", float, _EXPERIMENT),
+    "experiment.equation2": ("frac-shifted:2", "--equation2", str, _EXPERIMENT),
+    "tolerances.slope": ("0.05", "--slope-tol", float, _EXPERIMENT),
+    "tolerances.slope_case2": ("0.1", "--slope-tol-case2", float, _EXPERIMENT),
+    "output_dir": ("drwave-out", "--output-dir", str, None),
 }
+
+# every value is held as the str of what its type reads, whichever source set it
+DEFAULTS: dict[str, str] = {key: str(typ(default))
+                            for key, (default, _, typ, _) in _OPTIONS.items()}
+
+
+def _parse(typ, text: str, what: str):
+    try:
+        return typ(text)
+    except ValueError:
+        raise ValidationError(f"{what}: cannot read {text!r}") from None
+
+
+def _numbers(text: str, what: str, typ=float) -> list:
+    return [_parse(typ, tok, what) for tok in text.split(",") if tok.strip()]
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -75,13 +103,14 @@ def parse_config_file(path: str) -> dict[str, str]:
             key, val = (tok.strip() for tok in line.split("=", 1))
             if key not in DEFAULTS:
                 raise ValidationError(f"{path}:{ln}: unknown config key {key!r}")
-            out[key] = val
+            out[key] = str(_parse(_OPTIONS[key][2], val, f"{path}:{ln}: {key}"))
     return out
 
 
 def config_hash(cfg: dict[str, str], subcommand: str) -> str:
+    """Names a run by its values alone: the output location is not hashed."""
     blob = subcommand + "\n" + "\n".join(
-        f"{k} = {cfg[k]}" for k in sorted(cfg)
+        f"{k} = {cfg[k]}" for k in sorted(cfg) if k != "output_dir"
     )
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
@@ -90,43 +119,11 @@ def _resolve(subcommand: str, args: argparse.Namespace) -> tuple[dict[str, str],
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
         cfg.update(parse_config_file(args.config))
-    for key, attr in _FLAG_KEYS.items():
-        val = getattr(args, attr, None)
+    for key in _OPTIONS:
+        val = getattr(args, key, None)
         if val is not None:
             cfg[key] = str(val)
     return cfg, config_hash(cfg, subcommand)
-
-
-_FLAG_KEYS = {
-    "space.m_v": "m_v",
-    "space.m_z": "m_z",
-    "grids.s_max": "s_max",
-    "grids.s_points": "s_points",
-    "grids.lambda_max": "lambda_max",
-    "grids.lambda_points": "lambda_points",
-    "grids.t_points": "t_points",
-    "equation": "equation",
-    "profile": "profile",
-    "spectrum": "spectrum",
-    "time": "time",
-    "lambda": "lam",
-    "s": "s",
-    "experiment.a": "a",
-    "experiment.beta": "beta",
-    "experiment.beta_list": "beta_list",
-    "experiment.n_list": "n_list",
-    "experiment.epsilon": "epsilon",
-    "experiment.shifted": "shifted",
-    "experiment.k_levels": "k_levels",
-    "experiment.n_triples": "n_triples",
-    "experiment.seed": "seed",
-    "experiment.lambda_threshold": "lambda_threshold",
-    "experiment.lambda_max_sweep": "lambda_max_sweep",
-    "experiment.equation2": "equation2",
-    "tolerances.slope": "slope_tol",
-    "tolerances.slope_case2": "slope_tol_case2",
-    "output_dir": "output_dir",
-}
 
 
 def _out_dir(cfg: dict[str, str], subcommand: str, chash: str) -> Path:
@@ -159,14 +156,6 @@ def _emit_json(path: Path, chash: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
-
-
 def _space_from(cfg):
     return new_space(int(cfg["space.m_v"]), int(cfg["space.m_z"]))
 
@@ -183,28 +172,32 @@ def _lambda_grid(cfg) -> np.ndarray:
 
 def _builtin_profile(cfg) -> RadialProfile:
     name, _, arg = cfg["profile"].partition(":")
+    if name not in ("gaussian", "sech"):
+        raise ValidationError(f"unknown profile selector {cfg['profile']!r}")
+    alpha = _parse(float, arg or "1", "profile")
     s = np.linspace(0.0, float(cfg["grids.s_max"]), int(cfg["grids.s_points"]))
     if name == "gaussian":
-        alpha = float(arg or "1")
         return RadialProfile(s, np.exp(-alpha * s**2))
-    if name == "sech":
-        alpha = float(arg or "1")
-        return RadialProfile(s, 1.0 / np.cosh(alpha * s) ** 4)
-    raise ValidationError(f"unknown profile selector {cfg['profile']!r}")
+    return RadialProfile(s, 1.0 / np.cosh(alpha * s) ** 4)
 
 
 def _builtin_spectrum(cfg) -> SpectralProfile:
     name, _, arg = cfg["spectrum"].partition(":")
+    default_arg = {"bump": "2,8", "gaussian": "4,1"}.get(name)
+    if default_arg is None:
+        raise ValidationError(f"unknown spectrum selector {cfg['spectrum']!r}")
+    pair = _numbers(arg or default_arg, "spectrum")
+    if len(pair) != 2:
+        raise ValidationError(f"spectrum {cfg['spectrum']!r} takes two numbers, "
+                              f"e.g. {name}:{default_arg}")
     lam = _lambda_grid(cfg)
     if name == "bump":
-        lo, hi = _floats(arg or "2,8")
+        lo, hi = pair
         vals = bump_unit(2.0 * (lam - lo) / (hi - lo) - 1.0)
         return SpectralProfile(lam, vals.astype(complex), support_hint=(lo, hi))
-    if name == "gaussian":
-        center, sigma = _floats(arg or "4,1")
-        vals = np.exp(-((lam - center) ** 2) / (2.0 * sigma**2))
-        return SpectralProfile(lam, vals.astype(complex))
-    raise ValidationError(f"unknown spectrum selector {cfg['spectrum']!r}")
+    center, sigma = pair
+    vals = np.exp(-((lam - center) ** 2) / (2.0 * sigma**2))
+    return SpectralProfile(lam, vals.astype(complex))
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +227,8 @@ def _cmd_cfun(cfg, chash, out):
 
 def _cmd_phi(cfg, chash, out):
     params = _space_from(cfg)
-    lams = _floats(cfg["lambda"])
-    ss = _floats(cfg["s"])
+    lams = _numbers(cfg["lambda"], "lambda")
+    ss = _numbers(cfg["s"], "s")
     rows = []
     for lam in lams:
         for s in ss:
@@ -322,16 +315,17 @@ def _default_n_list(name: str) -> list[int]:
 
 def _cmd_experiment(cfg, chash, out, which):
     params = _space_from(cfg)
+    n_list = (_numbers(cfg["experiment.n_list"], "experiment.n_list", int)
+              or _default_n_list(which))
     if which == "case1":
-        n_list = _ints(cfg["experiment.n_list"]) or _default_n_list("case1")
         eps = float(cfg["experiment.epsilon"]) or 0.05
         rep = experiments.case1_run(
-            params, float(cfg["experiment.a"]), _floats(cfg["experiment.beta_list"]),
+            params, float(cfg["experiment.a"]),
+            _numbers(cfg["experiment.beta_list"], "experiment.beta_list"),
             n_list, epsilon=eps, shifted=bool(int(cfg["experiment.shifted"])),
             slope_tol=float(cfg["tolerances.slope"]),
         )
     elif which == "case2":
-        n_list = _ints(cfg["experiment.n_list"]) or _default_n_list("case2")
         eps = float(cfg["experiment.epsilon"]) or 0.25
         rep = experiments.case2_run(
             params, float(cfg["experiment.beta"]), n_list, epsilon=eps,
@@ -361,6 +355,18 @@ def _cmd_experiment(cfg, chash, out, which):
 
 # ---------------------------------------------------------------------------
 
+_SUBCOMMANDS = {
+    "space": ("structure constants and density table", _cmd_space),
+    "cfun": ("c-function and Plancherel density table", _cmd_cfun),
+    "phi": ("spherical function values", _cmd_phi),
+    "transform": ("forward transform and roundtrip of a profile", _cmd_transform),
+    "propagate": ("dispersive evolution of a spectrum", _cmd_propagate),
+    "maximal": ("discretized maximal function", _cmd_maximal),
+    "oscillatory-claim": ("dyadic window sum check", _cmd_oscillatory),
+    "experiment": ("scaling experiments", _cmd_experiment),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="drwave",
@@ -368,65 +374,17 @@ def _build_parser() -> argparse.ArgumentParser:
                     "on Damek-Ricci spaces",
     )
     sub = parser.add_subparsers(dest="subcommand")
-
-    def add(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    for name, (help_text, _) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == "experiment":
+            p.add_argument("which", choices=["case1", "case2", "transference"])
         p.add_argument("--config", help="flat dotted-key config file")
-        p.add_argument("--m-v", dest="m_v", type=int)
-        p.add_argument("--m-z", dest="m_z", type=int)
-        p.add_argument("--s-max", dest="s_max", type=float)
-        p.add_argument("--s-points", dest="s_points", type=int)
-        p.add_argument("--lambda-max", dest="lambda_max", type=float)
-        p.add_argument("--lambda-points", dest="lambda_points", type=int)
-        p.add_argument("--output-dir", dest="output_dir")
-        return p
-
-    add("space", help="structure constants and density table")
-    add("cfun", help="c-function and Plancherel density table")
-    p = add("phi", help="spherical function values")
-    p.add_argument("--lambda", dest="lam")
-    p.add_argument("--s", dest="s")
-    p = add("transform", help="forward transform and roundtrip of a profile")
-    p.add_argument("--profile", dest="profile")
-    p = add("propagate", help="dispersive evolution of a spectrum")
-    p.add_argument("--equation", dest="equation")
-    p.add_argument("--spectrum", dest="spectrum")
-    p.add_argument("--t", dest="time", type=float)
-    p = add("maximal", help="discretized maximal function")
-    p.add_argument("--equation", dest="equation")
-    p.add_argument("--spectrum", dest="spectrum")
-    p.add_argument("--t-points", dest="t_points", type=int)
-    p = add("oscillatory-claim", help="dyadic window sum check")
-    p.add_argument("--equation", dest="equation")
-    p.add_argument("--k-levels", dest="k_levels", type=int)
-    p.add_argument("--n-triples", dest="n_triples", type=int)
-    p.add_argument("--seed", dest="seed", type=int)
-    p = add("experiment", help="scaling experiments")
-    p.add_argument("which", choices=["case1", "case2", "transference"])
-    p.add_argument("--a", dest="a", type=float)
-    p.add_argument("--beta", dest="beta", type=float)
-    p.add_argument("--beta-list", dest="beta_list")
-    p.add_argument("--n-list", dest="n_list")
-    p.add_argument("--epsilon", dest="epsilon", type=float)
-    p.add_argument("--shifted", dest="shifted", action="store_const", const=1)
-    p.add_argument("--equation", dest="equation")
-    p.add_argument("--equation2", dest="equation2")
-    p.add_argument("--lambda-threshold", dest="lambda_threshold", type=float)
-    p.add_argument("--lambda-max-sweep", dest="lambda_max_sweep", type=float)
-    p.add_argument("--slope-tol", dest="slope_tol", type=float)
-    p.add_argument("--slope-tol-case2", dest="slope_tol_case2", type=float)
+        for key, (_, flag, typ, subcommands) in _OPTIONS.items():
+            if subcommands is None or name in subcommands:
+                kind = ({"action": "store_const", "const": 1} if typ is _switch
+                        else {"type": typ})
+                p.add_argument(flag, dest=key, **kind)
     return parser
-
-
-_HANDLERS = {
-    "space": _cmd_space,
-    "cfun": _cmd_cfun,
-    "phi": _cmd_phi,
-    "transform": _cmd_transform,
-    "propagate": _cmd_propagate,
-    "maximal": _cmd_maximal,
-    "oscillatory-claim": _cmd_oscillatory,
-}
 
 
 def run(argv) -> int:
@@ -439,18 +397,14 @@ def run(argv) -> int:
     if not args.subcommand:
         parser.print_usage(sys.stderr)
         return 2
-    sub = args.subcommand
-    key = sub if sub != "experiment" else f"experiment-{args.which}"
+    which = getattr(args, "which", None)
+    key = f"{args.subcommand}-{which}" if which else args.subcommand
+    handler = _SUBCOMMANDS[args.subcommand][1]
     try:
         cfg, chash = _resolve(key, args)
         out = _out_dir(cfg, key, chash)
-        if sub == "experiment":
-            return _cmd_experiment(cfg, chash, out, args.which)
-        return _HANDLERS[sub](cfg, chash, out)
-    except DrwaveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        return handler(cfg, chash, out, which) if which else handler(cfg, chash, out)
+    except (DrwaveError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

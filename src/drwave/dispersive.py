@@ -177,7 +177,11 @@ class PhaseKind:
             raise ValidationError(f"{head} selector needs :a, e.g. {head}:2")
         if tail and not entry.takes_a:
             raise ValidationError(f"selector {selector!r} takes no parameter")
-        return cls(family, shifted=head != family, a=float(tail) if tail else None)
+        try:
+            a = float(tail) if tail else None
+        except ValueError:
+            raise ValidationError(f"selector {selector!r}: cannot read {tail!r}") from None
+        return cls(family, shifted=head != family, a=a)
 
 
 def phase(kind: PhaseKind, params: SpaceParams, lam):
@@ -309,14 +313,27 @@ def propagate(params: SpaceParams, fh: SpectralProfile, kind: PhaseKind,
 def default_t_grid(params: SpaceParams, kind: PhaseKind, lam_max: float,
                    n_points: int = 512, t_min: float = 1e-4,
                    t_max: float = 1.0 - 1e-9):
-    """Log-spaced grid inside (0, 1), densified until consecutive
-    increments satisfy dt * psi(lam_max) <= pi/4."""
+    """Log-spaced grid inside (0, 1), densified by doubling until consecutive
+    increments satisfy dt * psi(lam_max) <= pi/4; past 2^22 points it gives
+    up with a ResolutionError."""
+    if n_points < 2:
+        raise ValidationError(f"a t grid needs at least 2 points, got {n_points}")
     psi_max = float(phase(kind, params, lam_max))
+    log_ratio = math.log(t_min / t_max)
     n = n_points
     while True:
-        grid = np.geomspace(t_min, t_max, n)
-        if float(np.max(np.diff(grid))) * psi_max <= math.pi / 4.0 or n > 2**22:
-            return grid
+        # the last increment is the largest; its closed form screens n before
+        # any allocation, with a margin far above its rounding error
+        dt_last = -t_max * math.expm1(log_ratio / (n - 1))
+        if dt_last * psi_max <= math.pi / 4.0 * (1.0 + 1e-6):
+            grid = np.geomspace(t_min, t_max, n)
+            if float(np.max(np.diff(grid))) * psi_max <= math.pi / 4.0:
+                return grid
+        if n > 2**22:
+            raise ResolutionError(
+                f"no t grid of up to {n} points keeps dt * psi(lam_max) <= pi/4 "
+                f"(psi(lam_max) = {psi_max:.3g})"
+            )
         n *= 2
 
 

@@ -158,6 +158,8 @@ def case1_run(params: SpaceParams, a: float, beta_list, n_list, epsilon: float =
         raise ValidationError("case-1 requires a > 1")
     n_list = sorted(int(n) for n in n_list)
     beta_list = list(beta_list)
+    if not beta_list:
+        raise ValidationError("case-1 needs at least one beta")
     kind = PhaseKind("frac", shifted=shifted, a=a)
     norms = {beta: [] for beta in beta_list}
     mins = []

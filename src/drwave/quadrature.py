@@ -8,6 +8,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import simpson
 
+from .errors import DomainError
+
 __all__ = ["panel_rule", "panel_rules", "grid_integral"]
 
 _QUARTER_PI = math.pi / 4.0
@@ -28,7 +30,7 @@ def panel_rule(a: float, b: float, max_rate: float, order: int = 8,
     for the spectral integrals, so the cap is what controls accuracy.
     """
     if b <= a:
-        raise ValueError("panel_rule requires b > a")
+        raise DomainError("panel_rule requires b > a")
     nodes, weights, _ = panel_rules(np.array([a]), np.array([b]), np.array([max_rate]),
                                     min_panels, order, phase_cap)
     return nodes, weights

@@ -27,7 +27,7 @@ import math
 import numpy as np
 from scipy.special import j0, j1, jv, loggamma
 
-from .errors import PoleError
+from .errors import DomainError, PoleError
 from .space import SpaceParams
 
 __all__ = [
@@ -59,7 +59,7 @@ def script_j(mu: float, x):
     would lose accuracy (or underflow for large mu).
     """
     if mu < 0:
-        raise ValueError(f"script_j requires mu >= 0, got {mu}")
+        raise DomainError(f"script_j requires mu >= 0, got {mu}")
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
@@ -195,7 +195,7 @@ def plancherel_density(params: SpaceParams, lam):
     scalar = lam_arr.ndim == 0
     lam_arr = np.atleast_1d(lam_arr)
     if np.any(lam_arr < 0):
-        raise ValueError("plancherel_density requires lambda >= 0")
+        raise DomainError("plancherel_density requires lambda >= 0")
     lam2 = lam_arr * lam_arr
     out = np.full_like(lam_arr, math.ldexp(4.0 * math.pi / math.gamma(params.n / 2.0) ** 2,
                                            -2 * int(params.Q)))

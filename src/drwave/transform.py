@@ -159,10 +159,12 @@ def calibrate_inversion_constant(params: SpaceParams) -> float:
 def spectral_quadrature_nodes(fh: SpectralProfile, s_rate: float,
                               extra_rate: float = 0.0):
     """Panel nodes/weights covering fh's support for inversion-type integrals."""
-    lo, hi = (fh.support_hint if fh.support_hint is not None
-              else (float(fh.lambda_grid[0]), float(fh.lambda_grid[-1])))
-    lo = max(lo, float(fh.lambda_grid[0]))
-    hi = min(hi, float(fh.lambda_grid[-1]))
+    grid = (float(fh.lambda_grid[0]), float(fh.lambda_grid[-1]))
+    lo, hi = fh.support_hint if fh.support_hint is not None else grid
+    lo, hi = max(lo, grid[0]), min(hi, grid[1])
+    if hi <= lo:
+        raise DomainError(f"spectrum support {fh.support_hint} misses the lambda grid "
+                          f"[{grid[0]:g}, {grid[1]:g}]")
     return panel_rule(lo, hi, max(s_rate + extra_rate, 1.0))
 
 

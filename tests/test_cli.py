@@ -7,7 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drwave import experiments
-from drwave.cli import DEFAULTS, _emit_csv, config_hash, parse_config_file, run
+from drwave.cli import (
+    _OPTIONS,
+    _SUBCOMMANDS,
+    DEFAULTS,
+    _build_parser,
+    _emit_csv,
+    _resolve,
+    _switch,
+    config_hash,
+    parse_config_file,
+    run,
+)
 from drwave.errors import DrwaveError, ValidationError
 
 
@@ -104,6 +115,60 @@ def test_config_error_exit_code(tmp_path, out_root):
     assert run(["phi", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["phi", "--lambda", "x"],
+    ["experiment", "case1", "--beta-list", "a"],
+    ["experiment", "case1", "--beta-list", ",", "--n-list", "64,91,128,181,256"],
+    ["propagate", "--equation", "frac:x"],
+    ["propagate", "--spectrum", "bump:2"],
+    ["transform", "--profile", "gaussian:q"],
+    ["phi", "--config", "BAD_CFG"],
+    # a spectrum whose support lies beyond the lambda grid
+    ["propagate", "--spectrum", "bump:2,8", "--lambda-max", "1", "--lambda-points", "64"],
+    ["maximal", "--spectrum", "bump:2,8", "--lambda-max", "1", "--lambda-points", "64"],
+    ["maximal", "--t-points", "0"],
+    ["maximal", "--t-points", "1"],
+])
+def test_malformed_input_is_a_usage_error(tmp_path, out_root, capsys, argv):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("space.m_v = x\n", encoding="utf-8")
+    assert run([str(cfg) if a == "BAD_CFG" else a for a in argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert any(line.startswith("error:") for line in err), err
+
+
+def _flag_cases():
+    for key, (_, _, _, subcommands) in _OPTIONS.items():
+        for sub in subcommands or _SUBCOMMANDS:
+            yield pytest.param(key, sub, id=f"{key}@{sub}")
+
+
+@pytest.mark.parametrize("key,sub", list(_flag_cases()))
+def test_flag_and_config_file_set_the_same_value(tmp_path, key, sub):
+    default, flag, typ, _ = _OPTIONS[key]
+    argv = [sub, "case1"] if sub == "experiment" else [sub]
+    run_key = "-".join(argv)
+    parser = _build_parser()
+
+    def resolved(*extra):
+        return _resolve(run_key, parser.parse_args(argv + list(extra)))
+
+    # integer-looking text for floats: the flag reads 3.0, the file says 3
+    value = {int: "3", float: "3", str: "other", _switch: "1"}[typ]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+    by_file = resolved("--config", str(cfg))
+    by_flag = resolved(flag) if typ is _switch else resolved(flag, value)
+    assert by_flag == by_file
+    assert by_flag[0][key] != DEFAULTS[key]
+    if typ is not _switch:
+        # the default stated by flag is the default
+        assert resolved(flag, default) == resolved()
+    if key == "output_dir":
+        # the output location is not hashed
+        assert by_flag[1] == resolved()[1]
+
+
 def test_hash_depends_on_config():
     h1 = config_hash(DEFAULTS, "phi")
     override = dict(DEFAULTS, **{"space.m_v": "4"})
@@ -139,7 +204,7 @@ def test_slope_tol_case2_flag(out_root, monkeypatch):
     assert seen == [0.1, 0.3]
     # the flag is hashed; a run without it keeps its directory name
     plain = f"experiment-case2-{config_hash(DEFAULTS, 'experiment-case2')}"
-    assert plain == "experiment-case2-0bd7863043d4"
+    assert plain == "experiment-case2-4a6f52991205"
     dirs = sorted(p.name for p in out_root.iterdir())
     assert len(dirs) == 2 and plain in dirs
 

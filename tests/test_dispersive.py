@@ -235,6 +235,47 @@ def test_default_t_grid_respects_rule(space21):
     assert grid[0] > 0 and grid[-1] < 1
 
 
+def _doubled_t_grid(params, kind, lam_max, n_points):
+    # the doubling loop as it stood before its closed-form screen; reference
+    # for grids that meet the pi/4 rule at up to 2^22 points
+    psi_max = float(phase(kind, params, lam_max))
+    n = n_points
+    while True:
+        grid = np.geomspace(1e-4, 1.0 - 1e-9, n)
+        if float(np.max(np.diff(grid))) * psi_max <= math.pi / 4.0 or n > 2**22:
+            return grid
+        n *= 2
+
+
+@pytest.mark.parametrize("kind,lam_max,n_points", [
+    (PhaseKind.frac_shifted(2.0), 16.0, 32),
+    (PhaseKind.boussinesq(), 6.0, 48),
+    (PhaseKind.frac(2.0), 256.0, 512),
+    (PhaseKind.beam(), 8.0, 3),
+])
+def test_default_t_grid_unchanged_where_rule_holds(space21, kind, lam_max, n_points):
+    want = _doubled_t_grid(space21, kind, lam_max, n_points)
+    got = default_t_grid(space21, kind, lam_max, n_points=n_points)
+    assert got.size == want.size and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n_points", [0, 1])
+def test_default_t_grid_needs_two_points(space21, n_points):
+    with pytest.raises(ValidationError):
+        default_t_grid(space21, PhaseKind.frac(2.0), 6.0, n_points=n_points)
+
+
+@pytest.mark.parametrize("n_points", [512, 2**23])
+def test_default_t_grid_gives_up_before_allocating(space21, monkeypatch, n_points):
+    # psi(1e4) ~ 1e8 needs ~1e9 points; no grid is built on the way to the error
+    sizes = []
+    geomspace = np.geomspace
+    monkeypatch.setattr(np, "geomspace", lambda a, b, n: sizes.append(n) or geomspace(a, b, n))
+    with pytest.raises(ResolutionError):
+        default_t_grid(space21, PhaseKind.frac(2.0), 1e4, n_points=n_points)
+    assert sizes == []
+
+
 # ---------------------------------------------------------------------------
 # frequency split
 # ---------------------------------------------------------------------------
