@@ -1,7 +1,7 @@
 """Spherical Fourier analysis and dispersive propagators on Damek-Ricci
-spaces: spherical functions by three cross-validating routes, the
-c-function and Plancherel density, the radial transform pair with
-Sobolev norms, Table-driven dispersive phases with their maximal
+spaces: spherical functions by two series routes checked against an ODE
+oracle, the c-function and Plancherel density, the radial transform pair
+with Sobolev norms, Table-driven dispersive phases with their maximal
 functions, dyadic oscillatory-sum checks, and the scaling experiments
 that exhibit the 1/4 regularity threshold.
 """
@@ -43,7 +43,6 @@ from .spherical import (
     gamma_coeffs,
     phi,
     phi_bessel,
-    phi_hc,
     phi_matrix,
     phi_ode_oracle,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "phase_derivs",
     "phi",
     "phi_bessel",
-    "phi_hc",
     "phi_matrix",
     "phi_ode_oracle",
     "plancherel_density",

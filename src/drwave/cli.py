@@ -193,9 +193,13 @@ def _builtin_spectrum(cfg) -> SpectralProfile:
     lam = _lambda_grid(cfg)
     if name == "bump":
         lo, hi = pair
+        if not lo < hi:
+            raise ValidationError(f"spectrum {cfg['spectrum']!r} needs lo < hi")
         vals = bump_unit(2.0 * (lam - lo) / (hi - lo) - 1.0)
         return SpectralProfile(lam, vals.astype(complex), support_hint=(lo, hi))
     center, sigma = pair
+    if not sigma > 0:
+        raise ValidationError(f"spectrum {cfg['spectrum']!r} needs a width sigma > 0")
     vals = np.exp(-((lam - center) ** 2) / (2.0 * sigma**2))
     return SpectralProfile(lam, vals.astype(complex))
 
@@ -249,8 +253,7 @@ def _cmd_transform(cfg, chash, out):
               [(x, v.real, v.imag, abs(v)) for x, v in zip(lam, fh.values)])
     s_out = np.linspace(0.0, 0.75 * float(cfg["grids.s_max"]), 384)
     back = transform.sft_inverse(params, fh, s_out)
-    ref = _builtin_profile(cfg)
-    ref_vals = np.interp(s_out, ref.s_grid, np.real(ref.values))
+    ref_vals = np.interp(s_out, f.s_grid, np.real(f.values))
     w = density(params, s_out)
     num = np.sqrt(np.trapezoid(np.abs(back.values - ref_vals) ** 2 * w, s_out))
     den = np.sqrt(np.trapezoid(ref_vals**2 * w, s_out))

@@ -10,14 +10,13 @@ The c-function is the four-Gamma ratio
     c(lambda) = 2^(Q-2i*lambda) Gamma(2i*lambda) / Gamma((Q+2i*lambda)/2)
                 * Gamma(n/2) / Gamma((m_v + 4i*lambda + 2)/4),
 
-evaluated over a whole lambda array at once.  Its modulus needs no
-log-Gamma: m_v is even, so the two Gamma factors left in |c|^-2 have
-integer or half-integer real parts, and the density is a polynomial in
-lambda^2 times lambda^3 coth(pi lambda), lambda^2 or lambda tanh(pi lambda)
-(plancherel_density), accurate to rounding for every lambda >= 0 and
-exact at the lambda^2 zero of the origin.  The phase of c sums scipy's
-principal-branch complex log-Gamma; only exp(ln c) is used, so the branch
-of the logarithm does not matter.
+Its modulus needs no log-Gamma: m_v is even, so the two Gamma factors
+left in |c|^-2 have integer or half-integer real parts, and the density
+is a polynomial in lambda^2 times lambda^3 coth(pi lambda), lambda^2 or
+lambda tanh(pi lambda) (plancherel_density), accurate to rounding for
+every lambda >= 0 and exact at the lambda^2 zero of the origin.  Its
+phase is that of h(lambda) = i lambda c(lambda), which has no pole
+(_h_phase, over a whole lambda array at once).
 """
 
 from __future__ import annotations
@@ -149,29 +148,76 @@ def _bessel_start_pair(nu0: float, x):
     return _piecewise(x, x >= _HANKEL_X_MIN, _hankel_pair, _j01_pair)
 
 
-def _ln_c(params: SpaceParams, lam):
-    """ln c(lambda) at real lambda != 0, scalar or array.
+def _gamma_shifts(params: SpaceParams) -> tuple[list[float], int]:
+    """Shifts x_j and the number n_half of half-integers among Q/2 and
+    (m_v+2)/4 (m_v is even): each Gamma(k + i lambda) is Gamma(k0 + i lambda)
+    prod (x + i lambda) over x = k0..k-1, k0 = 1 or 1/2 (DLMF 5.5.1)."""
+    shifts, n_half = [], 0
+    for twice_k in (int(params.Q), params.m_v // 2 + 1):   # twice Q/2 and (m_v+2)/4
+        half = twice_k % 2
+        n_half += half
+        shifts += [j + 0.5 * half for j in range(1 - half, twice_k // 2)]
+    return shifts, n_half
 
-    The real part is -ln(|c|^-2)/2 from the closed-form density, since
-    in the log-Gamma sum it is a cancellation of terms of size pi lambda;
-    the phase sums scipy's principal-branch complex log-Gamma.
+
+def _h_phase(params: SpaceParams, lam):
+    """arg h(lambda) at real lambda, scalar or array, for the pole-free
+    h(lambda) = i lambda c(lambda).  Legendre's duplication
+    2^(-2i lambda) Gamma(1+2i lambda) = Gamma(1/2+i lambda) Gamma(1+i lambda)
+    / sqrt(pi) (DLMF 5.5.5) and the shifts (_gamma_shifts) give
+
+        h(lambda) = 2^(Q-1) Gamma(n/2) pi^(-1/2)
+                    (Gamma(1/2+i lambda) / Gamma(1+i lambda))^(1-n_half)
+                    / prod_j (x_j + i lambda),
+
+    so the phase is a sum of arctangents and, unless n_half = 1, one
+    log-Gamma difference near the real axis: odd, O(lambda), no pi/2.
     """
     lam = np.asarray(lam, dtype=float)
-    z = 2j * lam
-    phase = (-z * math.log(2.0) + loggamma(z) - loggamma((float(params.Q) + z) / 2.0)
-             - loggamma((params.m_v + 2.0 * z + 2.0) / 4.0)).imag
-    return -0.5 * np.log(plancherel_density(params, np.abs(lam))) + 1j * phase
+    shifts, n_half = _gamma_shifts(params)
+    phase = np.zeros_like(lam)
+    for x in shifts:
+        phase -= np.arctan(lam / x)
+    if n_half != 1:
+        phase += (1 - n_half) * (loggamma(0.5 + 1j * lam).imag - loggamma(1.0 + 1j * lam).imag)
+    return phase
+
+
+def _h_phase_slope0(params: SpaceParams) -> float:
+    """d arg h / d lambda at 0, Im (h'/h)(0) = -2 (1 - n_half) ln 2
+    - sum_j 1/x_j, from _h_phase's form (psi(1/2) - psi(1) = -2 ln 2)."""
+    shifts, n_half = _gamma_shifts(params)
+    return -2.0 * (1 - n_half) * math.log(2.0) - sum(1.0 / x for x in shifts)
+
+
+def _h_modulus_inv2(params: SpaceParams, lam: np.ndarray) -> np.ndarray:
+    """|h(lambda)|^-2 = |c(lambda)|^-2 / lambda^2 for an array lambda >= 0,
+    finite and positive at 0 (plancherel_density).  It is even in lambda,
+    so a lambda whose square underflows takes the value at 0."""
+    out = np.full_like(lam, math.ldexp(4.0 * math.pi / math.gamma(params.n / 2.0) ** 2,
+                                       -2 * int(params.Q)))
+    shifts, n_half = _gamma_shifts(params)
+    lam2 = lam * lam
+    for x in shifts:
+        out *= x * x + lam2
+    if n_half == 0:
+        out *= np.divide(lam, np.tanh(math.pi * lam), out=np.full_like(lam, 1.0 / math.pi),
+                         where=lam2 > 0)
+    elif n_half == 2:
+        out *= np.divide(np.tanh(math.pi * lam), lam, out=np.full_like(lam, math.pi),
+                         where=lam2 > 0)
+    return out
 
 
 def c_function(params: SpaceParams, lam: float) -> complex:
-    """Harish-Chandra c-function at real lambda != 0.
-
-    Conjugate symmetry c(-lambda) = conj(c(lambda)) holds exactly because
-    every Gamma factor satisfies Gamma(conj z) = conj Gamma(z).
-    """
+    """Harish-Chandra c-function at real lambda != 0, -i h(lambda)/lambda:
+    modulus from plancherel_density, phase arg h - sign(lambda) pi/2, so
+    c(-lambda) = conj(c(lambda)) exactly, arg h being odd."""
     if lam == 0:
         raise PoleError("c-function has a pole at lambda = 0")
-    return complex(np.exp(_ln_c(params, float(lam))))
+    lam = float(lam)
+    return complex(-1j * math.copysign(1.0, lam) * np.exp(1j * _h_phase(params, lam))
+                   / math.sqrt(plancherel_density(params, abs(lam))))
 
 
 def plancherel_density(params: SpaceParams, lam):
@@ -189,29 +235,15 @@ def plancherel_density(params: SpaceParams, lam):
                  * {lambda^3 coth(pi lambda) | lambda^2 | lambda tanh(pi lambda)}
 
     for two integer, one integer and no integer real part, P being the
-    two finite products.  On H^3 it is 4 lambda^2.
+    two finite products (_gamma_shifts); it is lambda^2 |h|^-2 for
+    h = i lambda c (_h_modulus_inv2).  On H^3 it is 4 lambda^2.
     """
     lam_arr = np.asarray(lam, dtype=float)
     scalar = lam_arr.ndim == 0
     lam_arr = np.atleast_1d(lam_arr)
     if np.any(lam_arr < 0):
         raise DomainError("plancherel_density requires lambda >= 0")
-    lam2 = lam_arr * lam_arr
-    out = np.full_like(lam_arr, math.ldexp(4.0 * math.pi / math.gamma(params.n / 2.0) ** 2,
-                                           -2 * int(params.Q)))
-    n_half = 0
-    for twice_k in (int(params.Q), params.m_v // 2 + 1):   # twice Q/2 and (m_v+2)/4
-        half = twice_k % 2
-        n_half += half
-        for j in range(1 - half, twice_k // 2):
-            out *= (j + 0.5 * half) ** 2 + lam2
-    if n_half == 0:
-        out *= lam2 * np.divide(lam_arr, np.tanh(math.pi * lam_arr),
-                                out=np.full_like(lam_arr, 1.0 / math.pi), where=lam_arr > 0)
-    elif n_half == 1:
-        out *= lam2
-    else:
-        out *= lam_arr * np.tanh(math.pi * lam_arr)
+    out = lam_arr * lam_arr * _h_modulus_inv2(params, lam_arr)
     return float(out[0]) if scalar else out
 
 

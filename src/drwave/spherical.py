@@ -1,4 +1,4 @@
-"""Spherical functions phi_lambda(s) by three mutually validating routes.
+"""Spherical functions phi_lambda(s) by two routes, checked by an ODE oracle.
 
 phi_lambda is the radial eigenfunction of the Laplace-Beltrami operator,
 
@@ -16,25 +16,25 @@ evaluated by
   lambda s <= mu0+M+1 and, where lambda s exceeds every order, the
   upward recurrence from a cheap start pair at orders below 1; its
   cost per cell does not depend on lambda;
-* a two-sided exponential series for s >= 2 and |lambda| >= 1, driven
-  by the c-function and the Gamma_mu recursion whose omega_k
-  coefficients come from expanding the Liouville potential of the
-  radial equation in powers of e^(-s);
-* a fixed-step RK4 integration of the radial equation from a 30-term
-  Taylor start, for s >= 2 and |lambda| < 1, and as an independent
-  check on both series; each step is applied as a precomputed transfer
-  matrix, quadratic in lambda^2 + Q^2/4, to a whole block of
-  frequencies at once.
+* an exponential series for s >= 2 at every lambda, lambda = 0
+  included: the Harish-Chandra expansion written through
+  h(lambda) = i lambda c(lambda), which has no pole (_hc_matrix), and
+  the Gamma_mu recursion whose omega_k coefficients come from expanding
+  the Liouville potential of the radial equation in powers of e^(-s).
 
-phi() and phi_matrix() route between the three by the same two zones in
-s, and both enforce the global bound |phi| <= 1.
+phi() is phi_matrix() on one cell, so both take the same route by s
+alone and both enforce the global bound |phi| <= 1.  A fixed-step RK4
+integration of the radial equation from a 30-term Taylor start
+(phi_ode_oracle, _ode_refined) is the independent check on both series
+and is on no production path; each step is applied as a precomputed
+transfer matrix, quadratic in lambda^2 + Q^2/4, to a whole block of
+frequencies at once.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,14 +44,13 @@ from scipy.special import gammaln
 from .errors import DomainError, PhiBoundError, ResolutionError, StepSizeError, ValidationError
 from .profiles import RadialProfile
 from .space import SpaceParams, density, log_density_derivative, log_density_taylor
-from .special import _bessel_start_pair, _ln_c, _piecewise, script_j
+from .special import (_bessel_start_pair, _h_modulus_inv2, _h_phase, _h_phase_slope0,
+                      _piecewise, script_j)
 
 __all__ = [
     "BesselSeriesEval",
-    "HcSeriesEval",
     "phi",
     "phi_bessel",
-    "phi_hc",
     "phi_ode_oracle",
     "gamma_coeffs",
     "omega_coeffs",
@@ -59,12 +58,10 @@ __all__ = [
 ]
 
 # The Bessel series converges absolutely for s < 2 and takes every
-# lambda there.  Beyond S_HC_MIN, frequencies |lambda| >= LAMBDA_HC_MIN
-# take the exponential series and the rest take RK4.
+# lambda there; the exponential series takes every lambda beyond it.
 S_HC_MIN = 2.0
+# No route boundary sits at these any more; only bench/tracing.py reads them.
 LAMBDA_HC_MIN = 1.0
-# phi_hc's default s_min, the lower bound of the exponential series'
-# validity; no route boundary sits here.
 S_BESSEL_MAX = 0.75
 
 _TAYLOR_S0 = 1e-3
@@ -314,15 +311,6 @@ def gamma_coeffs(params: SpaceParams, lam: float, mu_max: int) -> np.ndarray:
     return _gamma_matrix(params, np.array([float(lam)]), mu_max)[0]
 
 
-@dataclass
-class HcSeriesEval:
-    """Result of the exponential-series evaluation."""
-
-    value: complex
-    mu_max: int
-    gamma_coeffs: np.ndarray
-
-
 def _gamma_matrix(params: SpaceParams, lams: np.ndarray, mu_max: int) -> np.ndarray:
     """Gamma_mu(lam) for every lam, shape (n_lam, mu_max+1); recursion
     vectorized over the spectral grid."""
@@ -336,74 +324,80 @@ def _gamma_matrix(params: SpaceParams, lams: np.ndarray, mu_max: int) -> np.ndar
     return gam
 
 
+def _gamma_slope0(params: SpaceParams, gam0: np.ndarray) -> np.ndarray:
+    """Im Gamma'_mu(0) from the real Gamma_mu(0).  Differentiating the
+    recursion in lam gives (mu^2 - 2 i mu lam) Gamma'_mu =
+    sum_(j<mu) omega_(mu-j) Gamma'_j + 2 i mu Gamma_mu, Gamma'_0 = 0, so
+    every Gamma'_mu(0) is imaginary."""
+    omega = omega_coeffs(params, gam0.size - 1)
+    slope = np.zeros(gam0.size)
+    for mu in range(1, gam0.size):
+        slope[mu] = (slope[:mu] @ omega[mu - 1::-1] + 2.0 * mu * gam0[mu]) / (mu * mu)
+    return slope
+
+
 def _hc_matrix(params: SpaceParams, lams: np.ndarray, s: np.ndarray,
-               gam_p: np.ndarray) -> np.ndarray:
-    """Two-sided exponential series on the grid product, complex,
-    shape (n_lam, n_s), from Gamma_mu(lam) (_gamma_matrix, shape
-    (n_lam, mu_max+1)).  Requires lam != 0 throughout."""
-    mu = np.arange(gam_p.shape[1])
-    # omega is real, so Gamma_mu(-lam) = conj(Gamma_mu(lam)) for real lam
-    # and c(-lam) = conj(c(lam)) likewise
-    gam_m = np.conj(gam_p)
-    c_p = np.exp(_ln_c(params, lams))
-    c_m = np.conj(c_p)
-    decay = np.exp(-np.outer(mu, s))                     # (n_mu, n_s)
-    osc = np.exp(1j * np.outer(lams, s))                 # (n_lam, n_s)
-    sum_p = gam_p @ decay
-    sum_m = gam_m @ decay
-    pref = 2.0 ** (-0.5 * params.m_z) / np.sqrt(density(params, s))
-    return pref * (c_p[:, None] * osc * sum_p + c_m[:, None] * np.conj(osc) * sum_m)
+               gam: np.ndarray) -> np.ndarray:
+    """Exponential series on the grid product for lam >= 0, real, shape
+    (n_lam, n_s), from Gamma_mu(lam) (_gamma_matrix).
 
+    The Harish-Chandra expansion phi = pref (c(lam) Phi_lam +
+    c(-lam) Phi_-lam), Phi_lam = e^(i lam s) sum_mu Gamma_mu(lam) e^(-mu s),
+    pref = 2^(-m_z/2) A^(-1/2), has Gamma_mu(-lam) = conj Gamma_mu(lam)
+    (omega is real), so one product Gamma @ e^(-mu s) gives every sum.
+    At the pole of c, Re c = |c| cos(arg c) with arg c -> -pi/2 would
+    carry an error eps/lam; the series is written instead through
 
-def phi_hc(params: SpaceParams, lam: float, s: float, mu_max: int = _HC_MU_DEFAULT,
-           s_min: float = S_BESSEL_MAX) -> HcSeriesEval:
-    """phi_lambda(s) by the exponential series, valid away from the identity.
+        h(lam) = i lam c(lam) = 2^(Q-2i lam) Gamma(1+2i lam) Gamma(n/2)
+                 / (2 Gamma(Q/2+i lam) Gamma((m_v+2)/4+i lam)),
 
-    Emits a convergence warning when the last retained term still exceeds
-    1e-12 of the partial sum.
+    analytic, and real and positive at 0 (special._h_modulus_inv2, _h_phase):
+
+        phi = 2 pref Im(h Phi_lam) / lam
+            = 2 pref (|h|/lam) Im(e^(i(arg h + lam s)) sum_mu Gamma_mu e^(-mu s)).
+
+    phi is even in lam, so where lam^2 underflows its limit at 0 is exact:
+
+        phi_0 = 2 pref Im(h(0) [(h'/h)(0) Phi_0 + d/dlam Phi_lam|_0])
+              = 2 pref h(0) [(a + s) sum_mu Gamma_mu(0) e^(-mu s)
+                             + sum_mu Im Gamma'_mu(0) e^(-mu s)],
+
+    a = Im (h'/h)(0) (special._h_phase_slope0).  Gamma_mu(0) is real and
+    Gamma'_mu(0) (_gamma_slope0) imaginary, so a lam = 0 row of the product
+    carries their sum and returns both sums as its real and imaginary parts.
     """
-    if lam == 0:
-        raise DomainError("phi_hc requires lambda != 0")
-    if s < s_min:
-        raise DomainError(f"phi_hc requires s >= {s_min}, got {s}")
-    gam = gamma_coeffs(params, lam, mu_max)
-    val = _hc_matrix(params, np.array([float(lam)]), np.array([s]), gam[None, :])[0, 0]
-    tail = abs(gam[mu_max]) * math.exp(-mu_max * s)
-    if tail > 1e-12 * max(abs(val) * math.sqrt(density(params, s)), 1e-300):
-        warnings.warn(
-            f"exponential series tail {tail:.2e} above 1e-12 of the sum at "
-            f"(lambda={lam}, s={s}, mu_max={mu_max})",
-            RuntimeWarning,
-        )
-    if abs(val.imag) > 1e-8 * max(abs(val), 1e-300):
-        warnings.warn("imaginary residue above 1e-8 of magnitude", RuntimeWarning)
-    return HcSeriesEval(value=val, mu_max=mu_max, gamma_coeffs=gam)
+    zero = lams * lams == 0
+    if np.any(zero):
+        gam = gam + 1j * np.outer(zero, _gamma_slope0(params, gam[np.argmax(zero)].real))
+    mu = np.arange(gam.shape[1])
+    sums = gam @ np.exp(-np.outer(mu, s))                 # (n_lam, n_s)
+    h_mod = 1.0 / np.sqrt(_h_modulus_inv2(params, lams))
+    out = np.empty(sums.shape)
+    lp = lams[~zero]
+    turn = np.exp(1j * (_h_phase(params, lp)[:, None] + np.outer(lp, s)))
+    out[~zero] = (h_mod[~zero] / lp)[:, None] * (turn * sums[~zero]).imag
+    out[zero] = h_mod[zero, None] * ((_h_phase_slope0(params) + s) * sums[zero].real
+                                     + sums[zero].imag)
+    return 2.0 ** (1.0 - 0.5 * params.m_z) / np.sqrt(density(params, s)) * out
 
 
 def _hc_mu_for(params: SpaceParams, lams: np.ndarray, s_min: float,
                mu_start: int = _HC_MU_DEFAULT) -> int:
     """Truncation order with every lam's tail below 1e-12; raises
-    ResolutionError when even mu_max = _HC_MU_CAP leaves it above."""
+    ResolutionError when even mu_max = _HC_MU_CAP leaves it above.  The
+    tail is largest at the smallest |lam|, which may be 0."""
     mu_max = mu_start
-    lam_probe = float(np.min(np.abs(lams)))
+    lam_probe = np.array([np.min(np.abs(lams))])
     while True:
-        gam_tail = abs(gamma_coeffs(params, lam_probe, mu_max)[mu_max])
+        gam_tail = abs(_gamma_matrix(params, lam_probe, mu_max)[0, mu_max])
         tail = gam_tail * math.exp(-mu_max * s_min)
         if tail < 1e-12:
             return mu_max
         if mu_max >= _HC_MU_CAP:
             raise ResolutionError(
                 f"exponential series tail {tail:.2e} above 1e-12 at the order cap "
-                f"{_HC_MU_CAP} (lambda={lam_probe}, s={s_min})")
+                f"{_HC_MU_CAP} (lambda={lam_probe[0]}, s={s_min})")
         mu_max *= 2
-
-
-def _hc_auto(params: SpaceParams, lam: float, s: np.ndarray,
-             mu_start: int = _HC_MU_DEFAULT) -> np.ndarray:
-    """Series values with mu_max raised until the tail is below 1e-12."""
-    lams = np.array([float(lam)])
-    mu_max = _hc_mu_for(params, lams, float(np.min(s)), mu_start)
-    return np.real(_hc_matrix(params, lams, s, _gamma_matrix(params, lams, mu_max))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +579,7 @@ def _bessel_matrix(params: SpaceParams, lams: np.ndarray, s: np.ndarray,
 def _bessel_values(params: SpaceParams, lam: float, s: np.ndarray,
                    m: int = _BESSEL_M_DEFAULT + 4) -> np.ndarray:
     """Series values for a single lambda over an s array, by default at
-    the full coefficient table (M = 16), as phi() and phi_matrix() use."""
+    the full coefficient table (M = 16), as phi_matrix() uses."""
     return _bessel_matrix(params, np.array([abs(float(lam))]), s, m)[0]
 
 
@@ -595,7 +589,7 @@ def phi_bessel(params: SpaceParams, lam: float, s: float, m: int = _BESSEL_M_DEF
 
     The working radius defaults to 2, below which the series converges
     absolutely; phi() and phi_matrix() take it for every s < 2 at M = 16
-    (_bessel_values).  The error bound is the omitted orders up to
+    (_bessel_matrix).  The error bound is the omitted orders up to
     M = 17 at their largest kernel value,
     c0 (s^(n-1)/A)^(1/2) sum_(m<l<=17) |f_l(s)| S_(mu_l)(0) with
     |S_mu(x)| <= S_mu(0) = sqrt(pi) Gamma(mu+1/2)/Gamma(mu+1), plus a
@@ -621,69 +615,40 @@ def phi_bessel(params: SpaceParams, lam: float, s: float, m: int = _BESSEL_M_DEF
 # dispatcher
 # ---------------------------------------------------------------------------
 
-def _phi_dispatch(params: SpaceParams, lam: float, s: float) -> tuple[float, str]:
-    lam = abs(float(lam))
-    if s < 0:
-        raise DomainError("phi requires s >= 0")
-    if s < S_HC_MIN:
-        val = float(_bessel_values(params, lam, np.array([s]))[0])
-        method = "bessel"
-    elif lam >= LAMBDA_HC_MIN:
-        val = float(_hc_auto(params, lam, np.array([s]))[0])
-        method = "hc"
-    else:
-        val = float(_ode_refined(params, lam, np.array([s]))[0])
-        method = "ode"
-    if not abs(val) <= 1.0 + _PHI_BOUND_TOL:     # NaN fails too
-        raise PhiBoundError(
-            f"|phi_{lam}({s})| = {abs(val)} violates the bound 1 + 1e-9 "
-            f"(method {method})"
-        )
-    return val, method
-
-
 def phi(params: SpaceParams, lam: float, s: float) -> float:
-    """phi_lambda(s), routed to the regime-appropriate method."""
-    return _phi_dispatch(params, lam, s)[0]
+    """phi_lambda(s): phi_matrix on one cell."""
+    return phi_with_method(params, lam, s)[0]
 
 
 def phi_with_method(params: SpaceParams, lam: float, s: float) -> tuple[float, str]:
-    """phi value plus the name of the method that produced it."""
-    return _phi_dispatch(params, lam, s)
+    """phi value, as phi_matrix on one cell, plus the name of its route:
+    "bessel" for s < 2 and "hc" beyond."""
+    val = float(phi_matrix(params, [lam], [s])[0, 0])
+    return val, "bessel" if s < S_HC_MIN else "hc"
 
 
 def phi_matrix(params: SpaceParams, lams, s) -> np.ndarray:
     """phi_{lambda_i}(s_j) over the grid product, shape (n_lam, n_s).
 
-    Bessel series for s < 2 at every lambda; beyond it, the exponential
-    series for |lambda| >= 1 and RK4 for |lambda| < 1.  The RK4 rows have
-    lambda^2 + Q^2/4 in [Q^2/4, 1 + Q^2/4], so they share one step size
-    and run as one block, each step one transfer matrix
-    C0 + nu C1 + nu^2 C2 (_ode_values).  Raises PhiBoundError if any
-    |phi| exceeds 1 + 1e-9, as phi() does.
+    Two routes, chosen by s alone: the Bessel series for s < 2 and the
+    exponential series (_hc_matrix) for s >= 2, each at every lambda.
+    Raises PhiBoundError if any |phi| exceeds 1 + 1e-9.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if np.any(s < 0):
         raise DomainError("phi_matrix requires s >= 0")
+    if not np.all(np.isfinite(lams)):
+        raise DomainError("phi_matrix requires finite lambda")
     out = np.empty((lams.size, s.size))
     near = s < S_HC_MIN
     if np.any(near):
         out[:, near] = _bessel_matrix(params, lams, s[near])
-    far = np.flatnonzero(~near)
-    if far.size == 0:
-        return _bound_checked(out, lams, s)
-    s_far = s[far]
-    hc_rows = np.abs(lams) >= LAMBDA_HC_MIN
-    if np.any(hc_rows):
-        lams_hc = np.abs(lams[hc_rows])
-        mu_max = _hc_mu_for(params, lams_hc, float(np.min(s_far)))
-        out[np.ix_(hc_rows, far)] = np.real(
-            _hc_matrix(params, lams_hc, s_far, _gamma_matrix(params, lams_hc, mu_max)))
-    if not np.all(hc_rows):
-        nu = lams[~hc_rows] ** 2 + params.q2_over_4
-        h = _auto_step(math.sqrt(nu.max()), float(np.max(s_far)), tol=_ODE_TOL)
-        out[np.ix_(~hc_rows, far)] = _ode_values(params, nu, s_far, h)
+    if not np.all(near):
+        s_far, lams_abs = s[~near], np.abs(lams)
+        mu_max = _hc_mu_for(params, lams_abs, float(np.min(s_far)))
+        out[:, ~near] = _hc_matrix(params, lams_abs, s_far,
+                                   _gamma_matrix(params, lams_abs, mu_max))
     return _bound_checked(out, lams, s)
 
 

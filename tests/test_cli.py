@@ -128,6 +128,10 @@ def test_config_error_exit_code(tmp_path, out_root):
     ["maximal", "--spectrum", "bump:2,8", "--lambda-max", "1", "--lambda-points", "64"],
     ["maximal", "--t-points", "0"],
     ["maximal", "--t-points", "1"],
+    # a Gaussian spectrum of zero or negative width, a bump with lo >= hi
+    ["propagate", "--spectrum", "gaussian:4,0"],
+    ["propagate", "--spectrum", "gaussian:4,-1"],
+    ["propagate", "--spectrum", "bump:3,3"],
 ])
 def test_malformed_input_is_a_usage_error(tmp_path, out_root, capsys, argv):
     cfg = tmp_path / "bad.cfg"

@@ -106,3 +106,27 @@ def test_dispatcher_strip_matches_hypergeometric(space21):
     ref, amp = _hyp_grid(space21, [300.0], s)
     got = np.array([phi(space21, 300.0, x) for x in s])
     assert np.max(np.abs(got - ref[0]) / amp[0]) <= 1e-7
+
+
+_SERIES_LAMS = [0.0, 1e-8, 1e-4, 0.1, 0.5, 0.99, 3.0]
+_SERIES_S = np.array([2.0, 2.5, 3.0, 4.0, 6.0, 12.0])
+
+
+@pytest.mark.parametrize("m_v,m_z", [(2, 0), (2, 1), (4, 3), (4, 7), (6, 2), (8, 1), (16, 7)])
+def test_series_zone_matches_hypergeometric(m_v, m_z):
+    # s >= 2: the exponential series at every lambda, lambda = 0 and
+    # lambda -> 0 included, by phi_matrix() and by phi() cell by cell
+    params = new_space(m_v, m_z)
+    ref, amp = _hyp_grid(params, _SERIES_LAMS, _SERIES_S)
+    tol = np.full(ref.shape, 1e-12)
+    if (m_v, m_z) == (16, 7):
+        # below lambda = 1 the series' large terms round near s = 2.  One
+        # RK4 pass, the route these cells took before the series, read
+        # 1.50e-9 to 2.46e-9 on them (1.85e-9 to 1.95e-9 at s = 2)
+        low = np.array(_SERIES_LAMS) < 1.0
+        tol[low] = 1e-9
+        tol[low, _SERIES_S < 2.2] = 3.9e-9
+    got = phi_matrix(params, np.array(_SERIES_LAMS), _SERIES_S)
+    assert np.all(np.abs(got - ref) <= tol * amp)
+    one = np.array([[phi(params, lam, x) for x in _SERIES_S] for lam in _SERIES_LAMS])
+    assert np.all(np.abs(one - ref) <= tol * amp)

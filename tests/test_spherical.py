@@ -3,7 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drwave import spherical
@@ -22,7 +22,8 @@ from drwave.spherical import (
     _bessel_matrix,
     _bessel_table,
     _bessel_values,
-    _hc_auto,
+    _gamma_matrix,
+    _hc_matrix,
     _hc_mu_for,
     _kernel_orders,
     _ode_refined,
@@ -35,7 +36,6 @@ from drwave.spherical import (
     omega_coeffs,
     phi,
     phi_bessel,
-    phi_hc,
     phi_matrix,
     phi_ode_oracle,
     phi_with_method,
@@ -100,9 +100,9 @@ def _phi_h3(lam, s):
 
 
 def test_phi_matrix_exact_on_h3(space20):
-    # all three routes: Bessel (s < 2), exponential series (s >= 2,
-    # lambda >= 1) and RK4 (s >= 2, lambda < 1); s descends, so the RK4
-    # route must put each value back in its column
+    # both routes: Bessel (s < 2) and the exponential series (s >= 2),
+    # lambda = 0 included; s descends, so each route must put its values
+    # back in their columns
     lams = np.array([0.0, 0.5, 2.0, 10.0, 50.0])
     s = np.linspace(6.0, 0.0, 241)
     mat = phi_matrix(space20, lams, s)
@@ -125,7 +125,7 @@ def test_ode_refined_exact_on_h3(space20):
 
 @pytest.mark.parametrize("lam,s,method", [
     (2.0, 0.3, "bessel"), (40.0, 0.7, "bessel"),
-    (2.0, 1.2, "bessel"), (0.5, 4.0, "ode"), (30.0, 1.9, "bessel"),
+    (2.0, 1.2, "bessel"), (0.5, 4.0, "hc"), (30.0, 1.9, "bessel"),
     (2.0, 3.0, "hc"), (25.0, 6.0, "hc"),
 ])
 def test_dispatcher_exact_on_h3(space20, lam, s, method):
@@ -293,29 +293,24 @@ def test_gamma_at_negative_lambda_is_conjugate(space21):
         assert np.array_equal(gamma_coeffs(space21, -lam, 40), np.conj(g))
 
 
+def _series(params, lam: float, s: np.ndarray, mu_max: int | None = None) -> np.ndarray:
+    """The exponential series at one lambda, as phi_matrix runs it beyond s = 2."""
+    lams = np.array([abs(lam)])
+    if mu_max is None:
+        mu_max = _hc_mu_for(params, lams, float(np.min(s)))
+    return _hc_matrix(params, lams, s, _gamma_matrix(params, lams, mu_max))[0]
+
+
 def test_phi_hc_vs_ode(space21):
-    got = phi_hc(space21, 3.0, 2.0, mu_max=40).value
+    got = phi_matrix(space21, np.array([3.0]), np.array([2.0]))[0, 0]
     ref = _ode_refined(space21, 3.0, np.array([2.0]))[0]
-    assert abs(got.real - ref) <= 1e-6 * abs(ref)
-    assert abs(got.imag) <= 1e-8 * abs(got)
+    assert abs(got - ref) <= 1e-6 * abs(ref)
 
 
 def test_phi_hc_vs_bessel_overlap(space21):
-    hc = phi_hc(space21, 3.0, 1.5, mu_max=60, s_min=0.75).value.real
+    hc = _series(space21, 3.0, np.array([1.5]), mu_max=60)[0]
     bes = phi_bessel(space21, 3.0, 1.5, m=12).value
     assert abs(hc - bes) <= 1e-5 * max(abs(hc), 1e-3)
-
-
-def test_phi_hc_domain(space21):
-    with pytest.raises(DomainError):
-        phi_hc(space21, 3.0, 0.5)
-    with pytest.raises(DomainError):
-        phi_hc(space21, 0.0, 2.0)
-
-
-def test_phi_hc_convergence_warning(space21):
-    with pytest.warns(RuntimeWarning):
-        phi_hc(space21, 1.0, 0.8, mu_max=3)
 
 
 def test_hc_pointwise_decay_bound(space21):
@@ -453,17 +448,33 @@ def test_phi_methods(space21):
     assert phi_with_method(space21, 2.0, 0.3)[1] == "bessel"
     assert phi_with_method(space21, 2.0, 3.0)[1] == "hc"
     assert phi_with_method(space21, 2.0, 1.2)[1] == "bessel"
-    assert phi_with_method(space21, 0.5, 4.0)[1] == "ode"
+    assert phi_with_method(space21, 0.5, 4.0)[1] == "hc"
 
 
 def test_phi_boundary_continuity(space21):
-    # s = 2: Bessel against the exponential series for lambda >= 1, and
-    # against RK4 for lambda = 0.5
+    # s = 2: Bessel against the exponential series at every lambda
     for lam in (0.5, 1.0, 5.0, 25.0):
         left, left_method = phi_with_method(space21, lam, 2.0 - 1e-9)
         right, right_method = phi_with_method(space21, lam, 2.0 + 1e-9)
-        assert (left_method, right_method) == ("bessel", "ode" if lam < 1.0 else "hc")
+        assert (left_method, right_method) == ("bessel", "hc")
         assert abs(left - right) < 1e-6
+
+
+def test_phi_never_reaches_rk4(space43, monkeypatch):
+    # RK4 is only the oracle: phi_matrix and phi() run without it on a grid
+    # that crosses s = 2, at lambda = 0, lambda -> 0 and negative lambda
+    lams = np.array([0.0, 1e-8, -0.5, 0.5, -3.0])
+    s = np.array([0.0, 0.3, 1.9, 2.0, 2.5, 7.0])
+    ref = np.array([_ode_refined(space43, lam, s) for lam in lams])
+
+    def no_rk4(*args, **kwargs):
+        raise AssertionError("RK4 reached from phi")
+
+    monkeypatch.setattr(spherical, "_ode_values", no_rk4)
+    got = phi_matrix(space43, lams, s)
+    one = np.array([[phi(space43, lam, x) for x in s] for lam in lams])
+    assert np.max(np.abs(got - ref)) <= 1e-8
+    assert np.max(np.abs(one - ref)) <= 1e-8
 
 
 def test_phi_matches_ode_mid_regime(space43):
@@ -490,6 +501,9 @@ def test_phi_bound_sweep(space21, rng):
 def test_phi_rejects_negative_s(space21):
     with pytest.raises(DomainError):
         phi(space21, 1.0, -0.1)
+    for lam in (math.inf, math.nan):          # and a lambda that is not finite
+        with pytest.raises(DomainError):
+            phi_matrix(space21, np.array([1.0, lam]), np.array([1.0, 3.0]))
 
 
 def test_three_way_agreement_overlap(space21):
@@ -498,7 +512,7 @@ def test_three_way_agreement_overlap(space21):
     for lam in (1.5, 3.0, 8.0):
         ode = _ode_refined(space21, lam, s)
         bes = _bessel_values(space21, lam, s)
-        hc = _hc_auto(space21, lam, s)
+        hc = _series(space21, lam, s)
         scale = np.maximum(np.abs(ode), 1e-2)
         assert np.max(np.abs(bes - ode) / scale) < 1e-5
         assert np.max(np.abs(hc - ode) / scale) < 1e-5
@@ -512,8 +526,9 @@ def test_three_way_agreement_overlap(space21):
     lam=st.floats(0.0, 200.0),
     s=st.lists(st.floats(0.0, 6.0), min_size=1, max_size=4),
 )
+@example(m_v=2, m_z=0, lam=5.723467190405921e-291, s=[2.0])   # lambda^2 underflows
 def test_phi_matrix_even_and_bounded(m_v, m_z, lam, s):
-    # s crosses the route boundary at 2 and lambda the one at 1
+    # s crosses the route boundary at 2
     params = new_space(m_v, m_z)
     plus = phi_matrix(params, np.array([lam]), np.array(s))
     minus = phi_matrix(params, np.array([-lam]), np.array(s))
