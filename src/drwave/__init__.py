@@ -40,9 +40,7 @@ from .special import (
     script_j,
 )
 from .spherical import (
-    gamma_coeffs,
     phi,
-    phi_bessel,
     phi_matrix,
     phi_ode_oracle,
 )
@@ -75,7 +73,6 @@ __all__ = [
     "dyadic_sum_check",
     "euclidean_correspondence",
     "euclidean_correspondence_inverse",
-    "gamma_coeffs",
     "implied_p_bound",
     "inversion_constant",
     "littlewood_paley_split",
@@ -85,7 +82,6 @@ __all__ = [
     "phase",
     "phase_derivs",
     "phi",
-    "phi_bessel",
     "phi_matrix",
     "phi_ode_oracle",
     "plancherel_density",

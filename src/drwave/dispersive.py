@@ -258,17 +258,25 @@ class PropagatorKernel:
 
     Built once, then applied for many times t: the t-dependence is only
     the unimodular multiplier e^(i t psi(lambda)) at the lambda nodes.
+    Raises ResolutionError unless the spectral grid of fh resolves that
+    multiplier's phase up to t_max (at most pi/8 per grid step).
     """
 
     def __init__(self, params: SpaceParams, fh: SpectralProfile, kind: PhaseKind,
                  s_grid, t_max: float = 1.0):
+        lam_hi = (fh.support_hint[1] if fh.support_hint is not None
+                  else float(fh.lambda_grid[-1]))
+        dpsi = abs(phase_derivs(kind, params, max(lam_hi, 1e-3))[0])
+        step = fh.spacing
+        if t_max * dpsi * step > math.pi / 8.0:
+            raise ResolutionError(
+                f"spectral grid step {step:.3g} does not resolve the multiplier "
+                f"phase: |t| psi' dlambda = {t_max * dpsi * step:.3g} > pi/8"
+            )
         self.params = params
         self.kind = kind
         self.s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
         s_rate = float(np.max(self.s_grid))
-        lam_hi = (fh.support_hint[1] if fh.support_hint is not None
-                  else float(fh.lambda_grid[-1]))
-        dpsi = abs(phase_derivs(kind, params, max(lam_hi, 1e-3))[0])
         nodes, weights = spectral_quadrature_nodes(fh, s_rate, t_max * dpsi)
         self.nodes = nodes
         weight = weights * plancherel_density(params, nodes) * inversion_constant(params)
@@ -285,19 +293,6 @@ class PropagatorKernel:
         return self.kernel_t @ (amp * mult)
 
 
-def _check_fh_phase_resolution(params: SpaceParams, fh: SpectralProfile,
-                               kind: PhaseKind, t: float) -> None:
-    lam_hi = (fh.support_hint[1] if fh.support_hint is not None
-              else float(fh.lambda_grid[-1]))
-    dpsi = abs(phase_derivs(kind, params, max(lam_hi, 1e-3))[0])
-    step = fh.spacing
-    if abs(t) * dpsi * step > math.pi / 8.0:
-        raise ResolutionError(
-            f"spectral grid step {step:.3g} does not resolve the multiplier "
-            f"phase: |t| psi' dlambda = {abs(t) * dpsi * step:.3g} > pi/8"
-        )
-
-
 def propagate(params: SpaceParams, fh: SpectralProfile, kind: PhaseKind,
               t: float, s_grid) -> RadialProfile:
     """Solution profile S_t f(s) = C int phi_lambda(s) e^(i t psi) fh |c|^-2 dlambda.
@@ -305,7 +300,6 @@ def propagate(params: SpaceParams, fh: SpectralProfile, kind: PhaseKind,
     At t = 0 this is exactly the inverse transform.  The spectral grid of
     fh must resolve the multiplier phase (increments <= pi/8 per step).
     """
-    _check_fh_phase_resolution(params, fh, kind, t)
     kern = PropagatorKernel(params, fh, kind, s_grid, t_max=abs(t))
     return RadialProfile(kern.s_grid, kern.apply(t))
 
@@ -355,7 +349,6 @@ def maximal_function(params: SpaceParams, fh: SpectralProfile, kind: PhaseKind,
         raise ResolutionError(
             f"t grid too coarse: dt*psi(lam_max) = {dt_max * psi_max:.3g} > pi/4"
         )
-    _check_fh_phase_resolution(params, fh, kind, float(t_grid[-1]))
     kern = PropagatorKernel(params, fh, kind, s_grid, t_max=float(t_grid[-1]))
     best = np.zeros(kern.s_grid.size)
     for a in range(0, t_grid.size, _T_BLOCK):

@@ -24,7 +24,7 @@ from .errors import ResolutionError, ValidationError
 from .profiles import SpectralProfile
 from .quadrature import panel_rule
 from .space import SpaceParams
-from .spherical import _bessel_matrix
+from .spherical import phi_matrix
 from .special import plancherel_density
 from .transform import sft_inverse, sobolev_norm
 
@@ -139,7 +139,7 @@ def _case1_linearized_min(params: SpaceParams, kind: PhaseKind, a: float,
     t_of_s = s_grid / (a * n_freq ** (a - 1.0))
     psi = phase(kind, params, lam)
     c_inv = np.sqrt(plancherel_density(params, lam))
-    kernel = _bessel_matrix(params, lam, s_grid)           # (n_xi, n_s)
+    kernel = phi_matrix(params, lam, s_grid)               # (n_xi, n_s)
     mult = np.exp(1j * np.outer(t_of_s, psi))              # (n_s, n_xi)
     vals = (mult * kernel.T) @ (w * bump_unit(xi) * c_inv)
     return float(np.min(np.abs(vals)))

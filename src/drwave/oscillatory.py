@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bumps import bump_unit, eta_dyadic
-from .dispersive import PhaseKind, phase_derivs
+from .dispersive import PhaseKind, phase_derivs, verify_phase_asymptotics
 from .errors import DomainError, ResolutionError, ValidationError
 from .quadrature import panel_rule, panel_rules
 from .space import SpaceParams
@@ -319,13 +319,12 @@ def window_integral(kind: PhaseKind, params: SpaceParams, k: int,
 def proof_constants(kind: PhaseKind, params: SpaceParams) -> dict:
     """The constructive constants C1, C4, C5, C6 of the summation argument.
 
-    C1 bounds |psi'| / lambda^(delta2-1) on [1, inf) (measured on a log
-    sweep), C4 = max lambda^(delta2-1) on [1/2, 2], then
-    C5 = 1/(2 max(C1 C4, 2)) and C6 = C5^(1/(delta2-1)).
+    C1 bounds |psi'| / lambda^(delta2-1) on [1, inf): the sup_high of
+    verify_phase_asymptotics' log sweep on [1, 1e4].  C4 = max
+    lambda^(delta2-1) on [1/2, 2], then C5 = 1/(2 max(C1 C4, 2)) and
+    C6 = C5^(1/(delta2-1)).
     """
-    lam = np.logspace(0.0, 4.0, 400)
-    d1, _ = phase_derivs(kind, params, lam)
-    c1 = float(np.max(np.abs(d1) / lam ** (kind.delta2 - 1.0)))
+    c1 = verify_phase_asymptotics(kind, params).sup_high
     c4 = float(max(0.5 ** (kind.delta2 - 1.0), 2.0 ** (kind.delta2 - 1.0)))
     c5 = 1.0 / (2.0 * max(c1 * c4, 2.0))
     c6 = c5 ** (1.0 / (kind.delta2 - 1.0))

@@ -9,11 +9,11 @@ evaluated by
 * a Bessel-kernel series for s < 2, whose coefficients a_l(s) are
   polynomials in s^2 that follow exactly, once per space, from the
   Taylor series of the radial equation's potential by a triangular
-  recursion (_BesselCoeffs), with an error bound from the first omitted
-  orders; its kernels script_j of orders mu0..mu0+M come from the
-  downward order recurrence (Abramowitz & Stegun 9.1.27) started at
-  the top two orders, which take two Bessel calls per cell where
-  lambda s <= mu0+M+1 and, where lambda s exceeds every order, the
+  recursion (_BesselCoeffs) and summed to the fixed order M = 16; its
+  kernels script_j of orders mu0..mu0+16 come from the downward order
+  recurrence (Abramowitz & Stegun 9.1.27) started at the top two
+  orders, which take two Bessel calls per cell where
+  lambda s <= mu0+17 and, where lambda s exceeds every order, the
   upward recurrence from a cheap start pair at orders below 1; its
   cost per cell does not depend on lambda;
 * an exponential series for s >= 2 at every lambda, lambda = 0
@@ -22,37 +22,33 @@ evaluated by
   the Gamma_mu recursion whose omega_k coefficients come from expanding
   the Liouville potential of the radial equation in powers of e^(-s).
 
-phi() is phi_matrix() on one cell, so both take the same route by s
-alone and both enforce the global bound |phi| <= 1.  A fixed-step RK4
-integration of the radial equation from a 30-term Taylor start
-(phi_ode_oracle, _ode_refined) is the independent check on both series
-and is on no production path; each step is applied as a precomputed
-transfer matrix, quadratic in lambda^2 + Q^2/4, to a whole block of
-frequencies at once.
+phi_matrix() is the one way into both series, and phi() is phi_matrix()
+on one cell, so both take the same route by s alone and both enforce
+the global bound |phi| <= 1.  A fixed-step RK4 integration of the
+radial equation from a 30-term Taylor start (phi_ode_oracle,
+_ode_refined) is the independent check on both series and is on no
+production path; each step is applied as a precomputed transfer
+matrix, quadratic in lambda^2 + Q^2/4, to a whole block of frequencies
+at once.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial
-from scipy.special import gammaln
 
-from .errors import DomainError, PhiBoundError, ResolutionError, StepSizeError, ValidationError
+from .errors import DomainError, PhiBoundError, ResolutionError, StepSizeError
 from .profiles import RadialProfile
 from .space import SpaceParams, density, log_density_derivative, log_density_taylor
 from .special import (_bessel_start_pair, _h_modulus_inv2, _h_phase, _h_phase_slope0,
                       _piecewise, script_j)
 
 __all__ = [
-    "BesselSeriesEval",
     "phi",
-    "phi_bessel",
     "phi_ode_oracle",
-    "gamma_coeffs",
     "omega_coeffs",
     "phi_matrix",
 ]
@@ -66,9 +62,8 @@ S_BESSEL_MAX = 0.75
 
 _TAYLOR_S0 = 1e-3
 _TAYLOR_TERMS = 30
-_BESSEL_M_DEFAULT = 12
-_BESSEL_FLOOR = 1e-12
-_HC_MU_DEFAULT = 40
+_BESSEL_M = 16          # the Bessel series sums orders 0..M
+_HC_MU_START = 40
 _HC_MU_CAP = 320
 _PHI_BOUND_TOL = 1e-9
 _ODE_TOL = 1e-8  # relative phase error of the RK4 step (_auto_step)
@@ -278,11 +273,10 @@ def omega_coeffs(params: SpaceParams, k_max: int) -> np.ndarray:
     alpha = 0.5 * (params.m_v + params.m_z)
     beta = 0.5 * params.m_z
     Q = float(params.Q)
-    c = np.array([alpha + (1 if k % 2 == 0 else -1) * beta for k in range(1, k_max + 1)])
-    omega = np.empty(k_max)
-    for k in range(1, k_max + 1):
-        conv = sum(c[j - 1] * c[k - j - 1] for j in range(1, k))
-        omega[k - 1] = (Q - k) * c[k - 1] + conv
+    k = np.arange(1, k_max + 1)
+    c = alpha + np.where(k % 2 == 0, beta, -beta)
+    omega = (Q - k) * c
+    omega[1:] += np.convolve(c, c)[:k_max - 1]     # sum_(j<k) c_j c_(k-j), exact in integers
     return omega
 
 
@@ -293,22 +287,6 @@ def liouville_potential(params: SpaceParams, s):
     p = log_density_derivative(params, s)
     pp = log_density_derivative_prime(params, s)
     return 0.25 * p * p + 0.5 * pp - params.q2_over_4
-
-
-def gamma_coeffs(params: SpaceParams, lam: float, mu_max: int) -> np.ndarray:
-    """Gamma_0..Gamma_mu_max of the exponential series at spectral value lam.
-
-    Gamma_0 = 1 and (mu^2 - 2 i mu lam) Gamma_mu = sum_{j<mu}
-    omega_{mu-j} Gamma_j.  The divisor has modulus mu*sqrt(mu^2+4 lam^2)
-    >= 1 for real lam != 0, so the forward recursion is stable.
-    """
-    if not math.isfinite(lam):
-        raise DomainError(f"gamma_coeffs requires a finite lambda, got {lam}")
-    if lam == 0:
-        raise DomainError("gamma_coeffs requires lambda != 0")
-    if mu_max < 1:
-        raise ValidationError("mu_max must be >= 1")
-    return _gamma_matrix(params, np.array([float(lam)]), mu_max)[0]
 
 
 def _gamma_matrix(params: SpaceParams, lams: np.ndarray, mu_max: int) -> np.ndarray:
@@ -381,12 +359,11 @@ def _hc_matrix(params: SpaceParams, lams: np.ndarray, s: np.ndarray,
     return 2.0 ** (1.0 - 0.5 * params.m_z) / np.sqrt(density(params, s)) * out
 
 
-def _hc_mu_for(params: SpaceParams, lams: np.ndarray, s_min: float,
-               mu_start: int = _HC_MU_DEFAULT) -> int:
+def _hc_mu_for(params: SpaceParams, lams: np.ndarray, s_min: float) -> int:
     """Truncation order with every lam's tail below 1e-12; raises
     ResolutionError when even mu_max = _HC_MU_CAP leaves it above.  The
     tail is largest at the smallest |lam|, which may be 0."""
-    mu_max = mu_start
+    mu_max = _HC_MU_START
     lam_probe = np.array([np.min(np.abs(lams))])
     while True:
         gam_tail = abs(_gamma_matrix(params, lam_probe, mu_max)[0, mu_max])
@@ -429,15 +406,6 @@ def _bessel_pref(params: SpaceParams, s):
             * np.cosh(0.5 * s) ** (-0.5 * params.m_z))
 
 
-@dataclass
-class BesselSeriesEval:
-    """Result of the truncated Bessel-series evaluation."""
-
-    value: float
-    truncation_order: int
-    error_bound: float
-
-
 class _BesselCoeffs:
     """Exact coefficients of the Bessel series, one set per space.
 
@@ -459,39 +427,37 @@ class _BesselCoeffs:
     where D = sum_k d_k s^(2k) comes from the g_k of A'/A
     (log_density_taylor):
     d_m = (n+2m)/2 g_(m+1) + 1/4 sum_(i+j=m+1) g_i g_j - [m = 0] Q^2/4.
-    Orders 0..m_tab are summed; order m_tab + 1 is kept for the error
-    bound of phi_bessel.
+    Orders 0..M = 16 are kept.
     """
 
-    def __init__(self, params: SpaceParams, m_tab: int):
+    def __init__(self, params: SpaceParams):
         g = log_density_taylor(params)          # g_1..g_41: D and every f_l to s^80
         n, big_j = params.n, g.size - 1
         k = np.arange(big_j + 1)
         d = 0.5 * (n + 2 * k) * g
         d[1:] += 0.25 * np.convolve(g, g)[:big_j]
         d[0] -= params.q2_over_4
-        self.m_tab = m_tab
         self.mu0 = (n - 2) / 2.0
-        e = np.zeros((m_tab + 2, big_j + 1))
+        e = np.zeros((_BESSEL_M + 1, big_j + 1))
         e[0, 0] = 1.0
         m = k[:-1]
-        for l in range(m_tab + 1):
+        for l in range(_BESSEL_M):
             r = (np.convolve(d, e[l])[:big_j]
                  - (2 * (m + 1) * (2 * m + n) - 2 * (self.mu0 + l) * (4 * m + 4 - 2 * l)) * e[l, 1:])
             j = np.arange(l + 1, big_j + 1)
             e[l + 1, l + 1:] = r[l:] / ((n - 1 + 2 * l) * (4 * j - 2 * l - 2))
         # a_l(s) = sum_i e_(l+i)^(l) s^(2i): row l shifted left by l
         self.a_coeffs = np.zeros_like(e)
-        for l in range(m_tab + 2):
+        for l in range(_BESSEL_M + 1):
             self.a_coeffs[l, :big_j + 1 - l] = e[l, l:]
 
     def a_values(self, s: np.ndarray) -> np.ndarray:
-        """a_l(s) for l = 0..m_tab+1, shape (m_tab+2, n_s)."""
+        """a_l(s) for l = 0..16, shape (17, n_s)."""
         return polynomial.polyval(s * s, self.a_coeffs.T)
 
 
-def _upward_top_kernels(mu0: float, m: int, x: np.ndarray):
-    """script_j at orders mu0 + m and mu0 + m - 1, for x > mu0 + m + 1.
+def _upward_top_kernels(mu0: float, x: np.ndarray):
+    """script_j at orders mu0 + 16 and mu0 + 15, for x > mu0 + 17.
 
     Every order is below x there, so the upward recurrence
     J_(nu+1) = (2 nu / x) J_nu - J_(nu-1) is stable.  It runs on
@@ -500,7 +466,7 @@ def _upward_top_kernels(mu0: float, m: int, x: np.ndarray):
     which script_j's normalization turns into
     script_j(mu, x) = Gamma(mu + 1/2) (2/x)^(mu + 1/2) u_mu.
     """
-    top = mu0 + m
+    top = mu0 + _BESSEL_M
     nu0 = mu0 % 1.0
     u_lo, u_hi = _bessel_start_pair(nu0, x)
     for nu in np.arange(nu0, top):
@@ -509,11 +475,11 @@ def _upward_top_kernels(mu0: float, m: int, x: np.ndarray):
     return scale * u_hi, (scale * x / (2.0 * top - 1.0)) * u_lo
 
 
-def _kernel_orders(mu0: float, m: int, x: np.ndarray):
-    """Yield (l, script_j(mu0 + l, x)) for l = m, m-1, ..., 0.
+def _kernel_orders(mu0: float, x: np.ndarray):
+    """Yield (l, script_j(mu0 + l, x)) for l = 16, 15, ..., 0.
 
     The top two orders are chosen per cell from x: script_j where
-    x <= mu0 + m + 1, and the upward order recurrence from a start pair
+    x <= mu0 + 17, and the upward order recurrence from a start pair
     (_upward_top_kernels) beyond it.  Every lower order comes from the
     downward recurrence
 
@@ -526,16 +492,13 @@ def _kernel_orders(mu0: float, m: int, x: np.ndarray):
     where mu < x, so the sweep is stable at every x; at x = 0 it is the
     ratio of the series limits.  Two orders are held at a time.
     """
-    top = mu0 + m
-    if m == 0:      # the upward pair would reach order mu0 - 1, maybe negative
-        yield 0, script_j(top, x)
-        return
-    hi, lo = _piecewise(x, x > top + 1.0, lambda xs: _upward_top_kernels(mu0, m, xs),
+    top = mu0 + _BESSEL_M
+    hi, lo = _piecewise(x, x > top + 1.0, lambda xs: _upward_top_kernels(mu0, xs),
                         lambda xs: (script_j(top, xs), script_j(top - 1, xs)))
-    yield m, hi
-    yield m - 1, lo
+    yield _BESSEL_M, hi
+    yield _BESSEL_M - 1, lo
     x2 = x * x
-    for l in range(m - 1, 0, -1):
+    for l in range(_BESSEL_M - 1, 0, -1):
         mu = mu0 + l
         hi, lo = lo, (2.0 * mu * lo - x2 * hi / (2.0 * mu + 1.0)) / (2.0 * mu - 1.0)
         yield l - 1, lo
@@ -543,72 +506,35 @@ def _kernel_orders(mu0: float, m: int, x: np.ndarray):
 
 @functools.cache
 def _bessel_table(params: SpaceParams) -> _BesselCoeffs:
-    """The space's coefficients, built once up to order M = 16."""
-    return _BesselCoeffs(params, _BESSEL_M_DEFAULT + 4)
+    """The space's coefficients, built once."""
+    return _BesselCoeffs(params)
 
 
-def _bessel_matrix(params: SpaceParams, lams: np.ndarray, s: np.ndarray,
-                   m: int = _BESSEL_M_DEFAULT + 4) -> np.ndarray:
+def _bessel_matrix(params: SpaceParams, lams: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Bessel-series values on the grid product, shape (n_lam, n_s).
 
-    The sum over l of a_l(s) s^(2l) script_j(mu0 + l, lambda s) is
+    The sum over l <= 16 of a_l(s) s^(2l) script_j(mu0 + l, lambda s) is
     accumulated during one downward sweep of the kernel order
     (_kernel_orders: the top two orders by two Bessel calls per cell
-    where lambda s <= mu0 + m + 1 and by the upward recurrence from a
+    where lambda s <= mu0 + 17 and by the upward recurrence from a
     start pair beyond it, the A&S 9.1.27 recurrence below them),
     vectorized over the full (lambda, s) outer product; s = 0 columns
-    return exactly 1.
+    return exactly 1.  The series converges absolutely for s < 2 only;
+    phi_matrix() is its one caller and sends it no other column.
     """
     tab = _bessel_table(params)
-    if m > tab.m_tab:
-        raise DomainError(f"truncation order {m} above the coefficient table ({tab.m_tab})")
     lams = np.abs(np.atleast_1d(np.asarray(lams, dtype=float)))
     s = np.atleast_1d(np.asarray(s, dtype=float))
     pos = s > 0
     sp = s[pos]
-    a = tab.a_values(sp)                                    # (m_tab+1, n_sp)
+    a = tab.a_values(sp)                                    # (17, n_sp)
     x = np.outer(lams, sp)                                  # (n_lam, n_sp)
     total = np.zeros((lams.size, sp.size))
-    for l, kernel in _kernel_orders(tab.mu0, m, x):
+    for l, kernel in _kernel_orders(tab.mu0, x):
         total += (a[l] * sp ** (2 * l)) * kernel
     out = np.ones((lams.size, s.size))
     out[:, pos] = _bessel_pref(params, sp) * total
     return out
-
-
-def _bessel_values(params: SpaceParams, lam: float, s: np.ndarray,
-                   m: int = _BESSEL_M_DEFAULT + 4) -> np.ndarray:
-    """Series values for a single lambda over an s array, by default at
-    the full coefficient table (M = 16), as phi_matrix() uses."""
-    return _bessel_matrix(params, np.array([abs(float(lam))]), s, m)[0]
-
-
-def phi_bessel(params: SpaceParams, lam: float, s: float, m: int = _BESSEL_M_DEFAULT,
-               s_max: float = 2.0) -> BesselSeriesEval:
-    """phi_lambda(s) by the Bessel-kernel series, for s in [0, s_max].
-
-    The working radius defaults to 2, below which the series converges
-    absolutely; phi() and phi_matrix() take it for every s < 2 at M = 16
-    (_bessel_matrix).  The error bound is the omitted orders up to
-    M = 17 at their largest kernel value,
-    c0 (s^(n-1)/A)^(1/2) sum_(m<l<=17) |f_l(s)| S_(mu_l)(0) with
-    |S_mu(x)| <= S_mu(0) = sqrt(pi) Gamma(mu+1/2)/Gamma(mu+1), plus a
-    floor of 1e-12 for the evaluation in double precision.  M may not
-    exceed 16, the order of the coefficient table.
-    """
-    if m < 0:
-        raise ValidationError("M must be >= 0")
-    if not 0.0 <= s <= s_max:
-        raise DomainError(f"phi_bessel requires 0 <= s <= {s_max}, got {s}")
-    if s == 0.0:
-        return BesselSeriesEval(value=1.0, truncation_order=m, error_bound=0.0)
-    val = float(_bessel_values(params, lam, np.array([s]), m)[0])
-    tab = _bessel_table(params)
-    l = np.arange(m + 1, tab.m_tab + 2)
-    f = tab.a_values(np.array([s]))[l, 0] * s ** (2 * l)
-    kernel_max = math.sqrt(math.pi) * np.exp(gammaln(tab.mu0 + l + 0.5) - gammaln(tab.mu0 + l + 1.0))
-    bound = _bessel_pref(params, s) * float(np.sum(np.abs(f) * kernel_max)) + _BESSEL_FLOOR
-    return BesselSeriesEval(value=val, truncation_order=m, error_bound=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -640,15 +566,15 @@ def phi_matrix(params: SpaceParams, lams, s) -> np.ndarray:
         raise DomainError("phi_matrix requires s >= 0")
     if not np.all(np.isfinite(lams)):
         raise DomainError("phi_matrix requires finite lambda")
-    out = np.empty((lams.size, s.size))
     near = s < S_HC_MIN
+    if np.all(near):
+        return _bound_checked(_bessel_matrix(params, lams, s), lams, s)
+    out = np.empty((lams.size, s.size))
     if np.any(near):
         out[:, near] = _bessel_matrix(params, lams, s[near])
-    if not np.all(near):
-        s_far, lams_abs = s[~near], np.abs(lams)
-        mu_max = _hc_mu_for(params, lams_abs, float(np.min(s_far)))
-        out[:, ~near] = _hc_matrix(params, lams_abs, s_far,
-                                   _gamma_matrix(params, lams_abs, mu_max))
+    s_far, lams_abs = s[~near], np.abs(lams)
+    mu_max = _hc_mu_for(params, lams_abs, float(np.min(s_far)))
+    out[:, ~near] = _hc_matrix(params, lams_abs, s_far, _gamma_matrix(params, lams_abs, mu_max))
     return _bound_checked(out, lams, s)
 
 

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from drwave import experiments
 from drwave.bumps import bump_12
 from drwave.dispersive import PhaseKind
 from drwave.errors import ValidationError
 from drwave.experiments import (
+    _case1_linearized_min,
     case1_family,
     case1_run,
     case2_family,
@@ -16,6 +18,7 @@ from drwave.experiments import (
     transference_check,
 )
 from drwave.special import plancherel_density
+from drwave.spherical import _ODE_TOL, _auto_step, _ode_values
 from drwave.transform import euclidean_correspondence, sobolev_norm
 
 CASE1_N = [64, 128, 256, 512, 1024]
@@ -70,6 +73,26 @@ def test_case1_run_pre_asymptotic_flag(space21):
     rep = case1_run(space21, 1.5, [0.1], [16, 23, 32, 45, 64])
     assert rep.verdict == "no-verdict"
     assert ("pre_asymptotic_regime", 1.0) in rep.scalars
+
+
+def _rk4_kernel(params, lams, s):
+    """phi on the grid product by the RK4 oracle: one block of frequencies
+    at two step sizes, Richardson-extrapolated."""
+    nu = np.asarray(lams, dtype=float) ** 2 + params.q2_over_4
+    h = _auto_step(math.sqrt(float(np.max(nu))), float(np.max(s)), tol=_ODE_TOL)
+    v1 = _ode_values(params, nu, s, h)
+    v2 = _ode_values(params, nu, s, h / 2.0)
+    return (16.0 * v2 - v1) / 15.0
+
+
+def test_case1_linearized_min_beyond_s2_matches_rk4_kernel(space21, monkeypatch):
+    # epsilon = 2 puts every s in [2, 4], where the Bessel series no longer
+    # converges; the case-1 minimum must read the same from the RK4 oracle
+    kind = PhaseKind("frac", shifted=False, a=2.0)
+    got = _case1_linearized_min(space21, kind, 2.0, 64, 2.0)
+    monkeypatch.setattr(experiments, "phi_matrix", _rk4_kernel)
+    ref = _case1_linearized_min(space21, kind, 2.0, 64, 2.0)
+    assert abs(got - ref) <= 1e-6 * abs(ref)
 
 
 def test_case1_run_validation(space21):

@@ -12,7 +12,6 @@ from drwave.errors import (
     PhiBoundError,
     ResolutionError,
     StepSizeError,
-    ValidationError,
 )
 from drwave.space import density, log_density_derivative, new_space
 from drwave.special import script_j
@@ -21,7 +20,6 @@ from drwave.spherical import (
     _auto_step,
     _bessel_matrix,
     _bessel_table,
-    _bessel_values,
     _gamma_matrix,
     _hc_matrix,
     _hc_mu_for,
@@ -31,11 +29,9 @@ from drwave.spherical import (
     _taylor_coeffs,
     _transfer_coeffs,
     c0_constant,
-    gamma_coeffs,
     liouville_potential,
     omega_coeffs,
     phi,
-    phi_bessel,
     phi_matrix,
     phi_ode_oracle,
     phi_with_method,
@@ -235,14 +231,23 @@ def test_omega_matches_liouville_potential(all_spaces):
             assert series == pytest.approx(liouville_potential(p, s), abs=1e-12)
 
 
+def test_omega_convolution_equals_the_double_loop(all_spaces):
+    # every c_k is an integer, so the convolution is exact in any order
+    for p in all_spaces:
+        alpha, beta, Q = 0.5 * (p.m_v + p.m_z), 0.5 * p.m_z, float(p.Q)
+        c = [alpha + (1 if k % 2 == 0 else -1) * beta for k in range(1, 81)]
+        ref = [(Q - k) * c[k - 1] + sum(c[j - 1] * c[k - j - 1] for j in range(1, k))
+               for k in range(1, 81)]
+        assert np.array_equal(omega_coeffs(p, 80), ref)
+
+
 def test_omega_vanishes_for_real_hyperbolic():
     p = new_space(2, 0)
     assert np.max(np.abs(omega_coeffs(p, 40))) == 0.0
 
 
 def test_gamma_zeroth_is_one(space21):
-    for lam in (0.5, 5.0, 80.0):
-        assert gamma_coeffs(space21, lam, 5)[0] == 1.0
+    assert np.all(_gamma_matrix(space21, np.array([0.5, 5.0, 80.0]), 5)[:, 0] == 1.0)
 
 
 def test_gamma_first_hand_recursion(space21):
@@ -250,7 +255,7 @@ def test_gamma_first_hand_recursion(space21):
     lam = 5.0
     om1 = omega_coeffs(space21, 1)[0]
     expected = om1 / (1.0 - 2j * lam)
-    assert gamma_coeffs(space21, lam, 1)[1] == pytest.approx(expected, rel=1e-14)
+    assert _gamma_matrix(space21, np.array([lam]), 1)[0, 1] == pytest.approx(expected, rel=1e-14)
 
 
 def test_gamma_coefficient_decay(space21):
@@ -260,7 +265,7 @@ def test_gamma_coefficient_decay(space21):
     best_d, best_c = 0.0, math.inf
     samples = []
     for lam in np.geomspace(1.0, 100.0, 12):
-        gam = np.abs(gamma_coeffs(space21, float(lam), 60)[1:]) * (1.0 + lam)
+        gam = np.abs(_gamma_matrix(space21, np.array([lam]), 60)[0, 1:]) * (1.0 + lam)
         samples.append(gam)
     samples = np.array(samples)
     # envelope regression of log max-over-lam against log mu
@@ -272,25 +277,12 @@ def test_gamma_coefficient_decay(space21):
     assert np.max(ratios) < 100.0
 
 
-def test_gamma_requires_nonzero_lambda(space21):
-    with pytest.raises(DomainError):
-        gamma_coeffs(space21, 0.0, 10)
-    with pytest.raises(ValidationError):
-        gamma_coeffs(space21, 1.0, 0)
-
-
-@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
-def test_gamma_requires_finite_lambda(space21, lam):
-    with pytest.raises(DomainError):
-        gamma_coeffs(space21, lam, 10)
-
-
 def test_gamma_at_negative_lambda_is_conjugate(space21):
     # omega is real, so the exponential series takes Gamma_mu(-lam) as
     # the conjugate of Gamma_mu(lam)
-    for lam in (0.3, 2.0, 17.0):
-        g = gamma_coeffs(space21, lam, 40)
-        assert np.array_equal(gamma_coeffs(space21, -lam, 40), np.conj(g))
+    lams = np.array([0.3, 2.0, 17.0])
+    g = _gamma_matrix(space21, lams, 40)
+    assert np.array_equal(_gamma_matrix(space21, -lams, 40), np.conj(g))
 
 
 def _series(params, lam: float, s: np.ndarray, mu_max: int | None = None) -> np.ndarray:
@@ -309,7 +301,7 @@ def test_phi_hc_vs_ode(space21):
 
 def test_phi_hc_vs_bessel_overlap(space21):
     hc = _series(space21, 3.0, np.array([1.5]), mu_max=60)[0]
-    bes = phi_bessel(space21, 3.0, 1.5, m=12).value
+    bes = _bessel_matrix(space21, np.array([3.0]), np.array([1.5]))[0, 0]
     assert abs(hc - bes) <= 1e-5 * max(abs(hc), 1e-3)
 
 
@@ -329,40 +321,18 @@ def test_hc_pointwise_decay_bound(space21):
 # ---------------------------------------------------------------------------
 
 def test_phi_bessel_at_zero(space43):
-    ev = phi_bessel(space43, 7.3, 0.0)
-    assert ev.value == 1.0 and ev.error_bound == 0.0
+    assert _bessel_matrix(space43, np.array([7.3]), np.array([0.0]))[0, 0] == 1.0
 
 
 def test_phi_bessel_vs_ode(space21):
-    ev = phi_bessel(space21, 2.0, 0.5, m=10)
+    val = phi(space21, 2.0, 0.5)
     ref = _ode_refined(space21, 2.0, np.array([0.5]))[0]
-    assert abs(ev.value - ref) <= 1e-6 * abs(ref)
+    assert abs(val - ref) <= 1e-6 * abs(ref)
 
 
 def test_phi_bessel_bound_high_frequency(space21):
-    ev = phi_bessel(space21, 20.0, 1.0, m=12)
-    assert abs(ev.value) <= 1.0 + 1e-9
-
-
-def test_phi_bessel_domain(space21):
-    with pytest.raises(DomainError):
-        phi_bessel(space21, 1.0, 2.5)
-    with pytest.raises(ValidationError):
-        phi_bessel(space21, 1.0, 0.5, m=-1)
-    # the table is fitted once, at M = 16; a higher order is out of range
-    with pytest.raises(DomainError):
-        phi_bessel(space21, 1.0, 0.5, m=17)
-
-
-def test_phi_bessel_error_bound_is_true_bound(space21, rng):
-    # two-regime bound against the refined ODE, lambda s on both sides of 1
-    for _ in range(12):
-        lam = float(rng.uniform(0.4, 30.0))
-        s = float(rng.uniform(0.05, 1.8))
-        m = int(rng.integers(0, 13))
-        ev = phi_bessel(space21, lam, s, m=m)
-        ref = _ode_refined(space21, lam, np.array([s]))[0]
-        assert abs(ev.value - ref) <= ev.error_bound
+    val = _bessel_matrix(space21, np.array([20.0]), np.array([1.0]))[0, 0]
+    assert abs(val) <= 1.0 + 1e-9
 
 
 def test_c0_constant_real_hyperbolic():
@@ -371,16 +341,31 @@ def test_c0_constant_real_hyperbolic():
     assert c0_constant(p) == pytest.approx(0.5, rel=1e-13)
 
 
+class _WeightedTable:
+    """A space's coefficient table with each order l's a_l scaled by weight[l]."""
+
+    def __init__(self, tab, weight):
+        self.mu0 = tab.mu0
+        self._tab, self._weight = tab, np.asarray(weight, dtype=float)
+
+    def a_values(self, s):
+        return self._weight[:, None] * self._tab.a_values(s)
+
+
 @pytest.mark.parametrize("m", [0, 1, 2, 16])
 @pytest.mark.parametrize("m_v,m_z", [(2, 0), (2, 1), (4, 3), (6, 2)])
-def test_bessel_matrix_matches_per_order_sum(m_v, m_z, m):
+def test_bessel_matrix_matches_per_order_sum(m_v, m_z, m, monkeypatch):
     # the order recurrence against one script_j call per order, over
-    # x = lambda s from 0 through x < 0.1 and x ~ mu up to x = 1e5
+    # x = lambda s from 0 through x < 0.1 and x ~ mu up to x = 1e5; a table
+    # cut after order m < 16 isolates the sweep's lowest orders, which the
+    # downward recurrence reaches last
     params = new_space(m_v, m_z)
     tab = _bessel_table(params)
     lams = np.array([0.0, 0.5, 9.0, 30.0, 1.4e5])
     s = np.array([0.0, 1e-3, 0.05, 0.2, 0.4, 0.75])
-    got = _bessel_matrix(params, lams, s, m)
+    cut = _WeightedTable(tab, np.arange(17) <= m)
+    monkeypatch.setattr(spherical, "_bessel_table", lambda p: cut)
+    got = _bessel_matrix(params, lams, s)
     assert np.all(got[:, 0] == 1.0)
     sp = s[1:]
     a = tab.a_values(sp)
@@ -401,7 +386,7 @@ def test_kernel_orders_upward_path_matches_mpmath(mu0):
     x = np.concatenate([mu0 + m + 1.0 + np.array([1e-9, 1e-3, 0.5, 3.0]),
                         [60.0, 999.0, 999.999, 1000.0, 1000.5, 3e4, 1.3e5, 2e5]])
     with mp.workdps(30):
-        for l, kernel in _kernel_orders(mu0, m, x):
+        for l, kernel in _kernel_orders(mu0, x):
             mu = mp.mpf(mu0 + l)
             for xi, got in zip(x, kernel):
                 xm = mp.mpf(float(xi))
@@ -413,14 +398,17 @@ def test_kernel_orders_upward_path_matches_mpmath(mu0):
 
 @pytest.mark.parametrize("m", [1, 16])
 @pytest.mark.parametrize("m_v,m_z", [(2, 0), (2, 1), (4, 3), (16, 7)])
-def test_bessel_matrix_per_order_sum_across_upward_switch(m_v, m_z, m):
-    # one call whose cells lie on both sides of x = mu0 + m + 1, against
-    # one script_j call per order
+def test_bessel_matrix_per_order_sum_across_upward_switch(m_v, m_z, m, monkeypatch):
+    # one call whose cells lie on both sides of x = mu0 + 17, against
+    # one script_j call per order; a table cut after order m = 1 checks the
+    # two lowest orders alone on both sides
     params = new_space(m_v, m_z)
     tab = _bessel_table(params)
     s = np.array([0.1, 0.5, 0.75, 1.3, 1.9])
-    lams = (tab.mu0 + m + 1.0) / 0.5 * np.array([0.9, 0.999, 1.001, 1.1, 4.0, 3e3])
-    got = _bessel_matrix(params, lams, s, m)
+    lams = (tab.mu0 + 17.0) / 0.5 * np.array([0.9, 0.999, 1.001, 1.1, 4.0, 3e3])
+    cut = _WeightedTable(tab, np.arange(17) <= m)
+    monkeypatch.setattr(spherical, "_bessel_table", lambda p: cut)
+    got = _bessel_matrix(params, lams, s)
     a = tab.a_values(s)
     pref = c0_constant(params) * np.sqrt(s ** (params.n - 1) / density(params, s))
     for i, lam in enumerate(lams):
@@ -431,7 +419,7 @@ def test_bessel_matrix_per_order_sum_across_upward_switch(m_v, m_z, m):
 
 def test_bessel_series_small_s_normalization(all_spaces):
     for p in all_spaces:
-        val = _bessel_values(p, 1.0, np.array([1e-3]))[0]
+        val = phi_matrix(p, [1.0], np.array([1e-3]))[0, 0]
         ref = _ode_refined(p, 1.0, np.array([1e-3]))[0]
         assert val == pytest.approx(ref, rel=1e-10)
 
@@ -511,7 +499,7 @@ def test_three_way_agreement_overlap(space21):
     s = np.array([0.8, 1.1, 1.4, 1.7])
     for lam in (1.5, 3.0, 8.0):
         ode = _ode_refined(space21, lam, s)
-        bes = _bessel_values(space21, lam, s)
+        bes = phi_matrix(space21, [lam], s)[0]
         hc = _series(space21, lam, s)
         scale = np.maximum(np.abs(ode), 1e-2)
         assert np.max(np.abs(bes - ode) / scale) < 1e-5
@@ -547,15 +535,8 @@ def test_phi_matrix_consistency(space21):
 
 def test_phi_matrix_bound_guard(space21, monkeypatch):
     # doubled coefficients put the Bessel zone near 2
-    tab = _bessel_table(space21)
-
-    class Doubled:
-        m_tab, mu0 = tab.m_tab, tab.mu0
-
-        def a_values(self, s):
-            return 2.0 * tab.a_values(s)
-
-    monkeypatch.setattr(spherical, "_bessel_table", lambda params: Doubled())
+    doubled = _WeightedTable(_bessel_table(space21), np.full(17, 2.0))
+    monkeypatch.setattr(spherical, "_bessel_table", lambda params: doubled)
     with pytest.raises(PhiBoundError):
         phi_matrix(space21, np.array([1.0, 3.0]), np.array([0.1, 0.5, 3.0]))
 
