@@ -8,7 +8,8 @@ the same whichever source set it.  The SHA-256 hash of the subcommand and
 the values, never of the output location, names the output directory:
 identical configurations land in identical paths with byte-identical
 artifacts (a JSON timestamp field is the one run-dependent value, and it is
-kept out of the hash).  A malformed value exits 2 with an `error:` line.
+kept out of the hash).  A malformed or non-finite value exits 2 with an
+`error:` line.
 """
 
 from __future__ import annotations
@@ -82,9 +83,12 @@ DEFAULTS: dict[str, str] = {key: str(typ(default))
 
 def _parse(typ, text: str, what: str):
     try:
-        return typ(text)
+        val = typ(text)
     except ValueError:
         raise ValidationError(f"{what}: cannot read {text!r}") from None
+    if isinstance(val, float) and not math.isfinite(val):
+        raise ValidationError(f"{what}: {text!r} is not a finite number")
+    return val
 
 
 def _numbers(text: str, what: str, typ=float) -> list:
@@ -119,10 +123,10 @@ def _resolve(subcommand: str, args: argparse.Namespace) -> tuple[dict[str, str],
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
         cfg.update(parse_config_file(args.config))
-    for key in _OPTIONS:
+    for key, (_, _, typ, _) in _OPTIONS.items():
         val = getattr(args, key, None)
         if val is not None:
-            cfg[key] = str(val)
+            cfg[key] = str(_parse(typ, str(val), key))
     return cfg, config_hash(cfg, subcommand)
 
 
@@ -281,9 +285,7 @@ def _cmd_maximal(cfg, chash, out):
     params = _space_from(cfg)
     kind = dispersive.PhaseKind.from_selector(cfg["equation"])
     fh = _builtin_spectrum(cfg)
-    lam_hi = fh.support_hint[1] if fh.support_hint else float(fh.lambda_grid[-1])
-    t_grid = dispersive.default_t_grid(params, kind, lam_hi,
-                                       n_points=int(cfg["grids.t_points"]))
+    t_grid = dispersive.default_t_grid(params, kind, fh.top, n_points=int(cfg["grids.t_points"]))
     s_out = np.linspace(0.0, float(cfg["grids.s_max"]) / 2.0, 256)
     sup = dispersive.maximal_function(params, fh, kind, t_grid, s_out)
     _emit_csv(out / "maximal.csv", chash, ["s", "sup"],
@@ -320,19 +322,19 @@ def _cmd_experiment(cfg, chash, out, which):
     params = _space_from(cfg)
     n_list = (_numbers(cfg["experiment.n_list"], "experiment.n_list", int)
               or _default_n_list(which))
+    eps = float(cfg["experiment.epsilon"])   # 0: each experiment's own default
+    eps_kw = {"epsilon": eps} if eps else {}
     if which == "case1":
-        eps = float(cfg["experiment.epsilon"]) or 0.05
         rep = experiments.case1_run(
             params, float(cfg["experiment.a"]),
             _numbers(cfg["experiment.beta_list"], "experiment.beta_list"),
-            n_list, epsilon=eps, shifted=bool(int(cfg["experiment.shifted"])),
-            slope_tol=float(cfg["tolerances.slope"]),
+            n_list, shifted=bool(int(cfg["experiment.shifted"])),
+            slope_tol=float(cfg["tolerances.slope"]), **eps_kw,
         )
     elif which == "case2":
-        eps = float(cfg["experiment.epsilon"]) or 0.25
         rep = experiments.case2_run(
-            params, float(cfg["experiment.beta"]), n_list, epsilon=eps,
-            slope_tol=float(cfg["tolerances.slope_case2"]),
+            params, float(cfg["experiment.beta"]), n_list,
+            slope_tol=float(cfg["tolerances.slope_case2"]), **eps_kw,
         )
     else:
         rep = experiments.transference_check(
@@ -384,8 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat dotted-key config file")
         for key, (_, flag, typ, subcommands) in _OPTIONS.items():
             if subcommands is None or name in subcommands:
-                kind = ({"action": "store_const", "const": 1} if typ is _switch
-                        else {"type": typ})
+                kind = {"action": "store_const", "const": 1} if typ is _switch else {}
                 p.add_argument(flag, dest=key, **kind)
     return parser
 

@@ -26,8 +26,7 @@ from .errors import DomainError, ResolutionError, ValidationError
 from .profiles import RadialProfile, SpectralProfile
 from .space import SpaceParams
 from .spherical import phi_matrix
-from .special import plancherel_density
-from .transform import _interp, inversion_constant, spectral_quadrature_nodes
+from .transform import inverse_quadrature
 
 __all__ = [
     "PhaseKind",
@@ -139,31 +138,6 @@ class PhaseKind:
     def gap(self, params: SpaceParams) -> float:
         return 0.0 if self.shifted else params.q2_over_4
 
-    # --- constructors -----------------------------------------------------
-    @classmethod
-    def frac(cls, a: float) -> "PhaseKind":
-        return cls("frac", a=a)
-
-    @classmethod
-    def frac_shifted(cls, a: float) -> "PhaseKind":
-        return cls("frac", shifted=True, a=a)
-
-    @classmethod
-    def boussinesq(cls) -> "PhaseKind":
-        return cls("boussinesq")
-
-    @classmethod
-    def boussinesq_shifted(cls) -> "PhaseKind":
-        return cls("boussinesq", shifted=True)
-
-    @classmethod
-    def beam(cls) -> "PhaseKind":
-        return cls("beam")
-
-    @classmethod
-    def beam_shifted(cls) -> "PhaseKind":
-        return cls("beam", shifted=True)
-
     @classmethod
     def from_selector(cls, selector: str) -> "PhaseKind":
         """Parse the CLI selector: frac:a, frac-shifted:a, boussinesq,
@@ -227,13 +201,13 @@ class PhaseAsymptoticsReport:
 # is two sided, so its normalized ratio must stay within a bounded band
 _SUP_CAP = 1e6
 _DD_BAND = 100.0
+_N_LOW, _N_HIGH = 200, 400
 
 
-def verify_phase_asymptotics(kind: PhaseKind, params: SpaceParams,
-                             n_low: int = 200, n_high: int = 400) -> PhaseAsymptoticsReport:
-    """Sweep the derivative envelopes on (1e-3, 1) and [1, 1e4] log grids."""
-    lam_low = np.logspace(-3, 0, n_low, endpoint=False)
-    lam_high = np.logspace(0, 4, n_high)
+def verify_phase_asymptotics(kind: PhaseKind, params: SpaceParams) -> PhaseAsymptoticsReport:
+    """Sweep the envelopes on (1e-3, 1) and [1, 1e4] log grids of _N_LOW, _N_HIGH points."""
+    lam_low = np.logspace(-3, 0, _N_LOW, endpoint=False)
+    lam_high = np.logspace(0, 4, _N_HIGH)
     d1_low, _ = phase_derivs(kind, params, lam_low)
     d1_high, d2_high = phase_derivs(kind, params, lam_high)
     sup_low = float(np.max(np.abs(d1_low) / lam_low ** (kind.delta1 - 1.0)))
@@ -263,11 +237,9 @@ class PropagatorKernel:
     """
 
     def __init__(self, params: SpaceParams, fh: SpectralProfile, kind: PhaseKind,
-                 s_grid, t_max: float = 1.0):
-        lam_hi = (fh.support_hint[1] if fh.support_hint is not None
-                  else float(fh.lambda_grid[-1]))
-        dpsi = abs(phase_derivs(kind, params, max(lam_hi, 1e-3))[0])
-        step = fh.spacing
+                 s_grid, t_max: float):
+        dpsi = abs(phase_derivs(kind, params, max(fh.top, 1e-3))[0])
+        step = float(fh.lambda_grid[1] - fh.lambda_grid[0])
         if t_max * dpsi * step > math.pi / 8.0:
             raise ResolutionError(
                 f"spectral grid step {step:.3g} does not resolve the multiplier "
@@ -276,11 +248,7 @@ class PropagatorKernel:
         self.params = params
         self.kind = kind
         self.s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
-        s_rate = float(np.max(self.s_grid))
-        nodes, weights = spectral_quadrature_nodes(fh, s_rate, t_max * dpsi)
-        self.nodes = nodes
-        weight = weights * plancherel_density(params, nodes) * inversion_constant(params)
-        self.amp = weight * _interp(fh.lambda_grid, fh.values)(nodes)
+        nodes, self.amp = inverse_quadrature(params, fh, np.max(self.s_grid) + t_max * dpsi)
         self.psi_nodes = phase(kind, params, nodes)
         self.kernel_t = phi_matrix(params, nodes, self.s_grid).T  # (n_s, n_nodes)
 
@@ -304,23 +272,26 @@ def propagate(params: SpaceParams, fh: SpectralProfile, kind: PhaseKind,
     return RadialProfile(kern.s_grid, kern.apply(t))
 
 
+_T_MIN, _T_MAX = 1e-4, 1.0 - 1e-9   # ends of default_t_grid
+_T_BLOCK = 64  # times per kernel GEMM in maximal_function
+
+
 def default_t_grid(params: SpaceParams, kind: PhaseKind, lam_max: float,
-                   n_points: int = 512, t_min: float = 1e-4,
-                   t_max: float = 1.0 - 1e-9):
-    """Log-spaced grid inside (0, 1), densified by doubling until consecutive
-    increments satisfy dt * psi(lam_max) <= pi/4; past 2^22 points it gives
-    up with a ResolutionError."""
+                   n_points: int = 512):
+    """Log-spaced grid on [_T_MIN, _T_MAX] inside (0, 1), densified by doubling
+    until consecutive increments satisfy dt * psi(lam_max) <= pi/4; past
+    2^22 points it gives up with a ResolutionError."""
     if n_points < 2:
         raise ValidationError(f"a t grid needs at least 2 points, got {n_points}")
     psi_max = float(phase(kind, params, lam_max))
-    log_ratio = math.log(t_min / t_max)
+    log_ratio = math.log(_T_MIN / _T_MAX)
     n = n_points
     while True:
         # the last increment is the largest; its closed form screens n before
         # any allocation, with a margin far above its rounding error
-        dt_last = -t_max * math.expm1(log_ratio / (n - 1))
+        dt_last = -_T_MAX * math.expm1(log_ratio / (n - 1))
         if dt_last * psi_max <= math.pi / 4.0 * (1.0 + 1e-6):
-            grid = np.geomspace(t_min, t_max, n)
+            grid = np.geomspace(_T_MIN, _T_MAX, n)
             if float(np.max(np.diff(grid))) * psi_max <= math.pi / 4.0:
                 return grid
         if n > 2**22:
@@ -331,9 +302,6 @@ def default_t_grid(params: SpaceParams, kind: PhaseKind, lam_max: float,
         n *= 2
 
 
-_T_BLOCK = 64  # times per kernel GEMM in maximal_function
-
-
 def maximal_function(params: SpaceParams, fh: SpectralProfile, kind: PhaseKind,
                      t_grid, s_grid) -> RadialProfile:
     """Pointwise max over the t grid of |propagate|; a lower bound for the
@@ -341,9 +309,7 @@ def maximal_function(params: SpaceParams, fh: SpectralProfile, kind: PhaseKind,
     t_grid = np.sort(np.atleast_1d(np.asarray(t_grid, dtype=float)))
     if np.any((t_grid <= 0) | (t_grid >= 1)):
         raise DomainError("t_grid must lie inside (0, 1)")
-    lam_hi = (fh.support_hint[1] if fh.support_hint is not None
-              else float(fh.lambda_grid[-1]))
-    psi_max = abs(float(phase(kind, params, lam_hi)))
+    psi_max = abs(float(phase(kind, params, fh.top)))
     dt_max = float(np.max(np.diff(t_grid))) if t_grid.size > 1 else 0.0
     if dt_max * psi_max > math.pi / 4.0:
         raise ResolutionError(

@@ -20,7 +20,7 @@ import numpy as np
 
 from .bumps import bump_12, bump_unit
 from .dispersive import PhaseKind, phase
-from .errors import ResolutionError, ValidationError
+from .errors import ValidationError
 from .profiles import SpectralProfile
 from .quadrature import panel_rule
 from .space import SpaceParams
@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 _RESIDUAL_RMS_MAX = 0.02
+_CASE1_POINTS, _CASE2_POINTS = 384, 512   # lambda grids of the two families
+_CASE1_S_POINTS = 16                      # s grid of the case-1 minimum
+_SWEEP_POINTS = 600                       # log sweep of transference_check
 
 
 @dataclass
@@ -105,15 +108,13 @@ def fit_loglog_slope(x, y) -> tuple[float, float]:
 # Case 1: bump of width sqrt(N) at frequency N
 # ---------------------------------------------------------------------------
 
-def case1_family(params: SpaceParams, n_freq: int, grid_points: int = 384) -> SpectralProfile:
+def case1_family(params: SpaceParams, n_freq: int) -> SpectralProfile:
     """Spectrum N^(-1/2) eta(-lambda/sqrt(N) + sqrt(N)) |c(lambda)|,
-    supported in [N - sqrt(N), N + sqrt(N)]."""
+    supported in [N - sqrt(N), N + sqrt(N)], on _CASE1_POINTS."""
     if n_freq < 16:
         raise ValidationError("case-1 family requires N >= 16")
-    if grid_points < 256:
-        raise ResolutionError("case-1 spectra need >= 256 grid points")
     root = math.sqrt(n_freq)
-    lam = np.linspace(n_freq - root, n_freq + root, grid_points)
+    lam = np.linspace(n_freq - root, n_freq + root, _CASE1_POINTS)
     xi = -lam / root + root
     c_abs = 1.0 / np.sqrt(plancherel_density(params, lam))
     vals = bump_unit(xi) * c_abs / root
@@ -122,8 +123,8 @@ def case1_family(params: SpaceParams, n_freq: int, grid_points: int = 384) -> Sp
 
 
 def _case1_linearized_min(params: SpaceParams, kind: PhaseKind, a: float,
-                          n_freq: int, epsilon: float, n_s: int = 16) -> float:
-    """min over s in [eps, 2 eps] of |T f_N(s)| at t(s) = s/(a N^(a-1)).
+                          n_freq: int, epsilon: float) -> float:
+    """min over _CASE1_S_POINTS s in [eps, 2 eps] of |T f_N(s)| at t(s) = s/(a N^(a-1)).
 
     Evaluated in the bump coordinate xi = -lambda/sqrt(N) + sqrt(N), where
     the integrand is smooth and the quadrature needs O(sqrt(N) eps)
@@ -132,7 +133,7 @@ def _case1_linearized_min(params: SpaceParams, kind: PhaseKind, a: float,
     verdict built on this quantity is scale free.
     """
     root = math.sqrt(n_freq)
-    s_grid = np.linspace(epsilon, 2.0 * epsilon, n_s)
+    s_grid = np.linspace(epsilon, 2.0 * epsilon, _CASE1_S_POINTS)
     rate = root * 2.0 * epsilon * (1.0 + 2.0 ** (a - 1.0)) + 8.0
     xi, w = panel_rule(-1.0, 1.0, rate, min_panels=16)
     lam = n_freq - root * xi
@@ -200,14 +201,12 @@ def case1_run(params: SpaceParams, a: float, beta_list, n_list, epsilon: float =
 # Case 2: scaled Euclidean profile through the correspondence
 # ---------------------------------------------------------------------------
 
-def case2_family(params: SpaceParams, n_freq: int, grid_points: int = 512) -> SpectralProfile:
-    """Spectrum lambda^(n-1) eta(lambda/N) |c(lambda)|^2 supported in (N, 2N),
+def case2_family(params: SpaceParams, n_freq: int) -> SpectralProfile:
+    """Spectrum lambda^(n-1) eta(lambda/N) |c(lambda)|^2 on _CASE2_POINTS of (N, 2N),
     the pullback of the Euclidean bump profile under the weight identity."""
     if n_freq < 8:
         raise ValidationError("case-2 family requires N >= 8")
-    if grid_points < 512:
-        raise ResolutionError("case-2 spectra need >= 512 grid points")
-    lam = np.linspace(float(n_freq), 2.0 * float(n_freq), grid_points)
+    lam = np.linspace(float(n_freq), 2.0 * float(n_freq), _CASE2_POINTS)
     vals = np.zeros(lam.size)
     inner = slice(1, -1)  # endpoints are exact zeros of the bump
     lam_i = lam[inner]
@@ -274,17 +273,17 @@ def case2_run(params: SpaceParams, beta: float, n_list, epsilon: float = 0.25,
 # ---------------------------------------------------------------------------
 
 def transference_check(kind1: PhaseKind, kind2: PhaseKind, big_lambda: float = 1.0,
-                       lambda_max: float = 1e3, params: SpaceParams | None = None,
-                       n_points: int = 600) -> ExperimentReport:
-    """Sweep |psi1 - psi2| on [Lambda, lambda_max]; "comparable" iff the
-    running sup stabilizes (under 1% increase over the last decade), else
+                       lambda_max: float = 1e3,
+                       params: SpaceParams | None = None) -> ExperimentReport:
+    """Sweep |psi1 - psi2| on _SWEEP_POINTS of [Lambda, lambda_max]; "comparable" iff
+    the running sup stabilizes (under 1% increase over the last decade), else
     report the measured growth exponent."""
     if big_lambda < 1.0 or lambda_max < 1e3:
         raise ValidationError("need Lambda >= 1 and lambda_max >= 1e3")
     if params is None:
         from .space import new_space
         params = new_space(2, 1)
-    lam = np.geomspace(big_lambda, lambda_max, n_points)
+    lam = np.geomspace(big_lambda, lambda_max, _SWEEP_POINTS)
     diff = np.abs(phase(kind1, params, lam) - phase(kind2, params, lam))
     sup_all = float(np.max(diff))
     cut = lam <= lambda_max / 10.0

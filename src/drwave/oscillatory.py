@@ -129,6 +129,8 @@ def _cheb(n: int):
 _PHASE_SMALL = 48.0      # total-phase threshold below which direct GL is used
 _LEVIN_N1, _LEVIN_N2 = 14, 24
 _MAX_DEPTH = 60
+_ANNULUS, _D_RANGE = (2.0, 4.0), (0.01, 0.9)   # where sample_claim_triples draws s, s', d
+_SPREAD_CAP = 20.0  # van_der_corput_check's bound on max/min
 
 
 def _panel_sums(g, ph, root, a, b, lam0, rate, n_min: int):
@@ -332,18 +334,19 @@ def proof_constants(kind: PhaseKind, params: SpaceParams) -> dict:
 
 
 def sample_claim_triples(kind: PhaseKind, params: SpaceParams, n: int,
-                         seed: int = 0, annulus: tuple[float, float] = (2.0, 4.0),
-                         d_range: tuple[float, float] = (0.01, 0.9)) -> np.ndarray:
-    """(s, s', d) triples stratified over the three regimes of the
-    summation argument: |s-s'| below d^(1/delta2)/C6, between it and 1,
-    and at least 1."""
+                         seed: int = 0) -> np.ndarray:
+    """n >= 1 (s, s', d) triples, s and s' in _ANNULUS and d log-uniform on
+    _D_RANGE, stratified over the three regimes of the summation argument:
+    |s-s'| below d^(1/delta2)/C6, between it and 1, and at least 1."""
+    if n < 1:
+        raise ValidationError(f"need at least one triple, got {n}")
     rng = np.random.default_rng(seed)
     c6 = proof_constants(kind, params)["C6"]
-    lo, hi = annulus
+    lo, hi = _ANNULUS
     out = np.empty((n, 3))
     for i in range(n):
         case = i % 3
-        d = math.exp(rng.uniform(math.log(d_range[0]), math.log(d_range[1])))
+        d = math.exp(rng.uniform(math.log(_D_RANGE[0]), math.log(_D_RANGE[1])))
         thr = min(d ** (1.0 / kind.delta2) / c6, hi - lo - 1e-3)
         if case == 0:
             gap = rng.uniform(1e-3, max(thr, 2e-3))
@@ -373,8 +376,10 @@ _TRIPLE_BLOCK = 8   # triples per worklist; each brings 2K windows at two tolera
 
 def dyadic_sum_check(kind: PhaseKind, params: SpaceParams, sample_spec,
                      big_k: int = 20) -> DyadicSumReport:
-    """|s-s'|^(1/2) sum_{k<=K} I_k per triple; passes iff the maximum is
-    finite and K -> 2K changes no triple's sum by more than 1%."""
+    """|s-s'|^(1/2) sum_{k<=K} I_k per triple, K = big_k >= 1; passes iff the maximum
+    is finite and K -> 2K changes no triple's sum by more than 1%."""
+    if big_k < 1:
+        raise ValidationError(f"the dyadic sum needs K >= 1, got {big_k}")
     triples = np.atleast_2d(np.asarray(sample_spec, dtype=float))
     if triples.shape[1] != 3:
         raise ValidationError("sample_spec must be (n, 3): columns s, s', d")
@@ -439,10 +444,10 @@ class VanDerCorputReport:
     passed: bool
 
 
-def van_der_corput_check(curvatures, window: BumpWindow | None = None,
-                         spread_cap: float = 20.0) -> VanDerCorputReport:
+def van_der_corput_check(curvatures,
+                         window: BumpWindow | None = None) -> VanDerCorputReport:
     """Evaluate M^(1/2) |int e^{i M xi^2} zeta(xi) dxi| over the curvature
-    grid; passes iff one constant bounds all values (spread below the cap)."""
+    grid; passes iff one constant bounds all values (spread below _SPREAD_CAP)."""
     curvatures = np.atleast_1d(np.asarray(curvatures, dtype=float))
     if np.any(curvatures < 10.0) or np.any(curvatures > 1e5):
         raise DomainError("curvature grid must lie in [10, 1e5]")
@@ -455,5 +460,5 @@ def van_der_corput_check(curvatures, window: BumpWindow | None = None,
     spread = float(np.max(vals) / max(np.min(vals), 1e-300))
     return VanDerCorputReport(
         curvatures=curvatures, normalized=vals, spread=spread,
-        passed=bool(spread < spread_cap),
+        passed=bool(spread < _SPREAD_CAP),
     )

@@ -42,15 +42,6 @@ class RadialProfile:
         if self.values.shape != self.s_grid.shape:
             raise ValidationError("values and s_grid must have the same shape")
 
-    @property
-    def spacing(self) -> float:
-        return float(self.s_grid[1] - self.s_grid[0])
-
-    @classmethod
-    def sample(cls, fn, s_max: float, n_points: int) -> "RadialProfile":
-        s = np.linspace(0.0, s_max, n_points)
-        return cls(s, np.asarray(fn(s)))
-
 
 @dataclass(eq=False)
 class SpectralProfile:
@@ -81,9 +72,7 @@ class SpectralProfile:
                 raise ValidationError("values do not vanish outside support_hint")
 
     @property
-    def spacing(self) -> float:
-        return float(self.lambda_grid[1] - self.lambda_grid[0])
-
-    def with_values(self, values: np.ndarray) -> "SpectralProfile":
-        return SpectralProfile(self.lambda_grid, values, self.support_hint)
+    def top(self):
+        """The support's end, else the grid's end."""
+        return self.support_hint[1] if self.support_hint else float(self.lambda_grid[-1])
 

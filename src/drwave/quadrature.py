@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import functools
 import math
-from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import simpson
@@ -12,39 +12,37 @@ from .errors import DomainError
 
 __all__ = ["panel_rule", "panel_rules", "grid_integral"]
 
-_QUARTER_PI = math.pi / 4.0
+_PHASE_CAP = math.pi / 4.0
 
 
-@lru_cache(maxsize=8)
-def _gl_nodes(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+@functools.cache
+def _gl_rule():
+    """8-point Gauss-Legendre rule; at import its eigensolve would start LAPACK."""
+    return np.polynomial.legendre.leggauss(8)
 
 
-def panel_rule(a: float, b: float, max_rate: float, order: int = 8,
-               min_panels: int = 8, phase_cap: float = _QUARTER_PI):
-    """Composite Gauss-Legendre nodes/weights on [a, b].
+def panel_rule(a: float, b: float, max_rate: float, min_panels: int = 8):
+    """Composite Gauss-Legendre nodes/weights on [a, b], 8 (_gl_rule) per panel.
 
     Panel width is capped so an oscillation e^{i rate s} advances at most
-    phase_cap per panel; unresolved phase is the dominant quadrature error
-    for the spectral integrals, so the cap is what controls accuracy.
+    _PHASE_CAP = pi/4 per panel; unresolved phase is the dominant quadrature
+    error for the spectral integrals, so the cap is what controls accuracy.
     """
     if b <= a:
         raise DomainError("panel_rule requires b > a")
     nodes, weights, _ = panel_rules(np.array([a]), np.array([b]), np.array([max_rate]),
-                                    min_panels, order, phase_cap)
+                                    min_panels)
     return nodes, weights
 
 
-def panel_rules(a, b, max_rate, min_panels, order: int = 8,
-                phase_cap: float = _QUARTER_PI):
+def panel_rules(a, b, max_rate, min_panels):
     """panel_rule on many intervals [a_i, b_i] at once, each with its own
     max_rate_i (arrays of one length; min_panels is shared).  Returns
     (nodes, weights, counts): interval i owns the counts[i] nodes that
     follow those of intervals before it.  Edges are laid out as np.linspace
     lays them out, so each interval's rule is bit for bit the one
     panel_rule gives it."""
-    width_cap = phase_cap / np.maximum(max_rate, 1e-12)
+    width_cap = _PHASE_CAP / np.maximum(max_rate, 1e-12)
     n_panels = np.maximum(min_panels, np.ceil((b - a) / width_cap).astype(np.int64))
     owner = np.repeat(np.arange(a.size), n_panels)
     j = np.arange(owner.size) - np.repeat(np.cumsum(n_panels) - n_panels, n_panels)
@@ -52,12 +50,12 @@ def panel_rules(a, b, max_rate, min_panels, order: int = 8,
     left = j * step + a[owner]
     last = j + 1 == n_panels[owner]
     right = np.where(last, b[owner], (j + 1) * step + a[owner])
-    x0, w0 = _gl_nodes(order)
+    x0, w0 = _gl_rule()
     half = 0.5 * (right - left)
     mid = 0.5 * (right + left)
     nodes = (mid[:, None] + half[:, None] * x0[None, :]).ravel()
     weights = (half[:, None] * w0[None, :]).ravel()
-    return nodes, weights, n_panels * order
+    return nodes, weights, n_panels * x0.size
 
 
 def grid_integral(values: np.ndarray, grid: np.ndarray):

@@ -22,12 +22,13 @@ phase is that of h(lambda) = i lambda c(lambda), which has no pole
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import j0, j1, jv, loggamma
 
 from .errors import DomainError, PoleError
-from .space import SpaceParams
+from .space import SpaceParams, _bernoulli
 
 __all__ = [
     "script_j",
@@ -36,15 +37,18 @@ __all__ = [
 ]
 
 
-def _script_j_series(mu: float, x, terms: int = 12):
-    # 2^mu sqrt(pi) Gamma(mu+1/2) * sum_k (-1)^k (x/2)^(2k) / (k! Gamma(mu+k+1))
+_SERIES_TERMS = 12   # terms of _script_j_series past the first, for x < 0.1
+
+
+def _script_j_series(mu: float, x):
+    # 2^mu sqrt(pi) Gamma(mu+1/2) * sum_(k<=_SERIES_TERMS) (-1)^k (x/2)^(2k) / (k! Gamma(mu+k+1))
     # == script_j via the J series with the x^-mu factor cancelled analytically.
     x = np.asarray(x, dtype=float)
     pref = math.sqrt(math.pi) * math.exp(math.lgamma(mu + 0.5) - math.lgamma(mu + 1.0))
     acc = np.ones_like(x)
     term = np.ones_like(x)
     q = 0.25 * x * x
-    for k in range(1, terms + 1):
+    for k in range(1, _SERIES_TERMS + 1):
         term = term * (-q) / (k * (mu + k))
         acc = acc + term
     return pref * acc
@@ -160,6 +164,37 @@ def _gamma_shifts(params: SpaceParams) -> tuple[list[float], int]:
     return shifts, n_half
 
 
+# Beyond |lambda| = _RATIO_LAMBDA_MIN, _ratio_phase takes the ratio expansion
+# (DLMF 5.11.13) of ln Gamma(1/2 + z) - ln Gamma(1 + z) at z = i lambda:
+#     -1/2 ln z + sum_(k=1..14) (-1)^(k+1) (2^-k - 2) B_(k+1) / (k (k+1) z^k).
+# Its imaginary part is -sign(lambda) pi/4 plus the odd-k terms, whose
+# coefficients of lambda^-k, k = 1, 3, .., 13, are held here.
+_RATIO_LAMBDA_MIN = 10.0
+_RATIO_COEFFS = tuple(
+    float((-1) ** ((k + 1) // 2) * (Fraction(1, 2**k) - 2) * b / (k * (k + 1)))
+    for k, b in zip(range(1, 14, 2), _bernoulli(14)[2::2]))    # b = B_(k+1)
+
+
+def _ratio_phase(lam):
+    """Im[ln Gamma(1/2 + i lambda) - ln Gamma(1 + i lambda)] at real lambda,
+    scalar or array; odd in lambda.  Each log-Gamma has an imaginary part of
+    size |lambda| ln |lambda|, so their difference by loggamma loses
+    1e-16 |lambda| ln |lambda|; from |lambda| = 10 on the ratio expansion
+    gives it to rounding."""
+    lam = np.asarray(lam, dtype=float)
+    out = np.empty_like(lam)
+    near = np.abs(lam) < _RATIO_LAMBDA_MIN
+    x = lam[near]
+    out[near] = loggamma(0.5 + 1j * x).imag - loggamma(1.0 + 1j * x).imag
+    x = lam[~near]
+    w = 1.0 / (x * x)
+    acc = np.zeros_like(x)
+    for c in reversed(_RATIO_COEFFS):
+        acc = acc * w + c
+    out[~near] = acc / x - np.copysign(0.25 * math.pi, x)
+    return out
+
+
 def _h_phase(params: SpaceParams, lam):
     """arg h(lambda) at real lambda, scalar or array, for the pole-free
     h(lambda) = i lambda c(lambda).  Legendre's duplication
@@ -171,7 +206,8 @@ def _h_phase(params: SpaceParams, lam):
                     / prod_j (x_j + i lambda),
 
     so the phase is a sum of arctangents and, unless n_half = 1, one
-    log-Gamma difference near the real axis: odd, O(lambda), no pi/2.
+    log-Gamma difference near the real axis (_ratio_phase): odd, bounded,
+    no pi/2.
     """
     lam = np.asarray(lam, dtype=float)
     shifts, n_half = _gamma_shifts(params)
@@ -179,7 +215,7 @@ def _h_phase(params: SpaceParams, lam):
     for x in shifts:
         phase -= np.arctan(lam / x)
     if n_half != 1:
-        phase += (1 - n_half) * (loggamma(0.5 + 1j * lam).imag - loggamma(1.0 + 1j * lam).imag)
+        phase += (1 - n_half) * _ratio_phase(lam)
     return phase
 
 

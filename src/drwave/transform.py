@@ -27,6 +27,7 @@ from .special import plancherel_density
 __all__ = [
     "sft_forward",
     "sft_inverse",
+    "inverse_quadrature",
     "inversion_constant",
     "calibrate_inversion_constant",
     "sobolev_norm",
@@ -42,6 +43,7 @@ S_POINTS_DEFAULT = 4096
 LAMBDA_MAX_DEFAULT = 256.0
 
 _TAIL_TOL = 1e-10
+_BLOCK_CELLS = 2**22   # phi kernel cells per product in sft_forward (32 MB)
 
 
 def _interp(grid: np.ndarray, values: np.ndarray):
@@ -75,7 +77,9 @@ def sft_forward(params: SpaceParams, f: RadialProfile, lambda_grid) -> SpectralP
     The s-quadrature uses composite Gauss-Legendre panels whose width
     resolves the fastest phase lambda_max * s present in the kernel; the
     smooth profile data is splined onto the nodes while phi and A are
-    evaluated exactly there.
+    evaluated exactly there.  The phi kernel is formed in lambda blocks of
+    at most _BLOCK_CELLS (2^22) cells, so memory does not grow with the
+    grid.
     """
     lambda_grid = np.atleast_1d(np.asarray(lambda_grid, dtype=float))
     _tail_check(params, f)
@@ -83,8 +87,10 @@ def sft_forward(params: SpaceParams, f: RadialProfile, lambda_grid) -> SpectralP
     rate = max(float(np.max(np.abs(lambda_grid))), 1.0)
     nodes, weights = panel_rule(0.0, s_max, rate)
     f_nodes = _interp(f.s_grid, f.values)(nodes)
-    kernel = phi_matrix(params, lambda_grid, nodes)  # (n_lam, n_nodes)
-    vals = kernel @ (weights * f_nodes * density(params, nodes))
+    v = weights * f_nodes * density(params, nodes)
+    rows = max(1, _BLOCK_CELLS // nodes.size)
+    vals = np.concatenate([phi_matrix(params, lambda_grid[i:i + rows], nodes) @ v
+                           for i in range(0, lambda_grid.size, rows)])
     return SpectralProfile(lambda_grid, vals.astype(complex))
 
 
@@ -130,10 +136,9 @@ def _reference_profiles(s_max: float, n_points: int):
     ]
 
 
-def _plancherel_ratio(params: SpaceParams, f: RadialProfile,
-                      lam_max: float = 24.0, lam_points: int = 512) -> float:
-    """||f||^2_{L^2(A ds)} divided by int |fh|^2 |c|^-2 dlambda."""
-    fh = sft_forward(params, f, np.linspace(0.0, lam_max, lam_points))
+def _plancherel_ratio(params: SpaceParams, f: RadialProfile) -> float:
+    """||f||^2_{L^2(A ds)} divided by int |fh|^2 |c|^-2 dlambda, fh on 512 points of [0, 24]."""
+    fh = sft_forward(params, f, np.linspace(0.0, 24.0, 512))
     norm_s = grid_integral(np.abs(f.values) ** 2 * density(params, f.s_grid), f.s_grid)
     w = plancherel_density(params, fh.lambda_grid)
     norm_l = grid_integral(np.abs(fh.values) ** 2 * w, fh.lambda_grid)
@@ -156,27 +161,25 @@ def calibrate_inversion_constant(params: SpaceParams) -> float:
     return ratios[0]
 
 
-def spectral_quadrature_nodes(fh: SpectralProfile, s_rate: float,
-                              extra_rate: float = 0.0):
-    """Panel nodes/weights covering fh's support for inversion-type integrals."""
+def inverse_quadrature(params: SpaceParams, fh: SpectralProfile, rate: float):
+    """Panel nodes over fh's support for a phase rate `rate` (at least 1), and the
+    amplitudes amp = C w |c|^-2 fh there: C int fh g |c|^-2 dlambda is amp @ g(nodes)."""
     grid = (float(fh.lambda_grid[0]), float(fh.lambda_grid[-1]))
     lo, hi = fh.support_hint if fh.support_hint is not None else grid
     lo, hi = max(lo, grid[0]), min(hi, grid[1])
     if hi <= lo:
         raise DomainError(f"spectrum support {fh.support_hint} misses the lambda grid "
                           f"[{grid[0]:g}, {grid[1]:g}]")
-    return panel_rule(lo, hi, max(s_rate + extra_rate, 1.0))
+    nodes, weights = panel_rule(lo, hi, max(rate, 1.0))
+    weight = weights * plancherel_density(params, nodes) * inversion_constant(params)
+    return nodes, weight * _interp(fh.lambda_grid, fh.values)(nodes)
 
 
 def sft_inverse(params: SpaceParams, fh: SpectralProfile, s_grid) -> RadialProfile:
     """Inverse transform with the closed-form Plancherel constant."""
     s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
-    nodes, weights = spectral_quadrature_nodes(fh, float(np.max(s_grid)))
-    fh_nodes = _interp(fh.lambda_grid, fh.values)(nodes)
-    kernel = phi_matrix(params, nodes, s_grid)  # (n_nodes, n_s)
-    w = weights * plancherel_density(params, nodes) * inversion_constant(params)
-    vals = kernel.T @ (w * fh_nodes)
-    return RadialProfile(s_grid, vals)
+    nodes, amp = inverse_quadrature(params, fh, float(np.max(s_grid)))
+    return RadialProfile(s_grid, phi_matrix(params, nodes, s_grid).T @ amp)
 
 
 def sobolev_norm(params: SpaceParams, fh: SpectralProfile, beta: float) -> float:

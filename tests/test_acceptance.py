@@ -165,7 +165,7 @@ def test_criterion_07_oscillatory_claim():
     params = SPACES[0]
     ok = True
     detail = []
-    for kind in (PhaseKind.frac_shifted(2.0), PhaseKind.frac(1.5)):
+    for kind in (PhaseKind("frac", shifted=True, a=2.0), PhaseKind("frac", a=1.5)):
         triples = sample_claim_triples(kind, params, 200, seed=11)
         rep = dyadic_sum_check(kind, params, triples, big_k=20)
         ok &= rep.passed and math.isfinite(rep.max_normalized)
@@ -178,8 +178,8 @@ def test_criterion_07_oscillatory_claim():
 
 def test_criterion_08_phase_asymptotics():
     params = SPACES[0]
-    kinds = [PhaseKind.frac(1.5), PhaseKind.frac_shifted(1.5), PhaseKind.boussinesq(),
-             PhaseKind.boussinesq_shifted(), PhaseKind.beam(), PhaseKind.beam_shifted()]
+    kinds = [PhaseKind("frac", shifted=sh, a=1.5) for sh in (False, True)] + [
+        PhaseKind(family, shifted=sh) for family in ("boussinesq", "beam") for sh in (False, True)]
     ok = True
     worst_fd = 0.0
     for kind in kinds:
@@ -197,18 +197,18 @@ def test_criterion_08_phase_asymptotics():
 
 
 def test_criterion_09_transference_hypotheses():
-    sq = PhaseKind.frac_shifted(2.0)
+    sq = PhaseKind("frac", shifted=True, a=2.0)
     comparable_pairs = [
-        (PhaseKind.frac(1.5), PhaseKind.frac_shifted(1.5)),
-        (PhaseKind.frac(2.0), sq),
-        (PhaseKind.boussinesq(), sq),
-        (PhaseKind.beam(), sq),
-        (PhaseKind.boussinesq_shifted(), sq),
-        (PhaseKind.beam_shifted(), sq),
+        (PhaseKind("frac", a=1.5), PhaseKind("frac", shifted=True, a=1.5)),
+        (PhaseKind("frac", a=2.0), sq),
+        (PhaseKind("boussinesq"), sq),
+        (PhaseKind("beam"), sq),
+        (PhaseKind("boussinesq", shifted=True), sq),
+        (PhaseKind("beam", shifted=True), sq),
     ]
     ok = all(transference_check(k1, k2).verdict == "comparable"
              for k1, k2 in comparable_pairs)
-    rep = transference_check(PhaseKind.frac(3.0), PhaseKind.frac_shifted(3.0))
+    rep = transference_check(PhaseKind("frac", a=3.0), PhaseKind("frac", shifted=True, a=3.0))
     growth = dict(rep.scalars).get("growth_exponent", math.nan)
     ok &= rep.verdict == "not-comparable" and abs(growth - 1.0) <= 0.05
     _verdict(9, "transference hypotheses", ok, f"a=3 growth exponent {growth:.4f}")

@@ -109,6 +109,14 @@ def test_config_rejects_unknown_key(tmp_path):
         parse_config_file(str(cfg))
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_config_rejects_non_finite_numbers(tmp_path, text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"time = {text}\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match="time"):
+        parse_config_file(str(cfg))
+
+
 def test_config_error_exit_code(tmp_path, out_root):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("space.m_w = 3\n", encoding="utf-8")
@@ -132,6 +140,13 @@ def test_config_error_exit_code(tmp_path, out_root):
     ["propagate", "--spectrum", "gaussian:4,0"],
     ["propagate", "--spectrum", "gaussian:4,-1"],
     ["propagate", "--spectrum", "bump:3,3"],
+    # non-finite numbers, as a flag or a list item, and counts below 1
+    ["propagate", "--t", "nan", "--lambda-points", "128", "--lambda-max", "8", "--s-max", "3"],
+    ["maximal", "--lambda-max", "nan"],
+    ["phi", "--lambda", "1,inf"],
+    ["oscillatory-claim", "--n-triples", "0"],
+    ["oscillatory-claim", "--n-triples", "-2"],
+    ["oscillatory-claim", "--k-levels", "0", "--n-triples", "3"],
 ])
 def test_malformed_input_is_a_usage_error(tmp_path, out_root, capsys, argv):
     cfg = tmp_path / "bad.cfg"

@@ -154,28 +154,29 @@ def test_implied_p_bound_formula():
 
 def test_transference_examples():
     comparable = [
-        (PhaseKind.frac(1.5), PhaseKind.frac_shifted(1.5)),
-        (PhaseKind.boussinesq(), PhaseKind.frac_shifted(2.0)),
-        (PhaseKind.beam(), PhaseKind.frac_shifted(2.0)),
+        (PhaseKind("frac", a=1.5), PhaseKind("frac", shifted=True, a=1.5)),
+        (PhaseKind("boussinesq"), PhaseKind("frac", shifted=True, a=2.0)),
+        (PhaseKind("beam"), PhaseKind("frac", shifted=True, a=2.0)),
     ]
     for k1, k2 in comparable:
         assert transference_check(k1, k2).verdict == "comparable"
-    rep = transference_check(PhaseKind.frac(3.0), PhaseKind.frac_shifted(3.0))
+    rep = transference_check(PhaseKind("frac", a=3.0), PhaseKind("frac", shifted=True, a=3.0))
     assert rep.verdict == "not-comparable"
     growth = dict(rep.scalars)["growth_exponent"]
     assert growth == pytest.approx(1.0, abs=0.05)
 
 
 def test_transference_symmetry(space21):
-    a = transference_check(PhaseKind.beam(), PhaseKind.frac_shifted(2.0), params=space21)
-    b = transference_check(PhaseKind.frac_shifted(2.0), PhaseKind.beam(), params=space21)
+    beam, frac = PhaseKind("beam"), PhaseKind("frac", shifted=True, a=2.0)
+    a = transference_check(beam, frac, params=space21)
+    b = transference_check(frac, beam, params=space21)
     assert dict(a.scalars)["sup_diff"] == dict(b.scalars)["sup_diff"]
     assert a.verdict == b.verdict
 
 
 def test_transference_validation():
     with pytest.raises(ValidationError):
-        transference_check(PhaseKind.beam(), PhaseKind.beam(), big_lambda=0.5)
+        transference_check(PhaseKind("beam"), PhaseKind("beam"), big_lambda=0.5)
 
 
 def test_report_serialization(space21):

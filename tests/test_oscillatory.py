@@ -20,9 +20,9 @@ from drwave.oscillatory import (
 )
 from drwave.quadrature import panel_rule
 
-K2 = PhaseKind.frac_shifted(2.0)
-K2U = PhaseKind.frac(2.0)
-K15 = PhaseKind.frac(1.5)
+K2 = PhaseKind("frac", shifted=True, a=2.0)
+K2U = PhaseKind("frac", a=2.0)
+K15 = PhaseKind("frac", a=1.5)
 
 
 def oracle_linear_phase(k: int, delta_s: float) -> float:
@@ -36,9 +36,9 @@ def oracle_linear_phase(k: int, delta_s: float) -> float:
 # stable phase differences
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("kind", [K2, K2U, K15, PhaseKind.boussinesq(),
-                                  PhaseKind.boussinesq_shifted(), PhaseKind.beam(),
-                                  PhaseKind.beam_shifted()],
+@pytest.mark.parametrize("kind", [K2, K2U, K15, PhaseKind("boussinesq"),
+                                  PhaseKind("boussinesq", shifted=True), PhaseKind("beam"),
+                                  PhaseKind("beam", shifted=True)],
                          ids=lambda k: k.name + str(k.a or ""))
 def test_phase_diff_matches_direct(kind, space21):
     from drwave.dispersive import phase

@@ -26,8 +26,9 @@ def test_spectral_profile_support_hint_enforced():
         SpectralProfile(lam, vals, support_hint=(5.0, 7.0))
 
 
-def test_profile_sampling():
-    prof = RadialProfile.sample(lambda s: np.exp(-s), 4.0, 41)
-    assert prof.spacing == pytest.approx(0.1)
-    assert prof.values[0] == 1.0
-
+def test_spectral_top_is_the_support_end_else_the_grid_end():
+    lam = np.linspace(0.0, 10.0, 11)
+    vals = np.zeros(11, dtype=complex)
+    vals[3] = 1.0
+    assert SpectralProfile(lam, vals, support_hint=(2.5, 3.5)).top == 3.5
+    assert SpectralProfile(lam, vals).top == 10.0

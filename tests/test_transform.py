@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import drwave
+from drwave import transform
 from drwave.errors import DomainError, TailMassError, ValidationError
 from drwave.profiles import RadialProfile, SpectralProfile
 from drwave.quadrature import grid_integral
@@ -121,6 +122,35 @@ def test_inverse_needs_no_prior_call():
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert float(done.stdout) < 1e-3
+
+
+def test_forward_memory_is_bounded_by_one_block(space21):
+    # 10,000 lambda rows x 984 nodes is 9.8 M kernel cells, three blocks of
+    # at most 2^22; the peak stays under 64 bytes per cell of one block
+    import tracemalloc
+
+    f = _gaussian_profile(1.0, s_max=6.0, n=512)
+    lam = np.linspace(0.0, 16.0, 10_000)
+    tracemalloc.start()
+    try:
+        fh = sft_forward(space21, f, lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**22 * 64
+    assert np.all(np.isfinite(fh.values))
+
+
+def test_blocked_forward_matches_one_block(space21, monkeypatch):
+    # ten blocks of 66 lambda rows against one block of 600 agree to
+    # rounding; numpy's complex multiply in the exponential series can round
+    # an element differently at another position in memory, so not bitwise
+    f = _gaussian_profile(1.0, s_max=6.0, n=512)
+    lam = np.linspace(0.0, 16.0, 600)
+    one = sft_forward(space21, f, lam).values
+    monkeypatch.setattr(transform, "_BLOCK_CELLS", 2**16)
+    blocked = sft_forward(space21, f, lam).values
+    assert np.max(np.abs(blocked - one)) <= 1e-13 * np.max(np.abs(one))
 
 
 def test_inverse_of_zero(space21):
