@@ -131,14 +131,19 @@ def _resolve(subcommand: str, args: argparse.Namespace) -> tuple[dict[str, str],
 
 
 def _out_dir(cfg: dict[str, str], subcommand: str, chash: str) -> Path:
+    """The run's directory; the first artifact written creates it."""
     root = os.environ.get("DRWAVE_OUT_ROOT", cfg["output_dir"])
-    path = Path(root) / f"{subcommand}-{chash}"
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(root) / f"{subcommand}-{chash}"
+
+
+def _open_artifact(path: Path):
+    """Open an artifact for writing, creating the run's directory first."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w", encoding="utf-8", newline="\n")
 
 
 def _emit_csv(path: Path, chash: str, columns: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_artifact(path) as fh:
         fh.write(f"# config-hash: {chash}\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
@@ -155,7 +160,7 @@ def _emit_json(path: Path, chash: str, payload: dict) -> None:
     doc = dict(payload)
     doc["config_hash"] = chash
     doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_artifact(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -179,6 +184,8 @@ def _builtin_profile(cfg) -> RadialProfile:
     if name not in ("gaussian", "sech"):
         raise ValidationError(f"unknown profile selector {cfg['profile']!r}")
     alpha = _parse(float, arg or "1", "profile")
+    if not alpha > 0:
+        raise ValidationError(f"profile {cfg['profile']!r} needs a width alpha > 0")
     s = np.linspace(0.0, float(cfg["grids.s_max"]), int(cfg["grids.s_points"]))
     if name == "gaussian":
         return RadialProfile(s, np.exp(-alpha * s**2))

@@ -113,11 +113,13 @@ class PhaseKind:
     def __post_init__(self):
         entry = _FAMILIES.get(self.family)
         if entry is None:
-            raise ValidationError(f"unknown phase kind {self.family!r}")
-        if entry.takes_a and (self.a is None or self.a <= 1.0):
-            raise ValidationError("fractional variants require a > 1")
+            raise ValidationError(f"unknown phase family {self.family!r} "
+                                  f"(one of {', '.join(_FAMILIES)})")
+        if entry.takes_a and not (self.a is not None and 1.0 < self.a < math.inf):
+            raise ValidationError(f"{self.name} needs an exponent 1 < a < inf, "
+                                  f"e.g. {self.name}:2 (got {self.a})")
         if not entry.takes_a and self.a is not None:
-            raise ValidationError(f"{self.family} takes no exponent")
+            raise ValidationError(f"{self.name} takes no exponent")
 
     @property
     def name(self) -> str:
@@ -141,16 +143,9 @@ class PhaseKind:
     @classmethod
     def from_selector(cls, selector: str) -> "PhaseKind":
         """Parse the CLI selector: frac:a, frac-shifted:a, boussinesq,
-        boussinesq-shifted, beam, beam-shifted."""
+        boussinesq-shifted, beam, beam-shifted; the constructor validates."""
         head, _, tail = selector.partition(":")
         family = head.removesuffix("-shifted")
-        entry = _FAMILIES.get(family)
-        if entry is None:
-            raise ValidationError(f"unknown equation selector {selector!r}")
-        if entry.takes_a and not tail:
-            raise ValidationError(f"{head} selector needs :a, e.g. {head}:2")
-        if tail and not entry.takes_a:
-            raise ValidationError(f"selector {selector!r} takes no parameter")
         try:
             a = float(tail) if tail else None
         except ValueError:
@@ -245,8 +240,6 @@ class PropagatorKernel:
                 f"spectral grid step {step:.3g} does not resolve the multiplier "
                 f"phase: |t| psi' dlambda = {t_max * dpsi * step:.3g} > pi/8"
             )
-        self.params = params
-        self.kind = kind
         self.s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
         nodes, self.amp = inverse_quadrature(params, fh, np.max(self.s_grid) + t_max * dpsi)
         self.psi_nodes = phase(kind, params, nodes)
@@ -338,11 +331,8 @@ def littlewood_paley_split(fh: SpectralProfile) -> tuple[SpectralProfile, Spectr
     high_vals = np.where(big, fh.values - fh.values * chi, fh.values * (1.0 - chi))
     lo_hint = hi_hint = None
     if fh.support_hint is not None:
-        lo, hi = fh.support_hint
+        lo, hi = fh.support_hint     # lo < hi, so each hint below is an interval
         lo_hint = (lo, min(hi, 2.0)) if lo < 2.0 else None
         hi_hint = (max(lo, 1.0), hi) if hi > 1.0 else None
-    low = SpectralProfile(fh.lambda_grid, low_vals,
-                          lo_hint if lo_hint and lo_hint[0] < lo_hint[1] else None)
-    high = SpectralProfile(fh.lambda_grid, high_vals,
-                           hi_hint if hi_hint and hi_hint[0] < hi_hint[1] else None)
-    return low, high
+    return (SpectralProfile(fh.lambda_grid, low_vals, lo_hint),
+            SpectralProfile(fh.lambda_grid, high_vals, hi_hint))

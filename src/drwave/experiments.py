@@ -23,7 +23,7 @@ from .dispersive import PhaseKind, phase
 from .errors import ValidationError
 from .profiles import SpectralProfile
 from .quadrature import panel_rule
-from .space import SpaceParams
+from .space import SpaceParams, new_space
 from .spherical import phi_matrix
 from .special import plancherel_density
 from .transform import sft_inverse, sobolev_norm
@@ -281,7 +281,6 @@ def transference_check(kind1: PhaseKind, kind2: PhaseKind, big_lambda: float = 1
     if big_lambda < 1.0 or lambda_max < 1e3:
         raise ValidationError("need Lambda >= 1 and lambda_max >= 1e3")
     if params is None:
-        from .space import new_space
         params = new_space(2, 1)
     lam = np.geomspace(big_lambda, lambda_max, _SWEEP_POINTS)
     diff = np.abs(phase(kind1, params, lam) - phase(kind2, params, lam))

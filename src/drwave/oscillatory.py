@@ -30,16 +30,16 @@ bounds) remain correct.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .bumps import bump_unit, eta_dyadic
 from .dispersive import PhaseKind, phase_derivs, verify_phase_asymptotics
 from .errors import DomainError, ResolutionError, ValidationError
-from .quadrature import panel_rule, panel_rules
+from .quadrature import panel_rules
 from .space import SpaceParams
 
 __all__ = [
@@ -52,7 +52,7 @@ __all__ = [
     "BumpWindow",
     "proof_constants",
     "sample_claim_triples",
-    "eta_mass",
+    "ETA_MASS",
 ]
 
 
@@ -113,7 +113,7 @@ class _QuadraticPhases:
 # hybrid oscillatory quadrature
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
+@functools.cache
 def _cheb(n: int):
     """Chebyshev points on [-1, 1] (descending) and differentiation matrix."""
     j = np.arange(n + 1)
@@ -258,11 +258,10 @@ def _integrate(g, ph, a, b, tol):
 # window integrals
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1)
-def eta_mass() -> float:
-    """int eta over (1/2, 2), the scale of the trivial bound."""
-    nodes, weights = panel_rule(0.5, 2.0, 64.0)
-    return float(np.sum(weights * eta_dyadic(nodes)))
+# int eta over (1/2, 2), the scale of the trivial bound.  With eta(xi) =
+# chi(xi) - chi(2 xi) it is 1/2 + 1/2 int_1^2 chi, and int_1^2 chi = 1/2
+# since chi(3/2 + t) + chi(3/2 - t) = 1 on [1, 2].
+ETA_MASS = 0.75
 
 
 @dataclass
@@ -287,7 +286,7 @@ def _window_values(kind: PhaseKind, params: SpaceParams, k, delta_s, d):
     change = np.abs(v1 - v2)
     # below 1e-3 of the eta mass the integral is dominated by cancellation;
     # demand absolute accuracy 1e-9 * mass there instead of 1e-6 relative
-    floor = 1e-3 * eta_mass()
+    floor = 1e-3 * ETA_MASS
     bad = np.flatnonzero(change > 1e-6 * np.maximum(np.abs(v2), floor))
     if bad.size:
         j = bad[0]

@@ -52,11 +52,6 @@ class SpaceParams:
         """(m_v + m_z)/2, the coefficient of coth(s/2) in A'/A."""
         return 0.5 * (self.m_v + self.m_z)
 
-    @property
-    def taylor_b(self) -> float:
-        """(m_v + m_z)/12 + m_z/4, the b of A'/A = (n-1)/s + b s + O(s^3)."""
-        return (self.m_v + self.m_z) / 12.0 + self.m_z / 4.0
-
 
 def new_space(m_v: int, m_z: int) -> SpaceParams:
     """Build SpaceParams from (m_v, m_z), deriving n and Q.
@@ -95,8 +90,8 @@ def log_density_derivative(params: SpaceParams, s):
 
     Equals (m_v+m_z)/2 * coth(s/2) + m_z/2 * tanh(s/2); behaves like
     (n-1)/s as s -> 0+ and tends to Q as s -> infinity.  Below s = 1e-6
-    the Laurent form (n-1)/s + b*s is used to avoid cancellation, with
-    b = params.taylor_b from the expansion of coth/tanh.
+    the Laurent form (n-1)/s + g_1 s is used to avoid cancellation, with
+    g_1 = (m_v+m_z)/12 + m_z/4 the first coefficient of log_density_taylor.
     """
     s = np.asarray(s, dtype=float)
     if np.any(s <= 0):
@@ -106,7 +101,7 @@ def log_density_derivative(params: SpaceParams, s):
     small = s < 1e-6
     half = np.where(small, 1.0, s / 2.0)  # dummy arg where the Laurent form is used
     direct = alpha / np.tanh(half) + beta * np.tanh(half)
-    laurent = (params.n - 1) / s + params.taylor_b * s
+    laurent = (params.n - 1) / s + log_density_taylor(params)[0] * s
     out = np.where(small, laurent, direct)
     return out if out.ndim else float(out)
 
@@ -127,8 +122,9 @@ def log_density_taylor(params: SpaceParams) -> np.ndarray:
     With A'/A = (m_v+m_z)/2 coth(s/2) + m_z/2 tanh(s/2) and the Bernoulli
     series of coth and tanh (DLMF 4.19.5, 4.19.6) at x = s/2,
     g_k = 2 B_2k / (2k)! * ((m_v+m_z)/2 + (2^(2k) - 1) m_z/2), each
-    rounded once from exact rationals; g_1 is taylor_b.  The RK4 start
-    and the Bessel-series coefficients of `spherical` both read these.
+    rounded once from exact rationals.  The Laurent branch of
+    log_density_derivative, the RK4 start and the Bessel-series
+    coefficients of `spherical` all read these.
     """
     b = _bernoulli(82)
     half_sum, half_mz = Fraction(params.m_v + params.m_z, 2), Fraction(params.m_z, 2)

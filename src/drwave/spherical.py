@@ -42,7 +42,8 @@ from numpy.polynomial import polynomial
 
 from .errors import DomainError, PhiBoundError, ResolutionError, StepSizeError
 from .profiles import RadialProfile
-from .space import SpaceParams, density, log_density_derivative, log_density_taylor
+from .space import (SpaceParams, density, log_density_derivative, log_density_derivative_prime,
+                    log_density_taylor)
 from .special import (_bessel_start_pair, _h_modulus_inv2, _h_phase, _h_phase_slope0,
                       _piecewise, script_j)
 
@@ -282,8 +283,6 @@ def omega_coeffs(params: SpaceParams, k_max: int) -> np.ndarray:
 
 def liouville_potential(params: SpaceParams, s):
     """V(s) = (A'/A)^2/4 + (A'/A)'/2 - Q^2/4, the independent check on omega_k."""
-    from .space import log_density_derivative_prime
-
     p = log_density_derivative(params, s)
     pp = log_density_derivative_prime(params, s)
     return 0.25 * p * p + 0.5 * pp - params.q2_over_4

@@ -37,21 +37,8 @@ __all__ = [
     "SobolevComparisonReport",
 ]
 
-# documented default grids; experiments override per run
-S_MAX_DEFAULT = 12.0
-S_POINTS_DEFAULT = 4096
-LAMBDA_MAX_DEFAULT = 256.0
-
 _TAIL_TOL = 1e-10
 _BLOCK_CELLS = 2**22   # phi kernel cells per product in sft_forward (32 MB)
-
-
-def _interp(grid: np.ndarray, values: np.ndarray):
-    if np.iscomplexobj(values):
-        re = CubicSpline(grid, values.real)
-        im = CubicSpline(grid, values.imag)
-        return lambda x: re(x) + 1j * im(x)
-    return CubicSpline(grid, values)
 
 
 def _tail_check(params: SpaceParams, f: RadialProfile) -> None:
@@ -86,7 +73,7 @@ def sft_forward(params: SpaceParams, f: RadialProfile, lambda_grid) -> SpectralP
     s_max = float(f.s_grid[-1])
     rate = max(float(np.max(np.abs(lambda_grid))), 1.0)
     nodes, weights = panel_rule(0.0, s_max, rate)
-    f_nodes = _interp(f.s_grid, f.values)(nodes)
+    f_nodes = CubicSpline(f.s_grid, f.values)(nodes)
     v = weights * f_nodes * density(params, nodes)
     rows = max(1, _BLOCK_CELLS // nodes.size)
     vals = np.concatenate([phi_matrix(params, lambda_grid[i:i + rows], nodes) @ v
@@ -172,7 +159,7 @@ def inverse_quadrature(params: SpaceParams, fh: SpectralProfile, rate: float):
                           f"[{grid[0]:g}, {grid[1]:g}]")
     nodes, weights = panel_rule(lo, hi, max(rate, 1.0))
     weight = weights * plancherel_density(params, nodes) * inversion_constant(params)
-    return nodes, weight * _interp(fh.lambda_grid, fh.values)(nodes)
+    return nodes, weight * CubicSpline(fh.lambda_grid, fh.values)(nodes)
 
 
 def sft_inverse(params: SpaceParams, fh: SpectralProfile, s_grid) -> RadialProfile:
@@ -209,22 +196,24 @@ def _support_floor(fh: SpectralProfile) -> float:
     return lo
 
 
-def euclidean_correspondence(params: SpaceParams, fh: SpectralProfile) -> SpectralProfile:
-    """Euclidean radial spectrum Fg with lambda^(n-1) Fg = |c|^-2 fh.
-
-    Defined for spectra supported away from the origin; outside the
-    support the output is exactly zero (no division happens there).
-    """
+def _euclidean_weight(params: SpaceParams, fh: SpectralProfile, inverse: bool) -> SpectralProfile:
+    """fh times |c|^-2 / lambda^(n-1), or divided by it if `inverse`, where
+    fh is nonzero; exactly zero elsewhere (no division happens there)."""
     _support_floor(fh)
     lam = fh.lambda_grid
     out = np.zeros_like(fh.values)
     inside = np.abs(fh.values) > 0
-    out[inside] = (
-        plancherel_density(params, lam[inside])
-        * fh.values[inside]
-        / lam[inside] ** (params.n - 1)
-    )
+    num, den = plancherel_density(params, lam[inside]), lam[inside] ** (params.n - 1)
+    if inverse:
+        num, den = den, num
+    out[inside] = num * fh.values[inside] / den
     return SpectralProfile(lam, out, fh.support_hint)
+
+
+def euclidean_correspondence(params: SpaceParams, fh: SpectralProfile) -> SpectralProfile:
+    """Euclidean radial spectrum Fg with lambda^(n-1) Fg = |c|^-2 fh, for
+    spectra supported away from the origin."""
+    return _euclidean_weight(params, fh, inverse=False)
 
 
 def euclidean_sobolev_norm(params: SpaceParams, fg: SpectralProfile, beta: float) -> float:
@@ -241,16 +230,7 @@ def euclidean_sobolev_norm(params: SpaceParams, fg: SpectralProfile, beta: float
 
 def euclidean_correspondence_inverse(params: SpaceParams, fg: SpectralProfile) -> SpectralProfile:
     """Inverse weight map: fh = lambda^(n-1) Fg / |c|^-2."""
-    _support_floor(fg)
-    lam = fg.lambda_grid
-    out = np.zeros_like(fg.values)
-    inside = np.abs(fg.values) > 0
-    out[inside] = (
-        lam[inside] ** (params.n - 1)
-        * fg.values[inside]
-        / plancherel_density(params, lam[inside])
-    )
-    return SpectralProfile(lam, out, fg.support_hint)
+    return _euclidean_weight(params, fg, inverse=True)
 
 
 @dataclass

@@ -19,7 +19,7 @@ from drwave.cli import (
     parse_config_file,
     run,
 )
-from drwave.errors import DrwaveError, ValidationError
+from drwave.errors import ValidationError
 
 
 @pytest.fixture()
@@ -147,6 +147,21 @@ def test_config_error_exit_code(tmp_path, out_root):
     ["oscillatory-claim", "--n-triples", "0"],
     ["oscillatory-claim", "--n-triples", "-2"],
     ["oscillatory-claim", "--k-levels", "0", "--n-triples", "3"],
+    # a selector exponent that is not a finite number above 1
+    ["propagate", "--equation", "frac:nan", "--lambda-points", "128", "--lambda-max", "8",
+     "--s-max", "3"],
+    ["propagate", "--equation", "frac:inf", "--lambda-points", "128", "--lambda-max", "8",
+     "--s-max", "3"],
+    ["oscillatory-claim", "--equation", "frac-shifted:nan", "--n-triples", "3",
+     "--k-levels", "2"],
+    ["experiment", "transference", "--equation", "frac:nan"],
+    # a profile of zero or negative width, an unknown profile, unreadable lists
+    ["transform", "--profile", "gaussian:0"],
+    ["transform", "--profile", "gaussian:-1"],
+    ["transform", "--profile", "sech:0"],
+    ["transform", "--profile", "cosh:1"],
+    ["phi", "--lambda", "1,x"],
+    ["experiment", "case1", "--n-list", "64,abc"],
 ])
 def test_malformed_input_is_a_usage_error(tmp_path, out_root, capsys, argv):
     cfg = tmp_path / "bad.cfg"
@@ -154,6 +169,15 @@ def test_malformed_input_is_a_usage_error(tmp_path, out_root, capsys, argv):
     assert run([str(cfg) if a == "BAD_CFG" else a for a in argv]) == 2
     err = capsys.readouterr().err.splitlines()
     assert any(line.startswith("error:") for line in err), err
+    # a failed run leaves no output directory behind
+    assert not out_root.exists() or list(out_root.iterdir()) == []
+
+
+@pytest.mark.parametrize("selector", ["gaussian:0", "gaussian:-1", "sech:0"])
+def test_profile_width_must_be_positive(out_root, capsys, selector):
+    assert run(["transform", "--profile", selector]) == 2
+    err = capsys.readouterr().err
+    assert f"profile {selector!r} needs a width alpha > 0" in err, err
 
 
 def _flag_cases():
@@ -215,11 +239,11 @@ def test_slope_tol_case2_flag(out_root, monkeypatch):
 
     def stub(*args, slope_tol, **kwargs):
         seen.append(slope_tol)
-        raise DrwaveError("stub")
+        return experiments.ExperimentReport("case2")
 
     monkeypatch.setattr(experiments, "case2_run", stub)
-    assert run(["experiment", "case2"]) == 2
-    assert run(["experiment", "case2", "--slope-tol-case2", "0.3"]) == 2
+    assert run(["experiment", "case2"]) == 0
+    assert run(["experiment", "case2", "--slope-tol-case2", "0.3"]) == 0
     assert seen == [0.1, 0.3]
     # the flag is hashed; a run without it keeps its directory name
     plain = f"experiment-case2-{config_hash(DEFAULTS, 'experiment-case2')}"
@@ -235,6 +259,40 @@ def test_experiment_transference_cli(out_root):
     (run_dir,) = list(out_root.iterdir())
     doc = json.loads(_read(run_dir / "transference.json"))
     assert doc["verdict"] == "comparable"
+
+
+def _table(path):
+    """(header, float rows) of a CLI CSV artifact."""
+    lines = _read(path).splitlines()
+    return lines[1], np.array([[float(c) for c in ln.split(",")] for ln in lines[2:]])
+
+
+@pytest.mark.parametrize("profile,lambda_max", [("gaussian:1", "7"), ("sech:1", "12")])
+def test_transform_cli_small_grid(out_root, capsys, profile, lambda_max):
+    argv = ["transform", "--profile", profile, "--lambda-max", lambda_max, "--s-max", "6",
+            "--s-points", "256"]
+    assert run(argv) == 0
+    (run_dir,) = list(out_root.iterdir())
+    header, fwd = _table(run_dir / "forward.csv")
+    assert header == "lambda,re,im,abs" and np.all(np.isfinite(fwd))
+    header, back = _table(run_dir / "roundtrip.csv")
+    assert header == "s,re,im,reference" and np.all(np.isfinite(back))
+    rel = float(capsys.readouterr().out.split("error: ")[1].split()[0])
+    assert rel < 1e-3
+
+
+@pytest.mark.parametrize("spectrum", ["bump:1,2", "gaussian:2,0.5"])
+def test_propagate_and_maximal_cli_small_grid(out_root, spectrum):
+    grid = ["--spectrum", spectrum, "--s-max", "2", "--lambda-max", "4",
+            "--lambda-points", "128"]
+    assert run(["propagate", "--t", "0.01", *grid]) == 0
+    assert run(["maximal", "--t-points", "16", *grid]) == 0
+    prop, maxi = (next(out_root.glob(f"{sub}-*")) for sub in ("propagate", "maximal"))
+    header, rows = _table(prop / "propagate.csv")
+    assert header == "s,re,im" and rows.shape == (384, 3) and np.all(np.isfinite(rows))
+    header, rows = _table(maxi / "maximal.csv")
+    assert header == "s,sup" and rows.shape == (256, 2) and np.all(np.isfinite(rows))
+    assert np.all(rows[:, 1] >= 0.0)
 
 
 def test_oscillatory_cli_exit_reflects_verdict(out_root, capsys):

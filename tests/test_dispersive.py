@@ -329,3 +329,16 @@ def test_split_reconstruction_is_bit_exact(lam_max, parts):
     fh = SpectralProfile(np.linspace(0.0, lam_max, vals.size), vals)
     low, high = littlewood_paley_split(fh)
     assert np.array_equal(low.values + high.values, fh.values)
+
+
+@pytest.mark.parametrize("support,low_hint,high_hint", [
+    ((0.2, 0.9), (0.2, 0.9), None),           # below 1: all low
+    ((1.2, 1.8), (1.2, 1.8), (1.2, 1.8)),     # inside the overlap (1, 2)
+    ((0.5, 3.0), (0.5, 2.0), (1.0, 3.0)),     # across 1 and 2
+    ((3.0, 6.0), None, (3.0, 6.0)),           # above 2: all high
+])
+def test_split_support_hints(support, low_hint, high_hint):
+    fh = _spectrum(*support)
+    low, high = littlewood_paley_split(fh)
+    assert (low.support_hint, high.support_hint) == (low_hint, high_hint)
+    assert np.array_equal(low.values + high.values, fh.values)

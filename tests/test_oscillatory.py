@@ -9,9 +9,9 @@ from drwave.bumps import eta_dyadic
 from drwave.dispersive import PhaseKind
 from drwave.errors import DomainError, ResolutionError, ValidationError
 from drwave.oscillatory import (
+    ETA_MASS,
     BumpWindow,
     dyadic_sum_check,
-    eta_mass,
     phase_diff,
     proof_constants,
     sample_claim_triples,
@@ -142,8 +142,14 @@ def test_window_direct_leaf_non_convergence_raises(space21, monkeypatch):
         window_integral(K2, space21, 1, 2.0, 2.1, 0.01)
 
 
+def test_eta_mass_matches_quadrature():
+    # the closed form 3/4 against a 64-rate Gauss-Legendre panel rule
+    nodes, weights = panel_rule(0.5, 2.0, 64.0)
+    assert float(np.sum(weights * eta_dyadic(nodes))) == pytest.approx(ETA_MASS, rel=1e-15)
+
+
 def test_window_trivial_bound(space21, rng):
-    bound = (1.0 + 1e-6) * eta_mass()
+    bound = (1.0 + 1e-6) * ETA_MASS
     for _ in range(40):
         k = int(rng.integers(1, 30))
         s = float(rng.uniform(2.0, 4.0))
@@ -197,7 +203,7 @@ def test_window_specific_auxiliary_example(space21):
         fit = max(fit, res.value * math.sqrt(1e-3 * 4.0**k) / 2.0 ** (k / 2.0))
     assert fit > 0.1  # the stationary configuration really saturates the bound
     res = window_integral(K2, space21, 6, 2.0, 2.5, 1e-3)
-    trivial = eta_mass() * 2.0**3
+    trivial = ETA_MASS * 2.0**3
     curvature = 1.25 * fit * 2.0**3 / math.sqrt(1e-3 * 4.0**6)
     assert res.value <= min(trivial, curvature) * (1.0 + 1e-6)
     # and the mirrored k = 6 window obeys the same fitted bound
