@@ -1,9 +1,12 @@
 """Bessel kernels, the Harish-Chandra c-function and the Plancherel density
 |c(lambda)|^-2.
 
-Besides script_j, the normalized kernel of one order, _bessel_start_pair
-gives sqrt(pi x / 2) J_nu(x) at two consecutive low orders, from which
-the upward order recurrence reaches every order below x.
+script_j is the normalized kernel of one order, by scipy's jv; it is
+the public kernel and the tests' oracle, and no phi route calls it (the
+Bessel series sweeps its orders by recurrence, spherical._kernel_sum).
+_bessel_start_pair gives sqrt(pi x / 2) J_nu(x) at two consecutive low
+orders, from which the upward order recurrence reaches every order
+below x.
 
 The c-function is the four-Gamma ratio
 
@@ -108,8 +111,8 @@ def _hankel_sums(nu: int, x):
     a = [1.0]
     for k in range(1, _HANKEL_TERMS):
         a.append(a[-1] * (4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k))
-    w = x * x
-    np.reciprocal(w, out=w)
+    w = np.reciprocal(x)       # 1/x^2 as (1/x)^2: x^2 overflows beyond 1.3e154
+    w *= w
     p, q = np.full_like(x, a[-2]), np.full_like(x, a[-1])
     for k in range(_HANKEL_TERMS // 2 - 2, -1, -1):   # a_2k (-1)^k and a_2k+1 (-1)^k
         p *= -w

@@ -10,12 +10,14 @@ evaluated by
   polynomials in s^2 that follow exactly, once per space, from the
   Taylor series of the radial equation's potential by a triangular
   recursion (_BesselCoeffs) and summed to the fixed order M = 16; its
-  kernels script_j of orders mu0..mu0+16 come from the downward order
-  recurrence (Abramowitz & Stegun 9.1.27) started at the top two
-  orders, which take two Bessel calls per cell where
-  lambda s <= mu0+17 and, where lambda s exceeds every order, the
-  upward recurrence from a cheap start pair at orders below 1; its
-  cost per cell does not depend on lambda;
+  kernels script_j of orders mu0..mu0+16 come from one downward sweep
+  of the order recurrence (Abramowitz & Stegun 9.1.27, _kernel_sum),
+  started where lambda s <= mu0+17 by Miller's algorithm a few orders
+  higher and scaled once per cell to closed forms at the two lowest
+  orders, and where lambda s exceeds every order at the top two orders
+  of the upward recurrence from a cheap start pair at orders below 1;
+  no Bessel function of high order is called, and the cost per cell
+  does not depend on lambda;
 * an exponential series for s >= 2 at every lambda, lambda = 0
   included: the Harish-Chandra expansion written through
   h(lambda) = i lambda c(lambda), which has no pole (_hc_matrix), and
@@ -24,12 +26,14 @@ evaluated by
 
 phi_matrix() is the one way into both series, and phi() is phi_matrix()
 on one cell, so both take the same route by s alone and both enforce
-the global bound |phi| <= 1.  A fixed-step RK4 integration of the
-radial equation from a 30-term Taylor start (phi_ode_oracle,
-_ode_refined) is the independent check on both series and is on no
-production path; each step is applied as a precomputed transfer
-matrix, quadratic in lambda^2 + Q^2/4, to a whole block of frequencies
-at once.
+the global bound |phi| <= 1.  phi_matrix builds each series' parts
+that do not change along a row once per call, and runs both in blocks
+of lambda rows that keep their temporaries small.  A fixed-step RK4
+integration of the radial equation from a 30-term Taylor start
+(phi_ode_oracle, _ode_refined) is the independent check on both series
+and is on no production path; each step is applied as a precomputed
+transfer matrix, quadratic in lambda^2 + Q^2/4, to a whole block of
+frequencies at once.
 """
 
 from __future__ import annotations
@@ -39,13 +43,13 @@ import math
 
 import numpy as np
 from numpy.polynomial import polynomial
+from scipy.special import gammaln, j0, j1
 
 from .errors import DomainError, PhiBoundError, ResolutionError, StepSizeError
 from .profiles import RadialProfile
 from .space import (SpaceParams, density, log_density_derivative, log_density_derivative_prime,
                     log_density_taylor)
-from .special import (_bessel_start_pair, _h_modulus_inv2, _h_phase, _h_phase_slope0,
-                      _piecewise, script_j)
+from .special import _bessel_start_pair, _h_modulus_inv2, _h_phase, _h_phase_slope0
 
 __all__ = [
     "phi",
@@ -67,6 +71,7 @@ _BESSEL_M = 16          # the Bessel series sums orders 0..M
 _HC_MU_START = 40
 _HC_MU_CAP = 320
 _PHI_BOUND_TOL = 1e-9
+_BLOCK_CELLS = 2**14    # cells per lambda block in phi_matrix: 128 kB per array
 _ODE_TOL = 1e-8  # relative phase error of the RK4 step (_auto_step)
 
 
@@ -313,10 +318,9 @@ def _gamma_slope0(params: SpaceParams, gam0: np.ndarray) -> np.ndarray:
     return slope
 
 
-def _hc_matrix(params: SpaceParams, lams: np.ndarray, s: np.ndarray,
-               gam: np.ndarray) -> np.ndarray:
-    """Exponential series on the grid product for lam >= 0, real, shape
-    (n_lam, n_s), from Gamma_mu(lam) (_gamma_matrix).
+class _HCSeries:
+    """The exponential series on the grid product for lam >= 0, real, shape
+    (n_lam, n_s), block by block of rows.
 
     The Harish-Chandra expansion phi = pref (c(lam) Phi_lam +
     c(-lam) Phi_-lam), Phi_lam = e^(i lam s) sum_mu Gamma_mu(lam) e^(-mu s),
@@ -342,20 +346,46 @@ def _hc_matrix(params: SpaceParams, lams: np.ndarray, s: np.ndarray,
     a = Im (h'/h)(0) (special._h_phase_slope0).  Gamma_mu(0) is real and
     Gamma'_mu(0) (_gamma_slope0) imaginary, so a lam = 0 row of the product
     carries their sum and returns both sums as its real and imaginary parts.
+
+    The Gamma rows (_gamma_matrix to mu_max), h's phase and |h|/lam per
+    lam, and e^(-mu s) and the prefactor per s are built once; block()
+    only slices them.
     """
-    zero = lams * lams == 0
-    if np.any(zero):
-        gam = gam + 1j * np.outer(zero, _gamma_slope0(params, gam[np.argmax(zero)].real))
-    mu = np.arange(gam.shape[1])
-    sums = gam @ np.exp(-np.outer(mu, s))                 # (n_lam, n_s)
-    h_mod = 1.0 / np.sqrt(_h_modulus_inv2(params, lams))
-    out = np.empty(sums.shape)
-    lp = lams[~zero]
-    turn = np.exp(1j * (_h_phase(params, lp)[:, None] + np.outer(lp, s)))
-    out[~zero] = (h_mod[~zero] / lp)[:, None] * (turn * sums[~zero]).imag
-    out[zero] = h_mod[zero, None] * ((_h_phase_slope0(params) + s) * sums[zero].real
-                                     + sums[zero].imag)
-    return 2.0 ** (1.0 - 0.5 * params.m_z) / np.sqrt(density(params, s)) * out
+
+    def __init__(self, params: SpaceParams, lams: np.ndarray, s: np.ndarray, mu_max: int):
+        gam = _gamma_matrix(params, lams, mu_max)
+        self.lams, self.s = lams, s
+        # lam^2 and |h|^-2 pass the float range at large lam; as inf they
+        # give the limits: lam is not 0, and |h| is 0 to double precision
+        with np.errstate(over="ignore"):
+            self.zero = lams * lams == 0
+            h_mod = 1.0 / np.sqrt(_h_modulus_inv2(params, lams))
+            lp = lams[~self.zero]
+            self.phase = np.zeros_like(lams)
+            self.phase[~self.zero] = _h_phase(params, lp)
+        self.scale = h_mod
+        self.scale[~self.zero] /= lp
+        if np.any(self.zero):
+            gam[self.zero] += 1j * _gamma_slope0(params, gam[np.argmax(self.zero)].real)
+            self.slope0 = _h_phase_slope0(params)
+        self.gam_re, self.gam_im = np.ascontiguousarray(gam.real), np.ascontiguousarray(gam.imag)
+        self.decay = np.exp(-np.outer(np.arange(mu_max + 1), s))        # (mu, n_s)
+        self.pref = 2.0 ** (1.0 - 0.5 * params.m_z) / np.sqrt(density(params, s))
+
+    def block(self, rows: slice) -> np.ndarray:
+        """Rows `rows` of the series, shape (n_rows, n_s)."""
+        sums_re = self.gam_re[rows] @ self.decay
+        sums_im = self.gam_im[rows] @ self.decay
+        theta = np.outer(self.lams[rows], self.s)
+        theta += self.phase[rows, None]
+        out = np.sin(theta) * sums_re
+        out += np.cos(theta) * sums_im            # Im(e^(i theta) sums)
+        zero = self.zero[rows]
+        if np.any(zero):
+            out[zero] = (self.slope0 + self.s) * sums_re[zero] + sums_im[zero]
+        out *= self.scale[rows, None]
+        out *= self.pref
+        return out
 
 
 def _hc_mu_for(params: SpaceParams, lams: np.ndarray, s_min: float) -> int:
@@ -474,33 +504,124 @@ def _upward_top_kernels(mu0: float, x: np.ndarray):
     return scale * u_hi, (scale * x / (2.0 * top - 1.0)) * u_lo
 
 
-def _kernel_orders(mu0: float, x: np.ndarray):
-    """Yield (l, script_j(mu0 + l, x)) for l = 16, 15, ..., 0.
+def _kernel_at_zero(mu):
+    """script_j(mu, 0) = sqrt(pi) Gamma(mu + 1/2) / Gamma(mu + 1), the
+    series limit, for a scalar or an array mu."""
+    return math.sqrt(math.pi) * np.exp(gammaln(mu + 0.5) - gammaln(mu + 1.0))
 
-    The top two orders are chosen per cell from x: script_j where
-    x <= mu0 + 17, and the upward order recurrence from a start pair
-    (_upward_top_kernels) beyond it.  Every lower order comes from the
-    downward recurrence
 
-        S_(mu-1) = (2 mu S_mu - x^2 S_(mu+1) / (2 mu + 1)) / (2 mu - 1),
+# Extra orders above mu0 + 16 at which the Miller sweep starts, by the
+# largest x of its cells: (x_max bracket edge, extra orders).  Beyond the
+# last edge the start is x_max + 8 x_max^(1/3), at least 16 above mu0 + 16.
+# A scan against mpmath (mu0 from 1/2 to 30) put every kernel order within
+# 1e-14 of its amplitude with these.
+_MILLER_EXTRA = ((0.5, 4), (2.0, 6), (5.0, 8), (10.0, 12))
 
-    which is Abramowitz & Stegun 9.1.27, J_(mu-1) + J_(mu+1) =
-    (2 mu / x) J_mu, divided by the script_j normalization
-    2^mu sqrt(pi) Gamma(mu+1/2) / x^mu.  Run downward, J is the growing
-    solution of the recurrence where mu > x and neither solution grows
-    where mu < x, so the sweep is stable at every x; at x = 0 it is the
-    ratio of the series limits.  Two orders are held at a time.
+
+def _miller_extra(top: float, x_max: float) -> int:
+    """Orders above top at which the Miller sweep of cells with x <= x_max
+    starts.
+
+    The start N must sit far enough above both top and x that the
+    discarded dominant solution has died out by the orders that are
+    summed.  Above x, J_N(x) falls like
+    exp(-(2 sqrt(2)/3) (N - x)^(3/2) / N^(1/2)) (Debye's expansion), so
+    at a fixed accuracy N - x grows like x^(1/3).
+    """
+    for edge, extra in _MILLER_EXTRA:
+        if x_max <= edge:
+            return extra
+    return max(16, math.ceil(x_max + 8.0 * x_max ** (1.0 / 3.0) - top))
+
+
+def _down(mu: float, x: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Lambda_(mu-1) = Lambda_mu - x^2 Lambda_(mu+1) / (4 mu (mu+1)) from
+    hi = Lambda_(mu+1) and lo = Lambda_mu, written over hi and returned.
+    x^2 is applied as x (x hi), which cannot overflow where hi is small."""
+    hi *= x
+    hi *= x
+    hi *= 0.25 / (mu * (mu + 1.0))
+    return np.subtract(lo, hi, out=hi)
+
+
+def _miller_factor(nu0: float, x: np.ndarray, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
+    """k that brings the swept pair (t0, t1) at orders nu0 and nu0 + 1 closest,
+    in least squares, to the true Lambda_nu0(x) and Lambda_(nu0+1)(x).
+
+    Those are J_0(x) and 2 J_1(x)/x for nu0 = 0, and sin x/x and
+    3 (sin x - x cos x)/x^3 for nu0 = 1/2; both pairs are 1 at x = 0 and
+    cannot vanish together.  Below x = 1, where the second form cancels
+    and neither first one has a zero, order nu0 is matched alone.
+    """
+    far = x >= 1.0
+    if nu0 == 0.0:
+        v0 = j0(x)
+        v1 = np.divide(2.0 * j1(x), x, out=np.zeros_like(x), where=far)
+    else:
+        sin_x, cos_x = np.sin(x), np.cos(x)
+        v0 = np.divide(sin_x, x, out=np.ones_like(x), where=x > 0)
+        v1 = np.divide(3.0 * (sin_x - x * cos_x), x * x * x, out=np.zeros_like(x), where=far)
+    t1 = np.where(far, t1, 0.0)
+    return (t0 * v0 + t1 * v1) / (t0 * t0 + t1 * t1)
+
+
+def _kernel_sum(mu0: float, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum over l = 0..16 of weights[l] script_j(mu0 + l, x), for x >= 0.
+
+    weights has shape (17, n_s) or (17, 1); each row broadcasts against
+    x.  The sum is accumulated during one downward sweep of the order,
+    run on the normalized kernels
+
+        Lambda_mu(x) = script_j(mu, x) / script_j(mu, 0) = Gamma(mu+1) (2/x)^mu J_mu(x),
+
+    for which Abramowitz & Stegun 9.1.27, J_(mu-1) + J_(mu+1) =
+    (2 mu/x) J_mu, becomes the three-term
+    Lambda_(mu-1) = Lambda_mu - x^2 Lambda_(mu+1) / (4 mu (mu+1)) (_down).
+    Run downward, J is the growing solution of the recurrence where
+    mu > x and neither solution grows where mu < x.
+
+    The sweep starts per cell from x:
+    * where x <= mu0 + 17, by Miller's algorithm (Gautschi, SIAM Review 9,
+      1967; DLMF 3.6(iii)): from (0, 1) at orders N + 1 and N, N above
+      mu0 + 16 by _miller_extra of the largest such x, the sweep gives every
+      order up to one common factor per cell.  It runs on to the orders
+      nu0 = mu0 mod 1 and nu0 + 1, whose closed forms fix that factor
+      (_miller_factor), and the sum, linear in the kernels, is scaled once;
+    * beyond it, where every order is below x, from the exact top two
+      orders of the upward recurrence (_upward_top_kernels).
+    At x = 0 the sweep is the ratio of the series limits.  Two orders are
+    held at a time.
     """
     top = mu0 + _BESSEL_M
-    hi, lo = _piecewise(x, x > top + 1.0, lambda xs: _upward_top_kernels(mu0, xs),
-                        lambda xs: (script_j(top, xs), script_j(top - 1, xs)))
-    yield _BESSEL_M, hi
-    yield _BESSEL_M - 1, lo
-    x2 = x * x
+    nu0 = mu0 % 1.0
+    w = _kernel_at_zero(mu0 + np.arange(_BESSEL_M + 1))[:, None] * weights
+    miller = x <= top + 1.0
+    n_miller = int(np.count_nonzero(miller))
+    hi, lo = np.zeros_like(x), np.ones_like(x)                  # orders N + 1, N
+    if n_miller:
+        # cells of the upward start sweep x = 0 here, and are overwritten
+        x_m = x if n_miller == x.size else np.where(miller, x, 0.0)
+        for mu in top + np.arange(_miller_extra(top, float(np.max(x_m))), -1, -1):
+            hi, lo = lo, _down(mu, x_m, hi, lo)
+    if n_miller < x.size:
+        up = ~miller
+        up_hi, up_lo = _upward_top_kernels(mu0, x[up])
+        hi[up], lo[up] = up_hi / _kernel_at_zero(top), up_lo / _kernel_at_zero(top - 1.0)
+    total = w[_BESSEL_M] * hi
+    term = w[_BESSEL_M - 1] * lo
+    total += term
     for l in range(_BESSEL_M - 1, 0, -1):
-        mu = mu0 + l
-        hi, lo = lo, (2.0 * mu * lo - x2 * hi / (2.0 * mu + 1.0)) / (2.0 * mu - 1.0)
-        yield l - 1, lo
+        hi, lo = lo, _down(mu0 + l, x, hi, lo)
+        np.multiply(w[l - 1], lo, out=term)
+        total += term
+    if n_miller:
+        for mu in mu0 - np.arange(round(mu0 - nu0)):
+            hi, lo = lo, _down(mu, x, hi, lo)
+        if n_miller == x.size:
+            total *= _miller_factor(nu0, x, lo, hi)
+        else:
+            total[miller] *= _miller_factor(nu0, x[miller], lo[miller], hi[miller])
+    return total
 
 
 @functools.cache
@@ -509,30 +630,37 @@ def _bessel_table(params: SpaceParams) -> _BesselCoeffs:
     return _BesselCoeffs(params)
 
 
-def _bessel_matrix(params: SpaceParams, lams: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Bessel-series values on the grid product, shape (n_lam, n_s).
+class _BesselColumns:
+    """The Bessel series' parts that depend on s alone, built once per
+    phi_matrix call: each order's weight a_l(s) s^(2l) and the prefactor
+    c0 (s^(n-1)/A)^(1/2) (_bessel_pref), on the columns s > 0."""
+
+    def __init__(self, params: SpaceParams, s: np.ndarray):
+        tab = _bessel_table(params)
+        self.mu0 = tab.mu0
+        self.pos = s > 0
+        sp = s[self.pos]
+        self.sp = sp
+        self.weights = tab.a_values(sp) * sp ** (2.0 * np.arange(_BESSEL_M + 1))[:, None]
+        self.pref = _bessel_pref(params, sp)
+
+
+def _bessel_matrix(cols: _BesselColumns, lams: np.ndarray) -> np.ndarray:
+    """Bessel-series values on the product of lams >= 0 and cols' s grid,
+    shape (n_lam, n_s).
 
     The sum over l <= 16 of a_l(s) s^(2l) script_j(mu0 + l, lambda s) is
-    accumulated during one downward sweep of the kernel order
-    (_kernel_orders: the top two orders by two Bessel calls per cell
-    where lambda s <= mu0 + 17 and by the upward recurrence from a
-    start pair beyond it, the A&S 9.1.27 recurrence below them),
-    vectorized over the full (lambda, s) outer product; s = 0 columns
-    return exactly 1.  The series converges absolutely for s < 2 only;
-    phi_matrix() is its one caller and sends it no other column.
+    one downward sweep of the kernel order (_kernel_sum), vectorized over
+    the (lambda, s) product; s = 0 columns return exactly 1.  The series
+    converges absolutely for s < 2 only; phi_matrix() is its one caller,
+    block by block, and sends it no other column.
     """
-    tab = _bessel_table(params)
-    lams = np.abs(np.atleast_1d(np.asarray(lams, dtype=float)))
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    pos = s > 0
-    sp = s[pos]
-    a = tab.a_values(sp)                                    # (17, n_sp)
-    x = np.outer(lams, sp)                                  # (n_lam, n_sp)
-    total = np.zeros((lams.size, sp.size))
-    for l, kernel in _kernel_orders(tab.mu0, x):
-        total += (a[l] * sp ** (2 * l)) * kernel
-    out = np.ones((lams.size, s.size))
-    out[:, pos] = _bessel_pref(params, sp) * total
+    total = _kernel_sum(cols.mu0, np.outer(lams, cols.sp), cols.weights)
+    total *= cols.pref
+    if np.all(cols.pos):
+        return total
+    out = np.ones((lams.size, cols.pos.size))
+    out[:, cols.pos] = total
     return out
 
 
@@ -555,34 +683,51 @@ def phi_with_method(params: SpaceParams, lam: float, s: float) -> tuple[float, s
 def phi_matrix(params: SpaceParams, lams, s) -> np.ndarray:
     """phi_{lambda_i}(s_j) over the grid product, shape (n_lam, n_s).
 
-    Two routes, chosen by s alone: the Bessel series for s < 2 and the
-    exponential series (_hc_matrix) for s >= 2, each at every lambda.
-    Raises PhiBoundError if any |phi| exceeds 1 + 1e-9.
+    Two routes, chosen by s alone: the Bessel series (_bessel_matrix) for
+    s < 2 and the exponential series (_HCSeries) for s >= 2, each at every
+    lambda.  Their parts that depend on s alone, and the exponential
+    series' Gamma rows and h per lambda, are built once; both routes then
+    run in blocks of lambda rows of about _BLOCK_CELLS cells, so that
+    their temporaries stay small.  Raises DomainError where lambda s is
+    not finite, and PhiBoundError if any |phi| exceeds 1 + 1e-9.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    if np.any(s < 0):
-        raise DomainError("phi_matrix requires s >= 0")
+    if not np.all((s >= 0) & np.isfinite(s)):
+        raise DomainError("phi_matrix requires finite s >= 0")
     if not np.all(np.isfinite(lams)):
         raise DomainError("phi_matrix requires finite lambda")
-    near = s < S_HC_MIN
-    if np.all(near):
-        return _bound_checked(_bessel_matrix(params, lams, s), lams, s)
+    lams_abs = np.abs(lams)
     out = np.empty((lams.size, s.size))
+    if out.size == 0:
+        return out
+    i_max = int(np.argmax(lams_abs))
+    if not math.isfinite(float(lams_abs[i_max]) * float(np.max(s))):
+        raise DomainError(f"lambda * s overflows at lambda = {lams[i_max]} (s up to {np.max(s)})")
+    near = s < S_HC_MIN
+    routes = []
     if np.any(near):
-        out[:, near] = _bessel_matrix(params, lams, s[near])
-    s_far, lams_abs = s[~near], np.abs(lams)
-    mu_max = _hc_mu_for(params, lams_abs, float(np.min(s_far)))
-    out[:, ~near] = _hc_matrix(params, lams_abs, s_far, _gamma_matrix(params, lams_abs, mu_max))
-    return _bound_checked(out, lams, s)
+        cols = _BesselColumns(params, s[near])
+        routes.append((near, lambda rows: _bessel_matrix(cols, lams_abs[rows])))
+    if not np.all(near):
+        s_far = s[~near]
+        mu_max = _hc_mu_for(params, lams_abs, float(np.min(s_far)))
+        routes.append((~near, _HCSeries(params, lams_abs, s_far, mu_max).block))
+    step = max(1, _BLOCK_CELLS // s.size)
+    for i in range(0, lams.size, step):
+        rows = slice(i, i + step)
+        for where, block in routes:
+            out[rows, where] = block(rows)
+        _check_bound(out[rows], lams[rows], s)
+    return out
 
 
-def _bound_checked(out: np.ndarray, lams: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """out, after one vectorized check of |phi| <= 1 + 1e-9 (NaN fails)."""
+def _check_bound(out: np.ndarray, lams: np.ndarray, s: np.ndarray) -> None:
+    """Raise PhiBoundError unless |phi| <= 1 + 1e-9 on every cell of out,
+    a block of phi_matrix rows (NaN fails), in one vectorized check."""
     bad = ~(np.abs(out) <= 1.0 + _PHI_BOUND_TOL)
     if np.any(bad):
         i, j = np.argwhere(bad)[0]
         raise PhiBoundError(
             f"|phi_{lams[i]}({s[j]})| = {abs(out[i, j])} violates the bound 1 + 1e-9 "
-            f"(phi_matrix, {np.count_nonzero(bad)} cells)")
-    return out
+            f"(phi_matrix, {np.count_nonzero(bad)} cells in its block of {lams.size} rows)")

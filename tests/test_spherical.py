@@ -3,6 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import gammaln
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -20,10 +21,11 @@ from drwave.spherical import (
     _auto_step,
     _bessel_matrix,
     _bessel_table,
+    _BesselColumns,
     _gamma_matrix,
-    _hc_matrix,
+    _HCSeries,
     _hc_mu_for,
-    _kernel_orders,
+    _kernel_sum,
     _ode_refined,
     _ode_values,
     _taylor_coeffs,
@@ -290,7 +292,20 @@ def _series(params, lam: float, s: np.ndarray, mu_max: int | None = None) -> np.
     lams = np.array([abs(lam)])
     if mu_max is None:
         mu_max = _hc_mu_for(params, lams, float(np.min(s)))
-    return _hc_matrix(params, lams, s, _gamma_matrix(params, lams, mu_max))[0]
+    return _HCSeries(params, lams, s, mu_max).block(slice(None))[0]
+
+
+def _bessel(params, lams, s) -> np.ndarray:
+    """The Bessel series on the grid product, as phi_matrix runs it below s = 2."""
+    cols = _BesselColumns(params, np.asarray(s, dtype=float))
+    return _bessel_matrix(cols, np.asarray(lams, dtype=float))
+
+
+def _kernels(mu0: float, x: np.ndarray):
+    """(l, script_j(mu0 + l, x)) for l = 16..0, each order from its own
+    _kernel_sum with that order's weight 1 and every other 0."""
+    for l in range(16, -1, -1):
+        yield l, _kernel_sum(mu0, x, np.eye(17)[l][:, None])
 
 
 def test_phi_hc_vs_ode(space21):
@@ -301,7 +316,7 @@ def test_phi_hc_vs_ode(space21):
 
 def test_phi_hc_vs_bessel_overlap(space21):
     hc = _series(space21, 3.0, np.array([1.5]), mu_max=60)[0]
-    bes = _bessel_matrix(space21, np.array([3.0]), np.array([1.5]))[0, 0]
+    bes = _bessel(space21, np.array([3.0]), np.array([1.5]))[0, 0]
     assert abs(hc - bes) <= 1e-5 * max(abs(hc), 1e-3)
 
 
@@ -321,7 +336,7 @@ def test_hc_pointwise_decay_bound(space21):
 # ---------------------------------------------------------------------------
 
 def test_phi_bessel_at_zero(space43):
-    assert _bessel_matrix(space43, np.array([7.3]), np.array([0.0]))[0, 0] == 1.0
+    assert _bessel(space43, np.array([7.3]), np.array([0.0]))[0, 0] == 1.0
 
 
 def test_phi_bessel_vs_ode(space21):
@@ -331,7 +346,7 @@ def test_phi_bessel_vs_ode(space21):
 
 
 def test_phi_bessel_bound_high_frequency(space21):
-    val = _bessel_matrix(space21, np.array([20.0]), np.array([1.0]))[0, 0]
+    val = _bessel(space21, np.array([20.0]), np.array([1.0]))[0, 0]
     assert abs(val) <= 1.0 + 1e-9
 
 
@@ -365,7 +380,7 @@ def test_bessel_matrix_matches_per_order_sum(m_v, m_z, m, monkeypatch):
     s = np.array([0.0, 1e-3, 0.05, 0.2, 0.4, 0.75])
     cut = _WeightedTable(tab, np.arange(17) <= m)
     monkeypatch.setattr(spherical, "_bessel_table", lambda p: cut)
-    got = _bessel_matrix(params, lams, s)
+    got = _bessel(params, lams, s)
     assert np.all(got[:, 0] == 1.0)
     sp = s[1:]
     a = tab.a_values(sp)
@@ -386,7 +401,7 @@ def test_kernel_orders_upward_path_matches_mpmath(mu0):
     x = np.concatenate([mu0 + m + 1.0 + np.array([1e-9, 1e-3, 0.5, 3.0]),
                         [60.0, 999.0, 999.999, 1000.0, 1000.5, 3e4, 1.3e5, 2e5]])
     with mp.workdps(30):
-        for l, kernel in _kernel_orders(mu0, x):
+        for l, kernel in _kernels(mu0, x):
             mu = mp.mpf(mu0 + l)
             for xi, got in zip(x, kernel):
                 xm = mp.mpf(float(xi))
@@ -394,6 +409,147 @@ def test_kernel_orders_upward_path_matches_mpmath(mu0):
                 ref = pref * mp.besselj(mu, xm)
                 amp = pref * mp.sqrt(2 / (mp.pi * xm))
                 assert abs(got - ref) <= 2e-13 * amp, (float(mu), float(xi))
+
+
+def _kernel_amplitude(mu, x):
+    """The amplitude of script_j(mu, x): its series limit script_j(mu, 0),
+    which bounds it, or the envelope sqrt(2/(pi x)) 2^mu sqrt(pi)
+    Gamma(mu+1/2) / x^mu of its oscillation, whichever is smaller."""
+    mu = np.asarray(mu, dtype=float)[..., None, None]
+    x = np.asarray(x, dtype=float)
+    log_limit = 0.5 * math.log(math.pi) + gammaln(mu + 0.5) - gammaln(mu + 1.0)
+    with np.errstate(divide="ignore"):
+        log_env = (mu * math.log(2.0) + 0.5 * math.log(math.pi) + gammaln(mu + 0.5)
+                   - mu * np.log(x) + 0.5 * np.log(2.0 / (math.pi * x)))
+    return np.exp(np.minimum(log_limit, log_env))
+
+
+def _bessel_amplitude(params, lams, s):
+    """The amplitude of the Bessel series on the grid product, s > 0:
+    c0 (s^(n-1)/A)^(1/2) sum_l |a_l(s)| s^(2l) times each kernel's amplitude."""
+    tab = _bessel_table(params)
+    l = np.arange(17)
+    weights = np.abs(tab.a_values(s)) * s ** (2 * l)[:, None]
+    amp = _kernel_amplitude(tab.mu0 + l, np.outer(lams, s))        # (17, n_lam, n_s)
+    pref = c0_constant(params) * np.sqrt(s ** (params.n - 1) / density(params, s))
+    return pref * np.einsum("ls,lis->is", weights, amp)
+
+
+_MILLER_X = [0.0, 1e-300, 1e-8, 0.3, 2.404825557695773, math.pi, 2.0 * math.pi]
+
+
+@pytest.mark.parametrize("mu0", [0.5, 1.0, 3.0, 3.5, 11.0, 30.0])
+def test_miller_kernels_match_mpmath(mu0):
+    # cells with x <= mu0 + 17 start the sweep by Miller's algorithm: at
+    # x = 0, x << 1, the zeros of J_0 (2.4048...) and of sin x (pi, 2 pi)
+    # that the normalizing pairs cross, and just below mu0 + 17, where
+    # mu0 = 30 reaches past the start's bracket table; each x alone, so
+    # that each takes the start its own size selects, and all together;
+    # every order within 2e-13 of the kernel's amplitude
+    top_x = [mu0 + 17.0 - 1e-9, mu0 + 17.0]
+    calls = [np.array([x]) for x in _MILLER_X + top_x] + [np.array(_MILLER_X + top_x)]
+    with mp.workdps(30):
+        for x in calls:
+            for l, kernel in _kernels(mu0, x):
+                mu = mp.mpf(mu0 + l)
+                amp = _kernel_amplitude(mu0 + l, x)[0]
+                for xi, got, a in zip(x, kernel, amp):
+                    xm = mp.mpf(float(xi))
+                    if xi == 0.0:
+                        ref = mp.sqrt(mp.pi) * mp.gamma(mu + 0.5) / mp.gamma(mu + 1)
+                    else:
+                        pref = 2**mu * mp.sqrt(mp.pi) * mp.gamma(mu + 0.5) / xm**mu
+                        ref = pref * mp.besselj(mu, xm)
+                    assert abs(got - ref) <= 2e-13 * a, (float(mu), float(xi))
+
+
+@pytest.mark.parametrize("m_v,m_z", [(2, 0), (2, 1), (4, 3), (6, 2), (16, 7)])
+def test_bessel_matrix_lambda_zero_row(m_v, m_z):
+    # a call whose one row is lambda = 0 sweeps x = 0 only: each order is
+    # its series limit, and the row equals the lambda = 0 row of a call
+    # whose other rows take the upward start
+    params = new_space(m_v, m_z)
+    tab = _bessel_table(params)
+    s = np.array([0.0, 1e-3, 0.3, 1.0, 1.9])
+    got = _bessel(params, [0.0], s)[0]
+    sp = s[1:]
+    mu = tab.mu0 + np.arange(17)
+    limits = np.sqrt(np.pi) * np.exp(gammaln(mu + 0.5) - gammaln(mu + 1.0))
+    weights = tab.a_values(sp) * sp ** (2 * np.arange(17))[:, None]
+    pref = c0_constant(params) * np.sqrt(sp ** (params.n - 1) / density(params, sp))
+    ref = pref * (limits @ weights)
+    amp = pref * (limits @ np.abs(weights))
+    assert got[0] == 1.0
+    assert np.all(np.abs(got[1:] - ref) <= 2e-13 * amp)
+    mixed = _bessel(params, [0.0, 5.0, 1e4], s)
+    assert np.all(np.abs(mixed[0] - got) <= 2e-13 * np.concatenate([[1.0], amp]))
+
+
+@pytest.mark.parametrize("m_v,m_z", [(2, 0), (2, 1), (4, 3), (6, 2), (16, 7)])
+def test_miller_start_converged_at_bracket_edges(m_v, m_z, monkeypatch):
+    # the Miller start's extra orders are chosen from the largest x of the
+    # call; at each bracket edge of that rule, and at the last Miller cell
+    # x = mu0 + 17, eight more orders move phi by under 1e-14 of the
+    # series' amplitude
+    params = new_space(m_v, m_z)
+    mu0 = _bessel_table(params).mu0
+    s = np.linspace(0.05, 1.9, 40)
+    base = spherical._miller_extra
+    for edge in [e for e, _ in spherical._MILLER_EXTRA] + [mu0 + 17.0]:
+        lam_top = edge / s[-1]
+        while lam_top * s[-1] > edge:
+            lam_top = np.nextafter(lam_top, 0.0)
+        lams = np.linspace(0.0, lam_top, 60)
+        got = phi_matrix(params, lams, s)
+        monkeypatch.setattr(spherical, "_miller_extra", lambda top, x_max: base(top, x_max) + 8)
+        more = phi_matrix(params, lams, s)
+        monkeypatch.setattr(spherical, "_miller_extra", base)
+        assert np.all(np.abs(got - more) <= 1e-14 * _bessel_amplitude(params, lams, s)), edge
+
+
+@pytest.mark.parametrize("m_v,m_z,s_max", [(2, 0, 5.0), (2, 1, 5.0), (4, 3, 5.0), (6, 2, 5.0),
+                                           (16, 7, 1.95)])
+def test_phi_matrix_blocks_match_rows(m_v, m_z, s_max):
+    # 600 lambda, 0 included, in shuffled order, so that the blocks of
+    # phi_matrix mix Miller and upward cells and take different Miller
+    # starts; every row matches its own one-row call to 1e-13 of the
+    # amplitude: the Bessel series' for s < 2 and phi_0(s), which bounds
+    # every |phi_lambda(s)|, beyond.  (16, 7) is held to s < 2: its
+    # exponential series near s = 2 rounds at ~1e-9 of phi_0 at small
+    # lambda, whatever the blocking.
+    params = new_space(m_v, m_z)
+    rng = np.random.default_rng(600)
+    lams = rng.permutation(np.concatenate([[0.0], np.geomspace(0.01, 400.0, 599)]))
+    s = np.concatenate([np.linspace(0.0, 1.95, 100), np.linspace(2.0, s_max, 20)])
+    s = s[s <= s_max]
+    got = phi_matrix(params, lams, s)
+    assert got.size > 2 * spherical._BLOCK_CELLS
+    rows = np.vstack([phi_matrix(params, [lam], s) for lam in lams])
+    near = (s > 0) & (s < 2.0)
+    amp = np.ones_like(got)
+    amp[:, near] = _bessel_amplitude(params, lams, s[near])
+    amp[:, s >= 2.0] = phi_matrix(params, [0.0], s[s >= 2.0])[0]
+    assert np.all(np.abs(got - rows) <= 1e-13 * amp)
+
+
+@pytest.mark.parametrize("m_v,m_z", [(2, 0), (2, 1), (4, 3), (6, 2), (16, 7)])
+def test_phi_matrix_at_huge_lambda(m_v, m_z):
+    # lambda s up to 1.7e308 on both routes: lambda^2 and x^2 overflow
+    # there, and a kernel sweep that formed x^2 made 0 * inf = NaN, which
+    # the bound check reported as |phi| = nan.  Every call returns finite
+    # values within the bound, or raises DomainError exactly where
+    # lambda s itself overflows
+    params = new_space(m_v, m_z)
+    for lam in (1e154, 1e200, 1e300, 1.7e308):
+        for s in ([0.3], [1.9], [0.0, 0.3, 1.9], [2.5], [2.5, 7.0], [0.3, 2.5]):
+            lams = np.array([lam, -lam, 0.0, 1.0])
+            if math.isinf(lam * max(s)):
+                with pytest.raises(DomainError, match="lambda"):
+                    phi_matrix(params, lams, s)
+                continue
+            got = phi_matrix(params, lams, s)
+            assert np.all(np.isfinite(got)) and np.all(np.abs(got) <= 1.0 + 1e-9)
+            assert np.array_equal(got[0], got[1])
 
 
 @pytest.mark.parametrize("m", [1, 16])
@@ -408,7 +564,7 @@ def test_bessel_matrix_per_order_sum_across_upward_switch(m_v, m_z, m, monkeypat
     lams = (tab.mu0 + 17.0) / 0.5 * np.array([0.9, 0.999, 1.001, 1.1, 4.0, 3e3])
     cut = _WeightedTable(tab, np.arange(17) <= m)
     monkeypatch.setattr(spherical, "_bessel_table", lambda p: cut)
-    got = _bessel_matrix(params, lams, s)
+    got = _bessel(params, lams, s)
     a = tab.a_values(s)
     pref = c0_constant(params) * np.sqrt(s ** (params.n - 1) / density(params, s))
     for i, lam in enumerate(lams):
@@ -492,6 +648,9 @@ def test_phi_rejects_negative_s(space21):
     for lam in (math.inf, math.nan):          # and a lambda that is not finite
         with pytest.raises(DomainError):
             phi_matrix(space21, np.array([1.0, lam]), np.array([1.0, 3.0]))
+    for s in (math.inf, math.nan):            # or an s
+        with pytest.raises(DomainError):
+            phi_matrix(space21, np.array([0.0, 1.0]), np.array([1.0, s]))
 
 
 def test_three_way_agreement_overlap(space21):
