@@ -15,6 +15,7 @@ kept out of the hash).  A malformed or non-finite value exits 2 with an
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import dispersive, experiments, oscillatory, spherical, transform
 from .bumps import bump_unit
-from .errors import DrwaveError, ValidationError
+from .errors import DrwaveError, ResolutionError, ValidationError
 from .profiles import SpectralProfile, RadialProfile
 from .space import density, log_density_derivative, new_space
 from .special import c_function, plancherel_density
@@ -35,6 +36,7 @@ from .special import c_function, plancherel_density
 __all__ = ["main", "run"]
 
 _F = "%.17g"
+_LAMBDA_STEPS_CAP = 2**22   # most grid steps the unset --lambda-points rule may ask for
 
 
 def _switch(text: str) -> int:
@@ -169,13 +171,21 @@ def _space_from(cfg):
     return new_space(int(cfg["space.m_v"]), int(cfg["space.m_z"]))
 
 
-def _lambda_grid(cfg) -> np.ndarray:
+def _lambda_grid(cfg, rate: float = 0.0) -> np.ndarray:
+    """--lambda-points points on [0, lambda_max]; unset, enough that a phase
+    of rate max(s_max, rate) turns by at most pi/8 per step.  Raises
+    ResolutionError where that needs more than _LAMBDA_STEPS_CAP steps."""
     lam_max = float(cfg["grids.lambda_max"])
     n = int(cfg["grids.lambda_points"])
     if n <= 0:
-        s_max = float(cfg["grids.s_max"])
-        n = int(math.ceil(lam_max * s_max * 8.0 / math.pi)) + 1
-        n = max(n, 64)
+        rate = max(float(cfg["grids.s_max"]), rate)
+        steps = lam_max * rate * 8.0 / math.pi
+        if not steps <= _LAMBDA_STEPS_CAP:
+            raise ResolutionError(
+                f"resolving a phase of rate {rate:.3g} on [0, {lam_max:g}] takes more "
+                f"than {_LAMBDA_STEPS_CAP} lambda steps; set --lambda-points"
+            )
+        n = max(int(math.ceil(steps)) + 1, 64)
     return np.linspace(0.0, lam_max, n)
 
 
@@ -192,7 +202,10 @@ def _builtin_profile(cfg) -> RadialProfile:
     return RadialProfile(s, 1.0 / np.cosh(alpha * s) ** 4)
 
 
-def _builtin_spectrum(cfg) -> SpectralProfile:
+def _builtin_spectrum(cfg, params, kind, t_max: float) -> SpectralProfile:
+    """The --spectrum selector on _lambda_grid, which also resolves the
+    multiplier e^{i t psi} up to t_max at the spectrum's top, as
+    PropagatorKernel demands."""
     name, _, arg = cfg["spectrum"].partition(":")
     default_arg = {"bump": "2,8", "gaussian": "4,1"}.get(name)
     if default_arg is None:
@@ -201,18 +214,21 @@ def _builtin_spectrum(cfg) -> SpectralProfile:
     if len(pair) != 2:
         raise ValidationError(f"spectrum {cfg['spectrum']!r} takes two numbers, "
                               f"e.g. {name}:{default_arg}")
-    lam = _lambda_grid(cfg)
     if name == "bump":
         lo, hi = pair
         if not lo < hi:
             raise ValidationError(f"spectrum {cfg['spectrum']!r} needs lo < hi")
-        vals = bump_unit(2.0 * (lam - lo) / (hi - lo) - 1.0)
-        return SpectralProfile(lam, vals.astype(complex), support_hint=(lo, hi))
-    center, sigma = pair
-    if not sigma > 0:
-        raise ValidationError(f"spectrum {cfg['spectrum']!r} needs a width sigma > 0")
-    vals = np.exp(-((lam - center) ** 2) / (2.0 * sigma**2))
-    return SpectralProfile(lam, vals.astype(complex))
+        top, hint = hi, (lo, hi)
+        shape = lambda lam: bump_unit(2.0 * (lam - lo) / (hi - lo) - 1.0)
+    else:
+        center, sigma = pair
+        if not sigma > 0:
+            raise ValidationError(f"spectrum {cfg['spectrum']!r} needs a width sigma > 0")
+        top, hint = float(cfg["grids.lambda_max"]), None
+        shape = lambda lam: np.exp(-((lam - center) ** 2) / (2.0 * sigma**2))
+    dpsi = abs(dispersive.phase_derivs(kind, params, max(top, 1e-3))[0])
+    lam = _lambda_grid(cfg, t_max * dpsi)
+    return SpectralProfile(lam, shape(lam).astype(complex), support_hint=hint)
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +294,8 @@ def _cmd_transform(cfg, chash, out):
 def _cmd_propagate(cfg, chash, out):
     params = _space_from(cfg)
     kind = dispersive.PhaseKind.from_selector(cfg["equation"])
-    fh = _builtin_spectrum(cfg)
     t = float(cfg["time"])
+    fh = _builtin_spectrum(cfg, params, kind, abs(t))
     s_out = np.linspace(0.0, float(cfg["grids.s_max"]) / 2.0, 384)
     prof = dispersive.propagate(params, fh, kind, t, s_out)
     _emit_csv(out / "propagate.csv", chash, ["s", "re", "im"],
@@ -291,7 +307,7 @@ def _cmd_propagate(cfg, chash, out):
 def _cmd_maximal(cfg, chash, out):
     params = _space_from(cfg)
     kind = dispersive.PhaseKind.from_selector(cfg["equation"])
-    fh = _builtin_spectrum(cfg)
+    fh = _builtin_spectrum(cfg, params, kind, 1.0)   # every t of the grid is below 1
     t_grid = dispersive.default_t_grid(params, kind, fh.top, n_points=int(cfg["grids.t_points"]))
     s_out = np.linspace(0.0, float(cfg["grids.s_max"]) / 2.0, 256)
     sup = dispersive.maximal_function(params, fh, kind, t_grid, s_out)
@@ -379,7 +395,10 @@ _SUBCOMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parse_args
+    keeps its results in a fresh namespace and leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="drwave",
         description="Spherical Fourier analysis and dispersive propagators "

@@ -14,10 +14,13 @@ rapidly-oscillating segments use Levin collocation, which needs the
 phase only through theta' and the endpoint values.
 
 The bisection runs breadth first over many integrals at once (every
-window and tolerance of a block of triples in `dyadic_sum_check`): each
-round probes all live segments in one `phase_derivs` call, solves the
-Levin systems of each order as one stacked `np.linalg.solve`, and sums
-the direct leaves' panel rules in one pass.
+window of a block of triples in `dyadic_sum_check`): each round probes
+all live segments in one `phase_derivs` call, solves the Levin systems
+of each order as one stacked `np.linalg.solve`, and sums the direct
+leaves' panel rules in one pass.  A window's two refinement tolerances
+ride that one worklist as columns: nothing but the leaf tests reads tol,
+so the loose tolerance's tree is a subtree of the tight one's and is
+read off it, segment for segment, rather than solved again.
 
 Phases are always evaluated as differences against a reference point
 through expm1/log1p chains, never as raw values, so segment-internal
@@ -145,27 +148,32 @@ def _panel_sums(g, ph, root, a, b, lam0, rate, n_min: int):
 def _direct_leaves(g, ph, root, a, b, lam0, tol):
     """Composite GL on segments with modest phase span, with panels
     doubled until two levels agree; the amplitude g (a flat-ended bump) is
-    what sets the panel count, not the phase.  Raises ResolutionError if
+    what sets the panel count, not the phase.  tol is (n, m): column j of
+    a segment takes the first level that moved it by at most tol[:, j], and
+    doubling goes on while any column has not.  Raises ResolutionError if
     six doublings leave a segment unresolved."""
     mid = 0.5 * (a + b)
     rate = np.max(np.abs(ph.deriv(root[:, None], np.stack([a, mid, b], axis=1))),
                   axis=1) + 1e-12
-    out = np.empty(a.size, dtype=complex)
-    live = np.arange(a.size)
+    out = np.empty(tol.shape, dtype=complex)
+    live, pending = np.arange(a.size), np.ones(tol.shape, bool)
     n_min = 4
     val = _panel_sums(g, ph, root, a, b, lam0, rate, n_min)
     for _ in range(6):
         n_min *= 2
         val2 = _panel_sums(g, ph, *(v[live] for v in (root, a, b, lam0, rate)), n_min)
         moved = np.abs(val2 - val)
-        conv = moved <= np.maximum(tol[live], 1e-15)
-        out[live[conv]] = val2[conv]
-        live, val = live[~conv], val2[~conv]
+        conv = pending & (moved[:, None] <= np.maximum(tol[live], 1e-15))
+        r, c = np.nonzero(conv)
+        out[live[r], c] = val2[r]
+        pending &= ~conv
+        keep = pending.any(axis=1)
+        live, val, pending, moved = live[keep], val2[keep], pending[keep], moved[keep]
         if not live.size:
             return out
     raise ResolutionError(
         f"{live.size} direct segment(s) unresolved after doubling to {n_min} panels: "
-        f"the last doubling moved the value by up to {np.max(moved[~conv]):.2e}"
+        f"the last doubling moved the value by up to {np.max(moved):.2e}"
     )
 
 
@@ -189,8 +197,8 @@ def _solve_stacked(sys, rhs):
 def _levin_leaves(g, ph, root, a, b, lam0, tol):
     """Levin collocation at orders _LEVIN_N1 and _LEVIN_N2 on every
     segment, each order one stacked solve.  Returns the higher order's
-    values and whether the two orders agree within tol; a singular
-    system fails like two disagreeing orders."""
+    values and, per column of the (n, m) tol, whether the two orders agree
+    within it; a singular system fails like two disagreeing orders."""
     rot_a = np.exp(1j * ph.diff(root, a, lam0))
     rot_b = np.exp(1j * ph.diff(root, b, lam0))
     ok = np.ones(a.size, bool)
@@ -206,50 +214,62 @@ def _levin_leaves(g, ph, root, a, b, lam0, tol):
         ok &= ~singular
         # x descending: lam[:, 0] = b, lam[:, -1] = a
         vals.append(p[:, 0] * rot_b - p[:, -1] * rot_a)
-    return vals[1], ok & (np.abs(vals[0] - vals[1]) <= tol)
+    return vals[1], ok[:, None] & (np.abs(vals[0] - vals[1])[:, None] <= tol)
 
 
 def _integrate(g, ph, a, b, tol):
     """int_{a_r}^{b_r} g(lambda) e^{i theta_r(lambda)} dlambda for every
-    root r, up to the unimodular factor e^{-i theta_r(a_r)}.
+    root r and every column j of the (n, m) tol, up to the unimodular
+    factor e^{-i theta_r(a_r)}; returns (n, m).
 
     A breadth-first worklist of segments, each round taking every live
     one at once.  A segment whose phase span over its 9-point probe is at
     most _PHASE_SMALL, or that lies _MAX_DEPTH bisections deep, is a
     direct leaf.  One whose theta' keeps its sign on the probe is a Levin
-    leaf if the two orders agree within its tol.  Every other segment is
-    bisected; both halves are referenced to the midpoint and get tol *
-    0.6.  Each segment carries mult, the rotation e^{i(theta(lam0) -
-    theta(a_r))} from its reference point lam0 back to its root's.
+    leaf for the columns where the two orders agree within that column's
+    tol.  Neither the probe nor the values depend on tol, so a looser
+    column's tree is a subtree of a tighter one's: the tolerances ride one
+    worklist as columns, each segment carrying the mask of columns still
+    open on it, and a segment is bisected while any is.  Both halves are
+    referenced to the midpoint and get tol * 0.6.  Each segment carries
+    mult, the rotation e^{i(theta(lam0) - theta(a_r))} from its reference
+    point lam0 back to its root's.  Each column's leaves are added in
+    the order a worklist at that column's tol alone adds them, so the
+    column is that worklist's value bit for bit.
     """
     root = np.arange(a.size)
     lam0 = a
     mult = np.ones(a.size, dtype=complex)
-    out = np.zeros(a.size, dtype=complex)
+    out = np.zeros(tol.shape, dtype=complex)
+    open_ = np.ones(tol.shape, bool)
     depth = 0
     while root.size:
         tp = ph.deriv(root[:, None], np.linspace(a, b, 9, axis=1))
         direct = np.max(np.abs(tp), axis=1) * (b - a) <= _PHASE_SMALL
         if depth >= _MAX_DEPTH:
             direct[:] = True
-        leaf = direct.copy()
-        vals = np.zeros(a.size, dtype=complex)
-        seg = (root, a, b, lam0, tol)
+        closed = np.zeros(open_.shape, bool)
+        vals = np.zeros(open_.shape, dtype=complex)
+        # a closed column asks nothing of a leaf
+        seg = (root, a, b, lam0, np.where(open_, tol, np.inf))
         if direct.any():
             vals[direct] = _direct_leaves(g, ph, *(v[direct] for v in seg))
+            closed[direct] = open_[direct]
         levin = np.flatnonzero(~direct & (np.all(tp > 0, axis=1) | np.all(tp < 0, axis=1)))
         if levin.size:
             v, ok = _levin_leaves(g, ph, *(v[levin] for v in seg))
-            vals[levin[ok]] = v[ok]
-            leaf[levin[ok]] = True
-        np.add.at(out, root[leaf], mult[leaf] * vals[leaf])
-        s = np.flatnonzero(~leaf)
+            vals[levin] = v[:, None]
+            closed[levin] = ok & open_[levin]
+        r, c = np.nonzero(closed)
+        np.add.at(out, (root[r], c), mult[r] * vals[r, c])
+        open_ &= ~closed
+        s = np.flatnonzero(open_.any(axis=1))
         mid = 0.5 * (a[s] + b[s])
         shift = mult[s] * np.exp(1j * ph.diff(root[s], mid, lam0[s]))
         # left halves, then right halves
         root, mult, lam0 = np.tile(root[s], 2), np.tile(shift, 2), np.tile(mid, 2)
         a, b = np.concatenate([a[s], mid]), np.concatenate([mid, b[s]])
-        tol = np.tile(tol[s] * 0.6, 2)
+        tol, open_ = np.tile(tol[s] * 0.6, (2, 1)), np.tile(open_[s], (2, 1))
         depth += 1
     return out
 
@@ -275,14 +295,13 @@ class WindowIntegralResult:
 
 def _window_values(kind: PhaseKind, params: SpaceParams, k, delta_s, d):
     """(I_k, refinement change) of many windows, each integrated at tol
-    1e-9 and 1e-9/16 in one worklist.  Raises ResolutionError for the
-    first window whose refinement moves the value by more than 1e-6
-    relative."""
+    1e-9 and 1e-9/16 as two columns of one worklist.  Raises
+    ResolutionError for the first window whose refinement moves the value
+    by more than 1e-6 relative."""
     n = k.size
-    ph = _WindowPhases(kind, params, np.tile(k, 2), np.tile(delta_s, 2), np.tile(d, 2))
-    v = _integrate(eta_dyadic, ph, np.full(2 * n, 0.5), np.full(2 * n, 2.0),
-                   np.repeat([1e-9, 1e-9 / 16.0], n))
-    v1, v2 = v[:n], v[n:]
+    v = _integrate(eta_dyadic, _WindowPhases(kind, params, k, delta_s, d),
+                   np.full(n, 0.5), np.full(n, 2.0), np.tile([1e-9, 1e-9 / 16.0], (n, 1)))
+    v1, v2 = v.T
     change = np.abs(v1 - v2)
     # below 1e-3 of the eta mass the integral is dominated by cancellation;
     # demand absolute accuracy 1e-9 * mass there instead of 1e-6 relative
@@ -370,7 +389,7 @@ class DyadicSumReport:
     passed: bool
 
 
-_TRIPLE_BLOCK = 8   # triples per worklist; each brings 2K windows at two tolerances
+_TRIPLE_BLOCK = 8   # triples per worklist; each brings 2K windows, two tolerance columns each
 
 
 def dyadic_sum_check(kind: PhaseKind, params: SpaceParams, sample_spec,
@@ -454,8 +473,8 @@ def van_der_corput_check(curvatures,
     lo, hi = window.support
     n = curvatures.size
     v = _integrate(window, _QuadraticPhases(curvatures), np.full(n, lo), np.full(n, hi),
-                   np.full(n, 1e-10))
-    vals = np.sqrt(curvatures) * np.abs(v) / window.norm_factor
+                   np.full((n, 1), 1e-10))
+    vals = np.sqrt(curvatures) * np.abs(v[:, 0]) / window.norm_factor
     spread = float(np.max(vals) / max(np.min(vals), 1e-300))
     return VanDerCorputReport(
         curvatures=curvatures, normalized=vals, spread=spread,

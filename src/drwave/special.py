@@ -255,8 +255,12 @@ def c_function(params: SpaceParams, lam: float) -> complex:
     if lam == 0:
         raise PoleError("c-function has a pole at lambda = 0")
     lam = float(lam)
-    return complex(-1j * math.copysign(1.0, lam) * np.exp(1j * _h_phase(params, lam))
-                   / math.sqrt(plancherel_density(params, abs(lam))))
+    # from |lambda| ~ 1e154 on, |c|^-2, lambda^2 in _ratio_phase and
+    # lambda / x_j in _h_phase pass the float range; as inf they give
+    # c = 0, 1/lambda^2 = 0 and arctan = pi/2
+    with np.errstate(over="ignore"):
+        return complex(-1j * math.copysign(1.0, lam) * np.exp(1j * _h_phase(params, lam))
+                       / math.sqrt(plancherel_density(params, abs(lam))))
 
 
 def plancherel_density(params: SpaceParams, lam):

@@ -13,6 +13,7 @@ from drwave.cli import (
     DEFAULTS,
     _build_parser,
     _emit_csv,
+    _lambda_grid,
     _resolve,
     _switch,
     config_hash,
@@ -293,6 +294,46 @@ def test_propagate_and_maximal_cli_small_grid(out_root, spectrum):
     header, rows = _table(maxi / "maximal.csv")
     assert header == "s,sup" and rows.shape == (256, 2) and np.all(np.isfinite(rows))
     assert np.all(rows[:, 1] >= 0.0)
+
+
+@pytest.mark.parametrize("argv", [[name] for name in _SUBCOMMANDS
+                                  if name not in ("transform", "experiment")]
+                         + [["experiment", which] for which in ("case1", "case2", "transference")],
+                         ids=" ".join)
+def test_every_subcommand_runs_at_its_defaults(out_root, argv):
+    # transform at its defaults takes tens of seconds and is left out
+    assert run(argv) == 0
+
+
+def test_lambda_grid_sizing(out_root, capsys):
+    # unset --lambda-points: the grid resolves s_max and, for propagate and
+    # maximal, the multiplier at the spectrum's top; set, it is taken as is
+    cfg = dict(DEFAULTS)
+    assert np.array_equal(_lambda_grid(cfg), _lambda_grid(cfg, 1.0))
+    assert np.array_equal(_lambda_grid(dict(cfg, **{"grids.lambda_points": "100"}), 1e6),
+                          np.linspace(0.0, 256.0, 100))
+    assert _lambda_grid(cfg, 16.0).size > _lambda_grid(cfg).size
+    # a grid too large to build is refused, not allocated
+    assert run(["maximal", "--spectrum", "bump:2,1e6"]) == 2
+    assert "set --lambda-points" in capsys.readouterr().err
+    assert not out_root.exists()
+
+
+def test_cached_parser_keeps_no_state_between_runs(out_root):
+    # the parser is built once per process; one run's subcommand and flags
+    # do not reach the next
+    assert _build_parser() is _build_parser()
+    assert run(["phi", "--lambda", "3", "--s", "0.25"]) == 0
+    assert run(["space", "--m-v", "4", "--m-z", "3"]) == 0
+    assert run(["phi"]) == 0
+    expected = {
+        "phi-" + config_hash(dict(DEFAULTS, **{"lambda": "3", "s": "0.25"}), "phi"),
+        "space-" + config_hash(dict(DEFAULTS, **{"space.m_v": "4", "space.m_z": "3"}), "space"),
+        "phi-" + config_hash(DEFAULTS, "phi"),
+    }
+    assert {p.name for p in out_root.iterdir()} == expected
+    args = _build_parser().parse_args(["phi"])
+    assert getattr(args, "lambda") is None and getattr(args, "space.m_v") is None
 
 
 def test_oscillatory_cli_exit_reflects_verdict(out_root, capsys):

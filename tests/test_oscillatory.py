@@ -7,10 +7,14 @@ from hypothesis import strategies as st
 
 from drwave.bumps import eta_dyadic
 from drwave.dispersive import PhaseKind
+from drwave import oscillatory
 from drwave.errors import DomainError, ResolutionError, ValidationError
 from drwave.oscillatory import (
     ETA_MASS,
     BumpWindow,
+    _integrate,
+    _QuadraticPhases,
+    _WindowPhases,
     dyadic_sum_check,
     phase_diff,
     proof_constants,
@@ -140,6 +144,56 @@ def test_window_direct_leaf_non_convergence_raises(space21, monkeypatch):
                         lambda lam: (np.asarray(lam) > 1.2345678).astype(float))
     with pytest.raises(ResolutionError, match="direct segment"):
         window_integral(K2, space21, 1, 2.0, 2.1, 0.01)
+
+
+TOLS = (1e-9, 1e-9 / 16.0)
+
+
+@pytest.mark.parametrize("family", ["windows", "quadratic"])
+def test_integrate_columns_match_single_tolerance_runs(space21, family):
+    # the tolerances ride one worklist as columns; each column is bit for
+    # bit what a worklist at that tolerance alone gives
+    if family == "windows":
+        triples = sample_claim_triples(K15, space21, 6, seed=5)
+        ks = np.arange(1, 41)
+        gap = np.repeat(triples[:, 1] - triples[:, 0], ks.size)
+        ph = _WindowPhases(K15, space21, np.tile(ks, len(triples)), gap,
+                           np.repeat(triples[:, 2], ks.size))
+        g, a, b = eta_dyadic, np.full(gap.size, 0.5), np.full(gap.size, 2.0)
+    else:
+        m = np.geomspace(10.0, 1e5, 25)
+        g, ph, a, b = BumpWindow(), _QuadraticPhases(m), np.full(m.size, -1.0), np.ones(m.size)
+    n = a.size
+    joint = _integrate(g, ph, a, b, np.tile(TOLS, (n, 1)))
+    assert joint.shape == (n, 2)
+    for j, tol in enumerate(TOLS):
+        alone = _integrate(g, ph, a, b, np.full((n, 1), tol))
+        assert np.array_equal(joint[:, j], alone[:, 0])
+
+
+def test_window_levin_rows_are_the_tight_trees(space21, monkeypatch):
+    # the loose tolerance's tree is read off the tight one's, so one
+    # window sends the Levin solver only the rows of a tight-only run
+    rows = []
+    solve = oscillatory._solve_stacked
+
+    def counting(sys, rhs):
+        rows.append(len(rhs))
+        return solve(sys, rhs)
+
+    monkeypatch.setattr(oscillatory, "_solve_stacked", counting)
+    k, ds, d = 6, 0.4, 0.3
+    window_integral(K2, space21, k, 2.0, 2.0 + ds, d)
+    joint = sum(rows)
+    alone = {}
+    for tol in TOLS:
+        rows.clear()
+        _integrate(eta_dyadic, _WindowPhases(K2, space21, np.array([k]), np.array([ds]),
+                                             np.array([d])),
+                   np.array([0.5]), np.array([2.0]), np.array([[tol]]))
+        alone[tol] = sum(rows)
+    assert 0 < alone[TOLS[0]] < alone[TOLS[1]]
+    assert joint == alone[TOLS[1]]
 
 
 def test_eta_mass_matches_quadrature():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -139,6 +140,19 @@ def test_c_function_to_rounding_vs_oracle(m_v, m_z):
     err = [abs(c_function(params, float(x)) / oracle_c_function(m_v, m_z, x) - 1.0)
            for x in lam]
     assert max(err) <= 1e-14
+
+
+@pytest.mark.parametrize("lam", [1e154, 1e200, 1e300])
+def test_c_function_at_huge_lambda(all_spaces, lam):
+    # |c|^-2 passes the float range here; c takes its limit without an
+    # overflow warning, stays finite and no larger than at 1e100
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for params in all_spaces:
+            c = c_function(params, lam)
+            assert np.isfinite(c.real) and np.isfinite(c.imag)
+            assert abs(c) <= abs(c_function(params, 1e100))
+            assert c_function(params, -lam) == c.conjugate()
 
 
 def test_c_function_pole_at_zero(space21):
