@@ -5,6 +5,7 @@ grid of [0, S_max]; a SpectralProfile is a function of the spectral
 parameter lambda, complex valued, optionally carrying the interval on
 which it is supported so that compactly supported families integrate
 only over their support.
+Both reject non-finite samples, so no NaN reaches a transform.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from .errors import ValidationError
 __all__ = ["RadialProfile", "SpectralProfile"]
 
 
-def _check_uniform_grid(grid: np.ndarray, what: str) -> None:
+def _check_samples(grid: np.ndarray, values: np.ndarray, what: str) -> None:
+    """A uniform grid of at least 2 points and as many finite values."""
     if grid.ndim != 1 or grid.size < 2:
         raise ValidationError(f"{what} grid must be a 1-d array with >= 2 points")
     d = np.diff(grid)
@@ -26,6 +28,10 @@ def _check_uniform_grid(grid: np.ndarray, what: str) -> None:
         raise ValidationError(f"{what} grid must be strictly increasing")
     if not np.allclose(d, d[0], rtol=1e-9, atol=1e-12 * abs(d[0])):
         raise ValidationError(f"{what} grid must be uniformly spaced")
+    if values.shape != grid.shape:
+        raise ValidationError(f"{what} values and grid must have the same shape")
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"{what} values must be finite")
 
 
 @dataclass(eq=False)
@@ -38,9 +44,7 @@ class RadialProfile:
     def __post_init__(self):
         self.s_grid = np.asarray(self.s_grid, dtype=float)
         self.values = np.asarray(self.values)
-        _check_uniform_grid(self.s_grid, "radial")
-        if self.values.shape != self.s_grid.shape:
-            raise ValidationError("values and s_grid must have the same shape")
+        _check_samples(self.s_grid, self.values, "radial")
 
 
 @dataclass(eq=False)
@@ -59,9 +63,7 @@ class SpectralProfile:
     def __post_init__(self):
         self.lambda_grid = np.asarray(self.lambda_grid, dtype=float)
         self.values = np.asarray(self.values, dtype=complex)
-        _check_uniform_grid(self.lambda_grid, "spectral")
-        if self.values.shape != self.lambda_grid.shape:
-            raise ValidationError("values and lambda_grid must have the same shape")
+        _check_samples(self.lambda_grid, self.values, "spectral")
         if self.support_hint is not None:
             lo, hi = self.support_hint
             if not lo < hi:

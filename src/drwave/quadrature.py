@@ -6,7 +6,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import DomainError
 
@@ -59,5 +58,25 @@ def panel_rules(a, b, max_rate, min_panels):
 
 
 def grid_integral(values: np.ndarray, grid: np.ndarray):
-    """Integral of sampled values over their grid (composite Simpson)."""
-    return simpson(values, x=grid)
+    """Integral of sampled values over a strictly increasing grid of at least
+    2 points, by the composite Simpson rule of scipy.integrate.simpson(values,
+    x=grid), term for term: Simpson's three-point rule (for unequal steps) on
+    the pairs of intervals from the left, then for an even number of points
+    Cartwright's correction for the last interval, or the trapezoid at 2."""
+    y, h = np.asarray(values), np.diff(grid)
+    if y.size == 2:
+        return 0.5 * h[0] * (y[0] + y[1])
+    k = y.size - 1 + y.size % 2          # points that Simpson's pairs cover
+    h0, h1 = h[0:k - 2:2], h[1:k - 1:2]
+    hsum = h0 + h1
+    ratio = h0 / h1
+    total = np.sum(hsum / 6.0 * (y[0:k - 2:2] * (2.0 - 1.0 / ratio)
+                                 + y[1:k - 1:2] * (hsum * (hsum / (h0 * h1)))
+                                 + y[2:k:2] * (2.0 - ratio)))
+    if k < y.size:
+        h0, h1 = h[-2], h[-1]
+        alpha = (2 * h1**2 + 3 * h0 * h1) / (6 * (h1 + h0))
+        beta = (h1**2 + 3.0 * h0 * h1) / (6 * h0)
+        eta = h1**3 / (6 * h0 * (h0 + h1))
+        total += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return total

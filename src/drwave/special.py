@@ -250,17 +250,32 @@ def _h_modulus_inv2(params: SpaceParams, lam: np.ndarray) -> np.ndarray:
 
 def c_function(params: SpaceParams, lam: float) -> complex:
     """Harish-Chandra c-function at real lambda != 0, -i h(lambda)/lambda:
-    modulus from plancherel_density, phase arg h - sign(lambda) pi/2, so
-    c(-lambda) = conj(c(lambda)) exactly, arg h being odd."""
+    modulus |h|/|lambda|, phase arg h - sign(lambda) pi/2, so
+    c(-lambda) = conj(c(lambda)) exactly, arg h being odd.
+
+    |h| is taken factor by factor from _h_modulus_inv2, each 1/hypot(x_j,
+    lambda) at most 1 once |lambda| >= 1, so it never passes through
+    |c|^-2 (which overflows from |lambda| ~ 1e154 on) and |c| reads 0 only
+    below the double range.
+    """
     if lam == 0:
         raise PoleError("c-function has a pole at lambda = 0")
     lam = float(lam)
-    # from |lambda| ~ 1e154 on, |c|^-2, lambda^2 in _ratio_phase and
-    # lambda / x_j in _h_phase pass the float range; as inf they give
-    # c = 0, 1/lambda^2 = 0 and arctan = pi/2
+    x = abs(lam)
+    shifts, n_half = _gamma_shifts(params)
+    mod = math.ldexp(math.gamma(params.n / 2.0) / (2.0 * math.sqrt(math.pi)), int(params.Q))
+    for shift in shifts:
+        mod /= math.hypot(shift, x)
+    if n_half == 0:
+        mod *= math.sqrt(math.tanh(math.pi * x) / x)
+    elif n_half == 2:
+        mod *= math.sqrt(x / math.tanh(math.pi * x))
+    # from |lambda| ~ 1e154 on, lambda^2 in _ratio_phase passes the float
+    # range (and near 1e308 lambda / x_j in _h_phase); as inf they give
+    # 1/lambda^2 = 0 and arctan = pi/2
     with np.errstate(over="ignore"):
-        return complex(-1j * math.copysign(1.0, lam) * np.exp(1j * _h_phase(params, lam))
-                       / math.sqrt(plancherel_density(params, abs(lam))))
+        rot = np.exp(1j * _h_phase(params, lam))
+    return complex(-1j * math.copysign(1.0, lam) * rot * (mod / x))
 
 
 def plancherel_density(params: SpaceParams, lam):

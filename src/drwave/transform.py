@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import CalibrationError, DomainError, TailMassError, ValidationError
 from .profiles import RadialProfile, SpectralProfile
@@ -41,6 +40,53 @@ _TAIL_TOL = 1e-10
 _BLOCK_CELLS = 2**22   # phi kernel cells per product in sft_forward (32 MB)
 
 
+def _spline(x: np.ndarray, y: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Not-a-knot cubic spline through (x, y), real or complex, read at xi.
+
+    The knot slopes solve the tridiagonal system of scipy's CubicSpline,
+    boundary rows included (a line at 2 points, the parabola at 3), by a
+    Thomas sweep on Python numbers; each interval is then the cubic Hermite
+    piece of its two end slopes, and xi beyond the ends takes the end pieces.
+    """
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    n = x.size
+    if n == 2:
+        s = np.array([slope[0], slope[0]])
+    elif n == 3:
+        mid = (dx[0] * slope[1] + dx[1] * slope[0]) / (dx[0] + dx[1])
+        s = np.array([2 * slope[0] - mid, mid, 2 * slope[1] - mid])
+    else:
+        h = dx.tolist()
+        m0, m1, m2, m3 = slope[[0, 1, -2, -1]].tolist()
+        first, last = float(x[2] - x[0]), float(x[-1] - x[-3])
+        # row 0 (not-a-knot): h1 s0 + (x2 - x0) s1 = ((h0 + 2 (x2 - x0)) h1 m0
+        # + h0^2 m1) / (x2 - x0), divided by its pivot h1; the sweep takes rows 1 .. n-1
+        c = first / h[1]
+        d = ((h[0] + 2 * first) * h[1] * m0 + h[0] ** 2 * m1) / first / h[1]
+        lower = h[1:] + [last]
+        diag = [2 * (a + b) for a, b in zip(h, h[1:])] + [h[-2]]
+        upper = h[:-1] + [0.0]
+        rhs = (3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])).tolist()
+        rhs.append((h[-1] ** 2 * m2 + (2 * last + h[-1]) * h[-2] * m3) / last)
+        cs, ds = [c], [d]
+        for lo, di, up, r in zip(lower, diag, upper, rhs):
+            piv = di - lo * c
+            c = up / piv
+            d = (r - lo * d) / piv
+            cs.append(c)
+            ds.append(d)
+        out = [d]
+        for c, d in zip(cs[-2::-1], ds[-2::-1]):
+            out.append(d - c * out[-1])
+        s = np.array(out[::-1])
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    c3, c2 = t / dx, (slope - s[:-1]) / dx - t
+    k = np.clip(np.searchsorted(x, xi, side="right") - 1, 0, n - 2)
+    z = xi - x[k]
+    return ((c3[k] * z + c2[k]) * z + s[k]) * z + y[k]
+
+
 def _tail_check(params: SpaceParams, f: RadialProfile) -> None:
     """Reject profiles whose mass beyond S_max is not negligible.
 
@@ -64,7 +110,8 @@ def sft_forward(params: SpaceParams, f: RadialProfile, lambda_grid) -> SpectralP
     The s-quadrature uses composite Gauss-Legendre panels whose width
     resolves the fastest phase lambda_max * s present in the kernel; the
     smooth profile data is splined onto the nodes while phi and A are
-    evaluated exactly there.  The phi kernel is formed in lambda blocks of
+    evaluated exactly there (`_spline`, the not-a-knot cubic spline of
+    scipy's CubicSpline).  The phi kernel is formed in lambda blocks of
     at most _BLOCK_CELLS (2^22) cells, so memory does not grow with the
     grid.
     """
@@ -73,7 +120,7 @@ def sft_forward(params: SpaceParams, f: RadialProfile, lambda_grid) -> SpectralP
     s_max = float(f.s_grid[-1])
     rate = max(float(np.max(np.abs(lambda_grid))), 1.0)
     nodes, weights = panel_rule(0.0, s_max, rate)
-    f_nodes = CubicSpline(f.s_grid, f.values)(nodes)
+    f_nodes = _spline(f.s_grid, f.values, nodes)
     v = weights * f_nodes * density(params, nodes)
     rows = max(1, _BLOCK_CELLS // nodes.size)
     vals = np.concatenate([phi_matrix(params, lambda_grid[i:i + rows], nodes) @ v
@@ -159,7 +206,7 @@ def inverse_quadrature(params: SpaceParams, fh: SpectralProfile, rate: float):
                           f"[{grid[0]:g}, {grid[1]:g}]")
     nodes, weights = panel_rule(lo, hi, max(rate, 1.0))
     weight = weights * plancherel_density(params, nodes) * inversion_constant(params)
-    return nodes, weight * CubicSpline(fh.lambda_grid, fh.values)(nodes)
+    return nodes, weight * _spline(fh.lambda_grid, fh.values, nodes)
 
 
 def sft_inverse(params: SpaceParams, fh: SpectralProfile, s_grid) -> RadialProfile:

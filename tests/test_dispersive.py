@@ -41,6 +41,16 @@ def _spectrum(lo=1.0, hi=6.0, n=2048, lam_max=8.0):
     return SpectralProfile(lam, vals.astype(complex), support_hint=(lo, hi))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_propagator_rejects_non_finite_spectrum(space21, bad):
+    fh = _spectrum()
+    vals = fh.values.copy()
+    vals[1000] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        dispersive.PropagatorKernel(space21, SpectralProfile(fh.lambda_grid, vals, fh.support_hint),
+                                    PhaseKind("frac", a=1.5), np.linspace(0.0, 4.0, 32), 0.1)
+
+
 # ---------------------------------------------------------------------------
 # phases
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -52,3 +54,18 @@ def test_every_traced_name_resolves():
     spherical = importlib.import_module("drwave.spherical")
     for name in ("S_BESSEL_MAX", "S_HC_MIN", "LAMBDA_HC_MIN"):
         assert isinstance(getattr(spherical, name, None), (int, float)), name
+
+
+@pytest.mark.parametrize("module", ["drwave", "drwave.cli"])
+def test_import_takes_only_scipy_special(module):
+    # each of these scipy packages pulls in the others and about doubles a
+    # fresh import's cost; the library needs none of them
+    heavy = ("scipy.interpolate", "scipy.integrate", "scipy.linalg", "scipy.optimize")
+    script = f"import sys, {module}; print(*[m for m in {heavy!r} if m in sys.modules])"
+    root = os.path.dirname(os.path.dirname(os.path.abspath(drwave.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (root, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []

@@ -32,3 +32,14 @@ def test_spectral_top_is_the_support_end_else_the_grid_end():
     vals[3] = 1.0
     assert SpectralProfile(lam, vals, support_hint=(2.5, 3.5)).top == 3.5
     assert SpectralProfile(lam, vals).top == 10.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.inf, 0.0)])
+def test_profiles_reject_non_finite_values(bad):
+    grid = np.linspace(0.0, 10.0, 11)
+    vals = np.zeros(11, dtype=complex)
+    vals[4] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        RadialProfile(grid, vals)
+    with pytest.raises(ValidationError, match="finite"):
+        SpectralProfile(grid, vals)

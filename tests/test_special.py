@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import mpmath as mp
@@ -153,6 +154,21 @@ def test_c_function_at_huge_lambda(all_spaces, lam):
             assert np.isfinite(c.real) and np.isfinite(c.imag)
             assert abs(c) <= abs(c_function(params, 1e100))
             assert c_function(params, -lam) == c.conjugate()
+
+
+@pytest.mark.parametrize("m_v,m_z,lam", [(2, 0, 1e154), (2, 0, 1e300), (2, 1, 1e120),
+                                         (2, 1, 1e154), (4, 3, 1e50), (4, 3, 1e80),
+                                         (16, 7, 1e20), (16, 7, 1e25),
+                                         (2, 1, 1e-300), (16, 7, 1e-300)])
+def test_c_function_where_the_density_leaves_the_float_range(m_v, m_z, lam):
+    # |c|^-2 overflows (or, at 1e-300, underflows) here while |c| is a
+    # normal double: c within 1e-14 relative of the four-Gamma product.
+    # The factors' phases (about lambda ln lambda each) cancel, so at large
+    # lambda the oracle carries log10(lambda) more digits
+    with mp.workdps(40 + max(0, int(math.log10(lam)))):
+        ref = oracle_c_function(m_v, m_z, lam)
+    assert sys.float_info.min < abs(ref) < sys.float_info.max
+    assert abs(c_function(new_space(m_v, m_z), lam) / ref - 1.0) <= 1e-14
 
 
 def test_c_function_pole_at_zero(space21):

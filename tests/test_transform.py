@@ -11,7 +11,7 @@ import drwave
 from drwave import transform
 from drwave.errors import DomainError, TailMassError, ValidationError
 from drwave.profiles import RadialProfile, SpectralProfile
-from drwave.quadrature import grid_integral
+from drwave.quadrature import grid_integral, panel_rule
 from drwave.space import density, new_space
 from drwave.special import plancherel_density
 from drwave.transform import (
@@ -122,6 +122,40 @@ def test_inverse_needs_no_prior_call():
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert float(done.stdout) < 1e-3
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 512])
+def test_spline_matches_cubic_spline(n):
+    # scipy's not-a-knot CubicSpline is the oracle (a line at n = 2, the
+    # parabola at n = 3), on complex data over uniform s, uniform lambda and
+    # panel nodes, read at panel nodes and at the knots; within 1e-14 of max|y|
+    from scipy.interpolate import CubicSpline
+
+    rng = np.random.default_rng(n)
+    grids = (np.linspace(0.0, 12.0, n), np.linspace(0.5, 24.0, n),
+             panel_rule(0.0, 3.0, 30.0)[0][:n])
+    for x in grids:
+        xi = np.concatenate([panel_rule(x[0], x[-1], 8.0)[0], x])
+        for y in (rng.normal(size=n) + 1j * rng.normal(size=n),
+                  np.exp(-x**2) * np.exp(1j * x)):
+            err = np.max(np.abs(transform._spline(x, y, xi) - CubicSpline(x, y)(xi)))
+            assert err <= 1e-14 * np.max(np.abs(y))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_transforms_reject_non_finite_samples(space21, bad):
+    # a NaN or inf sample fails as a ValidationError before either
+    # direction runs, instead of spreading through the spline
+    s = np.linspace(0.0, 6.0, 64)
+    f = np.exp(-s**2).astype(complex)
+    f[10] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        sft_forward(space21, RadialProfile(s, f), LAM_GRID)
+    fh = _bump_spectrum(1.0, 4.0)
+    vals = fh.values.copy()
+    vals[200] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        sft_inverse(space21, SpectralProfile(fh.lambda_grid, vals, fh.support_hint), s)
 
 
 def test_forward_memory_is_bounded_by_one_block(space21):
