@@ -174,10 +174,13 @@ def _space_from(cfg):
 def _lambda_grid(cfg, rate: float = 0.0) -> np.ndarray:
     """--lambda-points points on [0, lambda_max]; unset, enough that a phase
     of rate max(s_max, rate) turns by at most pi/8 per step.  Raises
-    ResolutionError where that needs more than _LAMBDA_STEPS_CAP steps."""
+    ResolutionError where that needs more than _LAMBDA_STEPS_CAP steps,
+    and ValidationError for a count below 0."""
     lam_max = float(cfg["grids.lambda_max"])
     n = int(cfg["grids.lambda_points"])
-    if n <= 0:
+    if n < 0:
+        raise ValidationError(f"--lambda-points must be 0 (unset) or above, got {n}")
+    if n == 0:
         rate = max(float(cfg["grids.s_max"]), rate)
         steps = lam_max * rate * 8.0 / math.pi
         if not steps <= _LAMBDA_STEPS_CAP:

@@ -358,6 +358,8 @@ def sample_claim_triples(kind: PhaseKind, params: SpaceParams, n: int,
     |s-s'| below d^(1/delta2)/C6, between it and 1, and at least 1."""
     if n < 1:
         raise ValidationError(f"need at least one triple, got {n}")
+    if seed < 0:
+        raise ValidationError(f"the seed must be 0 or above, got {seed}")
     rng = np.random.default_rng(seed)
     c6 = proof_constants(kind, params)["C6"]
     lo, hi = _ANNULUS

@@ -4,9 +4,10 @@
 script_j is the normalized kernel of one order, by scipy's jv; it is
 the public kernel and the tests' oracle, and no phi route calls it (the
 Bessel series sweeps its orders by recurrence, spherical._kernel_sum).
-_bessel_start_pair gives sqrt(pi x / 2) J_nu(x) at two consecutive low
-orders, from which the upward order recurrence reaches every order
-below x.
+The sweep runs on Lambda_mu(x) = script_j(mu, x) / script_j(mu, 0)
+(_kernel_at_zero, the one statement of the series limit); _low_pair
+gives it exactly at the two lowest orders, whose values start the upward
+order recurrence and normalize Miller's downward one.
 
 The c-function is the four-Gamma ratio
 
@@ -14,11 +15,10 @@ The c-function is the four-Gamma ratio
                 * Gamma(n/2) / Gamma((m_v + 4i*lambda + 2)/4),
 
 Its modulus needs no log-Gamma: m_v is even, so the two Gamma factors
-left in |c|^-2 have integer or half-integer real parts, and the density
-is a polynomial in lambda^2 times lambda^3 coth(pi lambda), lambda^2 or
-lambda tanh(pi lambda) (plancherel_density), accurate to rounding for
-every lambda >= 0 and exact at the lambda^2 zero of the origin.  Its
-phase is that of h(lambda) = i lambda c(lambda), which has no pole
+left in |c|^-2 have integer or half-integer real parts, and |h| = |lambda c|
+is a closed form (_h_modulus, which c_function, plancherel_density and the
+exponential series all read), accurate to rounding for every lambda >= 0.
+Its phase is that of h(lambda) = i lambda c(lambda), which has no pole
 (_h_phase, over a whole lambda array at once).
 """
 
@@ -28,7 +28,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import j0, j1, jv, loggamma
+from scipy.special import gammaln, j0, j1, jv, loggamma
 
 from .errors import DomainError, PoleError
 from .space import SpaceParams, _bernoulli
@@ -43,18 +43,22 @@ __all__ = [
 _SERIES_TERMS = 12   # terms of _script_j_series past the first, for x < 0.1
 
 
+def _kernel_at_zero(mu):
+    """script_j(mu, 0) = sqrt(pi) Gamma(mu + 1/2) / Gamma(mu + 1), the
+    series limit, for a scalar or an array mu."""
+    return math.sqrt(math.pi) * np.exp(gammaln(mu + 0.5) - gammaln(mu + 1.0))
+
+
 def _script_j_series(mu: float, x):
-    # 2^mu sqrt(pi) Gamma(mu+1/2) * sum_(k<=_SERIES_TERMS) (-1)^k (x/2)^(2k) / (k! Gamma(mu+k+1))
+    # script_j(mu, 0) * sum_(k<=_SERIES_TERMS) (-1)^k (x/2)^(2k) Gamma(mu+1) / (k! Gamma(mu+k+1))
     # == script_j via the J series with the x^-mu factor cancelled analytically.
     x = np.asarray(x, dtype=float)
-    pref = math.sqrt(math.pi) * math.exp(math.lgamma(mu + 0.5) - math.lgamma(mu + 1.0))
-    acc = np.ones_like(x)
-    term = np.ones_like(x)
+    acc, term = np.ones_like(x), np.ones_like(x)
     q = 0.25 * x * x
     for k in range(1, _SERIES_TERMS + 1):
         term = term * (-q) / (k * (mu + k))
         acc = acc + term
-    return pref * acc
+    return _kernel_at_zero(mu) * acc
 
 
 def script_j(mu: float, x):
@@ -124,35 +128,39 @@ def _hankel_sums(nu: int, x):
 
 
 def _hankel_pair(x):
-    # sqrt(2) cos w and sqrt(2) sin w at order 1, w = x - 3 pi/4; at
-    # order 0, w = x - pi/4 turns cos into -sin and sin into cos
+    """J_0(x) and J_1(x) by the Hankel expansion, the phases w taken from
+    sin x and cos x of x itself (j0 and j1 lose phase accuracy at large x)."""
+    amp = (math.pi * x) ** -0.5            # sqrt(2/(pi x)) / sqrt(2)
     sin_x, cos_x = np.sin(x), np.cos(x)
-    cos_w, sin_w = sin_x - cos_x, -sin_x - cos_x
-    del sin_x, cos_x    # freed early: this branch sets the Bessel route's peak memory
-    p, q = _hankel_sums(1, x)
-    lo = -math.sqrt(0.5) * (p * cos_w - q * sin_w)
-    p, q = _hankel_sums(0, x)
-    return lo, -math.sqrt(0.5) * (p * sin_w + q * cos_w)
+    # sqrt(2) cos w and -sqrt(2) sin w at order 1, w = x - 3 pi/4, times amp
+    d, t = (sin_x - cos_x) * amp, (sin_x + cos_x) * amp
+    del sin_x, cos_x, amp    # freed early: this branch sets the Bessel route's peak memory
+    j_0, q = _hankel_sums(0, x)            # at order 0, d and t turn into t and -d
+    j_0 *= t
+    j_0 -= np.multiply(q, d, out=q)
+    j_1, q = _hankel_sums(1, x)
+    j_1 *= d
+    j_1 += np.multiply(q, t, out=q)
+    return j_0, j_1
 
 
-def _j01_pair(x):
-    root = np.sqrt(0.5 * math.pi * x)
-    return -root * j1(x), root * j0(x)
-
-
-def _bessel_start_pair(nu0: float, x):
-    """sqrt(pi x / 2) J_nu(x) at nu = nu0 - 1 and nu = nu0, for nu0 = 0 or 1/2
-    and x > 0; the start of the upward order recurrence.
-
-    For nu0 = 1/2 they are the closed forms cos x and sin x.  For nu0 = 0
-    (J_-1 = -J_1) they come from scipy's j0 and j1 below x = 1e3 and from
-    the Hankel expansion above it, its phase built from sin x and cos x of
-    x itself (j0 and j1 lose phase accuracy at large x).
-    """
+def _low_pair(nu0: float, x):
+    """Lambda_nu0(x) and Lambda_(nu0+1)(x), nu0 = 0 or 1/2, x >= 0, of the
+    normalized kernel Lambda_mu(x) = Gamma(mu+1) (2/x)^mu J_mu(x) =
+    script_j(mu, x) / script_j(mu, 0): sin x / x and 3 (sin x / x - cos x) / x^2,
+    or J_0(x) and 2 J_1(x) / x by j0 and j1 below x = 1e3 and the Hankel
+    expansion above.  Order nu0 + 1 is given from x = 1 on and is 0 below
+    it, where the half-integer form cancels."""
     x = np.asarray(x, dtype=float)
     if nu0 == 0.5:
-        return np.cos(x), np.sin(x)
-    return _piecewise(x, x >= _HANKEL_X_MIN, _hankel_pair, _j01_pair)
+        lo = np.divide(np.sin(x), x, out=np.ones_like(x), where=x > 0)
+        hi = lo - np.cos(x)
+    else:
+        lo, hi = _piecewise(x, x >= _HANKEL_X_MIN, _hankel_pair, lambda v: (j0(v), j1(v)))
+    inv = np.divide(1.0, x, out=np.zeros_like(x), where=x >= 1.0)    # 1/x, 0 below 1
+    hi *= inv
+    hi *= 3.0 * inv if nu0 == 0.5 else 2.0
+    return lo, hi
 
 
 def _gamma_shifts(params: SpaceParams) -> tuple[list[float], int]:
@@ -229,80 +237,68 @@ def _h_phase_slope0(params: SpaceParams) -> float:
     return -2.0 * (1 - n_half) * math.log(2.0) - sum(1.0 / x for x in shifts)
 
 
-def _h_modulus_inv2(params: SpaceParams, lam: np.ndarray) -> np.ndarray:
-    """|h(lambda)|^-2 = |c(lambda)|^-2 / lambda^2 for an array lambda >= 0,
-    finite and positive at 0 (plancherel_density).  It is even in lambda,
-    so a lambda whose square underflows takes the value at 0."""
-    out = np.full_like(lam, math.ldexp(4.0 * math.pi / math.gamma(params.n / 2.0) ** 2,
-                                       -2 * int(params.Q)))
+def _h_modulus(params: SpaceParams, lam):
+    """|h(lambda)| = |lambda c(lambda)| for lambda >= 0, scalar or array,
+    finite and positive at 0.
+
+    With 1/|Gamma(2i lambda)|^2 = 2 lambda sinh(2 pi lambda) / pi,
+    |Gamma(k + i lambda)|^2 = (pi lambda / sinh pi lambda) prod_(1<=j<k)
+    (j^2 + lambda^2) and |Gamma(k + 1/2 + i lambda)|^2 = (pi / cosh pi lambda)
+    prod_(0<=j<k) ((j + 1/2)^2 + lambda^2) (DLMF 5.4.3, 5.4.4, 5.5.1),
+
+        |h| = 2^(Q-1) Gamma(n/2) pi^(-1/2) (tanh(pi lambda) / lambda)^((1-n_half)/2)
+              / prod_j hypot(x_j, lambda)
+
+    over the shifts x_j (_gamma_shifts).  Each 1/hypot(x_j, lambda) is at
+    most 1 from lambda = 1 on, so |h| never passes through |c|^-2 and reads
+    0 only below the double range; tanh takes pi min(lambda, 20), where it
+    is 1 already, so that pi lambda cannot overflow.
+    """
+    lam = np.asarray(lam, dtype=float)
+    out = np.full_like(lam, math.ldexp(math.gamma(params.n / 2.0) / math.sqrt(math.pi),
+                                       int(params.Q) - 1))
     shifts, n_half = _gamma_shifts(params)
-    lam2 = lam * lam
     for x in shifts:
-        out *= x * x + lam2
-    if n_half == 0:
-        out *= np.divide(lam, np.tanh(math.pi * lam), out=np.full_like(lam, 1.0 / math.pi),
-                         where=lam2 > 0)
-    elif n_half == 2:
-        out *= np.divide(np.tanh(math.pi * lam), lam, out=np.full_like(lam, math.pi),
-                         where=lam2 > 0)
+        out /= np.hypot(x, lam)
+    if n_half != 1:
+        # tanh(pi lambda) / lambda is pi to rounding below lambda = 1e-9
+        ratio = np.divide(np.tanh(math.pi * np.minimum(lam, 20.0)), lam,
+                          out=np.full_like(lam, math.pi), where=lam > 1e-9)
+        root = np.sqrt(ratio)
+        out = out * root if n_half == 0 else out / root
     return out
 
 
 def c_function(params: SpaceParams, lam: float) -> complex:
     """Harish-Chandra c-function at real lambda != 0, -i h(lambda)/lambda:
-    modulus |h|/|lambda|, phase arg h - sign(lambda) pi/2, so
-    c(-lambda) = conj(c(lambda)) exactly, arg h being odd.
-
-    |h| is taken factor by factor from _h_modulus_inv2, each 1/hypot(x_j,
-    lambda) at most 1 once |lambda| >= 1, so it never passes through
-    |c|^-2 (which overflows from |lambda| ~ 1e154 on) and |c| reads 0 only
-    below the double range.
+    modulus |h|/|lambda| (_h_modulus, so |c| reads 0 only below the double
+    range), phase arg h - sign(lambda) pi/2, so c(-lambda) = conj(c(lambda))
+    exactly, arg h being odd.
     """
     if lam == 0:
         raise PoleError("c-function has a pole at lambda = 0")
     lam = float(lam)
     x = abs(lam)
-    shifts, n_half = _gamma_shifts(params)
-    mod = math.ldexp(math.gamma(params.n / 2.0) / (2.0 * math.sqrt(math.pi)), int(params.Q))
-    for shift in shifts:
-        mod /= math.hypot(shift, x)
-    if n_half == 0:
-        mod *= math.sqrt(math.tanh(math.pi * x) / x)
-    elif n_half == 2:
-        mod *= math.sqrt(x / math.tanh(math.pi * x))
     # from |lambda| ~ 1e154 on, lambda^2 in _ratio_phase passes the float
     # range (and near 1e308 lambda / x_j in _h_phase); as inf they give
     # 1/lambda^2 = 0 and arctan = pi/2
     with np.errstate(over="ignore"):
         rot = np.exp(1j * _h_phase(params, lam))
-    return complex(-1j * math.copysign(1.0, lam) * rot * (mod / x))
+    return complex(-1j * math.copysign(1.0, lam) * rot * (float(_h_modulus(params, x)) / x))
 
 
 def plancherel_density(params: SpaceParams, lam):
-    """Plancherel density |c(lambda)|^-2 for lambda >= 0, in closed form.
-
-    |c|^-2 = 2^(-2Q) Gamma(n/2)^-2 |Gamma(Q/2 + i lambda)|^2
-    |Gamma((m_v+2)/4 + i lambda)|^2 / |Gamma(2i lambda)|^2, and both real
-    parts are integers or half-integers.  With 1/|Gamma(2i lambda)|^2 =
-    2 lambda sinh(2 pi lambda)/pi, |Gamma(k + i lambda)|^2 =
-    (pi lambda / sinh pi lambda) prod_(1<=j<k) (j^2 + lambda^2) and
-    |Gamma(k + 1/2 + i lambda)|^2 = (pi / cosh pi lambda)
-    prod_(0<=j<k) ((j + 1/2)^2 + lambda^2) (DLMF 5.4.3, 5.4.4, 5.5.1),
-
-        |c|^-2 = 4 pi 2^(-2Q) Gamma(n/2)^-2 P(lambda^2)
-                 * {lambda^3 coth(pi lambda) | lambda^2 | lambda tanh(pi lambda)}
-
-    for two integer, one integer and no integer real part, P being the
-    two finite products (_gamma_shifts); it is lambda^2 |h|^-2 for
-    h = i lambda c (_h_modulus_inv2).  On H^3 it is 4 lambda^2.
+    """Plancherel density |c(lambda)|^-2 = (lambda / |h(lambda)|)^2 for
+    lambda >= 0 (_h_modulus): a polynomial in lambda^2 times lambda^3
+    coth(pi lambda), lambda^2 or lambda tanh(pi lambda) for two, one and no
+    integer real parts among Q/2 and (m_v+2)/4, exactly 0 at lambda = 0.
+    On H^3 it is 4 lambda^2.
     """
-    lam_arr = np.asarray(lam, dtype=float)
-    scalar = lam_arr.ndim == 0
-    lam_arr = np.atleast_1d(lam_arr)
-    if np.any(lam_arr < 0):
+    lam = np.asarray(lam, dtype=float)
+    if np.any(lam < 0):
         raise DomainError("plancherel_density requires lambda >= 0")
-    out = lam_arr * lam_arr * _h_modulus_inv2(params, lam_arr)
-    return float(out[0]) if scalar else out
+    out = (lam / _h_modulus(params, lam)) ** 2
+    return float(out) if lam.ndim == 0 else out
 
 
 def plancherel_envelope_ratio(params: SpaceParams, lam):

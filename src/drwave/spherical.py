@@ -11,13 +11,14 @@ evaluated by
   Taylor series of the radial equation's potential by a triangular
   recursion (_BesselCoeffs) and summed to the fixed order M = 16; its
   kernels script_j of orders mu0..mu0+16 come from one downward sweep
-  of the order recurrence (Abramowitz & Stegun 9.1.27, _kernel_sum),
-  started where lambda s <= mu0+17 by Miller's algorithm a few orders
-  higher and scaled once per cell to closed forms at the two lowest
-  orders, and where lambda s exceeds every order at the top two orders
-  of the upward recurrence from a cheap start pair at orders below 1;
-  no Bessel function of high order is called, and the cost per cell
-  does not depend on lambda;
+  of the order recurrence (Abramowitz & Stegun 9.1.27, _kernel_sum) on
+  the normalized kernels Lambda_mu = Gamma(mu+1) (2/x)^mu J_mu, started
+  where lambda s <= mu0+17 by Miller's algorithm a few orders higher and
+  scaled once per cell to the exact Lambda at the two lowest orders
+  (special._low_pair), and where lambda s exceeds every order at the top
+  two orders of the same recurrence run upward from that pair; no Bessel
+  function of high order is called, and the cost per cell does not
+  depend on lambda;
 * an exponential series for s >= 2 at every lambda, lambda = 0
   included: the Harish-Chandra expansion written through
   h(lambda) = i lambda c(lambda), which has no pole (_hc_matrix), and
@@ -43,13 +44,12 @@ import math
 
 import numpy as np
 from numpy.polynomial import polynomial
-from scipy.special import gammaln, j0, j1
 
 from .errors import DomainError, PhiBoundError, ResolutionError, StepSizeError
 from .profiles import RadialProfile
 from .space import (SpaceParams, density, log_density_derivative, log_density_derivative_prime,
                     log_density_taylor)
-from .special import _bessel_start_pair, _h_modulus_inv2, _h_phase, _h_phase_slope0
+from .special import _h_modulus, _h_phase, _h_phase_slope0, _kernel_at_zero, _low_pair
 
 __all__ = [
     "phi",
@@ -332,7 +332,7 @@ class _HCSeries:
         h(lam) = i lam c(lam) = 2^(Q-2i lam) Gamma(1+2i lam) Gamma(n/2)
                  / (2 Gamma(Q/2+i lam) Gamma((m_v+2)/4+i lam)),
 
-    analytic, and real and positive at 0 (special._h_modulus_inv2, _h_phase):
+    analytic, and real and positive at 0 (special._h_modulus, _h_phase):
 
         phi = 2 pref Im(h Phi_lam) / lam
             = 2 pref (|h|/lam) Im(e^(i(arg h + lam s)) sum_mu Gamma_mu e^(-mu s)).
@@ -355,15 +355,14 @@ class _HCSeries:
     def __init__(self, params: SpaceParams, lams: np.ndarray, s: np.ndarray, mu_max: int):
         gam = _gamma_matrix(params, lams, mu_max)
         self.lams, self.s = lams, s
-        # lam^2 and |h|^-2 pass the float range at large lam; as inf they
-        # give the limits: lam is not 0, and |h| is 0 to double precision
+        # lam^2 passes the float range at large lam; as inf it gives the
+        # limits: lam is not 0, and _h_phase's 1/lam^2 is 0
         with np.errstate(over="ignore"):
             self.zero = lams * lams == 0
-            h_mod = 1.0 / np.sqrt(_h_modulus_inv2(params, lams))
             lp = lams[~self.zero]
             self.phase = np.zeros_like(lams)
             self.phase[~self.zero] = _h_phase(params, lp)
-        self.scale = h_mod
+        self.scale = _h_modulus(params, lams)
         self.scale[~self.zero] /= lp
         if np.any(self.zero):
             gam[self.zero] += 1j * _gamma_slope0(params, gam[np.argmax(self.zero)].real)
@@ -410,17 +409,11 @@ def _hc_mu_for(params: SpaceParams, lams: np.ndarray, s_min: float) -> int:
 # Bessel series near the identity
 # ---------------------------------------------------------------------------
 
-@functools.cache
 def c0_constant(params: SpaceParams) -> float:
-    """Normalizing constant of the Bessel expansion, once per space.
-
-    pi^(-1/2) Gamma(n/2) / Gamma((n-1)/2): fixed so that the leading
-    term alone satisfies phi_lambda(0) = 1 exactly (the l = 0 kernel has
-    script_j_{(n-2)/2}(0) = sqrt(pi) Gamma((n-1)/2)/Gamma(n/2)).
-    """
-    n = params.n
-    return math.exp(math.lgamma(n / 2.0) - math.lgamma((n - 1) / 2.0)
-                    - 0.5 * math.log(math.pi))
+    """Normalizing constant of the Bessel expansion, 1 / script_j((n-2)/2, 0)
+    = pi^(-1/2) Gamma(n/2) / Gamma((n-1)/2): the leading term alone
+    satisfies phi_lambda(0) = 1 exactly."""
+    return float(1.0 / _kernel_at_zero((params.n - 2) / 2.0))
 
 
 def _bessel_pref(params: SpaceParams, s):
@@ -486,28 +479,19 @@ class _BesselCoeffs:
 
 
 def _upward_top_kernels(mu0: float, x: np.ndarray):
-    """script_j at orders mu0 + 16 and mu0 + 15, for x > mu0 + 17.
+    """Lambda (_kernel_sum) at orders mu0 + 16 and mu0 + 15, for x > mu0 + 17.
 
-    Every order is below x there, so the upward recurrence
-    J_(nu+1) = (2 nu / x) J_nu - J_(nu-1) is stable.  It runs on
-    u_nu = sqrt(pi x / 2) J_nu from the start pair at orders nu0 - 1 and
-    nu0, nu0 = mu0 mod 1 (_bessel_start_pair), up to the top two orders,
-    which script_j's normalization turns into
-    script_j(mu, x) = Gamma(mu + 1/2) (2/x)^(mu + 1/2) u_mu.
+    Every order is below x there, so the recurrence run upward from the
+    exact pair at orders mu0 mod 1 and one above (_low_pair),
+    Lambda_(mu+1) = 4 mu (mu+1) (Lambda_mu - Lambda_(mu-1)) (1/x)^2, is
+    stable; x^2 would overflow beyond 1.3e154.
     """
-    top = mu0 + _BESSEL_M
-    nu0 = mu0 % 1.0
-    u_lo, u_hi = _bessel_start_pair(nu0, x)
-    for nu in np.arange(nu0, top):
-        u_lo, u_hi = u_hi, (2.0 * nu / x) * u_hi - u_lo
-    scale = math.gamma(top + 0.5) * np.power(2.0 / x, top + 0.5)
-    return scale * u_hi, (scale * x / (2.0 * top - 1.0)) * u_lo
-
-
-def _kernel_at_zero(mu):
-    """script_j(mu, 0) = sqrt(pi) Gamma(mu + 1/2) / Gamma(mu + 1), the
-    series limit, for a scalar or an array mu."""
-    return math.sqrt(math.pi) * np.exp(gammaln(mu + 0.5) - gammaln(mu + 1.0))
+    lo, hi = _low_pair(mu0 % 1.0, x)
+    inv2 = np.reciprocal(x)
+    inv2 *= inv2
+    for mu in np.arange(mu0 % 1.0 + 1.0, mu0 + _BESSEL_M):
+        lo, hi = hi, 4.0 * mu * (mu + 1.0) * (hi - lo) * inv2
+    return hi, lo
 
 
 # Extra orders above mu0 + 16 at which the Miller sweep starts, by the
@@ -546,22 +530,13 @@ def _down(mu: float, x: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> np.ndarra
 
 def _miller_factor(nu0: float, x: np.ndarray, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
     """k that brings the swept pair (t0, t1) at orders nu0 and nu0 + 1 closest,
-    in least squares, to the true Lambda_nu0(x) and Lambda_(nu0+1)(x).
-
-    Those are J_0(x) and 2 J_1(x)/x for nu0 = 0, and sin x/x and
-    3 (sin x - x cos x)/x^3 for nu0 = 1/2; both pairs are 1 at x = 0 and
-    cannot vanish together.  Below x = 1, where the second form cancels
-    and neither first one has a zero, order nu0 is matched alone.
+    in least squares, to the exact Lambda_nu0(x) and Lambda_(nu0+1)(x)
+    (_low_pair), which cannot vanish together.  Below x = 1, where
+    _low_pair gives order nu0 + 1 as 0 and order nu0 (1 at x = 0) has no
+    zero, order nu0 is matched alone.
     """
-    far = x >= 1.0
-    if nu0 == 0.0:
-        v0 = j0(x)
-        v1 = np.divide(2.0 * j1(x), x, out=np.zeros_like(x), where=far)
-    else:
-        sin_x, cos_x = np.sin(x), np.cos(x)
-        v0 = np.divide(sin_x, x, out=np.ones_like(x), where=x > 0)
-        v1 = np.divide(3.0 * (sin_x - x * cos_x), x * x * x, out=np.zeros_like(x), where=far)
-    t1 = np.where(far, t1, 0.0)
+    v0, v1 = _low_pair(nu0, x)
+    t1 = np.where(x >= 1.0, t1, 0.0)
     return (t0 * v0 + t1 * v1) / (t0 * t0 + t1 * t1)
 
 
@@ -585,12 +560,11 @@ def _kernel_sum(mu0: float, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
       1967; DLMF 3.6(iii)): from (0, 1) at orders N + 1 and N, N above
       mu0 + 16 by _miller_extra of the largest such x, the sweep gives every
       order up to one common factor per cell.  It runs on to the orders
-      nu0 = mu0 mod 1 and nu0 + 1, whose closed forms fix that factor
+      nu0 = mu0 mod 1 and nu0 + 1, whose exact values fix that factor
       (_miller_factor), and the sum, linear in the kernels, is scaled once;
     * beyond it, where every order is below x, from the exact top two
       orders of the upward recurrence (_upward_top_kernels).
-    At x = 0 the sweep is the ratio of the series limits.  Two orders are
-    held at a time.
+    At x = 0 every Lambda is 1.  Two orders are held at a time.
     """
     top = mu0 + _BESSEL_M
     nu0 = mu0 % 1.0
@@ -604,9 +578,7 @@ def _kernel_sum(mu0: float, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
         for mu in top + np.arange(_miller_extra(top, float(np.max(x_m))), -1, -1):
             hi, lo = lo, _down(mu, x_m, hi, lo)
     if n_miller < x.size:
-        up = ~miller
-        up_hi, up_lo = _upward_top_kernels(mu0, x[up])
-        hi[up], lo[up] = up_hi / _kernel_at_zero(top), up_lo / _kernel_at_zero(top - 1.0)
+        hi[~miller], lo[~miller] = _upward_top_kernels(mu0, x[~miller])
     total = w[_BESSEL_M] * hi
     term = w[_BESSEL_M - 1] * lo
     total += term

@@ -148,6 +148,8 @@ def test_config_error_exit_code(tmp_path, out_root):
     ["oscillatory-claim", "--n-triples", "0"],
     ["oscillatory-claim", "--n-triples", "-2"],
     ["oscillatory-claim", "--k-levels", "0", "--n-triples", "3"],
+    ["oscillatory-claim", "--seed", "-1", "--n-triples", "3", "--k-levels", "2"],
+    ["transform", "--lambda-points", "-5"],
     # a selector exponent that is not a finite number above 1
     ["propagate", "--equation", "frac:nan", "--lambda-points", "128", "--lambda-max", "8",
      "--s-max", "3"],

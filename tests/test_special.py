@@ -10,7 +10,7 @@ from scipy.special import jv
 from drwave.errors import PoleError
 from drwave.space import new_space
 from drwave.special import (
-    _bessel_start_pair,
+    _low_pair,
     c_function,
     plancherel_density,
     plancherel_envelope_ratio,
@@ -23,15 +23,6 @@ mp.mp.dps = 50
 # ---------------------------------------------------------------------------
 # oracles
 # ---------------------------------------------------------------------------
-
-def oracle_bessel_series(mu: float, x: float, terms: int = 200) -> float:
-    """Power-series oracle for J_mu(x): sum_k (-1)^k (x/2)^(mu+2k) / (k! Gamma(mu+k+1))."""
-    half = mp.mpf(x) / 2
-    acc = mp.mpf(0)
-    for k in range(terms):
-        acc += (-1) ** k * half ** (mu + 2 * k) / (mp.factorial(k) * mp.gamma(mu + k + 1))
-    return float(acc)
-
 
 def oracle_c_function(m_v: int, m_z: int, lam: float) -> complex:
     """Direct high-precision product of the four Gamma factors."""
@@ -52,18 +43,33 @@ def oracle_c_function(m_v: int, m_z: int, lam: float) -> complex:
 # Bessel kernels
 # ---------------------------------------------------------------------------
 
-def test_bessel_half_integer_closed_form():
-    # sqrt(pi x / 2) J_(-1/2) = cos x and sqrt(pi x / 2) J_(1/2) = sin x
-    x = math.pi / 2
-    lo, hi = _bessel_start_pair(0.5, x)
-    root = math.sqrt(2.0 / (math.pi * x))
-    assert root * hi == pytest.approx(2.0 / math.pi, rel=1e-15)
-    assert abs(root * lo) <= 1e-16
-    x = np.array([2.0, 37.5, 1e3, 2e5])
-    lo, hi = _bessel_start_pair(0.5, x)
-    for nu, got in ((-0.5, lo), (0.5, hi)):
-        ref = [float(mp.sqrt(mp.pi * v / 2) * mp.besselj(nu, v)) for v in x]
-        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-15)
+_LOW_PAIR_X = [0.0, 1e-300, 0.3, 1.0, math.pi / 2, 2.404825557695773, 37.5, 999.0, 1e3,
+               1.3e5, 2e5]
+
+
+@pytest.mark.parametrize("nu0", [0.0, 0.5])
+def test_low_pair_matches_mpmath(nu0):
+    # Lambda_mu(x) = Gamma(mu+1) (2/x)^mu J_mu(x) at mu = nu0 and nu0 + 1,
+    # all x in one call and each alone: within 1e-15 of the amplitude
+    # min(1, Gamma(mu+1) (2/x)^mu sqrt(2/(pi x))) on the half-integer
+    # closed forms and the Hankel branch (x >= 1e3), within 1e-13 on the
+    # j0/j1 branch; below x = 1 order nu0 + 1 is 0, as _low_pair states
+    calls = [np.array(_LOW_PAIR_X)] + [np.array([x]) for x in _LOW_PAIR_X]
+    with mp.workdps(40):
+        for x in calls:
+            for mu, got in zip((nu0, nu0 + 1.0), _low_pair(nu0, x)):
+                for xi, g in zip(x, got):
+                    if mu > nu0 and xi < 1.0:
+                        assert g == 0.0
+                        continue
+                    ref, amp = mp.mpf(1), 1.0
+                    if xi > 0:
+                        xm = mp.mpf(float(xi))
+                        pref = mp.gamma(mu + 1) * (2 / xm) ** mu
+                        ref = pref * mp.besselj(mu, xm)
+                        amp = min(1.0, float(pref * mp.sqrt(2 / (mp.pi * xm))))
+                    tol = 1e-13 if nu0 == 0.0 and xi < 1e3 else 1e-15
+                    assert abs(g - ref) <= tol * amp, (mu, float(xi))
 
 
 def test_bessel_at_zero():
@@ -77,19 +83,6 @@ def test_bessel_at_zero():
             mu = mu0 + l
             limit = math.sqrt(math.pi) * math.exp(math.lgamma(mu + 0.5) - math.lgamma(mu + 1.0))
             np.testing.assert_allclose(kernel, limit, rtol=1e-13)
-
-
-def test_bessel_vs_series_oracle():
-    # the start pairs sqrt(pi x / 2) (J_(nu0-1), J_nu0) against the power
-    # series, on the j0/j1 branch of nu0 = 0 and the closed forms of 1/2
-    for x in (2.5, 5.0, 37.5):
-        root = math.sqrt(0.5 * math.pi * x)
-        lo, hi = _bessel_start_pair(0.0, x)
-        assert lo == pytest.approx(-root * oracle_bessel_series(1.0, x), rel=1e-13)
-        assert hi == pytest.approx(root * oracle_bessel_series(0.0, x), rel=1e-13)
-        lo, hi = _bessel_start_pair(0.5, x)
-        assert lo == pytest.approx(root * oracle_bessel_series(-0.5, x), rel=1e-13)
-        assert hi == pytest.approx(root * oracle_bessel_series(0.5, x), rel=1e-13)
 
 
 def test_script_j_limits():
