@@ -36,9 +36,22 @@ def chi_lowpass(xi):
 
 def eta_dyadic(xi):
     """The dyadic bump eta(xi) = chi(xi) - chi(2 xi), supported in
-    {1/2 < |xi| < 2}, with sum_k eta(2^-k xi) = 1 for xi != 0."""
-    xi = np.asarray(xi, dtype=float)
-    return chi_lowpass(xi) - chi_lowpass(2.0 * xi)
+    {1/2 < |xi| < 2}, with sum_k eta(2^-k xi) = 1 for xi != 0.
+
+    chi(xi) is exactly 1 for |xi| <= 1 and chi(2 xi) exactly 0 for
+    |xi| >= 1, so each node needs one transition of chi_lowpass's formula:
+    eta = chi(|xi|) on (1, 2), 1 - chi(2|xi|) on (1/2, 1) and 1 at |xi| = 1;
+    the values are chi_lowpass(xi) - chi_lowpass(2 xi) bit for bit."""
+    a = np.abs(np.asarray(xi, dtype=float))
+    out = np.zeros_like(a)
+    out[a == 1.0] = 1.0
+    low = (a > 0.5) & (a < 1.0)
+    ramp = low | ((a > 1.0) & (a < 2.0))
+    u = np.where(low, 2.0 * a, a)[ramp]
+    num = np.exp(-1.0 / (2.0 - u))
+    chi = num / (num + np.exp(-1.0 / (u - 1.0)))
+    out[ramp] = np.where(low[ramp], 1.0 - chi, chi)
+    return out
 
 
 def bump_unit(xi):

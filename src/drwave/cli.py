@@ -1,15 +1,15 @@
 """Command-line entry point: every module behind one reproducible command.
 
 Each config key is one row of `_OPTIONS`: its default, flag, type and the
-subcommands that take the flag.  A run resolves its configuration from the
-defaults, then an optional flat dotted-key config file, then the flags, and
-holds each value as the str of what the key's type reads, so a value hashes
-the same whichever source set it.  The SHA-256 hash of the subcommand and
-the values, never of the output location, names the output directory:
-identical configurations land in identical paths with byte-identical
-artifacts (a JSON timestamp field is the one run-dependent value, and it is
-kept out of the hash).  A malformed or non-finite value exits 2 with an
-`error:` line.
+subcommands that read the key, the only ones that take its flag.  A run
+resolves its configuration from the defaults, then an optional flat
+dotted-key config file, then the flags, and holds each value as the str of
+what the key's type reads, so a value hashes the same whichever source set
+it.  The SHA-256 hash of the subcommand and the values, never of the
+output location, names the output directory: identical configurations land
+in identical paths with byte-identical artifacts (a JSON timestamp field is
+the one run-dependent value, and it is kept out of the hash).  A malformed
+or non-finite value exits 2 with an `error:` line.
 """
 
 from __future__ import annotations
@@ -46,13 +46,14 @@ def _switch(text: str) -> int:
 
 # key: (default, flag, type, subcommands), subcommands None meaning all of them
 _EXPERIMENT = ("experiment",)
+_LAMBDA_GRID = ("transform", "propagate", "maximal")   # the callers of _lambda_grid
 _OPTIONS: dict[str, tuple] = {
     "space.m_v": ("2", "--m-v", int, None),
     "space.m_z": ("1", "--m-z", int, None),
-    "grids.s_max": ("12", "--s-max", float, None),
-    "grids.s_points": ("4096", "--s-points", int, None),
-    "grids.lambda_max": ("256", "--lambda-max", float, None),
-    "grids.lambda_points": ("0", "--lambda-points", int, None),  # 0: the pi/8 phase rule
+    "grids.s_max": ("12", "--s-max", float, ("space",) + _LAMBDA_GRID),
+    "grids.s_points": ("4096", "--s-points", int, ("transform",)),
+    "grids.lambda_max": ("256", "--lambda-max", float, ("cfun",) + _LAMBDA_GRID),
+    "grids.lambda_points": ("0", "--lambda-points", int, _LAMBDA_GRID),  # 0: the pi/8 phase rule
     "grids.t_points": ("512", "--t-points", int, ("maximal",)),
     "equation": ("frac:2", "--equation", str,
                  ("propagate", "maximal", "oscillatory-claim", "experiment")),
@@ -199,7 +200,10 @@ def _builtin_profile(cfg) -> RadialProfile:
     alpha = _parse(float, arg or "1", "profile")
     if not alpha > 0:
         raise ValidationError(f"profile {cfg['profile']!r} needs a width alpha > 0")
-    s = np.linspace(0.0, float(cfg["grids.s_max"]), int(cfg["grids.s_points"]))
+    n = int(cfg["grids.s_points"])
+    if n < 2:
+        raise ValidationError(f"--s-points must be 2 or above, got {n}")
+    s = np.linspace(0.0, float(cfg["grids.s_max"]), n)
     if name == "gaussian":
         return RadialProfile(s, np.exp(-alpha * s**2))
     return RadialProfile(s, 1.0 / np.cosh(alpha * s) ** 4)
@@ -401,15 +405,19 @@ _SUBCOMMANDS = {
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built once per process: parse_args
-    keeps its results in a fresh namespace and leaves the parser as it was."""
+    keeps its results in a fresh namespace and leaves the parser as it was.
+    A flag is taken only as written, never as the prefix of a longer one,
+    which would set a key the user did not name (`experiment --lambda-max`
+    as `--lambda-max-sweep`)."""
     parser = argparse.ArgumentParser(
         prog="drwave",
         description="Spherical Fourier analysis and dispersive propagators "
                     "on Damek-Ricci spaces",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="subcommand")
     for name, (help_text, _) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         if name == "experiment":
             p.add_argument("which", choices=["case1", "case2", "transference"])
         p.add_argument("--config", help="flat dotted-key config file")

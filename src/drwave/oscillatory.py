@@ -138,37 +138,45 @@ _SPREAD_CAP = 20.0  # van_der_corput_check's bound on max/min
 
 def _panel_sums(g, ph, root, a, b, lam0, rate, n_min: int):
     """Composite GL sums of g e^{i(theta - theta(lam0))} on every segment,
-    at the panel count panel_rule gives each."""
+    at the panel count panel_rule gives each; returns the sums and the
+    node counts."""
     nodes, weights, counts = panel_rules(a, b, rate, n_min)
     seg = np.repeat(np.arange(a.size), counts)
     terms = weights * g(nodes) * np.exp(1j * ph.diff(root[seg], nodes, lam0[seg]))
-    return np.add.reduceat(terms, np.cumsum(counts) - counts)
+    return np.add.reduceat(terms, np.cumsum(counts) - counts), counts
 
 
 def _direct_leaves(g, ph, root, a, b, lam0, tol):
-    """Composite GL on segments with modest phase span, with panels
-    doubled until two levels agree; the amplitude g (a flat-ended bump) is
-    what sets the panel count, not the phase.  tol is (n, m): column j of
-    a segment takes the first level that moved it by at most tol[:, j], and
-    doubling goes on while any column has not.  Raises ResolutionError if
-    six doublings leave a segment unresolved."""
+    """Composite GL on segments with modest phase span, with the minimum
+    panel count doubled until two levels agree.  tol is (n, m): column j
+    of a segment takes the first level that moved it by at most
+    tol[:, j], and doubling goes on while any column has not.  A segment
+    whose phase already sets more panels than the doubled minimum is
+    final: doubling lays out the same rule again, so it closes at the
+    value it has, moved by 0, and only the others are summed again.
+    Raises ResolutionError if six doublings leave a segment unresolved."""
     mid = 0.5 * (a + b)
     rate = np.max(np.abs(ph.deriv(root[:, None], np.stack([a, mid, b], axis=1))),
                   axis=1) + 1e-12
     out = np.empty(tol.shape, dtype=complex)
     live, pending = np.arange(a.size), np.ones(tol.shape, bool)
     n_min = 4
-    val = _panel_sums(g, ph, root, a, b, lam0, rate, n_min)
+    val, counts = _panel_sums(g, ph, root, a, b, lam0, rate, n_min)
     for _ in range(6):
         n_min *= 2
-        val2 = _panel_sums(g, ph, *(v[live] for v in (root, a, b, lam0, rate)), n_min)
+        # counts are nodes: panel_rules puts 8 on each panel
+        redo = counts < 8 * n_min
+        val2 = val.copy()
+        val2[redo], counts[redo] = _panel_sums(
+            g, ph, *(v[live[redo]] for v in (root, a, b, lam0, rate)), n_min)
         moved = np.abs(val2 - val)
         conv = pending & (moved[:, None] <= np.maximum(tol[live], 1e-15))
         r, c = np.nonzero(conv)
         out[live[r], c] = val2[r]
         pending &= ~conv
         keep = pending.any(axis=1)
-        live, val, pending, moved = live[keep], val2[keep], pending[keep], moved[keep]
+        live, val, counts, pending, moved = (
+            live[keep], val2[keep], counts[keep], pending[keep], moved[keep])
         if not live.size:
             return out
     raise ResolutionError(

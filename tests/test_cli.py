@@ -150,6 +150,7 @@ def test_config_error_exit_code(tmp_path, out_root):
     ["oscillatory-claim", "--k-levels", "0", "--n-triples", "3"],
     ["oscillatory-claim", "--seed", "-1", "--n-triples", "3", "--k-levels", "2"],
     ["transform", "--lambda-points", "-5"],
+    ["transform", "--s-points", "-5"],
     # a selector exponent that is not a finite number above 1
     ["propagate", "--equation", "frac:nan", "--lambda-points", "128", "--lambda-max", "8",
      "--s-max", "3"],
@@ -184,14 +185,15 @@ def test_profile_width_must_be_positive(out_root, capsys, selector):
 
 
 def _flag_cases():
-    for key, (_, _, _, subcommands) in _OPTIONS.items():
-        for sub in subcommands or _SUBCOMMANDS:
+    # every key on every subcommand, the ones that do not take its flag too
+    for key in _OPTIONS:
+        for sub in _SUBCOMMANDS:
             yield pytest.param(key, sub, id=f"{key}@{sub}")
 
 
 @pytest.mark.parametrize("key,sub", list(_flag_cases()))
 def test_flag_and_config_file_set_the_same_value(tmp_path, key, sub):
-    default, flag, typ, _ = _OPTIONS[key]
+    default, flag, typ, subcommands = _OPTIONS[key]
     argv = [sub, "case1"] if sub == "experiment" else [sub]
     run_key = "-".join(argv)
     parser = _build_parser()
@@ -204,15 +206,34 @@ def test_flag_and_config_file_set_the_same_value(tmp_path, key, sub):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
     by_file = resolved("--config", str(cfg))
-    by_flag = resolved(flag) if typ is _switch else resolved(flag, value)
+    assert by_file[0][key] != DEFAULTS[key]
+    with_flag = [flag] if typ is _switch else [flag, value]
+    if subcommands is not None and sub not in subcommands:
+        # a subcommand that never reads the key has no flag for it; the
+        # config file still sets the key, which is hashed like every key
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv + with_flag)
+        return
+    by_flag = resolved(*with_flag)
     assert by_flag == by_file
-    assert by_flag[0][key] != DEFAULTS[key]
     if typ is not _switch:
         # the default stated by flag is the default
         assert resolved(flag, default) == resolved()
     if key == "output_dir":
         # the output location is not hashed
         assert by_flag[1] == resolved()[1]
+
+
+@pytest.mark.parametrize("argv", [["cfun", "--lambda-points", "-2"],
+                                  ["space", "--s-points", "-5"],
+                                  ["experiment", "transference", "--lambda-max", "3"]],
+                         ids=" ".join)
+def test_flag_the_subcommand_does_not_read_is_a_usage_error(out_root, capsys, argv):
+    # refused by argparse, as `cfun --t 1` is, before any run directory
+    # exists; nor is it read as the prefix of a flag the subcommand has
+    assert run(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out_root.exists()
 
 
 def test_hash_depends_on_config():

@@ -305,6 +305,17 @@ def test_split_high_supported_spectrum(space21):
     assert np.all(low.values == 0)
 
 
+def test_eta_is_the_difference_of_two_lowpass_bumps():
+    # one transition per node gives chi(xi) - chi(2 xi) bit for bit, at the
+    # edges of the support and of the two ramps and beside them too
+    edges = np.array([0.5, 1.0, 2.0])
+    xi = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 3.0),
+                         [0.0, 0.25, 2.5, 7.0, 1e300, np.inf],
+                         np.random.default_rng(3).uniform(-2.5, 2.5, 100_000)])
+    xi = np.concatenate([xi, -xi])
+    assert np.array_equal(eta_dyadic(xi), chi_lowpass(xi) - chi_lowpass(2.0 * xi))
+
+
 def test_partition_of_unity():
     xi = np.geomspace(0.01, 100.0, 2000)
     total = chi_lowpass(xi) + (1.0 - chi_lowpass(xi))

@@ -149,26 +149,78 @@ def test_window_direct_leaf_non_convergence_raises(space21, monkeypatch):
 TOLS = (1e-9, 1e-9 / 16.0)
 
 
-@pytest.mark.parametrize("family", ["windows", "quadratic"])
-def test_integrate_columns_match_single_tolerance_runs(space21, family):
-    # the tolerances ride one worklist as columns; each column is bit for
-    # bit what a worklist at that tolerance alone gives
+def _family(space21, family):
+    """(g, ph, a, b) of many integrals: dyadic windows of six claim
+    triples at k = 1..40, or the van der Corput bump at 25 curvatures."""
     if family == "windows":
         triples = sample_claim_triples(K15, space21, 6, seed=5)
         ks = np.arange(1, 41)
         gap = np.repeat(triples[:, 1] - triples[:, 0], ks.size)
         ph = _WindowPhases(K15, space21, np.tile(ks, len(triples)), gap,
                            np.repeat(triples[:, 2], ks.size))
-        g, a, b = eta_dyadic, np.full(gap.size, 0.5), np.full(gap.size, 2.0)
-    else:
-        m = np.geomspace(10.0, 1e5, 25)
-        g, ph, a, b = BumpWindow(), _QuadraticPhases(m), np.full(m.size, -1.0), np.ones(m.size)
+        return eta_dyadic, ph, np.full(gap.size, 0.5), np.full(gap.size, 2.0)
+    m = np.geomspace(10.0, 1e5, 25)
+    return BumpWindow(), _QuadraticPhases(m), np.full(m.size, -1.0), np.ones(m.size)
+
+
+@pytest.mark.parametrize("family", ["windows", "quadratic"])
+def test_integrate_columns_match_single_tolerance_runs(space21, family):
+    # the tolerances ride one worklist as columns; each column is bit for
+    # bit what a worklist at that tolerance alone gives
+    g, ph, a, b = _family(space21, family)
     n = a.size
     joint = _integrate(g, ph, a, b, np.tile(TOLS, (n, 1)))
     assert joint.shape == (n, 2)
     for j, tol in enumerate(TOLS):
         alone = _integrate(g, ph, a, b, np.full((n, 1), tol))
         assert np.array_equal(joint[:, j], alone[:, 0])
+
+
+def _doubling_every_level(g, ph, root, a, b, lam0, tol):
+    """_direct_leaves as it was before it skipped a doubling that lays out
+    the same rule: every live segment summed again at every level."""
+    mid = 0.5 * (a + b)
+    rate = np.max(np.abs(ph.deriv(root[:, None], np.stack([a, mid, b], axis=1))),
+                  axis=1) + 1e-12
+    out = np.empty(tol.shape, dtype=complex)
+    live, pending = np.arange(a.size), np.ones(tol.shape, bool)
+    n_min = 4
+    val = oscillatory._panel_sums(g, ph, root, a, b, lam0, rate, n_min)[0]
+    for _ in range(6):
+        n_min *= 2
+        val2 = oscillatory._panel_sums(
+            g, ph, *(v[live] for v in (root, a, b, lam0, rate)), n_min)[0]
+        conv = pending & (np.abs(val2 - val)[:, None] <= np.maximum(tol[live], 1e-15))
+        r, c = np.nonzero(conv)
+        out[live[r], c] = val2[r]
+        pending &= ~conv
+        keep = pending.any(axis=1)
+        live, val, pending = live[keep], val2[keep], pending[keep]
+        if not live.size:
+            return out
+    raise ResolutionError("direct segment unresolved")
+
+
+@pytest.mark.parametrize("family", ["windows", "quadratic"])
+def test_direct_leaves_sum_each_rule_once(space21, family, monkeypatch):
+    # a segment whose phase sets more panels than the doubled minimum keeps
+    # its rule, so it is not summed again, and every value is the one the
+    # full doubling gives, bit for bit
+    g, ph, a, b = _family(space21, family)
+    tol = np.tile(TOLS, (a.size, 1))
+    summed = []
+    panel_sums = oscillatory._panel_sums
+
+    def recording(g, ph, root, a, b, lam0, rate, n_min):
+        val, counts = panel_sums(g, ph, root, a, b, lam0, rate, n_min)
+        summed.extend(zip(root, a, b, counts))
+        return val, counts
+
+    monkeypatch.setattr(oscillatory, "_panel_sums", recording)
+    got = _integrate(g, ph, a, b, tol)
+    assert summed and len(set(summed)) == len(summed)
+    monkeypatch.setattr(oscillatory, "_direct_leaves", _doubling_every_level)
+    assert np.array_equal(got, _integrate(g, ph, a, b, tol))
 
 
 def test_window_levin_rows_are_the_tight_trees(space21, monkeypatch):
