@@ -1,9 +1,9 @@
 """Spherical Fourier analysis and dispersive propagators on Damek-Ricci
-spaces: spherical functions by two series routes checked against an ODE
-oracle, the c-function and Plancherel density, the radial transform pair
-with Sobolev norms, Table-driven dispersive phases with their maximal
-functions, dyadic oscillatory-sum checks, and the scaling experiments
-that exhibit the 1/4 regularity threshold.
+spaces: spherical functions by two series routes checked against their
+hypergeometric closed form, the c-function and Plancherel density, the
+radial transform pair with Sobolev norms, Table-driven dispersive phases
+with their maximal functions, dyadic oscillatory-sum checks, and the
+scaling experiments that exhibit the 1/4 regularity threshold.
 """
 
 from .dispersive import (
@@ -42,7 +42,6 @@ from .special import (
 from .spherical import (
     phi,
     phi_matrix,
-    phi_ode_oracle,
 )
 from .transform import (
     euclidean_correspondence,
@@ -83,7 +82,6 @@ __all__ = [
     "phase_derivs",
     "phi",
     "phi_matrix",
-    "phi_ode_oracle",
     "plancherel_density",
     "propagate",
     "sample_claim_triples",

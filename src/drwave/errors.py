@@ -17,10 +17,6 @@ class PoleError(DrwaveError, ArithmeticError):
     """Evaluation requested exactly at a pole."""
 
 
-class StepSizeError(DrwaveError, ValueError):
-    """ODE integration step too large for the requested spectral parameter."""
-
-
 class ResolutionError(DrwaveError, RuntimeError):
     """A quadrature or grid failed its self-consistency refinement check."""
 

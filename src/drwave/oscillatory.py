@@ -243,7 +243,8 @@ def _integrate(g, ph, a, b, tol):
     mult, the rotation e^{i(theta(lam0) - theta(a_r))} from its reference
     point lam0 back to its root's.  Each column's leaves are added in
     the order a worklist at that column's tol alone adds them, so the
-    column is that worklist's value bit for bit.
+    column is that worklist's value bit for bit.  A probe theta' that is
+    not finite would never close its segment, so it raises DomainError.
     """
     root = np.arange(a.size)
     lam0 = a
@@ -253,6 +254,8 @@ def _integrate(g, ph, a, b, tol):
     depth = 0
     while root.size:
         tp = ph.deriv(root[:, None], np.linspace(a, b, 9, axis=1))
+        if not np.all(np.isfinite(tp)):
+            raise DomainError("the phase derivative is not finite on the integration range")
         direct = np.max(np.abs(tp), axis=1) * (b - a) <= _PHASE_SMALL
         if depth >= _MAX_DEPTH:
             direct[:] = True
@@ -448,6 +451,13 @@ class BumpWindow:
 
     center: float = 0.0
     halfwidth: float = 1.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.center) and math.isfinite(self.halfwidth)
+                and self.halfwidth > 0):
+            raise ValidationError(
+                f"a bump window needs a finite center and a finite halfwidth > 0, "
+                f"got center {self.center}, halfwidth {self.halfwidth}")
 
     def __call__(self, xi):
         return bump_unit((np.asarray(xi, dtype=float) - self.center) / self.halfwidth)

@@ -123,8 +123,8 @@ def log_density_taylor(params: SpaceParams) -> np.ndarray:
     series of coth and tanh (DLMF 4.19.5, 4.19.6) at x = s/2,
     g_k = 2 B_2k / (2k)! * ((m_v+m_z)/2 + (2^(2k) - 1) m_z/2), each
     rounded once from exact rationals.  The Laurent branch of
-    log_density_derivative, the RK4 start and the Bessel-series
-    coefficients of `spherical` all read these.
+    log_density_derivative and the Bessel-series coefficients of
+    `spherical` read these.
     """
     b = _bernoulli(82)
     half_sum, half_mz = Fraction(params.m_v + params.m_z, 2), Fraction(params.m_z, 2)
@@ -132,15 +132,3 @@ def log_density_taylor(params: SpaceParams) -> np.ndarray:
                   for k in range(1, 42)])
     g.flags.writeable = False       # shared by every caller through the cache
     return g
-
-
-def log_density_derivative_prime(params: SpaceParams, s):
-    """d/ds of A'/A, needed by the Liouville potential of the radial ODE."""
-    s = np.asarray(s, dtype=float)
-    if np.any(s <= 0):
-        raise DomainError("log_density_derivative_prime requires s > 0")
-    alpha = params.half_sum
-    beta = 0.5 * params.m_z
-    out = -alpha / (2.0 * np.sinh(s / 2.0) ** 2) + beta / (2.0 * np.cosh(s / 2.0) ** 2)
-    return out if out.ndim else float(out)
-

@@ -299,9 +299,3 @@ def plancherel_density(params: SpaceParams, lam):
         raise DomainError("plancherel_density requires lambda >= 0")
     out = (lam / _h_modulus(params, lam)) ** 2
     return float(out) if lam.ndim == 0 else out
-
-
-def plancherel_envelope_ratio(params: SpaceParams, lam):
-    """|c|^-2 divided by its comparison weight lambda^2 (1+lambda)^(n-3)."""
-    lam = np.asarray(lam, dtype=float)
-    return plancherel_density(params, lam) / (lam**2 * (1.0 + lam) ** (params.n - 3))

@@ -1,4 +1,4 @@
-"""Spherical functions phi_lambda(s) by two routes, checked by an ODE oracle.
+"""Spherical functions phi_lambda(s) by two series routes.
 
 phi_lambda is the radial eigenfunction of the Laplace-Beltrami operator,
 
@@ -21,7 +21,7 @@ evaluated by
   depend on lambda;
 * an exponential series for s >= 2 at every lambda, lambda = 0
   included: the Harish-Chandra expansion written through
-  h(lambda) = i lambda c(lambda), which has no pole (_hc_matrix), and
+  h(lambda) = i lambda c(lambda), which has no pole (_HCSeries), and
   the Gamma_mu recursion whose omega_k coefficients come from expanding
   the Liouville potential of the radial equation in powers of e^(-s).
 
@@ -29,12 +29,10 @@ phi_matrix() is the one way into both series, and phi() is phi_matrix()
 on one cell, so both take the same route by s alone and both enforce
 the global bound |phi| <= 1.  phi_matrix builds each series' parts
 that do not change along a row once per call, and runs both in blocks
-of lambda rows that keep their temporaries small.  A fixed-step RK4
-integration of the radial equation from a 30-term Taylor start
-(phi_ode_oracle, _ode_refined) is the independent check on both series
-and is on no production path; each step is applied as a precomputed
-transfer matrix, quadratic in lambda^2 + Q^2/4, to a whole block of
-frequencies at once.
+of lambda rows that keep their temporaries small.  Both series are
+checked against the exact closed form, the Jacobi function
+phi_lambda(s) = 2F1(Q/2 + i lambda, Q/2 - i lambda; n/2; -sinh(s/2)^2)
+(Koornwinder, 1984), which the tests evaluate with mpmath.
 """
 
 from __future__ import annotations
@@ -45,15 +43,12 @@ import math
 import numpy as np
 from numpy.polynomial import polynomial
 
-from .errors import DomainError, PhiBoundError, ResolutionError, StepSizeError
-from .profiles import RadialProfile
-from .space import (SpaceParams, density, log_density_derivative, log_density_derivative_prime,
-                    log_density_taylor)
+from .errors import DomainError, PhiBoundError, ResolutionError
+from .space import SpaceParams, density, log_density_taylor
 from .special import _h_modulus, _h_phase, _h_phase_slope0, _kernel_at_zero, _low_pair
 
 __all__ = [
     "phi",
-    "phi_ode_oracle",
     "omega_coeffs",
     "phi_matrix",
 ]
@@ -65,197 +60,11 @@ S_HC_MIN = 2.0
 LAMBDA_HC_MIN = 1.0
 S_BESSEL_MAX = 0.75
 
-_TAYLOR_S0 = 1e-3
-_TAYLOR_TERMS = 30
 _BESSEL_M = 16          # the Bessel series sums orders 0..M
 _HC_MU_START = 40
 _HC_MU_CAP = 320
 _PHI_BOUND_TOL = 1e-9
 _BLOCK_CELLS = 2**14    # cells per lambda block in phi_matrix: 128 kB per array
-_ODE_TOL = 1e-8  # relative phase error of the RK4 step (_auto_step)
-
-
-# ---------------------------------------------------------------------------
-# ODE oracle
-# ---------------------------------------------------------------------------
-
-def _taylor_coeffs(params: SpaceParams, nu: np.ndarray) -> np.ndarray:
-    """c_0..c_29 of the even Taylor series phi = sum_j c_j s^(2j).
-
-    Shape (30,) + nu.shape.  Putting the series and A'/A = (n-1)/s +
-    sum_k g_k s^(2k-1) (log_density_taylor) into the radial equation
-    gives c_0 = 1 and
-    c_j = -(nu c_(j-1) + sum_(1<=k<j) 2(j-k) g_k c_(j-k)) / (2j(2j+n-2)).
-    """
-    g = log_density_taylor(params)
-    nu = np.asarray(nu, dtype=float)
-    c = np.empty((_TAYLOR_TERMS,) + nu.shape)
-    c[0] = 1.0
-    for j in range(1, _TAYLOR_TERMS):
-        drift = np.tensordot(2.0 * np.arange(j - 1, 0, -1) * g[:j - 1], c[j - 1:0:-1], axes=1)
-        c[j] = -(nu * c[j - 1] + drift) / (2.0 * j * (2.0 * j + params.n - 2.0))
-    return c
-
-
-def _taylor_eval(c: np.ndarray, s):
-    """Values and slopes of the series c (_taylor_coeffs) at s, each
-    shape c.shape[1:] + s.shape."""
-    j = np.arange(c.shape[0])
-    s2j = np.power.outer(np.asarray(s, dtype=float), 2 * j)    # s.shape + (n_terms,)
-    val = np.tensordot(c, s2j, axes=(0, -1))
-    slope = np.tensordot(c[1:], 2 * j[1:] * s2j[..., :-1], axes=(0, -1)) * s
-    return val, slope
-
-
-def _transfer_coeffs(hh, p1, p2, p4) -> np.ndarray:
-    """RK4 transfer matrices of the radial equation, one per step.
-
-    A classical RK4 step of y' = y1, y1' = -p(s) y1 - nu y maps (y, y1)
-    linearly, and its 2x2 matrix is exactly quadratic in nu:
-    T(nu) = C0 + nu C1 + nu^2 C2.  hh, p1, p2, p4 hold each step's size
-    and the drift A'/A at its start, midpoint and end.  The stages are
-    run on linear forms in (y, y1) whose coefficients are polynomials in
-    nu, shape (3 powers, 2 components, n_steps).  Returns shape
-    (n_steps, 6, 2): rows 2j and 2j+1 are the rows of C_j.
-    """
-    one_y = np.zeros((3, 2, hh.size))
-    one_y[0, 0] = 1.0
-    one_p = np.zeros_like(one_y)
-    one_p[0, 1] = 1.0
-
-    def nu_times(form):  # the stages keep every y-form below degree 2
-        out = np.zeros_like(form)
-        out[1:] = form[:-1]
-        return out
-
-    half = 0.5 * hh
-    k1y, k1p = one_p, -p1 * one_p - nu_times(one_y)
-    y2, yp2 = one_y + half * k1y, one_p + half * k1p
-    k2y, k2p = yp2, -p2 * yp2 - nu_times(y2)
-    y3, yp3 = one_y + half * k2y, one_p + half * k2p
-    k3y, k3p = yp3, -p2 * yp3 - nu_times(y3)
-    y4, yp4 = one_y + hh * k3y, one_p + hh * k3p
-    k4y, k4p = yp4, -p4 * yp4 - nu_times(y4)
-    sixth = hh / 6.0
-    row_y = one_y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-    row_p = one_p + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-    return np.stack([row_y, row_p], axis=1).transpose(3, 0, 1, 2).reshape(hh.size, 6, 2)
-
-
-_STEP_CHUNK = 4096  # steps whose transfer matrices are held at once
-
-
-def _ode_values(params: SpaceParams, nu: np.ndarray, s_targets: np.ndarray, h: float):
-    """phi at each target s for every nu; shape (n_nu, n_s).
-
-    RK4 from the Taylor start at s = 1e-3, visiting the targets in
-    ascending order.  Each gap between consecutive targets is cut into equal steps of at most h, and the step starts
-    accumulate as s += step.  The drift A'/A is evaluated in one
-    vectorized call at every step's start, midpoint and end; each step
-    is then the transfer matrix C0 + nu C1 + nu^2 C2 (_transfer_coeffs),
-    applied to all nu by one (6,2)@(2,n_nu) product and a Horner update.
-    Targets below 1e-3 take the Taylor values.
-    """
-    nu = np.atleast_1d(np.asarray(nu, dtype=float))
-    order = np.argsort(s_targets, kind="stable")
-    s_targets = np.asarray(s_targets, dtype=float)[order]
-    # step layout: per gap, its accumulated nodes (the starts plus the end)
-    nodes, steps, sizes, gap_of = [], [], [], []
-    s_cur = _TAYLOR_S0
-    for s_t in s_targets:
-        if s_t > s_cur:
-            m = max(1, int(math.ceil((s_t - s_cur) / h - 1e-12)))
-            step = (s_t - s_cur) / m
-            nodes.append(np.cumsum(np.concatenate([[s_cur], np.full(m, step)])))
-            steps.append(m)
-            sizes.append(step)
-            s_cur = s_t
-        gap_of.append(len(steps))
-    # y after each gap, row 0 at the Taylor start
-    y_at = np.empty((len(steps) + 1, nu.size))
-    taylor = _taylor_coeffs(params, nu)
-    v = np.array(_taylor_eval(taylor, _TAYLOR_S0))
-    y_at[0] = v[0]
-    if steps:
-        nodes = np.concatenate(nodes)
-        is_start = np.ones(nodes.size, dtype=bool)
-        is_start[np.cumsum(np.array(steps) + 1) - 1] = False
-        i_start = np.flatnonzero(is_start)
-        hh = np.repeat(sizes, steps)
-        drift = log_density_derivative(
-            params, np.concatenate([nodes, nodes[i_start] + 0.5 * hh]))
-        p1, p2, p4 = drift[i_start], drift[nodes.size:], drift[i_start + 1]
-        gap_ends = np.cumsum(steps).tolist() + [-1]
-        w = np.empty((6, nu.size))
-        w0, w1, w2 = w[0:2], w[2:4], w[4:6]
-        g = 0
-        for a in range(0, hh.size, _STEP_CHUNK):
-            b = min(a + _STEP_CHUNK, hh.size)
-            for k, c in enumerate(_transfer_coeffs(hh[a:b], p1[a:b], p2[a:b], p4[a:b]), a + 1):
-                np.dot(c, v, out=w)             # rows: C0 v, C1 v, C2 v
-                w2 *= nu                        # Horner in nu, in place
-                w2 += w1
-                w2 *= nu
-                np.add(w0, w2, out=v)
-                if k == gap_ends[g]:
-                    g += 1
-                    y_at[g] = v[0]
-    vals = y_at[gap_of].T
-    small = s_targets < _TAYLOR_S0
-    if np.any(small):
-        vals[:, small] = _taylor_eval(taylor, s_targets[small])[0]
-    out = np.empty((nu.size, s_targets.size))
-    out[:, order] = vals
-    return out
-
-
-def _auto_step(omega_max: float, s_span: float, tol: float = 1e-9) -> float:
-    """Step targeting a given relative phase error for the RK4 scheme.
-
-    The accumulated phase error scales like s_span * omega^5 * h^4, so the
-    step shrinks like omega^(-5/4) at large frequency.
-    """
-    omega = max(omega_max, 1.0)
-    h = (tol * 120.0 / (max(s_span, 0.1) * omega**5)) ** 0.25
-    return float(min(1e-3, h, 0.04 / omega))
-
-
-def _ode_refined(params: SpaceParams, lam: float, s_targets):
-    """Richardson-extrapolated oracle values (error ~ h^6) at the targets."""
-    s_targets = np.atleast_1d(np.asarray(s_targets, dtype=float))
-    nu = np.array([lam * lam + params.q2_over_4])
-    h = _auto_step(math.sqrt(nu[0]), float(s_targets[-1]), tol=_ODE_TOL)
-    v1 = _ode_values(params, nu, s_targets, h)[0]
-    v2 = _ode_values(params, nu, s_targets, h / 2.0)[0]
-    return (16.0 * v2 - v1) / 15.0
-
-
-def phi_ode_oracle(params: SpaceParams, lam: float, s_max: float, step: float) -> RadialProfile:
-    """Integrate the radial eigen-equation and sample phi on [0, s_max].
-
-    The integration starts from the 30-term Taylor series (_taylor_coeffs)
-    at s = 1e-3 (the drift coefficient A'/A is singular at 0) and proceeds
-    with classical RK4 at fixed step, each step applied as its transfer
-    matrix (see _ode_values).  The step must resolve the local
-    frequency: step * sqrt(lambda^2 + Q^2/4) <= 0.05.
-    """
-    nu = lam * lam + params.q2_over_4
-    if step <= 0:
-        raise StepSizeError("step must be positive")
-    if step * math.sqrt(nu) > 0.05:
-        raise StepSizeError(
-            f"step {step} too large: step*sqrt(lambda^2+Q^2/4) = "
-            f"{step * math.sqrt(nu):.3g} > 0.05"
-        )
-    if s_max <= 0:
-        raise DomainError("s_max must be positive")
-    n_pts = int(round(s_max / step)) + 1
-    grid = np.linspace(0.0, n_pts * step - step, n_pts)
-    vals = np.empty(n_pts)
-    vals[0] = 1.0
-    inner = _ode_values(params, np.array([nu]), grid[1:], step)
-    vals[1:] = inner[0]
-    return RadialProfile(grid, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -284,13 +93,6 @@ def omega_coeffs(params: SpaceParams, k_max: int) -> np.ndarray:
     omega = (Q - k) * c
     omega[1:] += np.convolve(c, c)[:k_max - 1]     # sum_(j<k) c_j c_(k-j), exact in integers
     return omega
-
-
-def liouville_potential(params: SpaceParams, s):
-    """V(s) = (A'/A)^2/4 + (A'/A)'/2 - Q^2/4, the independent check on omega_k."""
-    p = log_density_derivative(params, s)
-    pp = log_density_derivative_prime(params, s)
-    return 0.25 * p * p + 0.5 * pp - params.q2_over_4
 
 
 def _gamma_matrix(params: SpaceParams, lams: np.ndarray, mu_max: int) -> np.ndarray:

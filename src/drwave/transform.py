@@ -263,18 +263,6 @@ def euclidean_correspondence(params: SpaceParams, fh: SpectralProfile) -> Spectr
     return _euclidean_weight(params, fh, inverse=False)
 
 
-def euclidean_sobolev_norm(params: SpaceParams, fg: SpectralProfile, beta: float) -> float:
-    """Inhomogeneous Sobolev norm of the radial Euclidean profile with
-    spectrum Fg: (int (1+lambda^2)^beta |Fg|^2 lambda^(n-1) dlambda)^(1/2),
-    up to the dimensional constant (irrelevant for comparability)."""
-    if beta < 0:
-        raise ValidationError("beta must be >= 0")
-    lam = fg.lambda_grid
-    w = (1.0 + lam**2) ** beta * lam ** (params.n - 1)
-    val = grid_integral(np.abs(fg.values) ** 2 * w, lam)
-    return math.sqrt(max(val, 0.0))
-
-
 def euclidean_correspondence_inverse(params: SpaceParams, fg: SpectralProfile) -> SpectralProfile:
     """Inverse weight map: fh = lambda^(n-1) Fg / |c|^-2."""
     return _euclidean_weight(params, fg, inverse=True)

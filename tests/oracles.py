@@ -1,0 +1,66 @@
+"""Reference values the tests hold the library to, on no production path.
+
+On every Damek-Ricci space phi_lambda is a Jacobi function (Koornwinder,
+*Jacobi functions and analysis on noncompact semisimple Lie groups*, 1984):
+
+    phi_lambda(s) = 2F1(Q/2 + i lambda, Q/2 - i lambda; n/2; -sinh(s/2)^2).
+
+phi_hyp evaluates it at 30 digits with mpmath.  Above lambda = 50 it
+takes the Pfaff form cosh(s/2)^(-2a) 2F1(a, c - b; c; tanh(s/2)^2)
+(DLMF 15.8.1) with a raised term cap; at lambda = 1000 that sum still
+hits the cap for s >= 1.9.
+"""
+
+import mpmath as mp
+import numpy as np
+
+from drwave.special import plancherel_density
+
+
+def hyp_params(params, lam: float):
+    """(a, b, c) of the closed form at lambda: Q/2 + i lambda, its
+    conjugate, and n/2, as mpmath numbers at the working precision."""
+    a = mp.mpf(params.Q.numerator) / (2 * params.Q.denominator) + 1j * mp.mpf(lam)
+    return a, mp.conj(a), mp.mpf(params.n) / 2
+
+
+def phi_hyp_mp(params, lam: float, s):
+    """phi_lambda(s) as an mpmath number, s an mpmath number."""
+    a, b, c = hyp_params(params, lam)
+    half = s / 2
+    if lam <= 50:
+        return mp.re(mp.hyp2f1(a, b, c, -mp.sinh(half) ** 2))
+    return mp.re(mp.cosh(half) ** (-2 * a)
+                 * mp.hyp2f1(a, c - b, c, mp.tanh(half) ** 2, maxterms=10**6))
+
+
+def phi_hyp(params, lam: float, s: float) -> float:
+    """phi_lambda(s) from the closed form at 30 digits, rounded once."""
+    with mp.workdps(30):
+        return float(phi_hyp_mp(params, lam, mp.mpf(s)))
+
+
+def hyp_grid(params, lams, s):
+    """phi_hyp on the grid product and the local amplitude
+    hypot(phi, phi' / omega), omega = sqrt(lambda^2 + Q^2/4).
+
+    Errors are measured against the amplitude: a pointwise relative
+    error is meaningless at the zeros of an oscillating phi.
+    """
+    omega2 = np.asarray(lams, dtype=float) ** 2 + params.q2_over_4
+    ref = np.empty((len(lams), len(s)))
+    amp = np.empty_like(ref)
+    with mp.workdps(30):
+        for i, lam in enumerate(lams):
+            f = lambda x: phi_hyp_mp(params, float(lam), x)  # noqa: E731
+            for j, x in enumerate(s):
+                x = mp.mpf(float(x))
+                ref[i, j] = float(f(x))
+                amp[i, j] = float(mp.sqrt(f(x) ** 2 + mp.diff(f, x) ** 2 / omega2[i]))
+    return ref, amp
+
+
+def plancherel_envelope_ratio(params, lam):
+    """|c|^-2 divided by its comparison weight lambda^2 (1+lambda)^(n-3)."""
+    lam = np.asarray(lam, dtype=float)
+    return plancherel_density(params, lam) / (lam**2 * (1.0 + lam) ** (params.n - 3))

@@ -17,8 +17,8 @@ from drwave.oscillatory import dyadic_sum_check, sample_claim_triples
 from drwave.profiles import RadialProfile, SpectralProfile
 from drwave.quadrature import grid_integral
 from drwave.space import density, new_space
-from drwave.special import plancherel_density, plancherel_envelope_ratio
-from drwave.spherical import _ode_refined, phi_matrix
+from drwave.special import plancherel_density
+from drwave.spherical import phi_matrix
 from drwave.transform import (
     _plancherel_ratio,
     calibrate_inversion_constant,
@@ -26,6 +26,7 @@ from drwave.transform import (
     sft_inverse,
     sobolev_comparison_check,
 )
+from oracles import phi_hyp, plancherel_envelope_ratio
 
 SPACES = [new_space(2, 1), new_space(4, 3), new_space(8, 1)]
 LAMBDAS = [0.5, 2.0, 10.0, 50.0]
@@ -43,10 +44,10 @@ def test_criterion_01_spherical_cross_oracle():
     worst = 0.0
     for params in SPACES:
         for lam in LAMBDAS:
-            ref_b = _ode_refined(params, lam, s_bessel)
+            ref_b = np.array([phi_hyp(params, lam, s) for s in s_bessel])
             got_b = phi_matrix(params, [lam], s_bessel)[0]
             worst = max(worst, float(np.max(np.abs(got_b - ref_b) / np.abs(ref_b))))
-            ref_h = _ode_refined(params, lam, s_hc)
+            ref_h = np.array([phi_hyp(params, lam, s) for s in s_hc])
             got_h = phi_matrix(params, [lam], s_hc)[0]
             worst = max(worst, float(np.max(np.abs(got_h - ref_h) / np.abs(ref_h))))
     elapsed = time.time() - t0

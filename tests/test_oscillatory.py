@@ -109,6 +109,11 @@ def test_window_validation(space21):
         window_integral(K2, space21, 0, 2.0, 2.5, 0.1)
     with pytest.raises(DomainError):
         window_integral(K2, space21, 3, 2.0, 2.5, 1.0)
+    # a theta' that is not finite would never close a segment: the
+    # worklist raises at its probe
+    for s, s_prime in ((math.nan, 3.0), (2.0, math.nan), (math.inf, 3.0), (2.0, math.inf)):
+        with pytest.raises(DomainError):
+            window_integral(K2, space21, 3, s, s_prime, 0.5)
 
 
 def test_window_d_zero_oracle(space21):
@@ -396,6 +401,9 @@ def test_dyadic_validation(space21):
         dyadic_sum_check(K2, space21, [(2.0, 2.0, 0.5)], big_k=2)
     with pytest.raises(ValidationError):
         dyadic_sum_check(K2, space21, np.zeros((2, 2)), big_k=2)
+    for s, s_prime in ((math.nan, 3.0), (2.0, math.nan), (math.inf, 3.0), (2.0, math.inf)):
+        with pytest.raises(DomainError):
+            dyadic_sum_check(K2, space21, [(s, s_prime, 0.5)], big_k=2)
 
 
 def test_sample_triples_cover_three_cases(space21):
@@ -419,8 +427,17 @@ def test_van_der_corput_bounded():
 
 
 def test_van_der_corput_domain():
-    with pytest.raises(DomainError):
-        van_der_corput_check(np.array([1.0, 100.0]))
+    for bad in (1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            van_der_corput_check(np.array([bad, 100.0]))
+
+
+@pytest.mark.parametrize("center,halfwidth", [
+    (0.0, 0.0), (0.0, -1.0), (0.0, math.inf), (0.0, math.nan), (math.inf, 1.0), (math.nan, 1.0),
+])
+def test_bump_window_validation(center, halfwidth):
+    with pytest.raises(ValidationError):
+        BumpWindow(center, halfwidth)
 
 
 def test_van_der_corput_window_scaling():

@@ -1,14 +1,8 @@
 """phi_lambda against its hypergeometric closed form, zone by zone.
 
-On every Damek-Ricci space phi_lambda is a Jacobi function (Koornwinder,
-*Jacobi functions and analysis on noncompact semisimple Lie groups*, 1984):
-
-    phi_lambda(s) = 2F1(Q/2 + i lambda, Q/2 - i lambda; n/2; -sinh(s/2)^2).
-
-phi_hyp evaluates it at 30 digits with mpmath.  Above lambda = 50 it
-takes the Pfaff form cosh(s/2)^(-2a) 2F1(a, c - b; c; tanh(s/2)^2)
-(DLMF 15.8.1) with a raised term cap; at lambda = 1000 that sum still
-hits the cap for s >= 1.9, so the strip cases stop below it.
+phi_hyp (tests/oracles.py) evaluates the Jacobi-function closed form at
+30 digits with mpmath.  At lambda = 1000 its Pfaff sum hits the term cap
+for s >= 1.9, so the strip cases stop below it.
 """
 
 import mpmath as mp
@@ -17,42 +11,7 @@ import pytest
 
 from drwave.space import new_space
 from drwave.spherical import phi, phi_matrix
-
-
-def _phi_hyp_mp(params, lam: float, s):
-    a = mp.mpf(params.Q.numerator) / (2 * params.Q.denominator) + 1j * mp.mpf(lam)
-    b = mp.conj(a)
-    c = mp.mpf(params.n) / 2
-    half = s / 2
-    if lam <= 50:
-        return mp.re(mp.hyp2f1(a, b, c, -mp.sinh(half) ** 2))
-    return mp.re(mp.cosh(half) ** (-2 * a)
-                 * mp.hyp2f1(a, c - b, c, mp.tanh(half) ** 2, maxterms=10**6))
-
-
-def phi_hyp(params, lam: float, s: float) -> float:
-    with mp.workdps(30):
-        return float(_phi_hyp_mp(params, lam, mp.mpf(s)))
-
-
-def _hyp_grid(params, lams, s):
-    """phi_hyp on the grid product and the local amplitude
-    hypot(phi, phi' / omega), omega = sqrt(lambda^2 + Q^2/4).
-
-    Errors are measured against the amplitude: a pointwise relative
-    error is meaningless at the zeros of an oscillating phi.
-    """
-    omega2 = np.asarray(lams, dtype=float) ** 2 + params.q2_over_4
-    ref = np.empty((len(lams), len(s)))
-    amp = np.empty_like(ref)
-    with mp.workdps(30):
-        for i, lam in enumerate(lams):
-            f = lambda x: _phi_hyp_mp(params, float(lam), x)  # noqa: E731
-            for j, x in enumerate(s):
-                x = mp.mpf(float(x))
-                ref[i, j] = float(f(x))
-                amp[i, j] = float(mp.sqrt(f(x) ** 2 + mp.diff(f, x) ** 2 / omega2[i]))
-    return ref, amp
+from oracles import hyp_grid, hyp_params, phi_hyp, phi_hyp_mp
 
 
 def test_phi_hyp_reproduces_h3_closed_form():
@@ -70,7 +29,7 @@ def test_bessel_zone_matches_hypergeometric(m_v, m_z):
     params = new_space(m_v, m_z)
     lams = np.array([0.0, 0.5, 3.0, 17.0, 100.0, 317.0, 1000.0, 2000.0])
     s = np.linspace(0.05, 0.75, 8)
-    ref, amp = _hyp_grid(params, lams, s)
+    ref, amp = hyp_grid(params, lams, s)
     got = phi_matrix(params, lams, s)
     assert np.max(np.abs(got - ref) / amp) <= 1e-12
 
@@ -81,7 +40,7 @@ def test_strip_matches_hypergeometric(m_v, m_z):
     params = new_space(m_v, m_z)
     lams = np.array([0.0, 0.5, 17.0, 300.0])
     s = np.array([0.8, 1.2, 1.6, 1.9, 1.99, 1.999])
-    ref, amp = _hyp_grid(params, lams, s)
+    ref, amp = hyp_grid(params, lams, s)
     got = phi_matrix(params, lams, s)
     assert np.max(np.abs(got - ref) / amp) <= 1e-12
 
@@ -95,7 +54,7 @@ def test_strip_matches_hypergeometric_at_high_frequency(m_v, m_z, lam):
     s = np.array([0.8, 1.0, 1.2, 1.45, 1.7, 1.85])
     if lam < 1000.0:
         s = np.append(s, 1.95)
-    ref, amp = _hyp_grid(params, [lam], s)
+    ref, amp = hyp_grid(params, [lam], s)
     got = phi_matrix(params, np.array([lam]), s)
     assert np.max(np.abs(got - ref) / amp) <= 1e-7
 
@@ -103,12 +62,12 @@ def test_strip_matches_hypergeometric_at_high_frequency(m_v, m_z, lam):
 def test_dispatcher_strip_matches_hypergeometric(space21):
     # phi() takes the Bessel series in the strip, as phi_matrix() does
     s = np.array([0.9, 1.6])
-    ref, amp = _hyp_grid(space21, [300.0], s)
+    ref, amp = hyp_grid(space21, [300.0], s)
     got = np.array([phi(space21, 300.0, x) for x in s])
     assert np.max(np.abs(got - ref[0]) / amp[0]) <= 1e-7
 
 
-_SERIES_LAMS = [0.0, 1e-8, 1e-4, 0.1, 0.5, 0.99, 3.0]
+_SERIES_LAMS = [0.0, 1e-8, 1e-4, 0.1, 0.5, 0.99, 3.0, 10.0, 50.0]
 _SERIES_S = np.array([2.0, 2.5, 3.0, 4.0, 6.0, 12.0])
 
 
@@ -117,7 +76,7 @@ def test_series_zone_matches_hypergeometric(m_v, m_z):
     # s >= 2: the exponential series at every lambda, lambda = 0 and
     # lambda -> 0 included, by phi_matrix() and by phi() cell by cell
     params = new_space(m_v, m_z)
-    ref, amp = _hyp_grid(params, _SERIES_LAMS, _SERIES_S)
+    ref, amp = hyp_grid(params, _SERIES_LAMS, _SERIES_S)
     tol = np.full(ref.shape, 1e-12)
     if (m_v, m_z) == (16, 7):
         # below lambda = 1 the series' large terms round near s = 2.  One
@@ -130,3 +89,41 @@ def test_series_zone_matches_hypergeometric(m_v, m_z):
     assert np.all(np.abs(got - ref) <= tol * amp)
     one = np.array([[phi(params, lam, x) for x in _SERIES_S] for lam in _SERIES_LAMS])
     assert np.all(np.abs(one - ref) <= tol * amp)
+
+
+def _ode_residual(params, lam: float, s: float):
+    """|phi'' + (A'/A) phi' + (lambda^2 + Q^2/4) phi| of phi_hyp at s > 0,
+    and (lambda^2 + Q^2/4) hypot(phi, phi'/omega), the scale it is held to.
+
+    phi itself is phi_hyp's value; its derivatives come from DLMF 15.5.1,
+    d/dz 2F1(a, b; c; z) = (ab/c) 2F1(a+1, b+1; c+1; z), through
+    z = -sinh(s/2)^2, z' = -sinh(s)/2, z'' = -cosh(s)/2.  ab is
+    lambda^2 + Q^2/4.
+    """
+    with mp.workdps(30):
+        a, b, c = hyp_params(params, lam)
+        s = mp.mpf(s)
+        z = -mp.sinh(s / 2) ** 2
+        dz, d2z = -mp.sinh(s) / 2, -mp.cosh(s) / 2
+        f1 = a * b / c * mp.hyp2f1(a + 1, b + 1, c + 1, z)
+        f2 = a * b * (a + 1) * (b + 1) / (c * (c + 1)) * mp.hyp2f1(a + 2, b + 2, c + 2, z)
+        d1 = mp.re(f1 * dz)
+        d2 = mp.re(f2 * dz**2 + f1 * d2z)
+        val = phi_hyp_mp(params, lam, s)
+        drift = (mp.mpf(params.m_v + params.m_z) / 2 / mp.tanh(s / 2)
+                 + mp.mpf(params.m_z) / 2 * mp.tanh(s / 2))
+        omega2 = mp.re(a * b)
+        res = d2 + drift * d1 + omega2 * val
+        return float(abs(res)), float(omega2 * mp.sqrt(val**2 + d1**2 / omega2))
+
+
+@pytest.mark.parametrize("m_v,m_z", [(2, 1), (4, 7), (16, 7)])
+def test_phi_hyp_solves_the_radial_equation(m_v, m_z):
+    # the closed form against the equation that defines phi, on spaces with
+    # a center, both below lambda = 50 and in the Pfaff form above it
+    params = new_space(m_v, m_z)
+    for lam in (0.0, 0.5, 7.0, 60.0):
+        assert phi_hyp(params, lam, 0.0) == 1.0
+        for s in (0.4, 1.9, 3.5):
+            res, scale = _ode_residual(params, lam, s)
+            assert res <= 1e-20 * scale

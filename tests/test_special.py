@@ -13,9 +13,9 @@ from drwave.special import (
     _low_pair,
     c_function,
     plancherel_density,
-    plancherel_envelope_ratio,
     script_j,
 )
+from oracles import plancherel_envelope_ratio
 
 mp.mp.dps = 50
 

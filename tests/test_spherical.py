@@ -8,17 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drwave import spherical
-from drwave.errors import (
-    DomainError,
-    PhiBoundError,
-    ResolutionError,
-    StepSizeError,
-)
+from drwave.errors import DomainError, PhiBoundError, ResolutionError
 from drwave.space import density, log_density_derivative, new_space
 from drwave.special import script_j
 from drwave.spherical import (
-    _TAYLOR_S0,
-    _auto_step,
     _bessel_matrix,
     _bessel_table,
     _BesselColumns,
@@ -26,50 +19,13 @@ from drwave.spherical import (
     _HCSeries,
     _hc_mu_for,
     _kernel_sum,
-    _ode_refined,
-    _ode_values,
-    _taylor_coeffs,
-    _transfer_coeffs,
     c0_constant,
-    liouville_potential,
     omega_coeffs,
     phi,
     phi_matrix,
-    phi_ode_oracle,
     phi_with_method,
 )
-
-
-# ---------------------------------------------------------------------------
-# ODE oracle
-# ---------------------------------------------------------------------------
-
-def test_ode_normalization_and_evenness(space21):
-    prof = phi_ode_oracle(space21, 3.0, 1.0, 1e-3)
-    assert prof.values[0] == 1.0
-    # zero slope at the origin: the first two interior samples bracket 1
-    assert abs(prof.values[1] - 1.0) < 1e-5
-    assert abs(prof.values[1] - prof.values[2]) < 1e-4
-
-
-def test_ode_lambda_zero_positive(space21):
-    prof = phi_ode_oracle(space21, 0.0, 1.0, 1e-3)
-    val = prof.values[-1]
-    assert 0.0 < val <= 1.0
-
-
-def test_ode_self_convergence(space21):
-    # Richardson self-check: halving the step moves phi(3) by < 1e-9
-    coarse = phi_ode_oracle(space21, 10.0, 3.0, 5e-4)
-    fine = phi_ode_oracle(space21, 10.0, 3.0, 2.5e-4)
-    i_c = np.searchsorted(coarse.s_grid, 3.0 - 1e-12)
-    i_f = np.searchsorted(fine.s_grid, 3.0 - 1e-12)
-    assert abs(coarse.values[i_c] - fine.values[i_f]) < 1e-9
-
-
-def test_ode_step_rejection(space21):
-    with pytest.raises(StepSizeError):
-        phi_ode_oracle(space21, 100.0, 1.0, 1e-3)
+from oracles import phi_hyp
 
 
 # ---------------------------------------------------------------------------
@@ -77,9 +33,8 @@ def test_ode_step_rejection(space21):
 # ---------------------------------------------------------------------------
 
 # On H^3, A(s) = (2 sinh(s/2))^2 and phi_lambda(s) = sin(lambda s) /
-# (2 lambda sinh(s/2)), with phi_0(s) = s / (2 sinh(s/2)).  Every route
-# is held to 1e-9 of it: RK4 at its default tolerance reaches about
-# 1e-10 at lambda = 50, the Bessel series about 1e-13.
+# (2 lambda sinh(s/2)), with phi_0(s) = s / (2 sinh(s/2)).  Both series
+# routes are held to 1e-9 of it; the Bessel series reaches about 1e-13.
 H3_TOL = 1e-9
 
 
@@ -108,19 +63,6 @@ def test_phi_matrix_exact_on_h3(space20):
         assert np.max(np.abs(mat[i] - _phi_h3(lam, s))) < H3_TOL
 
 
-def test_phi_ode_oracle_exact_on_h3(space20):
-    for lam in (0.0, 0.5, 2.0, 10.0):
-        step = min(1e-3, 0.05 / math.sqrt(lam * lam + space20.q2_over_4))
-        prof = phi_ode_oracle(space20, lam, 6.0, step)
-        assert np.max(np.abs(prof.values - _phi_h3(lam, prof.s_grid))) < H3_TOL
-
-
-def test_ode_refined_exact_on_h3(space20):
-    s = np.array([_TAYLOR_S0, 0.3, 1.0, 2.5, 6.0])
-    for lam in (0.0, 0.5, 2.0, 10.0, 50.0):
-        assert np.max(np.abs(_ode_refined(space20, lam, s) - _phi_h3(lam, s))) < H3_TOL
-
-
 @pytest.mark.parametrize("lam,s,method", [
     (2.0, 0.3, "bessel"), (40.0, 0.7, "bessel"),
     (2.0, 1.2, "bessel"), (0.5, 4.0, "hc"), (30.0, 1.9, "bessel"),
@@ -135,93 +77,17 @@ def test_dispatcher_exact_on_h3(space20, lam, s, method):
 
 
 # ---------------------------------------------------------------------------
-# RK4 transfer matrices
-# ---------------------------------------------------------------------------
-
-def _rk4_stage_step(p1, p2, p4, nu, y, yp, h):
-    """One classical RK4 step of the radial equation, stage by stage."""
-    k1y, k1p = yp, -p1 * yp - nu * y
-    y2, yp2 = y + 0.5 * h * k1y, yp + 0.5 * h * k1p
-    k2y, k2p = yp2, -p2 * yp2 - nu * y2
-    y3, yp3 = y + 0.5 * h * k2y, yp + 0.5 * h * k2p
-    k3y, k3p = yp3, -p2 * yp3 - nu * y3
-    y4, yp4 = y + h * k3y, yp + h * k3p
-    k4y, k4p = yp4, -p4 * yp4 - nu * y4
-    return (y + h / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
-            yp + h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p))
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    m_v=st.integers(1, 8).map(lambda k: 2 * k),
-    m_z=st.integers(0, 8).map(lambda k: 2 * k),
-    nu_excess=st.floats(0.0, 2500.0),
-    s0=st.floats(_TAYLOR_S0, 8.0),
-    step_frac=st.floats(1e-3, 1.0),
-    yp_ratio=st.floats(-1.0, 1.0),
-)
-def test_transfer_step_matches_stage_rk4(m_v, m_z, nu_excess, s0, step_frac, yp_ratio):
-    # steps as the integrator takes them: h resolves the frequency and
-    # does not exceed the distance from the origin
-    params = new_space(m_v, m_z)
-    nu = params.q2_over_4 + nu_excess
-    omega = math.sqrt(nu)
-    h = step_frac * min(0.05 / omega, s0)
-    p1, p2, p4 = (float(log_density_derivative(params, x)) for x in (s0, s0 + 0.5 * h, s0 + h))
-    c = _transfer_coeffs(np.array([h]), np.array([p1]), np.array([p2]), np.array([p4]))[0]
-    y, yp = 1.0, yp_ratio * omega
-    got = c[0:2] @ [y, yp] + nu * (c[2:4] @ [y, yp]) + nu * nu * (c[4:6] @ [y, yp])
-    want = _rk4_stage_step(p1, p2, p4, nu, y, yp, h)
-    # relative in the norm that weighs y' by 1/omega, the scale of a
-    # solution oscillating at frequency omega
-    err = math.hypot(got[0] - want[0], (got[1] - want[1]) / omega)
-    assert err <= 1e-13 * math.hypot(want[0], want[1] / omega)
-
-
-def test_ode_values_targets_below_taylor_start(space43):
-    nu = np.array([space43.q2_over_4, 40.0])
-    s = np.array([0.0, 5e-4, _TAYLOR_S0, 0.5])
-    h = _auto_step(math.sqrt(nu.max()), 0.5)
-    vals = _ode_values(space43, nu, s, h)
-    _, c2, c4 = _taylor_coeffs(space43, nu)[:3]
-    assert np.all(vals[:, 0] == 1.0)
-    assert np.allclose(vals[:, 1], 1.0 + c2 * s[1] ** 2 + c4 * s[1] ** 4, rtol=0, atol=1e-15)
-    assert np.allclose(vals[:, 2], 1.0 + c2 * s[2] ** 2 + c4 * s[2] ** 4, rtol=0, atol=1e-15)
-    # neither Taylor target adds a step to the march to 0.5
-    assert np.array_equal(vals[:, 3], _ode_values(space43, nu, s[3:], h)[:, 0])
-
-
-def test_ode_values_repeated_targets(space43):
-    nu = np.array([space43.q2_over_4, 40.0])
-    h = _auto_step(math.sqrt(nu.max()), 1.0)
-    vals = _ode_values(space43, nu, np.array([0.5, 0.5, 1.0, 1.0]), h)
-    once = _ode_values(space43, nu, np.array([0.5, 1.0]), h)
-    assert np.array_equal(vals, once[:, [0, 0, 1, 1]])
-
-
-def test_ode_values_single_target(space20):
-    nu = np.array([2.0**2 + space20.q2_over_4])
-    vals = _ode_values(space20, nu, np.array([1.3]), 1e-3)
-    assert vals.shape == (1, 1)
-    assert abs(vals[0, 0] - _phi_h3(2.0, 1.3)) < H3_TOL
-
-
-def test_ode_values_mixed_frequency_block(space20):
-    # the gap nu = Q^2/4 (lambda = 0) shares a step with nu ~ 2500
-    nu = np.array([space20.q2_over_4, 2500.0])
-    s = np.linspace(0.8, 2.0, 7)
-    h = _auto_step(math.sqrt(nu.max()), float(s[-1]))
-    vals = _ode_values(space20, nu, s, h)
-    for row, n in zip(vals, nu):
-        lam = math.sqrt(n - space20.q2_over_4)
-        assert np.max(np.abs(row - _phi_h3(lam, s))) < H3_TOL
-        alone = _ode_values(space20, np.array([n]), s, h)[0]
-        assert np.max(np.abs(row - alone)) < 1e-14
-
-
-# ---------------------------------------------------------------------------
 # exponential-series machinery
 # ---------------------------------------------------------------------------
+
+def _liouville_potential(params, s: float) -> float:
+    """V(s) = (A'/A)^2/4 + (A'/A)'/2 - Q^2/4, the independent check on
+    omega_k, with (A'/A)' = -(m_v+m_z)/(4 sinh(s/2)^2) + m_z/(4 cosh(s/2)^2)."""
+    p = log_density_derivative(params, s)
+    pp = (-params.half_sum / (2.0 * math.sinh(s / 2.0) ** 2)
+          + params.m_z / (4.0 * math.cosh(s / 2.0) ** 2))
+    return 0.25 * p * p + 0.5 * pp - params.q2_over_4
+
 
 def test_omega_matches_liouville_potential(all_spaces):
     # mandatory gate: the closed-form omega_k reproduce the potential
@@ -230,7 +96,7 @@ def test_omega_matches_liouville_potential(all_spaces):
         for s in (1.0, 2.0, 3.5):
             q = math.exp(-s)
             series = sum(om[k - 1] * q**k for k in range(1, 61))
-            assert series == pytest.approx(liouville_potential(p, s), abs=1e-12)
+            assert series == pytest.approx(_liouville_potential(p, s), abs=1e-12)
 
 
 def test_omega_convolution_equals_the_double_loop(all_spaces):
@@ -308,9 +174,9 @@ def _kernels(mu0: float, x: np.ndarray):
         yield l, _kernel_sum(mu0, x, np.eye(17)[l][:, None])
 
 
-def test_phi_hc_vs_ode(space21):
+def test_phi_hc_vs_hyp(space21):
     got = phi_matrix(space21, np.array([3.0]), np.array([2.0]))[0, 0]
-    ref = _ode_refined(space21, 3.0, np.array([2.0]))[0]
+    ref = phi_hyp(space21, 3.0, 2.0)
     assert abs(got - ref) <= 1e-6 * abs(ref)
 
 
@@ -339,9 +205,9 @@ def test_phi_bessel_at_zero(space43):
     assert _bessel(space43, np.array([7.3]), np.array([0.0]))[0, 0] == 1.0
 
 
-def test_phi_bessel_vs_ode(space21):
+def test_phi_bessel_vs_hyp(space21):
     val = phi(space21, 2.0, 0.5)
-    ref = _ode_refined(space21, 2.0, np.array([0.5]))[0]
+    ref = phi_hyp(space21, 2.0, 0.5)
     assert abs(val - ref) <= 1e-6 * abs(ref)
 
 
@@ -576,7 +442,7 @@ def test_bessel_matrix_per_order_sum_across_upward_switch(m_v, m_z, m, monkeypat
 def test_bessel_series_small_s_normalization(all_spaces):
     for p in all_spaces:
         val = phi_matrix(p, [1.0], np.array([1e-3]))[0, 0]
-        ref = _ode_refined(p, 1.0, np.array([1e-3]))[0]
+        ref = phi_hyp(p, 1.0, 1e-3)
         assert val == pytest.approx(ref, rel=1e-10)
 
 
@@ -604,26 +470,21 @@ def test_phi_boundary_continuity(space21):
         assert abs(left - right) < 1e-6
 
 
-def test_phi_never_reaches_rk4(space43, monkeypatch):
-    # RK4 is only the oracle: phi_matrix and phi() run without it on a grid
-    # that crosses s = 2, at lambda = 0, lambda -> 0 and negative lambda
+def test_phi_never_reaches_rk4(space43):
+    # the two series alone cover a grid that crosses s = 2, at lambda = 0,
+    # lambda -> 0 and negative lambda, held to the closed form
     lams = np.array([0.0, 1e-8, -0.5, 0.5, -3.0])
     s = np.array([0.0, 0.3, 1.9, 2.0, 2.5, 7.0])
-    ref = np.array([_ode_refined(space43, lam, s) for lam in lams])
-
-    def no_rk4(*args, **kwargs):
-        raise AssertionError("RK4 reached from phi")
-
-    monkeypatch.setattr(spherical, "_ode_values", no_rk4)
+    ref = np.array([[phi_hyp(space43, lam, x) for x in s] for lam in lams])
     got = phi_matrix(space43, lams, s)
     one = np.array([[phi(space43, lam, x) for x in s] for lam in lams])
     assert np.max(np.abs(got - ref)) <= 1e-8
     assert np.max(np.abs(one - ref)) <= 1e-8
 
 
-def test_phi_matches_ode_mid_regime(space43):
+def test_phi_matches_hyp_mid_regime(space43):
     got = phi(space43, 7.0, 3.0)
-    ref = _ode_refined(space43, 7.0, np.array([3.0]))[0]
+    ref = phi_hyp(space43, 7.0, 3.0)
     assert got == pytest.approx(ref, rel=1e-6)
 
 
@@ -654,15 +515,15 @@ def test_phi_rejects_negative_s(space21):
 
 
 def test_three_way_agreement_overlap(space21):
-    # Bessel / exponential-series / ODE pairwise within 1e-5 on the strip
+    # Bessel / exponential-series / closed form pairwise within 1e-5 on the strip
     s = np.array([0.8, 1.1, 1.4, 1.7])
     for lam in (1.5, 3.0, 8.0):
-        ode = _ode_refined(space21, lam, s)
+        hyp = np.array([phi_hyp(space21, lam, x) for x in s])
         bes = phi_matrix(space21, [lam], s)[0]
         hc = _series(space21, lam, s)
-        scale = np.maximum(np.abs(ode), 1e-2)
-        assert np.max(np.abs(bes - ode) / scale) < 1e-5
-        assert np.max(np.abs(hc - ode) / scale) < 1e-5
+        scale = np.maximum(np.abs(hyp), 1e-2)
+        assert np.max(np.abs(bes - hyp) / scale) < 1e-5
+        assert np.max(np.abs(hc - hyp) / scale) < 1e-5
         assert np.max(np.abs(hc - bes) / scale) < 1e-5
 
 
