@@ -1,15 +1,16 @@
 """Spherical Fourier analysis and dispersive propagators on Damek-Ricci
 spaces: spherical functions by two series routes checked against their
 hypergeometric closed form, the c-function and Plancherel density, the
-radial transform pair with Sobolev norms, Table-driven dispersive phases
+radial transform pair with Sobolev norms, table-driven dispersive phases
 with their maximal functions, dyadic oscillatory-sum checks, and the
-scaling experiments that exhibit the 1/4 regularity threshold.
+scaling experiments that exhibit the 1/4 regularity threshold, the
+second of them carried from a Euclidean radial spectrum by the one
+correspondence weight lambda^(n-1) / |c|^-2.
 """
 
 from .dispersive import (
     PhaseKind,
     default_t_grid,
-    littlewood_paley_split,
     maximal_function,
     phase,
     phase_derivs,
@@ -26,10 +27,8 @@ from .experiments import (
     transference_check,
 )
 from .oscillatory import (
-    BumpWindow,
     dyadic_sum_check,
     sample_claim_triples,
-    van_der_corput_check,
     window_integral,
 )
 from .profiles import RadialProfile, SpectralProfile
@@ -44,19 +43,16 @@ from .spherical import (
     phi_matrix,
 )
 from .transform import (
-    euclidean_correspondence,
     euclidean_correspondence_inverse,
     inversion_constant,
     sft_forward,
     sft_inverse,
-    sobolev_comparison_check,
     sobolev_norm,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BumpWindow",
     "ExperimentReport",
     "PhaseKind",
     "RadialProfile",
@@ -70,11 +66,9 @@ __all__ = [
     "default_t_grid",
     "density",
     "dyadic_sum_check",
-    "euclidean_correspondence",
     "euclidean_correspondence_inverse",
     "implied_p_bound",
     "inversion_constant",
-    "littlewood_paley_split",
     "log_density_derivative",
     "maximal_function",
     "new_space",
@@ -88,10 +82,8 @@ __all__ = [
     "script_j",
     "sft_forward",
     "sft_inverse",
-    "sobolev_comparison_check",
     "sobolev_norm",
     "transference_check",
-    "van_der_corput_check",
     "verify_phase_asymptotics",
     "window_integral",
 ]

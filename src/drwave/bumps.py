@@ -1,47 +1,25 @@
-"""Smooth compactly supported bumps shared by the frequency split, the
-window integrals and the counterexample families."""
+"""Smooth compactly supported bumps shared by the window integrals and
+the counterexample families."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["smooth_step_sigma", "chi_lowpass", "eta_dyadic", "bump_unit", "bump_12"]
-
-
-def smooth_step_sigma(x):
-    """sigma(x) = e^(-1/x) for x > 0, else 0; the C-infinity mollifier atom."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    pos = x > 0
-    out[pos] = np.exp(-1.0 / x[pos])
-    return out
-
-
-def chi_lowpass(xi):
-    """chi = sigma(2-|xi|) / (sigma(2-|xi|) + sigma(|xi|-1)).
-
-    Smooth, even, 1 on [-1, 1], 0 outside (-2, 2); the telescoping
-    partition sum_k eta(2^-k xi) with eta(xi) = chi(xi) - chi(2 xi)
-    collapses to chi itself for the low-frequency half.
-    """
-    a = np.abs(np.asarray(xi, dtype=float))
-    num = smooth_step_sigma(2.0 - a)
-    den = num + smooth_step_sigma(a - 1.0)
-    out = np.zeros_like(a)
-    nz = den > 0
-    out[nz] = num[nz] / den[nz]
-    out[~nz] = 0.0
-    return out
+__all__ = ["eta_dyadic", "bump_unit", "bump_12"]
 
 
 def eta_dyadic(xi):
     """The dyadic bump eta(xi) = chi(xi) - chi(2 xi), supported in
-    {1/2 < |xi| < 2}, with sum_k eta(2^-k xi) = 1 for xi != 0.
+    {1/2 < |xi| < 2}, with sum_k eta(2^-k xi) = 1 for xi != 0, where
 
-    chi(xi) is exactly 1 for |xi| <= 1 and chi(2 xi) exactly 0 for
-    |xi| >= 1, so each node needs one transition of chi_lowpass's formula:
-    eta = chi(|xi|) on (1, 2), 1 - chi(2|xi|) on (1/2, 1) and 1 at |xi| = 1;
-    the values are chi_lowpass(xi) - chi_lowpass(2 xi) bit for bit."""
+        chi(xi) = sigma(2-|xi|) / (sigma(2-|xi|) + sigma(|xi|-1)),
+        sigma(x) = e^(-1/x) for x > 0, else 0,
+
+    is smooth, even, 1 on [-1, 1] and 0 outside (-2, 2).  chi(xi) is
+    exactly 1 for |xi| <= 1 and chi(2 xi) exactly 0 for |xi| >= 1, so each
+    node needs one transition of chi: eta = chi(|xi|) on (1, 2),
+    1 - chi(2|xi|) on (1/2, 1) and 1 at |xi| = 1; the values are
+    chi(xi) - chi(2 xi) bit for bit."""
     a = np.abs(np.asarray(xi, dtype=float))
     out = np.zeros_like(a)
     out[a == 1.0] = 1.0

@@ -1,15 +1,16 @@
 """Command-line entry point: every module behind one reproducible command.
 
 Each config key is one row of `_OPTIONS`: its default, flag, type and the
-subcommands that read the key, the only ones that take its flag.  A run
-resolves its configuration from the defaults, then an optional flat
-dotted-key config file, then the flags, and holds each value as the str of
-what the key's type reads, so a value hashes the same whichever source set
-it.  The SHA-256 hash of the subcommand and the values, never of the
-output location, names the output directory: identical configurations land
-in identical paths with byte-identical artifacts (a JSON timestamp field is
-the one run-dependent value, and it is kept out of the hash).  A malformed
-or non-finite value exits 2 with an `error:` line.
+subcommands that read the key, the only ones that take its flag or its
+line of a config file.  A run resolves its configuration from the
+defaults, then an optional flat dotted-key config file, then the flags,
+and holds each value as the str of what the key's type reads, so a value
+hashes the same whichever source set it.  The SHA-256 hash of the
+subcommand and the values, never of the output location, names the output
+directory: identical configurations land in identical paths with
+byte-identical artifacts (a JSON timestamp field is the one run-dependent
+value, and it is kept out of the hash).  A malformed or non-finite value,
+in a config file's line for any key too, exits 2 with an `error:` line.
 """
 
 from __future__ import annotations
@@ -122,15 +123,24 @@ def config_hash(cfg: dict[str, str], subcommand: str) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _resolve(subcommand: str, args: argparse.Namespace) -> tuple[dict[str, str], str]:
+def _reads(subcommand: str, key: str) -> bool:
+    """Whether the subcommand reads the key, and so takes its flag."""
+    readers = _OPTIONS[key][3]
+    return readers is None or subcommand in readers
+
+
+def _resolve(run_key: str, args: argparse.Namespace) -> tuple[dict[str, str], str]:
+    """The run's values and their hash.  A config file sets only the keys
+    that the subcommand reads; every key it names is still checked."""
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
-        cfg.update(parse_config_file(args.config))
+        cfg.update((key, val) for key, val in parse_config_file(args.config).items()
+                   if _reads(args.subcommand, key))
     for key, (_, _, typ, _) in _OPTIONS.items():
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = str(_parse(typ, str(val), key))
-    return cfg, config_hash(cfg, subcommand)
+    return cfg, config_hash(cfg, run_key)
 
 
 def _out_dir(cfg: dict[str, str], subcommand: str, chash: str) -> Path:
@@ -421,8 +431,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "experiment":
             p.add_argument("which", choices=["case1", "case2", "transference"])
         p.add_argument("--config", help="flat dotted-key config file")
-        for key, (_, flag, typ, subcommands) in _OPTIONS.items():
-            if subcommands is None or name in subcommands:
+        for key, (_, flag, typ, _) in _OPTIONS.items():
+            if _reads(name, key):
                 kind = {"action": "store_const", "const": 1} if typ is _switch else {}
                 p.add_argument(flag, dest=key, **kind)
     return parser

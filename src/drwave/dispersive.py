@@ -1,5 +1,5 @@
-"""Dispersive phase functions, the propagator, the discretized maximal
-function, and the low/high frequency split.
+"""Dispersive phase functions, the propagator and the discretized maximal
+function.
 
 The multipliers come from one table of three families, each a function
 F of u = lambda^2 + gap: fractional Schrodinger u^(a/2), Boussinesq
@@ -21,7 +21,6 @@ from typing import Callable
 
 import numpy as np
 
-from .bumps import chi_lowpass
 from .errors import DomainError, ResolutionError, ValidationError
 from .profiles import RadialProfile, SpectralProfile
 from .space import SpaceParams
@@ -36,7 +35,6 @@ __all__ = [
     "PhaseAsymptoticsReport",
     "propagate",
     "maximal_function",
-    "littlewood_paley_split",
     "default_t_grid",
 ]
 
@@ -300,6 +298,8 @@ def maximal_function(params: SpaceParams, fh: SpectralProfile, kind: PhaseKind,
     """Pointwise max over the t grid of |propagate|; a lower bound for the
     supremum over continuous t in (0, 1)."""
     t_grid = np.sort(np.atleast_1d(np.asarray(t_grid, dtype=float)))
+    if not t_grid.size:
+        raise ValidationError("t_grid needs at least one time")
     if np.any((t_grid <= 0) | (t_grid >= 1)):
         raise DomainError("t_grid must lie inside (0, 1)")
     psi_max = abs(float(phase(kind, params, fh.top)))
@@ -314,25 +314,3 @@ def maximal_function(params: SpaceParams, fh: SpectralProfile, kind: PhaseKind,
         block = np.abs(kern.apply(t_grid[a:a + _T_BLOCK]))
         np.maximum(best, block.max(axis=1), out=best)
     return RadialProfile(kern.s_grid, best)
-
-
-def littlewood_paley_split(fh: SpectralProfile) -> tuple[SpectralProfile, SpectralProfile]:
-    """Split into low (support in [0, 2)) and high (support in (1, inf))
-    parts along the dyadic partition; low + high reconstructs fh exactly
-    (bit for bit) on the grid.
-
-    The part carrying the larger cutoff weight is computed by the product
-    and the other as the remainder: the remainder is then exact by the
-    Sterbenz lemma, so the reconstruction sum rounds to fh itself.
-    """
-    chi = chi_lowpass(fh.lambda_grid)
-    big = chi >= 0.5
-    low_vals = np.where(big, fh.values * chi, fh.values - fh.values * (1.0 - chi))
-    high_vals = np.where(big, fh.values - fh.values * chi, fh.values * (1.0 - chi))
-    lo_hint = hi_hint = None
-    if fh.support_hint is not None:
-        lo, hi = fh.support_hint     # lo < hi, so each hint below is an interval
-        lo_hint = (lo, min(hi, 2.0)) if lo < 2.0 else None
-        hi_hint = (max(lo, 1.0), hi) if hi > 1.0 else None
-    return (SpectralProfile(fh.lambda_grid, low_vals, lo_hint),
-            SpectralProfile(fh.lambda_grid, high_vals, hi_hint))

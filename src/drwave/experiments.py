@@ -26,7 +26,7 @@ from .quadrature import panel_rule
 from .space import SpaceParams, new_space
 from .spherical import phi_matrix
 from .special import plancherel_density
-from .transform import sft_inverse, sobolev_norm
+from .transform import euclidean_correspondence_inverse, sft_inverse, sobolev_norm
 
 __all__ = [
     "ExperimentReport",
@@ -202,18 +202,15 @@ def case1_run(params: SpaceParams, a: float, beta_list, n_list, epsilon: float =
 # ---------------------------------------------------------------------------
 
 def case2_family(params: SpaceParams, n_freq: int) -> SpectralProfile:
-    """Spectrum lambda^(n-1) eta(lambda/N) |c(lambda)|^2 on _CASE2_POINTS of (N, 2N),
-    the pullback of the Euclidean bump profile under the weight identity."""
+    """Spectrum lambda^(n-1) bump_12(lambda/N) |c(lambda)|^2 on _CASE2_POINTS of
+    [N, 2N]: the Euclidean bump spectrum bump_12(lambda/N) carried to the space
+    by `euclidean_correspondence_inverse`."""
     if n_freq < 8:
         raise ValidationError("case-2 family requires N >= 8")
     lam = np.linspace(float(n_freq), 2.0 * float(n_freq), _CASE2_POINTS)
-    vals = np.zeros(lam.size)
-    inner = slice(1, -1)  # endpoints are exact zeros of the bump
-    lam_i = lam[inner]
-    vals[inner] = (lam_i ** (params.n - 1) * bump_12(lam_i / n_freq)
-                   / plancherel_density(params, lam_i))
-    return SpectralProfile(lam, vals.astype(complex),
-                           support_hint=(float(n_freq), 2.0 * float(n_freq)))
+    fg = SpectralProfile(lam, bump_12(lam / n_freq).astype(complex),
+                         support_hint=(float(n_freq), 2.0 * float(n_freq)))
+    return euclidean_correspondence_inverse(params, fg)
 
 
 def implied_p_bound(n: int, beta: float) -> float:
@@ -275,18 +272,21 @@ def case2_run(params: SpaceParams, beta: float, n_list, epsilon: float = 0.25,
 def transference_check(kind1: PhaseKind, kind2: PhaseKind, big_lambda: float = 1.0,
                        lambda_max: float = 1e3,
                        params: SpaceParams | None = None) -> ExperimentReport:
-    """Sweep |psi1 - psi2| on _SWEEP_POINTS of [Lambda, lambda_max]; "comparable" iff
-    the running sup stabilizes (under 1% increase over the last decade), else
+    """Sweep |psi1 - psi2| on _SWEEP_POINTS of [Lambda, lambda_max], with
+    1 <= Lambda <= lambda_max/10 and lambda_max >= 1e3; "comparable" iff the
+    running sup stabilizes (under 1% increase over the last decade), else
     report the measured growth exponent."""
     if big_lambda < 1.0 or lambda_max < 1e3:
         raise ValidationError("need Lambda >= 1 and lambda_max >= 1e3")
+    if big_lambda > lambda_max / 10.0:
+        raise ValidationError(f"need Lambda <= lambda_max/10 = {lambda_max / 10.0:g}, so that "
+                              f"the sweep has a first decade; got Lambda = {big_lambda:g}")
     if params is None:
         params = new_space(2, 1)
     lam = np.geomspace(big_lambda, lambda_max, _SWEEP_POINTS)
     diff = np.abs(phase(kind1, params, lam) - phase(kind2, params, lam))
     sup_all = float(np.max(diff))
-    cut = lam <= lambda_max / 10.0
-    sup_low = float(np.max(diff[cut])) if np.any(cut) else 0.0
+    sup_low = float(np.max(diff[lam <= lambda_max / 10.0]))
     stabilized = sup_all <= sup_low * 1.01 + 1e-12
     report = ExperimentReport(
         name="transference",

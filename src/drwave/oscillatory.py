@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bumps import bump_unit, eta_dyadic
+from .bumps import eta_dyadic
 from .dispersive import PhaseKind, phase_derivs, verify_phase_asymptotics
 from .errors import DomainError, ResolutionError, ValidationError
 from .quadrature import panel_rules
@@ -50,9 +50,6 @@ __all__ = [
     "window_integral",
     "dyadic_sum_check",
     "DyadicSumReport",
-    "van_der_corput_check",
-    "VanDerCorputReport",
-    "BumpWindow",
     "proof_constants",
     "sample_claim_triples",
     "ETA_MASS",
@@ -99,19 +96,6 @@ class _WindowPhases:
         return scale * self.delta_s[r] + self.d[r] * scale * d1
 
 
-class _QuadraticPhases:
-    """theta_r = M_r xi^2 in the interface of _WindowPhases."""
-
-    def __init__(self, m):
-        self.m = np.asarray(m, dtype=float)
-
-    def diff(self, r, xi, xi0):
-        return self.m[r] * (xi - xi0) * (xi + xi0)
-
-    def deriv(self, r, xi):
-        return 2.0 * self.m[r] * xi
-
-
 # ---------------------------------------------------------------------------
 # hybrid oscillatory quadrature
 # ---------------------------------------------------------------------------
@@ -133,7 +117,6 @@ _PHASE_SMALL = 48.0      # total-phase threshold below which direct GL is used
 _LEVIN_N1, _LEVIN_N2 = 14, 24
 _MAX_DEPTH = 60
 _ANNULUS, _D_RANGE = (2.0, 4.0), (0.01, 0.9)   # where sample_claim_triples draws s, s', d
-_SPREAD_CAP = 20.0  # van_der_corput_check's bound on max/min
 
 
 def _panel_sums(g, ph, root, a, b, lam0, rate, n_min: int):
@@ -438,65 +421,4 @@ def dyadic_sum_check(kind: PhaseKind, params: SpaceParams, sample_spec,
         kind_name=kind.name, k_levels=big_k, rows=rows,
         max_normalized=max_norm, max_rel_change=float(np.max(rel_change)),
         passed=passed,
-    )
-
-
-# ---------------------------------------------------------------------------
-# van der Corput sweep
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BumpWindow:
-    """A smooth bump ζ((xi - center)/halfwidth), unit maximum."""
-
-    center: float = 0.0
-    halfwidth: float = 1.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.center) and math.isfinite(self.halfwidth)
-                and self.halfwidth > 0):
-            raise ValidationError(
-                f"a bump window needs a finite center and a finite halfwidth > 0, "
-                f"got center {self.center}, halfwidth {self.halfwidth}")
-
-    def __call__(self, xi):
-        return bump_unit((np.asarray(xi, dtype=float) - self.center) / self.halfwidth)
-
-    @property
-    def norm_factor(self) -> float:
-        """||zeta||_inf + ||zeta'||_1 (= 1 + 2 for a unimodal unit bump)."""
-        return 3.0
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (self.center - self.halfwidth, self.center + self.halfwidth)
-
-
-@dataclass
-class VanDerCorputReport:
-    """Normalized second-derivative-test values across the curvature grid."""
-
-    curvatures: np.ndarray
-    normalized: np.ndarray      # M^(1/2) |int e^{i M xi^2} zeta| / norm_factor
-    spread: float               # max/min of the normalized values
-    passed: bool
-
-
-def van_der_corput_check(curvatures,
-                         window: BumpWindow | None = None) -> VanDerCorputReport:
-    """Evaluate M^(1/2) |int e^{i M xi^2} zeta(xi) dxi| over the curvature
-    grid; passes iff one constant bounds all values (spread below _SPREAD_CAP)."""
-    curvatures = np.atleast_1d(np.asarray(curvatures, dtype=float))
-    if np.any(curvatures < 10.0) or np.any(curvatures > 1e5):
-        raise DomainError("curvature grid must lie in [10, 1e5]")
-    window = window or BumpWindow()
-    lo, hi = window.support
-    n = curvatures.size
-    v = _integrate(window, _QuadraticPhases(curvatures), np.full(n, lo), np.full(n, hi),
-                   np.full((n, 1), 1e-10))
-    vals = np.sqrt(curvatures) * np.abs(v[:, 0]) / window.norm_factor
-    spread = float(np.max(vals) / max(np.min(vals), 1e-300))
-    return VanDerCorputReport(
-        curvatures=curvatures, normalized=vals, spread=spread,
-        passed=bool(spread < _SPREAD_CAP),
     )

@@ -1,5 +1,6 @@
 """Spherical Fourier transform, inversion, Plancherel constant, Sobolev
-norms, and the pointwise correspondence with Euclidean radial spectra.
+norms, and the weight lambda^(n-1) / |c|^-2 that carries a Euclidean
+radial spectrum to a spectrum of the space.
 
 Forward:   fh(lambda) = int_0^inf f(s) phi_lambda(s) A(s) ds
 Inverse:   f(s) = C int_0^inf fh(lambda) phi_lambda(s) |c(lambda)|^-2 dlambda
@@ -12,7 +13,6 @@ Plancherel identity and serves as its test oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,10 +30,7 @@ __all__ = [
     "inversion_constant",
     "calibrate_inversion_constant",
     "sobolev_norm",
-    "euclidean_correspondence",
     "euclidean_correspondence_inverse",
-    "sobolev_comparison_check",
-    "SobolevComparisonReport",
 ]
 
 _TAIL_TOL = 1e-10
@@ -223,76 +220,24 @@ def sobolev_norm(params: SpaceParams, fh: SpectralProfile, beta: float) -> float
     is the Plancherel (L^2) norm up to the factor sqrt(C) of
     `inversion_constant`: ||f||_2 = sqrt(C) * sobolev_norm(fh, 0).
     """
-    if beta < 0:
-        raise ValidationError("beta must be >= 0")
+    if not 0.0 <= beta < math.inf:
+        raise ValidationError(f"beta must be finite and >= 0, got {beta}")
     lam = fh.lambda_grid
     w = (lam**2 + params.q2_over_4) ** beta * plancherel_density(params, lam)
     val = grid_integral(np.abs(fh.values) ** 2 * w, lam)
     return math.sqrt(max(val, 0.0))
 
 
-def _support_floor(fh: SpectralProfile) -> float:
-    if fh.support_hint is None:
-        raise DomainError("spectrum must carry a support_hint bounded away from 0")
-    lo = float(fh.support_hint[0])
-    if lo <= 0.0:
-        raise DomainError(
-            f"support reaches the origin (lo = {lo}); the correspondence "
-            "requires spectra supported away from 0"
-        )
-    return lo
-
-
-def _euclidean_weight(params: SpaceParams, fh: SpectralProfile, inverse: bool) -> SpectralProfile:
-    """fh times |c|^-2 / lambda^(n-1), or divided by it if `inverse`, where
-    fh is nonzero; exactly zero elsewhere (no division happens there)."""
-    _support_floor(fh)
-    lam = fh.lambda_grid
-    out = np.zeros_like(fh.values)
-    inside = np.abs(fh.values) > 0
-    num, den = plancherel_density(params, lam[inside]), lam[inside] ** (params.n - 1)
-    if inverse:
-        num, den = den, num
-    out[inside] = num * fh.values[inside] / den
-    return SpectralProfile(lam, out, fh.support_hint)
-
-
-def euclidean_correspondence(params: SpaceParams, fh: SpectralProfile) -> SpectralProfile:
-    """Euclidean radial spectrum Fg with lambda^(n-1) Fg = |c|^-2 fh, for
-    spectra supported away from the origin."""
-    return _euclidean_weight(params, fh, inverse=False)
-
-
 def euclidean_correspondence_inverse(params: SpaceParams, fg: SpectralProfile) -> SpectralProfile:
-    """Inverse weight map: fh = lambda^(n-1) Fg / |c|^-2."""
-    return _euclidean_weight(params, fg, inverse=True)
-
-
-@dataclass
-class SobolevComparisonReport:
-    """Outcome of the two-exponent Sobolev comparison."""
-
-    beta1: float
-    beta2: float
-    support_floor: float
-    norm1: float
-    norm2: float
-    factor: float
-    holds: bool
-
-
-def sobolev_comparison_check(params: SpaceParams, fh: SpectralProfile,
-                             beta1: float, beta2: float) -> SobolevComparisonReport:
-    """Check ||f||_{beta1} <= c^-(beta2-beta1) ||f||_{beta2} for spectra
-    supported in (c, infinity)."""
-    if not 0 <= beta1 <= beta2:
-        raise ValidationError("need 0 <= beta1 <= beta2")
-    lo = _support_floor(fh)
-    n1 = sobolev_norm(params, fh, beta1)
-    n2 = sobolev_norm(params, fh, beta2)
-    factor = lo ** (-(beta2 - beta1))
-    holds = n1 <= factor * n2 * (1.0 + 1e-12)
-    return SobolevComparisonReport(
-        beta1=beta1, beta2=beta2, support_floor=lo,
-        norm1=n1, norm2=n2, factor=factor, holds=holds,
-    )
+    """The spectrum fh with lambda^(n-1) Fg = |c|^-2 fh of a Euclidean radial
+    spectrum Fg supported away from the origin: fh = lambda^(n-1) Fg / |c|^-2
+    where Fg is nonzero, exactly zero elsewhere (no division happens there)."""
+    if fg.support_hint is None or fg.support_hint[0] <= 0.0:
+        raise DomainError(f"the correspondence needs a support_hint bounded away from 0, "
+                          f"got {fg.support_hint}")
+    lam = fg.lambda_grid
+    out = np.zeros_like(fg.values)
+    inside = np.abs(fg.values) > 0
+    out[inside] = (lam[inside] ** (params.n - 1) * fg.values[inside]
+                   / plancherel_density(params, lam[inside]))
+    return SpectralProfile(lam, out, fg.support_hint)

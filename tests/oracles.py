@@ -14,6 +14,7 @@ hits the cap for s >= 1.9.
 import mpmath as mp
 import numpy as np
 
+from drwave.profiles import SpectralProfile
 from drwave.special import plancherel_density
 
 
@@ -64,3 +65,35 @@ def plancherel_envelope_ratio(params, lam):
     """|c|^-2 divided by its comparison weight lambda^2 (1+lambda)^(n-3)."""
     lam = np.asarray(lam, dtype=float)
     return plancherel_density(params, lam) / (lam**2 * (1.0 + lam) ** (params.n - 3))
+
+
+def chi_lowpass(xi):
+    """chi = sigma(2-|xi|) / (sigma(2-|xi|) + sigma(|xi|-1)), sigma(x) =
+    e^(-1/x) for x > 0 and 0 elsewhere: smooth, even, 1 on [-1, 1] and 0
+    outside (-2, 2), the low-pass bump of which eta_dyadic is the
+    difference chi(xi) - chi(2 xi)."""
+    def sigma(x):
+        out = np.zeros_like(x)
+        pos = x > 0
+        out[pos] = np.exp(-1.0 / x[pos])
+        return out
+
+    a = np.abs(np.asarray(xi, dtype=float))
+    num = sigma(2.0 - a)
+    den = num + sigma(a - 1.0)
+    out = np.zeros_like(a)
+    nz = den > 0
+    out[nz] = num[nz] / den[nz]
+    return out
+
+
+def euclidean_spectrum(params, fh):
+    """The Euclidean radial spectrum Fg with lambda^(n-1) Fg = |c|^-2 fh,
+    exactly zero where fh is: the map that
+    transform.euclidean_correspondence_inverse undoes."""
+    lam = fh.lambda_grid
+    out = np.zeros_like(fh.values)
+    inside = np.abs(fh.values) > 0
+    out[inside] = (plancherel_density(params, lam[inside]) * fh.values[inside]
+                   / lam[inside] ** (params.n - 1))
+    return SpectralProfile(lam, out, fh.support_hint)

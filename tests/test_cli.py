@@ -166,6 +166,8 @@ def test_config_error_exit_code(tmp_path, out_root):
     ["transform", "--profile", "cosh:1"],
     ["phi", "--lambda", "1,x"],
     ["experiment", "case1", "--n-list", "64,abc"],
+    # a sweep threshold above lambda_max/10 leaves no first decade
+    ["experiment", "transference", "--lambda-threshold", "1e4"],
 ])
 def test_malformed_input_is_a_usage_error(tmp_path, out_root, capsys, argv):
     cfg = tmp_path / "bad.cfg"
@@ -206,14 +208,15 @@ def test_flag_and_config_file_set_the_same_value(tmp_path, key, sub):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
     by_file = resolved("--config", str(cfg))
-    assert by_file[0][key] != DEFAULTS[key]
     with_flag = [flag] if typ is _switch else [flag, value]
     if subcommands is not None and sub not in subcommands:
-        # a subcommand that never reads the key has no flag for it; the
-        # config file still sets the key, which is hashed like every key
+        # a subcommand that never reads the key has no flag for it, and
+        # takes nothing for it from the config file: the key keeps its default
+        assert by_file == resolved()
         with pytest.raises(SystemExit):
             parser.parse_args(argv + with_flag)
         return
+    assert by_file[0][key] != DEFAULTS[key]
     by_flag = resolved(*with_flag)
     assert by_flag == by_file
     if typ is not _switch:
@@ -234,6 +237,18 @@ def test_flag_the_subcommand_does_not_read_is_a_usage_error(out_root, capsys, ar
     assert run(argv) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not out_root.exists()
+
+
+def test_config_key_the_subcommand_does_not_read_is_not_taken(tmp_path, out_root):
+    # the file is still checked, but cfun never reads grids.s_points, so the
+    # run lands in the directory of the plain run
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("grids.s_points = -5\n", encoding="utf-8")
+    assert run(["cfun", "--config", str(cfg)]) == 0
+    assert run(["cfun"]) == 0
+    assert [p.name for p in out_root.iterdir()] == [f"cfun-{config_hash(DEFAULTS, 'cfun')}"]
+    cfg.write_text("grids.s_points = x\n", encoding="utf-8")
+    assert run(["cfun", "--config", str(cfg)]) == 2
 
 
 def test_hash_depends_on_config():

@@ -4,15 +4,12 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from drwave import dispersive
-from drwave.bumps import chi_lowpass, eta_dyadic
+from drwave.bumps import eta_dyadic
 from drwave.dispersive import (
     PhaseKind,
     default_t_grid,
-    littlewood_paley_split,
     maximal_function,
     phase,
     phase_derivs,
@@ -22,6 +19,7 @@ from drwave.dispersive import (
 from drwave.errors import DomainError, ResolutionError, ValidationError
 from drwave.profiles import SpectralProfile
 from drwave.transform import sft_inverse, sobolev_norm
+from oracles import chi_lowpass
 
 ALL_KINDS = [
     PhaseKind("frac", a=1.5),
@@ -239,6 +237,12 @@ def test_maximal_t_grid_validation(space21):
                          np.linspace(0, 1, 8))
 
 
+def test_maximal_needs_a_time(space21):
+    with pytest.raises(ValidationError, match="t_grid"):
+        maximal_function(space21, _spectrum(), PhaseKind("frac", a=2.0), np.array([]),
+                         np.linspace(0, 1, 8))
+
+
 def test_default_t_grid_respects_rule(space21):
     kind = PhaseKind("frac", shifted=True, a=2.0)
     grid = default_t_grid(space21, kind, 16.0, n_points=32)
@@ -288,22 +292,8 @@ def test_default_t_grid_gives_up_before_allocating(space21, monkeypatch, n_point
 
 
 # ---------------------------------------------------------------------------
-# frequency split
+# dyadic partition
 # ---------------------------------------------------------------------------
-
-def test_split_low_supported_spectrum(space21):
-    lam = np.linspace(0.0, 4.0, 257)
-    vals = np.where(lam <= 0.5, 1.0 - lam, 0.0).astype(complex)
-    low, high = littlewood_paley_split(SpectralProfile(lam, vals))
-    assert np.all(high.values == 0)
-
-
-def test_split_high_supported_spectrum(space21):
-    lam = np.linspace(0.0, 10.0, 513)
-    vals = np.where((lam >= 4) & (lam <= 8), 1.0, 0.0).astype(complex)
-    low, high = littlewood_paley_split(SpectralProfile(lam, vals))
-    assert np.all(low.values == 0)
-
 
 def test_eta_is_the_difference_of_two_lowpass_bumps():
     # one transition per node gives chi(xi) - chi(2 xi) bit for bit, at the
@@ -327,39 +317,3 @@ def test_partition_of_unity():
     ks = np.arange(-12, 13)
     for x in (0.03, 1.0, 7.7, 60.0):
         assert np.sum(eta_dyadic(x / 2.0**ks)) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_split_exact_reconstruction(rng):
-    lam = np.linspace(0.0, 12.0, 601)
-    vals = rng.normal(size=601) + 1j * rng.normal(size=601)
-    fh = SpectralProfile(lam, vals)
-    low, high = littlewood_paley_split(fh)
-    assert np.array_equal(low.values + high.values, fh.values)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    lam_max=st.floats(0.5, 12.0),
-    parts=st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
-                             st.floats(allow_nan=False, allow_infinity=False)),
-                   min_size=2, max_size=64),
-)
-def test_split_reconstruction_is_bit_exact(lam_max, parts):
-    # low + high rounds to fh itself for any finite values, tiny or huge
-    vals = np.array([complex(re, im) for re, im in parts])
-    fh = SpectralProfile(np.linspace(0.0, lam_max, vals.size), vals)
-    low, high = littlewood_paley_split(fh)
-    assert np.array_equal(low.values + high.values, fh.values)
-
-
-@pytest.mark.parametrize("support,low_hint,high_hint", [
-    ((0.2, 0.9), (0.2, 0.9), None),           # below 1: all low
-    ((1.2, 1.8), (1.2, 1.8), (1.2, 1.8)),     # inside the overlap (1, 2)
-    ((0.5, 3.0), (0.5, 2.0), (1.0, 3.0)),     # across 1 and 2
-    ((3.0, 6.0), None, (3.0, 6.0)),           # above 2: all high
-])
-def test_split_support_hints(support, low_hint, high_hint):
-    fh = _spectrum(*support)
-    low, high = littlewood_paley_split(fh)
-    assert (low.support_hint, high.support_hint) == (low_hint, high_hint)
-    assert np.array_equal(low.values + high.values, fh.values)

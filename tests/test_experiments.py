@@ -19,8 +19,9 @@ from drwave.experiments import (
 )
 from drwave.special import plancherel_density
 from drwave.quadrature import grid_integral
-from drwave.transform import euclidean_correspondence, sobolev_norm
-from oracles import phi_hyp
+from drwave.space import new_space
+from drwave.transform import sobolev_norm
+from oracles import euclidean_spectrum, phi_hyp
 
 CASE1_N = [64, 128, 256, 512, 1024]
 CASE2_N = [8, 11, 16, 23, 32, 45, 64]
@@ -118,7 +119,7 @@ def test_case2_sobolev_comparability(space21):
         ratios = []
         for n in (8, 16, 32, 64):
             fam = case2_family(space21, n)
-            fg = euclidean_correspondence(space21, fam)
+            fg = euclidean_spectrum(space21, fam)
             ratios.append(
                 euclidean_sobolev_norm(space21, fg, beta)
                 / sobolev_norm(space21, fam, beta)
@@ -129,11 +130,29 @@ def test_case2_sobolev_comparability(space21):
 def test_case2_family_support_and_correspondence(space21):
     fam = case2_family(space21, 16)
     assert fam.support_hint == (16.0, 32.0)
-    fg = euclidean_correspondence(space21, fam)
+    fg = euclidean_spectrum(space21, fam)
     expected = bump_12(fam.lambda_grid / 16.0)
     assert np.max(np.abs(fg.values - expected)) <= 5e-15
     with pytest.raises(ValidationError):
         case2_family(space21, 4)
+
+
+@pytest.mark.parametrize("mv,mz", [(2, 1), (4, 3), (16, 7), (8, 1)])
+def test_case2_family_is_the_inline_weight(mv, mz):
+    # built through the one correspondence weight, the family is within 1
+    # ulp of lambda^(n-1) bump_12(lambda/N) / |c|^-2 written out (numpy
+    # divides a complex number by a real one as a product with its
+    # reciprocal), with the grid ends, zeros of the bump, exactly 0
+    params = new_space(mv, mz)
+    for n in (8, 64, 1024):
+        lam = np.linspace(float(n), 2.0 * n, experiments._CASE2_POINTS)
+        expected = np.zeros(lam.size)
+        inner = lam[1:-1]
+        expected[1:-1] = (inner ** (params.n - 1) * bump_12(inner / n)
+                          / plancherel_density(params, inner))
+        fam = case2_family(params, n)
+        assert np.array_equal(fam.lambda_grid, lam)
+        assert np.all(np.abs(fam.values - expected) <= np.spacing(np.abs(expected)))
 
 
 def test_case2_run_beta_half(space21):
@@ -186,6 +205,16 @@ def test_transference_symmetry(space21):
 def test_transference_validation():
     with pytest.raises(ValidationError):
         transference_check(PhaseKind("beam"), PhaseKind("beam"), big_lambda=0.5)
+
+
+@pytest.mark.parametrize("big_lambda", [101.0, 500.0, 1e4])
+def test_transference_needs_a_first_decade(big_lambda):
+    # above lambda_max/10 the first-decade sup has no sample to read, and a
+    # difference of exactly Q^2/4 = 1 would be called not-comparable
+    frac, shifted = PhaseKind("frac", a=2.0), PhaseKind("frac", shifted=True, a=2.0)
+    with pytest.raises(ValidationError, match="first decade"):
+        transference_check(frac, shifted, big_lambda=big_lambda)
+    assert transference_check(frac, shifted, big_lambda=100.0).verdict == "comparable"
 
 
 def test_report_serialization(space21):

@@ -5,21 +5,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from drwave.bumps import eta_dyadic
+from drwave.bumps import bump_unit, eta_dyadic
 from drwave.dispersive import PhaseKind
 from drwave import oscillatory
 from drwave.errors import DomainError, ResolutionError, ValidationError
 from drwave.oscillatory import (
     ETA_MASS,
-    BumpWindow,
     _integrate,
-    _QuadraticPhases,
     _WindowPhases,
     dyadic_sum_check,
     phase_diff,
     proof_constants,
     sample_claim_triples,
-    van_der_corput_check,
     window_integral,
 )
 from drwave.quadrature import panel_rule
@@ -27,6 +24,19 @@ from drwave.quadrature import panel_rule
 K2 = PhaseKind("frac", shifted=True, a=2.0)
 K2U = PhaseKind("frac", a=2.0)
 K15 = PhaseKind("frac", a=1.5)
+
+
+class QuadraticPhases:
+    """theta_r = M_r xi^2 in the interface of oscillatory._WindowPhases."""
+
+    def __init__(self, m):
+        self.m = np.asarray(m, dtype=float)
+
+    def diff(self, r, xi, xi0):
+        return self.m[r] * (xi - xi0) * (xi + xi0)
+
+    def deriv(self, r, xi):
+        return 2.0 * self.m[r] * xi
 
 
 def oracle_linear_phase(k: int, delta_s: float) -> float:
@@ -165,7 +175,7 @@ def _family(space21, family):
                            np.repeat(triples[:, 2], ks.size))
         return eta_dyadic, ph, np.full(gap.size, 0.5), np.full(gap.size, 2.0)
     m = np.geomspace(10.0, 1e5, 25)
-    return BumpWindow(), _QuadraticPhases(m), np.full(m.size, -1.0), np.ones(m.size)
+    return bump_unit, QuadraticPhases(m), np.full(m.size, -1.0), np.ones(m.size)
 
 
 @pytest.mark.parametrize("family", ["windows", "quadratic"])
@@ -420,31 +430,33 @@ def test_sample_triples_cover_three_cases(space21):
 # van der Corput sweep
 # ---------------------------------------------------------------------------
 
+def van_der_corput(curvatures, halfwidth=1.0):
+    """M^(1/2) |int e^{i M xi^2} zeta(xi/h) dxi| / 3 per curvature M, zeta
+    the unit bump and 3 = ||zeta||_inf + ||zeta'||_1: the second-derivative
+    test bounds it by one constant."""
+    m = np.asarray(curvatures, dtype=float)
+    v = _integrate(lambda xi: bump_unit(xi / halfwidth), QuadraticPhases(m),
+                   np.full(m.size, -halfwidth), np.full(m.size, halfwidth),
+                   np.full((m.size, 1), 1e-10))
+    return np.sqrt(m) * np.abs(v[:, 0]) / 3.0
+
+
 def test_van_der_corput_bounded():
-    rep = van_der_corput_check(np.geomspace(10.0, 1e5, 11))
-    assert rep.passed
-    assert rep.spread < 20.0
+    vals = van_der_corput(np.geomspace(10.0, 1e5, 11))
+    assert np.max(vals) / np.min(vals) < 20.0
 
 
 def test_van_der_corput_domain():
-    for bad in (1.0, math.nan, math.inf):
-        with pytest.raises(DomainError):
-            van_der_corput_check(np.array([bad, 100.0]))
-
-
-@pytest.mark.parametrize("center,halfwidth", [
-    (0.0, 0.0), (0.0, -1.0), (0.0, math.inf), (0.0, math.nan), (math.inf, 1.0), (math.nan, 1.0),
-])
-def test_bump_window_validation(center, halfwidth):
-    with pytest.raises(ValidationError):
-        BumpWindow(center, halfwidth)
+    # a NaN curvature makes every probe of theta' NaN
+    with pytest.raises(DomainError):
+        van_der_corput(np.array([math.nan, 100.0]))
 
 
 def test_van_der_corput_window_scaling():
     # doubling the support: the normalized values stay within the scale set
     # by ||zeta||_inf + ||zeta'||_1 (equal for the two windows)
     grid = np.geomspace(10.0, 1e4, 7)
-    narrow = van_der_corput_check(grid, BumpWindow(halfwidth=1.0))
-    wide = van_der_corput_check(grid, BumpWindow(halfwidth=2.0))
-    assert np.max(wide.normalized) <= 4.0 * np.max(narrow.normalized)
-    assert np.max(narrow.normalized) <= 4.0 * np.max(wide.normalized)
+    narrow = van_der_corput(grid, halfwidth=1.0)
+    wide = van_der_corput(grid, halfwidth=2.0)
+    assert np.max(wide) <= 4.0 * np.max(narrow)
+    assert np.max(narrow) <= 4.0 * np.max(wide)
