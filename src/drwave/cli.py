@@ -23,6 +23,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -160,13 +161,7 @@ def _emit_csv(path: Path, chash: str, columns: list[str], rows) -> None:
         fh.write(f"# config-hash: {chash}\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            cells = []
-            for cell in row:
-                if isinstance(cell, str):
-                    cells.append(cell)
-                else:
-                    cells.append(_F % float(cell))
-            fh.write(",".join(cells) + "\n")
+            fh.write(",".join(c if isinstance(c, str) else _F % float(c) for c in row) + "\n")
 
 
 def _emit_json(path: Path, chash: str, payload: dict) -> None:
@@ -255,20 +250,24 @@ def _builtin_spectrum(cfg, params, kind, t_max: float) -> SpectralProfile:
 def _cmd_space(cfg, chash, out):
     params = _space_from(cfg)
     s = np.linspace(0.0, float(cfg["grids.s_max"]), 257)[1:]
-    rows = [(x, density(params, x), log_density_derivative(params, x)) for x in s]
-    _emit_csv(out / "space.csv", chash, ["s", "density", "log_density_derivative"], rows)
+    with np.errstate(over="ignore"):     # a column reads inf past the double range
+        cols = (s, density(params, s), log_density_derivative(params, s))
+    _emit_csv(out / "space.csv", chash, ["s", "density", "log_density_derivative"], zip(*cols))
     print(f"space m_v={params.m_v} m_z={params.m_z} n={params.n} Q={params.Q} -> {out}")
     return 0
 
 
 def _cmd_cfun(cfg, chash, out):
     params = _space_from(cfg)
-    lam = np.geomspace(0.01, float(cfg["grids.lambda_max"]), 512)
-    rows = []
-    for x in lam:
-        c = c_function(params, float(x))
-        rows.append((x, c.real, c.imag, plancherel_density(params, float(x))))
-    _emit_csv(out / "cfun.csv", chash, ["lambda", "re_c", "im_c", "plancherel"], rows)
+    lam_max = float(cfg["grids.lambda_max"])
+    if not lam_max > 0.01:
+        raise ValidationError(f"cfun needs --lambda-max above 0.01, the table's first "
+                              f"lambda; got {lam_max:g}")
+    lam = np.geomspace(0.01, lam_max, 512)
+    with np.errstate(over="ignore"):     # a column reads inf past the double range
+        c = c_function(params, lam)
+        cols = (lam, c.real, c.imag, plancherel_density(params, lam))
+    _emit_csv(out / "cfun.csv", chash, ["lambda", "re_c", "im_c", "plancherel"], zip(*cols))
     print(f"cfun: 512 rows on [0.01, {cfg['grids.lambda_max']}] -> {out}")
     return 0
 
@@ -385,12 +384,9 @@ def _cmd_experiment(cfg, chash, out, which):
             params=params,
         )
     _emit_json(out / f"{which}.json", chash, rep.to_dict())
-    slope_rows = [(f.quantity, f.slope, f.expected, f.tolerance, f.residual_rms)
-                  for f in rep.fitted_slopes]
-    if slope_rows:
+    if rep.fitted_slopes:
         _emit_csv(out / f"{which}-slopes.csv", chash,
-                  ["quantity", "slope", "expected", "tolerance", "residual_rms"],
-                  slope_rows)
+                  [f.name for f in fields(experiments.SlopeFit)], map(astuple, rep.fitted_slopes))
     _emit_csv(out / f"{which}-scalars.csv", chash, ["quantity", "value"], rep.scalars)
     print(f"experiment {which}: verdict {rep.verdict} -> {out}")
     if which == "transference":

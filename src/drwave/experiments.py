@@ -14,7 +14,7 @@ N^(beta + n/2) forces p <= 2n/(n - 2 beta).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -56,6 +56,12 @@ class SlopeFit:
     tolerance: float
     residual_rms: float
 
+    @classmethod
+    def fit(cls, quantity: str, x, y, expected: float, tolerance: float) -> SlopeFit:
+        """The log-log slope of y against x (fit_loglog_slope) against its expectation."""
+        slope, rms = fit_loglog_slope(x, y)
+        return cls(quantity, slope, expected, tolerance, rms)
+
     @property
     def within(self) -> bool:
         return (abs(self.slope - self.expected) <= self.tolerance
@@ -80,11 +86,7 @@ class ExperimentReport:
     def to_dict(self) -> dict:
         return {
             "name": self.name,
-            "fitted_slopes": [
-                {"quantity": f.quantity, "slope": f.slope, "expected": f.expected,
-                 "tolerance": f.tolerance, "residual_rms": f.residual_rms}
-                for f in self.fitted_slopes
-            ],
+            "fitted_slopes": [asdict(f) for f in self.fitted_slopes],
             "scalars": [{"quantity": q, "value": v} for q, v in self.scalars],
             "verdict": self.verdict,
             "provenance": self.provenance,
@@ -93,11 +95,12 @@ class ExperimentReport:
 
 def fit_loglog_slope(x, y) -> tuple[float, float]:
     """Least-squares slope of log y against log x, with the RMS of the
-    log residuals; requires at least 5 points."""
+    log residuals; requires at least 5 distinct x, since repeated x leave
+    the fit rank-deficient."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.size < 5:
-        raise ValidationError("slope fits require at least 5 sample points")
+    if np.unique(x).size < 5:
+        raise ValidationError("slope fits require at least 5 distinct sample points")
     lx, ly = np.log(x), np.log(y)
     coef = np.polyfit(lx, ly, 1)
     resid = ly - np.polyval(coef, lx)
@@ -171,17 +174,13 @@ def case1_run(params: SpaceParams, a: float, beta_list, n_list, epsilon: float =
         mins.append(_case1_linearized_min(params, kind, a, n_freq, epsilon))
     report = ExperimentReport(
         name="case1",
+        fitted_slopes=[SlopeFit.fit(f"sobolev_norm(beta={beta})", n_list, norms[beta],
+                                    beta - 0.25, slope_tol) for beta in beta_list],
         provenance={
             "m_v": params.m_v, "m_z": params.m_z, "a": a, "shifted": shifted,
             "beta_list": beta_list, "n_list": n_list, "epsilon": epsilon,
         },
     )
-    for beta in beta_list:
-        slope, rms = fit_loglog_slope(n_list, norms[beta])
-        report.fitted_slopes.append(SlopeFit(
-            quantity=f"sobolev_norm(beta={beta})", slope=slope,
-            expected=beta - 0.25, tolerance=slope_tol, residual_rms=rms,
-        ))
     floor = 0.5 * mins[0]
     report.scalars.append(("min_linearized_at_smallest_N", mins[0]))
     report.scalars.append(("min_linearized_overall", float(min(mins))))
@@ -234,25 +233,19 @@ def case2_run(params: SpaceParams, beta: float, n_list, epsilon: float = 0.25,
         prof = sft_inverse(params, fam, s_grid)
         sups.append(float(np.max(np.abs(prof.values))))
         norms.append(sobolev_norm(params, fam, beta))
-    slope_sup, rms_sup = fit_loglog_slope(n_list, sups)
-    slope_norm, rms_norm = fit_loglog_slope(n_list, norms)
     n_dim = params.n
+    sup_fit = SlopeFit.fit("sup_growth", n_list, sups, float(n_dim), slope_tol)
+    norm_fit = SlopeFit.fit(f"sobolev_norm(beta={beta})", n_list, norms,
+                            beta + n_dim / 2.0, slope_tol)
     report = ExperimentReport(
         name="case2",
+        fitted_slopes=[sup_fit, norm_fit],
         provenance={"m_v": params.m_v, "m_z": params.m_z, "beta": beta,
                     "n_list": n_list, "epsilon": epsilon},
     )
-    report.fitted_slopes.append(SlopeFit(
-        quantity="sup_growth", slope=slope_sup, expected=float(n_dim),
-        tolerance=slope_tol, residual_rms=rms_sup,
-    ))
-    report.fitted_slopes.append(SlopeFit(
-        quantity=f"sobolev_norm(beta={beta})", slope=slope_norm,
-        expected=beta + n_dim / 2.0, tolerance=slope_tol, residual_rms=rms_norm,
-    ))
     # N^(sup_slope - n/p) <= N^(norm_slope) as N -> inf forces the bound
-    if slope_sup > slope_norm:
-        p_measured = n_dim / (slope_sup - slope_norm)
+    if sup_fit.slope > norm_fit.slope:
+        p_measured = n_dim / (sup_fit.slope - norm_fit.slope)
     else:
         p_measured = math.inf
     p_expected = implied_p_bound(n_dim, beta)

@@ -86,22 +86,6 @@ def script_j(mu: float, x):
     return float(out[0]) if scalar else out
 
 
-def _piecewise(x: np.ndarray, mask: np.ndarray, on_true, on_false) -> list:
-    """Arrays that take on_true(x[mask]) where mask holds and on_false(x[~mask])
-    elsewhere; each callable returns a sequence of arrays shaped like its
-    argument.  A uniform mask passes x through without a copy."""
-    if np.all(mask):
-        return list(on_true(x))
-    if not np.any(mask):
-        return list(on_false(x))
-    out = []
-    for a, b in zip(on_true(x[mask]), on_false(x[~mask])):
-        merged = np.empty_like(x)
-        merged[mask], merged[~mask] = a, b
-        out.append(merged)
-    return out
-
-
 # Beyond this x the integer start pair takes the Hankel expansion, whose
 # a_8 term is below 1e-23 of the leading one there; below it, j0 and j1.
 _HANKEL_X_MIN = 1e3
@@ -156,7 +140,15 @@ def _low_pair(nu0: float, x):
         lo = np.divide(np.sin(x), x, out=np.ones_like(x), where=x > 0)
         hi = lo - np.cos(x)
     else:
-        lo, hi = _piecewise(x, x >= _HANKEL_X_MIN, _hankel_pair, lambda v: (j0(v), j1(v)))
+        big = x >= _HANKEL_X_MIN          # a uniform mask passes x on without a copy
+        if not np.any(big):
+            lo, hi = j0(x), j1(x)
+        elif np.all(big):
+            lo, hi = _hankel_pair(x)
+        else:
+            lo, hi = np.empty_like(x), np.empty_like(x)
+            lo[big], hi[big] = _hankel_pair(x[big])
+            lo[~big], hi[~big] = j0(x[~big]), j1(x[~big])
     inv = np.divide(1.0, x, out=np.zeros_like(x), where=x >= 1.0)    # 1/x, 0 below 1
     hi *= inv
     hi *= 3.0 * inv if nu0 == 0.5 else 2.0
@@ -269,22 +261,24 @@ def _h_modulus(params: SpaceParams, lam):
     return out
 
 
-def c_function(params: SpaceParams, lam: float) -> complex:
-    """Harish-Chandra c-function at real lambda != 0, -i h(lambda)/lambda:
-    modulus |h|/|lambda| (_h_modulus, so |c| reads 0 only below the double
-    range), phase arg h - sign(lambda) pi/2, so c(-lambda) = conj(c(lambda))
-    exactly, arg h being odd.
+def c_function(params: SpaceParams, lam):
+    """Harish-Chandra c-function at real lambda != 0, scalar or array,
+    -i h(lambda)/lambda: modulus |h|/|lambda| (_h_modulus, so |c| reads 0
+    only below the double range), phase arg h - sign(lambda) pi/2, so
+    c(-lambda) = conj(c(lambda)) exactly, arg h being odd.  Raises
+    PoleError if any lambda is 0.
     """
-    if lam == 0:
+    lam = np.asarray(lam, dtype=float)
+    if np.any(lam == 0):
         raise PoleError("c-function has a pole at lambda = 0")
-    lam = float(lam)
-    x = abs(lam)
+    x = np.abs(lam)
     # from |lambda| ~ 1e154 on, lambda^2 in _ratio_phase passes the float
     # range (and near 1e308 lambda / x_j in _h_phase); as inf they give
     # 1/lambda^2 = 0 and arctan = pi/2
     with np.errstate(over="ignore"):
         rot = np.exp(1j * _h_phase(params, lam))
-    return complex(-1j * math.copysign(1.0, lam) * rot * (float(_h_modulus(params, x)) / x))
+    out = -1j * np.copysign(1.0, lam) * rot * (_h_modulus(params, x) / x)
+    return complex(out) if lam.ndim == 0 else out
 
 
 def plancherel_density(params: SpaceParams, lam):

@@ -9,7 +9,7 @@ evaluated by
 * a Bessel-kernel series for s < 2, whose coefficients a_l(s) are
   polynomials in s^2 that follow exactly, once per space, from the
   Taylor series of the radial equation's potential by a triangular
-  recursion (_BesselCoeffs) and summed to the fixed order M = 16; its
+  recursion (_bessel_coeffs) and summed to the fixed order M = 16; its
   kernels script_j of orders mu0..mu0+16 come from one downward sweep
   of the order recurrence (Abramowitz & Stegun 9.1.27, _kernel_sum) on
   the normalized kernels Lambda_mu = Gamma(mu+1) (2/x)^mu J_mu, started
@@ -230,8 +230,10 @@ def _bessel_pref(params: SpaceParams, s):
             * np.cosh(0.5 * s) ** (-0.5 * params.m_z))
 
 
-class _BesselCoeffs:
-    """Exact coefficients of the Bessel series, one set per space.
+@functools.cache
+def _bessel_coeffs(params: SpaceParams) -> np.ndarray:
+    """Exact coefficients of the Bessel series, one read-only set per space,
+    shape (17, 41): a_l(s) = sum_i row_l[i] s^(2i), l = 0..16.
 
     With phi = c0 (s^(n-1)/A)^(1/2) w, the radial equation becomes
     w'' + ((n-1)/s) w' + lambda^2 w = D w, where D = V - (n-1)(n-3)/(4s^2)
@@ -253,31 +255,26 @@ class _BesselCoeffs:
     d_m = (n+2m)/2 g_(m+1) + 1/4 sum_(i+j=m+1) g_i g_j - [m = 0] Q^2/4.
     Orders 0..M = 16 are kept.
     """
-
-    def __init__(self, params: SpaceParams):
-        g = log_density_taylor(params)          # g_1..g_41: D and every f_l to s^80
-        n, big_j = params.n, g.size - 1
-        k = np.arange(big_j + 1)
-        d = 0.5 * (n + 2 * k) * g
-        d[1:] += 0.25 * np.convolve(g, g)[:big_j]
-        d[0] -= params.q2_over_4
-        self.mu0 = (n - 2) / 2.0
-        e = np.zeros((_BESSEL_M + 1, big_j + 1))
-        e[0, 0] = 1.0
-        m = k[:-1]
-        for l in range(_BESSEL_M):
-            r = (np.convolve(d, e[l])[:big_j]
-                 - (2 * (m + 1) * (2 * m + n) - 2 * (self.mu0 + l) * (4 * m + 4 - 2 * l)) * e[l, 1:])
-            j = np.arange(l + 1, big_j + 1)
-            e[l + 1, l + 1:] = r[l:] / ((n - 1 + 2 * l) * (4 * j - 2 * l - 2))
-        # a_l(s) = sum_i e_(l+i)^(l) s^(2i): row l shifted left by l
-        self.a_coeffs = np.zeros_like(e)
-        for l in range(_BESSEL_M + 1):
-            self.a_coeffs[l, :big_j + 1 - l] = e[l, l:]
-
-    def a_values(self, s: np.ndarray) -> np.ndarray:
-        """a_l(s) for l = 0..16, shape (17, n_s)."""
-        return polynomial.polyval(s * s, self.a_coeffs.T)
+    g = log_density_taylor(params)          # g_1..g_41: D and every f_l to s^80
+    n, big_j = params.n, g.size - 1
+    k = np.arange(big_j + 1)
+    d = 0.5 * (n + 2 * k) * g
+    d[1:] += 0.25 * np.convolve(g, g)[:big_j]
+    d[0] -= params.q2_over_4
+    mu0 = (n - 2) / 2.0
+    e = np.zeros((_BESSEL_M + 1, big_j + 1))
+    e[0, 0] = 1.0
+    m = k[:-1]
+    for l in range(_BESSEL_M):
+        r = (np.convolve(d, e[l])[:big_j]
+             - (2 * (m + 1) * (2 * m + n) - 2 * (mu0 + l) * (4 * m + 4 - 2 * l)) * e[l, 1:])
+        j = np.arange(l + 1, big_j + 1)
+        e[l + 1, l + 1:] = r[l:] / ((n - 1 + 2 * l) * (4 * j - 2 * l - 2))
+    # a_l(s) = sum_i e_(l+i)^(l) s^(2i): row l shifted left by l, its l leading zeros wrapping
+    for l in range(1, _BESSEL_M + 1):
+        e[l] = np.roll(e[l], -l)
+    e.flags.writeable = False       # shared by every caller through the cache
+    return e
 
 
 def _upward_top_kernels(mu0: float, x: np.ndarray):
@@ -398,24 +395,19 @@ def _kernel_sum(mu0: float, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return total
 
 
-@functools.cache
-def _bessel_table(params: SpaceParams) -> _BesselCoeffs:
-    """The space's coefficients, built once."""
-    return _BesselCoeffs(params)
-
-
 class _BesselColumns:
     """The Bessel series' parts that depend on s alone, built once per
-    phi_matrix call: each order's weight a_l(s) s^(2l) and the prefactor
-    c0 (s^(n-1)/A)^(1/2) (_bessel_pref), on the columns s > 0."""
+    phi_matrix call: the lowest kernel order mu0 = (n-2)/2, each order's
+    weight a_l(s) s^(2l) and the prefactor c0 (s^(n-1)/A)^(1/2)
+    (_bessel_pref), on the columns s > 0."""
 
     def __init__(self, params: SpaceParams, s: np.ndarray):
-        tab = _bessel_table(params)
-        self.mu0 = tab.mu0
+        self.mu0 = (params.n - 2) / 2.0
         self.pos = s > 0
         sp = s[self.pos]
         self.sp = sp
-        self.weights = tab.a_values(sp) * sp ** (2.0 * np.arange(_BESSEL_M + 1))[:, None]
+        a = polynomial.polyval(sp * sp, _bessel_coeffs(params).T)     # (17, n_s)
+        self.weights = a * sp ** (2.0 * np.arange(_BESSEL_M + 1))[:, None]
         self.pref = _bessel_pref(params, sp)
 
 

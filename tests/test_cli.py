@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from drwave.cli import (
     run,
 )
 from drwave.errors import ValidationError
+from drwave.space import density, log_density_derivative, new_space
+from drwave.special import c_function, plancherel_density
 
 
 @pytest.fixture()
@@ -66,6 +69,41 @@ def test_cfun_columns(out_root):
     (run_dir,) = list(out_root.iterdir())
     lines = _read(run_dir / "cfun.csv").splitlines()
     assert lines[1] == "lambda,re_c,im_c,plancherel"
+
+
+@pytest.mark.parametrize("m_v,m_z", [(2, 1), (4, 3), (16, 7)])
+def test_table_columns_match_per_row_evaluation(out_root, m_v, m_z):
+    # each column of the default cfun and space tables is one array call;
+    # it agrees with the scalar call of its row to rounding
+    space = ["--m-v", str(m_v), "--m-z", str(m_z)]
+    assert run(["cfun", *space]) == 0 and run(["space", *space]) == 0
+    cfun_dir, space_dir = sorted(out_root.iterdir())
+    params = new_space(m_v, m_z)
+    _, cfun = _table(cfun_dir / "cfun.csv")
+    _, tab = _table(space_dir / "space.csv")
+    c = np.array([c_function(params, x) for x in cfun[:, 0]])
+    checks = [(cfun[:, 1], c.real), (cfun[:, 2], c.imag),
+              (cfun[:, 3], [plancherel_density(params, x) for x in cfun[:, 0]]),
+              (tab[:, 1], [density(params, x) for x in tab[:, 0]]),
+              (tab[:, 2], [log_density_derivative(params, x) for x in tab[:, 0]])]
+    for got, ref in checks:
+        ref = np.asarray(ref)
+        assert np.all(np.abs(got - ref) <= 4e-16 * np.abs(ref))
+
+
+@pytest.mark.parametrize("argv,name,column", [
+    (["cfun", "--lambda-max", "1e200"], "cfun.csv", 3),
+    (["space", "--s-max", "2000"], "space.csv", 1),
+])
+def test_table_overflow_reads_inf_without_warning(out_root, argv, name, column):
+    # where a value passes the double range, its column reads inf, and
+    # the run prints no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 0
+    (run_dir,) = list(out_root.iterdir())
+    col = _table(run_dir / name)[1][:, column]
+    assert np.isinf(col[-1]) and np.all(np.isfinite(col[:10]))
 
 
 def test_float_serialization_is_lossless(out_root):
@@ -168,6 +206,13 @@ def test_config_error_exit_code(tmp_path, out_root):
     ["experiment", "case1", "--n-list", "64,abc"],
     # a sweep threshold above lambda_max/10 leaves no first decade
     ["experiment", "transference", "--lambda-threshold", "1e4"],
+    # a cfun table that would start at or above its end, lambda = 0.01
+    ["cfun", "--lambda-max", "0"],
+    ["cfun", "--lambda-max", "-1"],
+    ["cfun", "--lambda-max", "0.01"],
+    # fewer than 5 distinct N leave the slope fits rank-deficient
+    ["experiment", "case1", "--n-list", "64,64,64,64,64", "--beta-list", "0.25"],
+    ["experiment", "case2", "--n-list", "8,8,8,8,8"],
 ])
 def test_malformed_input_is_a_usage_error(tmp_path, out_root, capsys, argv):
     cfg = tmp_path / "bad.cfg"

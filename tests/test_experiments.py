@@ -8,6 +8,7 @@ from drwave.bumps import bump_12
 from drwave.dispersive import PhaseKind
 from drwave.errors import ValidationError
 from drwave.experiments import (
+    SlopeFit,
     _case1_linearized_min,
     case1_family,
     case1_run,
@@ -30,6 +31,19 @@ CASE2_N = [8, 11, 16, 23, 32, 45, 64]
 def test_fit_requires_five_points():
     with pytest.raises(ValidationError):
         fit_loglog_slope([1, 2, 4, 8], [1, 2, 4, 8])
+
+
+@pytest.mark.parametrize("x", [[64] * 5, [1, 2, 4, 8, 8], [8, 8, 16, 16, 32, 32, 32]])
+def test_fit_requires_five_distinct_points(x):
+    # repeated x leave the least-squares fit rank-deficient
+    with pytest.raises(ValidationError, match="distinct"):
+        fit_loglog_slope(x, np.arange(1.0, len(x) + 1.0))
+
+
+def test_slope_fit_records_the_fit():
+    x, y = [1, 2, 4, 8, 16], [3.0, 6.1, 11.8, 24.5, 47.0]
+    slope, rms = fit_loglog_slope(x, y)
+    assert SlopeFit.fit("q", x, y, 1.0, 0.05) == SlopeFit("q", slope, 1.0, 0.05, rms)
 
 
 def test_case1_family_support_and_sign(space21):

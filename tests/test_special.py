@@ -169,6 +169,28 @@ def test_c_function_pole_at_zero(space21):
         c_function(space21, 0.0)
 
 
+@pytest.mark.parametrize("m_v,m_z", [(2, 0), (2, 1), (4, 3), (6, 2), (8, 1), (16, 7)])
+def test_c_function_array_matches_elementwise(m_v, m_z):
+    # an array of lambda, both signs and up to 1e300, gives its per-element
+    # calls within np.spacing, and c(-lambda) = conj c(lambda) exactly
+    params = new_space(m_v, m_z)
+    lam = np.concatenate([np.geomspace(0.01, 1e5, 300), [1e154, 1e300]])
+    lam = np.concatenate([lam, -lam])
+    got = c_function(params, lam)
+    ref = np.array([c_function(params, float(x)) for x in lam])
+    for part in ("real", "imag"):
+        g, r = getattr(got, part), getattr(ref, part)
+        assert np.all(np.abs(g - r) <= np.spacing(np.abs(r))), part
+    half = lam.size // 2
+    assert np.array_equal(got[half:], np.conj(got[:half]))
+
+
+@pytest.mark.parametrize("lam", [[1.0, 0.0, 2.0], [-0.0], [[3.0, -1.0], [0.0, 5.0]]])
+def test_c_function_pole_anywhere_in_an_array(space21, lam):
+    with pytest.raises(PoleError):
+        c_function(space21, np.array(lam))
+
+
 def test_plancherel_zero(space21):
     assert plancherel_density(space21, 0.0) == 0.0
 

@@ -3,6 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial
 from scipy.special import gammaln
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,8 +13,8 @@ from drwave.errors import DomainError, PhiBoundError, ResolutionError
 from drwave.space import density, log_density_derivative, new_space
 from drwave.special import script_j
 from drwave.spherical import (
+    _bessel_coeffs,
     _bessel_matrix,
-    _bessel_table,
     _BesselColumns,
     _gamma_matrix,
     _HCSeries,
@@ -222,15 +223,16 @@ def test_c0_constant_real_hyperbolic():
     assert c0_constant(p) == pytest.approx(0.5, rel=1e-13)
 
 
-class _WeightedTable:
-    """A space's coefficient table with each order l's a_l scaled by weight[l]."""
+def _a_values(params, s):
+    """a_l(s) for l = 0..16, shape (17, n_s), from the space's coefficients."""
+    return polynomial.polyval(s * s, _bessel_coeffs(params).T)
 
-    def __init__(self, tab, weight):
-        self.mu0 = tab.mu0
-        self._tab, self._weight = tab, np.asarray(weight, dtype=float)
 
-    def a_values(self, s):
-        return self._weight[:, None] * self._tab.a_values(s)
+def _scale_orders(monkeypatch, params, weight):
+    """Patch the Bessel series' coefficients to the space's, each order l's
+    row scaled by weight[l]."""
+    scaled = _bessel_coeffs(params) * np.asarray(weight, dtype=float)[:, None]
+    monkeypatch.setattr(spherical, "_bessel_coeffs", lambda p: scaled)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 16])
@@ -241,18 +243,17 @@ def test_bessel_matrix_matches_per_order_sum(m_v, m_z, m, monkeypatch):
     # cut after order m < 16 isolates the sweep's lowest orders, which the
     # downward recurrence reaches last
     params = new_space(m_v, m_z)
-    tab = _bessel_table(params)
+    mu0 = (params.n - 2) / 2
     lams = np.array([0.0, 0.5, 9.0, 30.0, 1.4e5])
     s = np.array([0.0, 1e-3, 0.05, 0.2, 0.4, 0.75])
-    cut = _WeightedTable(tab, np.arange(17) <= m)
-    monkeypatch.setattr(spherical, "_bessel_table", lambda p: cut)
+    sp = s[1:]
+    a = _a_values(params, sp)
+    _scale_orders(monkeypatch, params, np.arange(17) <= m)
     got = _bessel(params, lams, s)
     assert np.all(got[:, 0] == 1.0)
-    sp = s[1:]
-    a = tab.a_values(sp)
     pref = c0_constant(params) * np.sqrt(sp ** (params.n - 1) / density(params, sp))
     for i, lam in enumerate(lams):
-        ref = pref * sum(a[l] * sp ** (2 * l) * script_j(tab.mu0 + l, lam * sp)
+        ref = pref * sum(a[l] * sp ** (2 * l) * script_j(mu0 + l, lam * sp)
                          for l in range(m + 1))
         assert np.max(np.abs(got[i, 1:] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -293,10 +294,9 @@ def _kernel_amplitude(mu, x):
 def _bessel_amplitude(params, lams, s):
     """The amplitude of the Bessel series on the grid product, s > 0:
     c0 (s^(n-1)/A)^(1/2) sum_l |a_l(s)| s^(2l) times each kernel's amplitude."""
-    tab = _bessel_table(params)
     l = np.arange(17)
-    weights = np.abs(tab.a_values(s)) * s ** (2 * l)[:, None]
-    amp = _kernel_amplitude(tab.mu0 + l, np.outer(lams, s))        # (17, n_lam, n_s)
+    weights = np.abs(_a_values(params, s)) * s ** (2 * l)[:, None]
+    amp = _kernel_amplitude((params.n - 2) / 2 + l, np.outer(lams, s))   # (17, n_lam, n_s)
     pref = c0_constant(params) * np.sqrt(s ** (params.n - 1) / density(params, s))
     return pref * np.einsum("ls,lis->is", weights, amp)
 
@@ -335,13 +335,12 @@ def test_bessel_matrix_lambda_zero_row(m_v, m_z):
     # its series limit, and the row equals the lambda = 0 row of a call
     # whose other rows take the upward start
     params = new_space(m_v, m_z)
-    tab = _bessel_table(params)
     s = np.array([0.0, 1e-3, 0.3, 1.0, 1.9])
     got = _bessel(params, [0.0], s)[0]
     sp = s[1:]
-    mu = tab.mu0 + np.arange(17)
+    mu = (params.n - 2) / 2 + np.arange(17)
     limits = np.sqrt(np.pi) * np.exp(gammaln(mu + 0.5) - gammaln(mu + 1.0))
-    weights = tab.a_values(sp) * sp ** (2 * np.arange(17))[:, None]
+    weights = _a_values(params, sp) * sp ** (2 * np.arange(17))[:, None]
     pref = c0_constant(params) * np.sqrt(sp ** (params.n - 1) / density(params, sp))
     ref = pref * (limits @ weights)
     amp = pref * (limits @ np.abs(weights))
@@ -358,7 +357,7 @@ def test_miller_start_converged_at_bracket_edges(m_v, m_z, monkeypatch):
     # x = mu0 + 17, eight more orders move phi by under 1e-14 of the
     # series' amplitude
     params = new_space(m_v, m_z)
-    mu0 = _bessel_table(params).mu0
+    mu0 = (params.n - 2) / 2
     s = np.linspace(0.05, 1.9, 40)
     base = spherical._miller_extra
     for edge in [e for e, _ in spherical._MILLER_EXTRA] + [mu0 + 17.0]:
@@ -425,16 +424,15 @@ def test_bessel_matrix_per_order_sum_across_upward_switch(m_v, m_z, m, monkeypat
     # one script_j call per order; a table cut after order m = 1 checks the
     # two lowest orders alone on both sides
     params = new_space(m_v, m_z)
-    tab = _bessel_table(params)
+    mu0 = (params.n - 2) / 2
     s = np.array([0.1, 0.5, 0.75, 1.3, 1.9])
-    lams = (tab.mu0 + 17.0) / 0.5 * np.array([0.9, 0.999, 1.001, 1.1, 4.0, 3e3])
-    cut = _WeightedTable(tab, np.arange(17) <= m)
-    monkeypatch.setattr(spherical, "_bessel_table", lambda p: cut)
+    lams = (mu0 + 17.0) / 0.5 * np.array([0.9, 0.999, 1.001, 1.1, 4.0, 3e3])
+    a = _a_values(params, s)
+    _scale_orders(monkeypatch, params, np.arange(17) <= m)
     got = _bessel(params, lams, s)
-    a = tab.a_values(s)
     pref = c0_constant(params) * np.sqrt(s ** (params.n - 1) / density(params, s))
     for i, lam in enumerate(lams):
-        ref = pref * sum(a[l] * s ** (2 * l) * script_j(tab.mu0 + l, lam * s)
+        ref = pref * sum(a[l] * s ** (2 * l) * script_j(mu0 + l, lam * s)
                          for l in range(m + 1))
         assert np.max(np.abs(got[i] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -555,8 +553,7 @@ def test_phi_matrix_consistency(space21):
 
 def test_phi_matrix_bound_guard(space21, monkeypatch):
     # doubled coefficients put the Bessel zone near 2
-    doubled = _WeightedTable(_bessel_table(space21), np.full(17, 2.0))
-    monkeypatch.setattr(spherical, "_bessel_table", lambda params: doubled)
+    _scale_orders(monkeypatch, space21, np.full(17, 2.0))
     with pytest.raises(PhiBoundError):
         phi_matrix(space21, np.array([1.0, 3.0]), np.array([0.1, 0.5, 3.0]))
 
