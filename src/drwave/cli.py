@@ -276,11 +276,11 @@ def _cmd_phi(cfg, chash, out):
     params = _space_from(cfg)
     lams = _numbers(cfg["lambda"], "lambda")
     ss = _numbers(cfg["s"], "s")
-    rows = []
-    for lam in lams:
-        for s in ss:
-            val, method = spherical.phi_with_method(params, lam, s)
-            rows.append((lam, s, val, method))
+    if not (lams and ss):
+        raise ValidationError("phi needs at least one lambda and one s")
+    vals = spherical.phi_matrix(params, lams, ss)
+    rows = [(lam, s, float(val), "bessel" if s < spherical.S_HC_MIN else "hc")
+            for lam, row in zip(lams, vals) for s, val in zip(ss, row)]
     _emit_csv(out / "phi.csv", chash, ["lambda", "s", "value", "method"], rows)
     for lam, s, val, method in rows:
         print(f"phi(lambda={_F % lam}, s={_F % s}) = {_F % val}  [{method}]")

@@ -165,6 +165,12 @@ def case1_run(params: SpaceParams, a: float, beta_list, n_list, epsilon: float =
     if not beta_list:
         raise ValidationError("case-1 needs at least one beta")
     kind = PhaseKind("frac", shifted=shifted, a=a)
+    n_top = max(n_list, default=0)      # psi ~ lambda^a peaks at its bump's edge N + sqrt(N)
+    with np.errstate(over="ignore"):
+        psi_top = phase(kind, params, n_top + math.sqrt(max(n_top, 0)))
+    if not math.isfinite(psi_top):
+        raise ValidationError(f"case-1 needs N^a within the double range; a = {a:g} "
+                              f"passes it at N = {n_top}")
     norms = {beta: [] for beta in beta_list}
     mins = []
     for n_freq in n_list:

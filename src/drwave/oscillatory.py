@@ -349,7 +349,9 @@ def sample_claim_triples(kind: PhaseKind, params: SpaceParams, n: int,
                          seed: int = 0) -> np.ndarray:
     """n >= 1 (s, s', d) triples, s and s' in _ANNULUS and d log-uniform on
     _D_RANGE, stratified over the three regimes of the summation argument:
-    |s-s'| below d^(1/delta2)/C6, between it and 1, and at least 1."""
+    |s-s'| below d^(1/delta2)/C6, between it and 1, and at least 1.  Just
+    above delta2 = 1, C6 = C5^(1/(delta2-1)) underflows to 0; the first
+    threshold is then infinite, and the annulus width caps it."""
     if n < 1:
         raise ValidationError(f"need at least one triple, got {n}")
     if seed < 0:
@@ -361,7 +363,7 @@ def sample_claim_triples(kind: PhaseKind, params: SpaceParams, n: int,
     for i in range(n):
         case = i % 3
         d = math.exp(rng.uniform(math.log(_D_RANGE[0]), math.log(_D_RANGE[1])))
-        thr = min(d ** (1.0 / kind.delta2) / c6, hi - lo - 1e-3)
+        thr = min(d ** (1.0 / kind.delta2) / c6 if c6 > 0.0 else math.inf, hi - lo - 1e-3)
         if case == 0:
             gap = rng.uniform(1e-3, max(thr, 2e-3))
         elif case == 1:

@@ -1,13 +1,14 @@
 """Bessel kernels, the Harish-Chandra c-function and the Plancherel density
 |c(lambda)|^-2.
 
-script_j is the normalized kernel of one order, by scipy's jv; it is
-the public kernel and the tests' oracle, and no phi route calls it (the
-Bessel series sweeps its orders by recurrence, spherical._kernel_sum).
-The sweep runs on Lambda_mu(x) = script_j(mu, x) / script_j(mu, 0)
-(_kernel_at_zero, the one statement of the series limit); _low_pair
-gives it exactly at the two lowest orders, whose values start the upward
-order recurrence and normalize Miller's downward one.
+script_j is the kernel of one order, by scipy's jv and, for its series
+limit script_j(mu, 0), gammaln; it is the public kernel and the tests'
+oracle, and no phi route calls it.  The Bessel series sweeps its orders
+by recurrence (spherical._kernel_sum) on the normalized kernels
+Lambda_mu(x) = script_j(mu, x) / script_j(mu, 0), which are 1 at x = 0
+and need neither function; _low_pair gives them exactly at the two
+lowest orders, whose values start the upward order recurrence and
+normalize Miller's downward one.
 
 The c-function is the four-Gamma ratio
 
@@ -43,22 +44,17 @@ __all__ = [
 _SERIES_TERMS = 12   # terms of _script_j_series past the first, for x < 0.1
 
 
-def _kernel_at_zero(mu):
-    """script_j(mu, 0) = sqrt(pi) Gamma(mu + 1/2) / Gamma(mu + 1), the
-    series limit, for a scalar or an array mu."""
-    return math.sqrt(math.pi) * np.exp(gammaln(mu + 0.5) - gammaln(mu + 1.0))
-
-
 def _script_j_series(mu: float, x):
     # script_j(mu, 0) * sum_(k<=_SERIES_TERMS) (-1)^k (x/2)^(2k) Gamma(mu+1) / (k! Gamma(mu+k+1))
-    # == script_j via the J series with the x^-mu factor cancelled analytically.
+    # == script_j via the J series with the x^-mu factor cancelled analytically;
+    # the series limit is script_j(mu, 0) = sqrt(pi) Gamma(mu + 1/2) / Gamma(mu + 1).
     x = np.asarray(x, dtype=float)
     acc, term = np.ones_like(x), np.ones_like(x)
     q = 0.25 * x * x
     for k in range(1, _SERIES_TERMS + 1):
         term = term * (-q) / (k * (mu + k))
         acc = acc + term
-    return _kernel_at_zero(mu) * acc
+    return math.sqrt(math.pi) * np.exp(gammaln(mu + 0.5) - gammaln(mu + 1.0)) * acc
 
 
 def script_j(mu: float, x):

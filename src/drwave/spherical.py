@@ -6,13 +6,15 @@ phi_lambda is the radial eigenfunction of the Laplace-Beltrami operator,
 
 evaluated by
 
-* a Bessel-kernel series for s < 2, whose coefficients a_l(s) are
-  polynomials in s^2 that follow exactly, once per space, from the
-  Taylor series of the radial equation's potential by a triangular
-  recursion (_bessel_coeffs) and summed to the fixed order M = 16; its
-  kernels script_j of orders mu0..mu0+16 come from one downward sweep
-  of the order recurrence (Abramowitz & Stegun 9.1.27, _kernel_sum) on
-  the normalized kernels Lambda_mu = Gamma(mu+1) (2/x)^mu J_mu, started
+* a Bessel-kernel series for s < 2 in the normalized kernels
+  Lambda_mu = script_j(mu, .) / script_j(mu, 0) = Gamma(mu+1) (2/x)^mu J_mu,
+  each 1 at x = 0, so that phi(0) = 1 holds with no normalizing
+  constant; its coefficients a_l(s) are polynomials in s^2 that follow
+  exactly, once per space, from the Taylor series of the radial
+  equation's potential by a triangular recursion (_bessel_coeffs) and
+  are summed to the fixed order M = 16; its kernels of orders
+  mu0..mu0+16 come from one downward sweep of the order recurrence
+  (Abramowitz & Stegun 9.1.27, _kernel_sum), started
   where lambda s <= mu0+17 by Miller's algorithm a few orders higher and
   scaled once per cell to the exact Lambda at the two lowest orders
   (special._low_pair), and where lambda s exceeds every order at the top
@@ -45,7 +47,7 @@ from numpy.polynomial import polynomial
 
 from .errors import DomainError, PhiBoundError, ResolutionError
 from .space import SpaceParams, density, log_density_taylor
-from .special import _h_modulus, _h_phase, _h_phase_slope0, _kernel_at_zero, _low_pair
+from .special import _h_modulus, _h_phase, _h_phase_slope0, _low_pair
 
 __all__ = [
     "phi",
@@ -211,23 +213,16 @@ def _hc_mu_for(params: SpaceParams, lams: np.ndarray, s_min: float) -> int:
 # Bessel series near the identity
 # ---------------------------------------------------------------------------
 
-def c0_constant(params: SpaceParams) -> float:
-    """Normalizing constant of the Bessel expansion, 1 / script_j((n-2)/2, 0)
-    = pi^(-1/2) Gamma(n/2) / Gamma((n-1)/2): the leading term alone
-    satisfies phi_lambda(0) = 1 exactly."""
-    return float(1.0 / _kernel_at_zero((params.n - 2) / 2.0))
-
-
 def _bessel_pref(params: SpaceParams, s):
-    """c0 (s^(n-1)/A)^(1/2), the Bessel series' prefactor, for s > 0.
+    """(s^(n-1)/A)^(1/2), the Bessel series' prefactor, for s >= 0.
 
     Since A = (2 sinh(s/2))^(n-1) cosh(s/2)^m_z, it is taken as
-    c0 (s e^(s/2) / expm1(s))^((n-1)/2) cosh(s/2)^(-m_z/2), which neither
-    underflows nor divides 0 by 0 at small s.
+    (s e^(s/2) / expm1(s))^((n-1)/2) cosh(s/2)^(-m_z/2), which neither
+    underflows nor divides 0 by 0 at small s; at s = 0 the ratio is its
+    limit 1, and so is the prefactor.
     """
-    ratio = s * np.exp(0.5 * s) / np.expm1(s)
-    return (c0_constant(params) * ratio ** (0.5 * (params.n - 1))
-            * np.cosh(0.5 * s) ** (-0.5 * params.m_z))
+    ratio = np.divide(s * np.exp(0.5 * s), np.expm1(s), out=np.ones_like(s), where=s > 0)
+    return ratio ** (0.5 * (params.n - 1)) * np.cosh(0.5 * s) ** (-0.5 * params.m_z)
 
 
 @functools.cache
@@ -235,25 +230,30 @@ def _bessel_coeffs(params: SpaceParams) -> np.ndarray:
     """Exact coefficients of the Bessel series, one read-only set per space,
     shape (17, 41): a_l(s) = sum_i row_l[i] s^(2i), l = 0..16.
 
-    With phi = c0 (s^(n-1)/A)^(1/2) w, the radial equation becomes
+    With phi = (s^(n-1)/A)^(1/2) w, the radial equation becomes
     w'' + ((n-1)/s) w' + lambda^2 w = D w, where D = V - (n-1)(n-3)/(4s^2)
     is even and analytic at 0 and V is the Liouville potential.  The
-    series is w = sum_l f_l(s) S_(mu_l)(lambda s), S = script_j,
-    mu_l = (n-2)/2 + l and f_l = s^(2l) a_l.  Since
-    s dS_mu/ds = (2mu - 1) S_(mu-1) - 2mu S_mu, free of lambda, matching
-    the coefficient of each S_(mu_l) makes f_l = sum_j e_j^(l) s^(2j)
-    triangular (the rank-one case of Stanton and Tomas, Acta Math. 140,
-    1978):
+    series is w = sum_l f_l(s) Lambda_(mu_l)(lambda s) in the normalized
+    kernels Lambda_mu = script_j(mu, .) / script_j(mu, 0), mu_l =
+    (n-2)/2 + l and f_l = s^(2l) a_l.  Since
+    s dLambda_mu/ds = 2mu (Lambda_(mu-1) - Lambda_mu), free of lambda,
+    matching the coefficient of each Lambda_(mu_l) makes
+    f_l = sum_j e_j^(l) s^(2j) triangular (the rank-one case of Stanton
+    and Tomas, Acta Math. 140, 1978):
 
         e^(0) = delta_j0,
-        e_j^(l+1) = R_l[j-1] / ((n-1+2l)(4j-2l-2)),   j >= l+1,
+        e_j^(l+1) = R_l[j-1] / ((n+2l)(4j-2l-2)),   j >= l+1,
         R_l[m] = sum_(k<=m) d_k e_(m-k)^(l)
                  - (2(m+1)(2m+n) - 2 mu_l (4m+4-2l)) e_(m+1)^(l),
 
     where D = sum_k d_k s^(2k) comes from the g_k of A'/A
     (log_density_taylor):
     d_m = (n+2m)/2 g_(m+1) + 1/4 sum_(i+j=m+1) g_i g_j - [m = 0] Q^2/4.
-    Orders 0..M = 16 are kept.
+    Orders 0..M = 16 are kept.  Lambda_mu(0) = 1 and a_0(0) = 1 give
+    phi(0) = 1.  (Written in script_j, as Stanton and Tomas write it, the
+    recursion divides by n-1+2l instead; its rows differ from these by
+    the exact ratios script_j(mu_l, 0) / script_j(mu_0, 0) =
+    prod_(j<l) (mu_0+j+1/2) / (mu_0+j+1).)
     """
     g = log_density_taylor(params)          # g_1..g_41: D and every f_l to s^80
     n, big_j = params.n, g.size - 1
@@ -269,7 +269,7 @@ def _bessel_coeffs(params: SpaceParams) -> np.ndarray:
         r = (np.convolve(d, e[l])[:big_j]
              - (2 * (m + 1) * (2 * m + n) - 2 * (mu0 + l) * (4 * m + 4 - 2 * l)) * e[l, 1:])
         j = np.arange(l + 1, big_j + 1)
-        e[l + 1, l + 1:] = r[l:] / ((n - 1 + 2 * l) * (4 * j - 2 * l - 2))
+        e[l + 1, l + 1:] = r[l:] / ((n + 2 * l) * (4 * j - 2 * l - 2))
     # a_l(s) = sum_i e_(l+i)^(l) s^(2i): row l shifted left by l, its l leading zeros wrapping
     for l in range(1, _BESSEL_M + 1):
         e[l] = np.roll(e[l], -l)
@@ -340,14 +340,13 @@ def _miller_factor(nu0: float, x: np.ndarray, t0: np.ndarray, t1: np.ndarray) ->
 
 
 def _kernel_sum(mu0: float, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum over l = 0..16 of weights[l] script_j(mu0 + l, x), for x >= 0.
+    """sum over l = 0..16 of weights[l] Lambda_(mu0 + l)(x), for x >= 0, in
+    the normalized kernels
+
+        Lambda_mu(x) = script_j(mu, x) / script_j(mu, 0) = Gamma(mu+1) (2/x)^mu J_mu(x).
 
     weights has shape (17, n_s) or (17, 1); each row broadcasts against
     x.  The sum is accumulated during one downward sweep of the order,
-    run on the normalized kernels
-
-        Lambda_mu(x) = script_j(mu, x) / script_j(mu, 0) = Gamma(mu+1) (2/x)^mu J_mu(x),
-
     for which Abramowitz & Stegun 9.1.27, J_(mu-1) + J_(mu+1) =
     (2 mu/x) J_mu, becomes the three-term
     Lambda_(mu-1) = Lambda_mu - x^2 Lambda_(mu+1) / (4 mu (mu+1)) (_down).
@@ -367,7 +366,6 @@ def _kernel_sum(mu0: float, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """
     top = mu0 + _BESSEL_M
     nu0 = mu0 % 1.0
-    w = _kernel_at_zero(mu0 + np.arange(_BESSEL_M + 1))[:, None] * weights
     miller = x <= top + 1.0
     n_miller = int(np.count_nonzero(miller))
     hi, lo = np.zeros_like(x), np.ones_like(x)                  # orders N + 1, N
@@ -378,12 +376,12 @@ def _kernel_sum(mu0: float, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
             hi, lo = lo, _down(mu, x_m, hi, lo)
     if n_miller < x.size:
         hi[~miller], lo[~miller] = _upward_top_kernels(mu0, x[~miller])
-    total = w[_BESSEL_M] * hi
-    term = w[_BESSEL_M - 1] * lo
+    total = weights[_BESSEL_M] * hi
+    term = weights[_BESSEL_M - 1] * lo
     total += term
     for l in range(_BESSEL_M - 1, 0, -1):
         hi, lo = lo, _down(mu0 + l, x, hi, lo)
-        np.multiply(w[l - 1], lo, out=term)
+        np.multiply(weights[l - 1], lo, out=term)
         total += term
     if n_miller:
         for mu in mu0 - np.arange(round(mu0 - nu0)):
@@ -397,37 +395,30 @@ def _kernel_sum(mu0: float, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 class _BesselColumns:
     """The Bessel series' parts that depend on s alone, built once per
-    phi_matrix call: the lowest kernel order mu0 = (n-2)/2, each order's
-    weight a_l(s) s^(2l) and the prefactor c0 (s^(n-1)/A)^(1/2)
-    (_bessel_pref), on the columns s > 0."""
+    phi_matrix call: the lowest kernel order mu0 = (n-2)/2 and each
+    order's weight (s^(n-1)/A)^(1/2) a_l(s) s^(2l) (_bessel_pref,
+    _bessel_coeffs), which is 1 at order 0 and 0 above it where s = 0."""
 
     def __init__(self, params: SpaceParams, s: np.ndarray):
         self.mu0 = (params.n - 2) / 2.0
-        self.pos = s > 0
-        sp = s[self.pos]
-        self.sp = sp
-        a = polynomial.polyval(sp * sp, _bessel_coeffs(params).T)     # (17, n_s)
-        self.weights = a * sp ** (2.0 * np.arange(_BESSEL_M + 1))[:, None]
-        self.pref = _bessel_pref(params, sp)
+        self.s = s
+        a = polynomial.polyval(s * s, _bessel_coeffs(params).T)      # (17, n_s)
+        self.weights = a * s ** (2.0 * np.arange(_BESSEL_M + 1))[:, None]
+        self.weights *= _bessel_pref(params, s)
 
 
 def _bessel_matrix(cols: _BesselColumns, lams: np.ndarray) -> np.ndarray:
     """Bessel-series values on the product of lams >= 0 and cols' s grid,
     shape (n_lam, n_s).
 
-    The sum over l <= 16 of a_l(s) s^(2l) script_j(mu0 + l, lambda s) is
+    The sum over l <= 16 of the weights times Lambda_(mu0 + l)(lambda s) is
     one downward sweep of the kernel order (_kernel_sum), vectorized over
-    the (lambda, s) product; s = 0 columns return exactly 1.  The series
-    converges absolutely for s < 2 only; phi_matrix() is its one caller,
-    block by block, and sends it no other column.
+    the (lambda, s) product; at s = 0 every Lambda is 1 and the weights
+    are 1, 0, .., 0, so those cells are exactly 1.  The series converges
+    absolutely for s < 2 only; phi_matrix() is its one caller, block by
+    block, and sends it no other column.
     """
-    total = _kernel_sum(cols.mu0, np.outer(lams, cols.sp), cols.weights)
-    total *= cols.pref
-    if np.all(cols.pos):
-        return total
-    out = np.ones((lams.size, cols.pos.size))
-    out[:, cols.pos] = total
-    return out
+    return _kernel_sum(cols.mu0, np.outer(lams, cols.s), cols.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -436,14 +427,7 @@ def _bessel_matrix(cols: _BesselColumns, lams: np.ndarray) -> np.ndarray:
 
 def phi(params: SpaceParams, lam: float, s: float) -> float:
     """phi_lambda(s): phi_matrix on one cell."""
-    return phi_with_method(params, lam, s)[0]
-
-
-def phi_with_method(params: SpaceParams, lam: float, s: float) -> tuple[float, str]:
-    """phi value, as phi_matrix on one cell, plus the name of its route:
-    "bessel" for s < 2 and "hc" beyond."""
-    val = float(phi_matrix(params, [lam], [s])[0, 0])
-    return val, "bessel" if s < S_HC_MIN else "hc"
+    return float(phi_matrix(params, [lam], [s])[0, 0])
 
 
 def phi_matrix(params: SpaceParams, lams, s) -> np.ndarray:

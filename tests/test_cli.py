@@ -213,6 +213,10 @@ def test_config_error_exit_code(tmp_path, out_root):
     # fewer than 5 distinct N leave the slope fits rank-deficient
     ["experiment", "case1", "--n-list", "64,64,64,64,64", "--beta-list", "0.25"],
     ["experiment", "case2", "--n-list", "8,8,8,8,8"],
+    # psi ~ N^a past the double range; an empty lambda or s list
+    ["experiment", "case1", "--a", "100"],
+    ["phi", "--lambda", ","],
+    ["phi", "--s", ""],
 ])
 def test_malformed_input_is_a_usage_error(tmp_path, out_root, capsys, argv):
     cfg = tmp_path / "bad.cfg"

@@ -117,6 +117,15 @@ def test_case1_run_validation(space21):
         case1_run(space21, 1.0, [0.1], CASE1_N)
 
 
+@pytest.mark.parametrize("shifted", [False, True])
+def test_case1_run_rejects_psi_past_the_double_range(space21, shifted):
+    # psi ~ N^a at the largest N: a = 100 at N = 4096 is 1e361, which
+    # raised OverflowError in t(s) = s/(a N^(a-1)); it is a usage error,
+    # raised before any N is worked
+    with pytest.raises(ValidationError, match="double range"):
+        case1_run(space21, 100.0, [0.1], [64, 128, 256, 512, 4096], shifted=shifted)
+
+
 def euclidean_sobolev_norm(params, fg, beta: float) -> float:
     """Inhomogeneous Sobolev norm of the radial Euclidean profile with
     spectrum Fg: (int (1+lambda^2)^beta |Fg|^2 lambda^(n-1) dlambda)^(1/2),

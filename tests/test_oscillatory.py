@@ -426,6 +426,21 @@ def test_sample_triples_cover_three_cases(space21):
     assert np.any(gaps >= 1.0)
 
 
+@pytest.mark.parametrize("selector", ["frac:1.001", "frac-shifted:1.001"])
+def test_sample_triples_when_c6_underflows(space21, selector):
+    # just above delta2 = 1, C6 = C5^(1/(delta2-1)) is 0 in doubles: the
+    # first threshold is infinite and the annulus width caps it, so the
+    # sampling and the dyadic check run instead of dividing by 0
+    kind = PhaseKind.from_selector(selector)
+    assert proof_constants(kind, space21)["C6"] == 0.0
+    triples = sample_claim_triples(kind, space21, 3, seed=0)
+    lo, hi = oscillatory._ANNULUS
+    assert np.all((triples[:, :2] >= lo) & (triples[:, :2] <= hi))
+    assert np.all(triples[:, 1] > triples[:, 0])
+    rep = dyadic_sum_check(kind, space21, triples, big_k=20)
+    assert rep.passed
+
+
 # ---------------------------------------------------------------------------
 # van der Corput sweep
 # ---------------------------------------------------------------------------

@@ -73,16 +73,14 @@ def test_low_pair_matches_mpmath(nu0):
 
 
 def test_bessel_at_zero():
-    # at x = 0 every kernel order is its series limit
-    # script_j_mu(0) = sqrt(pi) Gamma(mu+1/2) / Gamma(mu+1)
+    # at x = 0 every order of the normalized kernel Lambda_mu(x) =
+    # script_j(mu, x) / script_j(mu, 0) is 1
     from drwave.spherical import _kernel_sum
 
     for mu0 in (0.5, 1.0, 11.0):
         for l in range(17):
             kernel = _kernel_sum(mu0, np.zeros(3), np.eye(17)[l][:, None])
-            mu = mu0 + l
-            limit = math.sqrt(math.pi) * math.exp(math.lgamma(mu + 0.5) - math.lgamma(mu + 1.0))
-            np.testing.assert_allclose(kernel, limit, rtol=1e-13)
+            np.testing.assert_allclose(kernel, 1.0, rtol=1e-13)
 
 
 def test_script_j_limits():

@@ -8,8 +8,9 @@ from scipy.special import gammaln
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from drwave import spherical
+from drwave import special, spherical
 from drwave.errors import DomainError, PhiBoundError, ResolutionError
+from drwave.profiles import RadialProfile
 from drwave.space import density, log_density_derivative, new_space
 from drwave.special import script_j
 from drwave.spherical import (
@@ -20,12 +21,11 @@ from drwave.spherical import (
     _HCSeries,
     _hc_mu_for,
     _kernel_sum,
-    c0_constant,
     omega_coeffs,
     phi,
     phi_matrix,
-    phi_with_method,
 )
+from drwave.transform import sft_forward
 from oracles import phi_hyp
 
 
@@ -71,10 +71,9 @@ def test_phi_matrix_exact_on_h3(space20):
 ])
 def test_dispatcher_exact_on_h3(space20, lam, s, method):
     ref = _phi_h3(lam, np.array([s]))[0]
-    val, got_method = phi_with_method(space20, lam, s)
-    assert got_method == method
+    val = phi(space20, lam, s)
+    assert val == _route(space20, lam, s, method)
     assert abs(val - ref) < H3_TOL
-    assert abs(phi(space20, lam, s) - ref) < H3_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +167,15 @@ def _bessel(params, lams, s) -> np.ndarray:
     return _bessel_matrix(cols, np.asarray(lams, dtype=float))
 
 
+def _route(params, lam: float, s: float, method: str) -> float:
+    """phi_lambda(s) from the route `method` alone: "bessel" or "hc"."""
+    if method == "bessel":
+        return _bessel(params, [abs(lam)], [s])[0, 0]
+    return _series(params, lam, np.array([s]))[0]
+
+
 def _kernels(mu0: float, x: np.ndarray):
-    """(l, script_j(mu0 + l, x)) for l = 16..0, each order from its own
+    """(l, Lambda_(mu0 + l)(x)) for l = 16..0, each order from its own
     _kernel_sum with that order's weight 1 and every other 0."""
     for l in range(16, -1, -1):
         yield l, _kernel_sum(mu0, x, np.eye(17)[l][:, None])
@@ -217,12 +223,6 @@ def test_phi_bessel_bound_high_frequency(space21):
     assert abs(val) <= 1.0 + 1e-9
 
 
-def test_c0_constant_real_hyperbolic():
-    # for m_z = 0 the reduced constant coincides with the literature value
-    p = new_space(2, 0)
-    assert c0_constant(p) == pytest.approx(0.5, rel=1e-13)
-
-
 def _a_values(params, s):
     """a_l(s) for l = 0..16, shape (17, n_s), from the space's coefficients."""
     return polynomial.polyval(s * s, _bessel_coeffs(params).T)
@@ -238,7 +238,8 @@ def _scale_orders(monkeypatch, params, weight):
 @pytest.mark.parametrize("m", [0, 1, 2, 16])
 @pytest.mark.parametrize("m_v,m_z", [(2, 0), (2, 1), (4, 3), (6, 2)])
 def test_bessel_matrix_matches_per_order_sum(m_v, m_z, m, monkeypatch):
-    # the order recurrence against one script_j call per order, over
+    # the order recurrence against Lambda_mu(x) = script_j(mu, x) /
+    # script_j(mu, 0), one script_j pair per order, over
     # x = lambda s from 0 through x < 0.1 and x ~ mu up to x = 1e5; a table
     # cut after order m < 16 isolates the sweep's lowest orders, which the
     # downward recurrence reaches last
@@ -251,9 +252,9 @@ def test_bessel_matrix_matches_per_order_sum(m_v, m_z, m, monkeypatch):
     _scale_orders(monkeypatch, params, np.arange(17) <= m)
     got = _bessel(params, lams, s)
     assert np.all(got[:, 0] == 1.0)
-    pref = c0_constant(params) * np.sqrt(sp ** (params.n - 1) / density(params, sp))
+    pref = np.sqrt(sp ** (params.n - 1) / density(params, sp))
     for i, lam in enumerate(lams):
-        ref = pref * sum(a[l] * sp ** (2 * l) * script_j(mu0 + l, lam * sp)
+        ref = pref * sum(a[l] * sp ** (2 * l) * _lambda_oracle(mu0 + l, lam * sp)
                          for l in range(m + 1))
         assert np.max(np.abs(got[i, 1:] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -263,7 +264,7 @@ def test_kernel_orders_upward_path_matches_mpmath(mu0):
     # cells with x > mu0 + m + 1 take the upward recurrence from the start
     # pair: just above that switch, on both sides of the Hankel switch at
     # 1e3 and up to 2e5; every order within 2e-13 of the kernel's amplitude
-    # sqrt(2/(pi x)) 2^mu sqrt(pi) Gamma(mu+1/2) / x^mu
+    # sqrt(2/(pi x)) Gamma(mu+1) (2/x)^mu
     m = 16
     x = np.concatenate([mu0 + m + 1.0 + np.array([1e-9, 1e-3, 0.5, 3.0]),
                         [60.0, 999.0, 999.999, 1000.0, 1000.5, 3e4, 1.3e5, 2e5]])
@@ -272,32 +273,35 @@ def test_kernel_orders_upward_path_matches_mpmath(mu0):
             mu = mp.mpf(mu0 + l)
             for xi, got in zip(x, kernel):
                 xm = mp.mpf(float(xi))
-                pref = 2**mu * mp.sqrt(mp.pi) * mp.gamma(mu + 0.5) / xm**mu
+                pref = mp.gamma(mu + 1) * (2 / xm)**mu
                 ref = pref * mp.besselj(mu, xm)
                 amp = pref * mp.sqrt(2 / (mp.pi * xm))
                 assert abs(got - ref) <= 2e-13 * amp, (float(mu), float(xi))
 
 
+def _lambda_oracle(mu, x):
+    """Lambda_mu(x) = script_j(mu, x) / script_j(mu, 0), the normalized kernel."""
+    return script_j(mu, x) / script_j(mu, 0.0)
+
+
 def _kernel_amplitude(mu, x):
-    """The amplitude of script_j(mu, x): its series limit script_j(mu, 0),
-    which bounds it, or the envelope sqrt(2/(pi x)) 2^mu sqrt(pi)
-    Gamma(mu+1/2) / x^mu of its oscillation, whichever is smaller."""
+    """The amplitude of Lambda_mu(x): its value 1 at x = 0, which bounds
+    it, or the envelope sqrt(2/(pi x)) Gamma(mu+1) (2/x)^mu of its
+    oscillation, whichever is smaller."""
     mu = np.asarray(mu, dtype=float)[..., None, None]
     x = np.asarray(x, dtype=float)
-    log_limit = 0.5 * math.log(math.pi) + gammaln(mu + 0.5) - gammaln(mu + 1.0)
     with np.errstate(divide="ignore"):
-        log_env = (mu * math.log(2.0) + 0.5 * math.log(math.pi) + gammaln(mu + 0.5)
-                   - mu * np.log(x) + 0.5 * np.log(2.0 / (math.pi * x)))
-    return np.exp(np.minimum(log_limit, log_env))
+        log_env = gammaln(mu + 1.0) + mu * np.log(2.0 / x) + 0.5 * np.log(2.0 / (math.pi * x))
+    return np.exp(np.minimum(0.0, log_env))
 
 
 def _bessel_amplitude(params, lams, s):
     """The amplitude of the Bessel series on the grid product, s > 0:
-    c0 (s^(n-1)/A)^(1/2) sum_l |a_l(s)| s^(2l) times each kernel's amplitude."""
+    (s^(n-1)/A)^(1/2) sum_l |a_l(s)| s^(2l) times each kernel's amplitude."""
     l = np.arange(17)
     weights = np.abs(_a_values(params, s)) * s ** (2 * l)[:, None]
     amp = _kernel_amplitude((params.n - 2) / 2 + l, np.outer(lams, s))   # (17, n_lam, n_s)
-    pref = c0_constant(params) * np.sqrt(s ** (params.n - 1) / density(params, s))
+    pref = np.sqrt(s ** (params.n - 1) / density(params, s))
     return pref * np.einsum("ls,lis->is", weights, amp)
 
 
@@ -322,28 +326,25 @@ def test_miller_kernels_match_mpmath(mu0):
                 for xi, got, a in zip(x, kernel, amp):
                     xm = mp.mpf(float(xi))
                     if xi == 0.0:
-                        ref = mp.sqrt(mp.pi) * mp.gamma(mu + 0.5) / mp.gamma(mu + 1)
+                        ref = mp.mpf(1)
                     else:
-                        pref = 2**mu * mp.sqrt(mp.pi) * mp.gamma(mu + 0.5) / xm**mu
-                        ref = pref * mp.besselj(mu, xm)
+                        ref = mp.gamma(mu + 1) * (2 / xm)**mu * mp.besselj(mu, xm)
                     assert abs(got - ref) <= 2e-13 * a, (float(mu), float(xi))
 
 
 @pytest.mark.parametrize("m_v,m_z", [(2, 0), (2, 1), (4, 3), (6, 2), (16, 7)])
 def test_bessel_matrix_lambda_zero_row(m_v, m_z):
     # a call whose one row is lambda = 0 sweeps x = 0 only: each order is
-    # its series limit, and the row equals the lambda = 0 row of a call
+    # its value Lambda_mu(0) = 1, and the row equals the lambda = 0 row of a call
     # whose other rows take the upward start
     params = new_space(m_v, m_z)
     s = np.array([0.0, 1e-3, 0.3, 1.0, 1.9])
     got = _bessel(params, [0.0], s)[0]
     sp = s[1:]
-    mu = (params.n - 2) / 2 + np.arange(17)
-    limits = np.sqrt(np.pi) * np.exp(gammaln(mu + 0.5) - gammaln(mu + 1.0))
     weights = _a_values(params, sp) * sp ** (2 * np.arange(17))[:, None]
-    pref = c0_constant(params) * np.sqrt(sp ** (params.n - 1) / density(params, sp))
-    ref = pref * (limits @ weights)
-    amp = pref * (limits @ np.abs(weights))
+    pref = np.sqrt(sp ** (params.n - 1) / density(params, sp))
+    ref = pref * weights.sum(axis=0)
+    amp = pref * np.abs(weights).sum(axis=0)
     assert got[0] == 1.0
     assert np.all(np.abs(got[1:] - ref) <= 2e-13 * amp)
     mixed = _bessel(params, [0.0, 5.0, 1e4], s)
@@ -421,7 +422,8 @@ def test_phi_matrix_at_huge_lambda(m_v, m_z):
 @pytest.mark.parametrize("m_v,m_z", [(2, 0), (2, 1), (4, 3), (16, 7)])
 def test_bessel_matrix_per_order_sum_across_upward_switch(m_v, m_z, m, monkeypatch):
     # one call whose cells lie on both sides of x = mu0 + 17, against
-    # one script_j call per order; a table cut after order m = 1 checks the
+    # Lambda_mu = script_j(mu, .) / script_j(mu, 0) per order; a table cut
+    # after order m = 1 checks the
     # two lowest orders alone on both sides
     params = new_space(m_v, m_z)
     mu0 = (params.n - 2) / 2
@@ -430,11 +432,33 @@ def test_bessel_matrix_per_order_sum_across_upward_switch(m_v, m_z, m, monkeypat
     a = _a_values(params, s)
     _scale_orders(monkeypatch, params, np.arange(17) <= m)
     got = _bessel(params, lams, s)
-    pref = c0_constant(params) * np.sqrt(s ** (params.n - 1) / density(params, s))
+    pref = np.sqrt(s ** (params.n - 1) / density(params, s))
     for i, lam in enumerate(lams):
-        ref = pref * sum(a[l] * s ** (2 * l) * script_j(mu0 + l, lam * s)
+        ref = pref * sum(a[l] * s ** (2 * l) * _lambda_oracle(mu0 + l, lam * s)
                          for l in range(m + 1))
         assert np.max(np.abs(got[i] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_phi_path_calls_neither_gammaln_nor_jv(monkeypatch):
+    # gammaln and jv serve script_j, the tests' oracle, alone: phi_matrix
+    # on both routes, lambda = 0 and s = 0 included, and a forward
+    # transform run with both refusing every call
+    def refuse(*args):
+        raise AssertionError("scipy.special called on the phi path")
+
+    monkeypatch.setattr(special, "gammaln", refuse)
+    monkeypatch.setattr(special, "jv", refuse)
+    lams = np.array([0.0, 0.5, 9.0, 40.0, 3e3])
+    s = np.array([0.0, 1e-3, 0.3, 1.9, 2.0, 2.5, 6.0])
+    for m_v, m_z in [(2, 0), (2, 1), (4, 3), (16, 7)]:
+        params = new_space(m_v, m_z)
+        got = phi_matrix(params, lams, s)
+        assert np.all(got[:, 0] == 1.0)
+        assert np.all(np.abs(got) <= 1.0 + 1e-9)
+    s_grid = np.linspace(0.0, 12.0, 241)
+    fh = sft_forward(new_space(2, 1), RadialProfile(s_grid, np.exp(-s_grid**2)),
+                     np.linspace(0.0, 8.0, 33))
+    assert np.all(np.isfinite(fh.values))
 
 
 def test_bessel_series_small_s_normalization(all_spaces):
@@ -453,18 +477,19 @@ def test_phi_at_identity(space21):
 
 
 def test_phi_methods(space21):
-    assert phi_with_method(space21, 2.0, 0.3)[1] == "bessel"
-    assert phi_with_method(space21, 2.0, 3.0)[1] == "hc"
-    assert phi_with_method(space21, 2.0, 1.2)[1] == "bessel"
-    assert phi_with_method(space21, 0.5, 4.0)[1] == "hc"
+    # below s = 2 phi is the Bessel series' value, from s = 2 on the
+    # exponential series', bit for bit
+    for lam, s, method in [(2.0, 0.3, "bessel"), (2.0, 3.0, "hc"), (2.0, 1.2, "bessel"),
+                           (0.5, 4.0, "hc"), (2.0, 2.0, "hc")]:
+        assert phi(space21, lam, s) == _route(space21, lam, s, method)
 
 
 def test_phi_boundary_continuity(space21):
     # s = 2: Bessel against the exponential series at every lambda
     for lam in (0.5, 1.0, 5.0, 25.0):
-        left, left_method = phi_with_method(space21, lam, 2.0 - 1e-9)
-        right, right_method = phi_with_method(space21, lam, 2.0 + 1e-9)
-        assert (left_method, right_method) == ("bessel", "hc")
+        left, right = phi(space21, lam, 2.0 - 1e-9), phi(space21, lam, 2.0 + 1e-9)
+        assert left == _route(space21, lam, 2.0 - 1e-9, "bessel")
+        assert right == _route(space21, lam, 2.0 + 1e-9, "hc")
         assert abs(left - right) < 1e-6
 
 
