@@ -7,11 +7,12 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResolutionError
 
 __all__ = ["panel_rule", "panel_rules", "grid_integral"]
 
 _PHASE_CAP = math.pi / 4.0
+_PANELS_CAP = 2**22      # panels of one panel_rules call: 2^25 nodes
 
 
 @functools.cache
@@ -40,9 +41,17 @@ def panel_rules(a, b, max_rate, min_panels):
     (nodes, weights, counts): interval i owns the counts[i] nodes that
     follow those of intervals before it.  Edges are laid out as np.linspace
     lays them out, so each interval's rule is bit for bit the one
-    panel_rule gives it."""
+    panel_rule gives it.  Raises ResolutionError, before any allocation,
+    where the rates ask for more than 2^22 panels in all or for a count
+    that is not finite."""
     width_cap = _PHASE_CAP / np.maximum(max_rate, 1e-12)
-    n_panels = np.maximum(min_panels, np.ceil((b - a) / width_cap).astype(np.int64))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        wanted = np.maximum(min_panels, np.ceil((b - a) / width_cap))
+    total = float(np.sum(wanted))
+    if not total <= _PANELS_CAP:
+        raise ResolutionError(f"a phase-resolving rule needs {total:.3g} panels, "
+                              f"above the cap of {_PANELS_CAP} (max rate {np.max(max_rate):.3g})")
+    n_panels = wanted.astype(np.int64)
     owner = np.repeat(np.arange(a.size), n_panels)
     j = np.arange(owner.size) - np.repeat(np.cumsum(n_panels) - n_panels, n_panels)
     step = ((b - a) / n_panels)[owner]

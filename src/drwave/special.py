@@ -1,14 +1,15 @@
 """Bessel kernels, the Harish-Chandra c-function and the Plancherel density
-|c(lambda)|^-2.
+|c(lambda)|^-2, with no scipy on any of their paths.
 
-script_j is the kernel of one order, by scipy's jv and, for its series
-limit script_j(mu, 0), gammaln; it is the public kernel and the tests'
-oracle, and no phi route calls it.  The Bessel series sweeps its orders
-by recurrence (spherical._kernel_sum) on the normalized kernels
-Lambda_mu(x) = script_j(mu, x) / script_j(mu, 0), which are 1 at x = 0
-and need neither function; _low_pair gives them exactly at the two
-lowest orders, whose values start the upward order recurrence and
-normalize Miller's downward one.
+script_j is the kernel of one order, by scipy's jv (imported on its
+first call away from x = 0) and, for its series limit script_j(mu, 0),
+math.lgamma; it is the public kernel and the tests' oracle, and no phi
+route calls it.  The Bessel series sweeps its orders by recurrence
+(spherical._kernel_sum) on the normalized kernels
+Lambda_mu(x) = script_j(mu, x) / script_j(mu, 0), which are 1 at x = 0;
+_low_pair gives them exactly at the two lowest orders, where they start
+the upward order recurrence: by closed forms at half-integer orders and
+by the Hankel expansion at integer ones.
 
 The c-function is the four-Gamma ratio
 
@@ -20,16 +21,18 @@ left in |c|^-2 have integer or half-integer real parts, and |h| = |lambda c|
 is a closed form (_h_modulus, which c_function, plancherel_density and the
 exponential series all read), accurate to rounding for every lambda >= 0.
 Its phase is that of h(lambda) = i lambda c(lambda), which has no pole
-(_h_phase, over a whole lambda array at once).
+(_h_phase, over a whole lambda array at once): arctangents and one
+log-Gamma ratio taken by its asymptotic expansion (_ratio_phase), so no
+log-Gamma of a complex argument is evaluated.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln, j0, j1, jv, loggamma
 
 from .errors import DomainError, PoleError
 from .space import SpaceParams, _bernoulli
@@ -54,7 +57,7 @@ def _script_j_series(mu: float, x):
     for k in range(1, _SERIES_TERMS + 1):
         term = term * (-q) / (k * (mu + k))
         acc = acc + term
-    return math.sqrt(math.pi) * np.exp(gammaln(mu + 0.5) - gammaln(mu + 1.0)) * acc
+    return math.sqrt(math.pi) * math.exp(math.lgamma(mu + 0.5) - math.lgamma(mu + 1.0)) * acc
 
 
 def script_j(mu: float, x):
@@ -74,6 +77,8 @@ def script_j(mu: float, x):
     if np.any(small):
         out[small] = _script_j_series(mu, x[small])
     if np.any(~small):
+        from scipy.special import jv     # the library's one scipy call, loaded on first use
+
         xs = x[~small]
         # log-scaled prefactor: 2^mu sqrt(pi) Gamma(mu+1/2) / x^mu
         logpref = (mu * math.log(2.0) + 0.5 * math.log(math.pi) + math.lgamma(mu + 0.5)
@@ -82,72 +87,89 @@ def script_j(mu: float, x):
     return float(out[0]) if scalar else out
 
 
-# Beyond this x the integer start pair takes the Hankel expansion, whose
-# a_8 term is below 1e-23 of the leading one there; below it, j0 and j1.
-_HANKEL_X_MIN = 1e3
-_HANKEL_TERMS = 8
+# The integer start pair splits its cells here (_low_pair).
+_HANKEL_SPLIT = 40.0
 
 
-def _hankel_sums(nu: int, x):
-    """P and Q of the Hankel expansion (DLMF 10.17.3) at order nu, with
-    a_0..a_7: J_nu(x) = sqrt(2/(pi x)) (P cos w - Q sin w), w = x - nu pi/2 - pi/4.
-    Both are polynomials in 1/x^2, run by Horner in place."""
-    a = [1.0]
-    for k in range(1, _HANKEL_TERMS):
-        a.append(a[-1] * (4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k))
-    w = np.reciprocal(x)       # 1/x^2 as (1/x)^2: x^2 overflows beyond 1.3e154
-    w *= w
-    p, q = np.full_like(x, a[-2]), np.full_like(x, a[-1])
-    for k in range(_HANKEL_TERMS // 2 - 2, -1, -1):   # a_2k (-1)^k and a_2k+1 (-1)^k
-        p *= -w
-        p += a[2 * k]
-        q *= -w
-        q += a[2 * k + 1]
-    q /= x
-    return p, q
+@functools.cache
+def _hankel_rows(x_min: int) -> np.ndarray:
+    """Horner rows of the Hankel expansion (DLMF 10.17.1, 10.17.3) at
+    orders 0 and 1 for x >= x_min, the highest first: row k holds a_2k
+    and a_(2k+1) at order 0, then at order 1, for powers of -1/x^2.  The
+    terms run while a next a_k / x_min^k at either order is at least 1e-17
+    and none has stopped falling, so that the first one left out is below
+    1e-17 or is the least term of the asymptotic series (3e-17 at x = 18):
+    38 terms at x = 18, 20 at 25, 14 at 50, 6 at 1e3."""
+    a = [np.ones(2)]                                    # a_k at orders 0 and 1
+    while True:
+        k = len(a)
+        nxt = a[-1] * (np.array([0.0, 4.0]) - (2 * k - 1) ** 2) / (8.0 * k)
+        if np.all(np.abs(nxt) < 1e-17 * x_min**k) or np.any(np.abs(nxt) >= np.abs(a[-1]) * x_min):
+            break
+        a.append(nxt)
+    a = np.array(a + [np.zeros(2)] * (len(a) % 2))      # an even count, a 0 appended
+    rows = a.reshape(-1, 2, 2).transpose(0, 2, 1).reshape(-1, 4)
+    rows.flags.writeable = False       # shared by every caller through the cache
+    return rows[::-1]
 
 
-def _hankel_pair(x):
-    """J_0(x) and J_1(x) by the Hankel expansion, the phases w taken from
-    sin x and cos x of x itself (j0 and j1 lose phase accuracy at large x)."""
-    amp = (math.pi * x) ** -0.5            # sqrt(2/(pi x)) / sqrt(2)
+def _hankel_pair(x, x_min: float):
+    """Lambda_0(x) = J_0(x) and Lambda_1(x) = 2 J_1(x) / x for x >= x_min >= 18,
+    x of any shape, by the Hankel expansion
+    J_nu(x) = sqrt(2/(pi x)) (P cos w - Q sin w), w = x - nu pi/2 - pi/4,
+    with P and Q polynomials in 1/x^2 (_hankel_rows at the floor of x_min,
+    and at 1e3 beyond) run by one Horner sweep for both orders, and the
+    phases w taken from sin x and cos x of x itself."""
+    rows = _hankel_rows(min(math.floor(x_min), 1000))
+    inv = np.reciprocal(x)
+    w = -inv.reshape(-1) * inv.reshape(-1)      # -1/x^2: x^2 overflows beyond 1.3e154
+    acc = np.empty((4, w.size))
+    acc[:] = rows[0][:, None]
+    for row in rows[1:]:
+        acc *= w
+        acc += row[:, None]
+    acc[1::2] *= inv.reshape(-1)                 # Q carries a factor 1/x
+    p0, q0, p1, q1 = (r.reshape(x.shape) for r in acc)
+    amp = np.sqrt(inv * (1.0 / math.pi))         # sqrt(2/(pi x)) / sqrt(2)
     sin_x, cos_x = np.sin(x), np.cos(x)
-    # sqrt(2) cos w and -sqrt(2) sin w at order 1, w = x - 3 pi/4, times amp
-    d, t = (sin_x - cos_x) * amp, (sin_x + cos_x) * amp
-    del sin_x, cos_x, amp    # freed early: this branch sets the Bessel route's peak memory
-    j_0, q = _hankel_sums(0, x)            # at order 0, d and t turn into t and -d
-    j_0 *= t
-    j_0 -= np.multiply(q, d, out=q)
-    j_1, q = _hankel_sums(1, x)
-    j_1 *= d
-    j_1 += np.multiply(q, t, out=q)
-    return j_0, j_1
+    # sqrt(2) cos w and -sqrt(2) sin w at order 1, w = x - 3 pi/4, are d and t;
+    # at order 0 they turn into t and -d
+    d, t = sin_x - cos_x, np.add(sin_x, cos_x, out=sin_x)
+    lo = p0 * t
+    lo -= np.multiply(q0, d, out=q0)
+    lo *= amp
+    hi = np.multiply(p1, d, out=d)
+    hi += np.multiply(q1, t, out=t)
+    amp *= inv
+    amp *= 2.0
+    hi *= amp
+    return lo, hi
 
 
 def _low_pair(nu0: float, x):
-    """Lambda_nu0(x) and Lambda_(nu0+1)(x), nu0 = 0 or 1/2, x >= 0, of the
-    normalized kernel Lambda_mu(x) = Gamma(mu+1) (2/x)^mu J_mu(x) =
-    script_j(mu, x) / script_j(mu, 0): sin x / x and 3 (sin x / x - cos x) / x^2,
-    or J_0(x) and 2 J_1(x) / x by j0 and j1 below x = 1e3 and the Hankel
-    expansion above.  Order nu0 + 1 is given from x = 1 on and is 0 below
-    it, where the half-integer form cancels."""
+    """Lambda_nu0(x) and Lambda_(nu0+1)(x) of the normalized kernel
+    Lambda_mu(x) = Gamma(mu+1) (2/x)^mu J_mu(x) = script_j(mu, x) /
+    script_j(mu, 0): for nu0 = 1/2 and x >= 0, sin x / x and
+    3 (sin x / x - cos x) / x^2, order nu0 + 1 given from x = 1 on and 0
+    below it, where the form cancels; for nu0 = 0 and x >= 18, J_0(x) and
+    2 J_1(x) / x by the Hankel expansion (_hankel_pair).  Where cells lie
+    on both sides of x = 40, every cell takes the sums for x >= 40 and
+    those below 40 are taken again with the longer sums their smallest x
+    needs, so that the others do not pay for them."""
     x = np.asarray(x, dtype=float)
     if nu0 == 0.5:
         lo = np.divide(np.sin(x), x, out=np.ones_like(x), where=x > 0)
         hi = lo - np.cos(x)
-    else:
-        big = x >= _HANKEL_X_MIN          # a uniform mask passes x on without a copy
-        if not np.any(big):
-            lo, hi = j0(x), j1(x)
-        elif np.all(big):
-            lo, hi = _hankel_pair(x)
-        else:
-            lo, hi = np.empty_like(x), np.empty_like(x)
-            lo[big], hi[big] = _hankel_pair(x[big])
-            lo[~big], hi[~big] = j0(x[~big]), j1(x[~big])
-    inv = np.divide(1.0, x, out=np.zeros_like(x), where=x >= 1.0)    # 1/x, 0 below 1
-    hi *= inv
-    hi *= 3.0 * inv if nu0 == 0.5 else 2.0
+        inv = np.divide(1.0, x, out=np.zeros_like(x), where=x >= 1.0)    # 1/x, 0 below 1
+        hi *= inv
+        hi *= 3.0 * inv
+        return lo, hi
+    x_min = float(np.min(x))
+    near = np.flatnonzero(x.reshape(-1) < _HANKEL_SPLIT)
+    if near.size in (0, x.size):
+        return _hankel_pair(x, x_min)
+    lo, hi = _hankel_pair(x, _HANKEL_SPLIT)
+    lo.reshape(-1)[near], hi.reshape(-1)[near] = _hankel_pair(x.reshape(-1)[near], x_min)
     return lo, hi
 
 
@@ -163,35 +185,48 @@ def _gamma_shifts(params: SpaceParams) -> tuple[list[float], int]:
     return shifts, n_half
 
 
-# Beyond |lambda| = _RATIO_LAMBDA_MIN, _ratio_phase takes the ratio expansion
-# (DLMF 5.11.13) of ln Gamma(1/2 + z) - ln Gamma(1 + z) at z = i lambda:
-#     -1/2 ln z + sum_(k=1..14) (-1)^(k+1) (2^-k - 2) B_(k+1) / (k (k+1) z^k).
-# Its imaginary part is -sign(lambda) pi/4 plus the odd-k terms, whose
-# coefficients of lambda^-k, k = 1, 3, .., 13, are held here.
+# _ratio_phase takes the ratio expansion (DLMF 5.11.13) of
+#     ln Gamma(1/2 + z) - ln Gamma(1 + z)
+#         = -1/2 ln z + sum_(k=1..15) (2^-k - 2) B_(k+1) / (k (k+1) z^k),
+# whose terms at even k vanish; _RATIO_COEFFS holds those at odd k.  At
+# z = i lambda, |lambda| >= _RATIO_LAMBDA_MIN, its imaginary part is
+# -sign(lambda) pi/4 plus odd powers of 1/lambda; below, z = _RATIO_SHIFT
+# + i lambda, and the shift's factors are taken out (DLMF 5.5.1).
 _RATIO_LAMBDA_MIN = 10.0
+_RATIO_SHIFT = 12
 _RATIO_COEFFS = tuple(
-    float((-1) ** ((k + 1) // 2) * (Fraction(1, 2**k) - 2) * b / (k * (k + 1)))
-    for k, b in zip(range(1, 14, 2), _bernoulli(14)[2::2]))    # b = B_(k+1)
+    float((Fraction(1, 2**k) - 2) * b / (k * (k + 1)))
+    for k, b in zip(range(1, 16, 2), _bernoulli(16)[2::2]))    # b = B_(k+1)
 
 
 def _ratio_phase(lam):
     """Im[ln Gamma(1/2 + i lambda) - ln Gamma(1 + i lambda)] at real lambda,
-    scalar or array; odd in lambda.  Each log-Gamma has an imaginary part of
-    size |lambda| ln |lambda|, so their difference by loggamma loses
-    1e-16 |lambda| ln |lambda|; from |lambda| = 10 on the ratio expansion
-    gives it to rounding."""
+    scalar or array; odd in lambda.  Each log-Gamma has an imaginary part
+    of size |lambda| ln |lambda|, so their difference is taken whole, by
+    the ratio expansion (_RATIO_COEFFS): at z = i lambda from |lambda| = 10
+    on, and below at z = 12 + i lambda, less the shift
+    sum_(j<12) [arg(j + 1/2 + i lambda) - arg(j + 1 + i lambda)], each
+    difference one arctangent of lambda / (2 (j + 1/2)(j + 1) + 2 lambda^2)."""
     lam = np.asarray(lam, dtype=float)
     out = np.empty_like(lam)
     near = np.abs(lam) < _RATIO_LAMBDA_MIN
     x = lam[near]
-    out[near] = loggamma(0.5 + 1j * x).imag - loggamma(1.0 + 1j * x).imag
+    w = np.reciprocal(_RATIO_SHIFT + 1j * x)      # 1/z
+    phase = (_horner(_RATIO_COEFFS, w * w) * w).imag + 0.5 * np.angle(w)
+    for j in range(_RATIO_SHIFT):
+        phase -= np.arctan(0.5 * x / ((j + 0.5) * (j + 1.0) + x * x))
+    out[near] = phase
     x = lam[~near]
-    w = 1.0 / (x * x)
-    acc = np.zeros_like(x)
-    for c in reversed(_RATIO_COEFFS):
-        acc = acc * w + c
-    out[~near] = acc / x - np.copysign(0.25 * math.pi, x)
+    out[~near] = -_horner(_RATIO_COEFFS, -1.0 / (x * x)) / x - np.copysign(0.25 * math.pi, x)
     return out
+
+
+def _horner(coeffs, w):
+    """sum_i coeffs[i] w^i, w an array (real or complex)."""
+    acc = np.zeros_like(w)
+    for c in reversed(coeffs):
+        acc = acc * w + c
+    return acc
 
 
 def _h_phase(params: SpaceParams, lam):
@@ -211,7 +246,7 @@ def _h_phase(params: SpaceParams, lam):
     lam = np.asarray(lam, dtype=float)
     shifts, n_half = _gamma_shifts(params)
     phase = np.zeros_like(lam)
-    for x in shifts:
+    for x in sorted(shifts, reverse=True):     # the smallest terms first: fewer ulps lost
         phase -= np.arctan(lam / x)
     if n_half != 1:
         phase += (1 - n_half) * _ratio_phase(lam)

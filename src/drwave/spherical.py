@@ -15,12 +15,12 @@ evaluated by
   are summed to the fixed order M = 16; its kernels of orders
   mu0..mu0+16 come from one downward sweep of the order recurrence
   (Abramowitz & Stegun 9.1.27, _kernel_sum), started
-  where lambda s <= mu0+17 by Miller's algorithm a few orders higher and
-  scaled once per cell to the exact Lambda at the two lowest orders
-  (special._low_pair), and where lambda s exceeds every order at the top
-  two orders of the same recurrence run upward from that pair; no Bessel
-  function of high order is called, and the cost per cell does not
-  depend on lambda;
+  where lambda s <= mu0+17 by Miller's algorithm some orders higher and
+  scaled once per cell by Neumann's sum over its even orders, which is 1
+  for the exact kernels, and where lambda s exceeds every order at the
+  top two orders of the same recurrence run upward from the exact pair
+  at the two lowest orders (special._low_pair); no Bessel function of
+  high order is called, and the cost per cell does not depend on lambda;
 * an exponential series for s >= 2 at every lambda, lambda = 0
   included: the Harish-Chandra expansion written through
   h(lambda) = i lambda c(lambda), which has no pole (_HCSeries), and
@@ -40,6 +40,7 @@ phi_lambda(s) = 2F1(Q/2 + i lambda, Q/2 - i lambda; n/2; -sinh(s/2)^2)
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -288,8 +289,11 @@ def _upward_top_kernels(mu0: float, x: np.ndarray):
     lo, hi = _low_pair(mu0 % 1.0, x)
     inv2 = np.reciprocal(x)
     inv2 *= inv2
-    for mu in np.arange(mu0 % 1.0 + 1.0, mu0 + _BESSEL_M):
-        lo, hi = hi, 4.0 * mu * (mu + 1.0) * (hi - lo) * inv2
+    for mu in np.arange(mu0 % 1.0 + 1.0, mu0 + _BESSEL_M).tolist():
+        lo = np.subtract(hi, lo, out=lo)          # in place: the order below is not read again
+        lo *= 4.0 * mu * (mu + 1.0)
+        lo *= inv2
+        lo, hi = hi, lo
     return hi, lo
 
 
@@ -297,8 +301,21 @@ def _upward_top_kernels(mu0: float, x: np.ndarray):
 # largest x of its cells: (x_max bracket edge, extra orders).  Beyond the
 # last edge the start is x_max + 8 x_max^(1/3), at least 16 above mu0 + 16.
 # A scan against mpmath (mu0 from 1/2 to 30) put every kernel order within
-# 1e-14 of its amplitude with these.
+# 1e-14 of its amplitude with these.  Neumann's sum may ask for more.
 _MILLER_EXTRA = ((0.5, 4), (2.0, 6), (5.0, 8), (10.0, 12))
+
+
+def _neumann_coeffs(nu0: float):
+    """gamma_0, gamma_1, .. of Neumann's sum
+    1 = sum_k gamma_k (x^2/4)^k Lambda_(nu0 + 2k)(x), for every x:
+    (x/2)^nu = sum_k (nu + 2k) Gamma(nu + k) / k! J_(nu + 2k)(x)
+    (DLMF 10.23.2 at nu = nu0, and 10.23.3) in the normalized kernels,
+    gamma_0 = 1 and gamma_k = Gamma(nu0 + k) / (k! Gamma(nu0 + 2k)) beyond."""
+    gam, k = 1.0, 0
+    while True:
+        yield gam
+        gam *= (nu0 + k) / ((k + 1) * (nu0 + 2 * k) * (nu0 + 2 * k + 1)) if k else 1.0 / (nu0 + 1)
+        k += 1
 
 
 def _miller_extra(top: float, x_max: float) -> int:
@@ -309,34 +326,54 @@ def _miller_extra(top: float, x_max: float) -> int:
     discarded dominant solution has died out by the orders that are
     summed.  Above x, J_N(x) falls like
     exp(-(2 sqrt(2)/3) (N - x)^(3/2) / N^(1/2)) (Debye's expansion), so
-    at a fixed accuracy N - x grows like x^(1/3).
+    at a fixed accuracy N - x grows like x^(1/3).  N must also reach past
+    the terms of Neumann's sum (_neumann_coeffs) that matter: to the first
+    order nu0 + 2K whose term gamma_K (x_max^2/4)^K is below 1e-18
+    (nu0 + 2K = 54 at x_max = 18 and nu0 = 0).
     """
     for edge, extra in _MILLER_EXTRA:
         if x_max <= edge:
-            return extra
-    return max(16, math.ceil(x_max + 8.0 * x_max ** (1.0 / 3.0) - top))
+            break
+    else:
+        extra = max(16, math.ceil(x_max + 8.0 * x_max ** (1.0 / 3.0) - top))
+    nu0, y_k = top % 1.0, 1.0                    # y_k = (x_max^2/4)^k
+    for k, gam in enumerate(_neumann_coeffs(nu0)):
+        if gam * y_k < 1e-18:
+            return max(extra, round(nu0 + 2 * k - top))
+        y_k *= 0.25 * x_max * x_max
 
 
-def _down(mu: float, x: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """Lambda_(mu-1) = Lambda_mu - x^2 Lambda_(mu+1) / (4 mu (mu+1)) from
+def _down(mu: float, xx: tuple, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Lambda_(mu-1) = Lambda_mu - (x^2/4) Lambda_(mu+1) / (mu (mu+1)) from
     hi = Lambda_(mu+1) and lo = Lambda_mu, written over hi and returned.
-    x^2 is applied as x (x hi), which cannot overflow where hi is small."""
-    hi *= x
-    hi *= x
-    hi *= 0.25 / (mu * (mu + 1.0))
+    xx holds factors whose product is x^2/4: that one array where it is
+    finite, or x/2 twice, which cannot overflow where hi is small (x^2
+    overflows beyond 1.3e154)."""
+    for f in xx:
+        hi *= f
+    hi *= 1.0 / (mu * (mu + 1.0))
     return np.subtract(lo, hi, out=hi)
 
 
-def _miller_factor(nu0: float, x: np.ndarray, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
-    """k that brings the swept pair (t0, t1) at orders nu0 and nu0 + 1 closest,
-    in least squares, to the exact Lambda_nu0(x) and Lambda_(nu0+1)(x)
-    (_low_pair), which cannot vanish together.  Below x = 1, where
-    _low_pair gives order nu0 + 1 as 0 and order nu0 (1 at x = 0) has no
-    zero, order nu0 is matched alone.
-    """
-    v0, v1 = _low_pair(nu0, x)
-    t1 = np.where(x >= 1.0, t1, 0.0)
-    return (t0 * v0 + t1 * v1) / (t0 * t0 + t1 * t1)
+class _Neumann:
+    """Neumann's sum (_neumann_coeffs) over the Miller cells of a sweep
+    that starts at order `start`, by Horner in their y = x^2/4 on the even
+    orders nu0 + 2k, the highest first; it is the sweep's common factor
+    per cell."""
+
+    def __init__(self, nu0: float, y: np.ndarray, start: float):
+        self.y = y
+        self.offset = round(start - nu0)                 # of the order add takes next
+        self.gam = list(itertools.islice(_neumann_coeffs(nu0), self.offset // 2 + 1))
+        self.sum = np.zeros_like(y)
+
+    def add(self, values: np.ndarray, pick=None) -> None:
+        """Take the sweep's next order, one below the last (the start
+        first); pick gathers the Miller cells from values of a block."""
+        if not self.offset % 2:
+            self.sum *= self.y
+            self.sum += self.gam[self.offset // 2] * (values if pick is None else pick(values))
+        self.offset -= 1
 
 
 def _kernel_sum(mu0: float, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -346,9 +383,9 @@ def _kernel_sum(mu0: float, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
         Lambda_mu(x) = script_j(mu, x) / script_j(mu, 0) = Gamma(mu+1) (2/x)^mu J_mu(x).
 
     weights has shape (17, n_s) or (17, 1); each row broadcasts against
-    x.  The sum is accumulated during one downward sweep of the order,
-    for which Abramowitz & Stegun 9.1.27, J_(mu-1) + J_(mu+1) =
-    (2 mu/x) J_mu, becomes the three-term
+    x, a C-contiguous array.  The sum is accumulated during one downward
+    sweep of the order, for which Abramowitz & Stegun 9.1.27,
+    J_(mu-1) + J_(mu+1) = (2 mu/x) J_mu, becomes the three-term
     Lambda_(mu-1) = Lambda_mu - x^2 Lambda_(mu+1) / (4 mu (mu+1)) (_down).
     Run downward, J is the growing solution of the recurrence where
     mu > x and neither solution grows where mu < x.
@@ -357,39 +394,63 @@ def _kernel_sum(mu0: float, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     * where x <= mu0 + 17, by Miller's algorithm (Gautschi, SIAM Review 9,
       1967; DLMF 3.6(iii)): from (0, 1) at orders N + 1 and N, N above
       mu0 + 16 by _miller_extra of the largest such x, the sweep gives every
-      order up to one common factor per cell.  It runs on to the orders
-      nu0 = mu0 mod 1 and nu0 + 1, whose exact values fix that factor
-      (_miller_factor), and the sum, linear in the kernels, is scaled once;
+      order up to one common factor per cell.  It runs on to the order
+      nu0 = mu0 mod 1, and Neumann's sum over its even orders nu0 + 2k,
+      which is 1 for the exact kernels, is that factor (_Neumann); the sum
+      of the kernels, linear in them, is divided by it once.  Only these
+      cells are swept above mu0 + 16 and below mu0, gathered from the block;
     * beyond it, where every order is below x, from the exact top two
       orders of the upward recurrence (_upward_top_kernels).
     At x = 0 every Lambda is 1.  Two orders are held at a time.
     """
+    x = np.ascontiguousarray(x)
     top = mu0 + _BESSEL_M
     nu0 = mu0 % 1.0
     miller = x <= top + 1.0
-    n_miller = int(np.count_nonzero(miller))
-    hi, lo = np.zeros_like(x), np.ones_like(x)                  # orders N + 1, N
-    if n_miller:
-        # cells of the upward start sweep x = 0 here, and are overwritten
-        x_m = x if n_miller == x.size else np.where(miller, x, 0.0)
-        for mu in top + np.arange(_miller_extra(top, float(np.max(x_m))), -1, -1):
-            hi, lo = lo, _down(mu, x_m, hi, lo)
-    if n_miller < x.size:
+    cells = None if np.all(miller) else np.flatnonzero(miller)
+
+    def gather(a):                       # the Miller cells of a block-shaped array
+        return a if cells is None else a.reshape(-1)[cells]
+
+    neumann = None
+    if cells is None or cells.size:
+        x_m = gather(x)
+        y_m = (0.25 * x_m * x_m,)
+        start = top + _miller_extra(top, float(np.max(x_m)))
+        neumann = _Neumann(nu0, y_m[0], start)
+        hi_m, lo_m = np.zeros_like(x_m), np.ones_like(x_m)          # orders N + 1, N
+        neumann.add(lo_m)
+        for mu in np.arange(start, top - 0.5, -1.0):
+            hi_m, lo_m = lo_m, _down(mu, y_m, hi_m, lo_m)
+            neumann.add(lo_m)
+    if cells is None:
+        hi, lo = hi_m, lo_m
+    elif not cells.size:
+        hi, lo = _upward_top_kernels(mu0, x)
+    else:
+        hi, lo = np.empty_like(x), np.empty_like(x)
         hi[~miller], lo[~miller] = _upward_top_kernels(mu0, x[~miller])
+        hi.reshape(-1)[cells], lo.reshape(-1)[cells] = hi_m, lo_m
     total = weights[_BESSEL_M] * hi
     term = weights[_BESSEL_M - 1] * lo
     total += term
+    half = 0.5 * x
+    xx = (half * half,) if float(np.max(x)) < 1e150 else (half, half)
     for l in range(_BESSEL_M - 1, 0, -1):
-        hi, lo = lo, _down(mu0 + l, x, hi, lo)
+        hi, lo = lo, _down(mu0 + l, xx, hi, lo)
         np.multiply(weights[l - 1], lo, out=term)
         total += term
-    if n_miller:
+        if neumann is not None:
+            neumann.add(lo, gather)
+    if neumann is not None:
+        hi_m, lo_m = gather(hi), gather(lo)
         for mu in mu0 - np.arange(round(mu0 - nu0)):
-            hi, lo = lo, _down(mu, x, hi, lo)
-        if n_miller == x.size:
-            total *= _miller_factor(nu0, x, lo, hi)
+            hi_m, lo_m = lo_m, _down(mu, y_m, hi_m, lo_m)
+            neumann.add(lo_m)
+        if cells is None:
+            total /= neumann.sum
         else:
-            total[miller] *= _miller_factor(nu0, x[miller], lo[miller], hi[miller])
+            total.reshape(-1)[cells] /= neumann.sum
     return total
 
 

@@ -215,6 +215,10 @@ def test_config_error_exit_code(tmp_path, out_root):
     ["experiment", "case2", "--n-list", "8,8,8,8,8"],
     # psi ~ N^a past the double range; an empty lambda or s list
     ["experiment", "case1", "--a", "100"],
+    # a case-1 rule of more than 2^22 panels, or of a count past int64
+    ["experiment", "case1", "--a", "40"],
+    ["experiment", "case1", "--a", "60"],
+    ["experiment", "case1", "--a", "85"],
     ["phi", "--lambda", ","],
     ["phi", "--s", ""],
 ])

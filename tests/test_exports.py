@@ -56,16 +56,47 @@ def test_every_traced_name_resolves():
         assert isinstance(getattr(spherical, name, None), (int, float)), name
 
 
-@pytest.mark.parametrize("module", ["drwave", "drwave.cli"])
-def test_import_takes_only_scipy_special(module):
-    # each of these scipy packages pulls in the others and about doubles a
-    # fresh import's cost; the library needs none of them
-    heavy = ("scipy.interpolate", "scipy.integrate", "scipy.linalg", "scipy.optimize")
-    script = f"import sys, {module}; print(*[m for m in {heavy!r} if m in sys.modules])"
+def _scipy_after(script: str, out_root: Path) -> list[str]:
+    """The modules named scipy* loaded once `script` has run in a fresh
+    interpreter that imports drwave from this checkout, with CLI artifacts
+    under out_root and the script's own output discarded."""
+    probe = ("import contextlib, io, sys\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             + "".join(f"    {line}\n" for line in script.splitlines())
+             + "print(*sorted(m for m in sys.modules if m.startswith('scipy')))\n")
     root = os.path.dirname(os.path.dirname(os.path.abspath(drwave.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, DRWAVE_OUT_ROOT=str(out_root), PYTHONPATH=os.pathsep.join(
         p for p in (root, os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run([sys.executable, "-c", script], env=env,
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == []
+    return done.stdout.split()
+
+
+@pytest.mark.parametrize("module", ["drwave", "drwave.cli"])
+def test_import_loads_no_scipy(module, tmp_path):
+    # scipy serves script_j alone, which imports it on its first call
+    assert _scipy_after(f"import {module}", tmp_path) == []
+
+
+def test_phi_paths_load_no_scipy(tmp_path):
+    # phi_matrix on both routes, lambda = 0 and s = 0 included, a forward
+    # transform, an array c-function and four CLI runs load no scipy
+    script = """
+import numpy as np
+from drwave import RadialProfile, c_function, new_space, phi_matrix, sft_forward
+from drwave.cli import run
+lams = np.array([0.0, 0.5, 9.0, 40.0, 3e3])
+s = np.array([0.0, 1e-3, 0.3, 1.9, 2.0, 2.5, 6.0])
+for m_v, m_z in [(2, 0), (2, 1), (4, 3), (16, 7)]:
+    got = phi_matrix(new_space(m_v, m_z), lams, s)
+    assert np.all(got[:, 0] == 1.0) and np.all(np.abs(got) <= 1.0 + 1e-9)
+s_grid = np.linspace(0.0, 12.0, 241)
+fh = sft_forward(new_space(2, 1), RadialProfile(s_grid, np.exp(-s_grid**2)),
+                 np.linspace(0.0, 8.0, 33))
+assert np.all(np.isfinite(fh.values))
+assert np.all(np.isfinite(c_function(new_space(4, 3), np.geomspace(1e-3, 1e3, 50))))
+for argv in (["cfun"], ["phi"], ["oscillatory-claim"], ["experiment", "case2"]):
+    assert run(argv) == 0, argv
+"""
+    assert _scipy_after(script, tmp_path) == []

@@ -11,6 +11,7 @@ from drwave.errors import PoleError
 from drwave.space import new_space
 from drwave.special import (
     _low_pair,
+    _ratio_phase,
     c_function,
     plancherel_density,
     script_j,
@@ -45,16 +46,22 @@ def oracle_c_function(m_v: int, m_z: int, lam: float) -> complex:
 
 _LOW_PAIR_X = [0.0, 1e-300, 0.3, 1.0, math.pi / 2, 2.404825557695773, 37.5, 999.0, 1e3,
                1.3e5, 2e5]
+# the integer pair starts the upward recurrence alone, at x > mu0 + 17 >= 18:
+# both sides of its split at x = 40 and of the Hankel term counts' steps
+_LOW_PAIR_X_INTEGER = [18.0 + 1e-9, 18.5, 20.0, 25.0, 37.5, 40.0 - 1e-9, 40.0, 50.0, 999.0,
+                       1e3, 1.3e5, 2e5]
 
 
 @pytest.mark.parametrize("nu0", [0.0, 0.5])
 def test_low_pair_matches_mpmath(nu0):
     # Lambda_mu(x) = Gamma(mu+1) (2/x)^mu J_mu(x) at mu = nu0 and nu0 + 1,
     # all x in one call and each alone: within 1e-15 of the amplitude
-    # min(1, Gamma(mu+1) (2/x)^mu sqrt(2/(pi x))) on the half-integer
-    # closed forms and the Hankel branch (x >= 1e3), within 1e-13 on the
-    # j0/j1 branch; below x = 1 order nu0 + 1 is 0, as _low_pair states
-    calls = [np.array(_LOW_PAIR_X)] + [np.array([x]) for x in _LOW_PAIR_X]
+    # min(1, Gamma(mu+1) (2/x)^mu sqrt(2/(pi x))), on the half-integer
+    # closed forms from x = 0 and on the integer pair's Hankel expansion
+    # over its domain x > 18; below x = 1 order nu0 + 1 is 0, as
+    # _low_pair states
+    xs = _LOW_PAIR_X_INTEGER if nu0 == 0.0 else _LOW_PAIR_X
+    calls = [np.array(xs)] + [np.array([x]) for x in xs]
     with mp.workdps(40):
         for x in calls:
             for mu, got in zip((nu0, nu0 + 1.0), _low_pair(nu0, x)):
@@ -68,8 +75,19 @@ def test_low_pair_matches_mpmath(nu0):
                         pref = mp.gamma(mu + 1) * (2 / xm) ** mu
                         ref = pref * mp.besselj(mu, xm)
                         amp = min(1.0, float(pref * mp.sqrt(2 / (mp.pi * xm))))
-                    tol = 1e-13 if nu0 == 0.0 and xi < 1e3 else 1e-15
-                    assert abs(g - ref) <= tol * amp, (mu, float(xi))
+                    assert abs(g - ref) <= 1e-15 * amp, (mu, float(xi))
+
+
+def test_ratio_phase_matches_mpmath():
+    # Im[ln Gamma(1/2 + i lambda) - ln Gamma(1 + i lambda)] on 1,001 lambda
+    # in [0, 10] and both sides of the switch at 10, against 40-digit
+    # log-Gammas: within 2e-15, and odd in lambda
+    lam = np.concatenate([np.linspace(0.0, 10.0, 1001), [10.0 - 1e-12, 10.0 + 1e-12, 12.0]])
+    with mp.workdps(40):
+        ref = np.array([float(mp.im(mp.loggamma(mp.mpf(0.5) + 1j * mp.mpf(x))
+                                    - mp.loggamma(1 + 1j * mp.mpf(x)))) for x in lam])
+    assert np.max(np.abs(_ratio_phase(lam) - ref)) <= 2e-15
+    assert np.max(np.abs(_ratio_phase(-lam) + ref)) <= 2e-15
 
 
 def test_bessel_at_zero():
