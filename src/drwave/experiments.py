@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .bumps import bump_12, bump_unit
-from .dispersive import PhaseKind, phase
+from .dispersive import PhaseKind, phase, phase_derivs
 from .errors import ValidationError
 from .profiles import SpectralProfile
 from .quadrature import panel_rule
@@ -137,7 +137,10 @@ def _case1_linearized_min(params: SpaceParams, kind: PhaseKind, a: float,
     """
     root = math.sqrt(n_freq)
     s_grid = np.linspace(epsilon, 2.0 * epsilon, _CASE1_S_POINTS)
-    rate = root * 2.0 * epsilon * (1.0 + 2.0 ** (a - 1.0)) + 8.0
+    # phi turns at rate sqrt(N) s in xi, and t psi at sqrt(N) t psi', largest at
+    # the bump's top edge N + sqrt(N) since psi' increases
+    psi1, _ = phase_derivs(kind, params, n_freq + root)
+    rate = root * 2.0 * epsilon * (1.0 + psi1 / (a * n_freq ** (a - 1.0))) + 8.0
     xi, w = panel_rule(-1.0, 1.0, rate, min_panels=16)
     lam = n_freq - root * xi
     t_of_s = s_grid / (a * n_freq ** (a - 1.0))

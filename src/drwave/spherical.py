@@ -13,14 +13,14 @@ evaluated by
   exactly, once per space, from the Taylor series of the radial
   equation's potential by a triangular recursion (_bessel_coeffs) and
   are summed to the fixed order M = 16; its kernels of orders
-  mu0..mu0+16 come from one downward sweep of the order recurrence
-  (Abramowitz & Stegun 9.1.27, _kernel_sum), started
-  where lambda s <= mu0+17 by Miller's algorithm some orders higher and
-  scaled once per cell by Neumann's sum over its even orders, which is 1
-  for the exact kernels, and where lambda s exceeds every order at the
-  top two orders of the same recurrence run upward from the exact pair
-  at the two lowest orders (special._low_pair); no Bessel function of
-  high order is called, and the cost per cell does not depend on lambda;
+  mu0..mu0+16 are summed during one sweep per cell of the order
+  recurrence (Abramowitz & Stegun 9.1.27, _kernel_sum): where
+  lambda s <= mu0+17 downward by Miller's algorithm from some orders
+  higher, divided once per cell by Neumann's sum over its even orders,
+  which is 1 for the exact kernels, and where lambda s exceeds every
+  order upward from the exact pair at the two lowest orders
+  (special._low_pair); no Bessel function of high order is called, and
+  the cost per cell does not depend on lambda;
 * an exponential series for s >= 2 at every lambda, lambda = 0
   included: the Harish-Chandra expansion written through
   h(lambda) = i lambda c(lambda), which has no pole (_HCSeries), and
@@ -278,25 +278,6 @@ def _bessel_coeffs(params: SpaceParams) -> np.ndarray:
     return e
 
 
-def _upward_top_kernels(mu0: float, x: np.ndarray):
-    """Lambda (_kernel_sum) at orders mu0 + 16 and mu0 + 15, for x > mu0 + 17.
-
-    Every order is below x there, so the recurrence run upward from the
-    exact pair at orders mu0 mod 1 and one above (_low_pair),
-    Lambda_(mu+1) = 4 mu (mu+1) (Lambda_mu - Lambda_(mu-1)) (1/x)^2, is
-    stable; x^2 would overflow beyond 1.3e154.
-    """
-    lo, hi = _low_pair(mu0 % 1.0, x)
-    inv2 = np.reciprocal(x)
-    inv2 *= inv2
-    for mu in np.arange(mu0 % 1.0 + 1.0, mu0 + _BESSEL_M).tolist():
-        lo = np.subtract(hi, lo, out=lo)          # in place: the order below is not read again
-        lo *= 4.0 * mu * (mu + 1.0)
-        lo *= inv2
-        lo, hi = hi, lo
-    return hi, lo
-
-
 # Extra orders above mu0 + 16 at which the Miller sweep starts, by the
 # largest x of its cells: (x_max bracket edge, extra orders).  Beyond the
 # last edge the start is x_max + 8 x_max^(1/3), at least 16 above mu0 + 16.
@@ -343,37 +324,72 @@ def _miller_extra(top: float, x_max: float) -> int:
         y_k *= 0.25 * x_max * x_max
 
 
-def _down(mu: float, xx: tuple, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """Lambda_(mu-1) = Lambda_mu - (x^2/4) Lambda_(mu+1) / (mu (mu+1)) from
-    hi = Lambda_(mu+1) and lo = Lambda_mu, written over hi and returned.
-    xx holds factors whose product is x^2/4: that one array where it is
-    finite, or x/2 twice, which cannot overflow where hi is small (x^2
-    overflows beyond 1.3e154)."""
-    for f in xx:
-        hi *= f
-    hi *= 1.0 / (mu * (mu + 1.0))
-    return np.subtract(lo, hi, out=hi)
+def _miller_sum(mu0: float, x: np.ndarray, weights: np.ndarray, cols=None) -> np.ndarray:
+    """_kernel_sum for cells with x <= mu0 + 17, by Miller's algorithm
+    (Gautschi, SIAM Review 9, 1967; DLMF 3.6(iii)); cols, if given, holds
+    each cell's column of weights.
+
+    From (0, 1) at orders N + 1 and N, N above mu0 + 16 by _miller_extra
+    of the largest x, the downward recurrence
+    Lambda_(mu-1) = Lambda_mu - (x^2/4) Lambda_(mu+1) / (mu (mu+1)) gives
+    every order down to nu0 = mu0 mod 1 up to one common factor per cell.
+    On the way the weighted orders mu0..mu0+16 are summed, and Neumann's
+    sum over the even orders nu0 + 2k (_neumann_coeffs), which is 1 for
+    the exact kernels, by Horner in x^2/4; the sum, linear in the kernels,
+    is divided by it once.
+    """
+    top = mu0 + _BESSEL_M
+    nu0 = mu0 % 1.0
+    low = round(mu0 - nu0)                       # mu0 = nu0 + low
+    k_start = round(top + _miller_extra(top, float(np.max(x))) - nu0)
+    gam = list(itertools.islice(_neumann_coeffs(nu0), k_start // 2 + 1))
+    y = 0.25 * x * x
+    hi, lo = np.zeros_like(x), np.ones_like(x)   # orders N + 1, N
+    total, neumann, term = np.zeros_like(x), np.zeros_like(x), np.empty_like(x)
+    for k in range(k_start, -1, -1):             # lo holds order nu0 + k
+        if 0 <= k - low <= _BESSEL_M:
+            w = weights[k - low] if cols is None else weights[k - low].take(cols)
+            np.multiply(w, lo, out=term)
+            total += term
+        if not k % 2:
+            np.multiply(lo, gam[k // 2], out=term)
+            neumann *= y
+            neumann += term
+        if k:
+            mu = nu0 + k
+            hi *= y
+            hi *= 1.0 / (mu * (mu + 1.0))
+            hi, lo = lo, np.subtract(lo, hi, out=hi)
+    total /= neumann
+    return total
 
 
-class _Neumann:
-    """Neumann's sum (_neumann_coeffs) over the Miller cells of a sweep
-    that starts at order `start`, by Horner in their y = x^2/4 on the even
-    orders nu0 + 2k, the highest first; it is the sweep's common factor
-    per cell."""
+def _upward_sum(mu0: float, x: np.ndarray, weights: np.ndarray, cols=None) -> np.ndarray:
+    """_kernel_sum for cells with x > mu0 + 17; cols as in _miller_sum.
 
-    def __init__(self, nu0: float, y: np.ndarray, start: float):
-        self.y = y
-        self.offset = round(start - nu0)                 # of the order add takes next
-        self.gam = list(itertools.islice(_neumann_coeffs(nu0), self.offset // 2 + 1))
-        self.sum = np.zeros_like(y)
-
-    def add(self, values: np.ndarray, pick=None) -> None:
-        """Take the sweep's next order, one below the last (the start
-        first); pick gathers the Miller cells from values of a block."""
-        if not self.offset % 2:
-            self.sum *= self.y
-            self.sum += self.gam[self.offset // 2] * (values if pick is None else pick(values))
-        self.offset -= 1
+    Every order is below x there, so the recurrence run upward from the
+    exact pair at orders nu0 = mu0 mod 1 and nu0 + 1 (special._low_pair),
+    Lambda_(mu+1) = 4 mu (mu+1) (Lambda_mu - Lambda_(mu-1)) (1/x)^2, is
+    stable; the weighted orders mu0..mu0+16 are summed as it passes them.
+    x^2, which would overflow beyond 1.3e154, is never formed.
+    """
+    nu0 = mu0 % 1.0
+    lo, hi = _low_pair(nu0, x)                   # orders nu0, nu0 + 1
+    inv2 = np.reciprocal(x)
+    inv2 *= inv2
+    total, term = np.zeros_like(x), np.empty_like(x)
+    for l in range(round(nu0 - mu0), _BESSEL_M + 1):    # lo holds order mu0 + l
+        if l >= 0:
+            w = weights[l] if cols is None else weights[l].take(cols)
+            np.multiply(w, lo, out=term)
+            total += term
+        if l < _BESSEL_M - 1:                   # over lo: order mu0 + l + 2
+            mu = mu0 + l + 1.0
+            lo = np.subtract(hi, lo, out=lo)
+            lo *= 4.0 * mu * (mu + 1.0)
+            lo *= inv2
+        lo, hi = hi, lo
+    return total
 
 
 def _kernel_sum(mu0: float, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -383,74 +399,24 @@ def _kernel_sum(mu0: float, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
         Lambda_mu(x) = script_j(mu, x) / script_j(mu, 0) = Gamma(mu+1) (2/x)^mu J_mu(x).
 
     weights has shape (17, n_s) or (17, 1); each row broadcasts against
-    x, a C-contiguous array.  The sum is accumulated during one downward
-    sweep of the order, for which Abramowitz & Stegun 9.1.27,
-    J_(mu-1) + J_(mu+1) = (2 mu/x) J_mu, becomes the three-term
-    Lambda_(mu-1) = Lambda_mu - x^2 Lambda_(mu+1) / (4 mu (mu+1)) (_down).
-    Run downward, J is the growing solution of the recurrence where
-    mu > x and neither solution grows where mu < x.
-
-    The sweep starts per cell from x:
-    * where x <= mu0 + 17, by Miller's algorithm (Gautschi, SIAM Review 9,
-      1967; DLMF 3.6(iii)): from (0, 1) at orders N + 1 and N, N above
-      mu0 + 16 by _miller_extra of the largest such x, the sweep gives every
-      order up to one common factor per cell.  It runs on to the order
-      nu0 = mu0 mod 1, and Neumann's sum over its even orders nu0 + 2k,
-      which is 1 for the exact kernels, is that factor (_Neumann); the sum
-      of the kernels, linear in them, is divided by it once.  Only these
-      cells are swept above mu0 + 16 and below mu0, gathered from the block;
-    * beyond it, where every order is below x, from the exact top two
-      orders of the upward recurrence (_upward_top_kernels).
-    At x = 0 every Lambda is 1.  Two orders are held at a time.
+    x.  Abramowitz & Stegun 9.1.27, J_(mu-1) + J_(mu+1) = (2 mu/x) J_mu,
+    is a three-term recurrence in the order; J is its growing solution
+    downward where mu > x, and neither solution grows where mu < x.  So
+    each cell takes one sweep of it that sums the weighted orders as it
+    passes them: downward by Miller's algorithm where x <= mu0 + 17
+    (_miller_sum), upward beyond (_upward_sum).  A block on both sides
+    is split by cell, each side's weight rows read at its cells' columns,
+    and the two sums put back.  At x = 0 every Lambda is 1.
     """
-    x = np.ascontiguousarray(x)
-    top = mu0 + _BESSEL_M
-    nu0 = mu0 % 1.0
-    miller = x <= top + 1.0
-    cells = None if np.all(miller) else np.flatnonzero(miller)
-
-    def gather(a):                       # the Miller cells of a block-shaped array
-        return a if cells is None else a.reshape(-1)[cells]
-
-    neumann = None
-    if cells is None or cells.size:
-        x_m = gather(x)
-        y_m = (0.25 * x_m * x_m,)
-        start = top + _miller_extra(top, float(np.max(x_m)))
-        neumann = _Neumann(nu0, y_m[0], start)
-        hi_m, lo_m = np.zeros_like(x_m), np.ones_like(x_m)          # orders N + 1, N
-        neumann.add(lo_m)
-        for mu in np.arange(start, top - 0.5, -1.0):
-            hi_m, lo_m = lo_m, _down(mu, y_m, hi_m, lo_m)
-            neumann.add(lo_m)
-    if cells is None:
-        hi, lo = hi_m, lo_m
-    elif not cells.size:
-        hi, lo = _upward_top_kernels(mu0, x)
-    else:
-        hi, lo = np.empty_like(x), np.empty_like(x)
-        hi[~miller], lo[~miller] = _upward_top_kernels(mu0, x[~miller])
-        hi.reshape(-1)[cells], lo.reshape(-1)[cells] = hi_m, lo_m
-    total = weights[_BESSEL_M] * hi
-    term = weights[_BESSEL_M - 1] * lo
-    total += term
-    half = 0.5 * x
-    xx = (half * half,) if float(np.max(x)) < 1e150 else (half, half)
-    for l in range(_BESSEL_M - 1, 0, -1):
-        hi, lo = lo, _down(mu0 + l, xx, hi, lo)
-        np.multiply(weights[l - 1], lo, out=term)
-        total += term
-        if neumann is not None:
-            neumann.add(lo, gather)
-    if neumann is not None:
-        hi_m, lo_m = gather(hi), gather(lo)
-        for mu in mu0 - np.arange(round(mu0 - nu0)):
-            hi_m, lo_m = lo_m, _down(mu, y_m, hi_m, lo_m)
-            neumann.add(lo_m)
-        if cells is None:
-            total /= neumann.sum
-        else:
-            total.reshape(-1)[cells] /= neumann.sum
+    miller = x <= mu0 + _BESSEL_M + 1.0
+    if np.all(miller):
+        return _miller_sum(mu0, x, weights)
+    if not np.any(miller):
+        return _upward_sum(mu0, x, weights)
+    total = np.empty(x.shape)
+    cols = np.broadcast_to(np.arange(weights.shape[1]), x.shape)    # each cell's weight column
+    for sweep, cells in ((_miller_sum, miller), (_upward_sum, ~miller)):
+        total[cells] = sweep(mu0, x[cells], weights, cols[cells])
     return total
 
 
@@ -473,7 +439,7 @@ def _bessel_matrix(cols: _BesselColumns, lams: np.ndarray) -> np.ndarray:
     shape (n_lam, n_s).
 
     The sum over l <= 16 of the weights times Lambda_(mu0 + l)(lambda s) is
-    one downward sweep of the kernel order (_kernel_sum), vectorized over
+    one sweep of the kernel order per cell (_kernel_sum), vectorized over
     the (lambda, s) product; at s = 0 every Lambda is 1 and the weights
     are 1, 0, .., 0, so those cells are exactly 1.  The series converges
     absolutely for s < 2 only; phi_matrix() is its one caller, block by

@@ -215,10 +215,6 @@ def test_config_error_exit_code(tmp_path, out_root):
     ["experiment", "case2", "--n-list", "8,8,8,8,8"],
     # psi ~ N^a past the double range; an empty lambda or s list
     ["experiment", "case1", "--a", "100"],
-    # a case-1 rule of more than 2^22 panels, or of a count past int64
-    ["experiment", "case1", "--a", "40"],
-    ["experiment", "case1", "--a", "60"],
-    ["experiment", "case1", "--a", "85"],
     ["phi", "--lambda", ","],
     ["phi", "--s", ""],
 ])
@@ -230,6 +226,14 @@ def test_malformed_input_is_a_usage_error(tmp_path, out_root, capsys, argv):
     assert any(line.startswith("error:") for line in err), err
     # a failed run leaves no output directory behind
     assert not out_root.exists() or list(out_root.iterdir()) == []
+
+
+@pytest.mark.parametrize("a", ["20", "40", "60", "85"])
+def test_case1_at_large_exponent_ends_with_a_verdict(out_root, capsys, a):
+    # the case-1 rule follows psi' at the bump's edge: a rule sized by
+    # 2^(a-1) needed from 1e6 panels (a = 20, minutes) to a count past int64
+    assert run(["experiment", "case1", "--a", a]) in (0, 1)
+    assert " verdict " in capsys.readouterr().out.splitlines()[-1]
 
 
 @pytest.mark.parametrize("selector", ["gaussian:0", "gaussian:-1", "sech:0"])

@@ -112,6 +112,28 @@ def test_case1_linearized_min_beyond_s2_matches_rk4_kernel(space21, monkeypatch)
         assert np.max(np.abs(kernel[i] - ref)) <= 1e-12
 
 
+@pytest.mark.parametrize("a", [20.0, 40.0])
+def test_case1_rule_follows_the_phase_slope(space21, monkeypatch, a):
+    # at N = 64 the rule sized by psi' at the bump's edge has under 2^12
+    # nodes (by 2^(a-1) it had about 1e6 panels at a = 20), and a rule of
+    # twice its rate moves the minimum by under 1e-8
+    nodes, panel_rule = [], experiments.panel_rule
+
+    def rule(lo, hi, rate, min_panels, scale=1.0):
+        xi, w = panel_rule(lo, hi, scale * rate, min_panels=min_panels)
+        nodes.append(xi.size)
+        return xi, w
+
+    kind = PhaseKind("frac", shifted=False, a=a)
+    monkeypatch.setattr(experiments, "panel_rule", rule)
+    got = _case1_linearized_min(space21, kind, a, 64, 0.05)
+    monkeypatch.setattr(experiments, "panel_rule",
+                        lambda lo, hi, rate, min_panels: rule(lo, hi, rate, min_panels, 2.0))
+    ref = _case1_linearized_min(space21, kind, a, 64, 0.05)
+    assert nodes[0] < 2**12 and nodes[1] > nodes[0]
+    assert abs(got - ref) <= 1e-8 * abs(ref)
+
+
 def test_case1_run_validation(space21):
     with pytest.raises(ValidationError):
         case1_run(space21, 1.0, [0.1], CASE1_N)

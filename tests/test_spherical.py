@@ -467,6 +467,29 @@ def test_bessel_matrix_per_order_sum_across_upward_switch(m_v, m_z, m, monkeypat
         assert np.max(np.abs(got[i] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("m_v,m_z", [(2, 0), (2, 1), (4, 3), (16, 7)])
+def test_kernel_sum_mixed_block_equals_its_parts(m_v, m_z):
+    # a block whose cells straddle x = mu0 + 17, x = 0 and x ~ 1e300
+    # included, is bit for bit its Miller cells and its upward cells each
+    # summed alone, with weights per column and with one weight per order
+    params = new_space(m_v, m_z)
+    mu0 = (params.n - 2) / 2
+    s = np.array([0.0, 0.1, 0.5, 1.0, 1.9])
+    lams = np.array([0.0, 3.0, 2.0 * mu0, (mu0 + 17.0) / 0.5, np.nextafter((mu0 + 17.0) / 0.5, 1e3),
+                     50.0, 1e3, 1e300])
+    x = np.outer(lams, s)
+    miller = x <= mu0 + 17.0
+    assert np.any(miller) and not np.all(miller) and np.max(x) >= 1e300
+    cols = np.broadcast_to(np.arange(s.size), x.shape)
+    per_column = _BesselColumns(params, s).weights
+    per_order = 1.0 / np.arange(1.0, 18.0)[:, None]
+    for weights, part in ((per_column, lambda m: per_column[:, cols[m]]),
+                          (per_order, lambda m: per_order)):
+        got = _kernel_sum(mu0, x, weights)
+        for cells in (miller, ~miller):
+            assert np.array_equal(got[cells], _kernel_sum(mu0, x[cells], part(cells)))
+
+
 def test_bessel_series_small_s_normalization(all_spaces):
     for p in all_spaces:
         val = phi_matrix(p, [1.0], np.array([1e-3]))[0, 0]
