@@ -215,6 +215,10 @@ def test_config_error_exit_code(tmp_path, out_root):
     ["experiment", "case2", "--n-list", "8,8,8,8,8"],
     # psi ~ N^a past the double range; an empty lambda or s list
     ["experiment", "case1", "--a", "100"],
+    # a case-1 exponent at or below 1, or not a number
+    ["experiment", "case1", "--a", "1"],
+    ["experiment", "case1", "--a", "0.5"],
+    ["experiment", "case1", "--a", "nan"],
     ["phi", "--lambda", ","],
     ["phi", "--s", ""],
 ])
