@@ -157,11 +157,16 @@ def _open_artifact(path: Path):
 
 
 def _emit_csv(path: Path, chash: str, columns: list[str], rows) -> None:
+    """One `%` per row: the first row's cells fix the row format, %s for a
+    str column and _F for a number."""
     with _open_artifact(path) as fh:
         fh.write(f"# config-hash: {chash}\n")
         fh.write(",".join(columns) + "\n")
+        fmt = None
         for row in rows:
-            fh.write(",".join(c if isinstance(c, str) else _F % float(c) for c in row) + "\n")
+            if fmt is None:
+                fmt = ",".join("%s" if isinstance(c, str) else _F for c in row) + "\n"
+            fh.write(fmt % tuple(row))
 
 
 def _emit_json(path: Path, chash: str, payload: dict) -> None:
@@ -237,7 +242,10 @@ def _builtin_spectrum(cfg, params, kind, t_max: float) -> SpectralProfile:
         if not sigma > 0:
             raise ValidationError(f"spectrum {cfg['spectrum']!r} needs a width sigma > 0")
         top, hint = float(cfg["grids.lambda_max"]), None
-        shape = lambda lam: np.exp(-((lam - center) ** 2) / (2.0 * sigma**2))
+
+        def shape(lam):
+            with np.errstate(over="ignore"):   # a far center squares to inf: exp(-inf) = 0
+                return np.exp(-((lam - center) ** 2) / (2.0 * sigma**2))
     dpsi = abs(dispersive.phase_derivs(kind, params, max(top, 1e-3))[0])
     lam = _lambda_grid(cfg, t_max * dpsi)
     return SpectralProfile(lam, shape(lam).astype(complex), support_hint=hint)
@@ -290,16 +298,19 @@ def _cmd_phi(cfg, chash, out):
 def _cmd_transform(cfg, chash, out):
     params = _space_from(cfg)
     f = _builtin_profile(cfg)
+    s_out = np.linspace(0.0, 0.75 * float(cfg["grids.s_max"]), 384)
+    ref_vals = np.interp(s_out, f.s_grid, np.real(f.values))
+    w = density(params, s_out)
+    den = np.sqrt(np.trapezoid(ref_vals**2 * w, s_out))
+    if not 0.0 < den < math.inf:
+        raise ValidationError(f"profile {cfg['profile']!r} has norm {den:g} on the roundtrip "
+                              f"grid [0, {s_out[-1]:g}]; it needs a positive finite one")
     lam = _lambda_grid(cfg)
     fh = transform.sft_forward(params, f, lam)
     _emit_csv(out / "forward.csv", chash, ["lambda", "re", "im", "abs"],
               [(x, v.real, v.imag, abs(v)) for x, v in zip(lam, fh.values)])
-    s_out = np.linspace(0.0, 0.75 * float(cfg["grids.s_max"]), 384)
     back = transform.sft_inverse(params, fh, s_out)
-    ref_vals = np.interp(s_out, f.s_grid, np.real(f.values))
-    w = density(params, s_out)
     num = np.sqrt(np.trapezoid(np.abs(back.values - ref_vals) ** 2 * w, s_out))
-    den = np.sqrt(np.trapezoid(ref_vals**2 * w, s_out))
     rel = float(num / den)
     _emit_csv(out / "roundtrip.csv", chash, ["s", "re", "im", "reference"],
               [(x, v.real, v.imag, r) for x, v, r in zip(s_out, back.values, ref_vals)])

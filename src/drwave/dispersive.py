@@ -25,7 +25,7 @@ from .errors import DomainError, ResolutionError, ValidationError
 from .profiles import RadialProfile, SpectralProfile
 from .space import SpaceParams
 from .spherical import phi_matrix
-from .transform import inverse_quadrature
+from .transform import _real_kernel_product, inverse_quadrature
 
 __all__ = [
     "PhaseKind",
@@ -244,12 +244,13 @@ class PropagatorKernel:
         self.kernel_t = phi_matrix(params, nodes, self.s_grid).T  # (n_s, n_nodes)
 
     def apply(self, t) -> np.ndarray:
-        """S_t f on the s grid, shape (n_s,); for a 1-D array of times,
-        one GEMM giving shape (n_s, n_t)."""
+        """S_t f on the s grid, shape (n_s,); for a 1-D array of times, shape
+        (n_s, n_t).  Either way one real GEMM of the real kernel_t with the
+        interleaved (re, im) view of the complex coefficients."""
         t = np.asarray(t, dtype=float)
         mult = np.exp(1j * np.multiply.outer(self.psi_nodes, t))
         amp = self.amp if t.ndim == 0 else self.amp[:, None]
-        return self.kernel_t @ (amp * mult)
+        return _real_kernel_product(self.kernel_t, amp * mult)
 
 
 def propagate(params: SpaceParams, fh: SpectralProfile, kind: PhaseKind,
@@ -296,7 +297,8 @@ def default_t_grid(params: SpaceParams, kind: PhaseKind, lam_max: float,
 def maximal_function(params: SpaceParams, fh: SpectralProfile, kind: PhaseKind,
                      t_grid, s_grid) -> RadialProfile:
     """Pointwise max over the t grid of |propagate|; a lower bound for the
-    supremum over continuous t in (0, 1)."""
+    supremum over continuous t in (0, 1).  One kernel serves every time: each
+    block of _T_BLOCK times is one real GEMM on the interleaved (re, im) view."""
     t_grid = np.sort(np.atleast_1d(np.asarray(t_grid, dtype=float)))
     if not t_grid.size:
         raise ValidationError("t_grid needs at least one time")

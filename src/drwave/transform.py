@@ -206,11 +206,20 @@ def inverse_quadrature(params: SpaceParams, fh: SpectralProfile, rate: float):
     return nodes, weight * _spline(fh.lambda_grid, fh.values, nodes)
 
 
+def _real_kernel_product(kernel: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """kernel @ coef for a real (m, n) kernel and a C-contiguous complex coef of
+    shape (n,) or (n, k), as one real GEMM on coef's interleaved (re, im) view:
+    no complex copy of the kernel is made.  Returns shape (m,) or (m, k)."""
+    out = kernel @ coef.view(float).reshape(coef.shape[0], -1)
+    return out.view(complex).reshape(kernel.shape[:1] + coef.shape[1:])
+
+
 def sft_inverse(params: SpaceParams, fh: SpectralProfile, s_grid) -> RadialProfile:
-    """Inverse transform with the closed-form Plancherel constant."""
+    """Inverse transform with the closed-form Plancherel constant: the real phi
+    kernel times the complex amplitudes, one real GEMM on their (re, im) view."""
     s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
     nodes, amp = inverse_quadrature(params, fh, float(np.max(s_grid)))
-    return RadialProfile(s_grid, phi_matrix(params, nodes, s_grid).T @ amp)
+    return RadialProfile(s_grid, _real_kernel_product(phi_matrix(params, nodes, s_grid).T, amp))
 
 
 def sobolev_norm(params: SpaceParams, fh: SpectralProfile, beta: float) -> float:

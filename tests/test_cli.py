@@ -221,6 +221,9 @@ def test_config_error_exit_code(tmp_path, out_root):
     ["experiment", "case1", "--a", "nan"],
     ["phi", "--lambda", ","],
     ["phi", "--s", ""],
+    # a profile with no positive finite norm on the roundtrip grid
+    ["transform", "--profile", "gaussian:1e300"],
+    ["transform", "--s-max", "1e-300"],
 ])
 def test_malformed_input_is_a_usage_error(tmp_path, out_root, capsys, argv):
     cfg = tmp_path / "bad.cfg"
@@ -393,6 +396,30 @@ def test_propagate_and_maximal_cli_small_grid(out_root, spectrum):
     header, rows = _table(maxi / "maximal.csv")
     assert header == "s,sup" and rows.shape == (256, 2) and np.all(np.isfinite(rows))
     assert np.all(rows[:, 1] >= 0.0)
+
+
+def test_far_gaussian_spectrum_propagates_without_warning(out_root):
+    # (lambda - 1e300)^2 overflows to inf, and exp(-inf) = 0 is the spectrum
+    assert run(["propagate", "--spectrum", "gaussian:1e300,1", "--s-max", "2",
+                "--lambda-max", "4", "--lambda-points", "128"]) == 0
+
+
+def test_kernel_products_rerun_byte_identical(tmp_path, monkeypatch):
+    # the runs whose columns come from the real-kernel products write the
+    # same bytes when run again in the same process
+    runs = [["transform", "--lambda-max", "7", "--s-max", "6", "--s-points", "256"],
+            ["propagate", "--spectrum", "bump:1,2", "--t", "0.01", "--s-max", "2",
+             "--lambda-max", "4", "--lambda-points", "128"],
+            ["maximal", "--spectrum", "bump:1,2", "--t-points", "16", "--s-max", "2",
+             "--lambda-max", "4", "--lambda-points", "128"]]
+    texts = []
+    for sub in ("a", "b"):
+        root = tmp_path / sub
+        monkeypatch.setenv("DRWAVE_OUT_ROOT", str(root))
+        for argv in runs:
+            assert run(argv) == 0
+        texts.append({p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*.csv"))})
+    assert len(texts[0]) == 4 and texts[0] == texts[1]
 
 
 @pytest.mark.parametrize("argv", [[name] for name in _SUBCOMMANDS

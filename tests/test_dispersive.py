@@ -18,6 +18,7 @@ from drwave.dispersive import (
 )
 from drwave.errors import DomainError, ResolutionError, ValidationError
 from drwave.profiles import SpectralProfile
+from drwave.space import new_space
 from drwave.transform import sft_inverse, sobolev_norm
 from oracles import chi_lowpass
 
@@ -162,6 +163,23 @@ def test_propagate_t_zero_is_inverse(space21):
     b = sft_inverse(space21, fh, s)
     for kind in ALL_KINDS:
         assert np.array_equal(propagate(space21, fh, kind, 0.0, s).values, b.values), kind
+
+
+@pytest.mark.parametrize("m_v,m_z", [(2, 1), (4, 3)])
+def test_apply_matches_the_complex_kernel_product(m_v, m_z):
+    # the real kernel multiplies the complex coefficients without a complex
+    # copy of itself: the same product as the complex one up to rounding
+    params = new_space(m_v, m_z)
+    kern = dispersive.PropagatorKernel(params, _spectrum(), PhaseKind("boussinesq"),
+                                       np.linspace(0.0, 4.0, 96), t_max=1.0)
+    full = kern.kernel_t.astype(complex)
+    for t in (0.3, np.geomspace(1e-3, 1.0, 64)):
+        mult = np.exp(1j * np.multiply.outer(kern.psi_nodes, t))
+        ref = full @ ((kern.amp if np.ndim(t) == 0 else kern.amp[:, None]) * mult)
+        got = kern.apply(t)
+        assert got.shape == ((96,) if np.ndim(t) == 0 else (96, 64))
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert kern.kernel_t.dtype == np.float64
 
 
 def test_propagation_conserves_h0(space21):

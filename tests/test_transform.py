@@ -14,6 +14,7 @@ from drwave.profiles import RadialProfile, SpectralProfile
 from drwave.quadrature import grid_integral, panel_rule
 from drwave.space import density, new_space
 from drwave.special import plancherel_density
+from drwave.spherical import phi_matrix
 from drwave.transform import (
     calibrate_inversion_constant,
     euclidean_correspondence_inverse,
@@ -207,6 +208,22 @@ def test_roundtrip_gaussian(space21):
     # pointwise check: value at s = 1 matches e^-1
     at_one = np.interp(1.0, s_out, back.values.real)
     assert at_one == pytest.approx(math.exp(-1.0), rel=1e-3)
+
+
+@pytest.mark.parametrize("m_v,m_z", [(2, 1), (4, 3)])
+def test_inverse_matches_the_complex_kernel_product(m_v, m_z):
+    # the real phi kernel times complex amplitudes, without a complex copy
+    # of the kernel: the complex product up to rounding
+    params = new_space(m_v, m_z)
+    fh = _bump_spectrum(1.0, 5.0)
+    fh = SpectralProfile(fh.lambda_grid, fh.values * np.exp(1j * fh.lambda_grid),
+                         fh.support_hint)
+    s = np.linspace(0.0, 6.0, 80)
+    back = sft_inverse(params, fh, s)
+    nodes, amp = transform.inverse_quadrature(params, fh, 6.0)
+    ref = phi_matrix(params, nodes, s).T.astype(complex) @ amp
+    assert back.values.shape == (80,)
+    assert np.max(np.abs(back.values - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_isometry_beta_zero(space21):
