@@ -215,7 +215,8 @@ def _builtin_profile(cfg) -> RadialProfile:
         raise ValidationError(f"--s-points must be 2 or above, got {n}")
     s = np.linspace(0.0, float(cfg["grids.s_max"]), n)
     if name == "gaussian":
-        return RadialProfile(s, np.exp(-alpha * s**2))
+        with np.errstate(over="ignore"):      # a wide alpha: exp(-inf) = 0, rejected as norm 0
+            return RadialProfile(s, np.exp(-alpha * s**2))
     return RadialProfile(s, 1.0 / np.cosh(alpha * s) ** 4)
 
 
@@ -244,11 +245,22 @@ def _builtin_spectrum(cfg, params, kind, t_max: float) -> SpectralProfile:
         top, hint = float(cfg["grids.lambda_max"]), None
 
         def shape(lam):
-            with np.errstate(over="ignore"):   # a far center squares to inf: exp(-inf) = 0
-                return np.exp(-((lam - center) ** 2) / (2.0 * sigma**2))
+            # a far center or a wide sigma squares to inf: exp(-inf) = 0, exp(-0) = 1
+            with np.errstate(over="ignore"):
+                return np.exp(-((lam - center) ** 2) / (2.0 * (sigma * sigma)))
     dpsi = abs(dispersive.phase_derivs(kind, params, max(top, 1e-3))[0])
     lam = _lambda_grid(cfg, t_max * dpsi)
-    return SpectralProfile(lam, shape(lam).astype(complex), support_hint=hint)
+    vals = shape(lam)
+    if hint is None:
+        # the Gaussian's support: a step past the first and last lambda where
+        # |fh| |c|^-2 reaches 1e-16 of its peak (any one step if it is all 0);
+        # the samples beyond it are set to 0
+        w = vals * plancherel_density(params, lam)
+        keep = np.flatnonzero(w >= 1e-16 * np.max(w)) if np.max(w) > 0 else [0]
+        lo, hi = max(keep[0] - 1, 0), min(keep[-1] + 1, lam.size - 1)
+        vals[:lo], vals[hi + 1:] = 0.0, 0.0
+        hint = (float(lam[lo]), float(lam[hi]))
+    return SpectralProfile(lam, vals.astype(complex), support_hint=hint)
 
 
 # ---------------------------------------------------------------------------

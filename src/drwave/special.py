@@ -87,10 +87,6 @@ def script_j(mu: float, x):
     return float(out[0]) if scalar else out
 
 
-# The integer start pair splits its cells here (_low_pair).
-_HANKEL_SPLIT = 40.0
-
-
 @functools.cache
 def _hankel_rows(x_min: int) -> np.ndarray:
     """Horner rows of the Hankel expansion (DLMF 10.17.1, 10.17.3) at
@@ -99,7 +95,8 @@ def _hankel_rows(x_min: int) -> np.ndarray:
     terms run while a next a_k / x_min^k at either order is at least 1e-17
     and none has stopped falling, so that the first one left out is below
     1e-17 or is the least term of the asymptotic series (3e-17 at x = 18):
-    38 terms at x = 18, 20 at 25, 14 at 50, 6 at 1e3."""
+    38 terms at x = 18, 20 at 25, 14 at 50, 6 at 1e3.  _hankel_pair takes
+    the rows of its smallest x for every cell of a call."""
     a = [np.ones(2)]                                    # a_k at orders 0 and 1
     while True:
         k = len(a)
@@ -113,14 +110,14 @@ def _hankel_rows(x_min: int) -> np.ndarray:
     return rows[::-1]
 
 
-def _hankel_pair(x, x_min: float):
-    """Lambda_0(x) = J_0(x) and Lambda_1(x) = 2 J_1(x) / x for x >= x_min >= 18,
+def _hankel_pair(x):
+    """Lambda_0(x) = J_0(x) and Lambda_1(x) = 2 J_1(x) / x for x >= 18,
     x of any shape, by the Hankel expansion
     J_nu(x) = sqrt(2/(pi x)) (P cos w - Q sin w), w = x - nu pi/2 - pi/4,
-    with P and Q polynomials in 1/x^2 (_hankel_rows at the floor of x_min,
-    and at 1e3 beyond) run by one Horner sweep for both orders, and the
-    phases w taken from sin x and cos x of x itself."""
-    rows = _hankel_rows(min(math.floor(x_min), 1000))
+    with P and Q polynomials in 1/x^2 (_hankel_rows at the floor of the
+    smallest x, and at 1e3 beyond) run by one Horner sweep for both
+    orders, and the phases w taken from sin x and cos x of x itself."""
+    rows = _hankel_rows(min(math.floor(np.min(x)), 1000))
     inv = np.reciprocal(x)
     w = -inv.reshape(-1) * inv.reshape(-1)      # -1/x^2: x^2 overflows beyond 1.3e154
     acc = np.empty((4, w.size))
@@ -152,10 +149,8 @@ def _low_pair(nu0: float, x):
     script_j(mu, 0): for nu0 = 1/2 and x >= 0, sin x / x and
     3 (sin x / x - cos x) / x^2, order nu0 + 1 given from x = 1 on and 0
     below it, where the form cancels; for nu0 = 0 and x >= 18, J_0(x) and
-    2 J_1(x) / x by the Hankel expansion (_hankel_pair).  Where cells lie
-    on both sides of x = 40, every cell takes the sums for x >= 40 and
-    those below 40 are taken again with the longer sums their smallest x
-    needs, so that the others do not pay for them."""
+    2 J_1(x) / x by the Hankel expansion (_hankel_pair), all cells in one
+    pass with the sums their smallest x needs."""
     x = np.asarray(x, dtype=float)
     if nu0 == 0.5:
         lo = np.divide(np.sin(x), x, out=np.ones_like(x), where=x > 0)
@@ -164,13 +159,7 @@ def _low_pair(nu0: float, x):
         hi *= inv
         hi *= 3.0 * inv
         return lo, hi
-    x_min = float(np.min(x))
-    near = np.flatnonzero(x.reshape(-1) < _HANKEL_SPLIT)
-    if near.size in (0, x.size):
-        return _hankel_pair(x, x_min)
-    lo, hi = _hankel_pair(x, _HANKEL_SPLIT)
-    lo.reshape(-1)[near], hi.reshape(-1)[near] = _hankel_pair(x.reshape(-1)[near], x_min)
-    return lo, hi
+    return _hankel_pair(x)
 
 
 def _gamma_shifts(params: SpaceParams) -> tuple[list[float], int]:

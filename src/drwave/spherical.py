@@ -47,7 +47,7 @@ import numpy as np
 from numpy.polynomial import polynomial
 
 from .errors import DomainError, PhiBoundError, ResolutionError
-from .space import SpaceParams, density, log_density_taylor
+from .space import SpaceParams, log_density_taylor
 from .special import _h_modulus, _h_phase, _h_phase_slope0, _low_pair
 
 __all__ = [
@@ -174,7 +174,12 @@ class _HCSeries:
             self.slope0 = _h_phase_slope0(params)
         self.gam_re, self.gam_im = np.ascontiguousarray(gam.real), np.ascontiguousarray(gam.imag)
         self.decay = np.exp(-np.outer(np.arange(mu_max + 1), s))        # (mu, n_s)
-        self.pref = 2.0 ** (1.0 - 0.5 * params.m_z) / np.sqrt(density(params, s))
+        # 2^(1 - m_z/2) A^(-1/2) = 2 e^(-Q s/2) (1 - e^-s)^(-k/2) (1 + e^-s)^(-m_z/2),
+        # k = m_v + m_z, e^(-Q s/2) as (e^(-s/4))^(2Q): A itself passes the float
+        # range from s ~ 355 on, and exp(-Q s/2) would carry the rounding of Q s/2
+        k = params.m_v + params.m_z
+        self.pref = 2.0 * np.exp(-0.25 * s) ** (k + params.m_z)
+        self.pref *= (-np.expm1(-s)) ** (-0.5 * k) * (1.0 + np.exp(-s)) ** (-0.5 * params.m_z)
 
     def block(self, rows: slice) -> np.ndarray:
         """Rows `rows` of the series, shape (n_rows, n_s)."""
@@ -279,10 +284,11 @@ def _bessel_coeffs(params: SpaceParams) -> np.ndarray:
 
 
 # Extra orders above mu0 + 16 at which the Miller sweep starts, by the
-# largest x of its cells: (x_max bracket edge, extra orders).  Beyond the
-# last edge the start is x_max + 8 x_max^(1/3), at least 16 above mu0 + 16.
-# A scan against mpmath (mu0 from 1/2 to 30) put every kernel order within
-# 1e-14 of its amplitude with these.  Neumann's sum may ask for more.
+# largest x of its cells: (x_max bracket edge, extra orders), and 16
+# beyond the last edge.  A scan against mpmath (mu0 from 1/2 to 30) put
+# every kernel order within 1e-14 of its amplitude with these.  Neumann's
+# sum may ask for more, and beyond the last edge it always does: there its
+# reach passes Debye's bound x_max + 8 x_max^(1/3) (_miller_extra).
 _MILLER_EXTRA = ((0.5, 4), (2.0, 6), (5.0, 8), (10.0, 12))
 
 
@@ -307,20 +313,30 @@ def _miller_extra(top: float, x_max: float) -> int:
     discarded dominant solution has died out by the orders that are
     summed.  Above x, J_N(x) falls like
     exp(-(2 sqrt(2)/3) (N - x)^(3/2) / N^(1/2)) (Debye's expansion), so
-    at a fixed accuracy N - x grows like x^(1/3).  N must also reach past
-    the terms of Neumann's sum (_neumann_coeffs) that matter: to the first
-    order nu0 + 2K whose term gamma_K (x_max^2/4)^K is below 1e-18
-    (nu0 + 2K = 54 at x_max = 18 and nu0 = 0).
+    at a fixed accuracy N - x grows like x^(1/3): N >= x_max + 8 x_max^(1/3).
+    N must also reach past the terms of Neumann's sum (_neumann_coeffs)
+    that matter: to the first order nu0 + 2K whose term
+    gamma_K (x_max^2/4)^K is below 1e-18 (nu0 + 2K = 54 at x_max = 18 and
+    nu0 = 0).  That reach grows like (e/2) x_max, and beyond the last
+    _MILLER_EXTRA edge (x_max > 10) it clears Debye's bound by 11 orders
+    or more, so there the rule itself asks for no more than a floor of 16.
+    Raises ResolutionError where a term of the reach passes the float
+    range (x_max above about 107.8), where the search could not end.
     """
     for edge, extra in _MILLER_EXTRA:
         if x_max <= edge:
             break
     else:
-        extra = max(16, math.ceil(x_max + 8.0 * x_max ** (1.0 / 3.0) - top))
+        extra = 16
     nu0, y_k = top % 1.0, 1.0                    # y_k = (x_max^2/4)^k
     for k, gam in enumerate(_neumann_coeffs(nu0)):
-        if gam * y_k < 1e-18:
+        term = gam * y_k
+        if term < 1e-18:
             return max(extra, round(nu0 + 2 * k - top))
+        if not math.isfinite(term):
+            raise ResolutionError(
+                f"the Miller start's Neumann sum passes the float range at lambda s = {x_max:g}; "
+                f"the Bessel series takes lambda s up to about 107.8 on its Miller cells")
         y_k *= 0.25 * x_max * x_max
 
 

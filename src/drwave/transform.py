@@ -228,12 +228,16 @@ def sobolev_norm(params: SpaceParams, fh: SpectralProfile, beta: float) -> float
     (int (lambda^2 + Q^2/4)^beta |fh|^2 |c|^-2 dlambda)^(1/2); beta = 0
     is the Plancherel (L^2) norm up to the factor sqrt(C) of
     `inversion_constant`: ||f||_2 = sqrt(C) * sobolev_norm(fh, 0).
+    Raises ValidationError where the integral passes the float range.
     """
     if not 0.0 <= beta < math.inf:
         raise ValidationError(f"beta must be finite and >= 0, got {beta}")
     lam = fh.lambda_grid
-    w = (lam**2 + params.q2_over_4) ** beta * plancherel_density(params, lam)
-    val = grid_integral(np.abs(fh.values) ** 2 * w, lam)
+    with np.errstate(over="ignore", invalid="ignore"):   # a huge beta: the weight reads inf
+        w = (lam**2 + params.q2_over_4) ** beta * plancherel_density(params, lam)
+        val = grid_integral(np.abs(fh.values) ** 2 * w, lam)
+    if not math.isfinite(val):
+        raise ValidationError(f"the Sobolev norm at beta = {beta:g} passes the float range")
     return math.sqrt(max(val, 0.0))
 
 

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drwave import experiments
+from drwave import dispersive, experiments
 from drwave.cli import (
     _OPTIONS,
     _SUBCOMMANDS,
     DEFAULTS,
     _build_parser,
+    _builtin_spectrum,
     _emit_csv,
     _lambda_grid,
     _resolve,
@@ -22,6 +23,7 @@ from drwave.cli import (
     run,
 )
 from drwave.errors import ValidationError
+from drwave.profiles import SpectralProfile
 from drwave.space import density, log_density_derivative, new_space
 from drwave.special import c_function, plancherel_density
 
@@ -224,6 +226,9 @@ def test_config_error_exit_code(tmp_path, out_root):
     # a profile with no positive finite norm on the roundtrip grid
     ["transform", "--profile", "gaussian:1e300"],
     ["transform", "--s-max", "1e-300"],
+    # a profile whose exponent passes the float range; a Sobolev weight that does
+    ["transform", "--profile", "gaussian:1e307"],
+    ["experiment", "case1", "--beta-list", "1e300", "--n-list", "64,128,256,512,1024"],
 ])
 def test_malformed_input_is_a_usage_error(tmp_path, out_root, capsys, argv):
     cfg = tmp_path / "bad.cfg"
@@ -402,6 +407,53 @@ def test_far_gaussian_spectrum_propagates_without_warning(out_root):
     # (lambda - 1e300)^2 overflows to inf, and exp(-inf) = 0 is the spectrum
     assert run(["propagate", "--spectrum", "gaussian:1e300,1", "--s-max", "2",
                 "--lambda-max", "4", "--lambda-points", "128"]) == 0
+
+
+def test_wide_gaussian_spectrum_propagates_without_warning(out_root):
+    # sigma^2 passes the float range, and the spectrum is flat
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["propagate", "--spectrum", "gaussian:4,1e300", "--lambda-points", "128",
+                    "--lambda-max", "8", "--s-max", "3"]) == 0
+
+
+def test_gaussian_spectrum_maximal_runs_at_defaults(out_root):
+    # the Gaussian's support ends near lambda = 13, not at the grid's 256
+    assert run(["maximal", "--spectrum", "gaussian"]) == 0
+
+
+@pytest.mark.parametrize("m_v,m_z", [(2, 1), (4, 3), (16, 7)])
+def test_gaussian_support_keeps_the_maximal_function(m_v, m_z):
+    # the support cut where |fh| |c|^-2 falls below 1e-16 of its peak moves
+    # the maximal function by under 1e-12 of its max, on the same t and s grids
+    params = new_space(m_v, m_z)
+    kind = dispersive.PhaseKind.from_selector("frac:2")
+    cfg = dict(DEFAULTS, spectrum="gaussian:4,1", **{"grids.lambda_max": "16"})
+    cut = _builtin_spectrum(cfg, params, kind, 1.0)
+    lam = cut.lambda_grid
+    whole = SpectralProfile(lam, np.exp(-0.5 * (lam - 4.0) ** 2).astype(complex))
+    assert cut.support_hint[1] < 16.0
+    t_grid = dispersive.default_t_grid(params, kind, 16.0, n_points=64)
+    s = np.linspace(0.0, 6.0, 32)
+    got, ref = (dispersive.maximal_function(params, fh, kind, t_grid, s).values
+                for fh in (cut, whole))
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(ref)
+
+
+def test_phi_far_out_reads_its_small_value(out_root, capsys):
+    # the density passes the float range at s = 700; phi_0(700) = 2.755e-301
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["phi", "--lambda", "0", "--s", "700"]) == 0
+    assert "= 2.755242066654" in capsys.readouterr().out
+
+
+def test_miller_start_past_the_float_range_is_an_error(out_root, capsys):
+    # lambda s = 114 on a Miller cell of (200, 0): the terms of the start's
+    # Neumann sum pass the float range, where its search never ended
+    assert run(["phi", "--m-v", "200", "--m-z", "0", "--lambda", "60", "--s", "1.9"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "float range" in err, err
 
 
 def test_kernel_products_rerun_byte_identical(tmp_path, monkeypatch):

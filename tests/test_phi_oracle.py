@@ -91,6 +91,19 @@ def test_series_zone_matches_hypergeometric(m_v, m_z):
     assert np.all(np.abs(one - ref) <= tol * amp)
 
 
+@pytest.mark.parametrize("m_v,m_z", [(2, 0), (2, 1)])
+def test_series_far_out_matches_hypergeometric(m_v, m_z):
+    # the density A passes the float range from s ~ 355 on (2, 1); the
+    # series' prefactor A^(-1/2) is formed without it, so phi keeps its
+    # small value: within 1e-12 of phi_0(s), which bounds every |phi_lambda(s)|
+    params = new_space(m_v, m_z)
+    lams, s = [0.0, 0.5, 3.0], [200.0, 700.0]
+    got = phi_matrix(params, lams, s)
+    ref = np.array([[phi_hyp(params, lam, x) for x in s] for lam in lams])
+    assert np.all(ref[0] > 0)
+    assert np.all(np.abs(got - ref) <= 1e-12 * ref[0])
+
+
 def _ode_residual(params, lam: float, s: float):
     """|phi'' + (A'/A) phi' + (lambda^2 + Q^2/4) phi| of phi_hyp at s > 0,
     and (lambda^2 + Q^2/4) hypot(phi, phi'/omega), the scale it is held to.

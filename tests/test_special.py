@@ -47,7 +47,7 @@ def oracle_c_function(m_v: int, m_z: int, lam: float) -> complex:
 _LOW_PAIR_X = [0.0, 1e-300, 0.3, 1.0, math.pi / 2, 2.404825557695773, 37.5, 999.0, 1e3,
                1.3e5, 2e5]
 # the integer pair starts the upward recurrence alone, at x > mu0 + 17 >= 18:
-# both sides of its split at x = 40 and of the Hankel term counts' steps
+# both sides of the Hankel term counts' steps, which one call takes at its smallest x
 _LOW_PAIR_X_INTEGER = [18.0 + 1e-9, 18.5, 20.0, 25.0, 37.5, 40.0 - 1e-9, 40.0, 50.0, 999.0,
                        1e3, 1.3e5, 2e5]
 

@@ -401,6 +401,18 @@ def test_miller_start_converged_at_bracket_edges(m_v, m_z, monkeypatch):
         assert np.all(np.abs(got - more) <= 1e-14 * _bessel_amplitude(params, lams, s)), edge
 
 
+def test_miller_start_clears_the_debye_bound():
+    # beyond the last _MILLER_EXTRA edge the rule's floor is 16 orders, and
+    # Neumann's reach puts the start past Debye's x_max + 8 x_max^(1/3), for every
+    # mu0 = 1/2, 1, .., 90 and x_max up to its last Miller cell mu0 + 17
+    # (107 at most: the reach's terms pass the float range near 107.8)
+    for mu0 in np.arange(1, 181) / 2:
+        top = mu0 + 16.0
+        for x_max in np.linspace(10.0, min(mu0 + 17.0, 107.0), 41)[1:]:
+            start = top + spherical._miller_extra(top, x_max)
+            assert start >= x_max + 8.0 * x_max ** (1.0 / 3.0), (mu0, x_max)
+
+
 @pytest.mark.parametrize("m_v,m_z,s_max", [(2, 0, 5.0), (2, 1, 5.0), (4, 3, 5.0), (6, 2, 5.0),
                                            (16, 7, 1.95)])
 def test_phi_matrix_blocks_match_rows(m_v, m_z, s_max):
