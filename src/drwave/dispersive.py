@@ -25,7 +25,7 @@ from .errors import DomainError, ResolutionError, ValidationError
 from .profiles import RadialProfile, SpectralProfile
 from .space import SpaceParams
 from .spherical import phi_matrix
-from .transform import _real_kernel_product, inverse_quadrature
+from .transform import _lattice, _real_kernel_product, inverse_quadrature
 
 __all__ = [
     "PhaseKind",
@@ -220,13 +220,31 @@ def verify_phase_asymptotics(kind: PhaseKind, params: SpaceParams) -> PhaseAsymp
     )
 
 
+_T_BLOCK = 64  # times per kernel GEMM in maximal_function
+# lambda nodes x max(n_s, _T_BLOCK) that a PropagatorKernel may take on:
+# 2^23 cells are 64 MB of direct kernel or 128 MB of complex multipliers
+_CELLS_CAP = 2**23
+
+
 class PropagatorKernel:
     """Quadrature kernel s x lambda for one (space, spectrum, s-grid) triple.
 
     Built once, then applied for many times t: the t-dependence is only
     the unimodular multiplier e^(i t psi(lambda)) at the lambda nodes.
     Raises ResolutionError unless the spectral grid of fh resolves that
-    multiplier's phase up to t_max (at most pi/8 per grid step).
+    multiplier's phase up to t_max (at most pi/8 per grid step), and,
+    once the nodes are laid and before any kernel or multiplier is formed,
+    where nodes x max(n_s, _T_BLOCK) passes _CELLS_CAP.
+
+    phi is formed on the lambda lattice of `transform._lattice` at the
+    type sigma = max s, not on the nodes: lambda -> phi_lambda(s) is even,
+    bounded by 1 and entire of exponential type s (Paley-Wiener for the
+    Jacobi transform; Koornwinder, Ark. Mat. 13, 1975), so its
+    Gaussian-regularized Shannon series (Qian, Proc. AMS 131, 2003) on
+    that lattice reproduces each node's row within e^-42 of sup|phi|.  The
+    multiplier stays on the nodes: apply carries amp e^(i t psi) onto the
+    lattice by the transposed sampling weights.  Where `_lattice` finds
+    that the lattice would not pay, the kernel is formed on the nodes.
     """
 
     def __init__(self, params: SpaceParams, fh: SpectralProfile, kind: PhaseKind,
@@ -240,17 +258,32 @@ class PropagatorKernel:
             )
         self.s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
         nodes, self.amp = inverse_quadrature(params, fh, np.max(self.s_grid) + t_max * dpsi)
+        cells = nodes.size * max(self.s_grid.size, _T_BLOCK)
+        if cells > _CELLS_CAP:
+            raise ResolutionError(
+                f"the propagator needs {nodes.size} lambda nodes x "
+                f"{max(self.s_grid.size, _T_BLOCK)} columns = {cells:.3g} cells, above "
+                f"the cap of {_CELLS_CAP}; narrow the spectrum or lower lambda_max or t"
+            )
         self.psi_nodes = phase(kind, params, nodes)
-        self.kernel_t = phi_matrix(params, nodes, self.s_grid).T  # (n_s, n_nodes)
+        self.lattice = _lattice(nodes, self.s_grid)
+        if self.lattice is not None and 4 * self.lattice.m <= self.s_grid.size:
+            # no larger than a kernel on the nodes: formed once, not per apply
+            self.lattice.keep_weights()
+        rows = nodes if self.lattice is None else self.lattice.nodes
+        self.kernel_t = phi_matrix(params, rows, self.s_grid).T  # (n_s, n_rows)
 
     def apply(self, t) -> np.ndarray:
         """S_t f on the s grid, shape (n_s,); for a 1-D array of times, shape
-        (n_s, n_t).  Either way one real GEMM of the real kernel_t with the
-        interleaved (re, im) view of the complex coefficients."""
+        (n_s, n_t).  The coefficients amp e^(i t psi) on the nodes, carried
+        onto the lattice where there is one, then one real GEMM of the real
+        kernel_t with their interleaved (re, im) view."""
         t = np.asarray(t, dtype=float)
         mult = np.exp(1j * np.multiply.outer(self.psi_nodes, t))
-        amp = self.amp if t.ndim == 0 else self.amp[:, None]
-        return _real_kernel_product(self.kernel_t, amp * mult)
+        coef = (self.amp if t.ndim == 0 else self.amp[:, None]) * mult
+        if self.lattice is not None:
+            coef = self.lattice.gather(coef)
+        return _real_kernel_product(self.kernel_t, coef)
 
 
 def propagate(params: SpaceParams, fh: SpectralProfile, kind: PhaseKind,
@@ -265,7 +298,6 @@ def propagate(params: SpaceParams, fh: SpectralProfile, kind: PhaseKind,
 
 
 _T_MIN, _T_MAX = 1e-4, 1.0 - 1e-9   # ends of default_t_grid
-_T_BLOCK = 64  # times per kernel GEMM in maximal_function
 
 
 def default_t_grid(params: SpaceParams, kind: PhaseKind, lam_max: float,

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 import warnings
 
 import numpy as np
@@ -420,6 +421,17 @@ def test_wide_gaussian_spectrum_propagates_without_warning(out_root):
 def test_gaussian_spectrum_maximal_runs_at_defaults(out_root):
     # the Gaussian's support ends near lambda = 13, not at the grid's 256
     assert run(["maximal", "--spectrum", "gaussian"]) == 0
+
+
+def test_flat_gaussian_maximal_ends_at_the_kernel_cap(out_root, capsys):
+    # a flat spectrum covers all of [0, 256]: 1,350,736 lambda nodes times
+    # 256 s; the propagator screens its cells before it forms any kernel or
+    # multiplier and ends with a usage error, in well under a second
+    start = time.perf_counter()
+    assert run(["maximal", "--spectrum", "gaussian:4,1e300"]) == 2
+    assert time.perf_counter() - start < 10.0
+    err = capsys.readouterr().err.splitlines()
+    assert any(line.startswith("error:") and "cap" in line for line in err), err
 
 
 @pytest.mark.parametrize("m_v,m_z", [(2, 1), (4, 3), (16, 7)])

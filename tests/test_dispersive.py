@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from drwave import dispersive
+from drwave import dispersive, transform
 from drwave.bumps import eta_dyadic
 from drwave.dispersive import (
     PhaseKind,
@@ -19,6 +19,7 @@ from drwave.dispersive import (
 from drwave.errors import DomainError, ResolutionError, ValidationError
 from drwave.profiles import SpectralProfile
 from drwave.space import new_space
+from drwave.spherical import phi_matrix
 from drwave.transform import sft_inverse, sobolev_norm
 from oracles import chi_lowpass
 
@@ -168,11 +169,16 @@ def test_propagate_t_zero_is_inverse(space21):
 @pytest.mark.parametrize("m_v,m_z", [(2, 1), (4, 3)])
 def test_apply_matches_the_complex_kernel_product(m_v, m_z):
     # the real kernel multiplies the complex coefficients without a complex
-    # copy of itself: the same product as the complex one up to rounding
+    # copy of itself: the complex product on the fine quadrature nodes up to
+    # rounding, though the kernel is formed on the lambda lattice
     params = new_space(m_v, m_z)
-    kern = dispersive.PropagatorKernel(params, _spectrum(), PhaseKind("boussinesq"),
-                                       np.linspace(0.0, 4.0, 96), t_max=1.0)
-    full = kern.kernel_t.astype(complex)
+    fh, kind, s = _spectrum(), PhaseKind("boussinesq"), np.linspace(0.0, 4.0, 96)
+    kern = dispersive.PropagatorKernel(params, fh, kind, s, t_max=1.0)
+    assert kern.lattice.kept is None   # weights formed per apply
+    dpsi = abs(phase_derivs(kind, params, fh.top)[0])
+    nodes, amp = transform.inverse_quadrature(params, fh, 4.0 + dpsi)
+    assert np.array_equal(amp, kern.amp)
+    full = phi_matrix(params, nodes, s).T.astype(complex)
     for t in (0.3, np.geomspace(1e-3, 1.0, 64)):
         mult = np.exp(1j * np.multiply.outer(kern.psi_nodes, t))
         ref = full @ ((kern.amp if np.ndim(t) == 0 else kern.amp[:, None]) * mult)
@@ -180,6 +186,56 @@ def test_apply_matches_the_complex_kernel_product(m_v, m_z):
         assert got.shape == ((96,) if np.ndim(t) == 0 else (96, 64))
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
     assert kern.kernel_t.dtype == np.float64
+
+
+@pytest.mark.parametrize("m_v,m_z", [(2, 0), (2, 1), (4, 3), (16, 7)])
+def test_lattice_propagator_matches_the_fine_node_product(m_v, m_z):
+    # the kernel is built on a coarse lambda lattice and the multiplier stays
+    # on the fine nodes: the complex product on the fine nodes up to 1e-13 of
+    # max|f| = max|S_0 f|.  Both products round at the scale of sum|amp phi|,
+    # which the solution's own max falls far below once it has dispersed
+    # (at t = 0.7 to 1.7e-4 of max|f| on (16, 7))
+    params = new_space(m_v, m_z)
+    kind = PhaseKind("frac", a=2.0)
+    lam = np.linspace(0.0, 8.0, 400)
+    fh = SpectralProfile(lam, np.exp(-((lam - 3.0) ** 2) + 1j * lam))
+    s = np.linspace(0.0, 6.0, 200)
+    kern = dispersive.PropagatorKernel(params, fh, kind, s, t_max=1.0)
+    dpsi = abs(phase_derivs(kind, params, fh.top)[0])
+    nodes, amp = transform.inverse_quadrature(params, fh, 6.0 + dpsi)
+    assert kern.lattice.kept is not None   # test_apply_... takes the other branch
+    full = phi_matrix(params, nodes, s).T.astype(complex)
+    scale = np.max(np.abs(full @ amp))
+    for t in (0.0, 0.7, np.geomspace(1e-3, 1.0, 16)):
+        mult = np.exp(1j * np.multiply.outer(phase(kind, params, nodes), t))
+        ref = full @ ((amp if np.ndim(t) == 0 else amp[:, None]) * mult)
+        assert np.max(np.abs(kern.apply(t) - ref)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("s_max,n_s", [(9.0, 400), (1.0, 512)])
+def test_propagator_memory_is_bounded_by_the_direct_kernel(space21, s_max, n_s):
+    # over 4,600 to 15,100 nodes on [0, 128], the kernel on the lattice and
+    # one apply stay under the bytes of the phi kernel on the nodes; at 400 s
+    # (2m = 254) the weights are formed per apply in row blocks, under a
+    # quarter of their bytes at once, and at 512 s (4m = 244) they are kept
+    import tracemalloc
+
+    lam = np.linspace(0.0, 128.0, 4096)
+    fh = SpectralProfile(lam, np.exp(-(((lam - 50.0) / 20.0) ** 2)).astype(complex))
+    s = np.linspace(0.0, s_max, n_s)
+    kind = PhaseKind("frac", a=2.0)
+    tracemalloc.start()
+    try:
+        kern = dispersive.PropagatorKernel(space21, fh, kind, s, t_max=0.01)
+        out = kern.apply(0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (kern.lattice.kept is None) == (n_s == 400)
+    assert peak < kern.amp.size * n_s * 8
+    if kern.lattice.kept is None:
+        assert peak < kern.amp.size * 2 * kern.lattice.m * 8 / 4
+    assert np.all(np.isfinite(out))
 
 
 def test_propagation_conserves_h0(space21):

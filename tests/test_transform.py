@@ -187,6 +187,83 @@ def test_blocked_forward_matches_one_block(space21, monkeypatch):
     assert np.max(np.abs(blocked - one)) <= 1e-13 * np.max(np.abs(one))
 
 
+def test_forward_memory_with_three_lattice_blocks(space21, monkeypatch):
+    # 10,000 lambda on [0, 128] resample 747 lattice rows; on 15,648 panel
+    # nodes these are 11.7 M kernel cells, three blocks of at most 2^22, and
+    # the peak stays under 64 bytes per cell of one block
+    import tracemalloc
+
+    f = _gaussian_profile(1.0, s_max=12.0, n=1536)
+    lam = np.linspace(0.0, 128.0, 10_000)
+    blocks = []
+    monkeypatch.setattr(transform, "phi_matrix",
+                        lambda *a: blocks.append(len(a[1])) or phi_matrix(*a))
+    tracemalloc.start()
+    try:
+        fh = sft_forward(space21, f, lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(blocks) >= 3 and 2 * sum(blocks) <= lam.size
+    assert peak < 2**22 * 64
+    assert np.all(np.isfinite(fh.values))
+
+
+def test_direct_product_stays_where_the_lattice_does_not_pay(space21):
+    # 108 lambda on [0, 7] would take 80 lattice rows, more than half of
+    # them: phi is formed on the requested rows, as without a lattice
+    f = _gaussian_profile(1.0, s_max=6.0, n=512)
+    lam = np.linspace(0.0, 7.0, 108)
+    nodes, weights = panel_rule(0.0, 6.0, 7.0)
+    assert transform._lattice(lam, nodes) is None
+    v = weights * transform._spline(f.s_grid, f.values, nodes) * density(space21, nodes)
+    assert np.array_equal(sft_forward(space21, f, lam).values, phi_matrix(space21, lam, nodes) @ v)
+    # 70 lattice rows would serve 248 nodes, but on 80 s a row's 88 weights
+    # are more than its 80 phi cells
+    fh, s = _bump_spectrum(1.0, 5.0), np.linspace(0.0, 6.0, 80)
+    nodes, amp = transform.inverse_quadrature(space21, fh, 6.0)
+    assert transform._lattice(nodes, s) is None
+    assert np.array_equal(sft_inverse(space21, fh, s).values,
+                          transform._real_kernel_product(phi_matrix(space21, nodes, s).T, amp))
+
+
+def test_large_lambda_grid_takes_the_lattice(space21, monkeypatch):
+    # phi is formed on the lattice rows alone, at most half the requested ones
+    rows = []
+    monkeypatch.setattr(transform, "phi_matrix",
+                        lambda *a: rows.append(len(a[1])) or phi_matrix(*a))
+    lam = np.linspace(0.0, 16.0, 600)
+    sft_forward(space21, _gaussian_profile(1.0, s_max=6.0, n=512), lam)
+    assert 2 * sum(rows) <= lam.size
+    fh, s = _bump_spectrum(1.0, 5.0), np.linspace(0.0, 6.0, 160)
+    nodes, _ = transform.inverse_quadrature(space21, fh, 6.0)
+    rows.clear()
+    sft_inverse(space21, fh, s)
+    assert rows == [transform._lattice(nodes, s).nodes.size]
+    assert 2 * rows[0] <= nodes.size
+
+
+def test_inverse_memory_is_bounded_by_blocked_weights(space21):
+    # 23,472 nodes on [0, 256] and 400 s on [0, 9]: the 2m = 336 weights of
+    # each node are formed and applied in row blocks, so the peak stays
+    # under a quarter of the 63 MB they would take at once
+    import tracemalloc
+
+    lam = np.linspace(0.0, 256.0, 8192)
+    fh = SpectralProfile(lam, np.exp(-((lam - 100.0) / 40.0) ** 2).astype(complex))
+    s = np.linspace(0.0, 9.0, 400)
+    nodes, _ = transform.inverse_quadrature(space21, fh, 9.0)
+    lattice = transform._lattice(nodes, s)
+    tracemalloc.start()
+    try:
+        back = sft_inverse(space21, fh, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < nodes.size * 2 * lattice.m * 8 / 4
+    assert np.all(np.isfinite(back.values))
+
+
 def test_inverse_of_zero(space21):
     fh = SpectralProfile(LAM_GRID, np.zeros(512, dtype=complex))
     back = sft_inverse(space21, fh, np.linspace(0, 4, 64))
@@ -224,6 +301,34 @@ def test_inverse_matches_the_complex_kernel_product(m_v, m_z):
     ref = phi_matrix(params, nodes, s).T.astype(complex) @ amp
     assert back.values.shape == (80,)
     assert np.max(np.abs(back.values - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("m_v,m_z", [(2, 0), (2, 1), (4, 3), (16, 7)])
+def test_lattice_transforms_match_the_fine_node_products(m_v, m_z):
+    # both transforms resample their lambda rows from a coarse lattice; each
+    # is held to its direct product on the requested (fine) lambda rows
+    params = new_space(m_v, m_z)
+    f = _gaussian_profile(2.0, s_max=6.0, n=512)   # its tail is negligible on (16, 7) too
+    lam = np.linspace(0.0, 16.0, 600)              # lambda = 0 and lambda_max included
+    nodes, weights = panel_rule(0.0, 6.0, 16.0)
+    assert transform._lattice(lam, nodes) is not None
+    v = weights * transform._spline(f.s_grid, f.values, nodes) * density(params, nodes)
+    ref = phi_matrix(params, lam, nodes) @ v
+    got = sft_forward(params, f, lam).values
+    # on (16, 7) the exponential series rounds near s = 2 at lambda < 1, in
+    # the direct rows and the lattice rows alike (ROADMAP item 4): the 1e-9
+    # that test_series_zone_matches_hypergeometric[16-7] holds phi to there
+    tol = 1e-9 if (m_v, m_z) == (16, 7) else 1e-13
+    assert np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref))
+    # a spectrum over all of [0, 8]: the panel nodes reach both ends
+    lam = np.linspace(0.0, 8.0, 400)
+    fh = SpectralProfile(lam, np.exp(-((lam - 3.0) ** 2) + 1j * lam))
+    s = np.linspace(0.0, 6.0, 160)
+    nodes, amp = transform.inverse_quadrature(params, fh, 6.0)
+    assert transform._lattice(nodes, s) is not None
+    ref = phi_matrix(params, nodes, s).T.astype(complex) @ amp
+    got = sft_inverse(params, fh, s).values
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_isometry_beta_zero(space21):
