@@ -221,8 +221,11 @@ def verify_phase_asymptotics(kind: PhaseKind, params: SpaceParams) -> PhaseAsymp
 
 
 _T_BLOCK = 64  # times per kernel GEMM in maximal_function
-# lambda nodes x max(n_s, _T_BLOCK) that a PropagatorKernel may take on:
-# 2^23 cells are 64 MB of direct kernel or 128 MB of complex multipliers
+# cells that a PropagatorKernel may allocate for its phi kernel (kernel rows
+# x n_s) or for the complex multipliers of one block of times (nodes x
+# _T_BLOCK): 64 MB of kernel, 128 MB of multipliers.  Its kept sampling
+# weights, 2m < n_s per node and the padding of their row blocks, stay of
+# the order of a kernel on the nodes
 _CELLS_CAP = 2**23
 
 
@@ -233,8 +236,9 @@ class PropagatorKernel:
     the unimodular multiplier e^(i t psi(lambda)) at the lambda nodes.
     Raises ResolutionError unless the spectral grid of fh resolves that
     multiplier's phase up to t_max (at most pi/8 per grid step), and,
-    once the nodes are laid and before any kernel or multiplier is formed,
-    where nodes x max(n_s, _T_BLOCK) passes _CELLS_CAP.
+    once the nodes and the lattice are laid and before any kernel, weight
+    or multiplier is formed, where the kernel or one block of multipliers
+    would pass _CELLS_CAP.
 
     phi is formed on the lambda lattice of `transform._lattice` at the
     type sigma = max s, not on the nodes: lambda -> phi_lambda(s) is even,
@@ -243,8 +247,10 @@ class PropagatorKernel:
     Gaussian-regularized Shannon series (Qian, Proc. AMS 131, 2003) on
     that lattice reproduces each node's row within e^-42 of sup|phi|.  The
     multiplier stays on the nodes: apply carries amp e^(i t psi) onto the
-    lattice by the transposed sampling weights.  Where `_lattice` finds
-    that the lattice would not pay, the kernel is formed on the nodes.
+    lattice by the transposed sampling weights, formed once and kept (a
+    row's 2m weights are fewer than its n_s kernel cells).  Where
+    `_lattice` finds that the lattice would not pay, the kernel is formed
+    on the nodes.
     """
 
     def __init__(self, params: SpaceParams, fh: SpectralProfile, kind: PhaseKind,
@@ -258,19 +264,17 @@ class PropagatorKernel:
             )
         self.s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
         nodes, self.amp = inverse_quadrature(params, fh, np.max(self.s_grid) + t_max * dpsi)
-        cells = nodes.size * max(self.s_grid.size, _T_BLOCK)
+        self.lattice = _lattice(nodes, self.s_grid)   # sorts the nodes, forms nothing yet
+        rows = nodes if self.lattice is None else self.lattice.nodes
+        cells = max(rows.size * self.s_grid.size, nodes.size * _T_BLOCK)
         if cells > _CELLS_CAP:
             raise ResolutionError(
-                f"the propagator needs {nodes.size} lambda nodes x "
-                f"{max(self.s_grid.size, _T_BLOCK)} columns = {cells:.3g} cells, above "
+                f"the propagator needs {cells:.3g} cells in one array ({nodes.size} "
+                f"lambda nodes, {rows.size} kernel rows x {self.s_grid.size} s), above "
                 f"the cap of {_CELLS_CAP}; narrow the spectrum or lower lambda_max or t"
             )
         self.psi_nodes = phase(kind, params, nodes)
-        self.lattice = _lattice(nodes, self.s_grid)
-        if self.lattice is not None and 4 * self.lattice.m <= self.s_grid.size:
-            # no larger than a kernel on the nodes: formed once, not per apply
-            self.lattice.keep_weights()
-        rows = nodes if self.lattice is None else self.lattice.nodes
+        self.weights = None if self.lattice is None else list(self.lattice.blocks())
         self.kernel_t = phi_matrix(params, rows, self.s_grid).T  # (n_s, n_rows)
 
     def apply(self, t) -> np.ndarray:
@@ -282,7 +286,7 @@ class PropagatorKernel:
         mult = np.exp(1j * np.multiply.outer(self.psi_nodes, t))
         coef = (self.amp if t.ndim == 0 else self.amp[:, None]) * mult
         if self.lattice is not None:
-            coef = self.lattice.gather(coef)
+            coef = self.lattice.gather(coef, self.weights)
         return _real_kernel_product(self.kernel_t, coef)
 
 

@@ -122,17 +122,12 @@ class _Lattice:
         self.first = np.floor(self.x).astype(np.int64) - (m - 1)   # lowest k of each row
         self.m, self.r2 = m, (m - 1) / (math.pi - u)
         self.nodes = h * np.arange(size)
-        self.kept = None
 
-    def keep_weights(self) -> None:
-        """Form the weight blocks once, for many products; they hold fewer
-        than 4m cells per requested row."""
-        self.kept = list(self._blocks())
-
-    def _blocks(self):
+    def blocks(self):
         """(rows, lo, w) for each row block: w[i, c] weighs lattice row lo + c
         for requested row rows[i].  A block spans fewer than 2m lattice steps
-        and at most _WEIGHT_CELLS // (4m) rows, so w has under _WEIGHT_CELLS cells."""
+        and at most _WEIGHT_CELLS // (4m) rows, so w has under _WEIGHT_CELLS
+        cells, and all blocks together under 4m per requested row."""
         m, first, x = self.m, self.first, self.x
         per_block = max(1, _WEIGHT_CELLS // (4 * m))
         a = 0
@@ -153,15 +148,16 @@ class _Lattice:
     def resample(self, values: np.ndarray) -> np.ndarray:
         """W @ values: the requested rows from the lattice rows (1-d)."""
         out = np.empty(self.order.size, dtype=values.dtype)
-        for rows, lo, w in self._blocks():
+        for rows, lo, w in self.blocks():
             out[rows] = w @ values[lo:lo + w.shape[1]]
         return out
 
-    def gather(self, coef: np.ndarray) -> np.ndarray:
+    def gather(self, coef: np.ndarray, blocks) -> np.ndarray:
         """W^T @ coef: complex coefficients of shape (n,) or (n, k) on the
-        requested rows carried onto the lattice rows."""
+        requested rows carried onto the lattice rows, by the weight blocks
+        of `blocks()`, formed as they go or kept for many products."""
         out = np.zeros(self.nodes.shape + coef.shape[1:], dtype=complex)
-        for rows, lo, w in self.kept or self._blocks():
+        for rows, lo, w in blocks:
             out[lo:lo + w.shape[1]] += _real_kernel_product(w.T, coef[rows])
         return out
 
@@ -339,7 +335,7 @@ def sft_inverse(params: SpaceParams, fh: SpectralProfile, s_grid) -> RadialProfi
     nodes, amp = inverse_quadrature(params, fh, float(np.max(s_grid)))
     lattice = _lattice(nodes, s_grid)
     if lattice is not None:
-        nodes, amp = lattice.nodes, lattice.gather(amp)
+        nodes, amp = lattice.nodes, lattice.gather(amp, lattice.blocks())
     return RadialProfile(s_grid, _real_kernel_product(phi_matrix(params, nodes, s_grid).T, amp))
 
 

@@ -424,14 +424,27 @@ def test_gaussian_spectrum_maximal_runs_at_defaults(out_root):
 
 
 def test_flat_gaussian_maximal_ends_at_the_kernel_cap(out_root, capsys):
-    # a flat spectrum covers all of [0, 256]: 1,350,736 lambda nodes times
-    # 256 s; the propagator screens its cells before it forms any kernel or
-    # multiplier and ends with a usage error, in well under a second
+    # a flat spectrum covers all of [0, 256]: 1,350,736 lambda nodes, whose
+    # multipliers alone are 86 M cells per block of times; the propagator
+    # screens its cells before it forms any kernel, weight or multiplier and
+    # ends with a usage error, in well under a second
     start = time.perf_counter()
     assert run(["maximal", "--spectrum", "gaussian:4,1e300"]) == 2
     assert time.perf_counter() - start < 10.0
     err = capsys.readouterr().err.splitlines()
     assert any(line.startswith("error:") and "cap" in line for line in err), err
+
+
+@pytest.mark.parametrize("argv", [
+    # the 51,784 nodes of `maximal --spectrum bump:2,50` (226 lattice rows)
+    ["propagate", "--spectrum", "bump:2,50", "--t", "0.999"],
+    # 25,960 nodes, 363 lattice rows
+    ["propagate", "--spectrum", "bump:2,100", "--t", "0.1"],
+])
+def test_wide_spectrum_propagates_under_the_kernel_cap(out_root, argv):
+    # nodes x 384 s passes the cap, but the kernel is formed on the lattice
+    # rows: the cap counts what is allocated, and these still run
+    assert run(argv) == 0
 
 
 @pytest.mark.parametrize("m_v,m_z", [(2, 1), (4, 3), (16, 7)])

@@ -174,7 +174,6 @@ def test_apply_matches_the_complex_kernel_product(m_v, m_z):
     params = new_space(m_v, m_z)
     fh, kind, s = _spectrum(), PhaseKind("boussinesq"), np.linspace(0.0, 4.0, 96)
     kern = dispersive.PropagatorKernel(params, fh, kind, s, t_max=1.0)
-    assert kern.lattice.kept is None   # weights formed per apply
     dpsi = abs(phase_derivs(kind, params, fh.top)[0])
     nodes, amp = transform.inverse_quadrature(params, fh, 4.0 + dpsi)
     assert np.array_equal(amp, kern.amp)
@@ -203,7 +202,7 @@ def test_lattice_propagator_matches_the_fine_node_product(m_v, m_z):
     kern = dispersive.PropagatorKernel(params, fh, kind, s, t_max=1.0)
     dpsi = abs(phase_derivs(kind, params, fh.top)[0])
     nodes, amp = transform.inverse_quadrature(params, fh, 6.0 + dpsi)
-    assert kern.lattice.kept is not None   # test_apply_... takes the other branch
+    assert kern.lattice is not None
     full = phi_matrix(params, nodes, s).T.astype(complex)
     scale = np.max(np.abs(full @ amp))
     for t in (0.0, 0.7, np.geomspace(1e-3, 1.0, 16)):
@@ -214,10 +213,10 @@ def test_lattice_propagator_matches_the_fine_node_product(m_v, m_z):
 
 @pytest.mark.parametrize("s_max,n_s", [(9.0, 400), (1.0, 512)])
 def test_propagator_memory_is_bounded_by_the_direct_kernel(space21, s_max, n_s):
-    # over 4,600 to 15,100 nodes on [0, 128], the kernel on the lattice and
-    # one apply stay under the bytes of the phi kernel on the nodes; at 400 s
-    # (2m = 254) the weights are formed per apply in row blocks, under a
-    # quarter of their bytes at once, and at 512 s (4m = 244) they are kept
+    # over 4,600 to 15,100 nodes on [0, 128], the kernel on the lattice, the
+    # kept weights and one apply stay under the bytes of the phi kernel on
+    # the nodes; the weights are banded, under 4m cells per node, where a
+    # dense (nodes x lattice) matrix would take 593 at 400 s
     import tracemalloc
 
     lam = np.linspace(0.0, 128.0, 4096)
@@ -231,10 +230,8 @@ def test_propagator_memory_is_bounded_by_the_direct_kernel(space21, s_max, n_s):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (kern.lattice.kept is None) == (n_s == 400)
+    assert sum(w.size for _, _, w in kern.weights) < kern.amp.size * 4 * kern.lattice.m
     assert peak < kern.amp.size * n_s * 8
-    if kern.lattice.kept is None:
-        assert peak < kern.amp.size * 2 * kern.lattice.m * 8 / 4
     assert np.all(np.isfinite(out))
 
 
