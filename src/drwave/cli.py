@@ -240,8 +240,9 @@ def _builtin_spectrum(cfg, params, kind, t_max: float) -> SpectralProfile:
         shape = lambda lam: bump_unit(2.0 * (lam - lo) / (hi - lo) - 1.0)
     else:
         center, sigma = pair
-        if not sigma > 0:
-            raise ValidationError(f"spectrum {cfg['spectrum']!r} needs a width sigma > 0")
+        if not (sigma > 0 and sigma * sigma > 0):
+            raise ValidationError(f"spectrum {cfg['spectrum']!r} needs a width sigma > 0 "
+                                  f"whose square is not 0 in double precision")
         top, hint = float(cfg["grids.lambda_max"]), None
 
         def shape(lam):
@@ -312,7 +313,11 @@ def _cmd_transform(cfg, chash, out):
     f = _builtin_profile(cfg)
     s_out = np.linspace(0.0, 0.75 * float(cfg["grids.s_max"]), 384)
     ref_vals = np.interp(s_out, f.s_grid, np.real(f.values))
-    w = density(params, s_out)
+    with np.errstate(over="ignore"):        # A(s) past the double range reads inf
+        w = density(params, s_out)
+    if not np.all(np.isfinite(w)):
+        raise ValidationError(f"the volume density A(s) passes the double range on the roundtrip "
+                              f"grid [0, {s_out[-1]:g}]; lower --s-max")
     den = np.sqrt(np.trapezoid(ref_vals**2 * w, s_out))
     if not 0.0 < den < math.inf:
         raise ValidationError(f"profile {cfg['profile']!r} has norm {den:g} on the roundtrip "

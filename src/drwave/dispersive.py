@@ -24,6 +24,7 @@ import numpy as np
 from .errors import DomainError, ResolutionError, ValidationError
 from .profiles import RadialProfile, SpectralProfile
 from .space import SpaceParams
+from .special import _cis
 from .spherical import phi_matrix
 from .transform import _lattice, _real_kernel_product, inverse_quadrature
 
@@ -151,10 +152,25 @@ class PhaseKind:
         return cls(family, shifted=head != family, a=a)
 
 
+# the largest lambda whose square, plus any gap, is a finite double
+_LAM_MAX = math.sqrt(np.finfo(float).max)
+
+
+def _phase_arg(kind: PhaseKind, params: SpaceParams, lam: np.ndarray) -> np.ndarray:
+    """u = lambda^2 + gap, the argument of the family's F.  Raises
+    DomainError where lambda^2 would pass the double range (lambda above
+    _LAM_MAX, about 1.34e154): no F, F' or F'' is formed right from u = inf."""
+    lam_top = lam.max(initial=0.0)
+    if lam_top > _LAM_MAX:
+        raise DomainError(f"the phase needs lambda^2 within the double range; "
+                          f"lambda reaches {lam_top:g}")
+    return lam * lam + kind.gap(params)
+
+
 def phase(kind: PhaseKind, params: SpaceParams, lam):
     """psi(lambda) for the given variant (vectorized over lambda >= 0)."""
     lam = np.asarray(lam, dtype=float)
-    out = np.asarray(kind.entry.f(lam * lam + kind.gap(params), kind.a))
+    out = np.asarray(kind.entry.f(_phase_arg(kind, params, lam), kind.a))
     return out if out.ndim else float(out)
 
 
@@ -164,13 +180,15 @@ def phase_derivs(kind: PhaseKind, params: SpaceParams, lam):
     if np.any(lam <= 0):
         raise DomainError("phase_derivs requires lambda > 0")
     entry = kind.entry
-    u = lam * lam + kind.gap(params)
+    u = _phase_arg(kind, params, lam)
     df = entry.df(u, kind.a)
     d1 = 2.0 * lam * df
     if kind.shifted and entry.dd_shifted is not None:
         d2 = entry.dd_shifted(lam)
     else:
-        d2 = 2.0 * df + 4.0 * lam * lam * entry.ddf(u, kind.a)
+        # lam^2 F'' before the factor 4 (the same bits), which would take
+        # lam^2 past the double range from lam = 6.7e153 on
+        d2 = 2.0 * df + 4.0 * (lam * lam * entry.ddf(u, kind.a))
     if np.ndim(d1):
         return d1, d2
     return float(d1), float(d2)
@@ -283,7 +301,7 @@ class PropagatorKernel:
         onto the lattice where there is one, then one real GEMM of the real
         kernel_t with their interleaved (re, im) view."""
         t = np.asarray(t, dtype=float)
-        mult = np.exp(1j * np.multiply.outer(self.psi_nodes, t))
+        mult = _cis(np.multiply.outer(self.psi_nodes, t))
         coef = (self.amp if t.ndim == 0 else self.amp[:, None]) * mult
         if self.lattice is not None:
             coef = self.lattice.gather(coef, self.weights)

@@ -25,7 +25,7 @@ from .profiles import SpectralProfile
 from .quadrature import panel_rule
 from .space import SpaceParams, new_space
 from .spherical import phi_matrix
-from .special import plancherel_density
+from .special import _cis, plancherel_density
 from .transform import euclidean_correspondence_inverse, sft_inverse, sobolev_norm
 
 __all__ = [
@@ -147,7 +147,7 @@ def _case1_linearized_min(params: SpaceParams, kind: PhaseKind, a: float,
     psi = phase(kind, params, lam)
     c_inv = np.sqrt(plancherel_density(params, lam))
     kernel = phi_matrix(params, lam, s_grid)               # (n_xi, n_s)
-    mult = np.exp(1j * np.outer(t_of_s, psi))              # (n_s, n_xi)
+    mult = _cis(np.outer(t_of_s, psi))                     # (n_s, n_xi)
     vals = (mult * kernel.T) @ (w * bump_unit(xi) * c_inv)
     return float(np.min(np.abs(vals)))
 

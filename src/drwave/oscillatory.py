@@ -44,6 +44,7 @@ from .dispersive import PhaseKind, phase_derivs, verify_phase_asymptotics
 from .errors import DomainError, ResolutionError, ValidationError
 from .quadrature import panel_rules
 from .space import SpaceParams
+from .special import _cis
 
 __all__ = [
     "WindowIntegralResult",
@@ -125,7 +126,7 @@ def _panel_sums(g, ph, root, a, b, lam0, rate, n_min: int):
     node counts."""
     nodes, weights, counts = panel_rules(a, b, rate, n_min)
     seg = np.repeat(np.arange(a.size), counts)
-    terms = weights * g(nodes) * np.exp(1j * ph.diff(root[seg], nodes, lam0[seg]))
+    terms = weights * g(nodes) * _cis(ph.diff(root[seg], nodes, lam0[seg]))
     return np.add.reduceat(terms, np.cumsum(counts) - counts), counts
 
 
@@ -190,8 +191,8 @@ def _levin_leaves(g, ph, root, a, b, lam0, tol):
     segment, each order one stacked solve.  Returns the higher order's
     values and, per column of the (n, m) tol, whether the two orders agree
     within it; a singular system fails like two disagreeing orders."""
-    rot_a = np.exp(1j * ph.diff(root, a, lam0))
-    rot_b = np.exp(1j * ph.diff(root, b, lam0))
+    rot_a = _cis(ph.diff(root, a, lam0))
+    rot_b = _cis(ph.diff(root, b, lam0))
     ok = np.ones(a.size, bool)
     vals = []
     for n in (_LEVIN_N1, _LEVIN_N2):
@@ -236,7 +237,11 @@ def _integrate(g, ph, a, b, tol):
     open_ = np.ones(tol.shape, bool)
     depth = 0
     while root.size:
-        tp = ph.deriv(root[:, None], np.linspace(a, b, 9, axis=1))
+        # psi' past the double range makes theta' inf; psi' grows with
+        # lambda, so a probe finite up to its last point b keeps every later
+        # call on the segment finite
+        with np.errstate(over="ignore"):
+            tp = ph.deriv(root[:, None], np.linspace(a, b, 9, axis=1))
         if not np.all(np.isfinite(tp)):
             raise DomainError("the phase derivative is not finite on the integration range")
         direct = np.max(np.abs(tp), axis=1) * (b - a) <= _PHASE_SMALL
@@ -259,7 +264,7 @@ def _integrate(g, ph, a, b, tol):
         open_ &= ~closed
         s = np.flatnonzero(open_.any(axis=1))
         mid = 0.5 * (a[s] + b[s])
-        shift = mult[s] * np.exp(1j * ph.diff(root[s], mid, lam0[s]))
+        shift = mult[s] * _cis(ph.diff(root[s], mid, lam0[s]))
         # left halves, then right halves
         root, mult, lam0 = np.tile(root[s], 2), np.tile(shift, 2), np.tile(mid, 2)
         a, b = np.concatenate([a[s], mid]), np.concatenate([mid, b[s]])

@@ -281,6 +281,18 @@ def _h_modulus(params: SpaceParams, lam):
     return out
 
 
+def _cis(theta) -> np.ndarray:
+    """e^(i theta) for real theta: cos and sin written straight into the
+    real and imaginary parts of one complex array, with no complex product
+    and no complex exp (np.exp(1j * theta) gives the same bits on numpy
+    2.4)."""
+    theta = np.asarray(theta, dtype=float)
+    out = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
 def c_function(params: SpaceParams, lam):
     """Harish-Chandra c-function at real lambda != 0, scalar or array,
     -i h(lambda)/lambda: modulus |h|/|lambda| (_h_modulus, so |c| reads 0
@@ -296,7 +308,7 @@ def c_function(params: SpaceParams, lam):
     # range (and near 1e308 lambda / x_j in _h_phase); as inf they give
     # 1/lambda^2 = 0 and arctan = pi/2
     with np.errstate(over="ignore"):
-        rot = np.exp(1j * _h_phase(params, lam))
+        rot = _cis(_h_phase(params, lam))
     out = -1j * np.copysign(1.0, lam) * rot * (_h_modulus(params, x) / x)
     return complex(out) if lam.ndim == 0 else out
 

@@ -12,11 +12,11 @@ evaluated by
   constant; its coefficients a_l(s) are polynomials in s^2 that follow
   exactly, once per space, from the Taylor series of the radial
   equation's potential by a triangular recursion (_bessel_coeffs) and
-  are summed to the fixed order M = 16; its kernels of orders
-  mu0..mu0+16 are summed during one sweep per cell of the order
-  recurrence (Abramowitz & Stegun 9.1.27, _kernel_sum): where
-  lambda s <= mu0+17 downward by Miller's algorithm from some orders
-  higher, divided once per cell by Neumann's sum over its even orders,
+  are summed to the order L <= 16 that the call's largest s needs
+  (_series_size); its kernels of orders mu0..mu0+L are summed during
+  one sweep per cell of the order recurrence (Abramowitz & Stegun
+  9.1.27, _kernel_sum): where lambda s <= mu0+17 downward by Miller's
+  algorithm from some orders higher, divided once per cell by Neumann's sum over its even orders,
   which is 1 for the exact kernels, and where lambda s exceeds every
   order upward from the exact pair at the two lowest orders
   (special._low_pair); no Bessel function of high order is called, and
@@ -63,7 +63,13 @@ S_HC_MIN = 2.0
 LAMBDA_HC_MIN = 1.0
 S_BESSEL_MAX = 0.75
 
-_BESSEL_M = 16          # the Bessel series sums orders 0..M
+_BESSEL_M = 16          # the Bessel series sums orders 0..L, L <= M
+# The Bessel series is cut where what it drops stays below this share of
+# its order-0 weight (s^(n-1)/A)^(1/2) (a_0 = 1): every |Lambda_mu(x)| <= 1
+# for real x and mu >= -1/2 (DLMF 10.14.4), so the orders above the top
+# and the Horner terms past the degree (_series_size) move phi by at most
+# twice this times that weight.
+_BESSEL_TAIL = 1e-18
 _HC_MU_START = 40
 _HC_MU_CAP = 320
 _PHI_BOUND_TOL = 1e-9
@@ -255,8 +261,10 @@ def _bessel_coeffs(params: SpaceParams) -> np.ndarray:
     where D = sum_k d_k s^(2k) comes from the g_k of A'/A
     (log_density_taylor):
     d_m = (n+2m)/2 g_(m+1) + 1/4 sum_(i+j=m+1) g_i g_j - [m = 0] Q^2/4.
-    Orders 0..M = 16 are kept.  Lambda_mu(0) = 1 and a_0(0) = 1 give
-    phi(0) = 1.  (Written in script_j, as Stanton and Tomas write it, the
+    The table holds orders 0..M = 16 to degree 40 in s^2; a phi_matrix
+    call sums its leading rows and terms only, as far as its largest s
+    needs (_series_size).  Lambda_mu(0) = 1 and a_0 = 1 give phi(0) = 1.
+    (Written in script_j, as Stanton and Tomas write it, the
     recursion divides by n-1+2l instead; its rows differ from these by
     the exact ratios script_j(mu_l, 0) / script_j(mu_0, 0) =
     prod_(j<l) (mu_0+j+1/2) / (mu_0+j+1).)
@@ -283,10 +291,11 @@ def _bessel_coeffs(params: SpaceParams) -> np.ndarray:
     return e
 
 
-# Extra orders above mu0 + 16 at which the Miller sweep starts, by the
-# largest x of its cells: (x_max bracket edge, extra orders), and 16
-# beyond the last edge.  A scan against mpmath (mu0 from 1/2 to 30) put
-# every kernel order within 1e-14 of its amplitude with these.  Neumann's
+# Extra orders above the top order mu0 + L at which the Miller sweep
+# starts, by the largest x of its cells: (x_max bracket edge, extra
+# orders), and 16 beyond the last edge.  A scan against mpmath (mu0 from
+# 1/2 to 30, L = 16) put every kernel order within 1e-14 of its amplitude
+# with these; at every L the start clears Debye's bound below.  Neumann's
 # sum may ask for more, and beyond the last edge it always does: there its
 # reach passes Debye's bound x_max + 8 x_max^(1/3) (_miller_extra).
 _MILLER_EXTRA = ((0.5, 4), (2.0, 6), (5.0, 8), (10.0, 12))
@@ -345,16 +354,17 @@ def _miller_sum(mu0: float, x: np.ndarray, weights: np.ndarray, cols=None) -> np
     (Gautschi, SIAM Review 9, 1967; DLMF 3.6(iii)); cols, if given, holds
     each cell's column of weights.
 
-    From (0, 1) at orders N + 1 and N, N above mu0 + 16 by _miller_extra
-    of the largest x, the downward recurrence
-    Lambda_(mu-1) = Lambda_mu - (x^2/4) Lambda_(mu+1) / (mu (mu+1)) gives
-    every order down to nu0 = mu0 mod 1 up to one common factor per cell.
-    On the way the weighted orders mu0..mu0+16 are summed, and Neumann's
-    sum over the even orders nu0 + 2k (_neumann_coeffs), which is 1 for
-    the exact kernels, by Horner in x^2/4; the sum, linear in the kernels,
-    is divided by it once.
+    From (0, 1) at orders N + 1 and N, N above the top order mu0 + L
+    (L + 1 weight rows) by _miller_extra of the largest x, the downward
+    recurrence Lambda_(mu-1) = Lambda_mu - (x^2/4) Lambda_(mu+1) / (mu (mu+1))
+    gives every order down to nu0 = mu0 mod 1 up to one common factor per
+    cell.  On the way the weighted orders mu0..mu0+L are summed, and
+    Neumann's sum over the even orders nu0 + 2k (_neumann_coeffs), which
+    is 1 for the exact kernels, by Horner in x^2/4; the sum, linear in the
+    kernels, is divided by it once.
     """
-    top = mu0 + _BESSEL_M
+    top_l = weights.shape[0] - 1
+    top = mu0 + top_l
     nu0 = mu0 % 1.0
     low = round(mu0 - nu0)                       # mu0 = nu0 + low
     k_start = round(top + _miller_extra(top, float(np.max(x))) - nu0)
@@ -363,7 +373,7 @@ def _miller_sum(mu0: float, x: np.ndarray, weights: np.ndarray, cols=None) -> np
     hi, lo = np.zeros_like(x), np.ones_like(x)   # orders N + 1, N
     total, neumann, term = np.zeros_like(x), np.zeros_like(x), np.empty_like(x)
     for k in range(k_start, -1, -1):             # lo holds order nu0 + k
-        if 0 <= k - low <= _BESSEL_M:
+        if 0 <= k - low <= top_l:
             w = weights[k - low] if cols is None else weights[k - low].take(cols)
             np.multiply(w, lo, out=term)
             total += term
@@ -386,20 +396,22 @@ def _upward_sum(mu0: float, x: np.ndarray, weights: np.ndarray, cols=None) -> np
     Every order is below x there, so the recurrence run upward from the
     exact pair at orders nu0 = mu0 mod 1 and nu0 + 1 (special._low_pair),
     Lambda_(mu+1) = 4 mu (mu+1) (Lambda_mu - Lambda_(mu-1)) (1/x)^2, is
-    stable; the weighted orders mu0..mu0+16 are summed as it passes them.
-    x^2, which would overflow beyond 1.3e154, is never formed.
+    stable; the weighted orders mu0..mu0+L (L + 1 weight rows) are summed
+    as it passes them.  x^2, which would overflow beyond 1.3e154, is never
+    formed.
     """
+    top_l = weights.shape[0] - 1
     nu0 = mu0 % 1.0
     lo, hi = _low_pair(nu0, x)                   # orders nu0, nu0 + 1
     inv2 = np.reciprocal(x)
     inv2 *= inv2
     total, term = np.zeros_like(x), np.empty_like(x)
-    for l in range(round(nu0 - mu0), _BESSEL_M + 1):    # lo holds order mu0 + l
+    for l in range(round(nu0 - mu0), top_l + 1):        # lo holds order mu0 + l
         if l >= 0:
             w = weights[l] if cols is None else weights[l].take(cols)
             np.multiply(w, lo, out=term)
             total += term
-        if l < _BESSEL_M - 1:                   # over lo: order mu0 + l + 2
+        if l < top_l - 1:                       # over lo: order mu0 + l + 2
             mu = mu0 + l + 1.0
             lo = np.subtract(hi, lo, out=lo)
             lo *= 4.0 * mu * (mu + 1.0)
@@ -409,14 +421,15 @@ def _upward_sum(mu0: float, x: np.ndarray, weights: np.ndarray, cols=None) -> np
 
 
 def _kernel_sum(mu0: float, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum over l = 0..16 of weights[l] Lambda_(mu0 + l)(x), for x >= 0, in
+    """sum over l = 0..L of weights[l] Lambda_(mu0 + l)(x), for x >= 0, in
     the normalized kernels
 
         Lambda_mu(x) = script_j(mu, x) / script_j(mu, 0) = Gamma(mu+1) (2/x)^mu J_mu(x).
 
-    weights has shape (17, n_s) or (17, 1); each row broadcasts against
-    x.  Abramowitz & Stegun 9.1.27, J_(mu-1) + J_(mu+1) = (2 mu/x) J_mu,
-    is a three-term recurrence in the order; J is its growing solution
+    weights has shape (L + 1, n_s) or (L + 1, 1), L <= 16; each row
+    broadcasts against x.  Abramowitz & Stegun 9.1.27,
+    J_(mu-1) + J_(mu+1) = (2 mu/x) J_mu, is a three-term recurrence in
+    the order; J is its growing solution
     downward where mu > x, and neither solution grows where mu < x.  So
     each cell takes one sweep of it that sums the weighted orders as it
     passes them: downward by Miller's algorithm where x <= mu0 + 17
@@ -436,17 +449,42 @@ def _kernel_sum(mu0: float, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return total
 
 
+def _series_size(coeffs: np.ndarray, s_max: float) -> tuple[int, int]:
+    """The top order L and the degree in s^2 to which the Bessel series is
+    summed on columns s <= s_max, from the coefficient table.
+
+    bound[l, i] = |e_l[i]| s_max^(2(i+l)) bounds the term i of
+    a_l(s) s^(2l) for every s <= s_max.  L is the least order whose rows
+    above it sum below _BESSEL_TAIL, and the degree the least whose terms
+    beyond it, in rows 0..L, do.
+    """
+    l = np.arange(coeffs.shape[0])[:, None]
+    bound = np.abs(coeffs) * s_max ** (2.0 * (np.arange(coeffs.shape[1]) + l))
+    top = _last_kept(bound.sum(axis=1))
+    return top, _last_kept(bound[:top + 1].sum(axis=0))
+
+
+def _last_kept(terms: np.ndarray) -> int:
+    """The least k >= 0 with sum(terms[k+1:]) <= _BESSEL_TAIL, terms >= 0."""
+    from_k = np.cumsum(terms[::-1])[::-1]       # sum(terms[k:]), falling in k
+    return max(int(np.count_nonzero(from_k > _BESSEL_TAIL)) - 1, 0)
+
+
 class _BesselColumns:
     """The Bessel series' parts that depend on s alone, built once per
-    phi_matrix call: the lowest kernel order mu0 = (n-2)/2 and each
+    phi_matrix call: the lowest kernel order mu0 = (n-2)/2 and each kept
     order's weight (s^(n-1)/A)^(1/2) a_l(s) s^(2l) (_bessel_pref,
-    _bessel_coeffs), which is 1 at order 0 and 0 above it where s = 0."""
+    _bessel_coeffs), which is 1 at order 0 and 0 above it where s = 0.
+    Orders 0..L are kept, to the degree in s^2 that the largest s needs
+    (_series_size)."""
 
     def __init__(self, params: SpaceParams, s: np.ndarray):
         self.mu0 = (params.n - 2) / 2.0
         self.s = s
-        a = polynomial.polyval(s * s, _bessel_coeffs(params).T)      # (17, n_s)
-        self.weights = a * s ** (2.0 * np.arange(_BESSEL_M + 1))[:, None]
+        coeffs = _bessel_coeffs(params)
+        top, degree = _series_size(coeffs, float(np.max(s)))
+        a = polynomial.polyval(s * s, coeffs[:top + 1, :degree + 1].T)     # (L + 1, n_s)
+        self.weights = a * s ** (2.0 * np.arange(top + 1))[:, None]
         self.weights *= _bessel_pref(params, s)
 
 
@@ -454,7 +492,8 @@ def _bessel_matrix(cols: _BesselColumns, lams: np.ndarray) -> np.ndarray:
     """Bessel-series values on the product of lams >= 0 and cols' s grid,
     shape (n_lam, n_s).
 
-    The sum over l <= 16 of the weights times Lambda_(mu0 + l)(lambda s) is
+    The sum over the kept orders l <= L of the weights times
+    Lambda_(mu0 + l)(lambda s) is
     one sweep of the kernel order per cell (_kernel_sum), vectorized over
     the (lambda, s) product; at s = 0 every Lambda is 1 and the weights
     are 1, 0, .., 0, so those cells are exactly 1.  The series converges

@@ -230,6 +230,14 @@ def test_config_error_exit_code(tmp_path, out_root):
     # a profile whose exponent passes the float range; a Sobolev weight that does
     ["transform", "--profile", "gaussian:1e307"],
     ["experiment", "case1", "--beta-list", "1e300", "--n-list", "64,128,256,512,1024"],
+    # lambda^2 past the double range, a width whose square is 0, a volume
+    # density past the double range, psi' past it
+    ["propagate", "--spectrum", "bump:0,1e300"],
+    ["maximal", "--spectrum", "bump:1e300,2e300"],
+    ["propagate", "--spectrum", "gaussian:0,1e-300"],
+    ["transform", "--s-max", "1e300"],
+    ["oscillatory-claim", "--equation", "frac:50"],
+    ["experiment", "transference", "--lambda-max-sweep", "1e300"],
 ])
 def test_malformed_input_is_a_usage_error(tmp_path, out_root, capsys, argv):
     cfg = tmp_path / "bad.cfg"

@@ -92,6 +92,19 @@ def test_phase_derivs_rejects_nonpositive(space21):
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name + str(k.a or ""))
+def test_phase_rejects_lambda_whose_square_leaves_the_double_range(kind, space21):
+    # lambda^2 is finite up to 1.34e154 (psi = lambda^2 + Q^2/4 of frac:2
+    # reads it there); past it psi and psi' raise, on a scalar or in an array
+    frac2 = PhaseKind("frac", a=2.0)
+    assert phase(frac2, space21, 1.3e154) == 1.3e154**2
+    assert phase_derivs(frac2, space21, [1.0, 1.3e154])[0][1] == 2.6e154
+    for call in (phase, phase_derivs):
+        for lam in (1.35e154, [1.0, 1e300]):
+            with pytest.raises(DomainError, match="lambda\\^2"):
+                call(kind, space21, lam)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name + str(k.a or ""))
 def test_phase_asymptotics_pass(kind, space21):
     assert verify_phase_asymptotics(kind, space21).passed
 

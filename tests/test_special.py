@@ -10,6 +10,7 @@ from scipy.special import jv
 from drwave.errors import PoleError
 from drwave.space import new_space
 from drwave.special import (
+    _cis,
     _low_pair,
     _ratio_phase,
     c_function,
@@ -88,6 +89,17 @@ def test_ratio_phase_matches_mpmath():
                                     - mp.loggamma(1 + 1j * mp.mpf(x)))) for x in lam])
     assert np.max(np.abs(_ratio_phase(lam) - ref)) <= 2e-15
     assert np.max(np.abs(_ratio_phase(-lam) + ref)) <= 2e-15
+
+
+def test_cis_is_the_complex_exponential():
+    # cos + i sin in place of np.exp(1j * theta), its reference: within one
+    # rounding of it, on a scalar and a 2-D array, 0, tiny, pi and huge
+    # arguments included
+    theta = np.array([[0.0, -1e-300, 1e-8, math.pi], [-2.5, 40.0, 1e15, -3e300]])
+    for arg in (theta, theta[1, 2]):
+        got, ref = _cis(arg), np.exp(1j * np.asarray(arg))
+        assert got.shape == ref.shape and got.dtype == complex
+        assert np.max(np.abs(got - ref)) <= 2.0**-52
 
 
 def test_bessel_at_zero():

@@ -405,12 +405,59 @@ def test_miller_start_clears_the_debye_bound():
     # beyond the last _MILLER_EXTRA edge the rule's floor is 16 orders, and
     # Neumann's reach puts the start past Debye's x_max + 8 x_max^(1/3), for every
     # mu0 = 1/2, 1, .., 90 and x_max up to its last Miller cell mu0 + 17
-    # (107 at most: the reach's terms pass the float range near 107.8)
+    # (107 at most: the reach's terms pass the float range near 107.8); the
+    # start clears it below that edge too, and at every top order mu0 + L,
+    # L = 0..16, that the series may keep
     for mu0 in np.arange(1, 181) / 2:
-        top = mu0 + 16.0
-        for x_max in np.linspace(10.0, min(mu0 + 17.0, 107.0), 41)[1:]:
-            start = top + spherical._miller_extra(top, x_max)
-            assert start >= x_max + 8.0 * x_max ** (1.0 / 3.0), (mu0, x_max)
+        x_top = min(mu0 + 17.0, 107.0)
+        for top in mu0 + np.arange(17):
+            for x_max in np.concatenate([np.geomspace(1e-3, 10.0, 9), np.linspace(10.0, x_top, 21)[1:]]):
+                start = top + spherical._miller_extra(top, x_max)
+                assert start >= x_max + 8.0 * x_max ** (1.0 / 3.0), (mu0, top, x_max)
+
+
+@pytest.mark.parametrize("m_v,m_z", [(2, 0), (2, 1), (4, 3), (6, 2), (16, 7)])
+def test_truncated_series_matches_the_full_sum(m_v, m_z):
+    # phi_matrix sums only the orders and the Horner terms its largest s
+    # needs; against the whole table, 17 orders to degree 40 in s^2, every
+    # cell is within 1e-15 of the series' amplitude, at lambda up to 2e4 and
+    # on both sides of the upward switch x = mu0 + 17
+    params = new_space(m_v, m_z)
+    mu0 = (params.n - 2) / 2
+    l = np.arange(17)
+    for s_max in (0.01, 0.05, 0.1, 0.5, 1.0, 1.9):
+        s = np.linspace(0.0, s_max, 9)[1:]
+        lams = np.concatenate([[0.0, 1.0], (mu0 + 17.0) / s_max * np.array([0.5, 0.999, 1.001, 3.0]),
+                               [2e4]])
+        x = np.outer(lams, s)
+        assert np.any(x <= mu0 + 17.0) and np.any(x > mu0 + 17.0)
+        full = _a_values(params, s) * s ** (2 * l)[:, None] * spherical._bessel_pref(params, s)
+        ref = _kernel_sum(mu0, x, full)
+        got = phi_matrix(params, lams, s)
+        assert np.all(np.abs(got - ref) <= 1e-15 * _bessel_amplitude(params, lams, s)), s_max
+
+
+def _kept_orders(params, s_max):
+    return _BesselColumns(params, np.linspace(0.0, s_max, 5)).weights.shape[0]
+
+
+def test_series_keeps_the_orders_its_largest_s_needs(monkeypatch):
+    # the case-1 and case-2 columns (s <= 0.1) keep 4 to 6 of the 17 orders;
+    # columns up to 1.9 keep all 17 on (2, 1) and (16, 7); H^3's series is
+    # its order 0 alone, every other row being 0
+    params = new_space(2, 1)
+    kept = [_kept_orders(params, s_max) for s_max in (0.01, 0.05, 0.1, 0.5, 1.0, 1.9)]
+    assert kept == sorted(kept) and kept[2] <= 6 and kept[-1] == 17
+    assert _kept_orders(new_space(16, 7), 0.1) <= 6 and _kept_orders(new_space(16, 7), 1.9) == 17
+    assert _kept_orders(new_space(2, 0), 1.9) == 1
+    # a table cut after order m keeps m + 1 orders, as
+    # test_bessel_matrix_matches_per_order_sum runs it (s up to 0.75)
+    for m_v, m_z in [(2, 1), (4, 3), (6, 2)]:
+        space = new_space(m_v, m_z)
+        for m in (0, 1, 2):
+            _scale_orders(monkeypatch, space, np.arange(17) <= m)
+            assert _kept_orders(space, 0.75) == m + 1
+            monkeypatch.undo()
 
 
 @pytest.mark.parametrize("m_v,m_z,s_max", [(2, 0, 5.0), (2, 1, 5.0), (4, 3, 5.0), (6, 2, 5.0),
