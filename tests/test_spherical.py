@@ -411,7 +411,7 @@ def test_miller_start_clears_the_debye_bound():
     for mu0 in np.arange(1, 181) / 2:
         x_top = min(mu0 + 17.0, 107.0)
         for top in mu0 + np.arange(17):
-            for x_max in np.concatenate([np.geomspace(1e-3, 10.0, 9), np.linspace(10.0, x_top, 21)[1:]]):
+            for x_max in np.concatenate([np.geomspace(1e-3, 10.0, 9), np.linspace(10.0, x_top, 41)[1:]]):
                 start = top + spherical._miller_extra(top, x_max)
                 assert start >= x_max + 8.0 * x_max ** (1.0 / 3.0), (mu0, top, x_max)
 
