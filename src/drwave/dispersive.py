@@ -10,7 +10,10 @@ F''(u), and psi(x) - psi(x0) = F(u0 + du) - F(u0) with u0 = x0^2 + gap and
 du = (x - x0)(x + x0).  Each variant has growth exponents (delta1,
 delta2): |psi'| <~ lambda^(delta1-1) below 1, |psi'| <~ lambda^(delta2-1)
 and |psi''| comparable to lambda^(delta2-2) above 1; delta1 = 2 whenever
-the gap is Q^2/4.
+the gap is Q^2/4.  Boussinesq and Beam are formed from sqrt(u), sqrt(u+1)
+and hypot(1, u), their differences as (F^2 - F0^2)/(F + F0), so that no
+u^2 is formed: psi, psi', psi'' and the difference stay finite wherever
+psi is.
 """
 
 from __future__ import annotations
@@ -53,6 +56,18 @@ def _pow_diff(v0, v, dv, p: float):
     return np.where(far, v**p - w0, out) if np.any(far) else out
 
 
+def _root_diff(f, u0, u, du, c: float):
+    """F(u) - F(u0) for F = f(u) > 0 with F^2 = u^2 + c u + const, as
+    du (u + u0 + c) / (F(u) + F(u0)): no term cancels, and each sum is
+    halved first (exactly) so that none passes the double range."""
+    return du * ((0.5 * u + 0.5 * u0 + 0.5 * c) / (0.5 * f(u) + 0.5 * f(u0)))
+
+
+def _boussinesq(u):
+    """sqrt(u (u + 1)), with no u^2 formed."""
+    return np.sqrt(u) * np.sqrt(u + 1.0)
+
+
 @dataclass(frozen=True)
 class _Family:
     """One multiplier family psi = F(u), u = lambda^2 + gap.  The callables
@@ -78,22 +93,20 @@ _FAMILIES = {
         delta1_shifted=lambda a: a, delta2=lambda a: a, takes_a=True,
     ),
     "boussinesq": _Family(
-        f=lambda u, a: np.sqrt(u) * np.sqrt(u + 1.0),
-        df=lambda u, a: (u + 0.5) / (np.sqrt(u) * np.sqrt(u + 1.0)),
-        ddf=lambda u, a: -0.25 * (u * (u + 1.0)) ** -1.5,
-        # v = u^2 + u
-        diff=lambda u0, u, du, a: _pow_diff(u0 * u0 + u0, u * u + u,
-                                            du * (2.0 * u0 + du + 1.0), 0.5),
+        f=lambda u, a: _boussinesq(u),
+        df=lambda u, a: (u + 0.5) / _boussinesq(u),
+        ddf=lambda u, a: -0.25 * _boussinesq(u) ** -3.0,
+        diff=lambda u0, u, du, a: _root_diff(_boussinesq, u0, u, du, 1.0),
         delta1_shifted=lambda a: 1.0, delta2=lambda a: 2.0,
-        # 2F' and 4 lambda^2 F'' are each ~1/lambda near 0
-        dd_shifted=lambda lam: lam * (2.0 * lam * lam + 3.0) * (lam * lam + 1.0) ** -1.5,
+        # 2F' and 4 lambda^2 F'' are each ~1/lambda near 0; lambda (2 lambda^2
+        # + 3) (lambda^2 + 1)^-1.5, with no lambda^3 formed
+        dd_shifted=lambda lam: (2.0 + 1.0 / (lam * lam + 1.0)) * (lam / np.sqrt(lam * lam + 1.0)),
     ),
     "beam": _Family(
-        f=lambda u, a: np.sqrt(1.0 + u * u),
-        df=lambda u, a: u / np.sqrt(1.0 + u * u),
-        ddf=lambda u, a: (1.0 + u * u) ** -1.5,
-        # v = 1 + u^2
-        diff=lambda u0, u, du, a: _pow_diff(1.0 + u0 * u0, 1.0 + u * u, du * (2.0 * u0 + du), 0.5),
+        f=lambda u, a: np.hypot(1.0, u),
+        df=lambda u, a: u / np.hypot(1.0, u),
+        ddf=lambda u, a: np.hypot(1.0, u) ** -3.0,
+        diff=lambda u0, u, du, a: _root_diff(lambda v: np.hypot(1.0, v), u0, u, du, 0.0),
         delta1_shifted=lambda a: 4.0, delta2=lambda a: 2.0,
     ),
 }
@@ -254,21 +267,23 @@ class PropagatorKernel:
     the unimodular multiplier e^(i t psi(lambda)) at the lambda nodes.
     Raises ResolutionError unless the spectral grid of fh resolves that
     multiplier's phase up to t_max (at most pi/8 per grid step), and,
-    once the nodes and the lattice are laid and before any kernel, weight
+    once the nodes and the resampler are laid and before any kernel, weight
     or multiplier is formed, where the kernel or one block of multipliers
     would pass _CELLS_CAP.
 
-    phi is formed on the lambda lattice of `transform._lattice` at the
-    type sigma = max s, not on the nodes: lambda -> phi_lambda(s) is even,
-    bounded by 1 and entire of exponential type s (Paley-Wiener for the
-    Jacobi transform; Koornwinder, Ark. Mat. 13, 1975), so its
-    Gaussian-regularized Shannon series (Qian, Proc. AMS 131, 2003) on
-    that lattice reproduces each node's row within e^-42 of sup|phi|.  The
-    multiplier stays on the nodes: apply carries amp e^(i t psi) onto the
-    lattice by the transposed sampling weights, formed once and kept (a
-    row's 2m weights are fewer than its n_s kernel cells).  Where
-    `_lattice` finds that the lattice would not pay, the kernel is formed
-    on the nodes.
+    phi is formed on the rows of the resampler that `transform._lattice`
+    picks at the type sigma = max s, not on the nodes: lambda ->
+    phi_lambda(s) is even, bounded by 1 and entire of exponential type s
+    (Paley-Wiener for the Jacobi transform; Koornwinder, Ark. Mat. 13,
+    1975), so the sinc-Gaussian lattice (Qian, Proc. AMS 131, 2003) and
+    the Chebyshev extrema of the nodes' band (barycentric weights) each
+    reproduce every node's row within e^-42 of sup|phi|.  The multiplier
+    stays on the nodes: apply carries amp e^(i t psi) onto the resampler's
+    rows by the transposed weights, formed once and kept.  A row keeps
+    fewer weights than its n_s kernel cells (2m banded weights on the
+    lattice, d + 1 dense ones on the Chebyshev rows), so the kept weights
+    stay under the cells of the kernel on the nodes.  Where neither
+    resampler pays, the kernel is formed on the nodes.
     """
 
     def __init__(self, params: SpaceParams, fh: SpectralProfile, kind: PhaseKind,
@@ -282,7 +297,7 @@ class PropagatorKernel:
             )
         self.s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
         nodes, self.amp = inverse_quadrature(params, fh, np.max(self.s_grid) + t_max * dpsi)
-        self.lattice = _lattice(nodes, self.s_grid)   # sorts the nodes, forms nothing yet
+        self.lattice = _lattice(nodes, self.s_grid, kept=True)   # forms no weight yet
         rows = nodes if self.lattice is None else self.lattice.nodes
         cells = max(rows.size * self.s_grid.size, nodes.size * _T_BLOCK)
         if cells > _CELLS_CAP:
@@ -298,7 +313,7 @@ class PropagatorKernel:
     def apply(self, t) -> np.ndarray:
         """S_t f on the s grid, shape (n_s,); for a 1-D array of times, shape
         (n_s, n_t).  The coefficients amp e^(i t psi) on the nodes, carried
-        onto the lattice where there is one, then one real GEMM of the real
+        onto the resampler's rows where there is one, then one real GEMM of the real
         kernel_t with their interleaved (re, im) view."""
         t = np.asarray(t, dtype=float)
         mult = _cis(np.multiply.outer(self.psi_nodes, t))

@@ -108,10 +108,24 @@ def log_density_derivative(params: SpaceParams, s):
 
 @functools.cache
 def _bernoulli(m: int) -> tuple[Fraction, ...]:
-    """B_0..B_m exactly, from sum_(j<=k) C(k+1, j) B_j = 0."""
-    b = [Fraction(1)]
-    for k in range(1, m + 1):
-        b.append(-sum(math.comb(k + 1, j) * b[j] for j in range(k)) / (k + 1))
+    """B_0..B_m exactly (B_1 = -1/2, odd ones above 0), from the tangent
+    numbers T_k = tan^(2k-1)(0), k = 1 .. m/2, of the Knuth-Buckholtz
+    recurrence (Math. Comp. 21, 1967) in Python ints:
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))."""
+    n = m // 2
+    t = [0] * (n + 2)
+    t[1] = 1
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    b = [Fraction(0)] * (m + 1)
+    b[0] = Fraction(1)
+    if m >= 1:
+        b[1] = Fraction(-1, 2)
+    for k in range(1, n + 1):
+        b[2 * k] = Fraction((-1) ** (k - 1) * 2 * k * t[k], 4**k * (4**k - 1))
     return tuple(b)
 
 

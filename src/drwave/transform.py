@@ -13,20 +13,32 @@ Both directions are phi-kernel products over lambda rows, and neither
 evaluates phi on every requested row.  For s <= sigma, lambda ->
 phi_lambda(s) is even, bounded by 1 on the real line and entire of
 exponential type s (the Paley-Wiener theorem for the Jacobi transform;
-Koornwinder, Ark. Mat. 13, 1975).  Gaussian-regularized Shannon sampling
-(Qian, Proc. AMS 131, 2003) therefore recovers every row from the lattice
-lambda = k h, k >= 0, at any step h < pi/sigma:
+Koornwinder, Ark. Mat. 13, 1975).  Two resamplers rest on this, each
+within e^-42 of sup|phi| (`_SAMPLING_EXPONENT`):
 
-    phi_lambda(s) ~ sum_k phi_|k|h(s) sinc(x - k) exp(-(x - k)^2 / (2 r^2)),
-    x = |lambda|/h, over the 2m integers k in (x - m, x + m], r^2 = (m-1)/(pi - h sigma),
+- the lattice lambda = k h, k >= 0, at a step h < pi/sigma, read by
+  Gaussian-regularized Shannon sampling (Qian, Proc. AMS 131, 2003),
 
-within e^(-(pi - h sigma)(m-1)/2) of sup|phi|, up to a factor of order 1
-(`_lattice`).  The forward transform evaluates F = Phi v on the lattice and
-resamples it; the inverse transform (and the propagator) carry their
-quadrature amplitudes onto the lattice by the transposed weights and form
-phi only there.  Where the lattice would not have at most half the rows,
-or a row's 2m weights would not be fewer than its phi cells, the direct
-product stays.
+      phi_lambda(s) ~ sum_k phi_|k|h(s) sinc(x - k) exp(-(x - k)^2 / (2 r^2)),
+      x = |lambda|/h, over the 2m integers k in (x - m, x + m], r^2 = (m-1)/(pi - h sigma),
+
+  within e^(-(pi - h sigma)(m-1)/2), up to a factor of order 1 (`_Lattice`);
+  lambda_top sigma / u + m + 1 rows at u = h sigma < pi, so it serves
+  large grids;
+- the d + 1 Chebyshev extrema of [min|lambda|, max|lambda|], read by the
+  barycentric formula (Berrut and Trefethen, SIAM Rev. 46, 2004; forward
+  stable at these points, Higham, IMA J. Numer. Anal. 24, 2004).  The
+  node polynomial of the extrema on a half-width R is at most
+  4 (R/2)^(d+1), and Bernstein's inequality gives |d^k phi/dlambda^k| <=
+  s^k, so the error is at most 4 (sigma R/2)^(d+1) / (d+1)! (`_Chebyshev`);
+  about e sigma R / 2 rows once sigma R is large, all inside the
+  requested band.
+
+`_lattice` takes whichever needs fewer phi rows, or neither where neither
+pays.  The forward transform evaluates F = Phi v on the resampler's rows
+and resamples it; the inverse transform (and the propagator) carry their
+quadrature amplitudes onto those rows by the transposed weights and form
+phi only there.
 """
 
 from __future__ import annotations
@@ -54,10 +66,11 @@ __all__ = [
 
 _TAIL_TOL = 1e-10
 _BLOCK_CELLS = 2**22   # phi kernel cells per product in sft_forward (32 MB)
-# The sampling bound: (pi - h sigma)(m - 1)/2 >= 42, an error of e^-42 =
-# 5.7e-19 of sup|F|.
+# The resamplers' error target, e^-42 = 5.7e-19 of sup|phi|: (pi - h sigma)
+# (m - 1)/2 >= 42 on the lattice, 4 (sigma R/2)^(d+1) / (d+1)! <= e^-42 on
+# the Chebyshev rows.
 _SAMPLING_EXPONENT = 42.0
-# weight cells per row block of a _Lattice: phi_matrix's own block size,
+# weight cells per row block of a resampler: phi_matrix's own block size,
 # so the weights make no temporary larger than one that phi_matrix makes
 _WEIGHT_CELLS = 2**14
 
@@ -109,10 +122,41 @@ def _spline(x: np.ndarray, y: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return ((c3[k] * z + c2[k]) * z + s[k]) * z + y[k]
 
 
-class _Lattice:
-    """The lattice rows k h, k = 0 .. size - 1, of a set of requested lambda
-    rows, and the requested rows' sinc-Gaussian weights on it, formed and
-    applied in row blocks as a banded operator W: row i of W holds the 2m
+class _Resampler:
+    """A set of requested lambda rows, the rows `nodes` on which phi is
+    formed for them, and the requested rows' weights on those, applied in
+    row blocks as an operator W.  A subclass sets x (the requested |lambda|)
+    and nodes, and yields the weight blocks."""
+
+    x: np.ndarray
+    nodes: np.ndarray
+
+    def blocks(self):
+        """(rows, lo, w) for each row block: w[i, c] weighs node row lo + c
+        for requested row rows[i], and w has at most _WEIGHT_CELLS cells."""
+        raise NotImplementedError
+
+    def resample(self, values: np.ndarray) -> np.ndarray:
+        """W @ values: the requested rows from the node rows, of shape
+        (nodes,) or (nodes, ...)."""
+        out = np.empty(self.x.shape + values.shape[1:], dtype=values.dtype)
+        for rows, lo, w in self.blocks():
+            out[rows] = w @ values[lo:lo + w.shape[1]]
+        return out
+
+    def gather(self, coef: np.ndarray, blocks) -> np.ndarray:
+        """W^T @ coef: complex coefficients of shape (n,) or (n, k) on the
+        requested rows carried onto the node rows, by the weight blocks
+        of `blocks()`, formed as they go or kept for many products."""
+        out = np.zeros(self.nodes.shape + coef.shape[1:], dtype=complex)
+        for rows, lo, w in blocks:
+            out[lo:lo + w.shape[1]] += _real_kernel_product(w.T, coef[rows])
+        return out
+
+
+class _Lattice(_Resampler):
+    """The lattice rows k h, k = 0 .. size - 1, and the requested rows'
+    sinc-Gaussian weights on them, a banded W: row i of W holds the 2m
     weights of |lambda_i| on the lattice, those of k < 0 folded onto -k."""
 
     def __init__(self, lams: np.ndarray, h: float, u: float, m: int, size: int):
@@ -124,10 +168,9 @@ class _Lattice:
         self.nodes = h * np.arange(size)
 
     def blocks(self):
-        """(rows, lo, w) for each row block: w[i, c] weighs lattice row lo + c
-        for requested row rows[i].  A block spans fewer than 2m lattice steps
-        and at most _WEIGHT_CELLS // (4m) rows, so w has under _WEIGHT_CELLS
-        cells, and all blocks together under 4m per requested row."""
+        """A block spans fewer than 2m lattice steps and at most
+        _WEIGHT_CELLS // (4m) rows, so all blocks together hold under 4m
+        cells per requested row."""
         m, first, x = self.m, self.first, self.x
         per_block = max(1, _WEIGHT_CELLS // (4 * m))
         a = 0
@@ -145,53 +188,112 @@ class _Lattice:
             yield self.order[a:b], max(int(k[0]), 0), w
             a = b
 
-    def resample(self, values: np.ndarray) -> np.ndarray:
-        """W @ values: the requested rows from the lattice rows (1-d)."""
-        out = np.empty(self.order.size, dtype=values.dtype)
-        for rows, lo, w in self.blocks():
-            out[rows] = w @ values[lo:lo + w.shape[1]]
-        return out
 
-    def gather(self, coef: np.ndarray, blocks) -> np.ndarray:
-        """W^T @ coef: complex coefficients of shape (n,) or (n, k) on the
-        requested rows carried onto the lattice rows, by the weight blocks
-        of `blocks()`, formed as they go or kept for many products."""
-        out = np.zeros(self.nodes.shape + coef.shape[1:], dtype=complex)
-        for rows, lo, w in blocks:
-            out[lo:lo + w.shape[1]] += _real_kernel_product(w.T, coef[rows])
-        return out
+class _Chebyshev(_Resampler):
+    """The d + 1 Chebyshev extrema of [min|lambda|, max|lambda|] of the
+    requested rows, and the requested rows' barycentric weights on them, a
+    dense W of d + 1 weights per row."""
+
+    def __init__(self, lams: np.ndarray, d: int):
+        self.x = np.abs(lams)
+        lo, hi = float(np.min(self.x)), float(np.max(self.x))
+        j = np.arange(d + 1)
+        # sin rather than cos: nodes symmetric about the midpoint to the bit;
+        # at d = 0 the one node is the midpoint
+        turn = np.sin(math.pi * (2 * j - d) / (2 * max(d, 1)))
+        self.nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * turn
+        if d:
+            self.nodes[[0, -1]] = lo, hi
+        self.beta = np.where(j % 2 == 0, 1.0, -1.0)   # the barycentric weights
+        self.beta[[0, -1]] *= 0.5
+
+    def blocks(self):
+        """Blocks of _WEIGHT_CELLS // (d + 1) rows.  A row within the
+        smallest normal double of a node (1/d would overflow), an exact
+        hit included, takes that node's value: a one-hot row (the mean of
+        such nodes, should two lie that close)."""
+        per_block = max(1, _WEIGHT_CELLS // self.nodes.size)
+        for a in range(0, self.x.size, per_block):
+            d = self.x[a:a + per_block, None] - self.nodes
+            hit = np.abs(d) < np.finfo(float).tiny
+            d[hit] = 1.0
+            w = self.beta / d
+            w /= w.sum(axis=1, keepdims=True)
+            on_node = hit.any(axis=1)
+            w[on_node] = hit[on_node] / hit[on_node].sum(axis=1, keepdims=True)
+            yield slice(a, a + per_block), 0, w
 
 
-def _lattice(lams: np.ndarray, s: np.ndarray) -> _Lattice | None:
-    """The lattice that resamples the rows lams of a phi kernel on the
-    columns s, of exponential type sigma = max s in lambda; or None, and
-    the direct product stays, where it would not pay:
-    - where the lattice would have more than half as many rows as lams (or
-      lams * sigma is 0 or not finite).  Timed on forward transforms over
-      216 to 984 panel nodes with 63, 80 and 117 lattice rows, the two
-      broke even between 0.4 and 0.75 lattice rows per requested row, as
-      the lattice's m padding rows sit at the large lambdas; at 80 for 108
+def _chebyshev_degree(half: float) -> int:
+    """The least degree d with 4 half^(d+1) / (d+1)! <= e^-_SAMPLING_EXPONENT,
+    half = sigma R / 2.  The term grows while d + 1 <= half (it is at least
+    1 there), so the search starts above it.  d = 0 (half <= e^-42 / 4) is
+    a band where phi is flat to e^-42: every row takes the one node."""
+    k = math.floor(half) + 1    # k = d + 1
+    bound = -_SAMPLING_EXPONENT - math.log(4.0)
+    while k * math.log(half) - math.lgamma(k + 1) > bound:
+        k += 1
+    return k - 1
+
+
+# Chebyshev rows pay where they are at most this share of the requested
+# rows (timed in `_lattice`'s docstring)
+_CHEBYSHEV_SHARE = 0.75
+
+
+def _lattice(lams: np.ndarray, s: np.ndarray, kept: bool = False) -> _Resampler | None:
+    """The resampler of the rows lams of a phi kernel on the columns s, of
+    exponential type sigma = max s in lambda, that forms phi on fewer rows:
+    a `_Lattice` or a `_Chebyshev`; or None, and the direct product stays,
+    where neither pays.
+
+    The lattice pays:
+    - where it has at most half as many rows as lams (and lams * sigma is
+      positive and finite).  Timed on forward transforms over 216 to 984
+      panel nodes with 63, 80 and 117 lattice rows, the two broke even
+      between 0.4 and 0.75 lattice rows per requested row, as the
+      lattice's m padding rows sit at the large lambdas; at 80 for 108
       requested (the benchmark's forward transform) the direct product
       took 3.5 ms and the lattice 4.2 ms;
-    - where a row's 2m weights are not fewer than its phi cells, one per
+    - where a row's 2m weights are fewer than its phi cells, one per
       column.  On `experiment case2`'s inverse (60 weights against 48 s)
       the lattice saved 6% of the `scaling` pass but raised the process's
       peak RSS by 0.13-0.15 MB.
-
     u = h sigma and m follow from the one error target (pi - u)(m - 1)/2
     >= _SAMPLING_EXPONENT; u = pi / (1 + sqrt(2 E / (lambda_top sigma)))
     minimises the lattice rows lambda_top sigma / u + m + 1 under it.
+
+    The Chebyshev rows, d + 1 from `_chebyshev_degree` at the half-width R
+    of [min|lambda|, max|lambda|], pay where they are fewer than the
+    lattice's rows (where the lattice pays), at most _CHEBYSHEV_SHARE of
+    lams (and sigma R is positive and finite) and, where the caller keeps
+    the weights for many products (`kept`, the propagator), fewer than the
+    columns, as the lattice's 2m are: then the kept weights stay under the
+    cells of the direct kernel.  Timed on forward transforms on (2, 1)
+    and (4, 3), lambda on [0, 4], [0, 7] and [0, 12] with 31, 58 and 81
+    Chebyshev rows over 128 to 736 panel nodes (one BLAS thread), the two
+    broke even between 0.83 and 0.97 Chebyshev rows per requested row; at
+    0.72 the Chebyshev rows took 0.82-0.88 of the direct time, and at the
+    benchmark's forward transform (58 for 108) 0.68-0.79 in five of six
+    timings.
     """
-    top, sigma = float(np.max(np.abs(lams))), float(np.max(s))
-    if not 0.0 < top * sigma < math.inf:
-        return None
-    u = math.pi / (1.0 + math.sqrt(2.0 * _SAMPLING_EXPONENT / (top * sigma)))
-    m = 1 + math.ceil(2.0 * _SAMPLING_EXPONENT / (math.pi - u))
-    h = u / sigma
-    size = math.floor(top / h) + m + 1
-    if 2 * size > lams.size or 2 * m >= s.size:
-        return None
-    return _Lattice(lams, h, u, m, size)
+    x = np.abs(lams)
+    top, sigma = float(np.max(x)), float(np.max(s))
+    size = math.inf     # the lattice's rows, where it pays
+    if 0.0 < top * sigma < math.inf:
+        u = math.pi / (1.0 + math.sqrt(2.0 * _SAMPLING_EXPONENT / (top * sigma)))
+        m = 1 + math.ceil(2.0 * _SAMPLING_EXPONENT / (math.pi - u))
+        h = u / sigma
+        size = math.floor(top / h) + m + 1
+        if 2 * size > lams.size or 2 * m >= s.size:
+            size = math.inf
+    cap = min(_CHEBYSHEV_SHARE * lams.size, size - 1, s.size - 1 if kept else math.inf)
+    half = 0.25 * sigma * (top - float(np.min(x)))
+    if 0.0 < half < cap:    # d + 1 > half, so past cap nothing pays
+        d = _chebyshev_degree(half)
+        if d + 1 <= cap:
+            return _Chebyshev(lams, d)
+    return None if size == math.inf else _Lattice(lams, h, u, m, size)
 
 
 def _tail_check(params: SpaceParams, f: RadialProfile) -> None:
@@ -229,13 +331,13 @@ def sft_forward(params: SpaceParams, f: RadialProfile, lambda_grid) -> SpectralP
     nodes, weights = panel_rule(0.0, s_max, rate)
     f_nodes = _spline(f.s_grid, f.values, nodes)
     v = weights * f_nodes * density(params, nodes)
-    lattice = _lattice(lambda_grid, nodes)
-    lams = lambda_grid if lattice is None else lattice.nodes
+    resampler = _lattice(lambda_grid, nodes)
+    lams = lambda_grid if resampler is None else resampler.nodes
     rows = max(1, _BLOCK_CELLS // nodes.size)
     vals = np.concatenate([phi_matrix(params, lams[i:i + rows], nodes) @ v
                            for i in range(0, lams.size, rows)])
-    if lattice is not None:
-        vals = lattice.resample(vals)
+    if resampler is not None:
+        vals = resampler.resample(vals)
     return SpectralProfile(lambda_grid, vals.astype(complex))
 
 
@@ -333,9 +435,9 @@ def sft_inverse(params: SpaceParams, fh: SpectralProfile, s_grid) -> RadialProfi
     kernel times the complex amplitudes, one real GEMM on their (re, im) view."""
     s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
     nodes, amp = inverse_quadrature(params, fh, float(np.max(s_grid)))
-    lattice = _lattice(nodes, s_grid)
-    if lattice is not None:
-        nodes, amp = lattice.nodes, lattice.gather(amp, lattice.blocks())
+    resampler = _lattice(nodes, s_grid)
+    if resampler is not None:
+        nodes, amp = resampler.nodes, resampler.gather(amp, resampler.blocks())
     return RadialProfile(s_grid, _real_kernel_product(phi_matrix(params, nodes, s_grid).T, amp))
 
 

@@ -238,6 +238,12 @@ def test_config_error_exit_code(tmp_path, out_root):
     ["transform", "--s-max", "1e300"],
     ["oscillatory-claim", "--equation", "frac:50"],
     ["experiment", "transference", "--lambda-max-sweep", "1e300"],
+    # Beam and Boussinesq past lambda ~ 1.16e77, where u^2 (not psi) leaves
+    # the double range: the rate psi' sizes the grid and is refused
+    ["propagate", "--equation", "beam", "--spectrum", "bump:0,1e80"],
+    ["propagate", "--equation", "beam-shifted", "--spectrum", "bump:0,1e80"],
+    ["propagate", "--equation", "boussinesq", "--spectrum", "bump:0,1e80"],
+    ["maximal", "--equation", "beam", "--spectrum", "bump:1e80,2e80"],
 ])
 def test_malformed_input_is_a_usage_error(tmp_path, out_root, capsys, argv):
     cfg = tmp_path / "bad.cfg"

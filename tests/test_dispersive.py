@@ -17,6 +17,7 @@ from drwave.dispersive import (
     verify_phase_asymptotics,
 )
 from drwave.errors import DomainError, ResolutionError, ValidationError
+from drwave.oscillatory import phase_diff
 from drwave.profiles import SpectralProfile
 from drwave.space import new_space
 from drwave.spherical import phi_matrix
@@ -154,6 +155,36 @@ def test_phase_derivs_match_mpmath(kind, space21):
             assert d2 == pytest.approx(float(ref2), rel=1e-10), lam
 
 
+# psi' and psi'' of Boussinesq and Beam in closed form, u = lambda^2 + gap
+_DPSI_MP = {
+    "boussinesq": lambda lam, u: (2 * lam * (u + mp.mpf(0.5)) / mp.sqrt(u * (u + 1)),
+                                  2 * (u + mp.mpf(0.5)) / mp.sqrt(u * (u + 1))
+                                  - lam**2 * (u * (u + 1)) ** mp.mpf(-1.5)),
+    "beam": lambda lam, u: (2 * lam * u / mp.sqrt(1 + u**2),
+                            2 * u / mp.sqrt(1 + u**2) + 4 * lam**2 * (1 + u**2) ** mp.mpf(-1.5)),
+}
+
+
+@pytest.mark.parametrize("kind", [k for k in ALL_KINDS if k.family != "frac"],
+                         ids=lambda k: k.name)
+def test_phases_stay_finite_where_u_squared_leaves_the_double_range(kind, space21):
+    # from lambda ~ 1.16e77 on, u^2 passes the double range while psi ~ u
+    # does not: psi, psi', psi'' and the difference against 60 digits
+    gap = space21.q2_over_4 if not kind.shifted else 0.0
+    psi = _PSI_MP[kind.name]
+    with mp.workdps(60):
+        for lam in (1e77, 1e100, 1e150, 1.3e154):
+            x, x0 = mp.mpf(lam), mp.mpf(lam * (1 + 2**-20))
+            d1, d2 = phase_derivs(kind, space21, lam)
+            ref1, ref2 = _DPSI_MP[kind.family](x, x**2 + gap)
+            assert phase(kind, space21, lam) == pytest.approx(float(psi(x, gap, None)), rel=1e-15)
+            assert d1 == pytest.approx(float(ref1), rel=1e-15), lam
+            assert d2 == pytest.approx(float(ref2), rel=1e-15), lam
+            ref = psi(x, gap, None) - psi(x0, gap, None)
+            got = phase_diff(kind, space21, lam, float(x0))
+            assert got == pytest.approx(float(ref), rel=1e-14), lam
+
+
 def test_phase_selector_parsing():
     k = PhaseKind.from_selector("frac:1.5")
     assert k.name == "frac" and k.a == 1.5
@@ -226,10 +257,11 @@ def test_lattice_propagator_matches_the_fine_node_product(m_v, m_z):
 
 @pytest.mark.parametrize("s_max,n_s", [(9.0, 400), (1.0, 512)])
 def test_propagator_memory_is_bounded_by_the_direct_kernel(space21, s_max, n_s):
-    # over 4,600 to 15,100 nodes on [0, 128], the kernel on the lattice, the
-    # kept weights and one apply stay under the bytes of the phi kernel on
-    # the nodes; the weights are banded, under 4m cells per node, where a
-    # dense (nodes x lattice) matrix would take 593 at 400 s
+    # over 4,600 to 15,100 nodes on [0, 128], the kernel on the resampler's
+    # rows, the kept weights and one apply stay under the bytes of the phi
+    # kernel on the nodes.  At 400 s the lattice's weights are banded, under
+    # 4m cells per node, where a dense (nodes x lattice) matrix would take
+    # 593; at 512 s the Chebyshev rows' weights are dense, d + 1 < n_s per node
     import tracemalloc
 
     lam = np.linspace(0.0, 128.0, 4096)
@@ -243,7 +275,14 @@ def test_propagator_memory_is_bounded_by_the_direct_kernel(space21, s_max, n_s):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(w.size for _, _, w in kern.weights) < kern.amp.size * 4 * kern.lattice.m
+    kept = sum(w.size for _, _, w in kern.weights)
+    if n_s == 400:
+        assert isinstance(kern.lattice, transform._Lattice)
+        assert kept < kern.amp.size * 4 * kern.lattice.m
+    else:
+        assert isinstance(kern.lattice, transform._Chebyshev)
+        assert kept == kern.amp.size * kern.lattice.nodes.size
+        assert kern.lattice.nodes.size < n_s
     assert peak < kern.amp.size * n_s * 8
     assert np.all(np.isfinite(out))
 

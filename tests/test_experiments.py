@@ -94,7 +94,8 @@ def test_case1_run_pre_asymptotic_flag(space21):
 def test_case1_linearized_min_beyond_s2_matches_rk4_kernel(space21, monkeypatch):
     # epsilon = 2 puts every s in [2, 4], where the Bessel series no longer
     # converges; the kernel the case-1 minimum reads must be the closed form
-    # there.  Its 2,120 rows are spot-checked on 24 evenly spaced ones.
+    # there.  It is formed on 75 Chebyshev rows for the 2,120 nodes, and 24
+    # evenly spaced ones are spot-checked.
     calls, phi_matrix = [], experiments.phi_matrix
 
     def spy(params, lams, s):
@@ -110,6 +111,22 @@ def test_case1_linearized_min_beyond_s2_matches_rk4_kernel(space21, monkeypatch)
     for i in np.linspace(0, lams.size - 1, 24).round().astype(int):
         ref = np.array([phi_hyp(space21, lams[i], x) for x in s])
         assert np.max(np.abs(kernel[i] - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("n_freq,rows", [(64, (16, 200)), (65536, (65, 1216))])
+def test_case1_minimum_on_chebyshev_rows_matches_the_direct_kernel(space21, monkeypatch,
+                                                                   n_freq, rows):
+    # the kernel is formed on the Chebyshev extrema of the bump's band and
+    # resampled to the nodes: the minimum on the nodes' own kernel to 1e-13
+    formed, phi_matrix = [], experiments.phi_matrix
+    monkeypatch.setattr(experiments, "phi_matrix",
+                        lambda *a: formed.append(len(a[1])) or phi_matrix(*a))
+    kind = PhaseKind("frac", shifted=False, a=2.0)
+    got = _case1_linearized_min(space21, kind, 2.0, n_freq, 0.05)
+    monkeypatch.setattr(experiments, "_lattice", lambda *a, **k: None)
+    ref = _case1_linearized_min(space21, kind, 2.0, n_freq, 0.05)
+    assert tuple(formed) == rows
+    assert abs(got - ref) <= 1e-13 * abs(ref)
 
 
 @pytest.mark.parametrize("a", [20.0, 40.0])

@@ -9,6 +9,7 @@ import pytest
 from drwave.errors import DomainError, ValidationError
 from drwave.space import (
     SpaceParams,
+    _bernoulli,
     density,
     log_density_derivative,
     log_density_taylor,
@@ -135,3 +136,20 @@ def test_log_density_taylor_sums_to_log_derivative(all_spaces):
         k = np.arange(1, g.size + 1)
         series = (p.n - 1) / s + (g[:, None] * s ** (2 * k[:, None] - 1)).sum(axis=0)
         assert np.max(np.abs(series / log_density_derivative(p, s) - 1.0)) <= 1e-14
+
+
+def _bernoulli_by_the_binomial_recurrence(m: int) -> tuple[Fraction, ...]:
+    # B_0..B_m from sum_(j<=k) C(k+1, j) B_j = 0, O(m^2) Fraction sums
+    b = [Fraction(1)]
+    for k in range(1, m + 1):
+        b.append(-sum(math.comb(k + 1, j) * b[j] for j in range(k)) / (k + 1))
+    return tuple(b)
+
+
+def test_bernoulli_from_tangent_numbers_matches_the_binomial_recurrence():
+    # every entry exactly, at the 82 that log_density_taylor reads, the 16
+    # of special's ratio series and each m below and around them
+    for m in [*range(18), 81, 82, 83]:
+        got = _bernoulli.__wrapped__(m)
+        assert got == _bernoulli_by_the_binomial_recurrence(m), m
+        assert all(type(b) is Fraction for b in got)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -210,20 +211,25 @@ def test_forward_memory_with_three_lattice_blocks(space21, monkeypatch):
 
 
 def test_direct_product_stays_where_the_lattice_does_not_pay(space21):
-    # 108 lambda on [0, 7] would take 80 lattice rows, more than half of
-    # them: phi is formed on the requested rows, as without a lattice
+    # 60 lambda on [0, 7] would take 80 lattice rows, more than half of
+    # them, and 58 Chebyshev rows, more than 3/4 of them: phi is formed on
+    # the requested rows, as without a resampler
     f = _gaussian_profile(1.0, s_max=6.0, n=512)
-    lam = np.linspace(0.0, 7.0, 108)
+    lam = np.linspace(0.0, 7.0, 60)
     nodes, weights = panel_rule(0.0, 6.0, 7.0)
     assert transform._lattice(lam, nodes) is None
     v = weights * transform._spline(f.s_grid, f.values, nodes) * density(space21, nodes)
     assert np.array_equal(sft_forward(space21, f, lam).values, phi_matrix(space21, lam, nodes) @ v)
-    # 70 lattice rows would serve 248 nodes, but on 80 s a row's 88 weights
-    # are more than its 80 phi cells
-    fh, s = _bump_spectrum(1.0, 5.0), np.linspace(0.0, 6.0, 80)
+    # the propagator keeps its weights: on 16 s a row's 88 lattice weights
+    # and 43 Chebyshev weights are more than its 16 phi cells, so the
+    # kernel is formed on the nodes
+    from drwave.dispersive import PhaseKind, PropagatorKernel
+
+    fh, s = _bump_spectrum(1.0, 5.0), np.linspace(0.0, 6.0, 16)
+    kern = PropagatorKernel(space21, fh, PhaseKind("frac", a=2.0), s, t_max=0.0)
     nodes, amp = transform.inverse_quadrature(space21, fh, 6.0)
-    assert transform._lattice(nodes, s) is None
-    assert np.array_equal(sft_inverse(space21, fh, s).values,
+    assert kern.lattice is None and np.array_equal(kern.amp, amp)
+    assert np.array_equal(kern.apply(0.0),
                           transform._real_kernel_product(phi_matrix(space21, nodes, s).T, amp))
 
 
@@ -329,6 +335,73 @@ def test_lattice_transforms_match_the_fine_node_products(m_v, m_z):
     ref = phi_matrix(params, nodes, s).T.astype(complex) @ amp
     got = sft_inverse(params, fh, s).values
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+# a band from lambda = 0 (the benchmark's forward transform), a case-1 band
+# (N = 1024, eps = 0.05) and a case-2 band (N = 64, eps = 0.25)
+CHEBYSHEV_BANDS = [
+    ((0.0, 7.0), np.linspace(0.0, 6.0, 40)),
+    ((992.0, 1056.0), np.linspace(0.05, 0.1, 16)),
+    ((64.0, 128.0), np.linspace(0.0, 0.25 / 64.0, 48)),
+]
+
+
+@pytest.mark.parametrize("m_v,m_z", [(2, 0), (2, 1), (4, 3), (4, 7), (6, 2), (8, 1), (16, 7)])
+def test_chebyshev_rows_resample_the_direct_rows(m_v, m_z):
+    # phi on the d + 1 Chebyshev extrema of the band, resampled to 701 rows
+    # (one of them on an interior node), against phi formed on those rows
+    params = new_space(m_v, m_z)
+    for (lo, hi), s in CHEBYSHEV_BANDS:
+        d = transform._chebyshev_degree(0.25 * s.max() * (hi - lo))
+        lam = np.linspace(lo, hi, 700)
+        lam = np.append(lam, transform._Chebyshev(lam, d).nodes[d // 2])
+        cheb = transform._Chebyshev(lam, d)
+        on_nodes = phi_matrix(params, cheb.nodes, s)
+        ref = phi_matrix(params, lam, s)
+        got = cheb.resample(on_nodes)
+        err, scale = np.abs(got - ref), np.max(np.abs(ref))
+        # on (16, 7) the exponential series rounds near s = 2 at lambda < 1,
+        # in the direct rows and the node rows alike (ROADMAP item 3): the
+        # 1e-9 that test_series_zone_matches_hypergeometric[16-7] holds phi
+        # to there, on the s >= 2 columns alone
+        series = s >= 2.0 if (m_v, m_z) == (16, 7) else np.zeros(s.size, dtype=bool)
+        assert np.max(err[:, ~series]) <= 1e-13 * scale
+        assert np.max(err[:, series], initial=0.0) <= 1e-9 * scale
+        # the weights, in blocks of at most _WEIGHT_CELLS cells; a row on a
+        # node (both ends and the interior one) is exactly one-hot
+        w = np.zeros((lam.size, d + 1))
+        for rows, first, block in cheb.blocks():
+            assert first == 0 and block.size <= transform._WEIGHT_CELLS
+            w[rows] = block
+        for i, j in ((0, 0), (699, d), (700, d // 2)):
+            assert np.array_equal(w[i], np.eye(d + 1)[j])
+            assert np.array_equal(got[i], on_nodes[j])
+        # the transposed weights carry coefficients onto the nodes
+        coef = np.exp(1j * lam)
+        back = cheb.gather(coef, cheb.blocks())
+        assert np.max(np.abs(back - w.T @ coef)) <= 1e-14 * np.max(np.abs(back))
+
+
+@pytest.mark.parametrize("half", [1e-20, 0.3, 1.0, 7.5, 21.0, 100.0, 1000.0])
+def test_chebyshev_degree_is_the_least_that_meets_the_bound(half):
+    # 4 (sigma R/2)^(d+1) / (d+1)! <= e^-42 at d and not at d - 1, in 30 digits
+    d = transform._chebyshev_degree(half)
+    with mp.workdps(30):
+        bound = [4 * mp.mpf(half) ** (k + 1) / mp.factorial(k + 1) for k in (d - 1, d)]
+        assert bound[1] <= mp.exp(-42)
+        assert d == 0 or bound[0] > mp.exp(-42)
+
+
+def test_a_band_flat_to_e42_takes_one_node(space21):
+    # 64 rows on [0, 1e-300] with s up to 6: sigma R / 2 is under e^-42 / 4,
+    # so phi is flat across the band and every row takes the one node's
+    # value exactly (a spline through these rows would read any rounding
+    # as a slope near 1e285)
+    lam, s = np.linspace(0.0, 1e-300, 64), np.linspace(0.0, 6.0, 40)
+    cheb = transform._lattice(lam, s)
+    assert cheb.nodes.size == 1
+    on_node = phi_matrix(space21, cheb.nodes, s)
+    assert np.array_equal(cheb.resample(on_node), np.repeat(on_node, 64, axis=0))
 
 
 def test_isometry_beta_zero(space21):
