@@ -297,7 +297,9 @@ class PropagatorKernel:
             )
         self.s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
         nodes, self.amp = inverse_quadrature(params, fh, np.max(self.s_grid) + t_max * dpsi)
-        self.lattice = _lattice(nodes, self.s_grid, kept=True)   # forms no weight yet
+        # the resampler, a _Lattice or a _Chebyshev (the name predates the
+        # second), or None; it forms no weight yet
+        self.lattice = _lattice(nodes, self.s_grid, kept=True)
         rows = nodes if self.lattice is None else self.lattice.nodes
         cells = max(rows.size * self.s_grid.size, nodes.size * _T_BLOCK)
         if cells > _CELLS_CAP:

@@ -241,6 +241,7 @@ def _chebyshev_degree(half: float) -> int:
 _CHEBYSHEV_SHARE = 0.75
 
 
+# named before the Chebyshev rows joined the lattice: it returns either resampler
 def _lattice(lams: np.ndarray, s: np.ndarray, kept: bool = False) -> _Resampler | None:
     """The resampler of the rows lams of a phi kernel on the columns s, of
     exponential type sigma = max s in lambda, that forms phi on fewer rows:

@@ -337,6 +337,62 @@ def test_lattice_transforms_match_the_fine_node_products(m_v, m_z):
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("m_v,m_z", [(2, 0), (2, 1), (4, 3), (16, 7)])
+def test_lattice_side_matches_the_fine_node_products(m_v, m_z):
+    # lambda on [0, 48] with s up to 6: 220 lattice rows (m = 78) against
+    # 233 Chebyshev rows, so the forward transform, the inverse and the
+    # propagator all take the lattice; each is held to its product on the
+    # requested (fine) lambda rows
+    from drwave.dispersive import PhaseKind, PropagatorKernel, phase, phase_derivs
+
+    params = new_space(m_v, m_z)
+    f = _gaussian_profile(2.0, s_max=6.0, n=512)
+    lam = np.linspace(0.0, 48.0, 600)
+    nodes, weights = panel_rule(0.0, 6.0, 48.0)
+    lattice = transform._lattice(lam, nodes)
+    assert isinstance(lattice, transform._Lattice)
+    # the resampled rows column by column: on (16, 7) the exponential
+    # series rounds near s = 2 at lambda < 1, in the direct rows and the
+    # lattice rows alike (ROADMAP item 3), so its s >= 2 columns are held
+    # to the 1e-9 that test_series_zone_matches_hypergeometric[16-7] holds
+    # phi to there
+    full = phi_matrix(params, lam, nodes)
+    err = np.abs(lattice.resample(phi_matrix(params, lattice.nodes, nodes)) - full)
+    series = nodes >= 2.0 if (m_v, m_z) == (16, 7) else np.zeros(nodes.size, dtype=bool)
+    assert np.max(err[:, ~series]) <= 1e-13 * np.max(np.abs(full))
+    assert np.max(err[:, series], initial=0.0) <= 1e-9 * np.max(np.abs(full))
+    v = weights * transform._spline(f.s_grid, f.values, nodes) * density(params, nodes)
+    ref = full @ v
+    got = sft_forward(params, f, lam).values
+    tol = 1e-9 if (m_v, m_z) == (16, 7) else 1e-13
+    assert np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref))
+    # the inverse and the propagator: the two products round at the scale
+    # of sum |amp phi|, on which the lattice's bound e^-42 sum |amp| sup|phi|
+    # is also stated; the oscillating amplitudes cancel to 7e-4 of it in
+    # max|f| on (4, 3)
+    lam = np.linspace(0.0, 48.0, 2000)
+    fh = SpectralProfile(lam, np.exp(-(((lam - 16.0) / 6.0) ** 2) + 1j * lam))
+    s = np.linspace(0.0, 6.0, 200)
+    nodes, amp = transform.inverse_quadrature(params, fh, 6.0)
+    assert isinstance(transform._lattice(nodes, s), transform._Lattice)
+    full = phi_matrix(params, nodes, s).T
+    scale = np.max(np.abs(full) @ np.abs(amp))
+    got = sft_inverse(params, fh, s).values
+    assert np.max(np.abs(got - full.astype(complex) @ amp)) <= 1e-13 * scale
+    kind = PhaseKind("frac", a=2.0)
+    kern = PropagatorKernel(params, fh, kind, s, t_max=0.05)
+    assert isinstance(kern.lattice, transform._Lattice)
+    dpsi = abs(phase_derivs(kind, params, fh.top)[0])
+    nodes, amp = transform.inverse_quadrature(params, fh, 6.0 + 0.05 * dpsi)
+    assert np.array_equal(amp, kern.amp)
+    full = phi_matrix(params, nodes, s).T.astype(complex)
+    scale = np.max(np.abs(full) @ np.abs(amp))
+    for t in (0.0, 0.03, np.geomspace(1e-4, 0.05, 8)):
+        mult = np.exp(1j * np.multiply.outer(phase(kind, params, nodes), t))
+        ref = full @ ((amp if np.ndim(t) == 0 else amp[:, None]) * mult)
+        assert np.max(np.abs(kern.apply(t) - ref)) <= 1e-13 * scale
+
+
 # a band from lambda = 0 (the benchmark's forward transform), a case-1 band
 # (N = 1024, eps = 0.05) and a case-2 band (N = 64, eps = 0.25)
 CHEBYSHEV_BANDS = [
