@@ -29,7 +29,7 @@ from .profiles import RadialProfile, SpectralProfile
 from .space import SpaceParams
 from .special import _cis
 from .spherical import phi_matrix
-from .transform import _lattice, _real_kernel_product, inverse_quadrature
+from .transform import _real_kernel_product, _resampler, inverse_quadrature
 
 __all__ = [
     "PhaseKind",
@@ -188,20 +188,28 @@ def phase(kind: PhaseKind, params: SpaceParams, lam):
 
 
 def phase_derivs(kind: PhaseKind, params: SpaceParams, lam):
-    """(psi', psi'') from the family's F' and F'' (vectorized over lambda > 0)."""
+    """(psi', psi'') from the family's F' and F'' (vectorized over lambda > 0).
+    Raises DomainError where forming either overflows, divides by 0 or
+    makes a NaN, as psi' of frac:5 passes the double range from lambda ~
+    7.7e76: the floating-point flags, not a scan of the result, catch it."""
     lam = np.asarray(lam, dtype=float)
     if np.any(lam <= 0):
         raise DomainError("phase_derivs requires lambda > 0")
     entry = kind.entry
     u = _phase_arg(kind, params, lam)
-    df = entry.df(u, kind.a)
-    d1 = 2.0 * lam * df
-    if kind.shifted and entry.dd_shifted is not None:
-        d2 = entry.dd_shifted(lam)
-    else:
-        # lam^2 F'' before the factor 4 (the same bits), which would take
-        # lam^2 past the double range from lam = 6.7e153 on
-        d2 = 2.0 * df + 4.0 * (lam * lam * entry.ddf(u, kind.a))
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            df = entry.df(u, kind.a)
+            d1 = 2.0 * lam * df
+            if kind.shifted and entry.dd_shifted is not None:
+                d2 = entry.dd_shifted(lam)
+            else:
+                # lam^2 F'' before the factor 4 (the same bits), which would take
+                # lam^2 past the double range from lam = 6.7e153 on
+                d2 = 2.0 * df + 4.0 * (lam * lam * entry.ddf(u, kind.a))
+    except FloatingPointError:
+        raise DomainError(f"psi' or psi'' is not a finite double on lambda in "
+                          f"[{np.min(lam):g}, {np.max(lam):g}]") from None
     if np.ndim(d1):
         return d1, d2
     return float(d1), float(d2)
@@ -271,19 +279,11 @@ class PropagatorKernel:
     or multiplier is formed, where the kernel or one block of multipliers
     would pass _CELLS_CAP.
 
-    phi is formed on the rows of the resampler that `transform._lattice`
-    picks at the type sigma = max s, not on the nodes: lambda ->
-    phi_lambda(s) is even, bounded by 1 and entire of exponential type s
-    (Paley-Wiener for the Jacobi transform; Koornwinder, Ark. Mat. 13,
-    1975), so the sinc-Gaussian lattice (Qian, Proc. AMS 131, 2003) and
-    the Chebyshev extrema of the nodes' band (barycentric weights) each
-    reproduce every node's row within e^-42 of sup|phi|.  The multiplier
-    stays on the nodes: apply carries amp e^(i t psi) onto the resampler's
-    rows by the transposed weights, formed once and kept.  A row keeps
-    fewer weights than its n_s kernel cells (2m banded weights on the
-    lattice, d + 1 dense ones on the Chebyshev rows), so the kept weights
-    stay under the cells of the kernel on the nodes.  Where neither
-    resampler pays, the kernel is formed on the nodes.
+    phi is formed on the rows of the resampler that `transform._resampler`
+    picks at the type sigma = max s (`kept`, so a node keeps fewer weights
+    than its n_s kernel cells).  The multiplier stays on the nodes: apply
+    carries amp e^(i t psi) onto the resampler's rows by the transposed
+    weights, formed once and kept.
     """
 
     def __init__(self, params: SpaceParams, fh: SpectralProfile, kind: PhaseKind,
@@ -297,10 +297,8 @@ class PropagatorKernel:
             )
         self.s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
         nodes, self.amp = inverse_quadrature(params, fh, np.max(self.s_grid) + t_max * dpsi)
-        # the resampler, a _Lattice or a _Chebyshev (the name predates the
-        # second), or None; it forms no weight yet
-        self.lattice = _lattice(nodes, self.s_grid, kept=True)
-        rows = nodes if self.lattice is None else self.lattice.nodes
+        self.resampler = _resampler(nodes, self.s_grid, kept=True)   # no weight formed yet
+        rows = self.resampler.nodes
         cells = max(rows.size * self.s_grid.size, nodes.size * _T_BLOCK)
         if cells > _CELLS_CAP:
             raise ResolutionError(
@@ -309,19 +307,19 @@ class PropagatorKernel:
                 f"the cap of {_CELLS_CAP}; narrow the spectrum or lower lambda_max or t"
             )
         self.psi_nodes = phase(kind, params, nodes)
-        self.weights = None if self.lattice is None else list(self.lattice.blocks())
+        self.weights = list(self.resampler.blocks())
         self.kernel_t = phi_matrix(params, rows, self.s_grid).T  # (n_s, n_rows)
 
     def apply(self, t) -> np.ndarray:
         """S_t f on the s grid, shape (n_s,); for a 1-D array of times, shape
         (n_s, n_t).  The coefficients amp e^(i t psi) on the nodes, carried
-        onto the resampler's rows where there is one, then one real GEMM of the real
-        kernel_t with their interleaved (re, im) view."""
+        onto the resampler's rows, then one real GEMM of the real kernel_t
+        with their interleaved (re, im) view."""
         t = np.asarray(t, dtype=float)
         mult = _cis(np.multiply.outer(self.psi_nodes, t))
         coef = (self.amp if t.ndim == 0 else self.amp[:, None]) * mult
-        if self.lattice is not None:
-            coef = self.lattice.gather(coef, self.weights)
+        # rebound, so that the nodes' coefficients are freed before the product
+        coef = self.resampler.gather(coef, self.weights)
         return _real_kernel_product(self.kernel_t, coef)
 
 

@@ -26,7 +26,7 @@ from .quadrature import panel_rule
 from .space import SpaceParams, new_space
 from .spherical import phi_matrix
 from .special import _cis, plancherel_density
-from .transform import _lattice, euclidean_correspondence_inverse, sft_inverse, sobolev_norm
+from .transform import _resampler, euclidean_correspondence_inverse, sft_inverse, sobolev_norm
 
 __all__ = [
     "ExperimentReport",
@@ -134,10 +134,9 @@ def _case1_linearized_min(params: SpaceParams, kind: PhaseKind, a: float,
     panels: T f_N(s) = int_-1^1 phi_lambda(xi)(s) e^(i t psi) eta(xi)
     |c(lambda(xi))|^(-1) dxi.  No Plancherel constant is applied: every
     verdict built on this quantity is scale free.  The kernel is formed on
-    the rows of the resampler `transform._lattice` picks and resampled to
+    the rows of the resampler `transform._resampler` picks and resampled to
     the nodes (the Chebyshev extrema of the bump's band, 16 to 65 rows for
-    200 to 1,216 nodes at N = 64 .. 65536 and eps = 0.05), or on the nodes
-    where none pays.
+    200 to 1,216 nodes at N = 64 .. 65536 and eps = 0.05).
     """
     root = math.sqrt(n_freq)
     s_grid = np.linspace(epsilon, 2.0 * epsilon, _CASE1_S_POINTS)
@@ -150,11 +149,8 @@ def _case1_linearized_min(params: SpaceParams, kind: PhaseKind, a: float,
     t_of_s = s_grid / (a * n_freq ** (a - 1.0))
     psi = phase(kind, params, lam)
     c_inv = np.sqrt(plancherel_density(params, lam))
-    resampler = _lattice(lam, s_grid)
-    if resampler is None:
-        kernel = phi_matrix(params, lam, s_grid)           # (n_xi, n_s)
-    else:
-        kernel = resampler.resample(phi_matrix(params, resampler.nodes, s_grid))
+    resampler = _resampler(lam, s_grid)
+    kernel = resampler.resample(phi_matrix(params, resampler.nodes, s_grid))   # (n_xi, n_s)
     mult = _cis(np.outer(t_of_s, psi))                     # (n_s, n_xi)
     vals = (mult * kernel.T) @ (w * bump_unit(xi) * c_inv)
     return float(np.min(np.abs(vals)))

@@ -20,12 +20,17 @@ __all__ = ["RadialProfile", "SpectralProfile"]
 
 
 def _check_samples(grid: np.ndarray, values: np.ndarray, what: str) -> None:
-    """A uniform grid of at least 2 points and as many finite values."""
+    """A uniform grid of at least 2 points, its step a normal double (a
+    spline or a quadrature on it divides by the step), and as many finite
+    values."""
     if grid.ndim != 1 or grid.size < 2:
         raise ValidationError(f"{what} grid must be a 1-d array with >= 2 points")
     d = np.diff(grid)
     if np.any(d <= 0):
         raise ValidationError(f"{what} grid must be strictly increasing")
+    if d[0] < np.finfo(float).tiny:
+        raise ValidationError(f"{what} grid step {d[0]:g} is below the smallest normal "
+                              f"double; widen the grid or take fewer points")
     if not np.allclose(d, d[0], rtol=1e-9, atol=1e-12 * abs(d[0])):
         raise ValidationError(f"{what} grid must be uniformly spaced")
     if values.shape != grid.shape:

@@ -34,11 +34,11 @@ within e^-42 of sup|phi| (`_SAMPLING_EXPONENT`):
   about e sigma R / 2 rows once sigma R is large, all inside the
   requested band.
 
-`_lattice` takes whichever needs fewer phi rows, or neither where neither
-pays.  The forward transform evaluates F = Phi v on the resampler's rows
-and resamples it; the inverse transform (and the propagator) carry their
-quadrature amplitudes onto those rows by the transposed weights and form
-phi only there.
+`_resampler` takes whichever needs fewer phi rows, or `_Direct`, phi on
+the requested rows themselves, where neither pays.  The forward transform
+evaluates F = Phi v on the resampler's rows and resamples it; the inverse
+transform (and the propagator) carry their quadrature amplitudes onto
+those rows by the transposed weights and form phi only there.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .errors import CalibrationError, DomainError, TailMassError, ValidationErro
 from .profiles import RadialProfile, SpectralProfile
 from .quadrature import grid_integral, panel_rule
 from .space import SpaceParams, density
-from .spherical import phi_matrix
+from .spherical import _BLOCK_CELLS as _PHI_BLOCK_CELLS, phi_matrix
 from .special import plancherel_density
 
 __all__ = [
@@ -70,9 +70,6 @@ _BLOCK_CELLS = 2**22   # phi kernel cells per product in sft_forward (32 MB)
 # (m - 1)/2 >= 42 on the lattice, 4 (sigma R/2)^(d+1) / (d+1)! <= e^-42 on
 # the Chebyshev rows.
 _SAMPLING_EXPONENT = 42.0
-# weight cells per row block of a resampler: phi_matrix's own block size,
-# so the weights make no temporary larger than one that phi_matrix makes
-_WEIGHT_CELLS = 2**14
 
 
 def _spline(x: np.ndarray, y: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -133,7 +130,8 @@ class _Resampler:
 
     def blocks(self):
         """(rows, lo, w) for each row block: w[i, c] weighs node row lo + c
-        for requested row rows[i], and w has at most _WEIGHT_CELLS cells."""
+        for requested row rows[i], and w has at most phi_matrix's own block
+        of cells, so the weights make no temporary larger than phi_matrix's."""
         raise NotImplementedError
 
     def resample(self, values: np.ndarray) -> np.ndarray:
@@ -154,6 +152,23 @@ class _Resampler:
         return out
 
 
+class _Direct(_Resampler):
+    """phi formed on the requested rows themselves: W is the identity, so
+    a product through it keeps the direct product's bits."""
+
+    def __init__(self, lams: np.ndarray):
+        self.nodes = lams
+
+    def blocks(self):
+        return ()
+
+    def resample(self, values: np.ndarray) -> np.ndarray:
+        return values
+
+    def gather(self, coef: np.ndarray, blocks) -> np.ndarray:
+        return coef
+
+
 class _Lattice(_Resampler):
     """The lattice rows k h, k = 0 .. size - 1, and the requested rows'
     sinc-Gaussian weights on them, a banded W: row i of W holds the 2m
@@ -169,10 +184,10 @@ class _Lattice(_Resampler):
 
     def blocks(self):
         """A block spans fewer than 2m lattice steps and at most
-        _WEIGHT_CELLS // (4m) rows, so all blocks together hold under 4m
+        _PHI_BLOCK_CELLS // (4m) rows, so all blocks together hold under 4m
         cells per requested row."""
         m, first, x = self.m, self.first, self.x
-        per_block = max(1, _WEIGHT_CELLS // (4 * m))
+        per_block = max(1, _PHI_BLOCK_CELLS // (4 * m))
         a = 0
         while a < x.size:
             b = min(a + per_block, int(np.searchsorted(first, first[a] + 2 * m)))
@@ -208,11 +223,11 @@ class _Chebyshev(_Resampler):
         self.beta[[0, -1]] *= 0.5
 
     def blocks(self):
-        """Blocks of _WEIGHT_CELLS // (d + 1) rows.  A row within the
+        """Blocks of _PHI_BLOCK_CELLS // (d + 1) rows.  A row within the
         smallest normal double of a node (1/d would overflow), an exact
         hit included, takes that node's value: a one-hot row (the mean of
         such nodes, should two lie that close)."""
-        per_block = max(1, _WEIGHT_CELLS // self.nodes.size)
+        per_block = max(1, _PHI_BLOCK_CELLS // self.nodes.size)
         for a in range(0, self.x.size, per_block):
             d = self.x[a:a + per_block, None] - self.nodes
             hit = np.abs(d) < np.finfo(float).tiny
@@ -237,16 +252,14 @@ def _chebyshev_degree(half: float) -> int:
 
 
 # Chebyshev rows pay where they are at most this share of the requested
-# rows (timed in `_lattice`'s docstring)
+# rows (timed in `_resampler`'s docstring)
 _CHEBYSHEV_SHARE = 0.75
 
 
-# named before the Chebyshev rows joined the lattice: it returns either resampler
-def _lattice(lams: np.ndarray, s: np.ndarray, kept: bool = False) -> _Resampler | None:
+def _resampler(lams: np.ndarray, s: np.ndarray, kept: bool = False) -> _Resampler:
     """The resampler of the rows lams of a phi kernel on the columns s, of
-    exponential type sigma = max s in lambda, that forms phi on fewer rows:
-    a `_Lattice` or a `_Chebyshev`; or None, and the direct product stays,
-    where neither pays.
+    exponential type sigma = max s in lambda, that forms phi on the fewest rows:
+    a `_Lattice` or a `_Chebyshev`, or `_Direct` where neither pays.
 
     The lattice pays:
     - where it has at most half as many rows as lams (and lams * sigma is
@@ -284,8 +297,8 @@ def _lattice(lams: np.ndarray, s: np.ndarray, kept: bool = False) -> _Resampler 
     if 0.0 < top * sigma < math.inf:
         u = math.pi / (1.0 + math.sqrt(2.0 * _SAMPLING_EXPONENT / (top * sigma)))
         m = 1 + math.ceil(2.0 * _SAMPLING_EXPONENT / (math.pi - u))
-        h = u / sigma
-        size = math.floor(top / h) + m + 1
+        h = u / sigma     # 0 where lambda_top sigma is subnormal: no lattice
+        size = math.floor(top / h) + m + 1 if h else math.inf
         if 2 * size > lams.size or 2 * m >= s.size:
             size = math.inf
     cap = min(_CHEBYSHEV_SHARE * lams.size, size - 1, s.size - 1 if kept else math.inf)
@@ -294,7 +307,7 @@ def _lattice(lams: np.ndarray, s: np.ndarray, kept: bool = False) -> _Resampler 
         d = _chebyshev_degree(half)
         if d + 1 <= cap:
             return _Chebyshev(lams, d)
-    return None if size == math.inf else _Lattice(lams, h, u, m, size)
+    return _Direct(lams) if size == math.inf else _Lattice(lams, h, u, m, size)
 
 
 def _tail_check(params: SpaceParams, f: RadialProfile) -> None:
@@ -332,13 +345,12 @@ def sft_forward(params: SpaceParams, f: RadialProfile, lambda_grid) -> SpectralP
     nodes, weights = panel_rule(0.0, s_max, rate)
     f_nodes = _spline(f.s_grid, f.values, nodes)
     v = weights * f_nodes * density(params, nodes)
-    resampler = _lattice(lambda_grid, nodes)
-    lams = lambda_grid if resampler is None else resampler.nodes
+    resampler = _resampler(lambda_grid, nodes)
+    lams = resampler.nodes
     rows = max(1, _BLOCK_CELLS // nodes.size)
     vals = np.concatenate([phi_matrix(params, lams[i:i + rows], nodes) @ v
                            for i in range(0, lams.size, rows)])
-    if resampler is not None:
-        vals = resampler.resample(vals)
+    vals = resampler.resample(vals)
     return SpectralProfile(lambda_grid, vals.astype(complex))
 
 
@@ -436,9 +448,8 @@ def sft_inverse(params: SpaceParams, fh: SpectralProfile, s_grid) -> RadialProfi
     kernel times the complex amplitudes, one real GEMM on their (re, im) view."""
     s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
     nodes, amp = inverse_quadrature(params, fh, float(np.max(s_grid)))
-    resampler = _lattice(nodes, s_grid)
-    if resampler is not None:
-        nodes, amp = resampler.nodes, resampler.gather(amp, resampler.blocks())
+    resampler = _resampler(nodes, s_grid)
+    nodes, amp = resampler.nodes, resampler.gather(amp, resampler.blocks())
     return RadialProfile(s_grid, _real_kernel_product(phi_matrix(params, nodes, s_grid).T, amp))
 
 

@@ -244,6 +244,13 @@ def test_config_error_exit_code(tmp_path, out_root):
     ["propagate", "--equation", "beam-shifted", "--spectrum", "bump:0,1e80"],
     ["propagate", "--equation", "boussinesq", "--spectrum", "bump:0,1e80"],
     ["maximal", "--equation", "beam", "--spectrum", "bump:1e80,2e80"],
+    # psi' or psi'' past the double range at a finite lambda
+    ["propagate", "--equation", "frac:5", "--spectrum", "bump:0,1e80"],
+    ["maximal", "--equation", "frac:5", "--spectrum", "bump:1e80,2e80"],
+    ["oscillatory-claim", "--equation", "frac:100", "--n-triples", "3"],
+    # a lambda step below the smallest normal double
+    ["transform", "--lambda-max", "1e-310", "--s-max", "6", "--s-points", "256",
+     "--lambda-points", "64"],
 ])
 def test_malformed_input_is_a_usage_error(tmp_path, out_root, capsys, argv):
     cfg = tmp_path / "bad.cfg"

@@ -92,6 +92,17 @@ def test_phase_derivs_rejects_nonpositive(space21):
         phase_derivs(PhaseKind("beam"), space21, 0.0)
 
 
+def test_phase_derivs_past_the_double_range_raise(space21):
+    # psi' of frac:5 passes the double range from lambda ~ 7.7e76, and those
+    # of frac:100 from lambda ~ 1.2e3: a DomainError, and no overflow warning
+    frac5 = PhaseKind("frac", a=5.0)
+    assert np.isfinite(phase_derivs(frac5, space21, 7.6e76)[0])
+    for kind, lam in ((frac5, 7.8e76), (frac5, [1.0, 1e80]),
+                      (PhaseKind("frac", a=100.0), np.logspace(0, 4, 5))):
+        with pytest.raises(DomainError, match="not a finite double"):
+            phase_derivs(kind, space21, lam)
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name + str(k.a or ""))
 def test_phase_rejects_lambda_whose_square_leaves_the_double_range(kind, space21):
     # lambda^2 is finite up to 1.34e154 (psi = lambda^2 + Q^2/4 of frac:2
@@ -246,7 +257,7 @@ def test_lattice_propagator_matches_the_fine_node_product(m_v, m_z):
     kern = dispersive.PropagatorKernel(params, fh, kind, s, t_max=1.0)
     dpsi = abs(phase_derivs(kind, params, fh.top)[0])
     nodes, amp = transform.inverse_quadrature(params, fh, 6.0 + dpsi)
-    assert kern.lattice is not None
+    assert not isinstance(kern.resampler, transform._Direct)
     full = phi_matrix(params, nodes, s).T.astype(complex)
     scale = np.max(np.abs(full @ amp))
     for t in (0.0, 0.7, np.geomspace(1e-3, 1.0, 16)):
@@ -277,12 +288,12 @@ def test_propagator_memory_is_bounded_by_the_direct_kernel(space21, s_max, n_s):
         tracemalloc.stop()
     kept = sum(w.size for _, _, w in kern.weights)
     if n_s == 400:
-        assert isinstance(kern.lattice, transform._Lattice)
-        assert kept < kern.amp.size * 4 * kern.lattice.m
+        assert isinstance(kern.resampler, transform._Lattice)
+        assert kept < kern.amp.size * 4 * kern.resampler.m
     else:
-        assert isinstance(kern.lattice, transform._Chebyshev)
-        assert kept == kern.amp.size * kern.lattice.nodes.size
-        assert kern.lattice.nodes.size < n_s
+        assert isinstance(kern.resampler, transform._Chebyshev)
+        assert kept == kern.amp.size * kern.resampler.nodes.size
+        assert kern.resampler.nodes.size < n_s
     assert peak < kern.amp.size * n_s * 8
     assert np.all(np.isfinite(out))
 

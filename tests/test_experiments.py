@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from drwave import experiments
+from drwave import experiments, transform
 from drwave.bumps import bump_12
 from drwave.dispersive import PhaseKind
 from drwave.errors import ValidationError
@@ -123,7 +123,7 @@ def test_case1_minimum_on_chebyshev_rows_matches_the_direct_kernel(space21, monk
                         lambda *a: formed.append(len(a[1])) or phi_matrix(*a))
     kind = PhaseKind("frac", shifted=False, a=2.0)
     got = _case1_linearized_min(space21, kind, 2.0, n_freq, 0.05)
-    monkeypatch.setattr(experiments, "_lattice", lambda *a, **k: None)
+    monkeypatch.setattr(experiments, "_resampler", lambda lam, *a, **k: transform._Direct(lam))
     ref = _case1_linearized_min(space21, kind, 2.0, n_freq, 0.05)
     assert tuple(formed) == rows
     assert abs(got - ref) <= 1e-13 * abs(ref)

@@ -43,3 +43,13 @@ def test_profiles_reject_non_finite_values(bad):
         RadialProfile(grid, vals)
     with pytest.raises(ValidationError, match="finite"):
         SpectralProfile(grid, vals)
+
+
+def test_profiles_reject_a_subnormal_step():
+    # a spline or a quadrature on the grid divides by its step: a step of
+    # 1.6e-312, below the smallest normal double, is refused; 1.6e-302 is not
+    vals = np.zeros(64)
+    for make in (RadialProfile, SpectralProfile):
+        with pytest.raises(ValidationError, match="smallest normal"):
+            make(np.linspace(0.0, 1e-310, 64), vals)
+        make(np.linspace(0.0, 1e-300, 64), vals)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import drwave
-from drwave import transform
+from drwave import spherical, transform
 from drwave.errors import DomainError, TailMassError, ValidationError
 from drwave.profiles import RadialProfile, SpectralProfile
 from drwave.quadrature import grid_integral, panel_rule
@@ -217,7 +217,7 @@ def test_direct_product_stays_where_the_lattice_does_not_pay(space21):
     f = _gaussian_profile(1.0, s_max=6.0, n=512)
     lam = np.linspace(0.0, 7.0, 60)
     nodes, weights = panel_rule(0.0, 6.0, 7.0)
-    assert transform._lattice(lam, nodes) is None
+    assert isinstance(transform._resampler(lam, nodes), transform._Direct)
     v = weights * transform._spline(f.s_grid, f.values, nodes) * density(space21, nodes)
     assert np.array_equal(sft_forward(space21, f, lam).values, phi_matrix(space21, lam, nodes) @ v)
     # the propagator keeps its weights: on 16 s a row's 88 lattice weights
@@ -228,7 +228,7 @@ def test_direct_product_stays_where_the_lattice_does_not_pay(space21):
     fh, s = _bump_spectrum(1.0, 5.0), np.linspace(0.0, 6.0, 16)
     kern = PropagatorKernel(space21, fh, PhaseKind("frac", a=2.0), s, t_max=0.0)
     nodes, amp = transform.inverse_quadrature(space21, fh, 6.0)
-    assert kern.lattice is None and np.array_equal(kern.amp, amp)
+    assert isinstance(kern.resampler, transform._Direct) and np.array_equal(kern.amp, amp)
     assert np.array_equal(kern.apply(0.0),
                           transform._real_kernel_product(phi_matrix(space21, nodes, s).T, amp))
 
@@ -245,7 +245,7 @@ def test_large_lambda_grid_takes_the_lattice(space21, monkeypatch):
     nodes, _ = transform.inverse_quadrature(space21, fh, 6.0)
     rows.clear()
     sft_inverse(space21, fh, s)
-    assert rows == [transform._lattice(nodes, s).nodes.size]
+    assert rows == [transform._resampler(nodes, s).nodes.size]
     assert 2 * rows[0] <= nodes.size
 
 
@@ -259,7 +259,7 @@ def test_inverse_memory_is_bounded_by_blocked_weights(space21):
     fh = SpectralProfile(lam, np.exp(-((lam - 100.0) / 40.0) ** 2).astype(complex))
     s = np.linspace(0.0, 9.0, 400)
     nodes, _ = transform.inverse_quadrature(space21, fh, 9.0)
-    lattice = transform._lattice(nodes, s)
+    lattice = transform._resampler(nodes, s)
     tracemalloc.start()
     try:
         back = sft_inverse(space21, fh, s)
@@ -317,7 +317,7 @@ def test_lattice_transforms_match_the_fine_node_products(m_v, m_z):
     f = _gaussian_profile(2.0, s_max=6.0, n=512)   # its tail is negligible on (16, 7) too
     lam = np.linspace(0.0, 16.0, 600)              # lambda = 0 and lambda_max included
     nodes, weights = panel_rule(0.0, 6.0, 16.0)
-    assert transform._lattice(lam, nodes) is not None
+    assert not isinstance(transform._resampler(lam, nodes), transform._Direct)
     v = weights * transform._spline(f.s_grid, f.values, nodes) * density(params, nodes)
     ref = phi_matrix(params, lam, nodes) @ v
     got = sft_forward(params, f, lam).values
@@ -331,7 +331,7 @@ def test_lattice_transforms_match_the_fine_node_products(m_v, m_z):
     fh = SpectralProfile(lam, np.exp(-((lam - 3.0) ** 2) + 1j * lam))
     s = np.linspace(0.0, 6.0, 160)
     nodes, amp = transform.inverse_quadrature(params, fh, 6.0)
-    assert transform._lattice(nodes, s) is not None
+    assert not isinstance(transform._resampler(nodes, s), transform._Direct)
     ref = phi_matrix(params, nodes, s).T.astype(complex) @ amp
     got = sft_inverse(params, fh, s).values
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -349,7 +349,7 @@ def test_lattice_side_matches_the_fine_node_products(m_v, m_z):
     f = _gaussian_profile(2.0, s_max=6.0, n=512)
     lam = np.linspace(0.0, 48.0, 600)
     nodes, weights = panel_rule(0.0, 6.0, 48.0)
-    lattice = transform._lattice(lam, nodes)
+    lattice = transform._resampler(lam, nodes)
     assert isinstance(lattice, transform._Lattice)
     # the resampled rows column by column: on (16, 7) the exponential
     # series rounds near s = 2 at lambda < 1, in the direct rows and the
@@ -374,14 +374,14 @@ def test_lattice_side_matches_the_fine_node_products(m_v, m_z):
     fh = SpectralProfile(lam, np.exp(-(((lam - 16.0) / 6.0) ** 2) + 1j * lam))
     s = np.linspace(0.0, 6.0, 200)
     nodes, amp = transform.inverse_quadrature(params, fh, 6.0)
-    assert isinstance(transform._lattice(nodes, s), transform._Lattice)
+    assert isinstance(transform._resampler(nodes, s), transform._Lattice)
     full = phi_matrix(params, nodes, s).T
     scale = np.max(np.abs(full) @ np.abs(amp))
     got = sft_inverse(params, fh, s).values
     assert np.max(np.abs(got - full.astype(complex) @ amp)) <= 1e-13 * scale
     kind = PhaseKind("frac", a=2.0)
     kern = PropagatorKernel(params, fh, kind, s, t_max=0.05)
-    assert isinstance(kern.lattice, transform._Lattice)
+    assert isinstance(kern.resampler, transform._Lattice)
     dpsi = abs(phase_derivs(kind, params, fh.top)[0])
     nodes, amp = transform.inverse_quadrature(params, fh, 6.0 + 0.05 * dpsi)
     assert np.array_equal(amp, kern.amp)
@@ -423,11 +423,11 @@ def test_chebyshev_rows_resample_the_direct_rows(m_v, m_z):
         series = s >= 2.0 if (m_v, m_z) == (16, 7) else np.zeros(s.size, dtype=bool)
         assert np.max(err[:, ~series]) <= 1e-13 * scale
         assert np.max(err[:, series], initial=0.0) <= 1e-9 * scale
-        # the weights, in blocks of at most _WEIGHT_CELLS cells; a row on a
-        # node (both ends and the interior one) is exactly one-hot
+        # the weights, in blocks of at most phi_matrix's own block of cells;
+        # a row on a node (both ends and the interior one) is exactly one-hot
         w = np.zeros((lam.size, d + 1))
         for rows, first, block in cheb.blocks():
-            assert first == 0 and block.size <= transform._WEIGHT_CELLS
+            assert first == 0 and block.size <= spherical._BLOCK_CELLS
             w[rows] = block
         for i, j in ((0, 0), (699, d), (700, d // 2)):
             assert np.array_equal(w[i], np.eye(d + 1)[j])
@@ -454,10 +454,37 @@ def test_a_band_flat_to_e42_takes_one_node(space21):
     # value exactly (a spline through these rows would read any rounding
     # as a slope near 1e285)
     lam, s = np.linspace(0.0, 1e-300, 64), np.linspace(0.0, 6.0, 40)
-    cheb = transform._lattice(lam, s)
+    cheb = transform._resampler(lam, s)
     assert cheb.nodes.size == 1
     on_node = phi_matrix(space21, cheb.nodes, s)
     assert np.array_equal(cheb.resample(on_node), np.repeat(on_node, 64, axis=0))
+
+
+def test_subnormal_band_takes_a_resampler():
+    # 64 rows on [0, 1e-310] with s up to 6: lambda_top sigma is subnormal
+    # and the lattice step h = u / sigma underflows to 0, so the lattice is
+    # skipped; the band is flat to e^-42 and takes one Chebyshev node
+    nodes, _ = panel_rule(0.0, 6.0, 1.0)
+    resampler = transform._resampler(np.linspace(0.0, 1e-310, 64), nodes)
+    assert isinstance(resampler, transform._Chebyshev) and resampler.nodes.size == 1
+
+
+def test_default_transform_takes_the_lattice():
+    # the default `drwave transform`: its 7,824 lambda over the forward's
+    # 31,296 panel nodes on [0, 12], and the inverse's 23,472 nodes on
+    # [0, 256] at rate 9 over the roundtrip's 384 s on [0, 9], take the
+    # lattice, 1,330 and 1,042 rows.  No phi is formed
+    from drwave import cli
+
+    assert float(cli.DEFAULTS["grids.s_max"]) == 12.0
+    lam = cli._lambda_grid(cli.DEFAULTS)
+    nodes, _ = panel_rule(0.0, 12.0, float(lam[-1]))
+    inverse_nodes, _ = panel_rule(0.0, float(lam[-1]), 9.0)
+    assert (lam.size, nodes.size, inverse_nodes.size) == (7824, 31296, 23472)
+    forward = transform._resampler(lam, nodes)
+    inverse = transform._resampler(inverse_nodes, np.linspace(0.0, 9.0, 384))
+    assert isinstance(forward, transform._Lattice) and forward.nodes.size == 1330
+    assert isinstance(inverse, transform._Lattice) and inverse.nodes.size == 1042
 
 
 def test_isometry_beta_zero(space21):
