@@ -181,9 +181,18 @@ def _phase_arg(kind: PhaseKind, params: SpaceParams, lam: np.ndarray) -> np.ndar
 
 
 def phase(kind: PhaseKind, params: SpaceParams, lam):
-    """psi(lambda) for the given variant (vectorized over lambda >= 0)."""
+    """psi(lambda) for the given variant (vectorized over lambda >= 0).
+    Raises DomainError where psi passes the double range, as psi of frac:5
+    does from lambda ~ 4.5e61: the overflow flag, not a scan of the
+    result, catches it."""
     lam = np.asarray(lam, dtype=float)
-    out = np.asarray(kind.entry.f(_phase_arg(kind, params, lam), kind.a))
+    u = _phase_arg(kind, params, lam)
+    try:
+        with np.errstate(over="raise"):
+            out = np.asarray(kind.entry.f(u, kind.a))
+    except FloatingPointError:
+        raise DomainError(f"psi is not a finite double on lambda up to "
+                          f"{lam.max(initial=0.0):g}") from None
     return out if out.ndim else float(out)
 
 

@@ -20,9 +20,9 @@ import numpy as np
 
 from .bumps import bump_12, bump_unit
 from .dispersive import PhaseKind, phase, phase_derivs
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 from .profiles import SpectralProfile
-from .quadrature import panel_rule
+from .quadrature import panel_rules
 from .space import SpaceParams, new_space
 from .spherical import phi_matrix
 from .special import _cis, plancherel_density
@@ -43,6 +43,7 @@ __all__ = [
 _RESIDUAL_RMS_MAX = 0.02
 _CASE1_POINTS, _CASE2_POINTS = 384, 512   # lambda grids of the two families
 _CASE1_S_POINTS = 16                      # s grid of the case-1 minimum
+_CIS_ANCHOR_ROWS = 8                      # case-1 multiplier rows per exact _cis
 _SWEEP_POINTS = 600                       # log sweep of transference_check
 
 
@@ -114,56 +115,114 @@ def fit_loglog_slope(x, y) -> tuple[float, float]:
 def case1_family(params: SpaceParams, n_freq: int) -> SpectralProfile:
     """Spectrum N^(-1/2) eta(-lambda/sqrt(N) + sqrt(N)) |c(lambda)|,
     supported in [N - sqrt(N), N + sqrt(N)], on _CASE1_POINTS."""
+    return _case1_family(params, n_freq)[0]
+
+
+def _case1_family(params: SpaceParams, n_freq: int) -> tuple[SpectralProfile, np.ndarray]:
+    """case1_family and the Plancherel density on its lambda grid, which
+    its Sobolev norms share."""
     if n_freq < 16:
         raise ValidationError("case-1 family requires N >= 16")
     root = math.sqrt(n_freq)
     lam = np.linspace(n_freq - root, n_freq + root, _CASE1_POINTS)
     xi = -lam / root + root
-    c_abs = 1.0 / np.sqrt(plancherel_density(params, lam))
-    vals = bump_unit(xi) * c_abs / root
+    density = plancherel_density(params, lam)
+    vals = bump_unit(xi) * (1.0 / np.sqrt(density)) / root
     return SpectralProfile(lam, vals.astype(complex),
-                           support_hint=(n_freq - root, n_freq + root))
+                           support_hint=(n_freq - root, n_freq + root)), density
+
+
+def _multiplier_rows(t: np.ndarray, dt: float, psi: np.ndarray):
+    """e^(i t_j psi) for each t_j of t, an arithmetic progression of step
+    dt, one row at a time (one array, updated in place): an exact _cis
+    every _CIS_ANCHOR_ROWS rows, and each row between them the row before
+    times e^(i dt psi), one complex product per node.
+
+    Drift, with u = 2^-53 and theta = max |t psi|: a row k rows past its
+    anchor is within u (10 theta + 8 k + 12) of _cis(t_j * psi).  Its
+    angle, the anchor's t psi plus k dt psi, is within 10 u theta of the
+    float t_j psi: 2 u theta from rounding each of t_j psi, the anchor's
+    and k dt psi, and 4 u theta from the two s values of the grid.  Each
+    complex product adds at most sqrt(5) u and the step's own _cis error,
+    each _cis erring by at most 4 u.  At the benchmark's largest angles,
+    3,300 rad (a = 2) and 4,400 rad (a = 1.5) at N = 65536, the bound is
+    3.7e-12 and 4.9e-12.
+    """
+    step = _cis(dt * psi)
+    for j, t_j in enumerate(t):
+        if j % _CIS_ANCHOR_ROWS == 0:
+            row = _cis(t_j * psi)
+        else:
+            row *= step
+        yield row
 
 
 def _case1_linearized_min(params: SpaceParams, kind: PhaseKind, a: float,
-                          n_freq: int, epsilon: float) -> float:
-    """min over _CASE1_S_POINTS s in [eps, 2 eps] of |T f_N(s)| at t(s) = s/(a N^(a-1)).
+                          n_list, epsilon: float) -> list[float]:
+    """For each N of n_list, the min over _CASE1_S_POINTS s in [eps, 2 eps]
+    of |T f_N(s)| at t(s) = s/(a N^(a-1)).
 
     Evaluated in the bump coordinate xi = -lambda/sqrt(N) + sqrt(N), where
     the integrand is smooth and the quadrature needs O(sqrt(N) eps)
     panels: T f_N(s) = int_-1^1 phi_lambda(xi)(s) e^(i t psi) eta(xi)
     |c(lambda(xi))|^(-1) dxi.  No Plancherel constant is applied: every
-    verdict built on this quantity is scale free.  The kernel is formed on
-    the rows of the resampler `transform._resampler` picks and resampled to
-    the nodes (the Chebyshev extrema of the bump's band, 16 to 65 rows for
-    200 to 1,216 nodes at N = 64 .. 65536 and eps = 0.05).
+    verdict built on this quantity is scale free.
+
+    The list is worked as one batch.  One panel_rules call lays out every
+    band's nodes, each band's rule bit for bit its panel_rule, and one
+    phase and one plancherel_density call cover them all.  One phi_matrix
+    call forms the kernel on the rows of every band's resampler
+    (`transform._resampler`: the Chebyshev extrema of the band, 16 to 65
+    rows for 200 to 1,216 nodes at N = 64 .. 65536 and eps = 0.05, 200 in
+    all), and each band resamples its own rows to its nodes.  The sum is
+    taken one s row at a time against `_multiplier_rows`, so no complex
+    (s x nodes) array is formed: a band's real kernel is the largest.
     """
-    root = math.sqrt(n_freq)
-    s_grid = np.linspace(epsilon, 2.0 * epsilon, _CASE1_S_POINTS)
+    n = np.array(n_list, dtype=float)
+    root = np.sqrt(n)
+    s_grid, ds = np.linspace(epsilon, 2.0 * epsilon, _CASE1_S_POINTS, retstep=True)
+    scale = np.array([a * n_freq ** (a - 1.0) for n_freq in n_list])   # t(s) = s / scale
     # phi turns at rate sqrt(N) s in xi, and t psi at sqrt(N) t psi', largest at
     # the bump's top edge N + sqrt(N) since psi' increases
-    psi1, _ = phase_derivs(kind, params, n_freq + root)
-    rate = root * 2.0 * epsilon * (1.0 + psi1 / (a * n_freq ** (a - 1.0))) + 8.0
-    xi, w = panel_rule(-1.0, 1.0, rate, min_panels=16)
-    lam = n_freq - root * xi
-    t_of_s = s_grid / (a * n_freq ** (a - 1.0))
+    psi1, _ = phase_derivs(kind, params, n + root)
+    rate = root * 2.0 * epsilon * (1.0 + psi1 / scale) + 8.0
+    xi, amp, counts = panel_rules(np.full(n.size, -1.0), np.full(n.size, 1.0), rate, 16)
+    lam = np.repeat(n, counts) - np.repeat(root, counts) * xi
     psi = phase(kind, params, lam)
-    c_inv = np.sqrt(plancherel_density(params, lam))
-    resampler = _resampler(lam, s_grid)
-    kernel = resampler.resample(phi_matrix(params, resampler.nodes, s_grid))   # (n_xi, n_s)
-    mult = _cis(np.outer(t_of_s, psi))                     # (n_s, n_xi)
-    vals = (mult * kernel.T) @ (w * bump_unit(xi) * c_inv)
-    return float(np.min(np.abs(vals)))
+    amp *= bump_unit(xi)            # in place: the weights become w eta(xi) |c|^-1
+    amp *= np.sqrt(plancherel_density(params, lam))
+    lams, psis, amps = (np.split(x, np.cumsum(counts)[:-1]) for x in (lam, psi, amp))
+    resamplers = [_resampler(band, s_grid) for band in lams]
+    rows = phi_matrix(params, np.concatenate([r.nodes for r in resamplers]), s_grid)
+    rows = np.split(rows, np.cumsum([r.nodes.size for r in resamplers])[:-1])
+    # a band's kernel lives only in its _band_min call
+    return [_band_min(r.resample(k), amp_n, s_grid / c, ds / c, psi_n)
+            for r, k, amp_n, psi_n, c in zip(resamplers, rows, amps, psis, scale)]
+
+
+def _band_min(kernel: np.ndarray, amp: np.ndarray, t: np.ndarray, dt: float,
+              psi: np.ndarray) -> float:
+    """min over j of |sum_i kernel[i, j] amp_i e^(i t_j psi_i)|, for a real
+    (nodes x t) kernel, summed one row of `_multiplier_rows` at a time."""
+    weighted = np.multiply(kernel.T, amp, order="C")     # (t x nodes)
+    # the real GEMV on the row's (re, im) view, as _real_kernel_product does;
+    # inline, as the helper's reshapes cost 8% of case1_run over 96 rows
+    vals = np.array([row @ mult.view(float).reshape(-1, 2)
+                     for row, mult in zip(weighted, _multiplier_rows(t, dt, psi))])
+    return float(np.min(np.hypot(vals[:, 0], vals[:, 1])))
 
 
 def case1_run(params: SpaceParams, a: float, beta_list, n_list, epsilon: float = 0.05,
               shifted: bool = False, slope_tol: float = 0.05) -> ExperimentReport:
     """Scaling probe of the below-threshold failure.
 
-    For each N: the H^beta norms of the family and the minimum of the
-    linearized evolution over [eps, 2 eps].  Passes when every norm slope
-    sits at beta - 1/4 within tolerance and the minimum never drops below
-    half its value at the smallest N.
+    For each N: the H^beta norms of the family, which share its Plancherel
+    density, and the minimum of the linearized evolution over [eps, 2 eps],
+    worked for the whole N list at once (`_case1_linearized_min`).  Passes
+    when every norm slope sits at beta - 1/4 within tolerance and the
+    minimum never drops below half its value at the smallest N.  Raises
+    ResolutionError where the list's phase-resolving rules ask for more
+    than 2^22 panels in all.
     """
     if a <= 1.0:
         raise ValidationError("case-1 requires a > 1")
@@ -173,27 +232,26 @@ def case1_run(params: SpaceParams, a: float, beta_list, n_list, epsilon: float =
         raise ValidationError("case-1 needs at least one beta")
     kind = PhaseKind("frac", shifted=shifted, a=a)
     n_top = max(n_list, default=0)      # psi ~ lambda^a peaks at its bump's edge N + sqrt(N)
-    with np.errstate(over="ignore"):
-        psi_top = phase(kind, params, n_top + math.sqrt(max(n_top, 0)))
-    if not math.isfinite(psi_top):
+    try:
+        phase(kind, params, n_top + math.sqrt(max(n_top, 0)))
+    except DomainError:
         raise ValidationError(f"case-1 needs N^a within the double range; a = {a:g} "
-                              f"passes it at N = {n_top}")
-    norms = {beta: [] for beta in beta_list}
-    mins = []
+                              f"passes it at N = {n_top}") from None
+    norms = []
     for n_freq in n_list:
-        fam = case1_family(params, n_freq)
-        for beta in beta_list:
-            norms[beta].append(sobolev_norm(params, fam, beta))
-        mins.append(_case1_linearized_min(params, kind, a, n_freq, epsilon))
+        fam, density = _case1_family(params, n_freq)
+        norms.append(sobolev_norm(params, fam, beta_list, density=density))
     report = ExperimentReport(
         name="case1",
-        fitted_slopes=[SlopeFit.fit(f"sobolev_norm(beta={beta})", n_list, norms[beta],
-                                    beta - 0.25, slope_tol) for beta in beta_list],
+        fitted_slopes=[SlopeFit.fit(f"sobolev_norm(beta={beta})", n_list,
+                                    [row[i] for row in norms], beta - 0.25, slope_tol)
+                       for i, beta in enumerate(beta_list)],
         provenance={
             "m_v": params.m_v, "m_z": params.m_z, "a": a, "shifted": shifted,
             "beta_list": beta_list, "n_list": n_list, "epsilon": epsilon,
         },
     )
+    mins = _case1_linearized_min(params, kind, a, n_list, epsilon)
     floor = 0.5 * mins[0]
     report.scalars.append(("min_linearized_at_smallest_N", mins[0]))
     report.scalars.append(("min_linearized_overall", float(min(mins))))

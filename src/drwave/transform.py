@@ -453,23 +453,34 @@ def sft_inverse(params: SpaceParams, fh: SpectralProfile, s_grid) -> RadialProfi
     return RadialProfile(s_grid, _real_kernel_product(phi_matrix(params, nodes, s_grid).T, amp))
 
 
-def sobolev_norm(params: SpaceParams, fh: SpectralProfile, beta: float) -> float:
-    """Fractional Sobolev norm of the spectrum.
+def sobolev_norm(params: SpaceParams, fh: SpectralProfile, beta, density=None):
+    """Fractional Sobolev norm of the spectrum, or the list of its norms
+    for a sequence of beta.
 
     (int (lambda^2 + Q^2/4)^beta |fh|^2 |c|^-2 dlambda)^(1/2); beta = 0
     is the Plancherel (L^2) norm up to the factor sqrt(C) of
     `inversion_constant`: ||f||_2 = sqrt(C) * sobolev_norm(fh, 0).
-    Raises ValidationError where the integral passes the float range.
+    density, if given, is plancherel_density on fh's lambda grid, formed
+    by the caller; each norm keeps the bits it has alone.  Raises
+    ValidationError, before any integral, for a beta that is not finite
+    and >= 0, and where an integral passes the float range.
     """
-    if not 0.0 <= beta < math.inf:
-        raise ValidationError(f"beta must be finite and >= 0, got {beta}")
+    betas = list(beta) if np.ndim(beta) else [beta]
+    for b in betas:
+        if not 0.0 <= b < math.inf:
+            raise ValidationError(f"beta must be finite and >= 0, got {b}")
     lam = fh.lambda_grid
+    if density is None:
+        density = plancherel_density(params, lam)
+    norms = []
     with np.errstate(over="ignore", invalid="ignore"):   # a huge beta: the weight reads inf
-        w = (lam**2 + params.q2_over_4) ** beta * plancherel_density(params, lam)
-        val = grid_integral(np.abs(fh.values) ** 2 * w, lam)
-    if not math.isfinite(val):
-        raise ValidationError(f"the Sobolev norm at beta = {beta:g} passes the float range")
-    return math.sqrt(max(val, 0.0))
+        base, mass = lam**2 + params.q2_over_4, np.abs(fh.values) ** 2
+        for b in betas:
+            val = grid_integral(mass * (base**b * density), lam)
+            if not math.isfinite(val):
+                raise ValidationError(f"the Sobolev norm at beta = {b:g} passes the float range")
+            norms.append(math.sqrt(max(val, 0.0)))
+    return norms if np.ndim(beta) else norms[0]
 
 
 def euclidean_correspondence_inverse(params: SpaceParams, fg: SpectralProfile) -> SpectralProfile:

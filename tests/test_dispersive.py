@@ -103,6 +103,18 @@ def test_phase_derivs_past_the_double_range_raise(space21):
             phase_derivs(kind, space21, lam)
 
 
+def test_phase_past_the_double_range_raises(space21):
+    # psi of frac:5 passes the double range from lambda ~ 4.5e61, and that of
+    # frac:100 from lambda ~ 1.2e3: a DomainError, on a scalar or in an
+    # array, where it read inf under an overflow warning
+    frac5 = PhaseKind("frac", a=5.0)
+    assert np.isfinite(phase(frac5, space21, 4.4e61))
+    for kind, lam in ((frac5, 4.6e61), (frac5, 1e80), (frac5, [1.0, 1e80]),
+                      (PhaseKind("frac", a=100.0), np.logspace(0, 4, 5))):
+        with pytest.raises(DomainError, match="not a finite double"):
+            phase(kind, space21, lam)
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name + str(k.a or ""))
 def test_phase_rejects_lambda_whose_square_leaves_the_double_range(kind, space21):
     # lambda^2 is finite up to 1.34e154 (psi = lambda^2 + Q^2/4 of frac:2

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from drwave import experiments, transform
-from drwave.bumps import bump_12
-from drwave.dispersive import PhaseKind
+from drwave.bumps import bump_12, bump_unit
+from drwave.dispersive import PhaseKind, phase, phase_derivs
 from drwave.errors import ValidationError
 from drwave.experiments import (
     SlopeFit,
@@ -18,13 +18,16 @@ from drwave.experiments import (
     implied_p_bound,
     transference_check,
 )
-from drwave.special import plancherel_density
-from drwave.quadrature import grid_integral
+from drwave.special import _cis, plancherel_density
+from drwave.quadrature import grid_integral, panel_rule
 from drwave.space import new_space
+from drwave.spherical import phi_matrix
 from drwave.transform import sobolev_norm
 from oracles import euclidean_spectrum, phi_hyp
 
 CASE1_N = [64, 128, 256, 512, 1024]
+CASE1_BENCH_N = [4**k for k in range(3, 9)]     # the benchmark's case-1 list, 64 .. 65536
+CASE1_BETAS = [0.1, 0.25, 0.4]
 CASE2_N = [8, 11, 16, 23, 32, 45, 64]
 
 
@@ -105,7 +108,8 @@ def test_case1_linearized_min_beyond_s2_matches_rk4_kernel(space21, monkeypatch)
 
     monkeypatch.setattr(experiments, "phi_matrix", spy)
     kind = PhaseKind("frac", shifted=False, a=2.0)
-    assert math.isfinite(_case1_linearized_min(space21, kind, 2.0, 64, 2.0))
+    (got,) = _case1_linearized_min(space21, kind, 2.0, [64], 2.0)
+    assert math.isfinite(got)
     (lams, s, kernel), = calls
     assert np.all(s >= 2.0)
     for i in np.linspace(0, lams.size - 1, 24).round().astype(int):
@@ -122,9 +126,9 @@ def test_case1_minimum_on_chebyshev_rows_matches_the_direct_kernel(space21, monk
     monkeypatch.setattr(experiments, "phi_matrix",
                         lambda *a: formed.append(len(a[1])) or phi_matrix(*a))
     kind = PhaseKind("frac", shifted=False, a=2.0)
-    got = _case1_linearized_min(space21, kind, 2.0, n_freq, 0.05)
+    (got,) = _case1_linearized_min(space21, kind, 2.0, [n_freq], 0.05)
     monkeypatch.setattr(experiments, "_resampler", lambda lam, *a, **k: transform._Direct(lam))
-    ref = _case1_linearized_min(space21, kind, 2.0, n_freq, 0.05)
+    (ref,) = _case1_linearized_min(space21, kind, 2.0, [n_freq], 0.05)
     assert tuple(formed) == rows
     assert abs(got - ref) <= 1e-13 * abs(ref)
 
@@ -134,21 +138,106 @@ def test_case1_rule_follows_the_phase_slope(space21, monkeypatch, a):
     # at N = 64 the rule sized by psi' at the bump's edge has under 2^12
     # nodes (by 2^(a-1) it had about 1e6 panels at a = 20), and a rule of
     # twice its rate moves the minimum by under 1e-8
-    nodes, panel_rule = [], experiments.panel_rule
+    nodes, panel_rules = [], experiments.panel_rules
 
-    def rule(lo, hi, rate, min_panels, scale=1.0):
-        xi, w = panel_rule(lo, hi, scale * rate, min_panels=min_panels)
+    def rules(lo, hi, rate, min_panels, scale=1.0):
+        xi, w, counts = panel_rules(lo, hi, scale * rate, min_panels)
         nodes.append(xi.size)
-        return xi, w
+        return xi, w, counts
 
     kind = PhaseKind("frac", shifted=False, a=a)
-    monkeypatch.setattr(experiments, "panel_rule", rule)
-    got = _case1_linearized_min(space21, kind, a, 64, 0.05)
-    monkeypatch.setattr(experiments, "panel_rule",
-                        lambda lo, hi, rate, min_panels: rule(lo, hi, rate, min_panels, 2.0))
-    ref = _case1_linearized_min(space21, kind, a, 64, 0.05)
+    monkeypatch.setattr(experiments, "panel_rules", rules)
+    (got,) = _case1_linearized_min(space21, kind, a, [64], 0.05)
+    monkeypatch.setattr(experiments, "panel_rules",
+                        lambda lo, hi, rate, min_panels: rules(lo, hi, rate, min_panels, 2.0))
+    (ref,) = _case1_linearized_min(space21, kind, a, [64], 0.05)
     assert nodes[0] < 2**12 and nodes[1] > nodes[0]
     assert abs(got - ref) <= 1e-8 * abs(ref)
+
+
+def _case1_min_alone(params, kind, a: float, n_freq: int, epsilon: float) -> float:
+    """The case-1 minimum at one N worked alone: phi formed on the panel
+    nodes themselves (the _Direct rows) and the multiplier one _cis of the
+    (s x nodes) angles."""
+    root = math.sqrt(n_freq)
+    s = np.linspace(epsilon, 2.0 * epsilon, 16)
+    scale = a * n_freq ** (a - 1.0)
+    psi1, _ = phase_derivs(kind, params, n_freq + root)
+    xi, w = panel_rule(-1.0, 1.0, root * 2.0 * epsilon * (1.0 + psi1 / scale) + 8.0,
+                       min_panels=16)
+    lam = n_freq - root * xi
+    mult = _cis(np.outer(s / scale, phase(kind, params, lam)))
+    amp = w * bump_unit(xi) * np.sqrt(plancherel_density(params, lam))
+    return float(np.min(np.abs((mult * phi_matrix(params, lam, s).T) @ amp)))
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+@pytest.mark.parametrize("a", [2.0, 1.5])
+def test_case1_batch_matches_each_n_worked_alone(space21, monkeypatch, a, shifted):
+    # the benchmark's list in one batch (one phi_matrix call on every band's
+    # Chebyshev rows, the multiplier rotated along s) against each N alone:
+    # the minima to 1e-13, and the Sobolev norms, which share the family's
+    # Plancherel density, bit for bit
+    kind = PhaseKind("frac", shifted=shifted, a=a)
+    got = _case1_linearized_min(space21, kind, a, CASE1_BENCH_N, 0.05)
+    for n_freq, m in zip(CASE1_BENCH_N, got):
+        ref = _case1_min_alone(space21, kind, a, n_freq, 0.05)
+        assert abs(m - ref) <= 1e-13 * ref
+    norms, sobolev = [], experiments.sobolev_norm
+    monkeypatch.setattr(experiments, "sobolev_norm",
+                        lambda *args, **kw: norms.append(sobolev(*args, **kw)) or norms[-1])
+    case1_run(space21, a, CASE1_BETAS, CASE1_BENCH_N, shifted=shifted)
+    assert norms == [[sobolev_norm(space21, case1_family(space21, n), beta)
+                      for beta in CASE1_BETAS] for n in CASE1_BENCH_N]
+
+
+@pytest.mark.parametrize("a,theta_min", [(2.0, 3300.0), (1.5, 4390.0)])
+def test_rotated_multiplier_rows_stay_within_their_drift_bound(space21, a, theta_min):
+    # at N = 65536, the benchmark's largest angles: each row k rows past its
+    # anchor within u (10 theta + 8 k + 12) of _cis of the products, the
+    # bound _multiplier_rows states; the anchor rows exact
+    n_freq = 65536
+    root = math.sqrt(n_freq)
+    psi = phase(PhaseKind("frac", a=a), space21,
+                np.linspace(n_freq - root, n_freq + root, 1216))
+    s, ds = np.linspace(0.05, 0.1, 16, retstep=True)
+    scale = a * n_freq ** (a - 1.0)
+    angles = np.outer(s / scale, psi)
+    theta = float(np.max(np.abs(angles)))
+    assert theta > theta_min
+    exact = _cis(angles)
+    for j, row in enumerate(experiments._multiplier_rows(s / scale, ds / scale, psi)):
+        k = j % experiments._CIS_ANCHOR_ROWS
+        err = np.max(np.abs(row - exact[j]))
+        assert err <= 2.0**-53 * (10.0 * theta + 8.0 * k + 12.0)
+        assert k or err == 0.0
+
+
+def test_case1_memory_is_bounded_by_the_largest_band(space21, monkeypatch):
+    # the benchmark's case-1 arguments: the tracemalloc peak stays under
+    # three complex (nodes x s) arrays of the largest band (1,216 of 3,064
+    # nodes).  The whole list's complex product alone exceeds it, and so did
+    # the one-N-at-a-time form's angles, multiplier and product (970 KB)
+    import tracemalloc
+
+    counts, panel_rules = [], experiments.panel_rules
+
+    def spy(*args):
+        rules = panel_rules(*args)
+        counts.append(rules[2])
+        return rules
+
+    monkeypatch.setattr(experiments, "panel_rules", spy)
+    args = (space21, 2.0, CASE1_BETAS, CASE1_BENCH_N)
+    case1_run(*args)     # caches filled outside the trace
+    tracemalloc.start()
+    try:
+        case1_run(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts[0].max() == 1216
+    assert peak < 3 * 16 * counts[0].max() * experiments._CASE1_S_POINTS
 
 
 def test_case1_run_validation(space21):
