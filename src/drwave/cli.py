@@ -300,8 +300,11 @@ def _cmd_phi(cfg, chash, out):
     if not (lams and ss):
         raise ValidationError("phi needs at least one lambda and one s")
     vals = spherical.phi_matrix(params, lams, ss)
-    rows = [(lam, s, float(val), "bessel" if s < spherical.S_HC_MIN else "hc")
-            for lam, row in zip(lams, vals) for s, val in zip(ss, row)]
+    methods = np.empty(len(ss), dtype=object)
+    for name, cells in spherical._route_plan(np.asarray(ss, dtype=float)):
+        methods[cells] = name
+    rows = [(lam, s, float(val), method)
+            for lam, row in zip(lams, vals) for s, val, method in zip(ss, row, methods)]
     _emit_csv(out / "phi.csv", chash, ["lambda", "s", "value", "method"], rows)
     for lam, s, val, method in rows:
         print(f"phi(lambda={_F % lam}, s={_F % s}) = {_F % val}  [{method}]")

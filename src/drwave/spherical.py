@@ -29,9 +29,13 @@ evaluated by
 
 phi_matrix() is the one way into both series, and phi() is phi_matrix()
 on one cell, so both take the same route by s alone and both enforce
-the global bound |phi| <= 1.  phi_matrix builds each series' parts
-that do not change along a row once per call, and runs both in blocks
-of lambda rows that keep their temporaries small.  Both series are
+the global bound |phi| <= 1.  The route plan (_route_plan) is the one
+place where that rule is written: it gives each route its columns, as
+a slice where they are contiguous (s sorted either way).  phi_matrix
+builds each series' parts that do not change along a row once per
+call on its columns, and runs both in blocks of lambda rows that keep
+their temporaries small, each route writing its own columns of the
+block.  Both series are
 checked against the exact closed form, the Jacobi function
 phi_lambda(s) = 2F1(Q/2 + i lambda, Q/2 - i lambda; n/2; -sinh(s/2)^2)
 (Koornwinder, 1984), which the tests evaluate with mpmath.
@@ -507,6 +511,17 @@ def _bessel_matrix(cols: _BesselColumns, lams: np.ndarray) -> np.ndarray:
 # dispatcher
 # ---------------------------------------------------------------------------
 
+def _route_plan(s: np.ndarray) -> list[tuple[str, slice | np.ndarray]]:
+    """The phi routes that take columns of s, in order, each as (name,
+    cells): "bessel" for s < S_HC_MIN, "hc" (the exponential series) for
+    the rest.  cells is a column slice where the route's columns are
+    contiguous (their span is under their count), as they are where s is
+    sorted either way, else their indices in order."""
+    routes = (("bessel", np.flatnonzero(s < S_HC_MIN)), ("hc", np.flatnonzero(s >= S_HC_MIN)))
+    return [(name, slice(idx[0], idx[-1] + 1) if np.ptp(idx) < idx.size else idx)
+            for name, idx in routes if idx.size]
+
+
 def phi(params: SpaceParams, lam: float, s: float) -> float:
     """phi_lambda(s): phi_matrix on one cell."""
     return float(phi_matrix(params, [lam], [s])[0, 0])
@@ -515,13 +530,14 @@ def phi(params: SpaceParams, lam: float, s: float) -> float:
 def phi_matrix(params: SpaceParams, lams, s) -> np.ndarray:
     """phi_{lambda_i}(s_j) over the grid product, shape (n_lam, n_s).
 
-    Two routes, chosen by s alone: the Bessel series (_bessel_matrix) for
-    s < 2 and the exponential series (_HCSeries) for s >= 2, each at every
-    lambda.  Their parts that depend on s alone, and the exponential
-    series' Gamma rows and h per lambda, are built once; both routes then
-    run in blocks of lambda rows of about _BLOCK_CELLS cells, so that
-    their temporaries stay small.  Raises DomainError where lambda s is
-    not finite, and PhiBoundError if any |phi| exceeds 1 + 1e-9.
+    Two routes, chosen by s alone (_route_plan): the Bessel series
+    (_bessel_matrix) for s < 2 and the exponential series (_HCSeries) for
+    s >= 2, each at every lambda and on its own columns.  Their parts that
+    depend on s alone, and the exponential series' Gamma rows and h per
+    lambda, are built once; both routes then run in blocks of lambda rows
+    of about _BLOCK_CELLS cells, so that their temporaries stay small.
+    Raises DomainError where lambda s is not finite, and PhiBoundError if
+    any |phi| exceeds 1 + 1e-9.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     s = np.atleast_1d(np.asarray(s, dtype=float))
@@ -536,20 +552,19 @@ def phi_matrix(params: SpaceParams, lams, s) -> np.ndarray:
     i_max = int(np.argmax(lams_abs))
     if not math.isfinite(float(lams_abs[i_max]) * float(np.max(s))):
         raise DomainError(f"lambda * s overflows at lambda = {lams[i_max]} (s up to {np.max(s)})")
-    near = s < S_HC_MIN
     routes = []
-    if np.any(near):
-        cols = _BesselColumns(params, s[near])
-        routes.append((near, lambda rows: _bessel_matrix(cols, lams_abs[rows])))
-    if not np.all(near):
-        s_far = s[~near]
-        mu_max = _hc_mu_for(params, lams_abs, float(np.min(s_far)))
-        routes.append((~near, _HCSeries(params, lams_abs, s_far, mu_max).block))
+    for name, cells in _route_plan(s):
+        if name == "bessel":
+            routes.append((name, cells, _BesselColumns(params, s[cells])))
+        else:
+            mu_max = _hc_mu_for(params, lams_abs, float(np.min(s[cells])))
+            routes.append((name, cells, _HCSeries(params, lams_abs, s[cells], mu_max)))
     step = max(1, _BLOCK_CELLS // s.size)
     for i in range(0, lams.size, step):
         rows = slice(i, i + step)
-        for where, block in routes:
-            out[rows, where] = block(rows)
+        for name, cells, route in routes:
+            out[rows, cells] = (_bessel_matrix(route, lams_abs[rows]) if name == "bessel"
+                                else route.block(rows))
         _check_bound(out[rows], lams[rows], s)
     return out
 

@@ -140,6 +140,7 @@ class _Resampler:
         out = np.empty(self.x.shape + values.shape[1:], dtype=values.dtype)
         for rows, lo, w in self.blocks():
             out[rows] = w @ values[lo:lo + w.shape[1]]
+            del w       # not held while the next block is formed
         return out
 
     def gather(self, coef: np.ndarray, blocks) -> np.ndarray:
@@ -230,13 +231,14 @@ class _Chebyshev(_Resampler):
         per_block = max(1, _PHI_BLOCK_CELLS // self.nodes.size)
         for a in range(0, self.x.size, per_block):
             d = self.x[a:a + per_block, None] - self.nodes
-            hit = np.abs(d) < np.finfo(float).tiny
+            hit = (d > -np.finfo(float).tiny) & (d < np.finfo(float).tiny)
             d[hit] = 1.0
-            w = self.beta / d
+            w = np.divide(self.beta, d, out=d)
             w /= w.sum(axis=1, keepdims=True)
             on_node = hit.any(axis=1)
             w[on_node] = hit[on_node] / hit[on_node].sum(axis=1, keepdims=True)
             yield slice(a, a + per_block), 0, w
+            del d, w, hit, on_node      # freed before the next block is formed
 
 
 def _chebyshev_degree(half: float) -> int:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drwave import dispersive, experiments
+from drwave import dispersive, experiments, spherical
 from drwave.cli import (
     _OPTIONS,
     _SUBCOMMANDS,
@@ -57,6 +57,19 @@ def test_phi_subcommand(out_root, capsys):
     text = _read(run_dir / "phi.csv")
     assert text.startswith("# config-hash: ")
     assert "lambda,s,value,method" in text
+
+
+def test_phi_subcommand_labels_unsorted_lists_from_the_route_plan(out_root):
+    # s in no order, on both sides of the seam at 2 and on it: each row's
+    # method is its column's route and its value phi_matrix's, to the bit
+    lams, s = [0.0, 0.5, 3.0], [2.5, 0.5, 2.0, 1.999, 0.0]
+    assert run(["phi", "--m-v", "16", "--m-z", "7", "--lambda", "0,0.5,3",
+                "--s", "2.5,0.5,2,1.999,0"]) == 0
+    (run_dir,) = list(out_root.iterdir())
+    rows = [line.split(",") for line in _read(run_dir / "phi.csv").splitlines()[2:]]
+    assert [row[3] for row in rows] == ["hc", "bessel", "hc", "bessel", "bessel"] * 3
+    want = spherical.phi_matrix(new_space(16, 7), lams, s).ravel()
+    assert [float(row[2]) for row in rows] == want.tolist()
 
 
 def test_space_subcommand_and_hash_naming(out_root, capsys):

@@ -655,6 +655,40 @@ def test_phi_matrix_even_and_bounded(m_v, m_z, lam, s):
     assert np.max(np.abs(plus)) <= 1.0 + 1e-9
 
 
+@pytest.mark.parametrize("s,contiguous", [
+    (np.linspace(0.0, 4.0, 9), True),                     # ascending, 2 on the grid
+    (np.linspace(4.0, 0.0, 9), True),                     # descending
+    (np.array([2.5, 0.5, 2.0, 1.999, 0.0, 3.0, 1.0]), False),    # shuffled
+    (np.array([0.0, 0.3, 1.2, 1.999]), True),             # every s below 2
+    (np.array([2.0, 2.5, 4.0]), True),                    # every s at or above 2
+    (np.array([2.0]), True),
+], ids=["ascending", "descending", "shuffled", "below", "above", "at-2"])
+def test_route_plan_counts_the_cells_each_route_writes(space21, monkeypatch, s, contiguous):
+    # over several lambda blocks, each route returns n_lambda times its
+    # plan's columns; the plan sends s < 2 to the Bessel series and the
+    # rest to the exponential series, as slices where s is sorted
+    written = {}
+    bessel_matrix, hc_block = spherical._bessel_matrix, _HCSeries.block
+
+    def count(name, got):
+        written[name] = written.get(name, 0) + got.size
+        return got
+
+    monkeypatch.setattr(spherical, "_bessel_matrix",
+                        lambda cols, lams: count("bessel", bessel_matrix(cols, lams)))
+    monkeypatch.setattr(_HCSeries, "block", lambda self, rows: count("hc", hc_block(self, rows)))
+    monkeypatch.setattr(spherical, "_BLOCK_CELLS", 4 * s.size)
+    lams = np.linspace(0.0, 30.0, 11)
+    plan = spherical._route_plan(s)
+    phi_matrix(space21, lams, s)
+    assert written == {name: lams.size * s[cells].size for name, cells in plan}
+    routes = {name: np.arange(s.size)[cells].tolist() for name, cells in plan}
+    assert routes == {name: cols.tolist() for name, cols in (("bessel", np.flatnonzero(s < 2.0)),
+                                                             ("hc", np.flatnonzero(s >= 2.0)))
+                      if cols.size}
+    assert all(isinstance(cells, slice) == contiguous for _, cells in plan)
+
+
 def test_phi_matrix_consistency(space21):
     lam = np.array([0.4, 2.0, 9.0])
     s = np.array([0.2, 1.1, 2.6])
