@@ -156,17 +156,15 @@ def _open_artifact(path: Path):
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
-def _emit_csv(path: Path, chash: str, columns: list[str], rows) -> None:
-    """One `%` per row: the first row's cells fix the row format, %s for a
-    str column and _F for a number."""
+def _emit_csv(path: Path, chash: str, names: list[str], columns) -> None:
+    """The table of the given columns (arrays or sequences of one length),
+    each converted once to Python values, written in one call: one `%` per
+    row, %s for a str column and _F for a number."""
+    cols = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+    fmt = ",".join("%s" if col and isinstance(col[0], str) else _F for col in cols) + "\n"
+    body = "".join(fmt % row for row in zip(*cols))
     with _open_artifact(path) as fh:
-        fh.write(f"# config-hash: {chash}\n")
-        fh.write(",".join(columns) + "\n")
-        fmt = None
-        for row in rows:
-            if fmt is None:
-                fmt = ",".join("%s" if isinstance(c, str) else _F for c in row) + "\n"
-            fh.write(fmt % tuple(row))
+        fh.write(f"# config-hash: {chash}\n" + ",".join(names) + "\n" + body)
 
 
 def _emit_json(path: Path, chash: str, payload: dict) -> None:
@@ -174,8 +172,7 @@ def _emit_json(path: Path, chash: str, payload: dict) -> None:
     doc["config_hash"] = chash
     doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     with _open_artifact(path) as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _space_from(cfg):
@@ -273,7 +270,7 @@ def _cmd_space(cfg, chash, out):
     s = np.linspace(0.0, float(cfg["grids.s_max"]), 257)[1:]
     with np.errstate(over="ignore"):     # a column reads inf past the double range
         cols = (s, density(params, s), log_density_derivative(params, s))
-    _emit_csv(out / "space.csv", chash, ["s", "density", "log_density_derivative"], zip(*cols))
+    _emit_csv(out / "space.csv", chash, ["s", "density", "log_density_derivative"], cols)
     print(f"space m_v={params.m_v} m_z={params.m_z} n={params.n} Q={params.Q} -> {out}")
     return 0
 
@@ -288,7 +285,7 @@ def _cmd_cfun(cfg, chash, out):
     with np.errstate(over="ignore"):     # a column reads inf past the double range
         c = c_function(params, lam)
         cols = (lam, c.real, c.imag, plancherel_density(params, lam))
-    _emit_csv(out / "cfun.csv", chash, ["lambda", "re_c", "im_c", "plancherel"], zip(*cols))
+    _emit_csv(out / "cfun.csv", chash, ["lambda", "re_c", "im_c", "plancherel"], cols)
     print(f"cfun: 512 rows on [0.01, {cfg['grids.lambda_max']}] -> {out}")
     return 0
 
@@ -303,10 +300,10 @@ def _cmd_phi(cfg, chash, out):
     methods = np.empty(len(ss), dtype=object)
     for name, cells in spherical._route_plan(np.asarray(ss, dtype=float)):
         methods[cells] = name
-    rows = [(lam, s, float(val), method)
-            for lam, row in zip(lams, vals) for s, val, method in zip(ss, row, methods)]
-    _emit_csv(out / "phi.csv", chash, ["lambda", "s", "value", "method"], rows)
-    for lam, s, val, method in rows:
+    cols = (np.repeat(lams, len(ss)), np.tile(ss, len(lams)), vals.ravel(),
+            np.tile(methods, len(lams)))
+    _emit_csv(out / "phi.csv", chash, ["lambda", "s", "value", "method"], cols)
+    for lam, s, val, method in zip(*(c.tolist() for c in cols)):
         print(f"phi(lambda={_F % lam}, s={_F % s}) = {_F % val}  [{method}]")
     return 0
 
@@ -328,12 +325,12 @@ def _cmd_transform(cfg, chash, out):
     lam = _lambda_grid(cfg)
     fh = transform.sft_forward(params, f, lam)
     _emit_csv(out / "forward.csv", chash, ["lambda", "re", "im", "abs"],
-              [(x, v.real, v.imag, abs(v)) for x, v in zip(lam, fh.values)])
+              (lam, fh.values.real, fh.values.imag, np.abs(fh.values)))
     back = transform.sft_inverse(params, fh, s_out)
     num = np.sqrt(np.trapezoid(np.abs(back.values - ref_vals) ** 2 * w, s_out))
     rel = float(num / den)
     _emit_csv(out / "roundtrip.csv", chash, ["s", "re", "im", "reference"],
-              [(x, v.real, v.imag, r) for x, v, r in zip(s_out, back.values, ref_vals)])
+              (s_out, back.values.real, back.values.imag, ref_vals))
     print(f"transform roundtrip relative L2 error: {rel:.3e} -> {out}")
     return 0 if rel < 1e-3 else 1
 
@@ -346,7 +343,7 @@ def _cmd_propagate(cfg, chash, out):
     s_out = np.linspace(0.0, float(cfg["grids.s_max"]) / 2.0, 384)
     prof = dispersive.propagate(params, fh, kind, t, s_out)
     _emit_csv(out / "propagate.csv", chash, ["s", "re", "im"],
-              [(x, v.real, v.imag) for x, v in zip(prof.s_grid, prof.values)])
+              (prof.s_grid, prof.values.real, prof.values.imag))
     print(f"propagate t={_F % t} equation={cfg['equation']} -> {out}")
     return 0
 
@@ -358,8 +355,7 @@ def _cmd_maximal(cfg, chash, out):
     t_grid = dispersive.default_t_grid(params, kind, fh.top, n_points=int(cfg["grids.t_points"]))
     s_out = np.linspace(0.0, float(cfg["grids.s_max"]) / 2.0, 256)
     sup = dispersive.maximal_function(params, fh, kind, t_grid, s_out)
-    _emit_csv(out / "maximal.csv", chash, ["s", "sup"],
-              list(zip(sup.s_grid, sup.values)))
+    _emit_csv(out / "maximal.csv", chash, ["s", "sup"], (sup.s_grid, sup.values))
     print(f"maximal over {t_grid.size} times, equation={cfg['equation']} -> {out}")
     return 0
 
@@ -372,9 +368,9 @@ def _cmd_oscillatory(cfg, chash, out):
     )
     rep = oscillatory.dyadic_sum_check(kind, params, triples,
                                        big_k=int(cfg["experiment.k_levels"]))
-    rows = [(r[0], r[1], r[2], rep.k_levels, r[3]) for r in rep.rows]
-    _emit_csv(out / "oscillatory.csv", chash,
-              ["s", "s_prime", "d", "K", "normalized_sum"], rows)
+    r = rep.rows.T
+    _emit_csv(out / "oscillatory.csv", chash, ["s", "s_prime", "d", "K", "normalized_sum"],
+              (r[0], r[1], r[2], [rep.k_levels] * len(rep.rows), r[3]))
     verdict = "pass" if rep.passed else "fail"
     print(f"oscillatory-claim: max normalized sum {rep.max_normalized:.4f}, "
           f"K-stability change {rep.max_rel_change:.2e} -> {verdict}")
@@ -416,9 +412,9 @@ def _cmd_experiment(cfg, chash, out, which):
         )
     _emit_json(out / f"{which}.json", chash, rep.to_dict())
     if rep.fitted_slopes:
-        _emit_csv(out / f"{which}-slopes.csv", chash,
-                  [f.name for f in fields(experiments.SlopeFit)], map(astuple, rep.fitted_slopes))
-    _emit_csv(out / f"{which}-scalars.csv", chash, ["quantity", "value"], rep.scalars)
+        _emit_csv(out / f"{which}-slopes.csv", chash, [f.name for f in fields(experiments.SlopeFit)],
+                  zip(*map(astuple, rep.fitted_slopes)))
+    _emit_csv(out / f"{which}-scalars.csv", chash, ["quantity", "value"], zip(*rep.scalars))
     print(f"experiment {which}: verdict {rep.verdict} -> {out}")
     if which == "transference":
         return 0

@@ -26,7 +26,7 @@ from .quadrature import panel_rules
 from .space import SpaceParams, new_space
 from .spherical import phi_matrix
 from .special import _cis, plancherel_density
-from .transform import _resampler, euclidean_correspondence_inverse, sft_inverse, sobolev_norm
+from .transform import _amplitudes, _corresponded, _inverse_profile, _resampler, sobolev_norm
 
 __all__ = [
     "ExperimentReport",
@@ -274,13 +274,31 @@ def case1_run(params: SpaceParams, a: float, beta_list, n_list, epsilon: float =
 def case2_family(params: SpaceParams, n_freq: int) -> SpectralProfile:
     """Spectrum lambda^(n-1) bump_12(lambda/N) |c(lambda)|^2 on _CASE2_POINTS of
     [N, 2N]: the Euclidean bump spectrum bump_12(lambda/N) carried to the space
-    by `euclidean_correspondence_inverse`."""
-    if n_freq < 8:
+    by the correspondence weight of `euclidean_correspondence_inverse`.  The
+    one-N case of `_case2_families`, which `case2_run` builds for its list."""
+    return _case2_families(params, _case2_n_list([n_freq]))[0][0]
+
+
+def _case2_n_list(n_list) -> list[int]:
+    """n_list sorted; raises ValidationError for an N below 8."""
+    n_list = sorted(int(n) for n in n_list)
+    if n_list and n_list[0] < 8:
         raise ValidationError("case-2 family requires N >= 8")
-    lam = np.linspace(float(n_freq), 2.0 * float(n_freq), _CASE2_POINTS)
-    fg = SpectralProfile(lam, bump_12(lam / n_freq).astype(complex),
-                         support_hint=(float(n_freq), 2.0 * float(n_freq)))
-    return euclidean_correspondence_inverse(params, fg)
+    return n_list
+
+
+def _case2_families(params: SpaceParams, n_list: list[int]):
+    """case2_family for each N of n_list, in one build over an (N x lambda)
+    array, and plancherel_density on each family's grid, one row per N, which
+    its Sobolev norms share.  Each family keeps the bits it has alone."""
+    n = np.array(n_list, dtype=float)
+    lam = np.linspace(n, 2.0 * n, _CASE2_POINTS, axis=-1)
+    fg = bump_12(lam / n[:, None]).astype(complex)
+    density = plancherel_density(params, lam)
+    inside = np.abs(fg) > 0
+    vals = _corresponded(params, lam, fg, inside, density[inside])
+    return [SpectralProfile(grid, v, support_hint=(x, 2.0 * x))
+            for grid, v, x in zip(lam, vals, n.tolist())], density
 
 
 def implied_p_bound(n: int, beta: float) -> float:
@@ -293,17 +311,37 @@ def implied_p_bound(n: int, beta: float) -> float:
 def case2_run(params: SpaceParams, beta: float, n_list, epsilon: float = 0.25,
               slope_tol: float = 0.1) -> ExperimentReport:
     """Necessity probe: sup growth n, norm growth beta + n/2, and the
-    implied p bound from their difference."""
+    implied p bound from their difference.
+
+    For each N: the H^beta norm of case2_family(N), and the sup over 48
+    points of [0, eps/N] of its inverse transform, each bit for bit what
+    `sobolev_norm` and `sft_inverse` give that family alone.  The list is
+    worked in one pass.  One panel_rules call, the first whose arrays grow
+    with N, lays out every band's nodes: the rule that `inverse_quadrature`
+    lays on [N, 2N] at the rate max(eps/N, 1).  It raises ResolutionError,
+    before anything else is allocated, where they ask for more than 2^22
+    panels in all: at eps/N <= 1 (1.27 N panels), a list whose N sum to
+    more than about 3.3e6, although each N alone may fit.  One `_case2_families` build gives every family and its
+    grid's Plancherel density, and one plancherel_density call covers
+    every band's nodes; each band forms its own amplitudes and its own
+    inverse (`transform._inverse_profile`).
+    """
     if not 0.0 <= beta < params.n / 2:
         raise ValidationError("case-2 requires 0 <= beta < n/2")
-    n_list = sorted(int(n) for n in n_list)
+    n_list = _case2_n_list(n_list)
+    n = np.array(n_list, dtype=float)
+    rate = np.maximum([epsilon / n_freq for n_freq in n_list], 1.0)
+    nodes, weights, counts = panel_rules(n, 2.0 * n, rate, 8)
+    density = plancherel_density(params, nodes)
+    fams, grid_density = _case2_families(params, n_list)
+    cuts = np.cumsum(counts)[:-1]
     sups, norms = [], []
-    for n_freq in n_list:
-        fam = case2_family(params, n_freq)
+    for fam, fam_density, n_freq, band, w, d in zip(
+            fams, grid_density, n_list, *(np.split(x, cuts) for x in (nodes, weights, density))):
         s_grid = np.linspace(0.0, epsilon / n_freq, 48)
-        prof = sft_inverse(params, fam, s_grid)
+        prof = _inverse_profile(params, band, _amplitudes(params, fam, band, w, d), s_grid)
         sups.append(float(np.max(np.abs(prof.values))))
-        norms.append(sobolev_norm(params, fam, beta))
+        norms.append(sobolev_norm(params, fam, beta, density=fam_density))
     n_dim = params.n
     sup_fit = SlopeFit.fit("sup_growth", n_list, sups, float(n_dim), slope_tol)
     norm_fit = SlopeFit.fit(f"sobolev_norm(beta={beta})", n_list, norms,

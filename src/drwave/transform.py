@@ -433,8 +433,15 @@ def inverse_quadrature(params: SpaceParams, fh: SpectralProfile, rate: float):
         raise DomainError(f"spectrum support {fh.support_hint} misses the lambda grid "
                           f"[{grid[0]:g}, {grid[1]:g}]")
     nodes, weights = panel_rule(lo, hi, max(rate, 1.0))
-    weight = weights * plancherel_density(params, nodes) * inversion_constant(params)
-    return nodes, weight * _spline(fh.lambda_grid, fh.values, nodes)
+    return nodes, _amplitudes(params, fh, nodes, weights, plancherel_density(params, nodes))
+
+
+def _amplitudes(params: SpaceParams, fh: SpectralProfile, nodes: np.ndarray,
+                weights: np.ndarray, density: np.ndarray) -> np.ndarray:
+    """C w |c|^-2 fh at the nodes of a rule with weights w, density being
+    plancherel_density there, formed by the caller."""
+    weight = weights * density * inversion_constant(params)
+    return weight * _spline(fh.lambda_grid, fh.values, nodes)
 
 
 def _real_kernel_product(kernel: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -449,7 +456,14 @@ def sft_inverse(params: SpaceParams, fh: SpectralProfile, s_grid) -> RadialProfi
     """Inverse transform with the closed-form Plancherel constant: the real phi
     kernel times the complex amplitudes, one real GEMM on their (re, im) view."""
     s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
-    nodes, amp = inverse_quadrature(params, fh, float(np.max(s_grid)))
+    return _inverse_profile(params, *inverse_quadrature(params, fh, float(np.max(s_grid))),
+                            s_grid)
+
+
+def _inverse_profile(params: SpaceParams, nodes: np.ndarray, amp: np.ndarray,
+                     s_grid: np.ndarray) -> RadialProfile:
+    """The profile amp @ phi(nodes, s) on s_grid, phi formed on the nodes'
+    `_resampler` rows only: the inverse transform from its quadrature."""
     resampler = _resampler(nodes, s_grid)
     nodes, amp = resampler.nodes, resampler.gather(amp, resampler.blocks())
     return RadialProfile(s_grid, _real_kernel_product(phi_matrix(params, nodes, s_grid).T, amp))
@@ -492,9 +506,17 @@ def euclidean_correspondence_inverse(params: SpaceParams, fg: SpectralProfile) -
     if fg.support_hint is None or fg.support_hint[0] <= 0.0:
         raise DomainError(f"the correspondence needs a support_hint bounded away from 0, "
                           f"got {fg.support_hint}")
-    lam = fg.lambda_grid
-    out = np.zeros_like(fg.values)
-    inside = np.abs(fg.values) > 0
-    out[inside] = (lam[inside] ** (params.n - 1) * fg.values[inside]
-                   / plancherel_density(params, lam[inside]))
-    return SpectralProfile(lam, out, fg.support_hint)
+    lam, inside = fg.lambda_grid, np.abs(fg.values) > 0
+    return SpectralProfile(lam, _corresponded(params, lam, fg.values, inside,
+                                              plancherel_density(params, lam[inside])),
+                           fg.support_hint)
+
+
+def _corresponded(params: SpaceParams, lam: np.ndarray, values: np.ndarray,
+                  inside: np.ndarray, density: np.ndarray) -> np.ndarray:
+    """lambda^(n-1) Fg / |c|^-2 for the Euclidean values Fg on lam (arrays of
+    any one shape), where the mask `inside` holds, else exactly 0; density
+    is plancherel_density on lam[inside]."""
+    out = np.zeros_like(values)
+    out[inside] = lam[inside] ** (params.n - 1) * values[inside] / density
+    return out

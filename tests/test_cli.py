@@ -138,7 +138,7 @@ def test_csv_round_trip_is_bit_exact(tmp_path_factory, values):
     # %.17g writes every finite double, subnormals and -0.0 included, so
     # that it reads back bit for bit
     path = tmp_path_factory.mktemp("csv") / "t.csv"
-    _emit_csv(path, "0" * 12, [f"c{i}" for i in range(len(values))], [values])
+    _emit_csv(path, "0" * 12, [f"c{i}" for i in range(len(values))], [[v] for v in values])
     cells = _read(path).splitlines()[2].split(",")
     got = np.array([float(c) for c in cells])
     assert got.view(np.uint64).tolist() == np.array(values).view(np.uint64).tolist()
@@ -264,6 +264,9 @@ def test_config_error_exit_code(tmp_path, out_root):
     # a lambda step below the smallest normal double
     ["transform", "--lambda-max", "1e-310", "--s-max", "6", "--s-points", "256",
      "--lambda-points", "64"],
+    # a case-2 list whose bands ask for more than 2^22 panels in all, each N
+    # alone within the cap: refused before any band is worked
+    ["experiment", "case2", "--n-list", "1000000,2000000,3000000,4000000,5000000"],
 ])
 def test_malformed_input_is_a_usage_error(tmp_path, out_root, capsys, argv):
     cfg = tmp_path / "bad.cfg"

@@ -6,7 +6,7 @@ import pytest
 from drwave import experiments, transform
 from drwave.bumps import bump_12, bump_unit
 from drwave.dispersive import PhaseKind, phase, phase_derivs
-from drwave.errors import ValidationError
+from drwave.errors import ResolutionError, ValidationError
 from drwave.experiments import (
     SlopeFit,
     _case1_linearized_min,
@@ -318,6 +318,39 @@ def test_case2_run_beta_half(space21):
     assert sup.slope - norm.slope == pytest.approx(space21.n / 2.0 - 0.5, abs=0.2)
     scalars = dict(rep.scalars)
     assert scalars["implied_p_bound"] == pytest.approx(8.0 / 3.0, abs=scalars["p_bound_tolerance"])
+
+
+@pytest.mark.parametrize("epsilon", [0.25, 20.0])
+@pytest.mark.parametrize("beta", [0.25, 0.5])
+@pytest.mark.parametrize("mv,mz", [(2, 1), (4, 3)])
+def test_case2_batch_matches_each_n_worked_alone(monkeypatch, mv, mz, beta, epsilon):
+    # the benchmark's list in one pass (one panel_rules call on every band,
+    # one plancherel_density call on every node, one family build) against
+    # each N alone: each sup and each norm bit for bit.  At eps = 20 the
+    # N = 8 band's rate is eps/N = 2.5, so a rate of 1 shared by every band
+    # would lay out other nodes there
+    params = new_space(mv, mz)
+    profiles, inverse_profile = [], experiments._inverse_profile
+    norms, sobolev = [], experiments.sobolev_norm
+    monkeypatch.setattr(experiments, "_inverse_profile",
+                        lambda *args: profiles.append(inverse_profile(*args)) or profiles[-1])
+    monkeypatch.setattr(experiments, "sobolev_norm",
+                        lambda *args, **kw: norms.append(sobolev(*args, **kw)) or norms[-1])
+    case2_run(params, beta, CASE2_N, epsilon=epsilon)
+    assert [float(np.max(np.abs(p.values))) for p in profiles] == [
+        float(np.max(np.abs(transform.sft_inverse(
+            params, case2_family(params, n), np.linspace(0.0, epsilon / n, 48)).values)))
+        for n in CASE2_N]
+    assert norms == [sobolev_norm(params, case2_family(params, n), beta) for n in CASE2_N]
+
+
+def test_case2_list_past_the_panel_cap_is_refused_before_any_family(space21, monkeypatch):
+    # each N alone fits the 2^22-panel cap, the list (1.91e7 panels) does
+    # not: the one panel_rules call refuses it before any family is built
+    monkeypatch.setattr(experiments, "_case2_families",
+                        lambda *args: pytest.fail("a family was built"))
+    with pytest.raises(ResolutionError, match="panels"):
+        case2_run(space21, 0.25, [1_000_000, 2_000_000, 3_000_000, 4_000_000, 5_000_000])
 
 
 def test_case2_run_validation(space21):
