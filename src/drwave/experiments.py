@@ -21,12 +21,12 @@ import numpy as np
 from .bumps import bump_12, bump_unit
 from .dispersive import PhaseKind, phase, phase_derivs
 from .errors import DomainError, ValidationError
-from .profiles import SpectralProfile
+from .profiles import SpectralProfile, _check_samples
 from .quadrature import panel_rules
 from .space import SpaceParams, new_space
 from .spherical import phi_matrix
 from .special import _cis, plancherel_density
-from .transform import _amplitudes, _corresponded, _inverse_profile, _resampler, sobolev_norm
+from .transform import _amplitudes, _corresponded, _inverse_profile, _resampler, _sobolev_norms
 
 __all__ = [
     "ExperimentReport",
@@ -100,7 +100,7 @@ def fit_loglog_slope(x, y) -> tuple[float, float]:
     the fit rank-deficient."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if np.unique(x).size < 5:
+    if len(set(x.ravel().tolist())) < 5:     # np.unique would import numpy.ma (13 ms)
         raise ValidationError("slope fits require at least 5 distinct sample points")
     lx, ly = np.log(x), np.log(y)
     coef = np.polyfit(lx, ly, 1)
@@ -114,22 +114,36 @@ def fit_loglog_slope(x, y) -> tuple[float, float]:
 
 def case1_family(params: SpaceParams, n_freq: int) -> SpectralProfile:
     """Spectrum N^(-1/2) eta(-lambda/sqrt(N) + sqrt(N)) |c(lambda)|,
-    supported in [N - sqrt(N), N + sqrt(N)], on _CASE1_POINTS."""
-    return _case1_family(params, n_freq)[0]
+    supported in [N - sqrt(N), N + sqrt(N)], on _CASE1_POINTS.  The one-N
+    case of `_case1_families`, which `case1_run` builds for its list."""
+    return _one_family(_case1_families(params, [n_freq]))
 
 
-def _case1_family(params: SpaceParams, n_freq: int) -> tuple[SpectralProfile, np.ndarray]:
-    """case1_family and the Plancherel density on its lambda grid, which
-    its Sobolev norms share."""
-    if n_freq < 16:
+def _one_family(families) -> SpectralProfile:
+    """The family of a one-N `_case1_families` or `_case2_families` build."""
+    lam, vals, _, (lo, hi) = families
+    return SpectralProfile(lam[0], vals[0], support_hint=(float(lo[0]), float(hi[0])))
+
+
+def _case1_families(params: SpaceParams, n_list):
+    """case1_family for each N of n_list, as the rows of one (N x lambda)
+    build: (grids, values, density, (lo, hi)), density being
+    plancherel_density on the grids, which the Sobolev norms share, and
+    (lo, hi) the supports, one row or entry per N.  The rows are checked
+    once, as SpectralProfile checks each family (`_check_samples`), and
+    each keeps the bits its family has alone.  Raises ValidationError for
+    an N below 16 before anything is built."""
+    n = np.array(n_list, dtype=float)
+    if np.any(n < 16):
         raise ValidationError("case-1 family requires N >= 16")
-    root = math.sqrt(n_freq)
-    lam = np.linspace(n_freq - root, n_freq + root, _CASE1_POINTS)
-    xi = -lam / root + root
+    root = np.sqrt(n)
+    support = (n - root, n + root)
+    lam = np.linspace(*support, _CASE1_POINTS, axis=-1)
+    xi = -lam / root[:, None] + root[:, None]
     density = plancherel_density(params, lam)
-    vals = bump_unit(xi) * (1.0 / np.sqrt(density)) / root
-    return SpectralProfile(lam, vals.astype(complex),
-                           support_hint=(n_freq - root, n_freq + root)), density
+    vals = bump_unit(xi) * (1.0 / np.sqrt(density)) / root[:, None]
+    _check_samples(lam, vals, "spectral", support)
+    return lam, vals, density, support
 
 
 def _multiplier_rows(t: np.ndarray, dt: float, psi: np.ndarray):
@@ -216,13 +230,17 @@ def case1_run(params: SpaceParams, a: float, beta_list, n_list, epsilon: float =
               shifted: bool = False, slope_tol: float = 0.05) -> ExperimentReport:
     """Scaling probe of the below-threshold failure.
 
-    For each N: the H^beta norms of the family, which share its Plancherel
-    density, and the minimum of the linearized evolution over [eps, 2 eps],
-    worked for the whole N list at once (`_case1_linearized_min`).  Passes
-    when every norm slope sits at beta - 1/4 within tolerance and the
-    minimum never drops below half its value at the smallest N.  Raises
-    ResolutionError where the list's phase-resolving rules ask for more
-    than 2^22 panels in all.
+    For each N: the H^beta norms of case1_family(N), and the minimum of
+    the linearized evolution over [eps, 2 eps].  The whole N list is worked
+    at once.  One `_case1_families` build gives every family as a row of
+    an (N x lambda) array, checked once, with the Plancherel density on its
+    grid; one `transform._sobolev_norms` pass over those rows gives every
+    norm, each bit for bit what `sobolev_norm` gives that family alone;
+    and `_case1_linearized_min` gives every minimum.  Passes when every
+    norm slope sits at beta - 1/4 within tolerance and the minimum never
+    drops below half its value at the smallest N.  Raises ValidationError
+    for an N below 16 before any family is built, and ResolutionError where
+    the list's phase-resolving rules ask for more than 2^22 panels in all.
     """
     if a <= 1.0:
         raise ValidationError("case-1 requires a > 1")
@@ -237,14 +255,12 @@ def case1_run(params: SpaceParams, a: float, beta_list, n_list, epsilon: float =
     except DomainError:
         raise ValidationError(f"case-1 needs N^a within the double range; a = {a:g} "
                               f"passes it at N = {n_top}") from None
-    norms = []
-    for n_freq in n_list:
-        fam, density = _case1_family(params, n_freq)
-        norms.append(sobolev_norm(params, fam, beta_list, density=density))
+    lam, vals, density, _ = _case1_families(params, n_list)
+    norms = _sobolev_norms(params, lam, vals, beta_list, density)
     report = ExperimentReport(
         name="case1",
         fitted_slopes=[SlopeFit.fit(f"sobolev_norm(beta={beta})", n_list,
-                                    [row[i] for row in norms], beta - 0.25, slope_tol)
+                                    norms[:, i], beta - 0.25, slope_tol)
                        for i, beta in enumerate(beta_list)],
         provenance={
             "m_v": params.m_v, "m_z": params.m_z, "a": a, "shifted": shifted,
@@ -276,7 +292,7 @@ def case2_family(params: SpaceParams, n_freq: int) -> SpectralProfile:
     [N, 2N]: the Euclidean bump spectrum bump_12(lambda/N) carried to the space
     by the correspondence weight of `euclidean_correspondence_inverse`.  The
     one-N case of `_case2_families`, which `case2_run` builds for its list."""
-    return _case2_families(params, _case2_n_list([n_freq]))[0][0]
+    return _one_family(_case2_families(params, _case2_n_list([n_freq])))
 
 
 def _case2_n_list(n_list) -> list[int]:
@@ -288,17 +304,18 @@ def _case2_n_list(n_list) -> list[int]:
 
 
 def _case2_families(params: SpaceParams, n_list: list[int]):
-    """case2_family for each N of n_list, in one build over an (N x lambda)
-    array, and plancherel_density on each family's grid, one row per N, which
-    its Sobolev norms share.  Each family keeps the bits it has alone."""
+    """case2_family for each N of n_list, as the rows of one (N x lambda)
+    build: (grids, values, density, (lo, hi)), as `_case1_families` gives
+    them, checked once and each row keeping the bits its family has alone."""
     n = np.array(n_list, dtype=float)
-    lam = np.linspace(n, 2.0 * n, _CASE2_POINTS, axis=-1)
+    support = (n, 2.0 * n)
+    lam = np.linspace(*support, _CASE2_POINTS, axis=-1)
     fg = bump_12(lam / n[:, None]).astype(complex)
     density = plancherel_density(params, lam)
     inside = np.abs(fg) > 0
     vals = _corresponded(params, lam, fg, inside, density[inside])
-    return [SpectralProfile(grid, v, support_hint=(x, 2.0 * x))
-            for grid, v, x in zip(lam, vals, n.tolist())], density
+    _check_samples(lam, vals, "spectral", support)
+    return lam, vals, density, support
 
 
 def implied_p_bound(n: int, beta: float) -> float:
@@ -321,10 +338,13 @@ def case2_run(params: SpaceParams, beta: float, n_list, epsilon: float = 0.25,
     lays on [N, 2N] at the rate max(eps/N, 1).  It raises ResolutionError,
     before anything else is allocated, where they ask for more than 2^22
     panels in all: at eps/N <= 1 (1.27 N panels), a list whose N sum to
-    more than about 3.3e6, although each N alone may fit.  One `_case2_families` build gives every family and its
-    grid's Plancherel density, and one plancherel_density call covers
-    every band's nodes; each band forms its own amplitudes and its own
-    inverse (`transform._inverse_profile`).
+    more than about 3.3e6, although each N alone may fit.  One
+    `_case2_families` build gives every family as a row of an (N x lambda)
+    array, checked once, with the Plancherel density on its grid, and one
+    plancherel_density call covers every band's nodes.  Each band forms
+    its own amplitudes from its family's row and its own inverse
+    (`transform._inverse_profile`); one `transform._sobolev_norms` pass
+    over the rows gives every norm.
     """
     if not 0.0 <= beta < params.n / 2:
         raise ValidationError("case-2 requires 0 <= beta < n/2")
@@ -333,15 +353,15 @@ def case2_run(params: SpaceParams, beta: float, n_list, epsilon: float = 0.25,
     rate = np.maximum([epsilon / n_freq for n_freq in n_list], 1.0)
     nodes, weights, counts = panel_rules(n, 2.0 * n, rate, 8)
     density = plancherel_density(params, nodes)
-    fams, grid_density = _case2_families(params, n_list)
+    lam, vals, grid_density, _ = _case2_families(params, n_list)
     cuts = np.cumsum(counts)[:-1]
-    sups, norms = [], []
-    for fam, fam_density, n_freq, band, w, d in zip(
-            fams, grid_density, n_list, *(np.split(x, cuts) for x in (nodes, weights, density))):
+    sups = []
+    for grid, v, n_freq, band, w, d in zip(
+            lam, vals, n_list, *(np.split(x, cuts) for x in (nodes, weights, density))):
         s_grid = np.linspace(0.0, epsilon / n_freq, 48)
-        prof = _inverse_profile(params, band, _amplitudes(params, fam, band, w, d), s_grid)
+        prof = _inverse_profile(params, band, _amplitudes(params, grid, v, band, w, d), s_grid)
         sups.append(float(np.max(np.abs(prof.values))))
-        norms.append(sobolev_norm(params, fam, beta, density=fam_density))
+    norms = _sobolev_norms(params, lam, vals, [beta], grid_density)[:, 0]
     n_dim = params.n
     sup_fit = SlopeFit.fit("sup_growth", n_list, sups, float(n_dim), slope_tol)
     norm_fit = SlopeFit.fit(f"sobolev_norm(beta={beta})", n_list, norms,

@@ -19,24 +19,38 @@ from .errors import ValidationError
 __all__ = ["RadialProfile", "SpectralProfile"]
 
 
-def _check_samples(grid: np.ndarray, values: np.ndarray, what: str) -> None:
-    """A uniform grid of at least 2 points, its step a normal double (a
-    spline or a quadrature on it divides by the step), and as many finite
-    values."""
-    if grid.ndim != 1 or grid.size < 2:
+def _check_samples(grid: np.ndarray, values: np.ndarray, what: str, support=None) -> None:
+    """Rows of samples along the last axis, a profile being one row of
+    shape (1, m): each row's grid uniform with at least 2 points and its
+    step a normal double (a spline or a quadrature on it divides by the
+    step), and as many finite values.  Where support (lo, hi) is given,
+    numbers or one of each per row, each row's values vanish outside
+    [lo, hi] within 1e-14 of its peak magnitude."""
+    if grid.ndim != 2 or grid.shape[1] < 2:
         raise ValidationError(f"{what} grid must be a 1-d array with >= 2 points")
     d = np.diff(grid)
-    if np.any(d <= 0):
+    if (d <= 0).any():
         raise ValidationError(f"{what} grid must be strictly increasing")
-    if d[0] < np.finfo(float).tiny:
-        raise ValidationError(f"{what} grid step {d[0]:g} is below the smallest normal "
-                              f"double; widen the grid or take fewer points")
-    if not np.allclose(d, d[0], rtol=1e-9, atol=1e-12 * abs(d[0])):
+    first = d[:, :1]
+    if (first < np.finfo(float).tiny).any():
+        raise ValidationError(f"{what} grid step {first.min():g} is below the smallest "
+                              f"normal double; widen the grid or take fewer points")
+    # np.isclose(d, first, rtol=1e-9, atol=1e-12 * first), first being > 0
+    if not (np.abs(d - first) <= 1e-12 * first + 1e-9 * first).all():
         raise ValidationError(f"{what} grid must be uniformly spaced")
     if values.shape != grid.shape:
         raise ValidationError(f"{what} values and grid must have the same shape")
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValidationError(f"{what} values must be finite")
+    if support is None:
+        return
+    lo, hi = np.reshape(support, (2, -1, 1))
+    if not (lo < hi).all():
+        raise ValidationError("support_hint must be an interval (lo, hi)")
+    mag = np.abs(values)
+    peak = np.maximum(mag.max(axis=1, keepdims=True), 1e-300)
+    if (((grid < lo) | (grid > hi)) & (mag > 1e-14 * peak)).any():
+        raise ValidationError("values do not vanish outside support_hint")
 
 
 @dataclass(eq=False)
@@ -49,7 +63,7 @@ class RadialProfile:
     def __post_init__(self):
         self.s_grid = np.asarray(self.s_grid, dtype=float)
         self.values = np.asarray(self.values)
-        _check_samples(self.s_grid, self.values, "radial")
+        _check_samples(self.s_grid[None], self.values[None], "radial")
 
 
 @dataclass(eq=False)
@@ -68,15 +82,8 @@ class SpectralProfile:
     def __post_init__(self):
         self.lambda_grid = np.asarray(self.lambda_grid, dtype=float)
         self.values = np.asarray(self.values, dtype=complex)
-        _check_samples(self.lambda_grid, self.values, "spectral")
-        if self.support_hint is not None:
-            lo, hi = self.support_hint
-            if not lo < hi:
-                raise ValidationError("support_hint must be an interval (lo, hi)")
-            outside = (self.lambda_grid < lo) | (self.lambda_grid > hi)
-            peak = np.max(np.abs(self.values)) if self.values.size else 0.0
-            if np.any(np.abs(self.values[outside]) > 1e-14 * max(peak, 1e-300)):
-                raise ValidationError("values do not vanish outside support_hint")
+        _check_samples(self.lambda_grid[None], self.values[None], "spectral",
+                       self.support_hint)
 
     @property
     def top(self):

@@ -67,25 +67,34 @@ def panel_rules(a, b, max_rate, min_panels):
 
 
 def grid_integral(values: np.ndarray, grid: np.ndarray):
-    """Integral of sampled values over a strictly increasing grid of at least
-    2 points, by the composite Simpson rule of scipy.integrate.simpson(values,
-    x=grid), term for term: Simpson's three-point rule (for unequal steps) on
-    the pairs of intervals from the left, then for an even number of points
-    Cartwright's correction for the last interval, or the trapezoid at 2."""
+    """Integral of sampled values along their last axis, over a strictly
+    increasing grid of at least 2 points: one grid for every row, or one
+    per row (values and grid of one shape); a number for one row, else an
+    array over the rows.  Each row's integral is bit for bit its own 1-d
+    call, and is the composite Simpson rule of scipy.integrate.simpson(row,
+    x=grid), term for term: Simpson's three-point rule (for unequal steps)
+    on the pairs of intervals from the left, then for an even number of
+    points Cartwright's correction for the last interval, or the trapezoid
+    at 2.  Cartwright's weights are formed from each row's last two steps as
+    Python floats, whose ** is libm's pow, as a numpy scalar's is: numpy
+    rounds h**2 and h**3 on an array otherwise than on a scalar."""
     y, h = np.asarray(values), np.diff(grid)
-    if y.size == 2:
-        return 0.5 * h[0] * (y[0] + y[1])
-    k = y.size - 1 + y.size % 2          # points that Simpson's pairs cover
-    h0, h1 = h[0:k - 2:2], h[1:k - 1:2]
+    m = y.shape[-1]
+    if m == 2:
+        return 0.5 * h[..., 0] * (y[..., 0] + y[..., 1])
+    k = m - 1 + m % 2                    # points that Simpson's pairs cover
+    h0, h1 = h[..., 0:k - 2:2], h[..., 1:k - 1:2]
     hsum = h0 + h1
     ratio = h0 / h1
-    total = np.sum(hsum / 6.0 * (y[0:k - 2:2] * (2.0 - 1.0 / ratio)
-                                 + y[1:k - 1:2] * (hsum * (hsum / (h0 * h1)))
-                                 + y[2:k:2] * (2.0 - ratio)))
-    if k < y.size:
-        h0, h1 = h[-2], h[-1]
-        alpha = (2 * h1**2 + 3 * h0 * h1) / (6 * (h1 + h0))
-        beta = (h1**2 + 3.0 * h0 * h1) / (6 * h0)
-        eta = h1**3 / (6 * h0 * (h0 + h1))
-        total += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    terms = hsum / 6.0 * (y[..., 0:k - 2:2] * (2.0 - 1.0 / ratio)
+                          + y[..., 1:k - 1:2] * (hsum * (hsum / (h0 * h1)))
+                          + y[..., 2:k:2] * (2.0 - ratio))
+    # C order, so that each row is summed pairwise as a 1-d array is
+    total = np.sum(np.ascontiguousarray(terms), axis=-1)
+    if k < m:
+        ends = [((2 * h1**2 + 3 * h0 * h1) / (6 * (h1 + h0)),
+                 (h1**2 + 3.0 * h0 * h1) / (6 * h0),
+                 h1**3 / (6 * h0 * (h0 + h1))) for h0, h1 in h[..., -2:].reshape(-1, 2).tolist()]
+        alpha, beta, eta = np.array(ends).T.reshape((3,) + h.shape[:-1])
+        total += alpha * y[..., -1] + beta * y[..., -2] - eta * y[..., -3]
     return total

@@ -433,15 +433,17 @@ def inverse_quadrature(params: SpaceParams, fh: SpectralProfile, rate: float):
         raise DomainError(f"spectrum support {fh.support_hint} misses the lambda grid "
                           f"[{grid[0]:g}, {grid[1]:g}]")
     nodes, weights = panel_rule(lo, hi, max(rate, 1.0))
-    return nodes, _amplitudes(params, fh, nodes, weights, plancherel_density(params, nodes))
+    return nodes, _amplitudes(params, fh.lambda_grid, fh.values, nodes, weights,
+                              plancherel_density(params, nodes))
 
 
-def _amplitudes(params: SpaceParams, fh: SpectralProfile, nodes: np.ndarray,
+def _amplitudes(params: SpaceParams, grid: np.ndarray, values: np.ndarray, nodes: np.ndarray,
                 weights: np.ndarray, density: np.ndarray) -> np.ndarray:
-    """C w |c|^-2 fh at the nodes of a rule with weights w, density being
-    plancherel_density there, formed by the caller."""
+    """C w |c|^-2 fh at the nodes of a rule with weights w, fh sampled as
+    values on grid, density being plancherel_density at the nodes, formed
+    by the caller."""
     weight = weights * density * inversion_constant(params)
-    return weight * _spline(fh.lambda_grid, fh.values, nodes)
+    return weight * _spline(grid, values, nodes)
 
 
 def _real_kernel_product(kernel: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -477,26 +479,38 @@ def sobolev_norm(params: SpaceParams, fh: SpectralProfile, beta, density=None):
     is the Plancherel (L^2) norm up to the factor sqrt(C) of
     `inversion_constant`: ||f||_2 = sqrt(C) * sobolev_norm(fh, 0).
     density, if given, is plancherel_density on fh's lambda grid, formed
-    by the caller; each norm keeps the bits it has alone.  Raises
-    ValidationError, before any integral, for a beta that is not finite
-    and >= 0, and where an integral passes the float range.
+    by the caller.  The one-profile case of `_sobolev_norms`, whose
+    errors it raises.
     """
-    betas = list(beta) if np.ndim(beta) else [beta]
+    norms = _sobolev_norms(params, fh.lambda_grid, fh.values,
+                           list(beta) if np.ndim(beta) else [beta], density).tolist()
+    return norms if np.ndim(beta) else norms[0]
+
+
+def _sobolev_norms(params: SpaceParams, lam: np.ndarray, values: np.ndarray, betas,
+                   density=None) -> np.ndarray:
+    """The H^beta norms of `sobolev_norm` of spectra sampled as rows along
+    the last axis, values on the grids lam (of one shape), one column per
+    beta of betas: an array of shape lam.shape[:-1] + (len(betas),).  Each
+    norm is bit for bit the one its row has alone.  density, if given, is
+    plancherel_density on lam.  Raises ValidationError, before any
+    integral, for a beta that is not finite and >= 0, and where an
+    integral passes the float range.
+    """
     for b in betas:
         if not 0.0 <= b < math.inf:
             raise ValidationError(f"beta must be finite and >= 0, got {b}")
-    lam = fh.lambda_grid
     if density is None:
         density = plancherel_density(params, lam)
-    norms = []
+    norms = np.empty(lam.shape[:-1] + (len(betas),))
     with np.errstate(over="ignore", invalid="ignore"):   # a huge beta: the weight reads inf
-        base, mass = lam**2 + params.q2_over_4, np.abs(fh.values) ** 2
-        for b in betas:
+        base, mass = lam**2 + params.q2_over_4, np.abs(values) ** 2
+        for i, b in enumerate(betas):
             val = grid_integral(mass * (base**b * density), lam)
-            if not math.isfinite(val):
+            if not np.all(np.isfinite(val)):
                 raise ValidationError(f"the Sobolev norm at beta = {b:g} passes the float range")
-            norms.append(math.sqrt(max(val, 0.0)))
-    return norms if np.ndim(beta) else norms[0]
+            norms[..., i] = np.sqrt(np.where(val < 0.0, 0.0, val))
+    return norms
 
 
 def euclidean_correspondence_inverse(params: SpaceParams, fg: SpectralProfile) -> SpectralProfile:

@@ -171,6 +171,21 @@ def _case1_min_alone(params, kind, a: float, n_freq: int, epsilon: float) -> flo
     return float(np.min(np.abs((mult * phi_matrix(params, lam, s).T) @ amp)))
 
 
+def _collect_sobolev_rows(monkeypatch, column=None) -> list:
+    """A list that collects, row by row, every norm the experiments' rows
+    pass (`transform._sobolev_norms`) returns: each row's norms, or the one
+    of the given beta column."""
+    norms, rows = [], experiments._sobolev_norms
+
+    def collect(*args):
+        out = rows(*args)
+        norms.extend((out if column is None else out[:, column]).tolist())
+        return out
+
+    monkeypatch.setattr(experiments, "_sobolev_norms", collect)
+    return norms
+
+
 @pytest.mark.parametrize("shifted", [False, True])
 @pytest.mark.parametrize("a", [2.0, 1.5])
 def test_case1_batch_matches_each_n_worked_alone(space21, monkeypatch, a, shifted):
@@ -183,9 +198,7 @@ def test_case1_batch_matches_each_n_worked_alone(space21, monkeypatch, a, shifte
     for n_freq, m in zip(CASE1_BENCH_N, got):
         ref = _case1_min_alone(space21, kind, a, n_freq, 0.05)
         assert abs(m - ref) <= 1e-13 * ref
-    norms, sobolev = [], experiments.sobolev_norm
-    monkeypatch.setattr(experiments, "sobolev_norm",
-                        lambda *args, **kw: norms.append(sobolev(*args, **kw)) or norms[-1])
+    norms = _collect_sobolev_rows(monkeypatch)
     case1_run(space21, a, CASE1_BETAS, CASE1_BENCH_N, shifted=shifted)
     assert norms == [[sobolev_norm(space21, case1_family(space21, n), beta)
                       for beta in CASE1_BETAS] for n in CASE1_BENCH_N]
@@ -331,17 +344,46 @@ def test_case2_batch_matches_each_n_worked_alone(monkeypatch, mv, mz, beta, epsi
     # would lay out other nodes there
     params = new_space(mv, mz)
     profiles, inverse_profile = [], experiments._inverse_profile
-    norms, sobolev = [], experiments.sobolev_norm
     monkeypatch.setattr(experiments, "_inverse_profile",
                         lambda *args: profiles.append(inverse_profile(*args)) or profiles[-1])
-    monkeypatch.setattr(experiments, "sobolev_norm",
-                        lambda *args, **kw: norms.append(sobolev(*args, **kw)) or norms[-1])
+    norms = _collect_sobolev_rows(monkeypatch, column=0)
     case2_run(params, beta, CASE2_N, epsilon=epsilon)
     assert [float(np.max(np.abs(p.values))) for p in profiles] == [
         float(np.max(np.abs(transform.sft_inverse(
             params, case2_family(params, n), np.linspace(0.0, epsilon / n, 48)).values)))
         for n in CASE2_N]
     assert norms == [sobolev_norm(params, case2_family(params, n), beta) for n in CASE2_N]
+
+
+@pytest.mark.parametrize("run,args,n_list,points", [
+    (case1_run, (2.0, CASE1_BETAS), CASE1_BENCH_N, experiments._CASE1_POINTS),
+    (case2_run, (0.25,), CASE2_N, experiments._CASE2_POINTS),
+])
+def test_each_list_is_built_and_normed_in_one_pass(space21, monkeypatch, run, args, n_list,
+                                                   points):
+    # one plancherel_density call on the family grids, an (N x lambda) array
+    # (the others are on quadrature nodes), and one Sobolev rows pass
+    grids, density = [], experiments.plancherel_density
+    monkeypatch.setattr(experiments, "plancherel_density",
+                        lambda params, lam: grids.append(np.shape(lam)) or density(params, lam))
+    normed, rows = [], experiments._sobolev_norms
+    monkeypatch.setattr(experiments, "_sobolev_norms",
+                        lambda *a: normed.append(np.shape(a[1])) or rows(*a))
+    run(space21, *args, n_list)
+    assert [g for g in grids if len(g) == 2] == normed == [(len(n_list), points)]
+
+
+@pytest.mark.parametrize("run,args,n_list", [
+    (case1_run, (2.0, CASE1_BETAS), [8, 64, 128, 256, 512]),
+    (case2_run, (0.25,), [4, 8, 11, 16, 23]),
+])
+def test_a_list_below_the_smallest_n_is_refused_before_any_family(space21, monkeypatch, run,
+                                                                   args, n_list):
+    # N < 16 (case 1) or N < 8 (case 2): no density, bump or norm is formed
+    for name in ("plancherel_density", "bump_unit", "bump_12", "_sobolev_norms"):
+        monkeypatch.setattr(experiments, name, lambda *a, name=name: pytest.fail(name))
+    with pytest.raises(ValidationError, match="requires N >="):
+        run(space21, *args, n_list)
 
 
 def test_case2_list_past_the_panel_cap_is_refused_before_any_family(space21, monkeypatch):

@@ -56,14 +56,16 @@ def test_every_traced_name_resolves():
         assert isinstance(getattr(spherical, name, None), (int, float)), name
 
 
-def _scipy_after(script: str, out_root: Path) -> list[str]:
-    """The modules named scipy* loaded once `script` has run in a fresh
-    interpreter that imports drwave from this checkout, with CLI artifacts
-    under out_root and the script's own output discarded."""
+def _loaded_after(script: str, out_root: Path, package: str) -> list[str]:
+    """The modules of `package` (itself and its submodules) loaded once
+    `script` has run in a fresh interpreter that imports drwave from this
+    checkout, with CLI artifacts under out_root and the script's own output
+    discarded."""
     probe = ("import contextlib, io, sys\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              + "".join(f"    {line}\n" for line in script.splitlines())
-             + "print(*sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+             + f"print(*sorted(m for m in sys.modules"
+               f" if m == {package!r} or m.startswith({package + '.'!r})))\n")
     root = os.path.dirname(os.path.dirname(os.path.abspath(drwave.__file__)))
     env = dict(os.environ, DRWAVE_OUT_ROOT=str(out_root), PYTHONPATH=os.pathsep.join(
         p for p in (root, os.environ.get("PYTHONPATH")) if p))
@@ -76,7 +78,7 @@ def _scipy_after(script: str, out_root: Path) -> list[str]:
 @pytest.mark.parametrize("module", ["drwave", "drwave.cli"])
 def test_import_loads_no_scipy(module, tmp_path):
     # scipy serves script_j alone, which imports it on its first call
-    assert _scipy_after(f"import {module}", tmp_path) == []
+    assert _loaded_after(f"import {module}", tmp_path, "scipy") == []
 
 
 def test_phi_paths_load_no_scipy(tmp_path):
@@ -99,4 +101,17 @@ assert np.all(np.isfinite(c_function(new_space(4, 3), np.geomspace(1e-3, 1e3, 50
 for argv in (["cfun"], ["phi"], ["oscillatory-claim"], ["experiment", "case2"]):
     assert run(argv) == 0, argv
 """
-    assert _scipy_after(script, tmp_path) == []
+    assert _loaded_after(script, tmp_path, "scipy") == []
+
+
+def test_experiments_load_no_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma (13 ms and 1.7 MB on a cold start); the
+    # slope fits of both scaling experiments count distinct x without it
+    script = """
+from drwave import new_space
+from drwave.experiments import case1_run, case2_run
+params = new_space(2, 1)
+case1_run(params, 2.0, [0.25], [64, 65, 66, 67, 68])
+case2_run(params, 0.25, [8, 9, 10, 11, 12])
+"""
+    assert _loaded_after(script, tmp_path, "numpy.ma") == []
