@@ -200,7 +200,9 @@ def _lambda_grid(cfg, rate: float = 0.0) -> np.ndarray:
     return np.linspace(0.0, lam_max, n)
 
 
-def _builtin_profile(cfg) -> RadialProfile:
+def _builtin_profile(cfg):
+    """The --profile selector's samples on --s-points points of [0, s_max],
+    and the closed form they sample: (RadialProfile, closed_form)."""
     name, _, arg = cfg["profile"].partition(":")
     if name not in ("gaussian", "sech"):
         raise ValidationError(f"unknown profile selector {cfg['profile']!r}")
@@ -211,10 +213,12 @@ def _builtin_profile(cfg) -> RadialProfile:
     if n < 2:
         raise ValidationError(f"--s-points must be 2 or above, got {n}")
     s = np.linspace(0.0, float(cfg["grids.s_max"]), n)
-    if name == "gaussian":
-        with np.errstate(over="ignore"):      # a wide alpha: exp(-inf) = 0, rejected as norm 0
-            return RadialProfile(s, np.exp(-alpha * s**2))
-    return RadialProfile(s, 1.0 / np.cosh(alpha * s) ** 4)
+
+    def closed_form(x):
+        # a wide alpha: exp(-inf) = 1/inf = 0, where a zero norm is rejected
+        with np.errstate(over="ignore"):
+            return np.exp(-alpha * x**2) if name == "gaussian" else 1.0 / np.cosh(alpha * x) ** 4
+    return RadialProfile(s, closed_form(s)), closed_form
 
 
 def _builtin_spectrum(cfg, params, kind, t_max: float) -> SpectralProfile:
@@ -258,7 +262,7 @@ def _builtin_spectrum(cfg, params, kind, t_max: float) -> SpectralProfile:
         lo, hi = max(keep[0] - 1, 0), min(keep[-1] + 1, lam.size - 1)
         vals[:lo], vals[hi + 1:] = 0.0, 0.0
         hint = (float(lam[lo]), float(lam[hi]))
-    return SpectralProfile(lam, vals.astype(complex), support_hint=hint)
+    return SpectralProfile(lam, vals, support_hint=hint)
 
 
 # ---------------------------------------------------------------------------
@@ -310,15 +314,17 @@ def _cmd_phi(cfg, chash, out):
 
 def _cmd_transform(cfg, chash, out):
     params = _space_from(cfg)
-    f = _builtin_profile(cfg)
+    f, closed_form = _builtin_profile(cfg)
     s_out = np.linspace(0.0, 0.75 * float(cfg["grids.s_max"]), 384)
-    ref_vals = np.interp(s_out, f.s_grid, np.real(f.values))
+    # the error is read against the closed form; roundtrip.csv's reference
+    # column stays the samples' piecewise-linear interpolant
+    exact = closed_form(s_out)
     with np.errstate(over="ignore"):        # A(s) past the double range reads inf
         w = density(params, s_out)
     if not np.all(np.isfinite(w)):
         raise ValidationError(f"the volume density A(s) passes the double range on the roundtrip "
                               f"grid [0, {s_out[-1]:g}]; lower --s-max")
-    den = np.sqrt(np.trapezoid(ref_vals**2 * w, s_out))
+    den = np.sqrt(np.trapezoid(exact**2 * w, s_out))
     if not 0.0 < den < math.inf:
         raise ValidationError(f"profile {cfg['profile']!r} has norm {den:g} on the roundtrip "
                               f"grid [0, {s_out[-1]:g}]; it needs a positive finite one")
@@ -327,10 +333,11 @@ def _cmd_transform(cfg, chash, out):
     _emit_csv(out / "forward.csv", chash, ["lambda", "re", "im", "abs"],
               (lam, fh.values.real, fh.values.imag, np.abs(fh.values)))
     back = transform.sft_inverse(params, fh, s_out)
-    num = np.sqrt(np.trapezoid(np.abs(back.values - ref_vals) ** 2 * w, s_out))
+    num = np.sqrt(np.trapezoid(np.abs(back.values - exact) ** 2 * w, s_out))
     rel = float(num / den)
     _emit_csv(out / "roundtrip.csv", chash, ["s", "re", "im", "reference"],
-              (s_out, back.values.real, back.values.imag, ref_vals))
+              (s_out, back.values.real, back.values.imag,
+               np.interp(s_out, f.s_grid, np.real(f.values))))
     print(f"transform roundtrip relative L2 error: {rel:.3e} -> {out}")
     return 0 if rel < 1e-3 else 1
 

@@ -26,7 +26,8 @@ from .quadrature import panel_rules
 from .space import SpaceParams, new_space
 from .spherical import phi_matrix
 from .special import _cis, plancherel_density
-from .transform import _amplitudes, _corresponded, _inverse_profile, _resampler, _sobolev_norms
+from .transform import (_corresponded, _inverse_profile, _inverse_rules, _resampler,
+                        _sobolev_norms, _spline)
 
 __all__ = [
     "ExperimentReport",
@@ -333,35 +334,32 @@ def case2_run(params: SpaceParams, beta: float, n_list, epsilon: float = 0.25,
     For each N: the H^beta norm of case2_family(N), and the sup over 48
     points of [0, eps/N] of its inverse transform, each bit for bit what
     `sobolev_norm` and `sft_inverse` give that family alone.  The list is
-    worked in one pass.  One panel_rules call, the first whose arrays grow
-    with N, lays out every band's nodes: the rule that `inverse_quadrature`
-    lays on [N, 2N] at the rate max(eps/N, 1).  It raises ResolutionError,
-    before anything else is allocated, where they ask for more than 2^22
-    panels in all: at eps/N <= 1 (1.27 N panels), a list whose N sum to
-    more than about 3.3e6, although each N alone may fit.  One
-    `_case2_families` build gives every family as a row of an (N x lambda)
-    array, checked once, with the Plancherel density on its grid, and one
-    plancherel_density call covers every band's nodes.  Each band forms
-    its own amplitudes from its family's row and its own inverse
-    (`transform._inverse_profile`); one `transform._sobolev_norms` pass
-    over the rows gives every norm.
+    worked in one pass.  One `transform._inverse_rules` call, the first
+    whose arrays grow with N, lays out and weights every band's nodes: the
+    rule that `inverse_quadrature` lays on [N, 2N] at the rate max(eps/N,
+    1).  It raises ResolutionError, before anything else is allocated, where
+    they ask for more than 2^22 panels in all: at eps/N <= 1 (1.27 N
+    panels), a list whose N sum to more than about 3.3e6, although each N
+    alone may fit.  One `_case2_families` build gives every family as a row
+    of an (N x lambda) array, checked once, with the Plancherel density on
+    its grid.  Each band multiplies its weights by its family's row splined
+    onto its nodes, and forms its own inverse (`transform._inverse_profile`);
+    one `transform._sobolev_norms` pass over the rows gives every norm.
     """
     if not 0.0 <= beta < params.n / 2:
         raise ValidationError("case-2 requires 0 <= beta < n/2")
     n_list = _case2_n_list(n_list)
     n = np.array(n_list, dtype=float)
-    rate = np.maximum([epsilon / n_freq for n_freq in n_list], 1.0)
-    nodes, weights, counts = panel_rules(n, 2.0 * n, rate, 8)
-    density = plancherel_density(params, nodes)
-    lam, vals, grid_density, _ = _case2_families(params, n_list)
+    nodes, weights, counts = _inverse_rules(params, n, 2.0 * n, epsilon / n)
+    lam, vals, density, _ = _case2_families(params, n_list)
     cuts = np.cumsum(counts)[:-1]
     sups = []
-    for grid, v, n_freq, band, w, d in zip(
-            lam, vals, n_list, *(np.split(x, cuts) for x in (nodes, weights, density))):
+    for grid, v, n_freq, band, w in zip(
+            lam, vals, n_list, *(np.split(x, cuts) for x in (nodes, weights))):
         s_grid = np.linspace(0.0, epsilon / n_freq, 48)
-        prof = _inverse_profile(params, band, _amplitudes(params, grid, v, band, w, d), s_grid)
+        prof = _inverse_profile(params, band, w * _spline(grid, v, band), s_grid)
         sups.append(float(np.max(np.abs(prof.values))))
-    norms = _sobolev_norms(params, lam, vals, [beta], grid_density)[:, 0]
+    norms = _sobolev_norms(params, lam, vals, [beta], density)[:, 0]
     n_dim = params.n
     sup_fit = SlopeFit.fit("sup_growth", n_list, sups, float(n_dim), slope_tol)
     norm_fit = SlopeFit.fit(f"sobolev_norm(beta={beta})", n_list, norms,

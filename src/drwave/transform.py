@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import CalibrationError, DomainError, TailMassError, ValidationError
 from .profiles import RadialProfile, SpectralProfile
-from .quadrature import grid_integral, panel_rule
+from .quadrature import grid_integral, panel_rule, panel_rules
 from .space import SpaceParams, density
 from .spherical import _BLOCK_CELLS as _PHI_BLOCK_CELLS, phi_matrix
 from .special import plancherel_density
@@ -353,7 +353,7 @@ def sft_forward(params: SpaceParams, f: RadialProfile, lambda_grid) -> SpectralP
     vals = np.concatenate([phi_matrix(params, lams[i:i + rows], nodes) @ v
                            for i in range(0, lams.size, rows)])
     vals = resampler.resample(vals)
-    return SpectralProfile(lambda_grid, vals.astype(complex))
+    return SpectralProfile(lambda_grid, vals)
 
 
 def inversion_constant(params: SpaceParams) -> float:
@@ -423,27 +423,26 @@ def calibrate_inversion_constant(params: SpaceParams) -> float:
     return ratios[0]
 
 
+def _inverse_rules(params: SpaceParams, lo: np.ndarray, hi: np.ndarray, rate: np.ndarray):
+    """The inverse-type quadrature of the bands [lo_i, hi_i] at the phase rates
+    max(rate_i, 1), at least 8 panels each: one `panel_rules` call's (nodes,
+    weights, counts), the weights made C w |c|^-2 by one plancherel_density call."""
+    nodes, weights, counts = panel_rules(lo, hi, np.maximum(rate, 1.0), 8)
+    return nodes, weights * plancherel_density(params, nodes) * inversion_constant(params), counts
+
+
 def inverse_quadrature(params: SpaceParams, fh: SpectralProfile, rate: float):
     """Panel nodes over fh's support for a phase rate `rate` (at least 1), and the
-    amplitudes amp = C w |c|^-2 fh there: C int fh g |c|^-2 dlambda is amp @ g(nodes)."""
+    amplitudes amp = C w |c|^-2 fh there: C int fh g |c|^-2 dlambda is amp @ g(nodes).
+    The one-band case of `_inverse_rules`, on fh's support clipped to its grid."""
     grid = (float(fh.lambda_grid[0]), float(fh.lambda_grid[-1]))
     lo, hi = fh.support_hint if fh.support_hint is not None else grid
     lo, hi = max(lo, grid[0]), min(hi, grid[1])
     if hi <= lo:
         raise DomainError(f"spectrum support {fh.support_hint} misses the lambda grid "
                           f"[{grid[0]:g}, {grid[1]:g}]")
-    nodes, weights = panel_rule(lo, hi, max(rate, 1.0))
-    return nodes, _amplitudes(params, fh.lambda_grid, fh.values, nodes, weights,
-                              plancherel_density(params, nodes))
-
-
-def _amplitudes(params: SpaceParams, grid: np.ndarray, values: np.ndarray, nodes: np.ndarray,
-                weights: np.ndarray, density: np.ndarray) -> np.ndarray:
-    """C w |c|^-2 fh at the nodes of a rule with weights w, fh sampled as
-    values on grid, density being plancherel_density at the nodes, formed
-    by the caller."""
-    weight = weights * density * inversion_constant(params)
-    return weight * _spline(grid, values, nodes)
+    nodes, weights, _ = _inverse_rules(params, np.array([lo]), np.array([hi]), np.array([rate]))
+    return nodes, weights * _spline(fh.lambda_grid, fh.values, nodes)
 
 
 def _real_kernel_product(kernel: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -471,20 +470,15 @@ def _inverse_profile(params: SpaceParams, nodes: np.ndarray, amp: np.ndarray,
     return RadialProfile(s_grid, _real_kernel_product(phi_matrix(params, nodes, s_grid).T, amp))
 
 
-def sobolev_norm(params: SpaceParams, fh: SpectralProfile, beta, density=None):
-    """Fractional Sobolev norm of the spectrum, or the list of its norms
-    for a sequence of beta.
+def sobolev_norm(params: SpaceParams, fh: SpectralProfile, beta: float) -> float:
+    """Fractional Sobolev norm of the spectrum:
 
     (int (lambda^2 + Q^2/4)^beta |fh|^2 |c|^-2 dlambda)^(1/2); beta = 0
     is the Plancherel (L^2) norm up to the factor sqrt(C) of
-    `inversion_constant`: ||f||_2 = sqrt(C) * sobolev_norm(fh, 0).
-    density, if given, is plancherel_density on fh's lambda grid, formed
-    by the caller.  The one-profile case of `_sobolev_norms`, whose
-    errors it raises.
+    `inversion_constant`: ||f||_2 = sqrt(C) * sobolev_norm(fh, 0).  The
+    one-profile, one-beta case of `_sobolev_norms`, whose errors it raises.
     """
-    norms = _sobolev_norms(params, fh.lambda_grid, fh.values,
-                           list(beta) if np.ndim(beta) else [beta], density).tolist()
-    return norms if np.ndim(beta) else norms[0]
+    return float(_sobolev_norms(params, fh.lambda_grid, fh.values, [beta])[0])
 
 
 def _sobolev_norms(params: SpaceParams, lam: np.ndarray, values: np.ndarray, betas,

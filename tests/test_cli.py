@@ -178,6 +178,19 @@ def test_config_error_exit_code(tmp_path, out_root):
     assert run(["phi", "--config", str(cfg)]) == 2
 
 
+def test_config_skips_blank_and_comment_only_lines(tmp_path):
+    cfg = tmp_path / "sparse.cfg"
+    cfg.write_text("\n   \n# a comment\n  # another\nspace.m_v = 4\n\n", encoding="utf-8")
+    assert parse_config_file(str(cfg)) == {"space.m_v": "4"}
+
+
+def test_config_line_without_equals_exits_2(tmp_path, out_root, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("space.m_v 4\n", encoding="utf-8")
+    assert run(["phi", "--config", str(cfg)]) == 2
+    assert "expected 'key = value'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["phi", "--lambda", "x"],
     ["experiment", "case1", "--beta-list", "a"],
@@ -267,6 +280,13 @@ def test_config_error_exit_code(tmp_path, out_root):
     # a case-2 list whose bands ask for more than 2^22 panels in all, each N
     # alone within the cap: refused before any band is worked
     ["experiment", "case2", "--n-list", "1000000,2000000,3000000,4000000,5000000"],
+    # an unknown spectrum selector, an exponent on a family that takes none,
+    # a lambda grid of one point
+    ["propagate", "--spectrum", "foo:1,2"],
+    ["propagate", "--equation", "beam:2"],
+    ["transform", "--lambda-points", "1"],
+    # a sech profile whose cosh passes the float range: 1/inf = 0, norm 0
+    ["transform", "--profile", "sech:1e300"],
 ])
 def test_malformed_input_is_a_usage_error(tmp_path, out_root, capsys, argv):
     cfg = tmp_path / "bad.cfg"
@@ -425,6 +445,14 @@ def test_transform_cli_small_grid(out_root, capsys, profile, lambda_max):
     assert header == "s,re,im,reference" and np.all(np.isfinite(back))
     rel = float(capsys.readouterr().out.split("error: ")[1].split()[0])
     assert rel < 1e-3
+    # the printed error is the transform's own, read against the closed form
+    s, back = back[:, 0], back[:, 1] + 1j * back[:, 2]
+    exact = np.exp(-s**2) if profile.startswith("gaussian") else 1.0 / np.cosh(s) ** 4
+    w = density(new_space(2, 1), s)
+    recomputed = np.sqrt(np.trapezoid(np.abs(back - exact) ** 2 * w, s)
+                         / np.trapezoid(exact**2 * w, s))
+    assert recomputed == pytest.approx(rel, rel=1e-3)
+    assert max(recomputed, rel) < 1e-4
 
 
 @pytest.mark.parametrize("spectrum", ["bump:1,2", "gaussian:2,0.5"])

@@ -475,3 +475,22 @@ def test_van_der_corput_window_scaling():
     wide = van_der_corput(grid, halfwidth=2.0)
     assert np.max(wide) <= 4.0 * np.max(narrow)
     assert np.max(narrow) <= 4.0 * np.max(wide)
+
+
+def test_a_singular_system_is_marked_alone():
+    # the stacked solve fails on the one singular system; each is then
+    # solved alone, and only that one reads 0 and is marked
+    sys = np.array([2.0 * np.eye(2), np.ones((2, 2)), [[1.0, 2.0], [3.0, 4.0]]], dtype=complex)
+    rhs = np.array([[2.0, 4.0], [1.0, 1.0], [5.0, 6.0]], dtype=complex)
+    p, singular = oscillatory._solve_stacked(sys, rhs)
+    assert singular.tolist() == [False, True, False]
+    assert p[0].tolist() == [1.0, 2.0] and p[1].tolist() == [0.0, 0.0]
+    np.testing.assert_allclose(sys[2] @ p[2], rhs[2], rtol=1e-14)
+
+
+def test_disagreeing_tolerance_columns_raise(monkeypatch, space21):
+    # the two tolerance columns of a window moved apart by 1e-3 relative
+    monkeypatch.setattr(oscillatory, "_integrate",
+                        lambda g, ph, a, b, tol: np.tile([1.0, 1.001], (a.size, 1)))
+    with pytest.raises(ResolutionError, match="window integral k=3 unresolved"):
+        window_integral(PhaseKind("frac", a=2.0), space21, 3, 2.0, 2.5, 0.3)

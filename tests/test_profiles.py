@@ -100,3 +100,9 @@ def test_rows_check_refuses_what_a_profile_of_the_row_refuses(defect):
     assert str(rows.value) == str(alone.value)
     for i in (0, 2):
         SpectralProfile(grid[i], vals[i], support_hint=(lo[i], hi[i]))
+
+
+def test_support_hint_must_be_an_interval():
+    lam = np.linspace(0.0, 3.0, 16)
+    with pytest.raises(ValidationError, match="support_hint must be an interval"):
+        SpectralProfile(lam, np.zeros(16), support_hint=(2, 1))

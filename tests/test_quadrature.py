@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from drwave.errors import ResolutionError
+from drwave.errors import DomainError, ResolutionError
 from drwave.quadrature import grid_integral, panel_rule, panel_rules
 
 
@@ -84,3 +84,8 @@ def test_panel_rules_cap_the_total_over_intervals():
     rate = np.full(3, 2**21 * math.pi / 4)
     with pytest.raises(ResolutionError, match="panels"):
         panel_rules(np.zeros(3), np.ones(3), rate, 8)
+
+
+def test_panel_rule_refuses_an_empty_interval():
+    with pytest.raises(DomainError, match="b > a"):
+        panel_rule(1, 1, 1)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
-from drwave.errors import PoleError
+from drwave.errors import DomainError, PoleError
 from drwave.space import new_space
 from drwave.special import (
     _cis,
@@ -302,3 +302,8 @@ def test_plancherel_density_array_matches_pointwise(m_v, m_z):
 def test_plancherel_rejects_negative(space21):
     with pytest.raises(ValueError):
         plancherel_density(space21, -1.0)
+
+
+def test_script_j_refuses_a_negative_order():
+    with pytest.raises(DomainError, match="mu >= 0"):
+        script_j(-0.5, 1)

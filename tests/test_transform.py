@@ -10,7 +10,7 @@ import pytest
 
 import drwave
 from drwave import spherical, transform
-from drwave.errors import DomainError, TailMassError, ValidationError
+from drwave.errors import CalibrationError, DomainError, TailMassError, ValidationError
 from drwave.profiles import RadialProfile, SpectralProfile
 from drwave.quadrature import grid_integral, panel_rule
 from drwave.space import density, new_space
@@ -567,3 +567,10 @@ def test_sobolev_comparison_random_sweep(space21, rng):
         b2 = b1 + float(rng.uniform(0.01, 1.5))
         n1, n2 = sobolev_norm(space21, fh, b1), sobolev_norm(space21, fh, b2)
         assert n1 <= lo ** (-(b2 - b1)) * n2 * (1.0 + 1e-12)
+
+
+def test_disagreeing_calibration_profiles_raise(monkeypatch, space21):
+    ratios = iter([1.0, 1.0, 1.01])
+    monkeypatch.setattr(transform, "_plancherel_ratio", lambda params, f: next(ratios))
+    with pytest.raises(CalibrationError, match="calibration profiles disagree"):
+        calibrate_inversion_constant(space21)
