@@ -317,7 +317,8 @@ def _cmd_transform(cfg, chash, out):
     f, closed_form = _builtin_profile(cfg)
     s_out = np.linspace(0.0, 0.75 * float(cfg["grids.s_max"]), 384)
     # the error is read against the closed form; roundtrip.csv's reference
-    # column stays the samples' piecewise-linear interpolant
+    # column stays the samples' piecewise-linear interpolant, which
+    # bench/outputs.py checks against its stored references
     exact = closed_form(s_out)
     with np.errstate(over="ignore"):        # A(s) past the double range reads inf
         w = density(params, s_out)

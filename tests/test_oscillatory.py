@@ -480,12 +480,13 @@ def test_van_der_corput_window_scaling():
 def test_a_singular_system_is_marked_alone():
     # the stacked solve fails on the one singular system; each is then
     # solved alone, and only that one reads 0 and is marked
-    sys = np.array([2.0 * np.eye(2), np.ones((2, 2)), [[1.0, 2.0], [3.0, 4.0]]], dtype=complex)
+    systems = np.array([2.0 * np.eye(2), np.ones((2, 2)), [[1.0, 2.0], [3.0, 4.0]]],
+                       dtype=complex)
     rhs = np.array([[2.0, 4.0], [1.0, 1.0], [5.0, 6.0]], dtype=complex)
-    p, singular = oscillatory._solve_stacked(sys, rhs)
+    p, singular = oscillatory._solve_stacked(systems, rhs)
     assert singular.tolist() == [False, True, False]
     assert p[0].tolist() == [1.0, 2.0] and p[1].tolist() == [0.0, 0.0]
-    np.testing.assert_allclose(sys[2] @ p[2], rhs[2], rtol=1e-14)
+    np.testing.assert_allclose(systems[2] @ p[2], rhs[2], rtol=1e-14)
 
 
 def test_disagreeing_tolerance_columns_raise(monkeypatch, space21):
