@@ -15,13 +15,10 @@ from .dispersive import (
     phase,
     phase_derivs,
     propagate,
-    verify_phase_asymptotics,
 )
 from .experiments import (
     ExperimentReport,
-    case1_family,
     case1_run,
-    case2_family,
     case2_run,
     implied_p_bound,
     transference_check,
@@ -38,12 +35,8 @@ from .special import (
     plancherel_density,
     script_j,
 )
-from .spherical import (
-    phi,
-    phi_matrix,
-)
+from .spherical import phi_matrix
 from .transform import (
-    euclidean_correspondence_inverse,
     inversion_constant,
     sft_forward,
     sft_inverse,
@@ -59,14 +52,11 @@ __all__ = [
     "SpaceParams",
     "SpectralProfile",
     "c_function",
-    "case1_family",
     "case1_run",
-    "case2_family",
     "case2_run",
     "default_t_grid",
     "density",
     "dyadic_sum_check",
-    "euclidean_correspondence_inverse",
     "implied_p_bound",
     "inversion_constant",
     "log_density_derivative",
@@ -74,7 +64,6 @@ __all__ = [
     "new_space",
     "phase",
     "phase_derivs",
-    "phi",
     "phi_matrix",
     "plancherel_density",
     "propagate",
@@ -84,6 +73,5 @@ __all__ = [
     "sft_inverse",
     "sobolev_norm",
     "transference_check",
-    "verify_phase_asymptotics",
     "window_integral",
 ]

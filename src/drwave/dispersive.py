@@ -35,8 +35,6 @@ __all__ = [
     "PhaseKind",
     "phase",
     "phase_derivs",
-    "verify_phase_asymptotics",
-    "PhaseAsymptoticsReport",
     "propagate",
     "maximal_function",
     "default_t_grid",
@@ -222,50 +220,6 @@ def phase_derivs(kind: PhaseKind, params: SpaceParams, lam):
     if np.ndim(d1):
         return d1, d2
     return float(d1), float(d2)
-
-
-@dataclass
-class PhaseAsymptoticsReport:
-    """Sup/inf statistics of the normalized derivative envelopes."""
-
-    kind_name: str
-    delta1: float
-    delta2: float
-    sup_low: float          # sup |psi'| / lambda^(delta1-1) on (0,1)
-    sup_high: float         # sup |psi'| / lambda^(delta2-1) on [1, 1e4]
-    dd_ratio_min: float     # inf |psi''| / lambda^(delta2-2) on [1, 1e4]
-    dd_ratio_max: float
-    passed: bool
-
-
-# the upper-bound envelopes only need a finite constant; the psi'' envelope
-# is two sided, so its normalized ratio must stay within a bounded band
-_SUP_CAP = 1e6
-_DD_BAND = 100.0
-_N_LOW, _N_HIGH = 200, 400
-
-
-def verify_phase_asymptotics(kind: PhaseKind, params: SpaceParams) -> PhaseAsymptoticsReport:
-    """Sweep the envelopes on (1e-3, 1) and [1, 1e4] log grids of _N_LOW, _N_HIGH points."""
-    lam_low = np.logspace(-3, 0, _N_LOW, endpoint=False)
-    lam_high = np.logspace(0, 4, _N_HIGH)
-    d1_low, _ = phase_derivs(kind, params, lam_low)
-    d1_high, d2_high = phase_derivs(kind, params, lam_high)
-    sup_low = float(np.max(np.abs(d1_low) / lam_low ** (kind.delta1 - 1.0)))
-    sup_high = float(np.max(np.abs(d1_high) / lam_high ** (kind.delta2 - 1.0)))
-    dd = np.abs(d2_high) / lam_high ** (kind.delta2 - 2.0)
-    dd_min, dd_max = float(np.min(dd)), float(np.max(dd))
-    passed = (
-        sup_low < _SUP_CAP
-        and sup_high < _SUP_CAP
-        and dd_min > 0.0
-        and dd_max / dd_min < _DD_BAND
-    )
-    return PhaseAsymptoticsReport(
-        kind_name=kind.name, delta1=kind.delta1, delta2=kind.delta2,
-        sup_low=sup_low, sup_high=sup_high,
-        dd_ratio_min=dd_min, dd_ratio_max=dd_max, passed=passed,
-    )
 
 
 _T_BLOCK = 64  # times per kernel GEMM in maximal_function

@@ -21,21 +21,18 @@ import numpy as np
 from .bumps import bump_12, bump_unit
 from .dispersive import PhaseKind, phase, phase_derivs
 from .errors import DomainError, ValidationError
-from .profiles import SpectralProfile, _check_samples
+from .profiles import _check_samples
 from .quadrature import panel_rules
 from .space import SpaceParams, new_space
 from .spherical import phi_matrix
 from .special import _cis, plancherel_density
-from .transform import (_corresponded, _inverse_profile, _inverse_rules, _resampler,
-                        _sobolev_norms, _spline)
+from .transform import _inverse_profile, _inverse_rules, _resampler, _sobolev_norms, _spline
 
 __all__ = [
     "ExperimentReport",
     "SlopeFit",
     "fit_loglog_slope",
-    "case1_family",
     "case1_run",
-    "case2_family",
     "case2_run",
     "implied_p_bound",
     "transference_check",
@@ -113,22 +110,11 @@ def fit_loglog_slope(x, y) -> tuple[float, float]:
 # Case 1: bump of width sqrt(N) at frequency N
 # ---------------------------------------------------------------------------
 
-def case1_family(params: SpaceParams, n_freq: int) -> SpectralProfile:
-    """Spectrum N^(-1/2) eta(-lambda/sqrt(N) + sqrt(N)) |c(lambda)|,
-    supported in [N - sqrt(N), N + sqrt(N)], on _CASE1_POINTS.  The one-N
-    case of `_case1_families`, which `case1_run` builds for its list."""
-    return _one_family(_case1_families(params, [n_freq]))
-
-
-def _one_family(families) -> SpectralProfile:
-    """The family of a one-N `_case1_families` or `_case2_families` build."""
-    lam, vals, _, (lo, hi) = families
-    return SpectralProfile(lam[0], vals[0], support_hint=(float(lo[0]), float(hi[0])))
-
-
 def _case1_families(params: SpaceParams, n_list):
-    """case1_family for each N of n_list, as the rows of one (N x lambda)
-    build: (grids, values, density, (lo, hi)), density being
+    """The case-1 family of each N of n_list, the spectrum
+    N^(-1/2) eta(-lambda/sqrt(N) + sqrt(N)) |c(lambda)| on _CASE1_POINTS
+    of its support [N - sqrt(N), N + sqrt(N)], as the rows of one
+    (N x lambda) build: (grids, values, density, (lo, hi)), density being
     plancherel_density on the grids, which the Sobolev norms share, and
     (lo, hi) the supports, one row or entry per N.  The rows are checked
     once, as SpectralProfile checks each family (`_check_samples`), and
@@ -231,7 +217,7 @@ def case1_run(params: SpaceParams, a: float, beta_list, n_list, epsilon: float =
               shifted: bool = False, slope_tol: float = 0.05) -> ExperimentReport:
     """Scaling probe of the below-threshold failure.
 
-    For each N: the H^beta norms of case1_family(N), and the minimum of
+    For each N: the H^beta norms of its family, and the minimum of
     the linearized evolution over [eps, 2 eps].  The whole N list is worked
     at once.  One `_case1_families` build gives every family as a row of
     an (N x lambda) array, checked once, with the Plancherel density on its
@@ -288,33 +274,22 @@ def case1_run(params: SpaceParams, a: float, beta_list, n_list, epsilon: float =
 # Case 2: scaled Euclidean profile through the correspondence
 # ---------------------------------------------------------------------------
 
-def case2_family(params: SpaceParams, n_freq: int) -> SpectralProfile:
-    """Spectrum lambda^(n-1) bump_12(lambda/N) |c(lambda)|^2 on _CASE2_POINTS of
-    [N, 2N]: the Euclidean bump spectrum bump_12(lambda/N) carried to the space
-    by the correspondence weight of `euclidean_correspondence_inverse`.  The
-    one-N case of `_case2_families`, which `case2_run` builds for its list."""
-    return _one_family(_case2_families(params, _case2_n_list([n_freq])))
-
-
-def _case2_n_list(n_list) -> list[int]:
-    """n_list sorted; raises ValidationError for an N below 8."""
-    n_list = sorted(int(n) for n in n_list)
-    if n_list and n_list[0] < 8:
-        raise ValidationError("case-2 family requires N >= 8")
-    return n_list
-
-
 def _case2_families(params: SpaceParams, n_list: list[int]):
-    """case2_family for each N of n_list, as the rows of one (N x lambda)
-    build: (grids, values, density, (lo, hi)), as `_case1_families` gives
-    them, checked once and each row keeping the bits its family has alone."""
+    """The case-2 family of each N of n_list, the spectrum
+    lambda^(n-1) bump_12(lambda/N) |c(lambda)|^2 on _CASE2_POINTS of [N, 2N]
+    (the Euclidean bump spectrum bump_12(lambda/N) carried to the space by
+    the correspondence weight lambda^(n-1) / |c|^-2, exactly 0 where the
+    bump is), as the rows of one (N x lambda) build: (grids, values,
+    density, (lo, hi)), as `_case1_families` gives them, checked once and
+    each row keeping the bits its family has alone."""
     n = np.array(n_list, dtype=float)
     support = (n, 2.0 * n)
     lam = np.linspace(*support, _CASE2_POINTS, axis=-1)
     fg = bump_12(lam / n[:, None]).astype(complex)
     density = plancherel_density(params, lam)
     inside = np.abs(fg) > 0
-    vals = _corresponded(params, lam, fg, inside, density[inside])
+    vals = np.zeros_like(fg)
+    vals[inside] = lam[inside] ** (params.n - 1) * fg[inside] / density[inside]
     _check_samples(lam, vals, "spectral", support)
     return lam, vals, density, support
 
@@ -331,7 +306,7 @@ def case2_run(params: SpaceParams, beta: float, n_list, epsilon: float = 0.25,
     """Necessity probe: sup growth n, norm growth beta + n/2, and the
     implied p bound from their difference.
 
-    For each N: the H^beta norm of case2_family(N), and the sup over 48
+    For each N: the H^beta norm of its family, and the sup over 48
     points of [0, eps/N] of its inverse transform, each bit for bit what
     `sobolev_norm` and `sft_inverse` give that family alone.  The list is
     worked in one pass.  One `transform._inverse_rules` call, the first
@@ -348,7 +323,9 @@ def case2_run(params: SpaceParams, beta: float, n_list, epsilon: float = 0.25,
     """
     if not 0.0 <= beta < params.n / 2:
         raise ValidationError("case-2 requires 0 <= beta < n/2")
-    n_list = _case2_n_list(n_list)
+    n_list = sorted(int(n) for n in n_list)
+    if n_list and n_list[0] < 8:
+        raise ValidationError("case-2 family requires N >= 8")
     n = np.array(n_list, dtype=float)
     nodes, weights, counts = _inverse_rules(params, n, 2.0 * n, epsilon / n)
     lam, vals, density, _ = _case2_families(params, n_list)

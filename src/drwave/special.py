@@ -33,6 +33,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial import polynomial
 
 from .errors import DomainError, PoleError
 from .space import SpaceParams, _bernoulli
@@ -201,21 +202,14 @@ def _ratio_phase(lam):
     near = np.abs(lam) < _RATIO_LAMBDA_MIN
     x = lam[near]
     w = np.reciprocal(_RATIO_SHIFT + 1j * x)      # 1/z
-    phase = (_horner(_RATIO_COEFFS, w * w) * w).imag + 0.5 * np.angle(w)
+    phase = (polynomial.polyval(w * w, _RATIO_COEFFS) * w).imag + 0.5 * np.angle(w)
     for j in range(_RATIO_SHIFT):
         phase -= np.arctan(0.5 * x / ((j + 0.5) * (j + 1.0) + x * x))
     out[near] = phase
     x = lam[~near]
-    out[~near] = -_horner(_RATIO_COEFFS, -1.0 / (x * x)) / x - np.copysign(0.25 * math.pi, x)
+    out[~near] = (-polynomial.polyval(-1.0 / (x * x), _RATIO_COEFFS) / x
+                  - np.copysign(0.25 * math.pi, x))
     return out
-
-
-def _horner(coeffs, w):
-    """sum_i coeffs[i] w^i, w an array (real or complex)."""
-    acc = np.zeros_like(w)
-    for c in reversed(coeffs):
-        acc = acc * w + c
-    return acc
 
 
 def _h_phase(params: SpaceParams, lam):

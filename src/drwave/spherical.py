@@ -27,16 +27,15 @@ evaluated by
   the Gamma_mu recursion whose omega_k coefficients come from expanding
   the Liouville potential of the radial equation in powers of e^(-s).
 
-phi_matrix() is the one way into both series, and phi() is phi_matrix()
-on one cell, so both take the same route by s alone and both enforce
-the global bound |phi| <= 1.  The route plan (_route_plan) is the one
-place where that rule is written: it gives each route its columns, as
-a slice where they are contiguous (s sorted either way).  phi_matrix
-builds each series' parts that do not change along a row once per
-call on its columns, and runs both in blocks of lambda rows that keep
-their temporaries small, each route writing its own columns of the
-block.  Both series are
-checked against the exact closed form, the Jacobi function
+phi_matrix() is the one way into both series: it takes the route by s
+alone and enforces the global bound |phi| <= 1.  The route plan
+(_route_plan) is the one place where that rule is written: it gives
+each route its columns, as a slice where they are contiguous (s sorted
+either way).  phi_matrix builds each series' parts that do not change
+along a row once per call on its columns, and runs both in blocks of
+lambda rows that keep their temporaries small, each route writing its
+own columns of the block.  Both series are checked against the exact
+closed form, the Jacobi function
 phi_lambda(s) = 2F1(Q/2 + i lambda, Q/2 - i lambda; n/2; -sinh(s/2)^2)
 (Koornwinder, 1984), which the tests evaluate with mpmath.
 """
@@ -55,7 +54,6 @@ from .space import SpaceParams, log_density_taylor
 from .special import _h_modulus, _h_phase, _h_phase_slope0, _low_pair
 
 __all__ = [
-    "phi",
     "omega_coeffs",
     "phi_matrix",
 ]
@@ -520,11 +518,6 @@ def _route_plan(s: np.ndarray) -> list[tuple[str, slice | np.ndarray]]:
     routes = (("bessel", np.flatnonzero(s < S_HC_MIN)), ("hc", np.flatnonzero(s >= S_HC_MIN)))
     return [(name, slice(idx[0], idx[-1] + 1) if np.ptp(idx) < idx.size else idx)
             for name, idx in routes if idx.size]
-
-
-def phi(params: SpaceParams, lam: float, s: float) -> float:
-    """phi_lambda(s): phi_matrix on one cell."""
-    return float(phi_matrix(params, [lam], [s])[0, 0])
 
 
 def phi_matrix(params: SpaceParams, lams, s) -> np.ndarray:

@@ -1,6 +1,5 @@
-"""Spherical Fourier transform, inversion, Plancherel constant, Sobolev
-norms, and the weight lambda^(n-1) / |c|^-2 that carries a Euclidean
-radial spectrum to a spectrum of the space.
+"""Spherical Fourier transform, inversion, Plancherel constant and Sobolev
+norms.
 
 Forward:   fh(lambda) = int_0^inf f(s) phi_lambda(s) A(s) ds
 Inverse:   f(s) = C int_0^inf fh(lambda) phi_lambda(s) |c(lambda)|^-2 dlambda
@@ -61,7 +60,6 @@ __all__ = [
     "inversion_constant",
     "calibrate_inversion_constant",
     "sobolev_norm",
-    "euclidean_correspondence_inverse",
 ]
 
 _TAIL_TOL = 1e-10
@@ -272,9 +270,10 @@ def _resampler(lams: np.ndarray, s: np.ndarray, kept: bool = False) -> _Resample
       requested (the benchmark's forward transform) the direct product
       took 3.5 ms and the lattice 4.2 ms;
     - where a row's 2m weights are fewer than its phi cells, one per
-      column.  On `experiment case2`'s inverse (60 weights against 48 s)
-      the lattice saved 6% of the `scaling` pass but raised the process's
-      peak RSS by 0.13-0.15 MB.
+      column: with more, the weights cost more than the phi cells they
+      spare.  On `experiment case2`'s inverse (60 weights against 48 s)
+      the lattice saved 6% of the `scaling` pass and added 0.13-0.15 MB
+      to the process's peak RSS of about 42 MB.
     u = h sigma and m follow from the one error target (pi - u)(m - 1)/2
     >= _SAMPLING_EXPONENT; u = pi / (1 + sqrt(2 E / (lambda_top sigma)))
     minimises the lattice rows lambda_top sigma / u + m + 1 under it.
@@ -506,25 +505,3 @@ def _sobolev_norms(params: SpaceParams, lam: np.ndarray, values: np.ndarray, bet
             norms[..., i] = np.sqrt(np.where(val < 0.0, 0.0, val))
     return norms
 
-
-def euclidean_correspondence_inverse(params: SpaceParams, fg: SpectralProfile) -> SpectralProfile:
-    """The spectrum fh with lambda^(n-1) Fg = |c|^-2 fh of a Euclidean radial
-    spectrum Fg supported away from the origin: fh = lambda^(n-1) Fg / |c|^-2
-    where Fg is nonzero, exactly zero elsewhere (no division happens there)."""
-    if fg.support_hint is None or fg.support_hint[0] <= 0.0:
-        raise DomainError(f"the correspondence needs a support_hint bounded away from 0, "
-                          f"got {fg.support_hint}")
-    lam, inside = fg.lambda_grid, np.abs(fg.values) > 0
-    return SpectralProfile(lam, _corresponded(params, lam, fg.values, inside,
-                                              plancherel_density(params, lam[inside])),
-                           fg.support_hint)
-
-
-def _corresponded(params: SpaceParams, lam: np.ndarray, values: np.ndarray,
-                  inside: np.ndarray, density: np.ndarray) -> np.ndarray:
-    """lambda^(n-1) Fg / |c|^-2 for the Euclidean values Fg on lam (arrays of
-    any one shape), where the mask `inside` holds, else exactly 0; density
-    is plancherel_density on lam[inside]."""
-    out = np.zeros_like(values)
-    out[inside] = lam[inside] ** (params.n - 1) * values[inside] / density
-    return out

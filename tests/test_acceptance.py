@@ -11,7 +11,7 @@ import numpy as np
 
 from drwave.bumps import bump_unit
 from drwave.cli import run as cli_run
-from drwave.dispersive import PhaseKind, phase, phase_derivs, verify_phase_asymptotics
+from drwave.dispersive import PhaseKind, phase, phase_derivs
 from drwave.experiments import case1_run, case2_run, implied_p_bound, transference_check
 from drwave.oscillatory import dyadic_sum_check, sample_claim_triples
 from drwave.profiles import RadialProfile, SpectralProfile
@@ -26,7 +26,7 @@ from drwave.transform import (
     sft_inverse,
     sobolev_norm,
 )
-from oracles import phi_hyp, plancherel_envelope_ratio
+from oracles import phi_hyp, plancherel_envelope_ratio, verify_phase_asymptotics
 
 SPACES = [new_space(2, 1), new_space(4, 3), new_space(8, 1)]
 LAMBDAS = [0.5, 2.0, 10.0, 50.0]
@@ -102,19 +102,22 @@ def test_criterion_04_transform_roundtrip_isometry():
     params = SPACES[0]
     c_const = calibrate_inversion_constant(params)
     s = np.linspace(0.0, 12.0, 1536)
+    # the held-out profiles' closed forms: the roundtrip is read against the
+    # form itself on s_out, so that the gate sees the transform's own error
     held_out = [
-        RadialProfile(s, np.exp(-1.5 * s**2)),
-        RadialProfile(s, (1.0 + s**2) * np.exp(-1.2 * s**2)),
-        RadialProfile(s, s**4 * np.exp(-(s**2))),
+        lambda x: np.exp(-1.5 * x**2),
+        lambda x: (1.0 + x**2) * np.exp(-1.2 * x**2),
+        lambda x: x**4 * np.exp(-(x**2)),
     ]
     lam_grid = np.linspace(0.0, 24.0, 512)
     s_out = np.linspace(0.0, 8.0, 320)
     w_out = density(params, s_out)
     worst_rt = worst_iso = 0.0
-    for f in held_out:
+    for form in held_out:
+        f = RadialProfile(s, form(s))
         fh = sft_forward(params, f, lam_grid)
         back = sft_inverse(params, fh, s_out)
-        ref = np.interp(s_out, f.s_grid, np.real(f.values))
+        ref = form(s_out)
         err = math.sqrt(
             grid_integral(np.abs(back.values - ref) ** 2 * w_out, s_out)
             / grid_integral(ref**2 * w_out, s_out)
@@ -123,7 +126,7 @@ def test_criterion_04_transform_roundtrip_isometry():
         worst_iso = max(worst_iso, abs(_plancherel_ratio(params, f) / c_const - 1.0))
     elapsed = time.time() - t0
     _verdict(4, "roundtrip and isometry",
-             worst_rt < 1e-3 and worst_iso < 1e-3 and elapsed < 120.0,
+             worst_rt < 1e-6 and worst_iso < 1e-3 and elapsed < 120.0,
              f"roundtrip {worst_rt:.2e}, isometry {worst_iso:.2e}, {elapsed:.0f} s")
 
 

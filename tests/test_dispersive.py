@@ -14,7 +14,6 @@ from drwave.dispersive import (
     phase,
     phase_derivs,
     propagate,
-    verify_phase_asymptotics,
 )
 from drwave.errors import DomainError, ResolutionError, ValidationError
 from drwave.oscillatory import phase_diff
@@ -22,7 +21,7 @@ from drwave.profiles import SpectralProfile
 from drwave.space import new_space
 from drwave.spherical import phi_matrix
 from drwave.transform import sft_inverse, sobolev_norm
-from oracles import chi_lowpass
+from oracles import chi_lowpass, verify_phase_asymptotics
 
 ALL_KINDS = [
     PhaseKind("frac", a=1.5),

@@ -10,9 +10,7 @@ from drwave.errors import ResolutionError, ValidationError
 from drwave.experiments import (
     SlopeFit,
     _case1_linearized_min,
-    case1_family,
     case1_run,
-    case2_family,
     case2_run,
     fit_loglog_slope,
     implied_p_bound,
@@ -23,7 +21,7 @@ from drwave.quadrature import grid_integral, panel_rule
 from drwave.space import new_space
 from drwave.spherical import phi_matrix
 from drwave.transform import sobolev_norm
-from oracles import euclidean_spectrum, phi_hyp
+from oracles import case1_family, case2_family, euclidean_spectrum, phi_hyp
 
 CASE1_N = [64, 128, 256, 512, 1024]
 CASE1_BENCH_N = [4**k for k in range(3, 9)]     # the benchmark's case-1 list, 64 .. 65536
@@ -298,7 +296,7 @@ def test_case2_family_support_and_correspondence(space21):
     expected = bump_12(fam.lambda_grid / 16.0)
     assert np.max(np.abs(fg.values - expected)) <= 5e-15
     with pytest.raises(ValidationError):
-        case2_family(space21, 4)
+        case2_run(space21, 0.25, [4, 8, 16, 32, 64])
 
 
 @pytest.mark.parametrize("mv,mz", [(2, 1), (4, 3), (16, 7), (8, 1)])

@@ -1,7 +1,9 @@
+import ast
 import importlib
 import importlib.util
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,8 @@ import pytest
 import drwave
 
 MODULES = ["drwave"] + [f"drwave.{m.name}" for m in pkgutil.iter_modules(drwave.__path__)]
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -54,6 +57,44 @@ def test_every_traced_name_resolves():
     spherical = importlib.import_module("drwave.spherical")
     for name in ("S_BESSEL_MAX", "S_HC_MIN", "LAMBDA_HC_MIN"):
         assert isinstance(getattr(spherical, name, None), (int, float)), name
+
+
+def _referenced_names(node: ast.AST, out: set[str]) -> None:
+    """Add to out every name an ast.Name or ast.Attribute under node refers
+    to, annotations (of arguments, returns and annotated assignments) not
+    counted."""
+    if isinstance(node, ast.Name):
+        out.add(node.id)
+    elif isinstance(node, ast.Attribute):
+        out.add(node.attr)
+    for field, value in ast.iter_fields(node):
+        if field in ("annotation", "returns"):
+            continue
+        for child in value if isinstance(value, list) else [value]:
+            if isinstance(child, ast.AST):
+                _referenced_names(child, out)
+
+
+def test_every_public_name_has_a_library_caller():
+    # a public name stays only where a function or class body of the library
+    # uses it, the benchmark wraps it by name, or it is a console script; a
+    # helper that only the tests call lives in tests/oracles.py
+    used = set()
+    for path in sorted(Path(drwave.__file__).resolve().parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                for stmt in top.body:
+                    _referenced_names(stmt, used)
+    traced = {layer.attr.partition(".")[0] for layer in _bench_tracing().LAYERS}
+    # (module, name) of each console script in pyproject.toml's [project.scripts]
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = pyproject.partition("[project.scripts]")[2].partition("\n[")[0]
+    entry_points = set(re.findall(r'=\s*"([\w.]+):(\w+)"', scripts))
+    assert ("drwave.cli", "main") in entry_points
+    orphans = [f"{name}.{public}" for name in MODULES
+               for public in getattr(importlib.import_module(name), "__all__", [])
+               if public not in used | traced and (name, public) not in entry_points]
+    assert orphans == []
 
 
 def _loaded_after(script: str, out_root: Path, package: str) -> list[str]:

@@ -20,6 +20,8 @@ from drwave.oscillatory import (
     window_integral,
 )
 from drwave.quadrature import panel_rule
+from drwave.space import new_space
+from oracles import verify_phase_asymptotics
 
 K2 = PhaseKind("frac", shifted=True, a=2.0)
 K2U = PhaseKind("frac", a=2.0)
@@ -495,3 +497,13 @@ def test_disagreeing_tolerance_columns_raise(monkeypatch, space21):
                         lambda g, ph, a, b, tol: np.tile([1.0, 1.001], (a.size, 1)))
     with pytest.raises(ResolutionError, match="window integral k=3 unresolved"):
         window_integral(PhaseKind("frac", a=2.0), space21, 3, 2.0, 2.5, 0.3)
+
+
+@pytest.mark.parametrize("selector", ["frac:2", "frac:1.5", "frac-shifted:2", "boussinesq",
+                                      "boussinesq-shifted", "beam", "beam-shifted"])
+@pytest.mark.parametrize("m_v,m_z", [(2, 1), (4, 3)])
+def test_c1_is_the_envelope_sweeps_sup_high(selector, m_v, m_z):
+    # proof_constants sweeps |psi'| / lambda^(delta2-1) on [1, 1e4] itself;
+    # its C1 is the oracle envelope sweep's sup_high, bit for bit
+    kind, params = PhaseKind.from_selector(selector), new_space(m_v, m_z)
+    assert proof_constants(kind, params)["C1"] == verify_phase_asymptotics(kind, params).sup_high

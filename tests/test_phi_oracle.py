@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from drwave.space import new_space
-from drwave.spherical import phi, phi_matrix
-from oracles import hyp_grid, hyp_params, phi_hyp, phi_hyp_mp
+from drwave.spherical import phi_matrix
+from oracles import hyp_grid, hyp_params, phi, phi_hyp, phi_hyp_mp
 
 
 def test_phi_hyp_reproduces_h3_closed_form():

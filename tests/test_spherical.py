@@ -22,10 +22,9 @@ from drwave.spherical import (
     _hc_mu_for,
     _kernel_sum,
     omega_coeffs,
-    phi,
     phi_matrix,
 )
-from oracles import phi_hyp
+from oracles import phi, phi_hyp
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,12 @@ from drwave.special import plancherel_density
 from drwave.spherical import phi_matrix
 from drwave.transform import (
     calibrate_inversion_constant,
-    euclidean_correspondence_inverse,
     inversion_constant,
     sft_forward,
     sft_inverse,
     sobolev_norm,
 )
-from oracles import euclidean_spectrum
+from oracles import euclidean_correspondence_inverse, euclidean_spectrum
 
 
 def _gaussian_profile(alpha: float, s_max: float = 12.0, n: int = 1536) -> RadialProfile:
