@@ -1,16 +1,16 @@
 """Command-line entry point: every module behind one reproducible command.
 
 Each config key is one row of `_OPTIONS`: its default, flag, type and the
-subcommands that read the key, the only ones that take its flag or its
-line of a config file.  A run resolves its configuration from the
-defaults, then an optional flat dotted-key config file, then the flags,
-and holds each value as the str of what the key's type reads, so a value
-hashes the same whichever source set it.  The SHA-256 hash of the
-subcommand and the values, never of the output location, names the output
-directory: identical configurations land in identical paths with
-byte-identical artifacts (a JSON timestamp field is the one run-dependent
-value, and it is kept out of the hash).  A malformed or non-finite value,
-in a config file's line for any key too, exits 2 with an `error:` line.
+run keys (a subcommand, or `experiment-<kind>`) that read it, the only runs
+that take its flag or its line of a config file.  A run resolves its
+configuration from the defaults, then an optional flat dotted-key config
+file, then the flags, and holds each value as the str of what the key's
+type reads, so a value hashes the same whichever source set it.  The
+SHA-256 hash of the run key and the values, never of the output location,
+names the output directory: identical configurations land in identical
+paths with byte-identical artifacts (a JSON timestamp, kept out of the
+hash, is the one run-dependent value).  A malformed or non-finite value, in
+a config file's line for any key too, exits 2 with an `error:` line.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .special import c_function, plancherel_density
 __all__ = ["main", "run"]
 
 _F = "%.17g"
-_LAMBDA_STEPS_CAP = 2**22   # most grid steps the unset --lambda-points rule may ask for
+_POINTS_CAP = 2**22   # most points a grid count, or steps the unset --lambda-points rule, asks for
 
 
 def _switch(text: str) -> int:
@@ -46,8 +46,9 @@ def _switch(text: str) -> int:
     return int(int(text) != 0)
 
 
-# key: (default, flag, type, subcommands), subcommands None meaning all of them
-_EXPERIMENT = ("experiment",)
+# key: (default, flag, type, run keys), run keys None meaning all of them
+_CASE1, _CASE2 = ("experiment-case1",), ("experiment-case2",)
+_TRANSFERENCE = ("experiment-transference",)
 _LAMBDA_GRID = ("transform", "propagate", "maximal")   # the callers of _lambda_grid
 _OPTIONS: dict[str, tuple] = {
     "space.m_v": ("2", "--m-v", int, None),
@@ -58,26 +59,26 @@ _OPTIONS: dict[str, tuple] = {
     "grids.lambda_points": ("0", "--lambda-points", int, _LAMBDA_GRID),  # 0: the pi/8 phase rule
     "grids.t_points": ("512", "--t-points", int, ("maximal",)),
     "equation": ("frac:2", "--equation", str,
-                 ("propagate", "maximal", "oscillatory-claim", "experiment")),
+                 ("propagate", "maximal", "oscillatory-claim") + _TRANSFERENCE),
     "profile": ("gaussian:1", "--profile", str, ("transform",)),
     "spectrum": ("bump:2,8", "--spectrum", str, ("propagate", "maximal")),
     "time": ("0.1", "--t", float, ("propagate",)),
     "lambda": ("2", "--lambda", str, ("phi",)),
     "s": ("0.5", "--s", str, ("phi",)),
-    "experiment.a": ("2", "--a", float, _EXPERIMENT),
-    "experiment.beta": ("0.25", "--beta", float, _EXPERIMENT),
-    "experiment.beta_list": ("0.1,0.25,0.4", "--beta-list", str, _EXPERIMENT),
-    "experiment.n_list": ("", "--n-list", str, _EXPERIMENT),
-    "experiment.epsilon": ("0", "--epsilon", float, _EXPERIMENT),  # 0: per experiment
-    "experiment.shifted": ("0", "--shifted", _switch, _EXPERIMENT),
+    "experiment.a": ("2", "--a", float, _CASE1),
+    "experiment.beta": ("0.25", "--beta", float, _CASE2),
+    "experiment.beta_list": ("0.1,0.25,0.4", "--beta-list", str, _CASE1),
+    "experiment.n_list": ("", "--n-list", str, _CASE1 + _CASE2),
+    "experiment.epsilon": ("0", "--epsilon", float, _CASE1 + _CASE2),  # 0: per experiment
+    "experiment.shifted": ("0", "--shifted", _switch, _CASE1),
     "experiment.k_levels": ("20", "--k-levels", int, ("oscillatory-claim",)),
     "experiment.n_triples": ("60", "--n-triples", int, ("oscillatory-claim",)),
     "experiment.seed": ("0", "--seed", int, ("oscillatory-claim",)),
-    "experiment.lambda_threshold": ("1", "--lambda-threshold", float, _EXPERIMENT),
-    "experiment.lambda_max_sweep": ("1000", "--lambda-max-sweep", float, _EXPERIMENT),
-    "experiment.equation2": ("frac-shifted:2", "--equation2", str, _EXPERIMENT),
-    "tolerances.slope": ("0.05", "--slope-tol", float, _EXPERIMENT),
-    "tolerances.slope_case2": ("0.1", "--slope-tol-case2", float, _EXPERIMENT),
+    "experiment.lambda_threshold": ("1", "--lambda-threshold", float, _TRANSFERENCE),
+    "experiment.lambda_max_sweep": ("1000", "--lambda-max-sweep", float, _TRANSFERENCE),
+    "experiment.equation2": ("frac-shifted:2", "--equation2", str, _TRANSFERENCE),
+    "tolerances.slope": ("0.05", "--slope-tol", float, _CASE1),
+    "tolerances.slope_case2": ("0.1", "--slope-tol-case2", float, _CASE2),
     "output_dir": ("drwave-out", "--output-dir", str, None),
 }
 
@@ -116,27 +117,27 @@ def parse_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def config_hash(cfg: dict[str, str], subcommand: str) -> str:
+def config_hash(cfg: dict[str, str], run_key: str) -> str:
     """Names a run by its values alone: the output location is not hashed."""
-    blob = subcommand + "\n" + "\n".join(
+    blob = run_key + "\n" + "\n".join(
         f"{k} = {cfg[k]}" for k in sorted(cfg) if k != "output_dir"
     )
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _reads(subcommand: str, key: str) -> bool:
-    """Whether the subcommand reads the key, and so takes its flag."""
+def _reads(run_key: str, key: str) -> bool:
+    """Whether the run reads the key, and so takes its flag."""
     readers = _OPTIONS[key][3]
-    return readers is None or subcommand in readers
+    return readers is None or run_key in readers
 
 
 def _resolve(run_key: str, args: argparse.Namespace) -> tuple[dict[str, str], str]:
     """The run's values and their hash.  A config file sets only the keys
-    that the subcommand reads; every key it names is still checked."""
+    that the run reads; every key it names is still checked."""
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
         cfg.update((key, val) for key, val in parse_config_file(args.config).items()
-                   if _reads(args.subcommand, key))
+                   if _reads(run_key, key))
     for key, (_, _, typ, _) in _OPTIONS.items():
         val = getattr(args, key, None)
         if val is not None:
@@ -144,10 +145,10 @@ def _resolve(run_key: str, args: argparse.Namespace) -> tuple[dict[str, str], st
     return cfg, config_hash(cfg, run_key)
 
 
-def _out_dir(cfg: dict[str, str], subcommand: str, chash: str) -> Path:
+def _out_dir(cfg: dict[str, str], run_key: str, chash: str) -> Path:
     """The run's directory; the first artifact written creates it."""
     root = os.environ.get("DRWAVE_OUT_ROOT", cfg["output_dir"])
-    return Path(root) / f"{subcommand}-{chash}"
+    return Path(root) / f"{run_key}-{chash}"
 
 
 def _open_artifact(path: Path):
@@ -182,19 +183,19 @@ def _space_from(cfg):
 def _lambda_grid(cfg, rate: float = 0.0) -> np.ndarray:
     """--lambda-points points on [0, lambda_max]; unset, enough that a phase
     of rate max(s_max, rate) turns by at most pi/8 per step.  Raises
-    ResolutionError where that needs more than _LAMBDA_STEPS_CAP steps,
-    and ValidationError for a count below 0."""
+    ResolutionError where that needs more than _POINTS_CAP steps,
+    and ValidationError for a count below 0 or above _POINTS_CAP."""
     lam_max = float(cfg["grids.lambda_max"])
     n = int(cfg["grids.lambda_points"])
-    if n < 0:
-        raise ValidationError(f"--lambda-points must be 0 (unset) or above, got {n}")
+    if not 0 <= n <= _POINTS_CAP:
+        raise ValidationError(f"--lambda-points must be 0 (unset) to {_POINTS_CAP}, got {n}")
     if n == 0:
         rate = max(float(cfg["grids.s_max"]), rate)
         steps = lam_max * rate * 8.0 / math.pi
-        if not steps <= _LAMBDA_STEPS_CAP:
+        if not steps <= _POINTS_CAP:
             raise ResolutionError(
                 f"resolving a phase of rate {rate:.3g} on [0, {lam_max:g}] takes more "
-                f"than {_LAMBDA_STEPS_CAP} lambda steps; set --lambda-points"
+                f"than {_POINTS_CAP} lambda steps; set --lambda-points"
             )
         n = max(int(math.ceil(steps)) + 1, 64)
     return np.linspace(0.0, lam_max, n)
@@ -210,8 +211,8 @@ def _builtin_profile(cfg):
     if not alpha > 0:
         raise ValidationError(f"profile {cfg['profile']!r} needs a width alpha > 0")
     n = int(cfg["grids.s_points"])
-    if n < 2:
-        raise ValidationError(f"--s-points must be 2 or above, got {n}")
+    if not 2 <= n <= _POINTS_CAP:
+        raise ValidationError(f"--s-points must be 2 to {_POINTS_CAP}, got {n}")
     s = np.linspace(0.0, float(cfg["grids.s_max"]), n)
 
     def closed_form(x):
@@ -385,48 +386,50 @@ def _cmd_oscillatory(cfg, chash, out):
     return 0 if rep.passed else 1
 
 
-def _default_n_list(name: str) -> list[int]:
-    if name == "case1":
-        return [2**k for k in range(6, 13)]
-    # spans [2^3, 2^6]; intermediate points keep the slope fit >= 5 samples
-    return [8, 11, 16, 23, 32, 45, 64]
-
-
-def _cmd_experiment(cfg, chash, out, which):
+def _cases_inputs(cfg, default_n_list: list[int]):
+    """Case 1's or case 2's space, N list and epsilon keyword (unset: the case's own)."""
     params = _space_from(cfg)
-    n_list = (_numbers(cfg["experiment.n_list"], "experiment.n_list", int)
-              or _default_n_list(which))
-    eps = float(cfg["experiment.epsilon"])   # 0: each experiment's own default
-    eps_kw = {"epsilon": eps} if eps else {}
-    if which == "case1":
-        rep = experiments.case1_run(
-            params, float(cfg["experiment.a"]),
-            _numbers(cfg["experiment.beta_list"], "experiment.beta_list"),
-            n_list, shifted=bool(int(cfg["experiment.shifted"])),
-            slope_tol=float(cfg["tolerances.slope"]), **eps_kw,
-        )
-    elif which == "case2":
-        rep = experiments.case2_run(
-            params, float(cfg["experiment.beta"]), n_list,
-            slope_tol=float(cfg["tolerances.slope_case2"]), **eps_kw,
-        )
-    else:
-        rep = experiments.transference_check(
-            dispersive.PhaseKind.from_selector(cfg["equation"]),
-            dispersive.PhaseKind.from_selector(cfg["experiment.equation2"]),
-            big_lambda=float(cfg["experiment.lambda_threshold"]),
-            lambda_max=float(cfg["experiment.lambda_max_sweep"]),
-            params=params,
-        )
-    _emit_json(out / f"{which}.json", chash, rep.to_dict())
+    n_list = _numbers(cfg["experiment.n_list"], "experiment.n_list", int) or default_n_list
+    eps = float(cfg["experiment.epsilon"])
+    return params, n_list, ({"epsilon": eps} if eps else {})
+
+
+def _report(out, chash, name, rep) -> int:
+    """Write the experiment's report; returns the exit status of its verdict."""
+    _emit_json(out / f"{name}.json", chash, rep.to_dict())
     if rep.fitted_slopes:
-        _emit_csv(out / f"{which}-slopes.csv", chash, [f.name for f in fields(experiments.SlopeFit)],
+        _emit_csv(out / f"{name}-slopes.csv", chash, [f.name for f in fields(experiments.SlopeFit)],
                   zip(*map(astuple, rep.fitted_slopes)))
-    _emit_csv(out / f"{which}-scalars.csv", chash, ["quantity", "value"], zip(*rep.scalars))
-    print(f"experiment {which}: verdict {rep.verdict} -> {out}")
-    if which == "transference":
-        return 0
+    _emit_csv(out / f"{name}-scalars.csv", chash, ["quantity", "value"], zip(*rep.scalars))
+    print(f"experiment {name}: verdict {rep.verdict} -> {out}")
     return 0 if rep.verdict == "pass" else 1
+
+
+def _cmd_case1(cfg, chash, out):
+    params, n_list, eps_kw = _cases_inputs(cfg, [2**k for k in range(6, 13)])
+    rep = experiments.case1_run(params, float(cfg["experiment.a"]),
+                                _numbers(cfg["experiment.beta_list"], "experiment.beta_list"),
+                                n_list, shifted=bool(int(cfg["experiment.shifted"])),
+                                slope_tol=float(cfg["tolerances.slope"]), **eps_kw)
+    return _report(out, chash, "case1", rep)
+
+
+def _cmd_case2(cfg, chash, out):
+    # spans [2^3, 2^6]; intermediate points keep the slope fit >= 5 samples
+    params, n_list, eps_kw = _cases_inputs(cfg, [8, 11, 16, 23, 32, 45, 64])
+    rep = experiments.case2_run(params, float(cfg["experiment.beta"]), n_list,
+                                slope_tol=float(cfg["tolerances.slope_case2"]), **eps_kw)
+    return _report(out, chash, "case2", rep)
+
+
+def _cmd_transference(cfg, chash, out):
+    rep = experiments.transference_check(
+        dispersive.PhaseKind.from_selector(cfg["equation"]),
+        dispersive.PhaseKind.from_selector(cfg["experiment.equation2"]),
+        big_lambda=float(cfg["experiment.lambda_threshold"]),
+        lambda_max=float(cfg["experiment.lambda_max_sweep"]), params=_space_from(cfg))
+    _report(out, chash, "transference", rep)
+    return 0   # comparable or not, the check ran
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +442,9 @@ _SUBCOMMANDS = {
     "propagate": ("dispersive evolution of a spectrum", _cmd_propagate),
     "maximal": ("discretized maximal function", _cmd_maximal),
     "oscillatory-claim": ("dyadic window sum check", _cmd_oscillatory),
-    "experiment": ("scaling experiments", _cmd_experiment),
+    "experiment case1": ("case-1 counterexample: Sobolev norms against N", _cmd_case1),
+    "experiment case2": ("case-2 exponent: sups and norms against N", _cmd_case2),
+    "experiment transference": ("comparable oscillation of two multipliers", _cmd_transference),
 }
 
 
@@ -448,22 +453,25 @@ def _build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built once per process: parse_args
     keeps its results in a fresh namespace and leaves the parser as it was.
     A flag is taken only as written, never as the prefix of a longer one,
-    which would set a key the user did not name (`experiment --lambda-max`
-    as `--lambda-max-sweep`)."""
+    which would set a key the user did not name (`experiment transference
+    --lambda-max` as `--lambda-max-sweep`)."""
     parser = argparse.ArgumentParser(
         prog="drwave",
         description="Spherical Fourier analysis and dispersive propagators "
                     "on Damek-Ricci spaces",
         allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="subcommand")
-    for name, (help_text, _) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        if name == "experiment":
-            p.add_argument("which", choices=["case1", "case2", "transference"])
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    experiment = sub.add_parser("experiment", help="scaling experiments", allow_abbrev=False)
+    kinds = experiment.add_subparsers(dest="kind", required=True)
+    for command, (help_text, handler) in _SUBCOMMANDS.items():
+        group, _, name = command.rpartition(" ")
+        p = (kinds if group else sub).add_parser(name, help=help_text, allow_abbrev=False)
+        run_key = command.replace(" ", "-")
+        p.set_defaults(run_key=run_key, handler=handler)
         p.add_argument("--config", help="flat dotted-key config file")
         for key, (_, flag, typ, _) in _OPTIONS.items():
-            if _reads(name, key):
+            if _reads(run_key, key):
                 kind = {"action": "store_const", "const": 1} if typ is _switch else {}
                 p.add_argument(flag, dest=key, **kind)
     return parser
@@ -471,21 +479,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv) -> int:
     """Execute one CLI invocation; returns the process exit status."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if not args.subcommand:
-        parser.print_usage(sys.stderr)
-        return 2
-    which = getattr(args, "which", None)
-    key = f"{args.subcommand}-{which}" if which else args.subcommand
-    handler = _SUBCOMMANDS[args.subcommand][1]
     try:
-        cfg, chash = _resolve(key, args)
-        out = _out_dir(cfg, key, chash)
-        return handler(cfg, chash, out, which) if which else handler(cfg, chash, out)
+        cfg, chash = _resolve(args.run_key, args)
+        return args.handler(cfg, chash, _out_dir(cfg, args.run_key, chash))
     except (DrwaveError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

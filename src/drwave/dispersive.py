@@ -302,15 +302,21 @@ _T_MIN, _T_MAX = 1e-4, 1.0 - 1e-9   # ends of default_t_grid
 
 def default_t_grid(params: SpaceParams, kind: PhaseKind, lam_max: float,
                    n_points: int = 512):
-    """Log-spaced grid on [_T_MIN, _T_MAX] inside (0, 1), densified by doubling
-    until consecutive increments satisfy dt * psi(lam_max) <= pi/4; past
-    2^22 points it gives up with a ResolutionError."""
+    """Log-spaced grid on [_T_MIN, _T_MAX] inside (0, 1) of n_points or more,
+    densified by doubling until consecutive increments satisfy
+    dt * psi(lam_max) <= pi/4; past 2^22 points, set or doubled, it gives up
+    with a ResolutionError before any grid is built."""
     if n_points < 2:
         raise ValidationError(f"a t grid needs at least 2 points, got {n_points}")
     psi_max = float(phase(kind, params, lam_max))
     log_ratio = math.log(_T_MIN / _T_MAX)
     n = n_points
     while True:
+        if n > 2**22:
+            raise ResolutionError(
+                f"the t grid passes 2^22 points at {n} (n_points = {n_points}, doubled while "
+                f"dt * psi(lam_max) > pi/4; psi(lam_max) = {psi_max:.3g})"
+            )
         # the last increment is the largest; its closed form screens n before
         # any allocation, with a margin far above its rounding error
         dt_last = -_T_MAX * math.expm1(log_ratio / (n - 1))
@@ -318,11 +324,6 @@ def default_t_grid(params: SpaceParams, kind: PhaseKind, lam_max: float,
             grid = np.geomspace(_T_MIN, _T_MAX, n)
             if float(np.max(np.diff(grid))) * psi_max <= math.pi / 4.0:
                 return grid
-        if n > 2**22:
-            raise ResolutionError(
-                f"no t grid of up to {n} points keeps dt * psi(lam_max) <= pi/4 "
-                f"(psi(lam_max) = {psi_max:.3g})"
-            )
         n *= 2
 
 

@@ -358,8 +358,8 @@ def sample_claim_triples(kind: PhaseKind, params: SpaceParams, n: int,
     |s-s'| below d^(1/delta2)/C6, between it and 1, and at least 1.  Just
     above delta2 = 1, C6 = C5^(1/(delta2-1)) underflows to 0; the first
     threshold is then infinite, and the annulus width caps it."""
-    if n < 1:
-        raise ValidationError(f"need at least one triple, got {n}")
+    if not 1 <= n <= 2**22:
+        raise ValidationError(f"need 1 to 2^22 triples, got {n}")
     if seed < 0:
         raise ValidationError(f"the seed must be 0 or above, got {seed}")
     rng = np.random.default_rng(seed)
@@ -402,10 +402,11 @@ _TRIPLE_BLOCK = 8
 
 def dyadic_sum_check(kind: PhaseKind, params: SpaceParams, sample_spec,
                      big_k: int = 20) -> DyadicSumReport:
-    """|s-s'|^(1/2) sum_{k<=K} I_k per triple, K = big_k >= 1; passes iff the maximum
-    is finite and K -> 2K changes no triple's sum by more than 1%."""
-    if big_k < 1:
-        raise ValidationError(f"the dyadic sum needs K >= 1, got {big_k}")
+    """|s-s'|^(1/2) sum_{k<=K} I_k per triple, 1 <= K = big_k <= 511 (the
+    windows reach 2^(2K), past the double range from K = 512); passes iff the
+    maximum is finite and K -> 2K changes no triple's sum by more than 1%."""
+    if not 1 <= big_k <= 511:
+        raise ValidationError(f"the dyadic sum needs 1 <= K <= 511, got {big_k}")
     triples = np.atleast_2d(np.asarray(sample_spec, dtype=float))
     if triples.shape[1] != 3:
         raise ValidationError("sample_spec must be (n, 3): columns s, s', d")

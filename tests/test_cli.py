@@ -287,6 +287,18 @@ def test_config_line_without_equals_exits_2(tmp_path, out_root, capsys):
     ["transform", "--lambda-points", "1"],
     # a sech profile whose cosh passes the float range: 1/inf = 0, norm 0
     ["transform", "--profile", "sech:1e300"],
+    # counts past their caps, refused before anything of their size is
+    # allocated: 2^22 points or triples, K = 511 levels (windows to 2^(2K))
+    ["maximal", "--t-points", "1099511627776"],
+    ["transform", "--s-points", "1099511627776"],
+    ["maximal", "--lambda-points", "1099511627776"],
+    ["oscillatory-claim", "--n-triples", "1099511627776"],
+    ["oscillatory-claim", "--k-levels", "1099511627776"],
+    ["oscillatory-claim", "--k-levels", "600", "--n-triples", "3"],
+    ["transform", "--s-points", "4194305"],
+    ["transform", "--lambda-points", "4194305"],
+    ["oscillatory-claim", "--n-triples", "4194305"],
+    ["oscillatory-claim", "--k-levels", "512", "--n-triples", "3"],
 ])
 def test_malformed_input_is_a_usage_error(tmp_path, out_root, capsys, argv):
     cfg = tmp_path / "bad.cfg"
@@ -314,16 +326,18 @@ def test_profile_width_must_be_positive(out_root, capsys, selector):
 
 
 def _flag_cases():
-    # every key on every subcommand, the ones that do not take its flag too
+    # every key on every run key, the ones that do not take its flag too;
+    # case 1 keeps the id it had as the one experiment kind tried
     for key in _OPTIONS:
-        for sub in _SUBCOMMANDS:
-            yield pytest.param(key, sub, id=f"{key}@{sub}")
+        for command in _SUBCOMMANDS:
+            where = "experiment" if command == "experiment case1" else command
+            yield pytest.param(key, command, id=f"{key}@{where}")
 
 
-@pytest.mark.parametrize("key,sub", list(_flag_cases()))
-def test_flag_and_config_file_set_the_same_value(tmp_path, key, sub):
-    default, flag, typ, subcommands = _OPTIONS[key]
-    argv = [sub, "case1"] if sub == "experiment" else [sub]
+@pytest.mark.parametrize("key,command", list(_flag_cases()))
+def test_flag_and_config_file_set_the_same_value(tmp_path, key, command):
+    default, flag, typ, readers = _OPTIONS[key]
+    argv = command.split()
     run_key = "-".join(argv)
     parser = _build_parser()
 
@@ -336,9 +350,9 @@ def test_flag_and_config_file_set_the_same_value(tmp_path, key, sub):
     cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
     by_file = resolved("--config", str(cfg))
     with_flag = [flag] if typ is _switch else [flag, value]
-    if subcommands is not None and sub not in subcommands:
-        # a subcommand that never reads the key has no flag for it, and
-        # takes nothing for it from the config file: the key keeps its default
+    if readers is not None and run_key not in readers:
+        # a run that never reads the key has no flag for it, and takes
+        # nothing for it from the config file: the key keeps its default
         assert by_file == resolved()
         with pytest.raises(SystemExit):
             parser.parse_args(argv + with_flag)
@@ -364,6 +378,45 @@ def test_flag_the_subcommand_does_not_read_is_a_usage_error(out_root, capsys, ar
     assert run(argv) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not out_root.exists()
+
+
+_KINDS = [command for command in _SUBCOMMANDS if command.startswith("experiment ")]
+# the keys some experiment kind reads (equation is read by other subcommands too)
+_EXPERIMENT_KEYS = [key for key, (*_, readers) in _OPTIONS.items()
+                    if readers and any(r.startswith("experiment-") for r in readers)]
+
+
+@pytest.mark.parametrize("command", _KINDS)
+def test_each_experiment_kind_takes_only_its_own_flags(tmp_path, out_root, capsys, command):
+    run_key = command.replace(" ", "-")
+    own = [key for key in _EXPERIMENT_KEYS if run_key in _OPTIONS[key][3]]
+    assert len(own) == {"case1": 6, "case2": 4, "transference": 4}[command.split()[1]]
+    assert run([*command.split(), "--help"]) == 0
+    flags = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out)) - {"--help"}
+    assert flags == {_OPTIONS[key][1] for key in own} | {"--m-v", "--m-z", "--output-dir",
+                                                        "--config"}
+    others = [key for key in _EXPERIMENT_KEYS if key not in own]
+    for key in others:
+        flag, typ = _OPTIONS[key][1:3]
+        assert run([*command.split(), flag] + ([] if typ is _switch else ["3"])) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        # another kind's config line is still checked, and not taken
+        cfg = tmp_path / "other.cfg"
+        if typ is not str:
+            cfg.write_text(f"{key} = x\n", encoding="utf-8")
+            assert run([*command.split(), "--config", str(cfg)]) == 2
+            assert "cannot read 'x'" in capsys.readouterr().err
+        cfg.write_text(f"{key} = 3\n", encoding="utf-8")
+        args = _build_parser().parse_args([*command.split(), "--config", str(cfg)])
+        assert _resolve(run_key, args) == (DEFAULTS, config_hash(DEFAULTS, run_key))
+    assert not out_root.exists()
+
+
+def test_another_kinds_config_line_keeps_the_default_directory(tmp_path, out_root):
+    cfg = tmp_path / "other.cfg"
+    cfg.write_text("experiment.a = 3\n", encoding="utf-8")
+    assert run(["experiment", "case2", "--config", str(cfg)]) == 0
+    assert [p.name for p in out_root.iterdir()] == ["experiment-case2-4a6f52991205"]
 
 
 def test_config_key_the_subcommand_does_not_read_is_not_taken(tmp_path, out_root):
@@ -564,10 +617,8 @@ def test_kernel_products_rerun_byte_identical(tmp_path, monkeypatch):
     assert len(texts[0]) == 4 and texts[0] == texts[1]
 
 
-@pytest.mark.parametrize("argv", [[name] for name in _SUBCOMMANDS
-                                  if name not in ("transform", "experiment")]
-                         + [["experiment", which] for which in ("case1", "case2", "transference")],
-                         ids=" ".join)
+@pytest.mark.parametrize("argv", [command.split() for command in _SUBCOMMANDS
+                                  if command != "transform"], ids=" ".join)
 def test_every_subcommand_runs_at_its_defaults(out_root, argv):
     # transform at its defaults takes tens of seconds and is left out
     assert run(argv) == 0

@@ -14,7 +14,7 @@ import drwave
 
 MODULES = ["drwave"] + [f"drwave.{m.name}" for m in pkgutil.iter_modules(drwave.__path__)]
 ROOT = Path(__file__).resolve().parent.parent
-TRACING = ROOT / "bench" / "tracing.py"
+CI = ROOT / ".github" / "workflows" / "tier1.yml"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -25,9 +25,10 @@ def test_every_exported_name_resolves(name):
     assert [n for n in exported if not hasattr(mod, n)] == []
 
 
-def _bench_tracing():
-    """bench/tracing.py, loaded from its path without patching anything."""
-    spec = importlib.util.spec_from_file_location("_bench_tracing", TRACING)
+def _bench(name: str):
+    """bench/<name>.py, loaded from its path without patching anything."""
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}",
+                                                  ROOT / "bench" / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = mod       # dataclasses looks its module up here
     try:
@@ -41,7 +42,7 @@ def test_every_traced_name_resolves():
     # the benchmark's traced mode patches each layer at its home module
     # (a method or property on its class) and reads spherical's zone bounds
     missing = []
-    for layer in _bench_tracing().LAYERS:
+    for layer in _bench("tracing").LAYERS:
         home = importlib.import_module(layer.home)
         owner, _, attr = layer.attr.rpartition(".")
         if owner:
@@ -57,6 +58,33 @@ def test_every_traced_name_resolves():
     spherical = importlib.import_module("drwave.spherical")
     for name in ("S_BESSEL_MAX", "S_HC_MIN", "LAMBDA_HC_MIN"):
         assert isinstance(getattr(spherical, name, None), (int, float)), name
+
+
+def test_benchmark_and_ci_invocations_parse_to_their_run_keys():
+    # every job and warm-up of the benchmark's workloads at seed 0 and every
+    # experiment run of the CI steps parses as its command, with the handler
+    # and run key of that command; a CI run naming a flag its experiment
+    # kind does not read is refused instead
+    from drwave.cli import _OPTIONS, _SUBCOMMANDS, _build_parser, _reads
+    workloads = _bench("workloads")
+    bench_runs = [job.argv for name in workloads.WORKLOADS
+                  for w in [workloads.make(name, 0)] for job in w.warmup + w.jobs]
+    ci_runs = [tuple(run.split()) for run in re.findall(
+        r"experiment (?:case1|case2|transference)[^\"\n\\]*", CI.read_text(encoding="utf-8"))]
+    assert len(bench_runs) == 26 and len(ci_runs) == 4
+    refused = 0
+    for argv in bench_runs + ci_runs:
+        command = " ".join(argv[:2]) if argv[0] == "experiment" else argv[0]
+        run_key = command.replace(" ", "-")
+        read = {_OPTIONS[key][1] for key in _OPTIONS if _reads(run_key, key)}
+        if argv in ci_runs and not {a for a in argv if a.startswith("--")} <= read:
+            refused += 1
+            with pytest.raises(SystemExit):
+                _build_parser().parse_args(argv)
+            continue
+        args = _build_parser().parse_args(argv)
+        assert args.handler is _SUBCOMMANDS[command][1] and args.run_key == run_key, argv
+    assert refused == 1
 
 
 def _referenced_names(node: ast.AST, out: set[str]) -> None:
@@ -85,7 +113,7 @@ def test_every_public_name_has_a_library_caller():
             if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 for stmt in top.body:
                     _referenced_names(stmt, used)
-    traced = {layer.attr.partition(".")[0] for layer in _bench_tracing().LAYERS}
+    traced = {layer.attr.partition(".")[0] for layer in _bench("tracing").LAYERS}
     # (module, name) of each console script in pyproject.toml's [project.scripts]
     pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     scripts = pyproject.partition("[project.scripts]")[2].partition("\n[")[0]
